@@ -1255,8 +1255,10 @@ fn write_json(
     let sha = git_sha();
     let (mut history, replaced) = read_history(path, &sha, quick);
     let prior = history.clone();
+    // Every timing below depends on the host; record how many cores it had.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut entry = format!(
-        "{{\"sha\": \"{sha}\", \"quick\": {quick}, \"tpde_x64\": {:.4}, \"tpde_a64\": {:.4}, \"copy_patch\": {:.4}",
+        "{{\"sha\": \"{sha}\", \"quick\": {quick}, \"nproc\": {nproc}, \"tpde_x64\": {:.4}, \"tpde_a64\": {:.4}, \"copy_patch\": {:.4}",
         geo.0, geo.1, geo.2
     );
     match par {

@@ -174,6 +174,12 @@ pub trait IrAdapter {
     /// Whether the function has a body that must be compiled.
     fn func_is_definition(&self, func: FuncRef) -> bool;
 
+    /// Number of instructions in the whole module if that is cheap to tell,
+    /// else 0. Only used to size the text section up front.
+    fn module_inst_count(&self) -> usize {
+        0
+    }
+
     // ---- current function -------------------------------------------------
 
     /// Makes `func` the current function. Called once per defined function

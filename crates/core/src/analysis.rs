@@ -517,51 +517,25 @@ impl Analyzer {
         liveness.clear();
         liveness.resize(adapter.value_count(), LiveRange::default());
 
-        let define = |liveness: &mut Vec<LiveRange>, v: ValueRef, pos: u32| {
-            if v.idx() >= liveness.len() {
-                return;
+        let define = |liveness: &mut [LiveRange], v: ValueRef, pos: u32| {
+            if let Some(lr) = liveness.get_mut(v.idx()) {
+                lr.defined = true;
+                lr.first = lr.first.min(pos);
+                lr.last = lr.last.max(pos);
             }
-            let lr = &mut liveness[v.idx()];
-            lr.defined = true;
-            lr.first = lr.first.min(pos);
-            lr.last = lr.last.max(pos);
         };
 
-        // definitions
-        let entry_pos = 0u32;
-        for &arg in adapter.args() {
-            define(liveness, arg, entry_pos);
-        }
-        for sv in adapter.static_stack_vars() {
-            define(liveness, sv.value, entry_pos);
-        }
-        for b in 0..num_blocks as u32 {
-            let pos = block_pos[b as usize];
-            for &phi in adapter.block_phis(BlockRef(b)) {
-                define(liveness, phi, pos);
-            }
-            for &inst in adapter.block_insts(BlockRef(b)) {
-                for &res in adapter.inst_results(inst) {
-                    define(liveness, res, pos);
-                }
-            }
-        }
-
-        // uses (with loop extension)
-        let extend_for_loops = |liveness: &mut Vec<LiveRange>,
-                                loops: &Vec<LoopInfo>,
-                                block_loop: &Vec<u32>,
-                                v: ValueRef,
-                                use_pos: u32| {
-            let lr = &mut liveness[v.idx()];
+        // A use in a loop that does not contain the definition keeps the
+        // value live to the end of the outermost such loop. With only the
+        // root loop there is nothing to extend.
+        let has_loops = loops.len() > 1;
+        let extend_for_loops = |lr: &mut LiveRange, use_pos: u32| {
             let def_pos = if lr.defined { lr.first } else { use_pos };
-            // outermost loop containing the use but not the definition
             let mut l = block_loop[use_pos as usize];
             let mut candidate: Option<u32> = None;
             while l != 0 {
                 let li = &loops[l as usize];
-                let contains_def = def_pos >= li.begin && def_pos <= li.end;
-                if contains_def {
+                if def_pos >= li.begin && def_pos <= li.end {
                     break;
                 }
                 candidate = Some(l);
@@ -578,7 +552,7 @@ impl Analyzer {
             }
         };
 
-        let add_use = |liveness: &mut Vec<LiveRange>, v: ValueRef, pos: u32, at_end: bool| {
+        let add_use = |liveness: &mut [LiveRange], v: ValueRef, pos: u32, at_end: bool| {
             if v.idx() >= liveness.len() || adapter.val_is_const(v) {
                 return;
             }
@@ -591,36 +565,51 @@ impl Analyzer {
             } else if pos == lr.last && at_end {
                 lr.last_full = true;
             }
-            extend_for_loops(liveness, loops, block_loop, v, pos);
+            if has_loops {
+                extend_for_loops(lr, pos);
+            }
         };
 
-        for b in 0..num_blocks as u32 {
-            let pos = block_pos[b as usize];
-            for &inst in adapter.block_insts(BlockRef(b)) {
+        // One walk in layout order: a definition precedes its uses there, so
+        // each instruction's operand uses see the final definition position.
+        for &arg in adapter.args() {
+            define(liveness, arg, 0);
+        }
+        for sv in adapter.static_stack_vars() {
+            define(liveness, sv.value, 0);
+        }
+        for (pos, &block) in layout.iter().enumerate() {
+            let pos = pos as u32;
+            for &phi in adapter.block_phis(block) {
+                define(liveness, phi, pos);
+            }
+            for &inst in adapter.block_insts(block) {
                 for &op in adapter.inst_operands(inst) {
                     add_use(liveness, op, pos, false);
                 }
+                for &res in adapter.inst_results(inst) {
+                    define(liveness, res, pos);
+                }
             }
-            // phi incoming values are used at the end of the incoming block
+        }
+
+        // Phi incoming values are used at the end of the incoming block; a
+        // back-edge value is defined after the phi's block in layout order,
+        // so these uses come after the walk above.
+        for b in 0..num_blocks as u32 {
+            let ppos = block_pos[b as usize];
             for &phi in adapter.block_phis(BlockRef(b)) {
                 for inc in adapter.phi_incoming(phi) {
                     let ipos = block_pos[inc.block.idx()];
-                    if ipos != u32::MAX {
-                        add_use(liveness, inc.value, ipos, true);
-                    }
-                }
-                // the phi itself is "used" by each incoming edge's move target;
-                // ensure its range covers all incoming blocks that are inside its
-                // loop (back edges), mirroring the paper's handling.
-                let ppos = block_pos[b as usize];
-                for inc in adapter.phi_incoming(phi) {
-                    let ipos = block_pos[inc.block.idx()];
-                    if ipos != u32::MAX && ipos > ppos {
-                        let lr = &mut liveness[phi.idx()];
-                        if ipos > lr.last {
-                            lr.last = ipos;
-                            lr.last_full = true;
-                        }
+                    add_use(liveness, inc.value, ipos, true);
+                    // The phi itself is the move target of each incoming
+                    // edge: it stays live to the end of every incoming block
+                    // laid out after it (back edges), mirroring the paper's
+                    // handling.
+                    let lr = &mut liveness[phi.idx()];
+                    if ipos > ppos && ipos >= lr.last {
+                        lr.last = ipos;
+                        lr.last_full = true;
                     }
                 }
             }
@@ -969,6 +958,20 @@ mod tests {
         // v2 (the next value) is used by the phi at end of block 2 but defined in 2
         let l2 = a.live(ValueRef(2));
         assert_eq!(l2.first, a.pos(BlockRef(2)));
+    }
+
+    #[test]
+    fn loop_phi_stays_live_to_the_end_of_a_lower_numbered_latch() {
+        // Same loop with the latch numbered before the header, so its use of
+        // the phi is recorded before the back edge is: 0 -> 2(header, phi);
+        // 2 -> 1(latch); 1 -> {2, 3}.
+        let mut ir = MockIr::new(vec![vec![2], vec![2, 3], vec![1], vec![]], 1);
+        ir.phi(2, 1, vec![(0, 0), (1, 2)]);
+        ir.inst(1, Some(2), vec![1]);
+        let a = run_analysis(&mut ir).unwrap();
+        let lphi = a.live(ValueRef(1));
+        assert_eq!(lphi.last, a.pos(BlockRef(1)));
+        assert!(lphi.last_full, "the back edge's move writes the phi");
     }
 
     #[test]

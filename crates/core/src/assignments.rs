@@ -1,21 +1,19 @@
 //! Value assignments: the per-value state tracked during code generation.
 //!
 //! For every live value the framework stores an [`Assignment`]: a stack
-//! frame slot for spilling, the remaining number of uses, and per value part
-//! the current register, whether the stack slot holds the current value, and
-//! whether the part is trivially recomputable or pinned to a fixed register
-//! (§3.4.1 of the paper).
+//! frame slot for spilling, the remaining number of uses, whether the value
+//! is trivially recomputable, and per value part the current register,
+//! whether the stack slot holds the current value, and whether the part is
+//! pinned to a fixed register (§3.4.1 of the paper).
 
 use crate::adapter::ValueRef;
 use crate::regs::{Reg, RegBank};
 
-/// How a value part can be rematerialized instead of being spilled/reloaded.
+/// How a value can be rematerialized instead of being spilled/reloaded.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Recompute {
-    /// The part is the address of a stack variable: `frame_reg + offset`.
+    /// The value is the address of a stack variable: `frame_reg + offset`.
     StackAddr(i32),
-    /// The part is a constant with the given bits.
-    Const(u64),
 }
 
 /// State of one part of a value.
@@ -24,7 +22,7 @@ pub struct PartState {
     /// Register currently holding the part, if any.
     pub reg: Option<Reg>,
     /// Size of the part in bytes.
-    pub size: u32,
+    pub size: u8,
     /// Register bank of the part.
     pub bank: RegBank,
     /// Whether the stack slot currently holds the correct value. If `false`
@@ -33,126 +31,55 @@ pub struct PartState {
     /// Whether the part is pinned to `reg` for its whole live range
     /// (innermost-loop heuristic); fixed parts are never spilled or evicted.
     pub fixed: bool,
-    /// If set, the part can be recomputed instead of spilled.
-    pub recompute: Option<Recompute>,
 }
 
 impl PartState {
-    /// Placeholder used to initialize inline storage.
-    pub const EMPTY: PartState = PartState {
-        reg: None,
-        size: 0,
-        bank: RegBank::GP,
-        in_mem: false,
-        fixed: false,
-        recompute: None,
-    };
-}
-
-/// Number of part slots stored inline in a [`PartList`]. Covers every value
-/// the back-ends in this workspace produce (1 part, 2 for 128-bit ints).
-const PARTS_INLINE: usize = 2;
-
-/// Part storage with inline capacity.
-///
-/// An assignment is created for every value the code generator touches —
-/// one heap allocation per value here would show up directly in the
-/// per-instruction compile cost. Values almost always have one part, so up
-/// to [`PARTS_INLINE`] parts live inline in the `Assignment` and only the
-/// (in practice nonexistent) larger values spill to the heap.
-#[derive(Clone, Debug)]
-pub struct PartList {
-    len: u32,
-    inline: [PartState; PARTS_INLINE],
-    heap: Vec<PartState>,
-}
-
-impl Default for PartList {
-    fn default() -> PartList {
-        PartList::new()
-    }
-}
-
-impl PartList {
-    /// Creates an empty part list.
-    pub fn new() -> PartList {
-        PartList {
-            len: 0,
-            inline: [PartState::EMPTY; PARTS_INLINE],
-            heap: Vec::new(),
-        }
-    }
-
-    /// Appends a part.
-    pub fn push(&mut self, p: PartState) {
-        let len = self.len as usize;
-        if len < PARTS_INLINE {
-            self.inline[len] = p;
-        } else {
-            if len == PARTS_INLINE {
-                self.heap.clear();
-                self.heap.extend_from_slice(&self.inline);
-            }
-            self.heap.push(p);
-        }
-        self.len += 1;
-    }
-}
-
-impl std::ops::Deref for PartList {
-    type Target = [PartState];
-    #[inline]
-    fn deref(&self) -> &[PartState] {
-        if self.len as usize <= PARTS_INLINE {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.heap
+    /// An unassigned part of the given size and bank.
+    pub fn new(size: u8, bank: RegBank) -> PartState {
+        PartState {
+            reg: None,
+            size,
+            bank,
+            in_mem: false,
+            fixed: false,
         }
     }
 }
 
-impl std::ops::DerefMut for PartList {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [PartState] {
-        if self.len as usize <= PARTS_INLINE {
-            &mut self.inline[..self.len as usize]
-        } else {
-            &mut self.heap
-        }
-    }
-}
-
-impl FromIterator<PartState> for PartList {
-    fn from_iter<I: IntoIterator<Item = PartState>>(iter: I) -> PartList {
-        let mut l = PartList::new();
-        for p in iter {
-            l.push(p);
-        }
-        l
-    }
-}
+/// Most parts a value can have (1 for scalars, 2 for 128-bit integers);
+/// the code generator rejects wider values as unsupported.
+pub const MAX_PARTS: usize = 2;
 
 /// Per-value state during code generation.
-#[derive(Clone, Debug)]
+///
+/// One is created for every value the code generator touches, so it is
+/// `Copy` and small: the table below is filled and swept per function.
+#[derive(Copy, Clone, Debug)]
 pub struct Assignment {
     /// Frame offset (relative to the frame pointer) of the spill slot,
     /// or `None` if no slot has been allocated yet.
     pub frame_off: Option<i32>,
+    /// If set, the (single-part) value is recomputed instead of spilled.
+    pub recompute: Option<Recompute>,
     /// Number of uses the code generator has not yet seen.
     pub remaining_uses: u32,
     /// Layout position of the last block the value is live in.
     pub last_pos: u32,
     /// Whether liveness extends to the end of `last_pos`.
     pub last_full: bool,
-    /// Per-part state (inline for up to two parts).
-    pub parts: PartList,
+    /// Number of parts in use.
+    pub nparts: u8,
+    /// Per-part state; entries from `nparts` on are unused.
+    pub parts: [PartState; MAX_PARTS],
 }
 
+const _: () = assert!(std::mem::size_of::<Option<Assignment>>() <= 48);
+
 impl Assignment {
-    /// Total spill size in bytes (sum of part sizes, each padded to 8 bytes
-    /// so part offsets are trivially computable).
+    /// Total spill size in bytes (each part padded to 8 bytes so part
+    /// offsets are trivially computable).
     pub fn spill_size(&self) -> u32 {
-        self.parts.len() as u32 * 8
+        self.nparts as u32 * 8
     }
 
     /// Byte offset of a part within the value's spill slot.
@@ -161,34 +88,17 @@ impl Assignment {
     }
 }
 
-/// Table of assignments indexed by value number, plus the frame-slot
-/// allocator.
+/// Table of assignments indexed by value number.
 #[derive(Debug, Default)]
 pub struct AssignmentTable {
     slots: Vec<Option<Assignment>>,
-    /// Values that currently have an assignment (for cheap sweeping).
-    active: Vec<ValueRef>,
+    /// Every value inserted since the last prune, with its `last_pos`, in
+    /// insertion order (the order the block-boundary sweep frees in). May
+    /// name values whose assignment is already gone.
+    active: Vec<(ValueRef, u32)>,
 }
 
 impl AssignmentTable {
-    /// Creates a table for `value_count` values.
-    pub fn new(value_count: usize) -> AssignmentTable {
-        AssignmentTable {
-            slots: vec![None; value_count],
-            active: Vec::new(),
-        }
-    }
-
-    /// Number of value slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Whether a value currently has an assignment.
     pub fn contains(&self, v: ValueRef) -> bool {
         self.slots.get(v.idx()).is_some_and(|s| s.is_some())
@@ -197,7 +107,7 @@ impl AssignmentTable {
     /// Inserts an assignment for a value (replacing any existing one).
     pub fn insert(&mut self, v: ValueRef, a: Assignment) {
         if self.slots[v.idx()].is_none() {
-            self.active.push(v);
+            self.active.push((v, a.last_pos));
         }
         self.slots[v.idx()] = Some(a);
     }
@@ -217,35 +127,24 @@ impl AssignmentTable {
         self.slots.get_mut(v.idx()).and_then(|s| s.take())
     }
 
-    /// Values that currently (or recently) had assignments. May contain
-    /// already-removed values; callers should check [`AssignmentTable::get`].
-    pub fn active(&self) -> &[ValueRef] {
-        &self.active
+    /// The `i`-th active-list entry: a value and its `last_pos`.
+    pub fn active(&self, i: usize) -> Option<(ValueRef, u32)> {
+        self.active.get(i).copied()
     }
 
-    /// Removes values from the active list for which `keep` returns `false`.
-    pub fn retain_active(&mut self, mut keep: impl FnMut(ValueRef) -> bool) {
-        self.active.retain(|v| keep(*v));
+    /// Drops the active-list entries whose live range ended before layout
+    /// position `pos`. The caller has removed those values; a value removed
+    /// earlier was at its `last_pos` then, so its entry goes here too.
+    pub fn prune_active(&mut self, pos: u32) {
+        self.active.retain(|&(_, last)| last >= pos);
     }
 
-    /// Drops active-list entries whose assignment has been removed
-    /// (allocation-free replacement for collecting a keep-list).
-    pub fn prune_active(&mut self) {
-        let slots = &self.slots;
-        self.active.retain(|v| slots[v.idx()].is_some());
-    }
-
-    /// Clears all assignments (end of function).
-    pub fn clear(&mut self) {
-        for v in self.active.drain(..) {
+    /// Clears all assignments and sizes the table for a new function. Only
+    /// the slots the previous function filled are written.
+    pub fn reset(&mut self, value_count: usize) {
+        for (v, _) in self.active.drain(..) {
             self.slots[v.idx()] = None;
         }
-    }
-
-    /// Resizes the table for a new function.
-    pub fn reset(&mut self, value_count: usize) {
-        self.clear();
-        self.slots.clear();
         self.slots.resize(value_count, None);
     }
 }
@@ -328,31 +227,29 @@ impl FrameAlloc {
 mod tests {
     use super::*;
 
-    fn part() -> PartState {
-        PartState {
-            reg: None,
-            size: 8,
-            bank: RegBank::GP,
-            in_mem: false,
-            fixed: false,
+    fn assignment(nparts: u8, remaining_uses: u32, last_pos: u32) -> Assignment {
+        Assignment {
+            frame_off: None,
             recompute: None,
+            remaining_uses,
+            last_pos,
+            last_full: false,
+            nparts,
+            parts: [PartState::new(8, RegBank::GP); MAX_PARTS],
         }
+    }
+
+    fn table(value_count: usize) -> AssignmentTable {
+        let mut t = AssignmentTable::default();
+        t.reset(value_count);
+        t
     }
 
     #[test]
     fn table_insert_get_remove() {
-        let mut t = AssignmentTable::new(4);
+        let mut t = table(4);
         assert!(!t.contains(ValueRef(2)));
-        t.insert(
-            ValueRef(2),
-            Assignment {
-                frame_off: None,
-                remaining_uses: 3,
-                last_pos: 5,
-                last_full: false,
-                parts: [part()].into_iter().collect(),
-            },
-        );
+        t.insert(ValueRef(2), assignment(1, 3, 5));
         assert!(t.contains(ValueRef(2)));
         assert_eq!(t.get(ValueRef(2)).unwrap().remaining_uses, 3);
         t.get_mut(ValueRef(2)).unwrap().remaining_uses -= 1;
@@ -364,54 +261,35 @@ mod tests {
 
     #[test]
     fn spill_size_and_part_offsets() {
-        let a = Assignment {
-            frame_off: Some(-16),
-            remaining_uses: 0,
-            last_pos: 0,
-            last_full: false,
-            parts: [part(), part()].into_iter().collect(),
-        };
+        let a = assignment(2, 0, 0);
         assert_eq!(a.spill_size(), 16);
         assert_eq!(a.part_offset(0), 0);
         assert_eq!(a.part_offset(1), 8);
     }
 
     #[test]
-    fn part_list_inline_and_heap_spill() {
-        let mut l = PartList::new();
-        assert!(l.is_empty());
-        for i in 0..5u32 {
-            let mut p = part();
-            p.size = i + 1;
-            l.push(p);
-            assert_eq!(l.len(), i as usize + 1);
+    fn prune_active_drops_ended_live_ranges() {
+        let mut t = table(4);
+        for (i, last_pos) in [(0, 2), (1, 0), (2, 1)] {
+            t.insert(ValueRef(i), assignment(1, 0, last_pos));
         }
-        // contents survive the inline -> heap transition
-        for (i, p) in l.iter().enumerate() {
-            assert_eq!(p.size, i as u32 + 1);
-        }
-        l[4].size = 99;
-        assert_eq!(l[4].size, 99);
+        t.remove(ValueRef(1));
+        t.prune_active(1);
+        assert_eq!(t.active(0), Some((ValueRef(0), 2)));
+        assert_eq!(t.active(1), Some((ValueRef(2), 1)));
+        assert_eq!(t.active(2), None);
     }
 
     #[test]
-    fn prune_active_drops_removed_values() {
-        let mut t = AssignmentTable::new(4);
-        for i in 0..3 {
-            t.insert(
-                ValueRef(i),
-                Assignment {
-                    frame_off: None,
-                    remaining_uses: 0,
-                    last_pos: 0,
-                    last_full: false,
-                    parts: [part()].into_iter().collect(),
-                },
-            );
-        }
-        t.remove(ValueRef(1));
-        t.prune_active();
-        assert_eq!(t.active(), &[ValueRef(0), ValueRef(2)]);
+    fn reset_clears_every_slot_across_resizes() {
+        let mut t = table(8);
+        t.insert(ValueRef(7), assignment(1, 0, 0));
+        t.insert(ValueRef(1), assignment(1, 0, 0));
+        t.reset(2);
+        assert!(!t.contains(ValueRef(1)));
+        t.reset(8);
+        assert!((0..8).all(|i| !t.contains(ValueRef(i))));
+        assert_eq!(t.active(0), None);
     }
 
     #[test]

@@ -655,6 +655,24 @@ impl CodeBuffer {
         self.sections[0][off..off + bytes.len()].copy_from_slice(bytes);
     }
 
+    /// Overwrites previously emitted text at `offset` with whatever `emit`
+    /// appends to the text section: the appended bytes are moved over the
+    /// patch site and the section is cut back to its old end. Lets targets
+    /// patch with the ordinary encoders and no temporary buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the moved bytes would reach past the old end of the section.
+    pub fn patch_text_with(&mut self, offset: u64, emit: impl FnOnce(&mut CodeBuffer)) {
+        let end = self.sections[0].len();
+        emit(self);
+        let text = &mut self.sections[0];
+        let off = offset as usize;
+        assert!(off + (text.len() - end) <= end, "text patch out of bounds");
+        text.copy_within(end.., off);
+        text.truncate(end);
+    }
+
     // ---- symbols & relocations ---------------------------------------------
 
     /// Adds (or returns the existing) symbol with the given name.

@@ -10,7 +10,9 @@
 
 use crate::adapter::{BlockRef, FuncRef, InstRef, IrAdapter, Linkage, ValueRef};
 use crate::analysis::{Analysis, Analyzer};
-use crate::assignments::{Assignment, AssignmentTable, FrameAlloc, PartList, PartState, Recompute};
+use crate::assignments::{
+    Assignment, AssignmentTable, FrameAlloc, PartState, Recompute, MAX_PARTS,
+};
 use crate::bitset::DenseBitSet;
 use crate::callconv::ArgLoc;
 use crate::codebuf::{CodeBuffer, FixupPool, Label, SectionKind, SymbolBinding, SymbolId};
@@ -106,6 +108,11 @@ impl CompileStats {
         self.moves += other.moves;
     }
 }
+
+/// Text bytes reserved per IR instruction of a module before compiling it,
+/// so the section rarely has to grow and move while it is filled (the
+/// in-repo workloads take 8–12 on x86-64 and 12–19 on AArch64).
+const TEXT_BYTES_PER_INST: usize = 16;
 
 /// A compiled module: the filled code buffer plus statistics and timings.
 #[derive(Clone, Debug)]
@@ -247,6 +254,8 @@ pub enum MoveLoc {
     Frame(i32),
     /// A constant.
     Const(u64),
+    /// The address `frame pointer + offset` (source only).
+    FrameAddr(i32),
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -279,14 +288,16 @@ pub enum CallTarget {
 /// Per-function scratch state of the code generator, hoisted out of
 /// [`FuncCodeGen`] so one instance can be reused across all functions of a
 /// module (and across modules). Every buffer is cleared — never dropped —
-/// between functions, so the steady-state compile loop performs no heap
-/// allocation here once the buffers have grown to the largest function.
+/// between functions and instructions, so once the buffers have grown to
+/// the largest function the compile loop allocates nothing here
+/// (`crates/llvm/tests/alloc_steady_state.rs` counts it).
 #[derive(Debug, Default)]
 struct FuncScratch {
     assignments: AssignmentTable,
     frame: FrameAlloc,
+    /// Patch offsets of the current function's prologue and epilogues.
+    frame_state: FrameState,
     block_labels: Vec<Label>,
-    inst_locked: Vec<Reg>,
     inst_scratch: Vec<Reg>,
     maybe_dead: Vec<ValueRef>,
     /// Deferred critical-edge blocks of the current block.
@@ -297,8 +308,6 @@ struct FuncScratch {
     move_scratch: Vec<MoveDesc>,
     /// Worklist of the parallel-move resolver.
     pm_pending: Vec<MoveDesc>,
-    /// Values found dead during the block-boundary sweep.
-    sweep_dead: Vec<ValueRef>,
     /// Instructions marked fused (dense, indexed by [`InstRef`]).
     fused: DenseBitSet,
     /// Part descriptors for ABI assignment (prologue, calls, returns).
@@ -322,8 +331,12 @@ struct FuncScratch {
 ///
 /// [`CodeGen::compile_module`] creates one internally; drivers that compile
 /// many modules (e.g. a JIT serving many requests) should allocate a session
-/// once and pass it to [`CodeGen::compile_module_with`] so the steady-state
-/// compile loop is allocation-free.
+/// once and pass it to [`CodeGen::compile_module_with`]. A warm session
+/// allocates only for the module it returns:
+/// `crates/llvm/tests/alloc_steady_state.rs` counts that doubling a module's
+/// function count adds no allocation per function, block, instruction or
+/// value, only the logarithmic growth of the output's sections, symbols and
+/// relocations.
 #[derive(Debug, Default)]
 pub struct CompileSession {
     analyzer: Analyzer,
@@ -395,9 +408,9 @@ impl<T: Target> CodeGen<T> {
     }
 
     /// Compiles all defined functions of the adapter's module, reusing the
-    /// given session's working memory. After the first function, the
-    /// steady-state compile loop performs no per-function heap allocation
-    /// in the analysis and codegen layers.
+    /// given session's working memory: once its buffers have grown to the
+    /// largest function, the analysis and codegen layers allocate nothing
+    /// per function (see [`CompileSession`]).
     ///
     /// # Errors
     ///
@@ -410,6 +423,8 @@ impl<T: Target> CodeGen<T> {
         compiler: &mut C,
     ) -> Result<CompiledModule> {
         let mut buf = CodeBuffer::new();
+        buf.text_mut()
+            .reserve(adapter.module_inst_count() * TEXT_BYTES_PER_INST);
         // Lend the session's recycled label/fixup pool to this module's
         // buffer so the steady-state loop reuses its allocations.
         buf.adopt_fixup_pool(std::mem::take(&mut session.fixups));
@@ -617,7 +632,6 @@ pub struct FuncCodeGen<'a, A: IrAdapter, T: Target> {
     /// Reused per-function scratch state (see [`FuncScratch`]).
     s: &'a mut FuncScratch,
     regfile: &'a mut RegFile,
-    frame_state: FrameState,
     cur_pos: u32,
     entry_state_valid: bool,
     state_valid_next: bool,
@@ -644,7 +658,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         s.assignments.reset(adapter.value_count());
         s.frame.reset(target.callee_save_area_size());
         s.block_labels.clear();
-        s.inst_locked.clear();
         s.inst_scratch.clear();
         s.maybe_dead.clear();
         s.pending_edges.clear();
@@ -661,7 +674,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             stats,
             s,
             regfile,
-            frame_state: FrameState::default(),
             cur_pos: 0,
             entry_state_valid: true,
             state_valid_next: false,
@@ -752,7 +764,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
         self.target.finish_func(
             self.buf,
-            &self.frame_state,
+            &self.s.frame_state,
             self.s.frame.frame_size(),
             self.used_callee_saved,
         );
@@ -760,7 +772,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     fn emit_prologue_and_args(&mut self) -> Result<()> {
-        self.frame_state = self.target.emit_prologue(self.buf);
+        self.target.emit_prologue(self.buf, &mut self.s.frame_state);
         // Tier-0 entry counter: emitted right after the prologue, where the
         // flags are dead and no argument register has been touched yet.
         if self.tier.entry_counters {
@@ -775,9 +787,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         // trivially recomputable (never spilled).
         for sv in adapter.static_stack_vars() {
             let off = self.s.frame.alloc(sv.size, sv.align);
-            self.ensure_assignment(sv.value);
+            self.ensure_assignment(sv.value)?;
             if let Some(a) = self.s.assignments.get_mut(sv.value) {
-                a.parts[0].recompute = Some(Recompute::StackAddr(off));
+                a.recompute = Some(Recompute::StackAddr(off));
             }
         }
 
@@ -798,7 +810,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         for i in 0..self.s.arg_owners.len() {
             let (v, p) = self.s.arg_owners[i];
             let loc = self.s.arg_locs[i];
-            self.ensure_assignment(v);
+            self.ensure_assignment(v)?;
             match loc {
                 ArgLoc::Reg(r) => {
                     if let Some(a) = self.s.assignments.get_mut(v) {
@@ -867,7 +879,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 }
                 let reg = candidates[*idx];
                 *idx += 1;
-                self.ensure_assignment(phi);
+                self.ensure_assignment(phi)?;
                 if let Some(a) = self.s.assignments.get_mut(phi) {
                     a.parts[0].fixed = true;
                     a.parts[0].reg = Some(reg);
@@ -908,7 +920,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let adapter = self.adapter;
         let block = self.analysis.layout[pos as usize];
         for &phi in adapter.block_phis(block) {
-            self.ensure_assignment(phi);
+            self.ensure_assignment(phi)?;
             let nparts = adapter.val_part_count(phi);
             for p in 0..nparts {
                 let fixed = self
@@ -918,7 +930,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                     .map(|a| a.parts[p as usize].fixed)
                     .unwrap_or(false);
                 if !fixed {
-                    self.ensure_frame_slot(phi);
+                    self.ensure_frame_slot(phi)?;
                     if let Some(a) = self.s.assignments.get_mut(phi) {
                         a.parts[p as usize].in_mem = true;
                         a.parts[p as usize].reg = None;
@@ -929,26 +941,22 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         Ok(())
     }
 
+    /// Frees, in insertion order, every value whose live range ended before
+    /// block `pos`. Walks the compact active list, not the assignment slots.
     fn sweep_dead_values(&mut self, pos: u32) {
-        let mut dead = std::mem::take(&mut self.s.sweep_dead);
-        dead.clear();
-        for &v in self.s.assignments.active() {
-            if let Some(a) = self.s.assignments.get(v) {
-                if a.last_pos < pos {
-                    dead.push(v);
-                }
+        let mut i = 0;
+        while let Some((v, last_pos)) = self.s.assignments.active(i) {
+            if last_pos < pos {
+                self.free_value(v);
             }
+            i += 1;
         }
-        for &v in &dead {
-            self.free_value(v);
-        }
-        self.s.assignments.prune_active();
-        self.s.sweep_dead = dead;
+        self.s.assignments.prune_active(pos);
     }
 
     fn free_value(&mut self, v: ValueRef) {
         if let Some(a) = self.s.assignments.remove(v) {
-            for (p, part) in a.parts.iter().enumerate() {
+            for (p, part) in a.parts[..a.nparts as usize].iter().enumerate() {
                 if let Some(r) = part.reg {
                     if self.regfile.owner(r) == Some(RegOwner::Value(v, p as u32)) {
                         self.regfile.clear(r);
@@ -965,9 +973,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     // ---- assignments -----------------------------------------------------------
 
-    fn ensure_assignment(&mut self, v: ValueRef) {
+    fn ensure_assignment(&mut self, v: ValueRef) -> Result<()> {
         if self.s.assignments.contains(v) {
-            return;
+            return Ok(());
         }
         let live = self
             .analysis
@@ -976,16 +984,16 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             .copied()
             .unwrap_or_default();
         let nparts = self.adapter.val_part_count(v).max(1);
-        let mut parts = PartList::new();
+        if nparts as usize > MAX_PARTS {
+            return Err(Error::Unsupported(format!(
+                "value {v:?} has {nparts} parts, at most {MAX_PARTS} are supported"
+            )));
+        }
+        let mut parts = [PartState::new(1, RegBank::GP); MAX_PARTS];
         for p in 0..nparts {
-            parts.push(PartState {
-                reg: None,
-                size: self.adapter.val_part_size(v, p).max(1),
-                bank: self.adapter.val_part_bank(v, p),
-                in_mem: false,
-                fixed: false,
-                recompute: None,
-            });
+            let size = u8::try_from(self.adapter.val_part_size(v, p).max(1))
+                .map_err(|_| Error::Unsupported(format!("part of value {v:?} too large")))?;
+            parts[p as usize] = PartState::new(size, self.adapter.val_part_bank(v, p));
         }
         let (last_pos, last_full, uses) = if self.opts.assume_all_live {
             (self.analysis.layout.len() as u32 - 1, true, u32::MAX / 2)
@@ -996,24 +1004,26 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             v,
             Assignment {
                 frame_off: None,
+                recompute: None,
                 remaining_uses: uses,
                 last_pos,
                 last_full,
+                nparts: nparts as u8,
                 parts,
             },
         );
+        Ok(())
     }
 
-    fn ensure_frame_slot(&mut self, v: ValueRef) -> i32 {
-        self.ensure_assignment(v);
-        let a = self.s.assignments.get(v).unwrap();
+    fn ensure_frame_slot(&mut self, v: ValueRef) -> Result<i32> {
+        self.ensure_assignment(v)?;
+        let a = self.s.assignments.get_mut(v).unwrap();
         if let Some(off) = a.frame_off {
-            return off;
+            return Ok(off);
         }
-        let size = a.spill_size();
-        let off = self.s.frame.alloc(size, 8);
-        self.s.assignments.get_mut(v).unwrap().frame_off = Some(off);
-        off
+        let off = self.s.frame.alloc(a.spill_size(), 8);
+        a.frame_off = Some(off);
+        Ok(off)
     }
 
     /// Remaining (not yet observed) uses of a value.
@@ -1042,7 +1052,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 const_val: self.adapter.val_const_data(v, part),
             });
         }
-        self.ensure_assignment(v);
+        self.ensure_assignment(v)?;
         if part == 0 {
             let a = self.s.assignments.get_mut(v).unwrap();
             if a.remaining_uses > 0 {
@@ -1120,15 +1130,15 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             self.target
                 .emit_const(self.buf, p.bank, p.size, reg, p.const_val);
             self.regfile.set_owner(reg, RegOwner::Scratch);
-            self.lock_for_inst(reg);
+            self.regfile.lock(reg);
             self.s.inst_scratch.push(reg);
             return Ok(reg);
         }
-        self.ensure_assignment(p.val);
+        self.ensure_assignment(p.val)?;
         let cur = self.s.assignments.get(p.val).unwrap().parts[p.part as usize];
         if let Some(reg) = cur.reg {
             if allowed.is_none_or(|set| set.contains(reg)) {
-                self.lock_for_inst(reg);
+                self.regfile.lock(reg);
                 return Ok(reg);
             }
             // move to a register within the constraint set
@@ -1146,7 +1156,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 self.regfile.set_owner(dst, RegOwner::Scratch);
                 self.s.inst_scratch.push(dst);
             }
-            self.lock_for_inst(dst);
+            self.regfile.lock(dst);
             return Ok(dst);
         }
         // not in a register: materialize
@@ -1154,12 +1164,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let a = self.s.assignments.get(p.val).unwrap();
         let ps = a.parts[p.part as usize];
         let frame_off = a.frame_off.map(|o| o + a.part_offset(p.part));
-        match (ps.recompute, frame_off, ps.in_mem) {
+        match (a.recompute, frame_off, ps.in_mem) {
             (Some(Recompute::StackAddr(off)), _, _) => {
                 self.target.emit_frame_addr(self.buf, reg, off);
-            }
-            (Some(Recompute::Const(c)), _, _) => {
-                self.target.emit_const(self.buf, p.bank, p.size, reg, c);
             }
             (None, Some(off), true) => {
                 self.target
@@ -1174,7 +1181,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let a = self.s.assignments.get_mut(p.val).unwrap();
         a.parts[p.part as usize].reg = Some(reg);
         self.regfile.set_owner(reg, RegOwner::Value(p.val, p.part));
-        self.lock_for_inst(reg);
+        self.regfile.lock(reg);
         Ok(reg)
     }
 
@@ -1182,14 +1189,14 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     /// Allocates a register for one part of an instruction result.
     pub fn result_reg(&mut self, v: ValueRef, part: u32) -> Result<Reg> {
-        self.ensure_assignment(v);
+        self.ensure_assignment(v)?;
         let bank = self.adapter.val_part_bank(v, part);
         let reg = self.alloc_reg(bank, None)?;
         let a = self.s.assignments.get_mut(v).unwrap();
         a.parts[part as usize].reg = Some(reg);
         a.parts[part as usize].in_mem = false;
         self.regfile.set_owner(reg, RegOwner::Value(v, part));
-        self.lock_for_inst(reg);
+        self.regfile.lock(reg);
         Ok(reg)
     }
 
@@ -1203,12 +1210,12 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 if let Some(a) = self.s.assignments.get_mut(op.val) {
                     a.parts[op.part as usize].reg = None;
                 }
-                self.ensure_assignment(v);
+                self.ensure_assignment(v)?;
                 let a = self.s.assignments.get_mut(v).unwrap();
                 a.parts[part as usize].reg = Some(reg);
                 a.parts[part as usize].in_mem = false;
                 self.regfile.set_owner(reg, RegOwner::Value(v, part));
-                self.lock_for_inst(reg);
+                self.regfile.lock(reg);
                 return Ok(reg);
             }
         }
@@ -1226,7 +1233,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     pub fn alloc_scratch(&mut self, bank: RegBank) -> Result<Reg> {
         let reg = self.alloc_reg(bank, None)?;
         self.regfile.set_owner(reg, RegOwner::Scratch);
-        self.lock_for_inst(reg);
+        self.regfile.lock(reg);
         self.s.inst_scratch.push(reg);
         Ok(reg)
     }
@@ -1235,7 +1242,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     pub fn alloc_scratch_in(&mut self, bank: RegBank, allowed: RegSet) -> Result<Reg> {
         let reg = self.alloc_reg(bank, Some(allowed))?;
         self.regfile.set_owner(reg, RegOwner::Scratch);
-        self.lock_for_inst(reg);
+        self.regfile.lock(reg);
         self.s.inst_scratch.push(reg);
         Ok(reg)
     }
@@ -1252,8 +1259,8 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     /// Declares that a value part now lives in `reg` (typically a scratch
     /// register the instruction's result ended up in).
-    pub fn set_result_reg(&mut self, v: ValueRef, part: u32, reg: Reg) {
-        self.ensure_assignment(v);
+    pub fn set_result_reg(&mut self, v: ValueRef, part: u32, reg: Reg) -> Result<()> {
+        self.ensure_assignment(v)?;
         if let Some(idx) = self.s.inst_scratch.iter().position(|&r| r == reg) {
             self.s.inst_scratch.swap_remove(idx);
         }
@@ -1261,32 +1268,32 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         a.parts[part as usize].reg = Some(reg);
         a.parts[part as usize].in_mem = false;
         self.regfile.set_owner(reg, RegOwner::Value(v, part));
-        self.lock_for_inst(reg);
+        self.regfile.lock(reg);
+        Ok(())
     }
 
     /// Marks the end of an instruction: releases operand locks and scratch
     /// registers and frees values whose last use was in this instruction.
     pub fn end_inst(&mut self) {
-        for reg in std::mem::take(&mut self.s.inst_scratch) {
+        // Both lists are walked by index and cleared, not taken: taking them
+        // would free their buffers every instruction.
+        for i in 0..self.s.inst_scratch.len() {
+            let reg = self.s.inst_scratch[i];
             if self.regfile.owner(reg) == Some(RegOwner::Scratch) {
                 self.regfile.clear(reg);
             }
         }
-        self.regfile.unlock_all();
-        self.s.inst_locked.clear();
-        let dead = std::mem::take(&mut self.s.maybe_dead);
-        for v in dead {
+        self.s.inst_scratch.clear();
+        self.regfile.end_inst();
+        for i in 0..self.s.maybe_dead.len() {
+            let v = self.s.maybe_dead[i];
             if let Some(a) = self.s.assignments.get(v) {
                 if a.remaining_uses == 0 && a.last_pos == self.cur_pos && !a.last_full {
                     self.free_value(v);
                 }
             }
         }
-    }
-
-    fn lock_for_inst(&mut self, reg: Reg) {
-        self.regfile.lock(reg);
-        self.s.inst_locked.push(reg);
+        self.s.maybe_dead.clear();
     }
 
     // ---- register allocation ------------------------------------------------------
@@ -1325,22 +1332,20 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     fn spill_part_if_needed(&mut self, v: ValueRef, p: u32) -> Result<()> {
-        let Some(a) = self.s.assignments.get(v) else {
+        let Some(&a) = self.s.assignments.get(v) else {
             return Ok(());
         };
         let ps = a.parts[p as usize];
         let live = a.remaining_uses > 0
             || a.last_pos > self.cur_pos
             || (a.last_pos == self.cur_pos && a.last_full);
-        if !live || ps.in_mem || ps.recompute.is_some() || ps.fixed {
+        if !live || ps.in_mem || a.recompute.is_some() || ps.fixed {
             return Ok(());
         }
         let Some(reg) = ps.reg else { return Ok(()) };
-        let off = self.ensure_frame_slot(v);
-        let a = self.s.assignments.get(v).unwrap();
-        let part_off = off + a.part_offset(p);
+        let part_off = self.ensure_frame_slot(v)? + a.part_offset(p);
         self.target
-            .emit_frame_store(self.buf, ps.bank, ps.size, part_off, reg);
+            .emit_frame_store(self.buf, ps.bank, ps.size as u32, part_off, reg);
         self.stats.spills += 1;
         self.s.assignments.get_mut(v).unwrap().parts[p as usize].in_mem = true;
         Ok(())
@@ -1473,7 +1478,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             if src_val == phi {
                 continue;
             }
-            self.ensure_assignment(phi);
+            self.ensure_assignment(phi)?;
             let nparts = adapter.val_part_count(phi);
             for p in 0..nparts {
                 let bank = adapter.val_part_bank(phi, p);
@@ -1491,7 +1496,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                     match fixed_reg {
                         Some(r) => MoveLoc::Reg(r),
                         None => {
-                            let off = self.ensure_frame_slot(phi);
+                            let off = self.ensure_frame_slot(phi)?;
                             let a = self.s.assignments.get(phi).unwrap();
                             MoveLoc::Frame(off + a.part_offset(p))
                         }
@@ -1512,27 +1517,19 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     /// Canonical (stable) location of a value part: constant, fixed/current
-    /// register, or stack slot.
+    /// register, stack-variable address, or stack slot.
     fn canonical_loc(&mut self, v: ValueRef, part: u32) -> Result<MoveLoc> {
         if self.adapter.val_is_const(v) {
             return Ok(MoveLoc::Const(self.adapter.val_const_data(v, part)));
         }
-        self.ensure_assignment(v);
+        self.ensure_assignment(v)?;
         let a = self.s.assignments.get(v).unwrap();
         let ps = a.parts[part as usize];
         if let Some(r) = ps.reg {
             return Ok(MoveLoc::Reg(r));
         }
-        if let Some(rc) = ps.recompute {
-            return Ok(match rc {
-                Recompute::Const(c) => MoveLoc::Const(c),
-                Recompute::StackAddr(_) => {
-                    // addresses of stack slots must be materialized; treat as
-                    // a constant 0 source only if this ever happens for phis
-                    // (back-ends materialize stack addresses explicitly).
-                    MoveLoc::Const(0)
-                }
-            });
+        if let Some(Recompute::StackAddr(off)) = a.recompute {
+            return Ok(MoveLoc::FrameAddr(off));
         }
         if ps.in_mem {
             if let Some(off) = a.frame_off {
@@ -1609,6 +1606,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 self.target.emit_const(buf, m.bank, m.size, d, c);
                 self.stats.moves += 1;
             }
+            (MoveLoc::Reg(d), MoveLoc::FrameAddr(off)) => {
+                self.target.emit_frame_addr(buf, d, off);
+                self.stats.moves += 1;
+            }
             (MoveLoc::Frame(off), MoveLoc::Reg(s)) => {
                 self.target.emit_frame_store(buf, m.bank, m.size, off, s);
                 self.stats.spills += 1;
@@ -1624,15 +1625,22 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                     .emit_frame_store(buf, m.bank, m.size, doff, scratch);
                 self.stats.moves += 2;
             }
-            (MoveLoc::Frame(doff), MoveLoc::Const(c)) => {
+            (MoveLoc::Frame(doff), MoveLoc::Const(_) | MoveLoc::FrameAddr(_)) => {
+                // through the scratch register
                 let scratch = self.target.scratch_gp();
-                self.target.emit_const(buf, RegBank::GP, m.size, scratch, c);
+                self.emit_move(&MoveDesc {
+                    dst: MoveLoc::Reg(scratch),
+                    bank: RegBank::GP,
+                    ..*m
+                })?;
                 self.target
-                    .emit_frame_store(buf, RegBank::GP, m.size, doff, scratch);
-                self.stats.moves += 2;
+                    .emit_frame_store(self.buf, RegBank::GP, m.size, doff, scratch);
+                self.stats.moves += 1;
             }
-            (MoveLoc::Const(_), _) => {
-                return Err(Error::InvalidIr("constant as move destination".into()));
+            (MoveLoc::Const(_) | MoveLoc::FrameAddr(_), _) => {
+                return Err(Error::InvalidIr(
+                    "constant or address as move destination".into(),
+                ));
             }
         }
         Ok(())
@@ -1686,7 +1694,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         self.s.move_scratch = moves;
         result?;
         self.target
-            .emit_epilogue_and_ret(self.buf, &mut self.frame_state);
+            .emit_epilogue_and_ret(self.buf, &mut self.s.frame_state);
         self.state_valid_next = false;
         Ok(())
     }
@@ -1694,7 +1702,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// Emits an epilogue and return without a return value.
     pub fn emit_return_void(&mut self) -> Result<()> {
         self.target
-            .emit_epilogue_and_ret(self.buf, &mut self.frame_state);
+            .emit_epilogue_and_ret(self.buf, &mut self.s.frame_state);
         self.state_valid_next = false;
         Ok(())
     }
@@ -1775,41 +1783,30 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             let ArgLoc::Reg(r) = self.s.arg_locs[i] else {
                 continue;
             };
-            if arg.is_const {
-                moves.push(MoveDesc {
-                    dst: MoveLoc::Reg(r),
-                    src: MoveLoc::Const(arg.const_val),
-                    bank: arg.bank,
-                    size: arg.size,
-                });
-                continue;
-            }
-            let a = self.s.assignments.get(arg.val);
-            let ps = a.map(|a| a.parts[arg.part as usize]);
-            match ps {
-                Some(ps) if ps.reg.is_some() => moves.push(MoveDesc {
-                    dst: MoveLoc::Reg(r),
-                    src: MoveLoc::Reg(ps.reg.unwrap()),
-                    bank: arg.bank,
-                    size: arg.size,
-                }),
-                Some(ps) if ps.recompute.is_some() => self.s.recompute_args.push((r, *arg)),
-                Some(ps) if ps.in_mem => {
-                    let a = a.unwrap();
-                    moves.push(MoveDesc {
-                        dst: MoveLoc::Reg(r),
-                        src: MoveLoc::Frame(a.frame_off.unwrap_or(0) + a.part_offset(arg.part)),
-                        bank: arg.bank,
-                        size: arg.size,
-                    });
+            let src = if arg.is_const {
+                MoveLoc::Const(arg.const_val)
+            } else {
+                match self.s.assignments.get(arg.val) {
+                    Some(a) if a.parts[arg.part as usize].reg.is_some() => {
+                        MoveLoc::Reg(a.parts[arg.part as usize].reg.unwrap())
+                    }
+                    Some(a) if a.recompute.is_some() => {
+                        self.s.recompute_args.push((r, *arg));
+                        continue;
+                    }
+                    Some(a) if a.parts[arg.part as usize].in_mem => {
+                        MoveLoc::Frame(a.frame_off.unwrap_or(0) + a.part_offset(arg.part))
+                    }
+                    // undefined
+                    _ => MoveLoc::Const(0),
                 }
-                _ => moves.push(MoveDesc {
-                    dst: MoveLoc::Reg(r),
-                    src: MoveLoc::Const(0),
-                    bank: arg.bank,
-                    size: arg.size,
-                }),
-            }
+            };
+            moves.push(MoveDesc {
+                dst: MoveLoc::Reg(r),
+                src,
+                bank: arg.bank,
+                size: arg.size,
+            });
         }
         let moved = self.emit_parallel_moves(&moves);
         self.s.move_scratch = moves;
@@ -1874,12 +1871,12 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             }
             for (i, &(v, p)) in rets.iter().enumerate() {
                 let r = self.s.ret_regs[i];
-                self.ensure_assignment(v);
+                self.ensure_assignment(v)?;
                 let a = self.s.assignments.get_mut(v).unwrap();
                 a.parts[p as usize].reg = Some(r);
                 a.parts[p as usize].in_mem = false;
                 self.regfile.set_owner(r, RegOwner::Value(v, p));
-                self.lock_for_inst(r);
+                self.regfile.lock(r);
             }
         }
         Ok(())
@@ -1893,7 +1890,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 .emit_const(self.buf, p.bank, p.size, dst, p.const_val);
             return Ok(());
         }
-        self.ensure_assignment(p.val);
+        self.ensure_assignment(p.val)?;
         let a = self.s.assignments.get(p.val).unwrap();
         let ps = a.parts[p.part as usize];
         if let Some(r) = ps.reg {
@@ -1904,11 +1901,8 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             }
             return Ok(());
         }
-        if let Some(rc) = ps.recompute {
-            match rc {
-                Recompute::StackAddr(off) => self.target.emit_frame_addr(self.buf, dst, off),
-                Recompute::Const(c) => self.target.emit_const(self.buf, p.bank, p.size, dst, c),
-            }
+        if let Some(Recompute::StackAddr(off)) = a.recompute {
+            self.target.emit_frame_addr(self.buf, dst, off);
             return Ok(());
         }
         if ps.in_mem {
@@ -1928,7 +1922,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// Allocates (or returns) the frame slot of a value and reports its
     /// frame offset; used by back-ends that implement `alloca`-style stack
     /// variables or need to pass values by memory.
-    pub fn value_frame_slot(&mut self, v: ValueRef) -> i32 {
+    pub fn value_frame_slot(&mut self, v: ValueRef) -> Result<i32> {
         self.ensure_frame_slot(v)
     }
 
@@ -1959,14 +1953,15 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// after a division) now holds the given result value part, detaching
     /// whatever value was previously associated with the register without
     /// spilling it.
-    pub fn take_reg_for_result(&mut self, v: ValueRef, part: u32, reg: Reg) {
+    pub fn take_reg_for_result(&mut self, v: ValueRef, part: u32, reg: Reg) -> Result<()> {
         self.forget_reg(reg);
-        self.ensure_assignment(v);
+        self.ensure_assignment(v)?;
         let a = self.s.assignments.get_mut(v).unwrap();
         a.parts[part as usize].reg = Some(reg);
         a.parts[part as usize].in_mem = false;
         self.regfile.set_owner(reg, RegOwner::Value(v, part));
-        self.lock_for_inst(reg);
+        self.regfile.lock(reg);
+        Ok(())
     }
 
     /// The set of allocatable registers of a bank, minus the given
@@ -2053,13 +2048,9 @@ mod tests {
         fn callee_save_area_size(&self) -> u32 {
             48
         }
-        fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState {
-            let start = buf.text_offset();
+        fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
+            frame.reset();
             buf.emit_u8(0xAA);
-            FrameState {
-                func_start: start,
-                ..FrameState::default()
-            }
         }
         fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, _frame: &mut FrameState) {
             buf.emit_u8(OP_RET);
@@ -2128,6 +2119,8 @@ mod tests {
         phis: PhiList,
         num_args: u32,
         num_values: usize,
+        /// Parts per value (1 unless a test widens it).
+        parts: u32,
         // dense index tables built by switch_func
         idx_args: Vec<ValueRef>,
         idx_succs: Vec<Vec<BlockRef>>,
@@ -2147,6 +2140,7 @@ mod tests {
                 phis: vec![Vec::new(); num_blocks],
                 num_args,
                 num_values: num_args as usize,
+                parts: 1,
                 idx_args: Vec::new(),
                 idx_succs: Vec::new(),
                 idx_phis: Vec::new(),
@@ -2279,7 +2273,7 @@ mod tests {
             &self.idx_res[inst.idx()]
         }
         fn val_part_count(&self, _: ValueRef) -> u32 {
-            1
+            self.parts
         }
         fn val_part_size(&self, _: ValueRef, _: u32) -> u32 {
             8
@@ -2366,6 +2360,16 @@ mod tests {
         // function symbol defined with correct size
         let sym = m.buf.symbol_by_name("mini").unwrap();
         assert_eq!(m.buf.symbol(sym).size, m.text_size());
+    }
+
+    #[test]
+    fn values_wider_than_two_parts_are_unsupported() {
+        let mut ir = MiniIr::new(1, 1);
+        ir.parts = MAX_PARTS as u32 + 1;
+        ir.push(0, MiniOp::Ret(None));
+        let cg = CodeGen::new(MockTarget::new(), CompileOptions::default());
+        let err = cg.compile_module(&mut ir, &mut MiniCompiler).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err}");
     }
 
     #[test]

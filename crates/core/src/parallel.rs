@@ -240,8 +240,9 @@ where
 
 /// Reusable per-worker [`CompileSession`]s. Like a single session for the
 /// sequential driver, a pool lets JIT-style drivers compile many modules
-/// with an allocation-free steady-state loop — each worker keeps reusing the
-/// same analysis scratch, assignment tables and fixup pool.
+/// without regrowing working memory — each worker keeps reusing the same
+/// analysis scratch, assignment tables and fixup pool. The shard buffers
+/// and the merged output are still allocated per module.
 ///
 /// Sessions are **target-agnostic**: every compile re-runs
 /// [`CodeGen::prepare_session`], which reconfigures the register file from
@@ -339,9 +340,8 @@ impl ParallelDriver {
         self.compile_module_with(&mut pool, cg, make_adapter, make_compiler)
     }
 
-    /// Compiles the module reusing the pool's worker sessions; the
-    /// steady-state loop of each worker is allocation-free, as in the
-    /// sequential [`CodeGen::compile_module_with`].
+    /// Compiles the module reusing the pool's worker sessions, whose
+    /// working memory is not regrown (see [`WorkerPool`]).
     ///
     /// # Errors
     ///

@@ -8,12 +8,12 @@
 //! the current instruction) and fixed registers (innermost-loop values) are
 //! never evicted.
 //!
-//! Free/locked/fixed state is mirrored in one `u64` bitmask per bank,
-//! indexed by *allocation-order position*, so the common allocation queries
-//! (`find_free`, `pick_eviction` without constraint sets) are a couple of
-//! bit operations plus a trailing-zeros count instead of a linear scan. The
-//! semantics are unchanged: `find_free` still prefers the earliest register
-//! in allocation-preference order, and eviction still rotates round-robin.
+//! Free/locked/fixed state is one `u64` bitmask per bank, indexed by
+//! *allocation-order position*, so the allocation queries (`find_free`,
+//! `pick_eviction` without constraint sets) are a couple of bit operations
+//! plus a trailing-zeros count, and releasing an instruction's locks is two
+//! stores. `find_free` prefers the earliest register in
+//! allocation-preference order, and eviction rotates round-robin.
 
 use crate::adapter::ValueRef;
 use crate::regs::{Reg, RegBank, RegSet};
@@ -27,21 +27,16 @@ pub enum RegOwner {
     Scratch,
 }
 
-#[derive(Copy, Clone, Debug, Default)]
-struct RegState {
-    owner: Option<RegOwner>,
-    lock_count: u32,
-    fixed: bool,
-    allocatable: bool,
-}
-
 /// Sentinel for "register is not allocatable" in the position table.
 const NO_POS: u8 = u8::MAX;
 
 /// Tracks the state of every register of both banks.
 #[derive(Debug)]
 pub struct RegFile {
-    state: [RegState; 64],
+    /// Owner per compact register number.
+    owners: [Option<RegOwner>; 64],
+    /// Registers pinned to a value (allocatable or not).
+    fixed: RegSet,
     allocatable: [Vec<Reg>; 2],
     clock: [usize; 2],
     /// Compact register number → allocation-order position (`NO_POS` if the
@@ -49,7 +44,8 @@ pub struct RegFile {
     pos_of: [u8; 64],
     /// Bit per allocation-order position: register has no owner.
     free: [u64; 2],
-    /// Bit per allocation-order position: `lock_count > 0`.
+    /// Bit per allocation-order position: locked for the current
+    /// instruction. Locks do not nest: this mask is their whole state.
     locked: [u64; 2],
     /// Bit per allocation-order position: pinned to a value (never evicted).
     pinned: [u64; 2],
@@ -70,7 +66,8 @@ impl RegFile {
     /// (in allocation preference order).
     pub fn new(gp: &[Reg], fp: &[Reg]) -> RegFile {
         let mut f = RegFile {
-            state: [RegState::default(); 64],
+            owners: [None; 64],
+            fixed: RegSet::empty(),
             allocatable: [Vec::new(), Vec::new()],
             clock: [0, 0],
             pos_of: [NO_POS; 64],
@@ -87,7 +84,6 @@ impl RegFile {
     /// clearing all ownership state but keeping buffer capacity. Used by
     /// compile sessions that reuse one `RegFile` across functions.
     pub fn configure(&mut self, gp: &[Reg], fp: &[Reg]) {
-        self.state = [RegState::default(); 64];
         self.pos_of = [NO_POS; 64];
         self.allocatable[0].clear();
         self.allocatable[0].extend_from_slice(gp);
@@ -99,16 +95,12 @@ impl RegFile {
                 "more than 64 allocatable registers in one bank"
             );
             for (i, &r) in self.allocatable[bank].iter().enumerate() {
-                self.state[r.compact()].allocatable = true;
                 self.pos_of[r.compact()] = i as u8;
             }
             let n = self.allocatable[bank].len();
             self.all[bank] = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-            self.free[bank] = self.all[bank];
         }
-        self.locked = [0, 0];
-        self.pinned = [0, 0];
-        self.clock = [0, 0];
+        self.reset();
     }
 
     /// Bank index and position mask bit of a register, if it is allocatable.
@@ -125,11 +117,8 @@ impl RegFile {
     /// Clears ownership, locks and pinning of every register (start of a new
     /// function), keeping the allocatable sets.
     pub fn reset(&mut self) {
-        for s in self.state.iter_mut() {
-            s.owner = None;
-            s.lock_count = 0;
-            s.fixed = false;
-        }
+        self.owners = [None; 64];
+        self.fixed = RegSet::empty();
         self.free = self.all;
         self.locked = [0, 0];
         self.pinned = [0, 0];
@@ -142,24 +131,20 @@ impl RegFile {
     }
 
     /// Current owner of a register.
+    #[inline]
     pub fn owner(&self, r: Reg) -> Option<RegOwner> {
-        self.state[r.compact()].owner
-    }
-
-    /// Whether the register is currently locked (operand of the instruction
-    /// being compiled).
-    pub fn is_locked(&self, r: Reg) -> bool {
-        self.state[r.compact()].lock_count > 0
+        self.owners[r.compact()]
     }
 
     /// Whether the register is pinned to a value for its whole live range.
     pub fn is_fixed(&self, r: Reg) -> bool {
-        self.state[r.compact()].fixed
+        self.fixed.contains(r)
     }
 
     /// Marks `r` as owned by `owner`. Does not touch lock state.
+    #[inline]
     pub fn set_owner(&mut self, r: Reg, owner: RegOwner) {
-        self.state[r.compact()].owner = Some(owner);
+        self.owners[r.compact()] = Some(owner);
         if let Some((b, bit)) = self.pos_bit(r) {
             self.free[b] &= !bit;
         }
@@ -167,21 +152,19 @@ impl RegFile {
 
     /// Marks `r` as owned by a value part and pinned (never evicted).
     pub fn set_fixed(&mut self, r: Reg, v: ValueRef, part: u32) {
-        let s = &mut self.state[r.compact()];
-        s.owner = Some(RegOwner::Value(v, part));
-        s.fixed = true;
+        self.owners[r.compact()] = Some(RegOwner::Value(v, part));
+        self.fixed.insert(r);
         if let Some((b, bit)) = self.pos_bit(r) {
             self.free[b] &= !bit;
             self.pinned[b] |= bit;
         }
     }
 
-    /// Clears ownership (and pinning) of a register.
+    /// Clears ownership, pinning and the lock of a register.
+    #[inline]
     pub fn clear(&mut self, r: Reg) {
-        let s = &mut self.state[r.compact()];
-        s.owner = None;
-        s.fixed = false;
-        s.lock_count = 0;
+        self.owners[r.compact()] = None;
+        self.fixed.remove(r);
         if let Some((b, bit)) = self.pos_bit(r) {
             self.free[b] |= bit;
             self.pinned[b] &= !bit;
@@ -189,31 +172,17 @@ impl RegFile {
         }
     }
 
-    /// Increments the lock count of a register.
+    /// Locks a register against eviction until the end of the instruction.
+    #[inline]
     pub fn lock(&mut self, r: Reg) {
-        self.state[r.compact()].lock_count += 1;
         if let Some((b, bit)) = self.pos_bit(r) {
             self.locked[b] |= bit;
         }
     }
 
-    /// Decrements the lock count of a register.
-    pub fn unlock(&mut self, r: Reg) {
-        let s = &mut self.state[r.compact()];
-        debug_assert!(s.lock_count > 0, "unlock of unlocked register {r}");
-        s.lock_count = s.lock_count.saturating_sub(1);
-        if s.lock_count == 0 {
-            if let Some((b, bit)) = self.pos_bit(r) {
-                self.locked[b] &= !bit;
-            }
-        }
-    }
-
-    /// Releases all locks (end of instruction).
-    pub fn unlock_all(&mut self) {
-        for s in self.state.iter_mut() {
-            s.lock_count = 0;
-        }
+    /// Releases every lock (end of instruction).
+    #[inline]
+    pub fn end_inst(&mut self) {
         self.locked = [0, 0];
     }
 
@@ -280,7 +249,7 @@ impl RegFile {
 
     /// Appends all registers currently owned by value parts to `out` (used
     /// when spilling before branches or calls; callers keep a reusable
-    /// scratch buffer so the query is allocation-free).
+    /// scratch buffer).
     pub fn value_owned_into(&self, out: &mut Vec<(Reg, ValueRef, u32)>) {
         for bank in RegBank::ALL {
             let bi = bank.index();
@@ -290,7 +259,7 @@ impl RegFile {
                 let pos = owned.trailing_zeros() as usize;
                 owned &= owned - 1;
                 let r = self.allocatable[bi][pos];
-                if let Some(RegOwner::Value(v, p)) = self.state[r.compact()].owner {
+                if let Some(RegOwner::Value(v, p)) = self.owners[r.compact()] {
                     out.push((r, v, p));
                 }
             }
@@ -309,21 +278,13 @@ impl RegFile {
                 let pos = owned.trailing_zeros() as usize;
                 owned &= owned - 1;
                 let r = self.allocatable[bi][pos];
-                let s = &mut self.state[r.compact()];
-                if let Some(o) = s.owner.take() {
+                if let Some(o) = self.owners[r.compact()].take() {
                     out.push((r, o));
                 }
-                s.lock_count = 0;
             }
-            // Also release locks on non-fixed registers that had no owner.
-            let mut stale = self.all[bi] & self.locked[bi] & !self.pinned[bi];
-            while stale != 0 {
-                let pos = stale.trailing_zeros() as usize;
-                stale &= stale - 1;
-                self.state[self.allocatable[bi][pos].compact()].lock_count = 0;
-            }
-            // Every non-fixed register is now unowned; fixed registers keep
-            // their owners (set_fixed implies an owner, so pinned ⟹ !free).
+            // Every non-fixed register is now unowned and unlocked; fixed
+            // registers keep their owners (set_fixed implies an owner, so
+            // pinned ⟹ !free).
             self.free[bi] = self.all[bi] & !self.pinned[bi];
             self.locked[bi] &= self.pinned[bi];
         }
@@ -393,7 +354,7 @@ mod tests {
             f.pick_eviction(RegBank::GP, RegSet::empty(), None),
             Some(gp(2))
         );
-        f.unlock(gp(0));
+        f.end_inst();
         // round robin continues after gp2 -> wraps to gp0
         assert_eq!(
             f.pick_eviction(RegBank::GP, RegSet::empty(), None),
@@ -435,18 +396,33 @@ mod tests {
     }
 
     #[test]
-    fn lock_unlock_balance() {
+    fn locks_do_not_nest_and_end_with_the_instruction() {
         let mut f = file();
+        for i in 0..3 {
+            f.set_owner(gp(i), RegOwner::Scratch);
+        }
         f.lock(gp(0));
         f.lock(gp(0));
-        assert!(f.is_locked(gp(0)));
-        f.unlock(gp(0));
-        assert!(f.is_locked(gp(0)));
-        f.unlock(gp(0));
-        assert!(!f.is_locked(gp(0)));
         f.lock(gp(1));
-        f.unlock_all();
-        assert!(!f.is_locked(gp(1)));
+        f.clear(gp(0)); // clearing a register drops its lock
+        f.set_owner(gp(0), RegOwner::Scratch);
+        let mut only = RegSet::empty();
+        only.insert(gp(0));
+        assert_eq!(
+            f.pick_eviction(RegBank::GP, RegSet::empty(), Some(only)),
+            Some(gp(0))
+        );
+        only.insert(gp(1));
+        only.remove(gp(0));
+        assert_eq!(
+            f.pick_eviction(RegBank::GP, RegSet::empty(), Some(only)),
+            None
+        );
+        f.end_inst();
+        assert_eq!(
+            f.pick_eviction(RegBank::GP, RegSet::empty(), Some(only)),
+            Some(gp(1))
+        );
     }
 
     #[test]
@@ -461,6 +437,131 @@ mod tests {
         f.reset();
         assert_eq!(f.find_free(RegBank::GP, RegSet::empty(), None), Some(gp(0)));
         assert_eq!(value_owned(&f), vec![]);
+    }
+
+    /// One register of the naive model the random test compares against.
+    #[derive(Copy, Clone, Default)]
+    struct ModelReg {
+        owner: Option<RegOwner>,
+        fixed: bool,
+        locked: bool,
+    }
+
+    #[test]
+    fn random_operations_agree_with_a_per_register_model() {
+        use crate::rng::Xoshiro256;
+        // allocation order deliberately unsorted; gp(9) is never allocatable
+        let order = [
+            vec![gp(5), gp(1), gp(3), gp(0), gp(7)],
+            vec![Reg::new(RegBank::FP, 2), Reg::new(RegBank::FP, 0)],
+        ];
+        let mut regs: Vec<Reg> = order.concat();
+        regs.push(gp(9));
+        let mut rng = Xoshiro256::new(0x5eed);
+        let mut f = RegFile::new(&order[0], &order[1]);
+        let mut model = [ModelReg::default(); 64];
+        let mut clock = [0usize; 2];
+
+        for step in 0..20_000 {
+            let r = *rng.pick(&regs);
+            let m = &mut model[r.compact()];
+            let value = RegOwner::Value(ValueRef(rng.below(8) as u32), rng.below(2) as u32);
+            match rng.below(9) {
+                0 | 1 => {
+                    let owner = if rng.chance(1, 4) {
+                        RegOwner::Scratch
+                    } else {
+                        value
+                    };
+                    f.set_owner(r, owner);
+                    m.owner = Some(owner);
+                }
+                2 => {
+                    let RegOwner::Value(v, p) = value else {
+                        unreachable!()
+                    };
+                    f.set_fixed(r, v, p);
+                    *m = ModelReg {
+                        owner: Some(value),
+                        fixed: true,
+                        ..*m
+                    };
+                }
+                3 | 4 => {
+                    f.lock(r);
+                    m.locked = true;
+                }
+                5 | 6 => {
+                    f.clear(r);
+                    *m = ModelReg::default();
+                }
+                7 => {
+                    f.end_inst();
+                    model.iter_mut().for_each(|m| m.locked = false);
+                }
+                _ => {
+                    let mut cleared = Vec::new();
+                    f.reset_non_fixed_into(&mut cleared);
+                    let mut expected = Vec::new();
+                    for &r in order.iter().flatten() {
+                        let m = &mut model[r.compact()];
+                        if !m.fixed {
+                            expected.extend(m.owner.map(|o| (r, o)));
+                            *m = ModelReg::default();
+                        }
+                    }
+                    assert_eq!(cleared, expected, "step {step}");
+                }
+            }
+
+            for &r in &regs {
+                assert_eq!(f.owner(r), model[r.compact()].owner, "step {step}");
+                assert_eq!(f.is_fixed(r), model[r.compact()].fixed, "step {step}");
+            }
+            let owned: Vec<_> = order
+                .iter()
+                .flatten()
+                .filter_map(|&r| match model[r.compact()].owner {
+                    Some(RegOwner::Value(v, p)) => Some((r, v, p)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(value_owned(&f), owned, "step {step}");
+
+            for bank in RegBank::ALL {
+                let order = &order[bank.index()];
+                let random_set = |rng: &mut Xoshiro256| -> RegSet {
+                    order.iter().copied().filter(|_| rng.chance(1, 3)).collect()
+                };
+                let exclude = if rng.chance(1, 2) {
+                    RegSet::empty()
+                } else {
+                    random_set(&mut rng)
+                };
+                let within = rng.chance(1, 2).then(|| random_set(&mut rng));
+                let allowed = |r: Reg| !exclude.contains(r) && within.is_none_or(|w| w.contains(r));
+                let free = order
+                    .iter()
+                    .copied()
+                    .find(|&r| model[r.compact()].owner.is_none() && allowed(r));
+                assert_eq!(f.find_free(bank, exclude, within), free, "step {step}");
+
+                let n = order.len();
+                let hand = clock[bank.index()];
+                let victim = (0..n).map(|i| (hand + i) % n).find(|&pos| {
+                    let m = model[order[pos].compact()];
+                    !m.locked && !m.fixed && allowed(order[pos])
+                });
+                assert_eq!(
+                    f.pick_eviction(bank, exclude, within),
+                    victim.map(|pos| order[pos]),
+                    "step {step}"
+                );
+                if let Some(pos) = victim {
+                    clock[bank.index()] = (pos + 1) % n;
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   construction; each owns a [`CompileSession`] and a backend-defined
 //!   warm state ([`ServiceBackend::Worker`], e.g. pre-indexed adapter
 //!   tables and an instruction compiler) that survive from request to
-//!   request, so the steady-state compile loop stays allocation-free.
+//!   request, so a request allocates for its output, not for the
+//!   compiler's working memory.
 //! * **Pipelining.** Requests are submitted without blocking and answered
 //!   through a [`Ticket`]. Small modules are batched whole onto one worker
 //!   (different requests compile concurrently on different workers); large

@@ -44,18 +44,29 @@ impl TargetArch {
 /// reserved (nop-padded) areas here so [`Target::finish_func`] can patch in
 /// the real instructions at the end of the function, exactly as described in
 /// the paper.
+///
+/// The code generator keeps one `FrameState` per compile session and hands it
+/// to [`Target::emit_prologue`] for every function, so the epilogue list's
+/// buffer is reused.
 #[derive(Debug, Clone, Default)]
 pub struct FrameState {
-    /// Text offset of the first byte of the function.
-    pub func_start: u64,
-    /// Offsets of 32-bit immediates encoding the frame size (prologue
-    /// `sub sp` and any epilogue that needs it).
-    pub frame_size_patches: Vec<u64>,
+    /// Offset of the prologue instruction encoding the frame size.
+    pub frame_size_patch: u64,
     /// `(offset, length)` of the nop-padded callee-save area in the prologue.
     pub save_area: Option<(u64, u64)>,
     /// `(offset, length)` of each nop-padded callee-restore area (one per
     /// emitted epilogue).
     pub restore_areas: Vec<(u64, u64)>,
+}
+
+impl FrameState {
+    /// Starts the bookkeeping of a new function, keeping the epilogue list's
+    /// capacity.
+    pub fn reset(&mut self) {
+        self.frame_size_patch = 0;
+        self.save_area = None;
+        self.restore_areas.clear();
+    }
 }
 
 /// Architecture/platform-specific operations required by the code generator.
@@ -95,8 +106,9 @@ pub trait Target {
     // ---- function skeleton -------------------------------------------------
 
     /// Emits the function prologue with reserved space for callee-saved
-    /// register saves and a patchable frame size.
-    fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState;
+    /// register saves and a patchable frame size, and restarts `frame` for
+    /// the new function ([`FrameState::reset`]).
+    fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState);
 
     /// Emits an epilogue (restore area + frame teardown + return) at the
     /// current position, recording its patch areas in `frame`.
@@ -185,9 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn frame_state_default_is_empty() {
-        let f = FrameState::default();
-        assert!(f.frame_size_patches.is_empty());
+    fn frame_state_reset_empties_it() {
+        let mut f = FrameState::default();
+        assert!(f.save_area.is_none());
+        assert!(f.restore_areas.is_empty());
+        f.save_area = Some((4, 8));
+        f.restore_areas.push((16, 8));
+        f.reset();
         assert!(f.save_area.is_none());
         assert!(f.restore_areas.is_empty());
     }

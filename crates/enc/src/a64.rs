@@ -53,6 +53,7 @@ pub enum Cond {
 
 impl Cond {
     /// The inverted condition.
+    #[inline]
     pub fn invert(self) -> Cond {
         match self {
             Cond::Eq => Cond::Ne,
@@ -74,10 +75,12 @@ impl Cond {
     }
 }
 
+#[inline]
 fn emit(buf: &mut CodeBuffer, word: u32) {
     buf.emit_u32(word);
 }
 
+#[inline]
 fn sf(is64: bool) -> u32 {
     if is64 {
         1 << 31
@@ -89,6 +92,7 @@ fn sf(is64: bool) -> u32 {
 // --- moves and constants ----------------------------------------------------------
 
 /// `mov rd, rm` (register move via `orr rd, zr, rm`).
+#[inline]
 pub fn mov_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rm: u8) {
     emit(
         buf,
@@ -97,29 +101,35 @@ pub fn mov_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rm: u8) {
 }
 
 /// `mov rd, sp` / `mov sp, rd` (uses `add rd, rn, #0` which allows SP).
+#[inline]
 pub fn mov_sp(buf: &mut CodeBuffer, rd: u8, rn: u8) {
     add_imm(buf, true, rd, rn, 0);
 }
 
+#[inline]
 pub(crate) fn movz_word(is64: bool, rd: u8, imm16: u16, hw: u8) -> u32 {
     sf(is64) | 0x5280_0000 | ((hw as u32) << 21) | ((imm16 as u32) << 5) | rd as u32
 }
 
+#[inline]
 fn movk_word(is64: bool, rd: u8, imm16: u16, hw: u8) -> u32 {
     sf(is64) | 0x7280_0000 | ((hw as u32) << 21) | ((imm16 as u32) << 5) | rd as u32
 }
 
 /// `movz rd, #imm16, lsl #(hw*16)`.
+#[inline]
 pub fn movz(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
     emit(buf, movz_word(is64, rd, imm16, hw));
 }
 
 /// `movk rd, #imm16, lsl #(hw*16)`.
+#[inline]
 pub fn movk(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
     emit(buf, movk_word(is64, rd, imm16, hw));
 }
 
 /// `movn rd, #imm16, lsl #(hw*16)`.
+#[inline]
 pub fn movn(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
     emit(
         buf,
@@ -129,6 +139,7 @@ pub fn movn(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
 
 /// Materializes an arbitrary 64-bit constant using `movz`/`movk` (1–4
 /// instructions), committed as one batched write.
+#[inline]
 pub fn mov_imm64(buf: &mut CodeBuffer, rd: u8, value: u64) {
     if value == 0 {
         movz(buf, true, rd, 0, 0);
@@ -156,6 +167,7 @@ pub fn mov_imm64(buf: &mut CodeBuffer, rd: u8, value: u64) {
 // --- integer arithmetic --------------------------------------------------------------
 
 /// `add rd, rn, rm`.
+#[inline]
 pub fn add_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -164,6 +176,7 @@ pub fn add_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `sub rd, rn, rm`.
+#[inline]
 pub fn sub_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -172,6 +185,7 @@ pub fn sub_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `subs rd, rn, rm` (also `cmp` when `rd == zr`).
+#[inline]
 pub fn subs_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -180,6 +194,7 @@ pub fn subs_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `adds rd, rn, rm`.
+#[inline]
 pub fn adds_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -188,11 +203,13 @@ pub fn adds_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `cmp rn, rm`.
+#[inline]
 pub fn cmp_rr(buf: &mut CodeBuffer, is64: bool, rn: u8, rm: u8) {
     subs_rr(buf, is64, ZR, rn, rm);
 }
 
 /// `add rd, rn, #imm12` (also valid for SP operands).
+#[inline]
 pub fn add_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, imm12: u32) {
     debug_assert!(imm12 < 4096);
     emit(
@@ -202,6 +219,7 @@ pub fn add_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, imm12: u32) {
 }
 
 /// `sub rd, rn, #imm12`.
+#[inline]
 pub fn sub_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, imm12: u32) {
     debug_assert!(imm12 < 4096);
     emit(
@@ -211,16 +229,19 @@ pub fn sub_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, imm12: u32) {
 }
 
 /// `sub sp, sp, rm` (extended-register form, usable with SP operands).
+#[inline]
 pub fn sub_sp_reg(buf: &mut CodeBuffer, rm: u8) {
     emit(buf, 0xCB20_63FF | ((rm as u32) << 16));
 }
 
 /// `add sp, sp, rm` (extended-register form, usable with SP operands).
+#[inline]
 pub fn add_sp_reg(buf: &mut CodeBuffer, rm: u8) {
     emit(buf, 0x8B20_63FF | ((rm as u32) << 16));
 }
 
 /// `subs zr, rn, #imm12` (`cmp rn, #imm`).
+#[inline]
 pub fn cmp_imm(buf: &mut CodeBuffer, is64: bool, rn: u8, imm12: u32) {
     debug_assert!(imm12 < 4096);
     emit(
@@ -230,6 +251,7 @@ pub fn cmp_imm(buf: &mut CodeBuffer, is64: bool, rn: u8, imm12: u32) {
 }
 
 /// `and rd, rn, rm`.
+#[inline]
 pub fn and_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -238,6 +260,7 @@ pub fn and_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `orr rd, rn, rm`.
+#[inline]
 pub fn orr_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -246,6 +269,7 @@ pub fn orr_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `eor rd, rn, rm`.
+#[inline]
 pub fn eor_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -254,6 +278,7 @@ pub fn eor_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `ands zr, rn, rm` (`tst rn, rm`).
+#[inline]
 pub fn tst_rr(buf: &mut CodeBuffer, is64: bool, rn: u8, rm: u8) {
     emit(
         buf,
@@ -262,6 +287,7 @@ pub fn tst_rr(buf: &mut CodeBuffer, is64: bool, rn: u8, rm: u8) {
 }
 
 /// `madd rd, rn, rm, ra` (`rd = ra + rn*rm`); `mul` when `ra == zr`.
+#[inline]
 pub fn madd(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8, ra: u8) {
     emit(
         buf,
@@ -275,6 +301,7 @@ pub fn madd(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8, ra: u8) {
 }
 
 /// `msub rd, rn, rm, ra` (`rd = ra - rn*rm`); used for remainders.
+#[inline]
 pub fn msub(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8, ra: u8) {
     emit(
         buf,
@@ -288,11 +315,13 @@ pub fn msub(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8, ra: u8) {
 }
 
 /// `mul rd, rn, rm`.
+#[inline]
 pub fn mul(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     madd(buf, is64, rd, rn, rm, ZR);
 }
 
 /// `sdiv rd, rn, rm`.
+#[inline]
 pub fn sdiv(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -301,6 +330,7 @@ pub fn sdiv(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
 }
 
 /// `udiv rd, rn, rm`.
+#[inline]
 pub fn udiv(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
@@ -318,6 +348,7 @@ pub enum ShiftOp {
 }
 
 /// `lslv/lsrv/asrv rd, rn, rm`.
+#[inline]
 pub fn shift_rr(buf: &mut CodeBuffer, is64: bool, op: ShiftOp, rd: u8, rn: u8, rm: u8) {
     let opc = match op {
         ShiftOp::Lsl => 0x2000,
@@ -331,6 +362,7 @@ pub fn shift_rr(buf: &mut CodeBuffer, is64: bool, op: ShiftOp, rd: u8, rn: u8, r
 }
 
 /// `ubfm rd, rn, #immr, #imms` (64-bit uses N=1).
+#[inline]
 pub fn ubfm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, immr: u8, imms: u8) {
     let n = if is64 { 1 << 22 } else { 0 };
     emit(
@@ -346,6 +378,7 @@ pub fn ubfm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, immr: u8, imms: u8
 }
 
 /// `sbfm rd, rn, #immr, #imms`.
+#[inline]
 pub fn sbfm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, immr: u8, imms: u8) {
     let n = if is64 { 1 << 22 } else { 0 };
     emit(
@@ -361,24 +394,28 @@ pub fn sbfm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, immr: u8, imms: u8
 }
 
 /// `lsl rd, rn, #shift` (immediate form, via `ubfm`).
+#[inline]
 pub fn lsl_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, shift: u8) {
     let bits = if is64 { 64u8 } else { 32 };
     ubfm(buf, is64, rd, rn, (bits - shift) % bits, bits - 1 - shift);
 }
 
 /// `lsr rd, rn, #shift` (immediate form).
+#[inline]
 pub fn lsr_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, shift: u8) {
     let bits = if is64 { 63u8 } else { 31 };
     ubfm(buf, is64, rd, rn, shift, bits);
 }
 
 /// `asr rd, rn, #shift` (immediate form).
+#[inline]
 pub fn asr_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, shift: u8) {
     let bits = if is64 { 63u8 } else { 31 };
     sbfm(buf, is64, rd, rn, shift, bits);
 }
 
 /// Sign-extend byte/halfword/word to 64 bits.
+#[inline]
 pub fn sxt(buf: &mut CodeBuffer, from_size: u32, rd: u8, rn: u8) {
     match from_size {
         1 => sbfm(buf, true, rd, rn, 0, 7),
@@ -389,6 +426,7 @@ pub fn sxt(buf: &mut CodeBuffer, from_size: u32, rd: u8, rn: u8) {
 }
 
 /// Zero-extend byte/halfword to 32 bits (words are zero-extended implicitly).
+#[inline]
 pub fn uxt(buf: &mut CodeBuffer, from_size: u32, rd: u8, rn: u8) {
     match from_size {
         1 => ubfm(buf, false, rd, rn, 0, 7),
@@ -398,6 +436,7 @@ pub fn uxt(buf: &mut CodeBuffer, from_size: u32, rd: u8, rn: u8) {
 }
 
 /// `csel rd, rn, rm, cond`.
+#[inline]
 pub fn csel(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8, cond: Cond) {
     emit(
         buf,
@@ -411,6 +450,7 @@ pub fn csel(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8, cond: Cond
 }
 
 /// `cset rd, cond` (via `csinc rd, zr, zr, !cond`).
+#[inline]
 pub fn cset(buf: &mut CodeBuffer, is64: bool, rd: u8, cond: Cond) {
     let inv = cond.invert();
     emit(
@@ -426,6 +466,7 @@ pub fn cset(buf: &mut CodeBuffer, is64: bool, rd: u8, cond: Cond) {
 
 // --- loads & stores ---------------------------------------------------------------------
 
+#[inline]
 fn ldst_size_bits(size: u32) -> (u32, u32) {
     // returns (size field, scale)
     match size {
@@ -439,6 +480,7 @@ fn ldst_size_bits(size: u32) -> (u32, u32) {
 /// Integer load from `[rn + offset]`. Picks the scaled unsigned-offset form
 /// when possible, otherwise the unscaled (`ldur`) form; large offsets are
 /// not supported directly (callers materialize the address).
+#[inline]
 pub fn ldr(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
     let (sz, scale) = ldst_size_bits(size);
     let base = (sz << 30) | 0x3940_0000;
@@ -459,6 +501,7 @@ pub fn ldr(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
 }
 
 /// Integer store to `[rn + offset]`.
+#[inline]
 pub fn str(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
     let (sz, scale) = ldst_size_bits(size);
     let base = (sz << 30) | 0x3900_0000;
@@ -479,6 +522,7 @@ pub fn str(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
 }
 
 /// FP/SIMD load from `[rn + offset]` (4 or 8 bytes).
+#[inline]
 pub fn ldr_fp(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
     let (sz, scale) = ldst_size_bits(size);
     if offset >= 0 && (offset as u32).is_multiple_of(1 << scale) && (offset as u32 >> scale) < 4096
@@ -501,6 +545,7 @@ pub fn ldr_fp(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
 }
 
 /// FP/SIMD store to `[rn + offset]`.
+#[inline]
 pub fn str_fp(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
     let (sz, scale) = ldst_size_bits(size);
     if offset >= 0 && (offset as u32).is_multiple_of(1 << scale) && (offset as u32 >> scale) < 4096
@@ -523,6 +568,7 @@ pub fn str_fp(buf: &mut CodeBuffer, size: u32, rt: u8, rn: u8, offset: i32) {
 }
 
 /// Sign-extending load (8/16/32 bits into a 64-bit register).
+#[inline]
 pub fn ldrs(buf: &mut CodeBuffer, from_size: u32, rt: u8, rn: u8, offset: i32) {
     let (sz, scale) = ldst_size_bits(from_size);
     debug_assert!(from_size <= 4);
@@ -544,6 +590,7 @@ pub fn ldrs(buf: &mut CodeBuffer, from_size: u32, rt: u8, rn: u8, offset: i32) {
 }
 
 /// `stp rt, rt2, [rn, #offset]!` (pre-index).
+#[inline]
 pub fn stp_pre(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
     let imm7 = ((offset / 8) as u32) & 0x7f;
     emit(
@@ -553,6 +600,7 @@ pub fn stp_pre(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
 }
 
 /// `ldp rt, rt2, [rn], #offset` (post-index).
+#[inline]
 pub fn ldp_post(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
     let imm7 = ((offset / 8) as u32) & 0x7f;
     emit(
@@ -562,6 +610,7 @@ pub fn ldp_post(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
 }
 
 /// `stp rt, rt2, [rn, #offset]` (signed offset, no writeback).
+#[inline]
 pub fn stp(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
     let imm7 = ((offset / 8) as u32) & 0x7f;
     emit(
@@ -571,6 +620,7 @@ pub fn stp(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
 }
 
 /// `ldp rt, rt2, [rn, #offset]` (signed offset, no writeback).
+#[inline]
 pub fn ldp(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
     let imm7 = ((offset / 8) as u32) & 0x7f;
     emit(
@@ -583,6 +633,7 @@ pub fn ldp(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
 
 /// `b label`. Back-edges (bound labels) encode their displacement
 /// immediately; forward references record a fixup.
+#[inline]
 pub fn b_label(buf: &mut CodeBuffer, label: Label) {
     let off = buf.text_offset();
     if let Some(target) = buf.label_offset(label) {
@@ -597,6 +648,7 @@ pub fn b_label(buf: &mut CodeBuffer, label: Label) {
 
 /// Commits a branch19-class instruction word: immediate encoding for bound
 /// labels whose displacement fits, fixup otherwise.
+#[inline]
 fn emit_branch19(buf: &mut CodeBuffer, word: u32, label: Label) {
     let off = buf.text_offset();
     if let Some(target) = buf.label_offset(label) {
@@ -610,17 +662,20 @@ fn emit_branch19(buf: &mut CodeBuffer, word: u32, label: Label) {
 }
 
 /// `b.cond label`.
+#[inline]
 pub fn bcond_label(buf: &mut CodeBuffer, cond: Cond, label: Label) {
     emit_branch19(buf, 0x5400_0000 | cond as u32, label);
 }
 
 /// `cbz rt, label` / `cbnz rt, label`.
+#[inline]
 pub fn cbz_label(buf: &mut CodeBuffer, is64: bool, nonzero: bool, rt: u8, label: Label) {
     let op = if nonzero { 0x3500_0000 } else { 0x3400_0000 };
     emit_branch19(buf, sf(is64) | op | rt as u32, label);
 }
 
 /// `bl sym` (with a CALL26 relocation).
+#[inline]
 pub fn bl_sym(buf: &mut CodeBuffer, sym: SymbolId) {
     let off = buf.text_offset();
     emit(buf, 0x9400_0000);
@@ -634,21 +689,25 @@ pub fn bl_sym(buf: &mut CodeBuffer, sym: SymbolId) {
 }
 
 /// `blr rn` (indirect call).
+#[inline]
 pub fn blr(buf: &mut CodeBuffer, rn: u8) {
     emit(buf, 0xD63F_0000 | ((rn as u32) << 5));
 }
 
 /// `br rn` (indirect branch).
+#[inline]
 pub fn br(buf: &mut CodeBuffer, rn: u8) {
     emit(buf, 0xD61F_0000 | ((rn as u32) << 5));
 }
 
 /// `ret`.
+#[inline]
 pub fn ret(buf: &mut CodeBuffer) {
     emit(buf, 0xD65F_03C0);
 }
 
 /// `nop`.
+#[inline]
 pub fn nop(buf: &mut CodeBuffer) {
     emit(buf, 0xD503_201F);
 }
@@ -656,6 +715,7 @@ pub fn nop(buf: &mut CodeBuffer) {
 /// Loads the 64-bit absolute address of a symbol using a `movz`/`movk`
 /// sequence patched via an `Abs64` relocation stored in a literal-free way:
 /// we emit `adrp`+`add` instead, which is the conventional approach.
+#[inline]
 pub fn adr_sym(buf: &mut CodeBuffer, rd: u8, sym: SymbolId) {
     let off = buf.text_offset();
     let mut seq = InstBuf::new();
@@ -680,6 +740,7 @@ pub fn adr_sym(buf: &mut CodeBuffer, rd: u8, sym: SymbolId) {
 
 // --- scalar floating point ----------------------------------------------------------------
 
+#[inline]
 fn fp_type(size: u32) -> u32 {
     if size == 4 {
         0
@@ -689,6 +750,7 @@ fn fp_type(size: u32) -> u32 {
 }
 
 /// `fmov fd, fn` (register move).
+#[inline]
 pub fn fmov_rr(buf: &mut CodeBuffer, size: u32, rd: u8, rn: u8) {
     emit(
         buf,
@@ -707,6 +769,7 @@ pub enum FpOp {
 }
 
 /// `fadd/fsub/fmul/fdiv fd, fn, fm`.
+#[inline]
 pub fn fp_arith(buf: &mut CodeBuffer, size: u32, op: FpOp, rd: u8, rn: u8, rm: u8) {
     let opc = match op {
         FpOp::Add => 0x2800,
@@ -721,6 +784,7 @@ pub fn fp_arith(buf: &mut CodeBuffer, size: u32, op: FpOp, rd: u8, rn: u8, rm: u
 }
 
 /// `fneg fd, fn`.
+#[inline]
 pub fn fneg(buf: &mut CodeBuffer, size: u32, rd: u8, rn: u8) {
     emit(
         buf,
@@ -729,6 +793,7 @@ pub fn fneg(buf: &mut CodeBuffer, size: u32, rd: u8, rn: u8) {
 }
 
 /// `fcmp fn, fm`.
+#[inline]
 pub fn fcmp(buf: &mut CodeBuffer, size: u32, rn: u8, rm: u8) {
     emit(
         buf,
@@ -737,6 +802,7 @@ pub fn fcmp(buf: &mut CodeBuffer, size: u32, rn: u8, rm: u8) {
 }
 
 /// `scvtf fd, rn` (signed integer to FP; `int64` selects the source width).
+#[inline]
 pub fn scvtf(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
     emit(
         buf,
@@ -745,6 +811,7 @@ pub fn scvtf(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
 }
 
 /// `ucvtf fd, rn` (unsigned integer to FP).
+#[inline]
 pub fn ucvtf(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
     emit(
         buf,
@@ -753,6 +820,7 @@ pub fn ucvtf(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
 }
 
 /// `fcvtzs rd, fn` (FP to signed integer, truncating).
+#[inline]
 pub fn fcvtzs(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
     emit(
         buf,
@@ -761,6 +829,7 @@ pub fn fcvtzs(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
 }
 
 /// `fcvt` between single and double precision (`to_size` 4 or 8).
+#[inline]
 pub fn fcvt(buf: &mut CodeBuffer, to_size: u32, rd: u8, rn: u8) {
     let (ty, opc) = if to_size == 8 {
         (0u32, 1u32) // from single to double
@@ -774,6 +843,7 @@ pub fn fcvt(buf: &mut CodeBuffer, to_size: u32, rd: u8, rn: u8) {
 }
 
 /// `fmov xd, dn` / `fmov wd, sn` (FP to GP bit move).
+#[inline]
 pub fn fmov_to_gp(buf: &mut CodeBuffer, size: u32, rd: u8, rn: u8) {
     if size == 8 {
         emit(buf, 0x9E66_0000 | ((rn as u32) << 5) | rd as u32);
@@ -783,6 +853,7 @@ pub fn fmov_to_gp(buf: &mut CodeBuffer, size: u32, rd: u8, rn: u8) {
 }
 
 /// `fmov dd, xn` / `fmov sd, wn` (GP to FP bit move).
+#[inline]
 pub fn fmov_from_gp(buf: &mut CodeBuffer, size: u32, rd: u8, rn: u8) {
     if size == 8 {
         emit(buf, 0x9E67_0000 | ((rn as u32) << 5) | rd as u32);

@@ -27,6 +27,7 @@ pub struct A64Target {
 }
 
 impl Default for A64Target {
+    #[inline]
     fn default() -> Self {
         Self::new()
     }
@@ -34,6 +35,7 @@ impl Default for A64Target {
 
 impl A64Target {
     /// Creates the target with its default register configuration.
+    #[inline]
     pub fn new() -> A64Target {
         let mut gp: Vec<Reg> = (0..16).map(|i| Reg::new(RegBank::GP, i)).collect();
         gp.extend((19..29).map(|i| Reg::new(RegBank::GP, i)));
@@ -51,16 +53,19 @@ impl A64Target {
         }
     }
 
+    #[inline]
     fn total_save_slots() -> usize {
         GP_SAVE_ORDER.len() + FP_SAVE_ORDER.len()
     }
 
+    #[inline]
     fn save_slot_off(idx: usize) -> i32 {
         -(8 * (idx as i32 + 1))
     }
 
     /// Stores/loads relative to the frame pointer, falling back to an
     /// address computation in `x17` when the offset does not fit.
+    #[inline]
     fn frame_mem_access(
         &self,
         buf: &mut CodeBuffer,
@@ -95,14 +100,17 @@ impl A64Target {
 }
 
 impl Target for A64Target {
+    #[inline]
     fn arch(&self) -> TargetArch {
         TargetArch::Aarch64
     }
 
+    #[inline]
     fn call_conv(&self) -> &CallConv {
         &self.cc
     }
 
+    #[inline]
     fn allocatable_regs(&self, bank: RegBank) -> &[Reg] {
         match bank {
             RegBank::GP => &self.gp,
@@ -110,6 +118,7 @@ impl Target for A64Target {
         }
     }
 
+    #[inline]
     fn fixed_reg_candidates(&self, bank: RegBank) -> &[Reg] {
         match bank {
             RegBank::GP => &self.fixed_gp,
@@ -117,42 +126,43 @@ impl Target for A64Target {
         }
     }
 
+    #[inline]
     fn frame_reg(&self) -> Reg {
         Reg::new(RegBank::GP, 29)
     }
 
+    #[inline]
     fn scratch_gp(&self) -> Reg {
         Reg::new(RegBank::GP, 16)
     }
 
+    #[inline]
     fn scratch_fp(&self) -> Reg {
         Reg::new(RegBank::FP, 31)
     }
 
+    #[inline]
     fn callee_save_area_size(&self) -> u32 {
         (Self::total_save_slots() as u32) * 8
     }
 
-    fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState {
-        let func_start = buf.text_offset();
+    #[inline]
+    fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
+        frame.reset();
         a64::stp_pre(buf, a64::FP, a64::LR, a64::SP, -16);
         a64::mov_sp(buf, a64::FP, a64::SP);
         // movz x16, #framesize (patched) ; sub sp, sp, x16
-        let patch = buf.text_offset();
+        frame.frame_size_patch = buf.text_offset();
         a64::movz(buf, true, 16, 0, 0);
         a64::sub_sp_reg(buf, 16);
         let save_area = buf.text_offset();
         for _ in 0..Self::total_save_slots() {
             a64::nop(buf);
         }
-        FrameState {
-            func_start,
-            frame_size_patches: vec![patch],
-            save_area: Some((save_area, (Self::total_save_slots() * SAVE_INSN_LEN) as u64)),
-            restore_areas: Vec::new(),
-        }
+        frame.save_area = Some((save_area, (Self::total_save_slots() * SAVE_INSN_LEN) as u64));
     }
 
+    #[inline]
     fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
         let restore_area = buf.text_offset();
         for _ in 0..Self::total_save_slots() {
@@ -167,6 +177,7 @@ impl Target for A64Target {
         a64::ret(buf);
     }
 
+    #[inline]
     fn finish_func(
         &self,
         buf: &mut CodeBuffer,
@@ -176,40 +187,39 @@ impl Target for A64Target {
     ) {
         let size = (frame_size + 15) & !15;
         assert!(size < 65536, "frame larger than 64 KiB not supported");
-        for &off in &frame.frame_size_patches {
-            // patch the imm16 of the movz (bits 5..21)
-            let word = crate::a64::movz_word(true, 16, size as u16, 0);
-            buf.patch_text(off, &word.to_le_bytes());
-        }
-        let mut tmp = CodeBuffer::new();
-        let mut emit_area = |tmp: &mut CodeBuffer, area: Option<(u64, u64)>, is_save: bool| {
-            let Some((start, _)) = area else { return };
-            tmp.text_mut().clear();
-            for (idx, reg) in GP_SAVE_ORDER
-                .iter()
-                .map(|&i| Reg::new(RegBank::GP, i))
-                .chain(FP_SAVE_ORDER.iter().map(|&i| Reg::new(RegBank::FP, i)))
-                .enumerate()
-            {
-                if !used_callee_saved.contains(reg) {
-                    continue;
+        // patch the imm16 of the movz (bits 5..21)
+        let word = crate::a64::movz_word(true, 16, size as u16, 0);
+        buf.patch_text(frame.frame_size_patch, &word.to_le_bytes());
+        let mut patch_area = |start: u64, is_save: bool| {
+            buf.patch_text_with(start, |buf| {
+                for (idx, reg) in GP_SAVE_ORDER
+                    .iter()
+                    .map(|&i| Reg::new(RegBank::GP, i))
+                    .chain(FP_SAVE_ORDER.iter().map(|&i| Reg::new(RegBank::FP, i)))
+                    .enumerate()
+                {
+                    if !used_callee_saved.contains(reg) {
+                        continue;
+                    }
+                    let off = Self::save_slot_off(idx);
+                    match (reg.bank(), is_save) {
+                        (RegBank::GP, true) => a64::str(buf, 8, reg.index(), a64::FP, off),
+                        (RegBank::GP, false) => a64::ldr(buf, 8, reg.index(), a64::FP, off),
+                        (RegBank::FP, true) => a64::str_fp(buf, 8, reg.index(), a64::FP, off),
+                        (RegBank::FP, false) => a64::ldr_fp(buf, 8, reg.index(), a64::FP, off),
+                    }
                 }
-                let off = Self::save_slot_off(idx);
-                match (reg.bank(), is_save) {
-                    (RegBank::GP, true) => a64::str(tmp, 8, reg.index(), a64::FP, off),
-                    (RegBank::GP, false) => a64::ldr(tmp, 8, reg.index(), a64::FP, off),
-                    (RegBank::FP, true) => a64::str_fp(tmp, 8, reg.index(), a64::FP, off),
-                    (RegBank::FP, false) => a64::ldr_fp(tmp, 8, reg.index(), a64::FP, off),
-                }
-            }
-            buf.patch_text(start, tmp.text());
+            });
         };
-        emit_area(&mut tmp, frame.save_area, true);
-        for &(start, len) in &frame.restore_areas {
-            emit_area(&mut tmp, Some((start, len)), false);
+        if let Some((start, _)) = frame.save_area {
+            patch_area(start, true);
+        }
+        for &(start, _) in &frame.restore_areas {
+            patch_area(start, false);
         }
     }
 
+    #[inline]
     fn emit_mov_rr(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, dst: Reg, src: Reg) {
         match bank {
             RegBank::GP => a64::mov_rr(
@@ -222,14 +232,17 @@ impl Target for A64Target {
         }
     }
 
+    #[inline]
     fn emit_frame_store(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, off: i32, src: Reg) {
         self.frame_mem_access(buf, bank, size, off, src, true);
     }
 
+    #[inline]
     fn emit_frame_load(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, dst: Reg, off: i32) {
         self.frame_mem_access(buf, bank, size, off, dst, false);
     }
 
+    #[inline]
     fn emit_frame_addr(&self, buf: &mut CodeBuffer, dst: Reg, off: i32) {
         if off < 0 && -off < 4096 {
             a64::sub_imm(buf, true, dst.index(), a64::FP, (-off) as u32);
@@ -241,6 +254,7 @@ impl Target for A64Target {
         }
     }
 
+    #[inline]
     fn emit_const(&self, buf: &mut CodeBuffer, bank: RegBank, _size: u32, dst: Reg, value: u64) {
         match bank {
             RegBank::GP => a64::mov_imm64(buf, dst.index(), value),
@@ -252,18 +266,22 @@ impl Target for A64Target {
         }
     }
 
+    #[inline]
     fn emit_jump(&self, buf: &mut CodeBuffer, label: Label) {
         a64::b_label(buf, label);
     }
 
+    #[inline]
     fn emit_call_sym(&self, buf: &mut CodeBuffer, sym: SymbolId) {
         a64::bl_sym(buf, sym);
     }
 
+    #[inline]
     fn emit_call_reg(&self, buf: &mut CodeBuffer, reg: Reg) {
         a64::blr(buf, reg.index());
     }
 
+    #[inline]
     fn emit_sp_adjust(&self, buf: &mut CodeBuffer, delta: i32) {
         if delta < 0 {
             a64::sub_imm(buf, true, a64::SP, a64::SP, (-delta) as u32);
@@ -272,6 +290,7 @@ impl Target for A64Target {
         }
     }
 
+    #[inline]
     fn emit_sp_store(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, off: u32, src: Reg) {
         match bank {
             RegBank::GP => a64::str(buf, size, src.index(), a64::SP, off as i32),
@@ -288,7 +307,8 @@ mod tests {
     fn prologue_epilogue_patch() {
         let t = A64Target::new();
         let mut buf = CodeBuffer::new();
-        let mut frame = t.emit_prologue(&mut buf);
+        let mut frame = FrameState::default();
+        t.emit_prologue(&mut buf, &mut frame);
         a64::nop(&mut buf);
         t.emit_epilogue_and_ret(&mut buf, &mut frame);
         let mut used = RegSet::empty();

@@ -42,15 +42,18 @@ impl Gp {
     pub const R14: Gp = Gp(14);
     pub const R15: Gp = Gp(15);
 
+    #[inline]
     fn lo(self) -> u8 {
         self.0 & 7
     }
+    #[inline]
     fn hi(self) -> bool {
         self.0 >= 8
     }
 }
 
 impl From<Reg> for Gp {
+    #[inline]
     fn from(r: Reg) -> Gp {
         debug_assert_eq!(r.bank(), RegBank::GP);
         Gp(r.index())
@@ -62,12 +65,14 @@ impl From<Reg> for Gp {
 pub struct Xmm(pub u8);
 
 impl Xmm {
+    #[inline]
     fn hi(self) -> bool {
         self.0 >= 8
     }
 }
 
 impl From<Reg> for Xmm {
+    #[inline]
     fn from(r: Reg) -> Xmm {
         debug_assert_eq!(r.bank(), RegBank::FP);
         Xmm(r.index())
@@ -88,6 +93,7 @@ pub struct Mem {
 
 impl Mem {
     /// `[base]`
+    #[inline]
     pub fn base(base: Gp) -> Mem {
         Mem {
             base,
@@ -96,6 +102,7 @@ impl Mem {
         }
     }
     /// `[base + disp]`
+    #[inline]
     pub fn base_disp(base: Gp, disp: i32) -> Mem {
         Mem {
             base,
@@ -104,6 +111,7 @@ impl Mem {
         }
     }
     /// `[base + index*scale + disp]`
+    #[inline]
     pub fn sib(base: Gp, index: Gp, scale: u8, disp: i32) -> Mem {
         debug_assert!(matches!(scale, 1 | 2 | 4 | 8));
         debug_assert!(index != Gp::RSP, "rsp cannot be an index register");
@@ -139,6 +147,7 @@ pub enum Cond {
 
 impl Cond {
     /// The inverted condition.
+    #[inline]
     pub fn invert(self) -> Cond {
         match self {
             Cond::O => Cond::NO,
@@ -177,6 +186,7 @@ pub enum Alu {
 
 // --- low-level helpers -------------------------------------------------------
 
+#[inline]
 fn op_size_prefix(i: &mut InstBuf, size: u32) {
     if size == 2 {
         i.push_u8(0x66);
@@ -186,6 +196,7 @@ fn op_size_prefix(i: &mut InstBuf, size: u32) {
 /// Pushes a REX prefix if needed. `r`, `x`, `b` are the high bits of the
 /// reg field, index and base/rm. `force` requires a REX byte even without
 /// bits (for spl/bpl/sil/dil access).
+#[inline]
 fn rex(i: &mut InstBuf, w: bool, r: bool, x: bool, b: bool, force: bool) {
     let mut v = 0x40u8;
     if w {
@@ -205,20 +216,24 @@ fn rex(i: &mut InstBuf, w: bool, r: bool, x: bool, b: bool, force: bool) {
     }
 }
 
+#[inline]
 fn needs_rex8(reg: u8) -> bool {
     (4..8).contains(&reg)
 }
 
+#[inline]
 fn modrm(i: &mut InstBuf, md: u8, reg: u8, rm: u8) {
     i.push_u8((md << 6) | ((reg & 7) << 3) | (rm & 7));
 }
 
 /// Pushes ModRM for a register-direct operand.
+#[inline]
 fn modrm_rr(i: &mut InstBuf, reg: u8, rm: u8) {
     modrm(i, 3, reg, rm);
 }
 
 /// Pushes ModRM/SIB/disp for a memory operand with `reg` in the reg field.
+#[inline]
 fn modrm_mem(i: &mut InstBuf, reg: u8, mem: Mem) {
     let base = mem.base;
     let disp = mem.disp;
@@ -259,12 +274,14 @@ fn modrm_mem(i: &mut InstBuf, reg: u8, mem: Mem) {
     }
 }
 
+#[inline]
 fn rex_for_rm(i: &mut InstBuf, size: u32, reg: u8, rm: u8) {
     op_size_prefix(i, size);
     let force = size == 1 && (needs_rex8(reg) || needs_rex8(rm));
     rex(i, size == 8, reg >= 8, false, rm >= 8, force);
 }
 
+#[inline]
 fn rex_for_mem(i: &mut InstBuf, size: u32, reg: u8, mem: Mem) {
     op_size_prefix(i, size);
     let x = mem.index.is_some_and(|(idx, _)| idx.hi());
@@ -275,6 +292,7 @@ fn rex_for_mem(i: &mut InstBuf, size: u32, reg: u8, mem: Mem) {
 // --- moves --------------------------------------------------------------------
 
 /// `mov dst, src` (register to register).
+#[inline]
 pub fn mov_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, src.0, dst.0);
@@ -285,6 +303,7 @@ pub fn mov_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
 
 /// `mov dst, imm`. Chooses the shortest usable encoding
 /// (`mov r32, imm32`, sign-extended `imm32`, or `movabs`).
+#[inline]
 pub fn mov_ri(buf: &mut CodeBuffer, size: u32, dst: Gp, imm: u64) {
     let mut i = InstBuf::new();
     if size <= 4 || imm <= u32::MAX as u64 {
@@ -306,6 +325,7 @@ pub fn mov_ri(buf: &mut CodeBuffer, size: u32, dst: Gp, imm: u64) {
 }
 
 /// `mov dst, [mem]` (load).
+#[inline]
 pub fn mov_rm(buf: &mut CodeBuffer, size: u32, dst: Gp, mem: Mem) {
     let mut i = InstBuf::new();
     rex_for_mem(&mut i, size, dst.0, mem);
@@ -315,6 +335,7 @@ pub fn mov_rm(buf: &mut CodeBuffer, size: u32, dst: Gp, mem: Mem) {
 }
 
 /// `mov [mem], src` (store).
+#[inline]
 pub fn mov_mr(buf: &mut CodeBuffer, size: u32, mem: Mem, src: Gp) {
     let mut i = InstBuf::new();
     rex_for_mem(&mut i, size, src.0, mem);
@@ -324,6 +345,7 @@ pub fn mov_mr(buf: &mut CodeBuffer, size: u32, mem: Mem, src: Gp) {
 }
 
 /// `mov dword/qword ptr [mem], imm32` (sign-extended for 64-bit).
+#[inline]
 pub fn mov_mi(buf: &mut CodeBuffer, size: u32, mem: Mem, imm: i32) {
     let mut i = InstBuf::new();
     rex_for_mem(&mut i, size, 0, mem);
@@ -338,6 +360,7 @@ pub fn mov_mi(buf: &mut CodeBuffer, size: u32, mem: Mem, imm: i32) {
 }
 
 /// `movzx dst, src` where `src` is an 8- or 16-bit register.
+#[inline]
 pub fn movzx_rr(buf: &mut CodeBuffer, dst: Gp, src: Gp, from_size: u32) {
     let mut i = InstBuf::new();
     let force = from_size == 1 && needs_rex8(src.0);
@@ -349,6 +372,7 @@ pub fn movzx_rr(buf: &mut CodeBuffer, dst: Gp, src: Gp, from_size: u32) {
 }
 
 /// `movzx dst, <size> ptr [mem]` (zero-extending load, 8/16 bit).
+#[inline]
 pub fn movzx_rm(buf: &mut CodeBuffer, dst: Gp, mem: Mem, from_size: u32) {
     let mut i = InstBuf::new();
     let x = mem.index.is_some_and(|(idx, _)| idx.hi());
@@ -359,6 +383,7 @@ pub fn movzx_rm(buf: &mut CodeBuffer, dst: Gp, mem: Mem, from_size: u32) {
     buf.emit_inst(i);
 }
 
+#[inline]
 fn movsx_opcode(i: &mut InstBuf, from_size: u32) {
     match from_size {
         1 => {
@@ -375,6 +400,7 @@ fn movsx_opcode(i: &mut InstBuf, from_size: u32) {
 }
 
 /// `movsx dst, src` (sign extension from 8, 16 or 32 bits to `to_size`).
+#[inline]
 pub fn movsx_rr(buf: &mut CodeBuffer, to_size: u32, dst: Gp, src: Gp, from_size: u32) {
     let mut i = InstBuf::new();
     let force = from_size == 1 && needs_rex8(src.0);
@@ -385,6 +411,7 @@ pub fn movsx_rr(buf: &mut CodeBuffer, to_size: u32, dst: Gp, src: Gp, from_size:
 }
 
 /// `movsx dst, <size> ptr [mem]` (sign-extending load).
+#[inline]
 pub fn movsx_rm(buf: &mut CodeBuffer, to_size: u32, dst: Gp, mem: Mem, from_size: u32) {
     let mut i = InstBuf::new();
     let x = mem.index.is_some_and(|(idx, _)| idx.hi());
@@ -395,6 +422,7 @@ pub fn movsx_rm(buf: &mut CodeBuffer, to_size: u32, dst: Gp, mem: Mem, from_size
 }
 
 /// `lea dst, [mem]`.
+#[inline]
 pub fn lea(buf: &mut CodeBuffer, dst: Gp, mem: Mem) {
     let mut i = InstBuf::new();
     rex_for_mem(&mut i, 8, dst.0, mem);
@@ -406,6 +434,7 @@ pub fn lea(buf: &mut CodeBuffer, dst: Gp, mem: Mem) {
 // --- ALU ------------------------------------------------------------------------
 
 /// `op dst, src` (register-register ALU operation).
+#[inline]
 pub fn alu_rr(buf: &mut CodeBuffer, op: Alu, size: u32, dst: Gp, src: Gp) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, src.0, dst.0);
@@ -416,6 +445,7 @@ pub fn alu_rr(buf: &mut CodeBuffer, op: Alu, size: u32, dst: Gp, src: Gp) {
 }
 
 /// `op dst, imm` (immediate ALU operation; chooses imm8 when possible).
+#[inline]
 pub fn alu_ri(buf: &mut CodeBuffer, op: Alu, size: u32, dst: Gp, imm: i32) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, 0, dst.0);
@@ -440,6 +470,7 @@ pub fn alu_ri(buf: &mut CodeBuffer, op: Alu, size: u32, dst: Gp, imm: i32) {
 }
 
 /// `op dst, [mem]`.
+#[inline]
 pub fn alu_rm(buf: &mut CodeBuffer, op: Alu, size: u32, dst: Gp, mem: Mem) {
     let mut i = InstBuf::new();
     rex_for_mem(&mut i, size, dst.0, mem);
@@ -450,6 +481,7 @@ pub fn alu_rm(buf: &mut CodeBuffer, op: Alu, size: u32, dst: Gp, mem: Mem) {
 }
 
 /// `op [mem], src`.
+#[inline]
 pub fn alu_mr(buf: &mut CodeBuffer, op: Alu, size: u32, mem: Mem, src: Gp) {
     let mut i = InstBuf::new();
     rex_for_mem(&mut i, size, src.0, mem);
@@ -461,6 +493,7 @@ pub fn alu_mr(buf: &mut CodeBuffer, op: Alu, size: u32, mem: Mem, src: Gp) {
 
 /// `op <size> ptr [mem], imm` (immediate ALU on memory; chooses imm8 when
 /// possible). Used for the tier-0 entry counters (`add qword [r11], 1`).
+#[inline]
 pub fn alu_mi(buf: &mut CodeBuffer, op: Alu, size: u32, mem: Mem, imm: i32) {
     let mut i = InstBuf::new();
     rex_for_mem(&mut i, size, 0, mem);
@@ -485,6 +518,7 @@ pub fn alu_mi(buf: &mut CodeBuffer, op: Alu, size: u32, mem: Mem, imm: i32) {
 }
 
 /// `test dst, src`.
+#[inline]
 pub fn test_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, src.0, dst.0);
@@ -494,6 +528,7 @@ pub fn test_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
 }
 
 /// `test dst, imm32`.
+#[inline]
 pub fn test_ri(buf: &mut CodeBuffer, size: u32, dst: Gp, imm: i32) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, 0, dst.0);
@@ -508,6 +543,7 @@ pub fn test_ri(buf: &mut CodeBuffer, size: u32, dst: Gp, imm: i32) {
 }
 
 /// `imul dst, src` (two-operand signed multiply).
+#[inline]
 pub fn imul_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, dst.0, src.0);
@@ -518,6 +554,7 @@ pub fn imul_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
 }
 
 /// `imul dst, src, imm32`.
+#[inline]
 pub fn imul_rri(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp, imm: i32) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, dst.0, src.0);
@@ -534,6 +571,7 @@ pub fn imul_rri(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp, imm: i32) {
 }
 
 /// Single-operand `0xf6/0xf7` group instruction (`neg`, `not`, `mul`, ...).
+#[inline]
 fn grp3(buf: &mut CodeBuffer, size: u32, ext: u8, rm: Gp) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, 0, rm.0);
@@ -543,36 +581,43 @@ fn grp3(buf: &mut CodeBuffer, size: u32, ext: u8, rm: Gp) {
 }
 
 /// `neg dst`.
+#[inline]
 pub fn neg(buf: &mut CodeBuffer, size: u32, dst: Gp) {
     grp3(buf, size, 3, dst);
 }
 
 /// `not dst`.
+#[inline]
 pub fn not(buf: &mut CodeBuffer, size: u32, dst: Gp) {
     grp3(buf, size, 2, dst);
 }
 
 /// `mul src` (unsigned widening multiply of rax by src into rdx:rax).
+#[inline]
 pub fn mul_unsigned(buf: &mut CodeBuffer, size: u32, src: Gp) {
     grp3(buf, size, 4, src);
 }
 
 /// `imul src` (signed widening multiply into rdx:rax).
+#[inline]
 pub fn imul_wide(buf: &mut CodeBuffer, size: u32, src: Gp) {
     grp3(buf, size, 5, src);
 }
 
 /// `div src` (unsigned divide of rdx:rax).
+#[inline]
 pub fn div(buf: &mut CodeBuffer, size: u32, src: Gp) {
     grp3(buf, size, 6, src);
 }
 
 /// `idiv src` (signed divide of rdx:rax).
+#[inline]
 pub fn idiv(buf: &mut CodeBuffer, size: u32, src: Gp) {
     grp3(buf, size, 7, src);
 }
 
 /// `cdq` (size 4) / `cqo` (size 8): sign-extend rax into rdx.
+#[inline]
 pub fn cqo(buf: &mut CodeBuffer, size: u32) {
     let mut i = InstBuf::new();
     if size == 8 {
@@ -594,6 +639,7 @@ pub enum Shift {
 }
 
 /// `shl/shr/sar dst, imm`.
+#[inline]
 pub fn shift_ri(buf: &mut CodeBuffer, kind: Shift, size: u32, dst: Gp, imm: u8) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, 0, dst.0);
@@ -609,6 +655,7 @@ pub fn shift_ri(buf: &mut CodeBuffer, kind: Shift, size: u32, dst: Gp, imm: u8) 
 }
 
 /// `shl/shr/sar dst, cl`.
+#[inline]
 pub fn shift_cl(buf: &mut CodeBuffer, kind: Shift, size: u32, dst: Gp) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size, 0, dst.0);
@@ -618,6 +665,7 @@ pub fn shift_cl(buf: &mut CodeBuffer, kind: Shift, size: u32, dst: Gp) {
 }
 
 /// `setcc dst` (8-bit destination).
+#[inline]
 pub fn setcc(buf: &mut CodeBuffer, cc: Cond, dst: Gp) {
     let mut i = InstBuf::new();
     let force = needs_rex8(dst.0);
@@ -629,6 +677,7 @@ pub fn setcc(buf: &mut CodeBuffer, cc: Cond, dst: Gp) {
 }
 
 /// `cmovcc dst, src`.
+#[inline]
 pub fn cmovcc(buf: &mut CodeBuffer, cc: Cond, size: u32, dst: Gp, src: Gp) {
     let mut i = InstBuf::new();
     rex_for_rm(&mut i, size.max(4), dst.0, src.0);
@@ -643,6 +692,7 @@ pub fn cmovcc(buf: &mut CodeBuffer, cc: Cond, size: u32, dst: Gp, src: Gp) {
 /// Commits a branch whose rel32 field starts at `i.len()` bytes into the
 /// window. Already-bound labels (back-edges) get their displacement encoded
 /// immediately; forward references record a fixup.
+#[inline]
 fn emit_rel32_branch(buf: &mut CodeBuffer, mut i: InstBuf, label: Label) {
     let field_off = buf.text_offset() + i.len() as u64;
     if let Some(target) = buf.label_offset(label) {
@@ -659,6 +709,7 @@ fn emit_rel32_branch(buf: &mut CodeBuffer, mut i: InstBuf, label: Label) {
 
 /// `jmp label` (rel32; encoded immediately for bound labels, fixed up
 /// otherwise).
+#[inline]
 pub fn jmp_label(buf: &mut CodeBuffer, label: Label) {
     let mut i = InstBuf::new();
     i.push_u8(0xe9);
@@ -667,6 +718,7 @@ pub fn jmp_label(buf: &mut CodeBuffer, label: Label) {
 
 /// `jcc label` (rel32; encoded immediately for bound labels, fixed up
 /// otherwise).
+#[inline]
 pub fn jcc_label(buf: &mut CodeBuffer, cc: Cond, label: Label) {
     let mut i = InstBuf::new();
     i.push_u8(0x0f);
@@ -675,6 +727,7 @@ pub fn jcc_label(buf: &mut CodeBuffer, cc: Cond, label: Label) {
 }
 
 /// `jmp reg` (indirect).
+#[inline]
 pub fn jmp_reg(buf: &mut CodeBuffer, reg: Gp) {
     let mut i = InstBuf::new();
     rex(&mut i, false, false, false, reg.hi(), false);
@@ -684,6 +737,7 @@ pub fn jmp_reg(buf: &mut CodeBuffer, reg: Gp) {
 }
 
 /// `call sym` (rel32 with a PC-relative relocation).
+#[inline]
 pub fn call_sym(buf: &mut CodeBuffer, sym: SymbolId) {
     let mut i = InstBuf::new();
     i.push_u8(0xe8);
@@ -700,6 +754,7 @@ pub fn call_sym(buf: &mut CodeBuffer, sym: SymbolId) {
 }
 
 /// `call reg` (indirect).
+#[inline]
 pub fn call_reg(buf: &mut CodeBuffer, reg: Gp) {
     let mut i = InstBuf::new();
     rex(&mut i, false, false, false, reg.hi(), false);
@@ -709,11 +764,13 @@ pub fn call_reg(buf: &mut CodeBuffer, reg: Gp) {
 }
 
 /// `ret`.
+#[inline]
 pub fn ret(buf: &mut CodeBuffer) {
     buf.emit_u8(0xc3);
 }
 
 /// `push reg`.
+#[inline]
 pub fn push_r(buf: &mut CodeBuffer, reg: Gp) {
     let mut i = InstBuf::new();
     rex(&mut i, false, false, false, reg.hi(), false);
@@ -722,6 +779,7 @@ pub fn push_r(buf: &mut CodeBuffer, reg: Gp) {
 }
 
 /// `pop reg`.
+#[inline]
 pub fn pop_r(buf: &mut CodeBuffer, reg: Gp) {
     let mut i = InstBuf::new();
     rex(&mut i, false, false, false, reg.hi(), false);
@@ -730,6 +788,7 @@ pub fn pop_r(buf: &mut CodeBuffer, reg: Gp) {
 }
 
 /// Emits `len` bytes of (single-byte) NOPs with one resize.
+#[inline]
 pub fn nops(buf: &mut CodeBuffer, len: usize) {
     let text = buf.text_mut();
     let new_len = text.len() + len;
@@ -737,6 +796,7 @@ pub fn nops(buf: &mut CodeBuffer, len: usize) {
 }
 
 /// Loads the address of `sym` into `dst` via `movabs` + absolute relocation.
+#[inline]
 pub fn mov_sym_abs(buf: &mut CodeBuffer, dst: Gp, sym: SymbolId, addend: i64) {
     let mut i = InstBuf::new();
     rex(&mut i, true, false, false, dst.hi(), false);
@@ -755,6 +815,7 @@ pub fn mov_sym_abs(buf: &mut CodeBuffer, dst: Gp, sym: SymbolId, addend: i64) {
 
 // --- SSE scalar floating point ------------------------------------------------------
 
+#[inline]
 fn sse_prefix(i: &mut InstBuf, prefix: u8, w: bool, r: bool, x: bool, b: bool) {
     if prefix != 0 {
         i.push_u8(prefix);
@@ -765,6 +826,7 @@ fn sse_prefix(i: &mut InstBuf, prefix: u8, w: bool, r: bool, x: bool, b: bool) {
 
 /// Scalar SSE op `xmm, xmm` with the given mandatory prefix and opcode
 /// (e.g. `addsd` = prefix `0xF2`, opcode `0x58`).
+#[inline]
 pub fn sse_rr(buf: &mut CodeBuffer, prefix: u8, opcode: u8, dst: Xmm, src: Xmm) {
     let mut i = InstBuf::new();
     sse_prefix(&mut i, prefix, false, dst.hi(), false, src.hi());
@@ -774,6 +836,7 @@ pub fn sse_rr(buf: &mut CodeBuffer, prefix: u8, opcode: u8, dst: Xmm, src: Xmm) 
 }
 
 /// Scalar SSE op `xmm, [mem]`.
+#[inline]
 pub fn sse_rm(buf: &mut CodeBuffer, prefix: u8, opcode: u8, dst: Xmm, mem: Mem) {
     let mut i = InstBuf::new();
     let x = mem.index.is_some_and(|(idx, _)| idx.hi());
@@ -784,12 +847,14 @@ pub fn sse_rm(buf: &mut CodeBuffer, prefix: u8, opcode: u8, dst: Xmm, mem: Mem) 
 }
 
 /// `movsd dst, [mem]` / `movss` when `size == 4`.
+#[inline]
 pub fn fp_load(buf: &mut CodeBuffer, size: u32, dst: Xmm, mem: Mem) {
     let prefix = if size == 4 { 0xf3 } else { 0xf2 };
     sse_rm(buf, prefix, 0x10, dst, mem);
 }
 
 /// `movsd [mem], src` / `movss` when `size == 4`.
+#[inline]
 pub fn fp_store(buf: &mut CodeBuffer, size: u32, mem: Mem, src: Xmm) {
     let mut i = InstBuf::new();
     let prefix = if size == 4 { 0xf3 } else { 0xf2 };
@@ -801,6 +866,7 @@ pub fn fp_store(buf: &mut CodeBuffer, size: u32, mem: Mem, src: Xmm) {
 }
 
 /// `movsd/movss dst, src` (register move).
+#[inline]
 pub fn fp_mov_rr(buf: &mut CodeBuffer, size: u32, dst: Xmm, src: Xmm) {
     let prefix = if size == 4 { 0xf3 } else { 0xf2 };
     sse_rr(buf, prefix, 0x10, dst, src);
@@ -808,24 +874,28 @@ pub fn fp_mov_rr(buf: &mut CodeBuffer, size: u32, dst: Xmm, src: Xmm) {
 
 /// Scalar FP arithmetic: add/sub/mul/div/sqrt, selected by opcode
 /// (0x58 add, 0x5c sub, 0x59 mul, 0x5e div, 0x51 sqrt).
+#[inline]
 pub fn fp_arith(buf: &mut CodeBuffer, size: u32, opcode: u8, dst: Xmm, src: Xmm) {
     let prefix = if size == 4 { 0xf3 } else { 0xf2 };
     sse_rr(buf, prefix, opcode, dst, src);
 }
 
 /// `ucomisd/ucomiss dst, src` (FP compare setting flags).
+#[inline]
 pub fn fp_ucomis(buf: &mut CodeBuffer, size: u32, dst: Xmm, src: Xmm) {
     let prefix = if size == 4 { 0x00 } else { 0x66 };
     sse_rr(buf, prefix, 0x2e, dst, src);
 }
 
 /// `xorps/xorpd dst, src` (used for FP zero and negation).
+#[inline]
 pub fn fp_xor(buf: &mut CodeBuffer, size: u32, dst: Xmm, src: Xmm) {
     let prefix = if size == 4 { 0x00 } else { 0x66 };
     sse_rr(buf, prefix, 0x57, dst, src);
 }
 
 /// `cvtsi2sd/cvtsi2ss dst, src` (integer to FP; `int_size` 4 or 8).
+#[inline]
 pub fn cvt_int_to_fp(buf: &mut CodeBuffer, fp_size: u32, int_size: u32, dst: Xmm, src: Gp) {
     let mut i = InstBuf::new();
     i.push_u8(if fp_size == 4 { 0xf3 } else { 0xf2 });
@@ -837,6 +907,7 @@ pub fn cvt_int_to_fp(buf: &mut CodeBuffer, fp_size: u32, int_size: u32, dst: Xmm
 }
 
 /// `cvttsd2si/cvttss2si dst, src` (FP to integer, truncating).
+#[inline]
 pub fn cvt_fp_to_int(buf: &mut CodeBuffer, fp_size: u32, int_size: u32, dst: Gp, src: Xmm) {
     let mut i = InstBuf::new();
     i.push_u8(if fp_size == 4 { 0xf3 } else { 0xf2 });
@@ -848,12 +919,14 @@ pub fn cvt_fp_to_int(buf: &mut CodeBuffer, fp_size: u32, int_size: u32, dst: Gp,
 }
 
 /// `cvtsd2ss` (`to_size` 4) or `cvtss2sd` (`to_size` 8).
+#[inline]
 pub fn cvt_fp_to_fp(buf: &mut CodeBuffer, to_size: u32, dst: Xmm, src: Xmm) {
     let prefix = if to_size == 4 { 0xf2 } else { 0xf3 };
     sse_rr(buf, prefix, 0x5a, dst, src);
 }
 
 /// `movq xmm, gp` (raw 64-bit bit move).
+#[inline]
 pub fn movq_xr(buf: &mut CodeBuffer, dst: Xmm, src: Gp) {
     let mut i = InstBuf::new();
     i.push_u8(0x66);
@@ -865,6 +938,7 @@ pub fn movq_xr(buf: &mut CodeBuffer, dst: Xmm, src: Gp) {
 }
 
 /// `movq gp, xmm` (raw 64-bit bit move).
+#[inline]
 pub fn movq_rx(buf: &mut CodeBuffer, dst: Gp, src: Xmm) {
     let mut i = InstBuf::new();
     i.push_u8(0x66);

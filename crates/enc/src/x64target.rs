@@ -25,6 +25,7 @@ pub struct X64Target {
 }
 
 impl Default for X64Target {
+    #[inline]
     fn default() -> Self {
         Self::new()
     }
@@ -32,6 +33,7 @@ impl Default for X64Target {
 
 impl X64Target {
     /// Creates the target with its default register configuration.
+    #[inline]
     pub fn new() -> X64Target {
         let gp_order = [
             0u8, 1, 2, 6, 7, 8, 9, 10, // caller-saved first: rax rcx rdx rsi rdi r8 r9 r10
@@ -52,20 +54,24 @@ impl X64Target {
         }
     }
 
+    #[inline]
     fn save_slot_off(idx: usize) -> i32 {
         -(8 * (idx as i32 + 1))
     }
 }
 
 impl Target for X64Target {
+    #[inline]
     fn arch(&self) -> TargetArch {
         TargetArch::X86_64
     }
 
+    #[inline]
     fn call_conv(&self) -> &CallConv {
         &self.cc
     }
 
+    #[inline]
     fn allocatable_regs(&self, bank: RegBank) -> &[Reg] {
         match bank {
             RegBank::GP => &self.gp,
@@ -73,6 +79,7 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn fixed_reg_candidates(&self, bank: RegBank) -> &[Reg] {
         match bank {
             RegBank::GP => &self.fixed_gp,
@@ -80,24 +87,29 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn frame_reg(&self) -> Reg {
         Reg::new(RegBank::GP, 5)
     }
 
+    #[inline]
     fn scratch_gp(&self) -> Reg {
         Reg::new(RegBank::GP, 11)
     }
 
+    #[inline]
     fn scratch_fp(&self) -> Reg {
         Reg::new(RegBank::FP, 15)
     }
 
+    #[inline]
     fn callee_save_area_size(&self) -> u32 {
         (SAVE_ORDER.len() as u32) * 8
     }
 
-    fn emit_prologue(&self, buf: &mut CodeBuffer) -> FrameState {
-        let func_start = buf.text_offset();
+    #[inline]
+    fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
+        frame.reset();
         x64::push_r(buf, Gp::RBP);
         x64::mov_rr(buf, 8, Gp::RBP, Gp::RSP);
         // sub rsp, imm32 (patched)
@@ -105,20 +117,16 @@ impl Target for X64Target {
         i.push_u8(0x48);
         i.push_u8(0x81);
         i.push_u8(0xec);
-        let patch = buf.text_offset() + i.len() as u64;
+        frame.frame_size_patch = buf.text_offset() + i.len() as u64;
         i.push_u32(0);
         buf.emit_inst(i);
         // reserved callee-save area (patched at finish)
         let save_area = buf.text_offset();
         x64::nops(buf, SAVE_ORDER.len() * SAVE_INSN_LEN);
-        FrameState {
-            func_start,
-            frame_size_patches: vec![patch],
-            save_area: Some((save_area, (SAVE_ORDER.len() * SAVE_INSN_LEN) as u64)),
-            restore_areas: Vec::new(),
-        }
+        frame.save_area = Some((save_area, (SAVE_ORDER.len() * SAVE_INSN_LEN) as u64));
     }
 
+    #[inline]
     fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
         let restore_area = buf.text_offset();
         x64::nops(buf, SAVE_ORDER.len() * SAVE_INSN_LEN);
@@ -131,6 +139,7 @@ impl Target for X64Target {
         x64::ret(buf);
     }
 
+    #[inline]
     fn finish_func(
         &self,
         buf: &mut CodeBuffer,
@@ -139,35 +148,33 @@ impl Target for X64Target {
         used_callee_saved: RegSet,
     ) {
         let size = (frame_size + 15) & !15;
-        for &off in &frame.frame_size_patches {
-            buf.patch_text(off, &size.to_le_bytes());
-        }
-        // saves: encode the used-register subset into one scratch buffer and
-        // patch it over the nop-filled area in a single write
-        let mut tmp = CodeBuffer::new();
-        let mut emit_area = |tmp: &mut CodeBuffer, area: Option<(u64, u64)>, is_save: bool| {
-            let Some((start, _len)) = area else { return };
-            tmp.text_mut().clear();
-            for (idx, &regno) in SAVE_ORDER.iter().enumerate() {
-                let reg = Reg::new(RegBank::GP, regno);
-                if !used_callee_saved.contains(reg) {
-                    continue;
+        buf.patch_text(frame.frame_size_patch, &size.to_le_bytes());
+        // saves/restores of the used-register subset, patched over the
+        // nop-filled areas
+        let mut patch_area = |start: u64, is_save: bool| {
+            buf.patch_text_with(start, |buf| {
+                for (idx, &regno) in SAVE_ORDER.iter().enumerate() {
+                    if !used_callee_saved.contains(Reg::new(RegBank::GP, regno)) {
+                        continue;
+                    }
+                    let mem = Mem::base_disp(Gp::RBP, Self::save_slot_off(idx));
+                    if is_save {
+                        x64::mov_mr(buf, 8, mem, Gp(regno));
+                    } else {
+                        x64::mov_rm(buf, 8, Gp(regno), mem);
+                    }
                 }
-                let mem = Mem::base_disp(Gp::RBP, Self::save_slot_off(idx));
-                if is_save {
-                    x64::mov_mr(tmp, 8, mem, Gp(regno));
-                } else {
-                    x64::mov_rm(tmp, 8, Gp(regno), mem);
-                }
-            }
-            buf.patch_text(start, tmp.text());
+            });
         };
-        emit_area(&mut tmp, frame.save_area, true);
-        for &(start, len) in &frame.restore_areas {
-            emit_area(&mut tmp, Some((start, len)), false);
+        if let Some((start, _)) = frame.save_area {
+            patch_area(start, true);
+        }
+        for &(start, _) in &frame.restore_areas {
+            patch_area(start, false);
         }
     }
 
+    #[inline]
     fn emit_mov_rr(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, dst: Reg, src: Reg) {
         match bank {
             RegBank::GP => x64::mov_rr(buf, size.max(4), Gp::from(dst), Gp::from(src)),
@@ -175,6 +182,7 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn emit_frame_store(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, off: i32, src: Reg) {
         let mem = Mem::base_disp(Gp::RBP, off);
         match bank {
@@ -183,6 +191,7 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn emit_frame_load(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, dst: Reg, off: i32) {
         let mem = Mem::base_disp(Gp::RBP, off);
         match bank {
@@ -197,10 +206,12 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn emit_frame_addr(&self, buf: &mut CodeBuffer, dst: Reg, off: i32) {
         x64::lea(buf, Gp::from(dst), Mem::base_disp(Gp::RBP, off));
     }
 
+    #[inline]
     fn emit_const(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, dst: Reg, value: u64) {
         match bank {
             RegBank::GP => x64::mov_ri(buf, size.max(4), Gp::from(dst), value),
@@ -217,18 +228,22 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn emit_jump(&self, buf: &mut CodeBuffer, label: Label) {
         x64::jmp_label(buf, label);
     }
 
+    #[inline]
     fn emit_call_sym(&self, buf: &mut CodeBuffer, sym: SymbolId) {
         x64::call_sym(buf, sym);
     }
 
+    #[inline]
     fn emit_call_reg(&self, buf: &mut CodeBuffer, reg: Reg) {
         x64::call_reg(buf, Gp::from(reg));
     }
 
+    #[inline]
     fn emit_sp_adjust(&self, buf: &mut CodeBuffer, delta: i32) {
         if delta < 0 {
             x64::alu_ri(buf, Alu::Sub, 8, Gp::RSP, -delta);
@@ -237,6 +252,7 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn emit_sp_store(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, off: u32, src: Reg) {
         let mem = Mem::base_disp(Gp::RSP, off as i32);
         match bank {
@@ -245,10 +261,12 @@ impl Target for X64Target {
         }
     }
 
+    #[inline]
     fn emit_vararg_fp_count(&self, buf: &mut CodeBuffer, count: u8) {
         x64::mov_ri(buf, 4, Gp::RAX, count as u64);
     }
 
+    #[inline]
     fn emit_tier_counter(&self, buf: &mut CodeBuffer, counters: SymbolId, index: u32) -> bool {
         // movabs r11, &counters[index] ; add qword [r11], 1
         let r11 = Gp::from(self.scratch_gp());
@@ -257,6 +275,7 @@ impl Target for X64Target {
         true
     }
 
+    #[inline]
     fn emit_call_slot(&self, buf: &mut CodeBuffer, slots: SymbolId, index: u32) -> bool {
         // movabs r11, &slots[index] ; mov r11, [r11] ; call r11
         let r11 = Gp::from(self.scratch_gp());
@@ -275,7 +294,8 @@ mod tests {
     fn prologue_epilogue_patching_roundtrip() {
         let t = X64Target::new();
         let mut buf = CodeBuffer::new();
-        let mut frame = t.emit_prologue(&mut buf);
+        let mut frame = FrameState::default();
+        t.emit_prologue(&mut buf, &mut frame);
         let body_start = buf.text_offset();
         x64::nops(&mut buf, 3);
         t.emit_epilogue_and_ret(&mut buf, &mut frame);

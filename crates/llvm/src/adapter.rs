@@ -1,6 +1,6 @@
 //! The TPDE IR adapter for the LLVM-IR-like module (§5.1.1 of the paper).
 
-use crate::ir::{Block, FuncId, Inst, Module, Type, Value, ValueDef};
+use crate::ir::{Block, Function, Inst, Module, Type, Value, ValueDef};
 use tpde_core::adapter::{
     BlockRef, FuncRef, InstRef, IrAdapter, Linkage, PhiIncoming, StackVarDesc, ValueRef,
 };
@@ -9,64 +9,78 @@ use tpde_core::regs::RegBank;
 /// Adapter exposing a [`Module`] to the TPDE framework.
 ///
 /// The IR already numbers values, blocks and functions densely, so
-/// `switch_func` only has to pre-index the current function into flat slice
-/// tables (instruction lists, operands, results, successors, phis, use
-/// counts). All tables are `clear()`ed — never dropped — between functions,
-/// so after the largest function of a module has been indexed once, the
-/// compile loop performs no adapter allocations (see the `tpde_core::adapter`
-/// module docs).
+/// `switch_func` only has to pre-index the current function into flat
+/// tables: one entry per instruction and per block, plus the operand, phi
+/// and phi-edge lists they slice. All tables are `clear()`ed — never
+/// dropped — between functions, so after the largest function of a module
+/// has been indexed once, the compile loop performs no adapter allocations
+/// (see the `tpde_core::adapter` module docs).
 pub struct LlvmAdapter<'m> {
     /// The module being compiled.
     pub module: &'m Module,
-    cur: FuncId,
+    /// The current function (`None` before the first `switch_func`).
+    func: Option<&'m Function>,
     /// The reusable flat-table storage.
     s: AdapterScratch,
+}
+
+/// Marks an instruction without a result in [`InstEntry::result`].
+const NO_RESULT: ValueRef = ValueRef(u32::MAX);
+
+/// Per-instruction index entry.
+#[derive(Debug, Clone, Copy)]
+struct InstEntry {
+    /// Block and index within the block.
+    block: u32,
+    idx: u32,
+    /// Range in `AdapterScratch::operands`.
+    op_start: u32,
+    op_len: u32,
+    /// The result value, or [`NO_RESULT`].
+    result: ValueRef,
+}
+
+/// Per-block index entry.
+#[derive(Debug, Clone, Copy)]
+struct BlockEntry {
+    /// Range of flat instruction indices.
+    inst_start: u32,
+    inst_len: u32,
+    /// Range in `AdapterScratch::phis`.
+    phi_start: u32,
+    phi_len: u32,
+    /// Successors of the terminator (at most two).
+    succs: [BlockRef; 2],
+    succ_len: u32,
 }
 
 /// The flat-table working memory of an [`LlvmAdapter`], detached from the
 /// module borrow so it can be kept warm across modules.
 ///
-/// One-shot compiles never see this type ([`LlvmAdapter::new`] starts from
-/// empty tables); long-lived drivers — notably the compile-service workers —
-/// park the scratch between requests ([`LlvmAdapter::into_scratch`]) and
-/// re-attach it to the next module ([`LlvmAdapter::with_scratch`]), so the
-/// per-function indexing in `switch_func` reuses the grown capacities
-/// instead of re-allocating for every request.
+/// [`LlvmAdapter::new`] starts from empty tables; the one-shot entry points
+/// and the compile-service workers park the scratch between modules
+/// ([`LlvmAdapter::into_scratch`]) and re-attach it to the next one
+/// ([`LlvmAdapter::with_scratch`]), so the per-function indexing in
+/// `switch_func` reuses the grown capacities.
 #[derive(Debug, Default)]
 pub struct AdapterScratch {
-    /// Flat instruction index -> (block, index within block).
-    inst_index: Vec<(u32, u32)>,
-    /// Per block: (first flat index, count).
-    block_ranges: Vec<(u32, u32)>,
-    /// Per block: instruction references (sliced per block).
+    insts: Vec<InstEntry>,
+    blocks: Vec<BlockEntry>,
+    /// `InstRef(i)` at index `i`: what `block_insts` slices. Only ever
+    /// grows; it is the same for every function.
     inst_refs: Vec<InstRef>,
-    /// All operand lists back to back; per-instruction range below.
+    /// All operand lists back to back.
     operands: Vec<ValueRef>,
-    /// Per instruction: (start, len) into `operands`.
-    operand_ranges: Vec<(u32, u32)>,
-    /// All result lists back to back (0 or 1 entries per instruction).
-    results: Vec<ValueRef>,
-    /// Per instruction: (start, len) into `results`.
-    result_ranges: Vec<(u32, u32)>,
-    /// All successor lists back to back; per-block range below.
-    succs: Vec<BlockRef>,
-    /// Per block: (start, len) into `succs`.
-    succ_ranges: Vec<(u32, u32)>,
-    /// All phi lists back to back; per-block range below.
+    /// All phi lists back to back.
     phis: Vec<ValueRef>,
-    /// Per block: (start, len) into `phis`.
-    phi_ranges: Vec<(u32, u32)>,
     /// All phi incoming edges back to back; per-value range below.
     phi_inc: Vec<PhiIncoming>,
-    /// Per value: (start, len) into `phi_inc` (len 0 for non-phis).
+    /// Per value: (start, len) into `phi_inc`; non-zero only for `phis`.
     phi_inc_ranges: Vec<(u32, u32)>,
     /// Argument values of the current function.
     args: Vec<ValueRef>,
     /// Static stack variables of the current function.
     stack_vars: Vec<StackVarDesc>,
-    /// Per value: number of uses in the current function (operands and phi
-    /// incoming edges). Replaces a per-query walk over the whole function.
-    use_counts: Vec<u32>,
 }
 
 impl<'m> LlvmAdapter<'m> {
@@ -80,7 +94,7 @@ impl<'m> LlvmAdapter<'m> {
     pub fn with_scratch(module: &'m Module, scratch: AdapterScratch) -> LlvmAdapter<'m> {
         LlvmAdapter {
             module,
-            cur: FuncId(0),
+            func: None,
             s: scratch,
         }
     }
@@ -91,42 +105,31 @@ impl<'m> LlvmAdapter<'m> {
     }
 
     /// The function currently being compiled.
-    pub fn cur_func(&self) -> &'m crate::ir::Function {
-        &self.module.funcs[self.cur.0 as usize]
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first `switch_func`.
+    #[inline]
+    pub fn cur_func(&self) -> &'m Function {
+        self.func.expect("switch_func selects the function first")
     }
 
     /// The IR instruction behind an [`InstRef`].
+    #[inline]
     pub fn inst(&self, inst: InstRef) -> &'m Inst {
-        let (b, i) = self.s.inst_index[inst.idx()];
-        &self.cur_func().blocks[b as usize].insts[i as usize]
+        let e = &self.s.insts[inst.idx()];
+        &self.cur_func().blocks[e.block as usize].insts[e.idx as usize]
     }
 
     /// The instruction following `inst` within the same block, if any.
     pub fn next_inst_in_block(&self, inst: InstRef) -> Option<InstRef> {
-        let (b, i) = self.s.inst_index[inst.idx()];
-        let (start, count) = self.s.block_ranges[b as usize];
-        let next = inst.0 + 1;
-        if next < start + count && (i + 1) < count {
-            Some(InstRef(next))
-        } else {
-            None
-        }
+        let e = &self.s.insts[inst.idx()];
+        (e.idx + 1 < self.s.blocks[e.block as usize].inst_len).then_some(InstRef(inst.0 + 1))
     }
 
     /// Type of a value in the current function.
     pub fn value_type(&self, v: ValueRef) -> Type {
         self.cur_func().value_type(Value(v.0))
-    }
-
-    /// Number of uses of a value within the current function (used for the
-    /// single-use check of compare/branch fusion). Precomputed in
-    /// `switch_func`, so this is a table lookup.
-    pub fn count_uses(&self, v: Value) -> usize {
-        self.s
-            .use_counts
-            .get(v.0 as usize)
-            .copied()
-            .unwrap_or_default() as usize
     }
 }
 
@@ -159,31 +162,33 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
         !self.module.funcs[func.idx()].is_decl
     }
 
-    fn switch_func(&mut self, func: FuncRef) {
-        self.cur = FuncId(func.0);
-        self.s.inst_index.clear();
-        self.s.block_ranges.clear();
-        self.s.inst_refs.clear();
-        self.s.operands.clear();
-        self.s.operand_ranges.clear();
-        self.s.results.clear();
-        self.s.result_ranges.clear();
-        self.s.succs.clear();
-        self.s.succ_ranges.clear();
-        self.s.phis.clear();
-        self.s.phi_ranges.clear();
-        self.s.phi_inc.clear();
-        self.s.phi_inc_ranges.clear();
-        self.s.args.clear();
-        self.s.stack_vars.clear();
-        self.s.use_counts.clear();
+    fn module_inst_count(&self) -> usize {
+        let defined = self.module.funcs.iter().filter(|f| !f.is_decl);
+        defined.flat_map(|f| &f.blocks).map(|b| b.insts.len()).sum()
+    }
 
-        let f = self.cur_func();
-        self.s.use_counts.resize(f.value_count(), 0);
-        self.s.phi_inc_ranges.resize(f.value_count(), (0, 0));
-        self.s.args.extend((0..f.params.len() as u32).map(ValueRef));
-        self.s
-            .stack_vars
+    fn switch_func(&mut self, func: FuncRef) {
+        let f = &self.module.funcs[func.idx()];
+        self.func = Some(f);
+        let s = &mut self.s;
+        // Only the previous function's phis have a non-zero range. Ids that
+        // are out of range are tolerated while indexing: the verifier reads
+        // the raw lists and rejects them with a typed error.
+        for p in s.phis.drain(..) {
+            if let Some(r) = s.phi_inc_ranges.get_mut(p.idx()) {
+                *r = (0, 0);
+            }
+        }
+        s.phi_inc_ranges.resize(f.value_count(), (0, 0));
+        s.insts.clear();
+        s.blocks.clear();
+        s.operands.clear();
+        s.phi_inc.clear();
+        s.args.clear();
+        s.stack_vars.clear();
+
+        s.args.extend((0..f.params.len() as u32).map(ValueRef));
+        s.stack_vars
             .extend(f.stack_slots.iter().zip(f.stack_slot_values.iter()).map(
                 |(&(size, align), &v)| StackVarDesc {
                     value: ValueRef(v.0),
@@ -192,70 +197,54 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
                 },
             ));
 
-        for b in &f.blocks {
-            // instructions: dense flat numbering
-            let start = self.s.inst_index.len() as u32;
+        for (bi, b) in f.blocks.iter().enumerate() {
+            let inst_start = s.insts.len() as u32;
             for (ii, inst) in b.insts.iter().enumerate() {
-                self.s
-                    .inst_refs
-                    .push(InstRef(self.s.inst_index.len() as u32));
-                self.s
-                    .inst_index
-                    .push((self.s.block_ranges.len() as u32, ii as u32));
-                let op_start = self.s.operands.len() as u32;
-                inst.visit_operands(|v| {
-                    self.s.operands.push(ValueRef(v.0));
-                    // Tolerate out-of-range ids while indexing: the verifier
-                    // reads the raw operand list and rejects them with a
-                    // typed error before codegen consults any use count.
-                    if let Some(c) = self.s.use_counts.get_mut(v.0 as usize) {
-                        *c += 1;
-                    }
+                let op_start = s.operands.len() as u32;
+                inst.visit_operands(|v| s.operands.push(ValueRef(v.0)));
+                s.insts.push(InstEntry {
+                    block: bi as u32,
+                    idx: ii as u32,
+                    op_start,
+                    op_len: s.operands.len() as u32 - op_start,
+                    result: inst.result().map_or(NO_RESULT, |r| ValueRef(r.0)),
                 });
-                self.s
-                    .operand_ranges
-                    .push((op_start, self.s.operands.len() as u32 - op_start));
-                let res_start = self.s.results.len() as u32;
-                if let Some(r) = inst.result() {
-                    self.s.results.push(ValueRef(r.0));
-                }
-                self.s
-                    .result_ranges
-                    .push((res_start, self.s.results.len() as u32 - res_start));
             }
-            self.s.block_ranges.push((start, b.insts.len() as u32));
 
-            // successors (from the terminator)
-            let succ_start = self.s.succs.len() as u32;
+            let mut succs = [BlockRef(0); 2];
+            let mut succ_len = 0;
             if let Some(t) = b.insts.last() {
-                t.visit_successors(|s| self.s.succs.push(BlockRef(s.0)));
+                t.visit_successors(|succ| {
+                    succs[succ_len] = BlockRef(succ.0);
+                    succ_len += 1;
+                });
             }
-            self.s
-                .succ_ranges
-                .push((succ_start, self.s.succs.len() as u32 - succ_start));
 
-            // phis and their incoming edges
-            let phi_start = self.s.phis.len() as u32;
+            let phi_start = s.phis.len() as u32;
             for p in &b.phis {
-                self.s.phis.push(ValueRef(p.res.0));
-                let inc_start = self.s.phi_inc.len() as u32;
-                for (blk, v) in &p.incoming {
-                    self.s.phi_inc.push(PhiIncoming {
+                s.phis.push(ValueRef(p.res.0));
+                let inc_start = s.phi_inc.len() as u32;
+                s.phi_inc
+                    .extend(p.incoming.iter().map(|&(blk, v)| PhiIncoming {
                         block: BlockRef(blk.0),
                         value: ValueRef(v.0),
-                    });
-                    if let Some(c) = self.s.use_counts.get_mut(v.0 as usize) {
-                        *c += 1;
-                    }
-                }
-                if let Some(r) = self.s.phi_inc_ranges.get_mut(p.res.0 as usize) {
-                    *r = (inc_start, self.s.phi_inc.len() as u32 - inc_start);
+                    }));
+                if let Some(r) = s.phi_inc_ranges.get_mut(p.res.0 as usize) {
+                    *r = (inc_start, s.phi_inc.len() as u32 - inc_start);
                 }
             }
-            self.s
-                .phi_ranges
-                .push((phi_start, self.s.phis.len() as u32 - phi_start));
+            s.blocks.push(BlockEntry {
+                inst_start,
+                inst_len: b.insts.len() as u32,
+                phi_start,
+                phi_len: b.phis.len() as u32,
+                succs,
+                succ_len: succ_len as u32,
+            });
         }
+        let known = s.inst_refs.len() as u32;
+        s.inst_refs
+            .extend((known..s.insts.len() as u32).map(InstRef));
     }
 
     fn value_count(&self) -> usize {
@@ -263,7 +252,7 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
     }
 
     fn inst_count(&self) -> usize {
-        self.s.inst_index.len()
+        self.s.insts.len()
     }
 
     fn args(&self) -> &[ValueRef] {
@@ -275,22 +264,22 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
     }
 
     fn block_count(&self) -> usize {
-        self.s.block_ranges.len()
+        self.s.blocks.len()
     }
 
     fn block_succs(&self, block: BlockRef) -> &[BlockRef] {
-        let (start, len) = self.s.succ_ranges[block.idx()];
-        &self.s.succs[start as usize..(start + len) as usize]
+        let b = &self.s.blocks[block.idx()];
+        &b.succs[..b.succ_len as usize]
     }
 
     fn block_phis(&self, block: BlockRef) -> &[ValueRef] {
-        let (start, len) = self.s.phi_ranges[block.idx()];
-        &self.s.phis[start as usize..(start + len) as usize]
+        let b = &self.s.blocks[block.idx()];
+        &self.s.phis[b.phi_start as usize..(b.phi_start + b.phi_len) as usize]
     }
 
     fn block_insts(&self, block: BlockRef) -> &[InstRef] {
-        let (start, len) = self.s.block_ranges[block.idx()];
-        &self.s.inst_refs[start as usize..(start + len) as usize]
+        let b = &self.s.blocks[block.idx()];
+        &self.s.inst_refs[b.inst_start as usize..(b.inst_start + b.inst_len) as usize]
     }
 
     fn phi_incoming(&self, phi: ValueRef) -> &[PhiIncoming] {
@@ -298,28 +287,37 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
         &self.s.phi_inc[start as usize..(start + len) as usize]
     }
 
+    #[inline]
     fn inst_operands(&self, inst: InstRef) -> &[ValueRef] {
-        let (start, len) = self.s.operand_ranges[inst.idx()];
-        &self.s.operands[start as usize..(start + len) as usize]
+        let e = &self.s.insts[inst.idx()];
+        &self.s.operands[e.op_start as usize..(e.op_start + e.op_len) as usize]
     }
 
+    #[inline]
     fn inst_results(&self, inst: InstRef) -> &[ValueRef] {
-        let (start, len) = self.s.result_ranges[inst.idx()];
-        &self.s.results[start as usize..(start + len) as usize]
+        let e = &self.s.insts[inst.idx()];
+        if e.result == NO_RESULT {
+            &[]
+        } else {
+            std::slice::from_ref(&e.result)
+        }
     }
 
     fn val_part_count(&self, _val: ValueRef) -> u32 {
         1
     }
 
+    #[inline]
     fn val_part_size(&self, val: ValueRef, _part: u32) -> u32 {
-        self.cur_func().value_type(Value(val.0)).size().max(1)
+        self.cur_func().values[val.idx()].ty.size().max(1)
     }
 
+    #[inline]
     fn val_part_bank(&self, val: ValueRef, _part: u32) -> RegBank {
-        bank_of(self.cur_func().value_type(Value(val.0)))
+        bank_of(self.cur_func().values[val.idx()].ty)
     }
 
+    #[inline]
     fn val_is_const(&self, val: ValueRef) -> bool {
         matches!(self.cur_func().values[val.idx()].def, ValueDef::Const(_))
     }

@@ -128,7 +128,7 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                             if_false,
                         } = cg.adapter.inst(next)
                         {
-                            if *cond == res && cg.adapter.count_uses(res) == 1 {
+                            if *cond == res && cg.analysis.live(value_ref(res)).uses == 1 {
                                 let (it, if_) = (*if_true, *if_false);
                                 let l = Self::operand(cg, lhs)?;
                                 let r = Self::operand(cg, rhs)?;
@@ -373,9 +373,8 @@ pub fn compile_a64(module: &Module, opts: &CompileOptions) -> Result<CompiledMod
 /// instrumentation (entry counters + patchable call slots); the one-shot
 /// reference for [`ServiceBackendKind::TpdeX64Tier0`].
 pub fn compile_x64_tier0(module: &Module, opts: &CompileOptions) -> Result<CompiledModule> {
-    let mut adapter = LlvmAdapter::new(module);
     let cg = CodeGen::with_tier(X64Target::new(), opts.clone(), TierConfig::tier0());
-    cg.compile_module(&mut adapter, &mut LlvmInstCompiler::default())
+    compile_warm(&cg, module, None)
 }
 
 /// Function-sharded parallel variant of [`compile_x64_tier0`];
@@ -393,6 +392,43 @@ pub fn compile_x64_tier0_parallel(
     )
 }
 
+/// The working memory the one-shot entry points keep per thread: compile
+/// session, adapter tables and instruction compiler. A JIT calling
+/// [`compile_x64`] per module would otherwise regrow all of it every time.
+#[derive(Default)]
+struct WarmState {
+    session: CompileSession,
+    scratch: AdapterScratch,
+    compiler: LlvmInstCompiler,
+}
+
+thread_local! {
+    static WARM: std::cell::RefCell<WarmState> = std::cell::RefCell::default();
+}
+
+/// One-shot sequential compile with this thread's warm state (and the
+/// caller's session, if given). The state is taken out of the thread-local
+/// for the duration, so a nested or panicking compile just starts cold.
+fn compile_warm<T: Target + SnippetEmitter>(
+    cg: &CodeGen<T>,
+    module: &Module,
+    session: Option<&mut CompileSession>,
+) -> Result<CompiledModule> {
+    let mut warm = WARM.take();
+    // The callee-symbol cache is per module, and a module's address can be
+    // reused by the next one.
+    warm.compiler.reset();
+    let r = tpde_service_module(
+        cg,
+        &mut warm.compiler,
+        &mut warm.scratch,
+        module,
+        session.unwrap_or(&mut warm.session),
+    );
+    WARM.set(warm);
+    r
+}
+
 /// Compiles a module with the TPDE back-end for an arbitrary target that has
 /// snippet encoders.
 pub fn compile_with_target<T: Target + SnippetEmitter>(
@@ -400,23 +436,18 @@ pub fn compile_with_target<T: Target + SnippetEmitter>(
     target: T,
     opts: &CompileOptions,
 ) -> Result<CompiledModule> {
-    let mut adapter = LlvmAdapter::new(module);
-    let cg = CodeGen::new(target, opts.clone());
-    cg.compile_module(&mut adapter, &mut LlvmInstCompiler::default())
+    compile_warm(&CodeGen::new(target, opts.clone()), module, None)
 }
 
-/// Like [`compile_with_target`], but reuses the given compile session's
-/// working memory. Drivers compiling many modules (JIT-style workloads)
-/// keep one session so the steady-state compile loop is allocation-free.
+/// Like [`compile_with_target`], but with the caller's compile session in
+/// place of the thread's own.
 pub fn compile_with_session<T: Target + SnippetEmitter>(
     module: &Module,
     target: T,
     opts: &CompileOptions,
     session: &mut tpde_core::codegen::CompileSession,
 ) -> Result<CompiledModule> {
-    let mut adapter = LlvmAdapter::new(module);
-    let cg = CodeGen::new(target, opts.clone());
-    cg.compile_module_with(session, &mut adapter, &mut LlvmInstCompiler::default())
+    compile_warm(&CodeGen::new(target, opts.clone()), module, Some(session))
 }
 
 /// Compiles a module for x86-64 with functions sharded across `threads`
@@ -459,8 +490,7 @@ pub fn compile_with_target_parallel<T: Target + SnippetEmitter + Sync>(
 }
 
 /// Parallel variant of [`compile_with_session`]: reuses the pool's worker
-/// sessions so the steady-state loop of every worker is allocation-free
-/// across modules.
+/// sessions, so no worker regrows its working memory from module to module.
 pub fn compile_with_pool<T: Target + SnippetEmitter + Sync>(
     module: &Module,
     target: T,
@@ -579,7 +609,7 @@ impl<T: Target> CachedCg<T> {
 
 /// Warm per-thread state of the LLVM service: the instruction compiler, the
 /// adapter's flat-table scratch and the per-target code generators, all
-/// kept across requests so the steady-state request loop is allocation-free.
+/// kept across requests so no request regrows them.
 pub struct LlvmServiceWorker {
     compiler: LlvmInstCompiler,
     scratch: AdapterScratch,

@@ -200,6 +200,7 @@ pub enum Inst {
 
 impl Inst {
     /// The result value defined by this instruction, if any.
+    #[inline]
     pub fn result(&self) -> Option<Value> {
         match self {
             Inst::Bin { res, .. }
@@ -224,6 +225,7 @@ impl Inst {
     /// Calls `f` for every operand value read by this instruction, in
     /// order. Allocation-free variant of [`Inst::operands`] for hot paths
     /// (the adapter's per-function indexing).
+    #[inline]
     pub fn visit_operands(&self, mut f: impl FnMut(Value)) {
         match self {
             Inst::Bin { lhs, rhs, .. }
@@ -320,6 +322,7 @@ impl Inst {
 
     /// Calls `f` for every successor block if this is a terminator.
     /// Allocation-free variant of [`Inst::successors`].
+    #[inline]
     pub fn visit_successors(&self, mut f: impl FnMut(Block)) {
         match self {
             Inst::Br { target } => f(*target),

@@ -37,6 +37,102 @@ fn simple_function_all_backends_agree() {
     assert!(a64.text_size() > 0);
 }
 
+/// A phi whose incoming values are stack-slot addresses: the edge moves
+/// must compute `frame pointer + offset`, not move a constant.
+#[test]
+fn phi_of_stack_addresses_selects_the_right_slot() {
+    let mut m = Module::new();
+    let mut b = FunctionBuilder::new("pick", &[Type::I64], Type::I64);
+    let (s1, s2) = (b.alloca(8, 8), b.alloca(8, 8));
+    let (c41, c42) = (b.iconst(Type::I64, 41), b.iconst(Type::I64, 42));
+    b.store(Type::I64, s1, 0, c41);
+    b.store(Type::I64, s2, 0, c42);
+    // A join before the branch empties the registers, so on neither edge
+    // is a slot address still in one.
+    let (mid, b1, b2, join) = (
+        b.create_block(),
+        b.create_block(),
+        b.create_block(),
+        b.create_block(),
+    );
+    b.cond_br(b.arg(0), mid, mid);
+    b.switch_to(mid);
+    b.cond_br(b.arg(0), b1, b2);
+    b.switch_to(b1);
+    b.br(join);
+    b.switch_to(b2);
+    b.br(join);
+    b.switch_to(join);
+    let p = b.phi(Type::Ptr);
+    b.phi_add_incoming(p, b1, s1);
+    b.phi_add_incoming(p, b2, s2);
+    let v = b.load(Type::I64, p, 0);
+    b.ret(Some(v));
+    m.add_function(b.build());
+
+    let opts = CompileOptions::default();
+    for (arg, expected) in [(1, 41), (0, 42)] {
+        let base = compile_baseline(&m, 0).unwrap();
+        assert_eq!(run_buf(&base.buf, "pick", &[arg]), expected);
+        let tpde = compile_x64(&m, &opts).unwrap();
+        assert_eq!(run_buf(&tpde.buf, "pick", &[arg]), expected);
+    }
+
+    // AArch64 output is never executed: check that each incoming edge
+    // computes its slot's address into the scratch register,
+    // `sub x16, x29, #offset`, with a different offset per edge.
+    let a64 = compile_a64(&m, &opts).unwrap();
+    let offsets: Vec<u32> = a64
+        .buf
+        .text()
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+        .filter(|w| w & 0xffc0_03ff == 0xd100_03b0)
+        .map(|w| (w >> 10) & 0xfff)
+        .collect();
+    assert_eq!(offsets.len(), 2, "one frame-address move per edge");
+    assert_ne!(offsets[0], offsets[1]);
+}
+
+/// A loop whose latch block is numbered before its header: the phi is used
+/// in the latch and written by the back edge's move at the latch's end, so
+/// it must stay assigned until there.
+#[test]
+fn loop_with_latch_numbered_before_header_terminates() {
+    let mut m = Module::new();
+    let mut b = FunctionBuilder::new("count", &[Type::I64], Type::I64);
+    let (latch, header, exit) = (b.create_block(), b.create_block(), b.create_block());
+    let (zero, one) = (b.iconst(Type::I64, 0), b.iconst(Type::I64, 1));
+    let entry = b.current_block();
+    b.br(header);
+    b.switch_to(header);
+    let i = b.phi(Type::I64);
+    b.br(latch);
+    b.switch_to(latch);
+    let next = b.bin(BinOp::Add, Type::I64, i, one);
+    let again = b.icmp(ICmp::Ult, Type::I64, next, b.arg(0));
+    b.cond_br(again, header, exit);
+    b.phi_add_incoming(i, entry, zero);
+    b.phi_add_incoming(i, latch, next);
+    b.switch_to(exit);
+    b.ret(Some(next));
+    m.add_function(b.build());
+
+    for fixed_loop_regs in [true, false] {
+        let opts = CompileOptions {
+            fixed_loop_regs,
+            ..CompileOptions::default()
+        };
+        let compiled = compile_x64(&m, &opts).unwrap();
+        let image = link_in_memory(&compiled.buf, 0x40_0000, |_| None).unwrap();
+        let mut machine = tpde_x64emu::Machine::new();
+        machine.max_insts = 10_000; // a miscompiled loop never exits
+        machine.load_image(&image);
+        let ret = machine.call(image.symbol_addr("count").unwrap(), &[10]);
+        assert_eq!(ret.ok(), Some(10), "fixed_loop_regs={fixed_loop_regs}");
+    }
+}
+
 fn check_workload(w: &Workload, style: IrStyle) {
     let module = build_workload(w, style);
     let expected = expected_result(w);

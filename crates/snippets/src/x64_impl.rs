@@ -226,8 +226,7 @@ impl SnippetEmitter for X64Target {
         // rax/rdx now hold quotient/remainder; detach the dividend value
         cg.forget_reg(rax);
         let out = if rem { rdx } else { rax };
-        cg.take_reg_for_result(res.0, res.1, out);
-        Ok(())
+        cg.take_reg_for_result(res.0, res.1, out)
     }
 
     fn enc_shift<A: IrAdapter>(
