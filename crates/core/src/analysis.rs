@@ -310,16 +310,15 @@ impl Analyzer {
         Analyzer::default()
     }
 
-    /// Runs the analysis pass over the current function of `adapter`,
-    /// clearing and refilling `out`.
-    ///
-    /// The result is identical to a fresh [`analyze`] run; only the working
-    /// memory is reused.
+    /// Steps 1–3 only: loop discovery and the block layout. Clears and
+    /// refills `out.layout` and `out.block_pos` and leaves the rest of `out`
+    /// as it was — all that [`crate::verify::Verifier`] needs, which never
+    /// reads the loop forest or a live range.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidIr`] if the function has no blocks.
-    pub fn analyze_into<A: IrAdapter>(&mut self, adapter: &A, out: &mut Analysis) -> Result<()> {
+    pub fn layout_into<A: IrAdapter>(&mut self, adapter: &A, out: &mut Analysis) -> Result<()> {
         let num_blocks = adapter.block_count();
         if num_blocks == 0 {
             return Err(Error::InvalidIr("function has no basic blocks".into()));
@@ -416,6 +415,24 @@ impl Analyzer {
         for (i, b) in layout.iter().enumerate() {
             block_pos[b.idx()] = i as u32;
         }
+
+        Ok(())
+    }
+
+    /// Runs the analysis pass over the current function of `adapter`,
+    /// clearing and refilling `out`.
+    ///
+    /// The result is identical to a fresh [`analyze`] run; only the working
+    /// memory is reused.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidIr`] if the function has no blocks.
+    pub fn analyze_into<A: IrAdapter>(&mut self, adapter: &A, out: &mut Analysis) -> Result<()> {
+        self.layout_into(adapter, out)?;
+        let num_blocks = adapter.block_count();
+        let disc = &self.disc;
+        let (layout, block_pos) = (&out.layout, &out.block_pos);
 
         // --- build the loop forest ---------------------------------------------
         // Loop 0 is the pseudo root covering the whole function.

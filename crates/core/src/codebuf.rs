@@ -1261,14 +1261,11 @@ impl SymbolRemap {
     }
 }
 
-/// FNV-1a hash of a symbol name. Stable, allocation-free and fast for the
-/// short identifier-like strings that appear in symbol tables.
+/// Hash of a symbol name for the interning table. Ids are assigned in
+/// declaration order, so the hash never shows in the output.
 #[inline]
 fn name_hash(name: &str) -> u64 {
-    use std::hash::Hasher;
-    let mut h = crate::service::Fnv1a::new();
-    h.write(name.as_bytes());
-    h.finish()
+    crate::hash::StableHasher::hash_bytes(name.as_bytes())
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! 0x0c    4     flags (0)
 //! 0x10    8     cache key the artifact was stored under
 //! 0x18    8     payload length (must equal file length - 64)
-//! 0x20    8     FNV-1a hash of the entire payload
+//! 0x20    8     `StableHasher` checksum of the entire payload
 //! 0x28    8     .bss size
 //! 0x30    4     symbol count
 //! 0x34    4     relocation count
@@ -53,11 +53,18 @@
 //! # Keying
 //!
 //! Artifacts are keyed by the same deterministic request hash the in-memory
-//! cache uses ([`crate::service::ServiceBackend::request_key`], an FNV-1a
-//! [`crate::service::Fnv1a`] over module content, backend kind and compile
-//! options — stable across processes by construction), combined with the
-//! [`FORMAT_VERSION`] stored in the header. A key or version mismatch is a
-//! miss, never a wrong answer.
+//! cache uses ([`crate::service::ServiceBackend::request_key`]), combined
+//! with the [`FORMAT_VERSION`] stored in the header. The key is a
+//! [`crate::hash::StableHasher`] value over an encoding the backend spells
+//! out field by field (for the LLVM-IR backend: the pinned artifact tag,
+//! the compile options as flag bits, and the module's packed content
+//! encoding) — nothing `derive(Hash)` produces enters it, so it means the
+//! same to every build, host and pointer width. A key or version mismatch
+//! is a miss, never a wrong answer; a **hit is trusted on the 64-bit key
+//! alone** — the payload checksum guards the bytes against corruption, not
+//! the key against collisions, which is why the hasher has to avalanche.
+//! Format version 2 changed both the key derivation and the checksum;
+//! version-1 directories degrade to misses.
 //!
 //! # Crash safety and corruption
 //!
@@ -83,10 +90,13 @@
 //! Multiple service processes share one cache directory. Artifact files are
 //! immutable once renamed into place and unlinking a mapped file is safe on
 //! Unix, so readers never lock. The only shared mutable state is the LRU
-//! index (`index.tpde`: `key size-tick` lines driving eviction), which is
-//! updated under an exclusive `flock` on `index.lock`; artifact *presence*
-//! is the source of truth and the index is rebuilt from a directory scan on
-//! every eviction pass, so a lost or stale index only resets recency, never
+//! index (`index.tpde`: `key tick` lines driving eviction, the last line of
+//! a key counts), which is updated under an exclusive `flock` on
+//! `index.lock`. A hit appends one line with a wall-clock tick and touches
+//! nothing else — it adds no bytes, so it cannot require an eviction. A
+//! store (and every open) scans the directory, evicts and rewrites the
+//! index with one line per live artifact. Artifact *presence* is the source
+//! of truth, so a lost or stale index only resets recency, never
 //! correctness. Stores of a key that already has an artifact skip the write
 //! entirely — determinism guarantees the bytes would be identical.
 
@@ -94,23 +104,22 @@ use crate::codebuf::{CodeBuffer, Reloc, RelocKind, SectionKind, SymbolBinding, S
 use crate::codegen::{CompileStats, CompiledModule};
 use crate::error::{Error, Result};
 use crate::faultpoint::{self, sites, IoFault};
+use crate::hash::StableHasher;
 use crate::jit::LinkView;
-use crate::service::Fnv1a;
 use crate::timing::PassTimings;
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::hash::Hasher;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Magic bytes at the start of every artifact file.
 pub const MAGIC: [u8; 8] = *b"TPDEART\0";
 
 /// Version of the artifact layout; any change to the format above bumps
 /// this, and an artifact with a different version is a cache miss.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 64;
 const SYM_RECORD: usize = 32;
@@ -118,6 +127,8 @@ const RELOC_RECORD: usize = 24;
 const STATS_LEN: usize = 48;
 /// Section code of an undefined (external) symbol.
 const SECTION_NONE: u8 = 0xff;
+/// Size past which a recency bump compacts the index (hits append to it).
+const INDEX_COMPACT_BYTES: u64 = 1 << 20;
 
 // --------------------------------------------------------------------------
 // Transient-error retry
@@ -179,67 +190,59 @@ pub fn serialize_module(key: u64, module: &CompiledModule) -> Vec<u8> {
     let buf = &module.buf;
     let nsyms = buf.symbols().len();
 
-    // Rebuild the name arena in declaration order; offsets in the artifact
-    // are relative to this arena, not the buffer's internal one.
-    let mut names = String::new();
-    let mut name_ranges = Vec::with_capacity(nsyms);
-    for i in 0..nsyms as u32 {
-        let start = names.len() as u32;
-        names.push_str(buf.symbol_name(SymbolId(i)));
-        name_ranges.push((start, names.len() as u32));
-    }
-
-    let mut payload = Vec::new();
+    // The header is filled in last, over the finished payload.
+    let mut out = vec![0u8; HEADER_LEN];
     for kind in [SectionKind::Text, SectionKind::Data, SectionKind::ROData] {
         let data = buf.section_data(kind);
-        payload.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        payload.extend_from_slice(data);
-        pad8(&mut payload);
+        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        out.extend_from_slice(data);
+        pad8(&mut out);
     }
-    payload.extend_from_slice(names.as_bytes());
-    pad8(&mut payload);
+    // The name arena in declaration order; record offsets are relative to
+    // it, not to the buffer's internal one.
+    let names_off = out.len();
+    for i in 0..nsyms as u32 {
+        out.extend_from_slice(buf.symbol_name(SymbolId(i)).as_bytes());
+    }
+    let names_len = (out.len() - names_off) as u32;
+    pad8(&mut out);
+    let mut start = 0u32;
     for (i, sym) in buf.symbols().iter().enumerate() {
-        let (start, end) = name_ranges[i];
-        payload.extend_from_slice(&start.to_le_bytes());
-        payload.extend_from_slice(&end.to_le_bytes());
-        payload.extend_from_slice(&sym.offset.to_le_bytes());
-        payload.extend_from_slice(&sym.size.to_le_bytes());
-        payload.push(sym.section.map_or(SECTION_NONE, SectionKind::code));
-        payload.push(sym.binding.code());
-        payload.push(sym.is_func as u8);
-        payload.extend_from_slice(&[0u8; 5]);
+        let end = start + buf.symbol_name(SymbolId(i as u32)).len() as u32;
+        out.extend_from_slice(&start.to_le_bytes());
+        out.extend_from_slice(&end.to_le_bytes());
+        out.extend_from_slice(&sym.offset.to_le_bytes());
+        out.extend_from_slice(&sym.size.to_le_bytes());
+        out.push(sym.section.map_or(SECTION_NONE, SectionKind::code));
+        out.push(sym.binding.code());
+        out.push(sym.is_func as u8);
+        out.extend_from_slice(&[0u8; 5]);
+        start = end;
     }
     for reloc in buf.relocs() {
-        payload.extend_from_slice(&reloc.offset.to_le_bytes());
-        payload.extend_from_slice(&reloc.addend.to_le_bytes());
-        payload.extend_from_slice(&reloc.symbol.0.to_le_bytes());
-        payload.push(reloc.section.code());
-        payload.push(reloc.kind.code());
-        payload.extend_from_slice(&[0u8; 2]);
+        out.extend_from_slice(&reloc.offset.to_le_bytes());
+        out.extend_from_slice(&reloc.addend.to_le_bytes());
+        out.extend_from_slice(&reloc.symbol.0.to_le_bytes());
+        out.push(reloc.section.code());
+        out.push(reloc.kind.code());
+        out.extend_from_slice(&[0u8; 2]);
     }
     let s = &module.stats;
     for v in [s.funcs, s.blocks, s.insts, s.spills, s.reloads, s.moves] {
-        payload.extend_from_slice(&(v as u64).to_le_bytes());
+        out.extend_from_slice(&(v as u64).to_le_bytes());
     }
 
-    let mut h = Fnv1a::new();
-    h.write(&payload);
-    let payload_hash = h.finish();
-
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload_hash.to_le_bytes());
-    out.extend_from_slice(&buf.section_size(SectionKind::Bss).to_le_bytes());
-    out.extend_from_slice(&(nsyms as u32).to_le_bytes());
-    out.extend_from_slice(&(buf.relocs().len() as u32).to_le_bytes());
-    out.extend_from_slice(&(names.len() as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    debug_assert_eq!(out.len(), HEADER_LEN);
-    out.extend_from_slice(&payload);
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    let mut put = |off: usize, bytes: &[u8]| header[off..off + bytes.len()].copy_from_slice(bytes);
+    put(0x00, &MAGIC);
+    put(0x08, &FORMAT_VERSION.to_le_bytes());
+    put(0x10, &key.to_le_bytes());
+    put(0x18, &(payload.len() as u64).to_le_bytes());
+    put(0x20, &StableHasher::hash_bytes(payload).to_le_bytes());
+    put(0x28, &buf.section_size(SectionKind::Bss).to_le_bytes());
+    put(0x30, &(nsyms as u32).to_le_bytes());
+    put(0x34, &(buf.relocs().len() as u32).to_le_bytes());
+    put(0x38, &names_len.to_le_bytes());
     out
 }
 
@@ -468,9 +471,7 @@ impl Artifact {
             return None; // truncated (or trailing garbage)
         }
         let payload = &b[HEADER_LEN..];
-        let mut h = Fnv1a::new();
-        h.write(payload);
-        if h.finish() != rd_u64(b, 0x20) {
+        if StableHasher::hash_bytes(payload) != rd_u64(b, 0x20) {
             return None;
         }
         let bss_size = rd_u64(b, 0x28);
@@ -769,10 +770,12 @@ impl DiskCache {
     /// Returns the error of the directory creation.
     pub fn open(cfg: DiskCacheConfig) -> io::Result<DiskCache> {
         fs::create_dir_all(&cfg.dir)?;
-        Ok(DiskCache {
+        let cache = DiskCache {
             cfg,
             retries: AtomicU64::new(0),
-        })
+        };
+        cache.with_index_lock(|| cache.evict_and_compact(None));
+        Ok(cache)
     }
 
     /// The cache directory.
@@ -795,10 +798,10 @@ impl DiskCache {
     }
 
     /// Stores a module under `key`: serialize → unique temp file → `fsync`
-    /// → atomic rename, then bump the key's recency and evict over-budget
-    /// artifacts under the index lock. Returns `false` (without writing) if
-    /// an artifact for `key` already exists — byte-determinism makes the
-    /// existing one interchangeable.
+    /// → atomic rename, then bump the key's recency, evict over-budget
+    /// artifacts and compact the index under the index lock. Returns
+    /// `false` (without writing) if an artifact for `key` already exists —
+    /// byte-determinism makes the existing one interchangeable.
     ///
     /// # Errors
     ///
@@ -834,7 +837,7 @@ impl DiskCache {
                 let _ = d.sync_all();
             }
         }
-        self.touch_and_evict(key);
+        self.with_index_lock(|| self.evict_and_compact(Some(key)));
         Ok(fresh)
     }
 
@@ -857,12 +860,14 @@ impl DiskCache {
     /// Loads and materializes the module stored under `key`, verifying the
     /// artifact hash and [`CompiledModule::validate`] on the way; `None` is
     /// a miss (absent, corrupt, or structurally invalid — the latter two
-    /// unlink the artifact). A hit bumps the key's LRU recency.
+    /// unlink the artifact). A hit bumps the key's LRU recency, and that is
+    /// all it does to the index: a hit adds no bytes, so it cannot require
+    /// an eviction.
     pub fn load(&self, key: u64) -> Option<CompiledModule> {
         let artifact = self.open_artifact(key)?;
         match artifact.to_module() {
             Ok(module) => {
-                self.touch_and_evict(key);
+                self.with_index_lock(|| self.touch(key));
                 Some(module)
             }
             Err(_) => {
@@ -943,23 +948,57 @@ impl DiskCache {
         }
     }
 
-    /// Under the index lock: bump `key`'s recency, then evict
-    /// least-recently-used artifacts (never `key` itself) until the total
-    /// size respects [`DiskCacheConfig::max_bytes`]. Failures are swallowed
-    /// — recency and the size bound are best-effort properties; artifact
-    /// correctness never depends on them.
-    fn touch_and_evict(&self, key: u64) {
-        let Some(_lock) = IndexLock::acquire(&self.cfg.dir, &self.retries) else {
-            return;
-        };
+    /// Runs `f` holding the exclusive index lock; skips it if the lock
+    /// cannot be taken — recency and the size bound are best-effort
+    /// properties, artifact correctness never depends on them.
+    fn with_index_lock(&self, f: impl FnOnce()) {
+        if let Some(_lock) = IndexLock::acquire(&self.cfg.dir, &self.retries) {
+            f();
+        }
+    }
+
+    /// A recency tick from the wall clock, so a bump needs no read of the
+    /// index and ticks of different processes interleave sensibly.
+    fn tick() -> u64 {
+        SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos() as u64)
+    }
+
+    /// Under the index lock: bump `key`'s recency by appending one line
+    /// (the last line per key wins when the index is read). Scanning,
+    /// evicting and compacting are [`DiskCache::evict_and_compact`]'s; an
+    /// index that saw only hits for a long time is compacted here once it
+    /// passes [`INDEX_COMPACT_BYTES`].
+    fn touch(&self, key: u64) {
+        let index = File::options()
+            .create(true)
+            .append(true)
+            .open(self.index_path());
+        let Ok(mut index) = index else { return };
+        let _ = index.write_all(format!("{key:016x} {}\n", Self::tick()).as_bytes());
+        if index
+            .metadata()
+            .is_ok_and(|m| m.len() > INDEX_COMPACT_BYTES)
+        {
+            self.evict_and_compact(None);
+        }
+    }
+
+    /// Under the index lock: bump `stored`'s recency (if given), evict
+    /// least-recently-used artifacts (never `stored` itself) until the
+    /// total size respects [`DiskCacheConfig::max_bytes`], and rewrite the
+    /// index with one line per live artifact. Failures are swallowed.
+    fn evict_and_compact(&self, stored: Option<u64>) {
         let mut ticks = self.read_index();
-        let next = ticks.values().copied().max().unwrap_or(0) + 1;
-        ticks.insert(key, next);
         let mut entries = self.scan();
         // Forget recency of artifacts that no longer exist.
         let live: std::collections::HashSet<u64> = entries.iter().map(|&(k, _)| k).collect();
         ticks.retain(|k, _| live.contains(k));
-        ticks.insert(key, next);
+        if let Some(key) = stored {
+            let newest = ticks.values().copied().max().unwrap_or(0);
+            ticks.insert(key, Self::tick().max(newest + 1));
+        }
         if self.cfg.max_bytes > 0 {
             let mut total: u64 = entries.iter().map(|(_, size)| size).sum();
             entries.sort_by_key(|&(k, _)| ticks.get(&k).copied().unwrap_or(0));
@@ -967,7 +1006,7 @@ impl DiskCache {
                 if total <= self.cfg.max_bytes {
                     break;
                 }
-                if k == key {
+                if Some(k) == stored {
                     continue;
                 }
                 if fs::remove_file(self.artifact_path(k)).is_ok() {

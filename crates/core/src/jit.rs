@@ -140,7 +140,7 @@ impl JitImage {
         if let Some(v) = self.fingerprint_cache.get() {
             return v;
         }
-        let mut h = crate::service::Fnv1a::new();
+        let mut h = crate::hash::StableHasher::new();
         for (kind, addr, data) in &self.sections {
             (*kind as u8).hash(&mut h);
             addr.hash(&mut h);

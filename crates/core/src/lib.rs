@@ -50,6 +50,7 @@ pub mod codegen;
 pub mod diskcache;
 pub mod error;
 pub mod faultpoint;
+pub mod hash;
 pub mod jit;
 pub mod obj;
 pub mod parallel;

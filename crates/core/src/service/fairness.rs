@@ -188,8 +188,8 @@ impl ClientTable {
         let tag = client.0.wrapping_add(1);
         let start = {
             use std::hash::Hasher;
-            let mut h = super::Fnv1a::new();
-            h.write(&client.0.to_le_bytes());
+            let mut h = crate::hash::StableHasher::new();
+            h.write_u64(client.0);
             (h.finish() as usize) % TABLE_SLOTS
         };
         for probe in 0..TABLE_SLOTS {

@@ -118,6 +118,7 @@ use crate::codegen::{CompileSession, CompileStats, CompiledModule};
 use crate::diskcache::{DiskCache, DiskCacheConfig};
 use crate::error::{Error, Result};
 use crate::faultpoint;
+use crate::hash::KeyMap;
 use crate::parallel::{check_predeclared_func_symbols, merge_shards, Shard};
 use crate::timing::{ClientStats, PassTimings, RequestTiming, Reservoir, ServiceStats};
 use fairness::ClientTable;
@@ -134,40 +135,6 @@ use std::time::{Duration, Instant};
 /// itself is already contained and reported through the ticket.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Deterministic 64-bit FNV-1a hasher, usable with `#[derive(Hash)]` types.
-///
-/// Unlike [`std::collections::hash_map::RandomState`], the result is stable
-/// across processes and runs, which is what a content-addressed module
-/// cache (and any on-disk artifact keyed by it) needs.
-#[derive(Clone, Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// Creates a hasher with the standard FNV-1a offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a::new()
-    }
-}
-
-impl std::hash::Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
 }
 
 /// Configuration of a [`CompileService`].
@@ -426,7 +393,7 @@ impl Ticket {
 /// never serialize behind a memcpy.
 struct ModuleCache {
     capacity: usize,
-    map: HashMap<u64, Arc<CacheEntry>>,
+    map: KeyMap<Arc<CacheEntry>>,
     tick: AtomicU64,
     evictions: u64,
 }
@@ -452,7 +419,7 @@ impl ModuleCache {
     fn new(capacity: usize) -> ModuleCache {
         ModuleCache {
             capacity,
-            map: HashMap::new(),
+            map: KeyMap::default(),
             tick: AtomicU64::new(0),
             evictions: 0,
         }
@@ -716,7 +683,7 @@ struct Shared<B: ServiceBackend> {
     /// rendezvous. Attach (submit) and remove (completion) both run under
     /// this mutex, so they cannot race; lock order is inflight → cache,
     /// never reversed.
-    inflight: Mutex<HashMap<u64, InflightEntry<B>>>,
+    inflight: Mutex<KeyMap<InflightEntry<B>>>,
     /// Lock-free per-client backlog counts driving fair-share admission.
     client_backlog: ClientTable,
     /// Completion-side per-client statistics.
@@ -907,7 +874,7 @@ impl<B: ServiceBackend> CompileService<B> {
             backend,
             dispatch: Dispatcher::new(cfg.wakeup, workers, ring_capacity),
             cfg,
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Mutex::new(KeyMap::default()),
             client_backlog: ClientTable::new(),
             client_stats: Mutex::new(HashMap::new()),
             counters: Counters::default(),
@@ -2031,6 +1998,7 @@ impl TieringController {
 mod tests {
     use super::*;
     use crate::codebuf::{SectionKind, SymbolBinding};
+    use crate::hash::StableHasher;
     use std::hash::{Hash, Hasher};
     use std::time::Duration;
 
@@ -2071,7 +2039,7 @@ mod tests {
         fn new_worker(&self) {}
 
         fn request_key(&self, req: &Arc<ByteModule>) -> Option<u64> {
-            let mut h = Fnv1a::new();
+            let mut h = StableHasher::new();
             req.data.hash(&mut h);
             req.fail_at.hash(&mut h);
             req.panic_at.hash(&mut h);
@@ -2198,18 +2166,6 @@ mod tests {
                 ..ServiceConfig::default()
             },
         )
-    }
-
-    #[test]
-    fn fnv_is_deterministic_and_spreads() {
-        let mut a = Fnv1a::new();
-        1234u64.hash(&mut a);
-        let mut b = Fnv1a::new();
-        1234u64.hash(&mut b);
-        assert_eq!(a.finish(), b.finish());
-        let mut c = Fnv1a::new();
-        1235u64.hash(&mut c);
-        assert_ne!(a.finish(), c.finish());
     }
 
     #[test]

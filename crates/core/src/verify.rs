@@ -360,9 +360,10 @@ impl Verifier {
 
         // ---- pass 2: layout (the analyzer's dominance approximation) ----
         // Safe now: all indices are in range, so the unchecked DFS cannot
-        // fault. The analyzer only errors on zero blocks, handled above.
+        // fault. Only the layout: admission reads neither the loop forest
+        // nor a live range. It only errors on zero blocks, handled above.
         self.analyzer
-            .analyze_into(adapter, &mut self.analysis)
+            .layout_into(adapter, &mut self.analysis)
             .map_err(|_| VerifyError::NoBlocks { func: fi })?;
 
         // ---- pass 3: use-before-def in layout order ----

@@ -244,6 +244,37 @@ fn eviction_respects_the_size_bound_and_recency() {
 }
 
 #[test]
+fn a_thousand_hits_cost_one_index_line_each_and_keep_lru_exact() {
+    let dir = temp_dir("hits");
+    let module = sample_module();
+    let one_size = tpde_core::diskcache::serialize_module(0, &module).len() as u64;
+    let store = DiskCache::open(DiskCacheConfig {
+        dir: dir.clone(),
+        max_bytes: 2 * one_size,
+    })
+    .unwrap();
+    store.store(1, &module).unwrap();
+    store.store(2, &module).unwrap();
+    for _ in 0..1000 {
+        store.load(1).unwrap();
+    }
+    // A hit appends; it neither scans nor rewrites.
+    let index = || fs::read_to_string(dir.join("index.tpde")).unwrap();
+    assert_eq!(index().lines().count(), 2 + 1000);
+    store.store(3, &module).unwrap(); // over the bound: evicts and compacts
+    assert!(store.contains(1), "the artifact hit 1000 times survives");
+    assert!(!store.contains(2), "the never-loaded artifact is evicted");
+    assert!(store.contains(3));
+    let mut keys: Vec<String> = index()
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap().to_string())
+        .collect();
+    keys.sort();
+    assert_eq!(keys, [format!("{:016x}", 1), format!("{:016x}", 3)]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn lost_index_resets_recency_not_correctness() {
     let dir = temp_dir("lostindex");
     let store = cache(&dir);

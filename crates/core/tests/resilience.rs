@@ -17,7 +17,8 @@ use tpde_core::codegen::{CompileSession, CompileStats, CompiledModule};
 use tpde_core::diskcache::{DiskCache, DiskCacheConfig};
 use tpde_core::error::{Error, Result};
 use tpde_core::faultpoint::{arm, sites, FaultAction, FaultRule};
-use tpde_core::service::{CompileService, Fnv1a, Request, ServiceBackend, ServiceConfig};
+use tpde_core::hash::StableHasher;
+use tpde_core::service::{CompileService, Request, ServiceBackend, ServiceConfig};
 use tpde_core::timing::PassTimings;
 
 // --------------------------------------------------------------------------
@@ -74,7 +75,7 @@ impl ServiceBackend for ToyBackend {
 
     fn request_key(&self, req: &Arc<ToyModule>) -> Option<u64> {
         use std::hash::{Hash, Hasher};
-        let mut h = Fnv1a::new();
+        let mut h = StableHasher::new();
         req.data.hash(&mut h);
         Some(h.finish())
     }

@@ -19,8 +19,9 @@ use tpde_core::adapter::{
 use tpde_core::codebuf::{CodeBuffer, SectionKind, SymbolBinding};
 use tpde_core::codegen::{CompileSession, CompileStats, CompiledModule};
 use tpde_core::error::{Error, Result};
+use tpde_core::hash::StableHasher;
 use tpde_core::regs::RegBank;
-use tpde_core::service::{CompileService, Fnv1a, Request, ServiceBackend, ServiceConfig};
+use tpde_core::service::{CompileService, Request, ServiceBackend, ServiceConfig};
 use tpde_core::timing::PassTimings;
 use tpde_core::verify::{Verifier, VerifyError};
 
@@ -67,8 +68,43 @@ impl MockModule {
         }
     }
 
+    /// A well-formed chain of `n` blocks, `b_k: v_k = op; br b_k+1`.
+    fn chain(n: usize) -> MockModule {
+        let next = |k: usize| (k + 1 < n).then_some(BlockRef(k as u32 + 1));
+        MockModule {
+            nfuncs: 1,
+            param_counts: vec![Some(0)],
+            nvals: n,
+            ninsts: 2 * n,
+            succs: (0..n).map(|k| next(k).into_iter().collect()).collect(),
+            insts: (0..n as u32)
+                .map(|k| vec![InstRef(2 * k), InstRef(2 * k + 1)])
+                .collect(),
+            phis: vec![vec![]; n],
+            operands: (0..2 * n as u32)
+                .map(|i| {
+                    (i % 2 == 1)
+                        .then_some(ValueRef(i / 2))
+                        .into_iter()
+                        .collect()
+                })
+                .collect(),
+            results: (0..2 * n as u32)
+                .map(|i| {
+                    (i % 2 == 0)
+                        .then_some(ValueRef(i / 2))
+                        .into_iter()
+                        .collect()
+                })
+                .collect(),
+            terms: (0..2 * n).map(|i| Some(i % 2 == 1)).collect(),
+            calls: vec![None; 2 * n],
+            ..MockModule::default()
+        }
+    }
+
     fn content_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = StableHasher::new();
         self.nfuncs.hash(&mut h);
         self.nvals.hash(&mut h);
         self.ninsts.hash(&mut h);
@@ -263,6 +299,15 @@ fn assert_rejected(m: MockModule, expected: VerifyError) {
     // Typed error from the verifier itself.
     let got = Verifier::new().verify_module(&mut MockAdapter(&m));
     assert_eq!(got, Err(expected), "verifier verdict mismatch");
+
+    // A long-lived verifier (the service keeps one per submitting thread)
+    // holds the marks of a larger module in every table when the malformed
+    // one arrives: they must not mask the defect.
+    let mut warm = Verifier::new();
+    let big = MockModule::chain(64);
+    assert_eq!(warm.verify_module(&mut MockAdapter(&big)), Ok(()));
+    let got = warm.verify_module(&mut MockAdapter(&m));
+    assert_eq!(got, Err(expected), "stale scratch changed the verdict");
 
     // The service answers InvalidIr with the same message, without letting
     // any worker near the module.

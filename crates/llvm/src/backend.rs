@@ -12,7 +12,7 @@ use crate::baselines::{
     declare_baseline_symbols, BaselineOutput,
 };
 use crate::ir::{Function, Inst, Module, Type};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::{Arc, Weak};
 use tpde_core::adapter::{FuncRef, InstRef, IrAdapter};
 use tpde_core::codebuf::{CodeBuffer, SymbolBinding};
@@ -21,10 +21,9 @@ use tpde_core::codegen::{
     CompiledModule, FuncCodeGen, InstCompiler, TierConfig,
 };
 use tpde_core::error::{Error, Result};
+use tpde_core::hash::StableHasher;
 use tpde_core::parallel::{ParallelDriver, WorkerPool};
-use tpde_core::service::{
-    CompileService, Fnv1a, Request, ServiceBackend, ServiceConfig, ServiceResponse,
-};
+use tpde_core::service::{CompileService, Request, ServiceBackend, ServiceConfig, ServiceResponse};
 use tpde_core::target::Target;
 use tpde_core::timing::PassTimings;
 use tpde_core::verify::Verifier;
@@ -392,14 +391,16 @@ pub fn compile_x64_tier0_parallel(
     )
 }
 
-/// The working memory the one-shot entry points keep per thread: compile
-/// session, adapter tables and instruction compiler. A JIT calling
-/// [`compile_x64`] per module would otherwise regrow all of it every time.
+/// The working memory the one-shot entry points and the service's admission
+/// verify keep per thread: compile session, adapter tables, instruction
+/// compiler and verifier. A JIT calling [`compile_x64`] or submitting to a
+/// service per module would otherwise regrow all of it every time.
 #[derive(Default)]
 struct WarmState {
     session: CompileSession,
     scratch: AdapterScratch,
     compiler: LlvmInstCompiler,
+    verifier: Verifier,
 }
 
 thread_local! {
@@ -730,27 +731,39 @@ impl ServiceBackend for LlvmServiceBackend {
         }
     }
 
+    /// `StableHasher` over two words: the pinned artifact tag with the
+    /// compile options as flag bits above it, then the module's content
+    /// hash. Nothing derived enters the key, so it means the same to every
+    /// build (the on-disk cache outlives any single binary).
     fn request_key(&self, req: &ModuleRequest) -> Option<u64> {
-        let mut h = Fnv1a::new();
-        // The backend enters the key via its pinned artifact tag, not its
-        // derived discriminant hash, so keys stay comparable across builds
-        // (the on-disk cache outlives any single binary).
-        req.backend.artifact_tag().hash(&mut h);
-        req.opts.hash(&mut h);
-        req.module.content_hash().hash(&mut h);
+        // All fields named: a new option must not be left out of the key.
+        let CompileOptions {
+            fixed_loop_regs,
+            fusion,
+            assume_all_live,
+        } = req.opts;
+        let opts = fixed_loop_regs as u64 | (fusion as u64) << 1 | (assume_all_live as u64) << 2;
+        let mut h = StableHasher::new();
+        h.write_u64(req.backend.artifact_tag() as u64 | opts << 8);
+        h.write_u64(req.module.content_hash());
         Some(h.finish())
     }
 
     /// Admission-time IR verification: every defined function must satisfy
     /// the adapter contract (see [`tpde_core::verify`]) before any worker
-    /// compiles it. Runs on the submitting thread, so a fresh verifier per
-    /// call keeps concurrent submitters from serializing on shared scratch;
-    /// the cold rejection path may allocate.
+    /// compiles it. Runs on the submitting thread with that thread's own
+    /// warm tables, so concurrent submitters share nothing and a thread's
+    /// second and later calls allocate nothing (the error is built from the
+    /// verdict afterwards and may).
     fn verify(&self, req: &ModuleRequest) -> Result<()> {
-        let mut adapter = LlvmAdapter::new(&req.module);
-        Verifier::new()
-            .verify_module(&mut adapter)
-            .map_err(Error::from)
+        // Taken out for the call and put back on every path; a panic in
+        // between just leaves the next call cold.
+        let mut warm = WARM.take();
+        let mut adapter = LlvmAdapter::with_scratch(&req.module, std::mem::take(&mut warm.scratch));
+        let verdict = warm.verifier.verify_module(&mut adapter);
+        warm.scratch = adapter.into_scratch();
+        WARM.set(warm);
+        verdict.map_err(Error::from)
     }
 
     fn func_count(&self, req: &ModuleRequest) -> usize {

@@ -8,20 +8,24 @@
 //! IR adapter needs.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
+use tpde_core::hash::StableHasher;
 
-/// Value types.
+/// Value types. The discriminants are part of the persisted content key
+/// ([`Module::content_hash`]): a new variant gets a new number, none is ever
+/// changed or reused.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Type {
-    Void,
-    I1,
-    I8,
-    I16,
-    I32,
-    I64,
-    Ptr,
-    F32,
-    F64,
+    Void = 0,
+    I1 = 1,
+    I8 = 2,
+    I16 = 3,
+    I32 = 4,
+    I64 = 5,
+    Ptr = 6,
+    F32 = 7,
+    F64 = 8,
 }
 
 impl Type {
@@ -65,8 +69,43 @@ pub use tpde_snippets::ICmp;
 /// Shift kinds.
 pub use tpde_snippets::ShiftKind;
 
+// --------------------------------------------------------------------------
+// The content key: an explicit, packed encoding of the IR
+// --------------------------------------------------------------------------
+//
+// [`Module::content_hash`] names artifacts on disk that outlive the binary,
+// so the bytes it hashes are defined here and not by `derive(Hash)` (whose
+// stream std does not promise to keep). Every instruction, phi and value
+// starts with a [`head`] word; further ids go two to a word ([`pair`]),
+// 64-bit constants and offsets get a word of their own, `Option` ids are a
+// flag bit in the head plus the id or 0. All variable-length lists are
+// preceded by their length, so the word stream is prefix-free. Type and
+// operation codes are the enums' explicit discriminants, variant tags the
+// literals below; none is ever changed or reused. Every `match` below names
+// all fields: a new field or variant must fail to compile here rather than
+// be left out of the key. Changing any of this requires bumping
+// `tpde_core::diskcache::FORMAT_VERSION`.
+
+/// Variant tag, operation (or flag bits), two type bytes and one id.
+#[inline(always)]
+fn head(tag: u64, op: u64, ty: u64, ty2: u64, id: u32) -> u64 {
+    tag | op << 8 | ty << 16 | ty2 << 24 | (id as u64) << 32
+}
+
+#[inline(always)]
+fn pair(lo: u32, hi: u32) -> u64 {
+    lo as u64 | (hi as u64) << 32
+}
+
+/// A value list, two ids to a word (the caller has written its length).
+fn write_values(h: &mut StableHasher, values: &[Value]) {
+    for two in values.chunks(2) {
+        h.write_u64(pair(two[0].0, two.get(1).map_or(0, |v| v.0)));
+    }
+}
+
 /// An instruction. Every value-producing instruction stores its result id.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Inst {
     /// Integer binary operation.
@@ -199,6 +238,160 @@ pub enum Inst {
 }
 
 impl Inst {
+    /// Feeds the instruction's words of the content key (see [`head`]).
+    #[inline]
+    fn hash_into(&self, h: &mut StableHasher) {
+        match self {
+            Inst::Bin {
+                op,
+                ty,
+                res,
+                lhs,
+                rhs,
+            } => {
+                h.write_u64(head(0, *op as u64, *ty as u64, 0, res.0));
+                h.write_u64(pair(lhs.0, rhs.0));
+            }
+            Inst::Div {
+                signed,
+                rem,
+                ty,
+                res,
+                lhs,
+                rhs,
+            } => {
+                let flags = *signed as u64 | (*rem as u64) << 1;
+                h.write_u64(head(1, flags, *ty as u64, 0, res.0));
+                h.write_u64(pair(lhs.0, rhs.0));
+            }
+            Inst::Shift {
+                kind,
+                ty,
+                res,
+                lhs,
+                rhs,
+            } => {
+                h.write_u64(head(2, *kind as u64, *ty as u64, 0, res.0));
+                h.write_u64(pair(lhs.0, rhs.0));
+            }
+            Inst::Icmp {
+                cc,
+                ty,
+                res,
+                lhs,
+                rhs,
+            } => {
+                h.write_u64(head(3, *cc as u64, *ty as u64, 0, res.0));
+                h.write_u64(pair(lhs.0, rhs.0));
+            }
+            Inst::Fbin {
+                op,
+                ty,
+                res,
+                lhs,
+                rhs,
+            } => {
+                h.write_u64(head(4, *op as u64, *ty as u64, 0, res.0));
+                h.write_u64(pair(lhs.0, rhs.0));
+            }
+            Inst::Fcmp {
+                cc,
+                ty,
+                res,
+                lhs,
+                rhs,
+            } => {
+                h.write_u64(head(5, *cc as u64, *ty as u64, 0, res.0));
+                h.write_u64(pair(lhs.0, rhs.0));
+            }
+            Inst::Fneg { ty, res, v } => {
+                h.write_u64(head(6, 0, *ty as u64, 0, res.0));
+                h.write_u64(v.0 as u64);
+            }
+            Inst::Load { ty, res, addr, off } => {
+                h.write_u64(head(7, 0, *ty as u64, 0, res.0));
+                h.write_u64(pair(addr.0, *off as u32));
+            }
+            Inst::Store {
+                ty,
+                addr,
+                off,
+                value,
+            } => {
+                h.write_u64(head(8, 0, *ty as u64, 0, addr.0));
+                h.write_u64(pair(value.0, *off as u32));
+            }
+            Inst::Gep {
+                res,
+                base,
+                index,
+                scale,
+                off,
+            } => {
+                h.write_u64(head(9, index.is_some() as u64, 0, 0, res.0));
+                h.write_u64(pair(base.0, index.map_or(0, |i| i.0)));
+                h.write_u64(*scale as u64);
+                h.write_u64(*off as u64);
+            }
+            Inst::Cast {
+                signed,
+                from,
+                to,
+                res,
+                v,
+            } => {
+                h.write_u64(head(10, *signed as u64, *from as u64, *to as u64, res.0));
+                h.write_u64(v.0 as u64);
+            }
+            Inst::IntToFp { from, to, res, v } => {
+                h.write_u64(head(11, 0, *from as u64, *to as u64, res.0));
+                h.write_u64(v.0 as u64);
+            }
+            Inst::FpToInt { from, to, res, v } => {
+                h.write_u64(head(12, 0, *from as u64, *to as u64, res.0));
+                h.write_u64(v.0 as u64);
+            }
+            Inst::FpConvert { from, to, res, v } => {
+                h.write_u64(head(13, 0, *from as u64, *to as u64, res.0));
+                h.write_u64(v.0 as u64);
+            }
+            Inst::Select {
+                ty,
+                res,
+                cond,
+                tval,
+                fval,
+            } => {
+                h.write_u64(head(14, 0, *ty as u64, 0, res.0));
+                h.write_u64(pair(cond.0, tval.0));
+                h.write_u64(fval.0 as u64);
+            }
+            Inst::Call {
+                callee,
+                res,
+                ret_ty,
+                args,
+            } => {
+                h.write_u64(head(15, res.is_some() as u64, *ret_ty as u64, 0, callee.0));
+                h.write_u64(pair(res.map_or(0, |r| r.0), args.len() as u32));
+                write_values(h, args);
+            }
+            Inst::Br { target } => h.write_u64(head(16, 0, 0, 0, target.0)),
+            Inst::CondBr {
+                cond,
+                if_true,
+                if_false,
+            } => {
+                h.write_u64(head(17, 0, 0, 0, cond.0));
+                h.write_u64(pair(if_true.0, if_false.0));
+            }
+            Inst::Ret { value } => {
+                let v = value.map_or(0, |v| v.0);
+                h.write_u64(head(18, value.is_some() as u64, 0, 0, v));
+            }
+        }
+    }
+
     /// The result value defined by this instruction, if any.
     #[inline]
     pub fn result(&self) -> Option<Value> {
@@ -363,7 +556,7 @@ impl Inst {
 }
 
 /// A phi node.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Phi {
     /// The value defined by the phi.
     pub res: Value,
@@ -374,7 +567,7 @@ pub struct Phi {
 }
 
 /// One basic block.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockData {
     /// Phi nodes at the start of the block.
     pub phis: Vec<Phi>,
@@ -383,7 +576,7 @@ pub struct BlockData {
 }
 
 /// How a value is defined (used for type/constant queries).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValueDef {
     /// Function argument `n`.
     Arg(u32),
@@ -396,7 +589,7 @@ pub enum ValueDef {
 }
 
 /// Per-value metadata.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValueInfo {
     /// The value's type.
     pub ty: Type,
@@ -405,7 +598,7 @@ pub struct ValueInfo {
 }
 
 /// A function.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Function {
     /// Symbol name.
     pub name: String,
@@ -428,6 +621,62 @@ pub struct Function {
 }
 
 impl Function {
+    /// Feeds the function into the content key: name, signature word,
+    /// parameter types (eight to a word), stack slots, then per block its
+    /// phis and instructions, then the value table.
+    fn hash_into(&self, h: &mut StableHasher) {
+        let Function {
+            name,
+            params,
+            ret,
+            is_decl,
+            internal,
+            stack_slots,
+            stack_slot_values,
+            blocks,
+            values,
+        } = self;
+        h.write(name.as_bytes());
+        let flags = *is_decl as u64 | (*internal as u64) << 1;
+        h.write_u64(head(0, flags, *ret as u64, 0, params.len() as u32));
+        for eight in params.chunks(8) {
+            h.write_u64(eight.iter().rev().fold(0, |w, t| w << 8 | *t as u64));
+        }
+        h.write_u64(pair(
+            stack_slots.len() as u32,
+            stack_slot_values.len() as u32,
+        ));
+        for &(size, align) in stack_slots {
+            h.write_u64(pair(size, align));
+        }
+        write_values(h, stack_slot_values);
+        h.write_u64(pair(blocks.len() as u32, values.len() as u32));
+        for BlockData { phis, insts } in blocks {
+            h.write_u64(pair(phis.len() as u32, insts.len() as u32));
+            for Phi { res, ty, incoming } in phis {
+                h.write_u64(head(0, 0, *ty as u64, 0, res.0));
+                h.write_u64(incoming.len() as u64);
+                for &(block, value) in incoming {
+                    h.write_u64(pair(block.0, value.0));
+                }
+            }
+            for inst in insts {
+                inst.hash_into(h);
+            }
+        }
+        for ValueInfo { ty, def } in values {
+            match def {
+                ValueDef::Arg(n) => h.write_u64(head(0, 0, *ty as u64, 0, *n)),
+                ValueDef::Const(bits) => {
+                    h.write_u64(head(1, 0, *ty as u64, 0, 0));
+                    h.write_u64(*bits);
+                }
+                ValueDef::Inst => h.write_u64(head(2, 0, *ty as u64, 0, 0)),
+                ValueDef::StackSlot(slot) => h.write_u64(head(3, 0, *ty as u64, 0, *slot)),
+            }
+        }
+    }
+
     /// Number of values in the function.
     pub fn value_count(&self) -> usize {
         self.values.len()
@@ -554,15 +803,17 @@ impl Module {
 
     /// Deterministic content hash of the module: every function with its
     /// name, signature, linkage, stack slots, blocks, phis, instructions and
-    /// value metadata. Two modules with equal hashes compile to the same
-    /// machine code (for a given back-end and options), which is what the
-    /// compile-service module cache keys on.
+    /// value metadata, in the packed encoding of [`Function::hash_into`].
+    /// Two modules with equal hashes compile to the same machine code (for
+    /// a given back-end and options), which is what the compile-service
+    /// module cache and the on-disk artifact names key on. Computed afresh
+    /// on every call: the fields are public and a stale memo would be a
+    /// wrong-code bug.
     pub fn content_hash(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = tpde_core::service::Fnv1a::new();
-        self.funcs.len().hash(&mut h);
+        let mut h = StableHasher::new();
+        h.write_u64(self.funcs.len() as u64);
         for f in &self.funcs {
-            f.hash(&mut h);
+            f.hash_into(&mut h);
         }
         h.finish()
     }

@@ -1,13 +1,18 @@
-//! Counts heap allocations on the warm one-shot compile path.
+//! Counts heap allocations on the warm one-shot compile path and on the
+//! service's admission verify.
 //!
-//! The claim under test: once a thread has compiled a module of some shape,
+//! The claims under test: once a thread has compiled a module of some shape,
 //! compiling a module with twice as many functions of that shape allocates
 //! only for the output it returns (sections, symbols and relocations growing
-//! by doubling) — nothing per function, block, instruction or value.
+//! by doubling) — nothing per function, block, instruction or value; and
+//! once a thread has verified a module, verifying it again allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use tpde_core::codegen::CompileOptions;
+use tpde_core::service::ServiceBackend;
+use tpde_llvm::backend::LlvmServiceBackend;
 use tpde_llvm::ir::Module;
 use tpde_llvm::workloads::{build_workload, IrStyle, Workload, WorkloadKind};
 
@@ -77,5 +82,22 @@ fn doubling_the_module_adds_only_output_growth() {
             a64 <= a32 + 24,
             "{kind:?} {style:?}: 32 kernels take {a32} allocations, 64 take {a64}"
         );
+    }
+}
+
+#[test]
+fn second_and_later_admission_verifies_allocate_nothing() {
+    let w = Workload {
+        name: "alloc",
+        kind: WorkloadKind::Branchy,
+        funcs: 32,
+        input: 1,
+    };
+    let module = Arc::new(build_workload(&w, IrStyle::O0));
+    let req = tpde_llvm::ModuleRequest::new(module, tpde_llvm::ServiceBackendKind::TpdeX64);
+    let verify = |_: &Module| LlvmServiceBackend.verify(&req).unwrap();
+    assert!(allocs_of(verify, &req.module) > 0, "the first call grows");
+    for call in 2..5 {
+        assert_eq!(allocs_of(verify, &req.module), 0, "call {call}");
     }
 }

@@ -49,16 +49,20 @@ impl From<u64> for AsmOperand {
     }
 }
 
+// The discriminants of the operation enums below are part of the persisted
+// IR content key (`tpde_llvm::ir::Module::content_hash`): a new variant gets
+// a new number, none is ever changed or reused.
+
 /// Integer binary operations.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum BinOp {
-    Add,
-    Sub,
-    And,
-    Or,
-    Xor,
-    Mul,
+    Add = 0,
+    Sub = 1,
+    And = 2,
+    Or = 3,
+    Xor = 4,
+    Mul = 5,
 }
 
 impl BinOp {
@@ -73,25 +77,25 @@ impl BinOp {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ShiftKind {
-    Shl,
-    LShr,
-    AShr,
+    Shl = 0,
+    LShr = 1,
+    AShr = 2,
 }
 
 /// Integer comparison predicates (LLVM `icmp` naming).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ICmp {
-    Eq,
-    Ne,
-    Slt,
-    Sle,
-    Sgt,
-    Sge,
-    Ult,
-    Ule,
-    Ugt,
-    Uge,
+    Eq = 0,
+    Ne = 1,
+    Slt = 2,
+    Sle = 3,
+    Sgt = 4,
+    Sge = 5,
+    Ult = 6,
+    Ule = 7,
+    Ugt = 8,
+    Uge = 9,
 }
 
 impl ICmp {
@@ -132,20 +136,20 @@ impl ICmp {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FBinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
+    Add = 0,
+    Sub = 1,
+    Mul = 2,
+    Div = 3,
 }
 
 /// Floating-point comparison predicates (ordered comparisons only).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FCmp {
-    Oeq,
-    One,
-    Olt,
-    Ole,
-    Ogt,
-    Oge,
+    Oeq = 0,
+    One = 1,
+    Olt = 2,
+    Ole = 3,
+    Ogt = 4,
+    Oge = 5,
 }
