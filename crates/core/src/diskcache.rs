@@ -91,14 +91,28 @@
 //! immutable once renamed into place and unlinking a mapped file is safe on
 //! Unix, so readers never lock. The only shared mutable state is the LRU
 //! index (`index.tpde`: `key tick` lines driving eviction, the last line of
-//! a key counts), which is updated under an exclusive `flock` on
-//! `index.lock`. A hit appends one line with a wall-clock tick and touches
-//! nothing else — it adds no bytes, so it cannot require an eviction. A
-//! store (and every open) scans the directory, evicts and rewrites the
-//! index with one line per live artifact. Artifact *presence* is the source
-//! of truth, so a lost or stale index only resets recency, never
-//! correctness. Stores of a key that already has an artifact skip the write
-//! entirely — determinism guarantees the bytes would be identical.
+//! a key counts) and the byte ledger (a 16-byte record, magic + running
+//! artifact total, at the start of `index.lock`), both updated under an
+//! exclusive `flock` on `index.lock`. Hits and stores do O(1) work there: a
+//! hit appends one line with a process-monotonic wall-clock tick; a store
+//! appends one line and adds its artifact's bytes to the ledger — no
+//! directory scan, no index rewrite. The full *reconcile* (scan the
+//! directory, evict least-recently-used artifacts down to `max_bytes`,
+//! rewrite the index with one line per live artifact, rewrite the ledger
+//! with the true total) runs at open, when ledger plus new bytes would
+//! exceed `max_bytes`, when the index is past both 1 MiB and twice its
+//! size after this handle's last compaction, when the ledger record is
+//! missing or foreign, and after this handle failed to take the lock. The
+//! ledger may over-count (a key stored by two processes at once, a corrupt
+//! artifact unlinked by a load): that only brings the next reconcile
+//! forward. It may under-count by the bytes whose ledger update was lost (a
+//! crash between rename and update, an older binary sharing the directory)
+//! until the next open reconciles, so the size bound is best-effort, as
+//! recency is; with an exact ledger, eviction decisions are those of a scan
+//! per store. Artifact *presence* is the source of truth, so a lost or
+//! stale index only resets recency, never correctness. Stores of a key that
+//! already has an artifact skip the write entirely — determinism guarantees
+//! the bytes would be identical.
 
 use crate::codebuf::{CodeBuffer, Reloc, RelocKind, SectionKind, SymbolBinding, SymbolId};
 use crate::codegen::{CompileStats, CompiledModule};
@@ -111,7 +125,7 @@ use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Magic bytes at the start of every artifact file.
@@ -127,8 +141,11 @@ const RELOC_RECORD: usize = 24;
 const STATS_LEN: usize = 48;
 /// Section code of an undefined (external) symbol.
 const SECTION_NONE: u8 = 0xff;
-/// Size past which a recency bump compacts the index (hits append to it).
+/// Smallest index size that triggers a compaction (hits and stores append
+/// to it); above it, the index compacts once it doubles its compacted size.
 const INDEX_COMPACT_BYTES: u64 = 1 << 20;
+/// Magic of the byte-ledger record at offset 0 of `index.lock`.
+const LEDGER_MAGIC: [u8; 8] = *b"TPDELDG\0";
 
 // --------------------------------------------------------------------------
 // Transient-error retry
@@ -726,6 +743,7 @@ impl IndexLock {
                 File::options()
                     .create(true)
                     .truncate(false)
+                    .read(true)
                     .write(true)
                     .open(dir.join("index.lock"))
             })
@@ -736,6 +754,37 @@ impl IndexLock {
         {
             let _ = (dir, retries);
             Some(IndexLock {})
+        }
+    }
+
+    /// The byte ledger (`pread` of the held lock file); `None` if the
+    /// record is missing, short or has the wrong magic.
+    fn ledger(&self) -> Option<u64> {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            let mut rec = [0u8; 16];
+            self.file.read_exact_at(&mut rec, 0).ok()?;
+            (rec[..8] == LEDGER_MAGIC).then(|| rd_u64(&rec, 8))
+        }
+        #[cfg(not(unix))]
+        None
+    }
+
+    /// Overwrites the ledger record (`pwrite`); `false` if that failed.
+    fn set_ledger(&self, total: u64) -> bool {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            let mut rec = [0u8; 16];
+            rec[..8].copy_from_slice(&LEDGER_MAGIC);
+            rec[8..].copy_from_slice(&total.to_le_bytes());
+            self.file.write_all_at(&rec, 0).is_ok()
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = total;
+            false
         }
     }
 }
@@ -751,6 +800,9 @@ impl Drop for IndexLock {
 /// the name disambiguates between processes).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// The last recency tick handed out in this process (see [`DiskCache::tick`]).
+static LAST_TICK: AtomicU64 = AtomicU64::new(0);
+
 /// The persistent artifact store; see the module docs.
 ///
 /// All methods take `&self` and are safe to call from multiple threads and
@@ -760,6 +812,13 @@ pub struct DiskCache {
     /// Transient I/O errors absorbed by retrying (reads, renames, lock-file
     /// opens); surfaced as [`crate::timing::ServiceStats::disk_retries`].
     retries: AtomicU64,
+    /// Set when this handle failed to take the index lock (its bytes may be
+    /// missing from the ledger): the next locked update reconciles.
+    dirty: AtomicBool,
+    /// Index size past which the next update compacts it: twice the size
+    /// of the last compaction this handle did, at least
+    /// [`INDEX_COMPACT_BYTES`].
+    compact_at: AtomicU64,
 }
 
 impl DiskCache {
@@ -773,8 +832,10 @@ impl DiskCache {
         let cache = DiskCache {
             cfg,
             retries: AtomicU64::new(0),
+            dirty: AtomicBool::new(false),
+            compact_at: AtomicU64::new(INDEX_COMPACT_BYTES),
         };
-        cache.with_index_lock(|| cache.evict_and_compact(None));
+        cache.with_index_lock(|lock| cache.reconcile(lock, None));
         Ok(cache)
     }
 
@@ -798,10 +859,11 @@ impl DiskCache {
     }
 
     /// Stores a module under `key`: serialize → unique temp file → `fsync`
-    /// → atomic rename, then bump the key's recency, evict over-budget
-    /// artifacts and compact the index under the index lock. Returns
-    /// `false` (without writing) if an artifact for `key` already exists —
-    /// byte-determinism makes the existing one interchangeable.
+    /// → atomic rename, then, under the index lock, append the key's
+    /// recency line and add the artifact's bytes to the ledger (or
+    /// reconcile, see the module docs). Returns `false` (without writing)
+    /// if an artifact for `key` already exists — byte-determinism makes the
+    /// existing one interchangeable.
     ///
     /// # Errors
     ///
@@ -809,8 +871,10 @@ impl DiskCache {
     pub fn store(&self, key: u64, module: &CompiledModule) -> io::Result<bool> {
         let path = self.artifact_path(key);
         let fresh = !path.exists();
+        let mut added = 0;
         if fresh {
             let bytes = serialize_module(key, module);
+            added = bytes.len() as u64;
             let tmp = self.cfg.dir.join(format!(
                 ".{key:016x}.{}-{}.tmp",
                 std::process::id(),
@@ -837,7 +901,7 @@ impl DiskCache {
                 let _ = d.sync_all();
             }
         }
-        self.with_index_lock(|| self.evict_and_compact(Some(key)));
+        self.with_index_lock(|lock| self.update(lock, key, Some(added)));
         Ok(fresh)
     }
 
@@ -860,14 +924,14 @@ impl DiskCache {
     /// Loads and materializes the module stored under `key`, verifying the
     /// artifact hash and [`CompiledModule::validate`] on the way; `None` is
     /// a miss (absent, corrupt, or structurally invalid — the latter two
-    /// unlink the artifact). A hit bumps the key's LRU recency, and that is
-    /// all it does to the index: a hit adds no bytes, so it cannot require
-    /// an eviction.
+    /// unlink the artifact). A hit bumps the key's LRU recency with one
+    /// appended index line: it adds no bytes, so the budget alone never
+    /// makes it reconcile.
     pub fn load(&self, key: u64) -> Option<CompiledModule> {
         let artifact = self.open_artifact(key)?;
         match artifact.to_module() {
             Ok(module) => {
-                self.with_index_lock(|| self.touch(key));
+                self.with_index_lock(|lock| self.update(lock, key, None));
                 Some(module)
             }
             Err(_) => {
@@ -931,13 +995,16 @@ impl DiskCache {
         map
     }
 
-    fn write_index(&self, ticks: &HashMap<u64, u64>) {
+    /// Rewrites the index from `ticks` (temp file + rename); returns the
+    /// length of the text it wrote.
+    fn write_index(&self, ticks: &HashMap<u64, u64>) -> u64 {
         let mut lines: Vec<(u64, u64)> = ticks.iter().map(|(&k, &t)| (k, t)).collect();
         lines.sort_unstable();
         let mut text = String::new();
         for (k, t) in lines {
             text.push_str(&format!("{k:016x} {t}\n"));
         }
+        let len = text.len() as u64;
         let tmp = self.cfg.dir.join(format!(
             ".index.{}-{}.tmp",
             std::process::id(),
@@ -946,62 +1013,85 @@ impl DiskCache {
         if fs::write(&tmp, text).is_ok() && fs::rename(&tmp, self.index_path()).is_err() {
             let _ = fs::remove_file(&tmp);
         }
+        len
     }
 
-    /// Runs `f` holding the exclusive index lock; skips it if the lock
-    /// cannot be taken — recency and the size bound are best-effort
-    /// properties, artifact correctness never depends on them.
-    fn with_index_lock(&self, f: impl FnOnce()) {
-        if let Some(_lock) = IndexLock::acquire(&self.cfg.dir, &self.retries) {
-            f();
+    /// Runs `f` holding the exclusive index lock. If the lock cannot be
+    /// taken, `f` is skipped and this handle marked dirty, so its next
+    /// locked update reconciles — recency and the size bound are
+    /// best-effort properties, artifact correctness never depends on them.
+    fn with_index_lock(&self, f: impl FnOnce(&IndexLock)) {
+        match IndexLock::acquire(&self.cfg.dir, &self.retries) {
+            Some(lock) => f(&lock),
+            None => self.dirty.store(true, Ordering::Relaxed),
         }
     }
 
     /// A recency tick from the wall clock, so a bump needs no read of the
-    /// index and ticks of different processes interleave sensibly.
+    /// index and ticks of different processes interleave sensibly — but
+    /// strictly above every earlier tick of this process, so a clock that
+    /// steps back cannot rank a fresh store or hit below older lines.
     fn tick() -> u64 {
-        SystemTime::now()
+        let now = SystemTime::now()
             .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_nanos() as u64)
-    }
-
-    /// Under the index lock: bump `key`'s recency by appending one line
-    /// (the last line per key wins when the index is read). Scanning,
-    /// evicting and compacting are [`DiskCache::evict_and_compact`]'s; an
-    /// index that saw only hits for a long time is compacted here once it
-    /// passes [`INDEX_COMPACT_BYTES`].
-    fn touch(&self, key: u64) {
-        let index = File::options()
-            .create(true)
-            .append(true)
-            .open(self.index_path());
-        let Ok(mut index) = index else { return };
-        let _ = index.write_all(format!("{key:016x} {}\n", Self::tick()).as_bytes());
-        if index
-            .metadata()
-            .is_ok_and(|m| m.len() > INDEX_COMPACT_BYTES)
-        {
-            self.evict_and_compact(None);
+            .map_or(0, |d| d.as_nanos() as u64);
+        if LAST_TICK.fetch_max(now, Ordering::Relaxed) < now {
+            now
+        } else {
+            LAST_TICK.fetch_add(1, Ordering::Relaxed) + 1
         }
     }
 
-    /// Under the index lock: bump `stored`'s recency (if given), evict
-    /// least-recently-used artifacts (never `stored` itself) until the
-    /// total size respects [`DiskCacheConfig::max_bytes`], and rewrite the
-    /// index with one line per live artifact. Failures are swallowed.
-    fn evict_and_compact(&self, stored: Option<u64>) {
+    /// Under the index lock: bump `key`'s recency by appending one line (the
+    /// last line per key wins when the index is read) and, for a store of
+    /// `stored` new bytes, add them to the ledger. Reconciles instead when
+    /// this handle missed the lock earlier or the index is due for
+    /// compaction, and for a store also when the ledger record is
+    /// unreadable or the store would pass `max_bytes`. A hit adds no bytes,
+    /// so it does not read the ledger.
+    fn update(&self, lock: &IndexLock, key: u64, stored: Option<u64>) {
+        let line = format!("{key:016x} {}\n", Self::tick());
+        let index_len = File::options()
+            .create(true)
+            .append(true)
+            .open(self.index_path())
+            .and_then(|mut index| {
+                index.write_all(line.as_bytes())?;
+                index.metadata()
+            })
+            .map_or(u64::MAX, |m| m.len());
+        let due = self.dirty.swap(false, Ordering::Relaxed)
+            || index_len > self.compact_at.load(Ordering::Relaxed);
+        let fits = |&total: &u64| self.cfg.max_bytes == 0 || total <= self.cfg.max_bytes;
+        match stored {
+            _ if due => self.reconcile(lock, stored.map(|_| key)),
+            None => {}
+            Some(added) => match lock.ledger().map(|t| t.saturating_add(added)).filter(fits) {
+                Some(total) => {
+                    if added > 0 && !lock.set_ledger(total) {
+                        self.dirty.store(true, Ordering::Relaxed);
+                    }
+                }
+                None => self.reconcile(lock, Some(key)),
+            },
+        }
+    }
+
+    /// Under the index lock: scan the directory, evict least-recently-used
+    /// artifacts (never `stored` itself; equal ticks by key, so the order
+    /// does not depend on `readdir`) until the total respects
+    /// [`DiskCacheConfig::max_bytes`], rewrite the index with one line per
+    /// live artifact and the ledger with the true total. Failures are
+    /// swallowed.
+    fn reconcile(&self, lock: &IndexLock, stored: Option<u64>) {
         let mut ticks = self.read_index();
         let mut entries = self.scan();
         // Forget recency of artifacts that no longer exist.
         let live: std::collections::HashSet<u64> = entries.iter().map(|&(k, _)| k).collect();
         ticks.retain(|k, _| live.contains(k));
-        if let Some(key) = stored {
-            let newest = ticks.values().copied().max().unwrap_or(0);
-            ticks.insert(key, Self::tick().max(newest + 1));
-        }
-        if self.cfg.max_bytes > 0 {
-            let mut total: u64 = entries.iter().map(|(_, size)| size).sum();
-            entries.sort_by_key(|&(k, _)| ticks.get(&k).copied().unwrap_or(0));
+        let mut total: u64 = entries.iter().map(|(_, size)| size).sum();
+        if self.cfg.max_bytes > 0 && total > self.cfg.max_bytes {
+            entries.sort_unstable_by_key(|&(k, _)| (ticks.get(&k).copied().unwrap_or(0), k));
             for (k, size) in entries {
                 if total <= self.cfg.max_bytes {
                     break;
@@ -1015,6 +1105,26 @@ impl DiskCache {
                 }
             }
         }
-        self.write_index(&ticks);
+        let index_len = self.write_index(&ticks);
+        self.compact_at
+            .store((2 * index_len).max(INDEX_COMPACT_BYTES), Ordering::Relaxed);
+        if !lock.set_ledger(total) {
+            self.dirty.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::DiskCache;
+
+    #[test]
+    fn ticks_strictly_increase() {
+        let mut last = DiskCache::tick();
+        for _ in 0..10_000 {
+            let next = DiskCache::tick();
+            assert!(next > last, "tick went from {last} to {next}");
+            last = next;
+        }
     }
 }

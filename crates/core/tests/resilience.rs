@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tpde_core::codebuf::{assert_identical, CodeBuffer, SectionKind, SymbolBinding, SymbolId};
 use tpde_core::codegen::{CompileSession, CompileStats, CompiledModule};
-use tpde_core::diskcache::{DiskCache, DiskCacheConfig};
+use tpde_core::diskcache::{serialize_module, DiskCache, DiskCacheConfig};
 use tpde_core::error::{Error, Result};
 use tpde_core::faultpoint::{arm, sites, FaultAction, FaultRule};
 use tpde_core::hash::StableHasher;
@@ -284,6 +284,38 @@ fn flock_contention_delay_only_adds_latency() {
         &store.load(7).unwrap().buf,
         "despite lock delay",
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hard_flock_failure_on_a_store_is_reconciled_by_the_next_store() {
+    let dir = temp_dir("flock-fail");
+    let module = sample_module();
+    let max_bytes = 3 * serialize_module(0, &module).len() as u64;
+    let store = {
+        let _g = arm(Vec::new());
+        let store = DiskCache::open(DiskCacheConfig {
+            dir: dir.clone(),
+            max_bytes,
+        })
+        .unwrap();
+        store.store(1, &module).unwrap();
+        store.store(2, &module).unwrap();
+        store
+    };
+    {
+        // Published, but neither its recency nor its bytes reach the index
+        // lock's ledger.
+        let _g = arm(vec![FaultRule::new(sites::DISK_FLOCK, FaultAction::Fail)]);
+        assert!(store.store(3, &module).unwrap());
+    }
+    let _g = arm(Vec::new());
+    // The ledger still says two artifacts, so a fourth would seem to fit;
+    // the handle that missed the lock reconciles instead.
+    store.store(4, &module).unwrap();
+    assert!(store.total_bytes() <= max_bytes);
+    assert_eq!(store.artifact_count(), 3);
+    assert!(store.contains(4), "just-stored artifact survives");
     let _ = fs::remove_dir_all(&dir);
 }
 
