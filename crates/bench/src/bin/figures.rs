@@ -283,8 +283,8 @@ fn service_throughput(quick: bool, worker_counts: &[usize]) -> ServiceReport {
                 );
             }
             for (((name, _), r), want) in mix.iter().zip(responses).zip(&references) {
-                let buf = r.module.expect(name).buf;
-                assert_identical(want, &buf, &format!("service {name} workers={workers}"));
+                let got = r.module.expect(name);
+                assert_identical(want, &got.buf, &format!("service {name} workers={workers}"));
             }
             elapsed
         };
@@ -393,10 +393,10 @@ fn sustained_submission(quick: bool, worker_counts: &[usize]) -> SustainedReport
                                 ServiceBackendKind::TpdeX64,
                             ))
                             .client(ClientId(c as u64 + 1));
-                            let buf = svc.compile(req).module.expect(name).buf;
+                            let got = svc.compile(req).module.expect(name);
                             assert_identical(
                                 &references[i],
-                                &buf,
+                                &got.buf,
                                 &format!("sustained {name} ({mode:?}, workers={workers})"),
                             );
                         }
@@ -1000,16 +1000,15 @@ fn tiered_execution(quick: bool) -> TieredReport {
         disk_cache: None,
         ..ServiceConfig::default()
     });
-    let tier0_buf = svc
+    let tier0 = svc
         .compile(Request::new(ModuleRequest::new(
             Arc::clone(&module),
             ServiceBackendKind::CopyPatchTier0,
         )))
         .module
-        .expect("service tier-0 compile")
-        .buf;
-    assert_identical(&tier0_ref, &tier0_buf, "service tier-0 vs one-shot");
-    let mut tier0_image = link_in_memory(&tier0_buf, 0x40_0000, |_| None).expect("link tier-0");
+        .expect("service tier-0 compile");
+    assert_identical(&tier0_ref, &tier0.buf, "service tier-0 vs one-shot");
+    let mut tier0_image = link_in_memory(&tier0.buf, 0x40_0000, |_| None).expect("link tier-0");
     assert_eq!(tier0_image.tier_func_count(), Some(nfuncs));
     let counter_addrs: Vec<u64> = (0..nfuncs as u32)
         .map(|f| tier0_image.tier_counter_addr(f).expect("counter"))
@@ -1041,16 +1040,16 @@ fn tiered_execution(quick: bool) -> TieredReport {
                         // First hot function: tier-1 recompile of the module
                         // on the warm workers, byte-identity checked against
                         // the one-shot compile.
-                        let buf = svc
+                        let tier1 = svc
                             .compile(Request::new(ModuleRequest::new(
                                 Arc::clone(&module),
                                 ServiceBackendKind::BaselineO1,
                             )))
                             .module
-                            .expect("service tier-1 recompile")
-                            .buf;
-                        assert_identical(&tier1_ref, &buf, "tier-1 recompile vs one-shot");
-                        let img = link_in_memory(&buf, 0x80_0000, |_| None).expect("link tier-1");
+                            .expect("service tier-1 recompile");
+                        assert_identical(&tier1_ref, &tier1.buf, "tier-1 recompile vs one-shot");
+                        let img =
+                            link_in_memory(&tier1.buf, 0x80_0000, |_| None).expect("link tier-1");
                         m.load_image(&img);
                         register_default_hostcalls(&mut m, &img);
                         tier1_image = Some(img);

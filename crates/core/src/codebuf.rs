@@ -332,7 +332,7 @@ struct Fixup {
 /// Owned by the [`CodeBuffer`] by default; compile drivers that reuse
 /// working memory across modules (e.g. [`crate::codegen::CompileSession`])
 /// hold one and move it into each module's buffer.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct FixupPool {
     labels: Vec<Option<u64>>,
     fixups: Vec<Fixup>,
@@ -506,7 +506,7 @@ const NAME_SLOT_EMPTY: u32 = u32::MAX;
 
 /// The code buffer: all sections of the module being compiled, plus label and
 /// fixup machinery for the text section.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct CodeBuffer {
     sections: [Vec<u8>; 3],
     bss_size: u64,

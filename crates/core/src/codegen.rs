@@ -115,7 +115,7 @@ impl CompileStats {
 const TEXT_BYTES_PER_INST: usize = 16;
 
 /// A compiled module: the filled code buffer plus statistics and timings.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CompiledModule {
     /// All sections, symbols and relocations of the module.
     pub buf: CodeBuffer,

@@ -73,7 +73,7 @@ pub use rng::{SplitMix64, Xoshiro256};
 pub use service::ring;
 pub use service::{
     ClientId, CompileService, Priority, Request, ServiceBackend, ServiceConfig, ServiceResponse,
-    SubmitOptions, Ticket, TicketRef, WakeupMode,
+    Ticket, TicketRef, WakeupMode,
 };
 pub use timing::{ClientStats, RequestTiming, ServiceStats};
 pub use verify::{Verifier, VerifyError};

@@ -34,11 +34,13 @@
 //!
 //! # Ticket completion-state machine
 //!
-//! Every submitted request owns a channel with exactly one response in
-//! flight; the states a ticket observes:
+//! An answer known at submission is stored in the ticket itself; only a
+//! request that waits for a worker or for an identical in-flight job owns
+//! a channel, with exactly one response in flight. The states a ticket
+//! observes:
 //!
 //! ```text
-//!  SUBMITTED ──(cache/disk hit, shed, invalid)──▶ RESOLVED at submission
+//!  SUBMITTED ──(cache/disk hit, shed, invalid, closed)──▶ RESOLVED inline
 //!      │
 //!      ├──(coalesced onto identical in-flight job)──▶ RESOLVED with leader
 //!      │
@@ -47,14 +49,15 @@
 //!                 └──(service dropped)──▶ RESOLVED by drain or sweep
 //! ```
 //!
-//! Exactly one sender answers (worker, watchdog, submit path or shutdown
-//! sweep — whoever takes the job's sender first), so a response is
-//! observed *at most once*: [`Ticket::wait`] consumes the ticket, and the
-//! non-consuming [`TicketRef::poll`] / [`TicketRef::wait_timeout`] return
-//! the response the first time it is ready, after which the ticket is
-//! spent (a later `wait` reports the service-shutdown error). Dropping a
-//! ticket abandons the response; the service never blocks on it.
+//! Exactly one party answers (the submit path inline, or whoever takes the
+//! job's sender first: worker, watchdog or shutdown sweep), so a response
+//! is observed *at most once*: [`Ticket::wait`] consumes the ticket, and
+//! the non-consuming [`TicketRef::poll`] / [`TicketRef::wait_timeout`]
+//! return the response the first time it is ready, after which the ticket
+//! is spent (a later `wait` reports the service-shutdown error). Dropping
+//! a ticket abandons the response; the service never blocks on it.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Condvar, Mutex};
@@ -105,8 +108,13 @@ impl<B: ServiceBackend> Request<B> {
         self
     }
 
-    /// Sets the time budget, measured from submission (see
-    /// [`super::SubmitOptions::deadline`] for the exact semantics).
+    /// Sets the time budget, measured from submission. An expired request
+    /// is answered with [`Error::DeadlineExceeded`] at dequeue (before the
+    /// compile starts) or at the next shard function boundary; a compile
+    /// already running on one worker is not interrupted. When an identical
+    /// in-flight request coalesces with this one, the *loosest* deadline of
+    /// the group wins — attaching a waiter never tightens the leader's
+    /// budget.
     pub fn deadline(mut self, deadline: Duration) -> Request<B> {
         self.deadline = Some(deadline);
         self
@@ -127,11 +135,67 @@ impl<B: ServiceBackend> Request<B> {
     }
 }
 
+/// Handle to one in-flight request; redeem with the consuming
+/// [`Ticket::wait`], or borrow a non-consuming [`TicketRef`] via
+/// [`Ticket::by_ref`] for poll loops and bounded waits. See the module
+/// docs for the completion-state machine.
+///
+/// Tickets outlive the service: dropping the
+/// [`super::CompileService`] drains the queue first, so a ticket
+/// submitted before the drop still resolves.
+#[derive(Debug)]
+pub struct Ticket {
+    state: TicketState,
+}
+
+// A ticket may be redeemed on another thread than the one that submitted.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Ticket>();
+};
+
+#[derive(Debug)]
+enum TicketState {
+    /// Answered at submission; the first read takes the response.
+    Resolved(RefCell<Option<ServiceResponse>>),
+    /// Answered later by whoever takes the job's sender.
+    Pending(Receiver<ServiceResponse>),
+}
+
+impl Ticket {
+    pub(crate) fn resolved(response: ServiceResponse) -> Ticket {
+        Ticket {
+            state: TicketState::Resolved(RefCell::new(Some(response))),
+        }
+    }
+
+    pub(crate) fn pending(rx: Receiver<ServiceResponse>) -> Ticket {
+        Ticket {
+            state: TicketState::Pending(rx),
+        }
+    }
+
+    /// Blocks until the response is ready.
+    pub fn wait(self) -> ServiceResponse {
+        match self.state {
+            TicketState::Resolved(r) => r.into_inner(),
+            TicketState::Pending(rx) => rx.recv().ok(),
+        }
+        .unwrap_or_else(shutdown_response)
+    }
+
+    /// Borrows a non-consuming view for [`TicketRef::poll`] and
+    /// [`TicketRef::wait_timeout`].
+    pub fn by_ref(&self) -> TicketRef<'_> {
+        TicketRef { ticket: self }
+    }
+}
+
 /// A borrowed, non-consuming view of a [`Ticket`] for poll loops; see the
 /// module docs for the completion-state machine.
 #[derive(Debug)]
 pub struct TicketRef<'a> {
-    pub(crate) rx: &'a Receiver<ServiceResponse>,
+    ticket: &'a Ticket,
 }
 
 impl TicketRef<'_> {
@@ -139,10 +203,13 @@ impl TicketRef<'_> {
     /// means still in flight — poll again or block via
     /// [`TicketRef::wait_timeout`].
     pub fn poll(&self) -> Option<ServiceResponse> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(shutdown_response()),
+        match &self.ticket.state {
+            TicketState::Resolved(r) => Some(r.take().unwrap_or_else(shutdown_response)),
+            TicketState::Pending(rx) => match rx.try_recv() {
+                Ok(r) => Some(r),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => Some(shutdown_response()),
+            },
         }
     }
 
@@ -150,15 +217,18 @@ impl TicketRef<'_> {
     /// `None` on timeout; the ticket stays valid, so the caller can
     /// retry, do other work, or drop it.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<ServiceResponse> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => Some(shutdown_response()),
+        match &self.ticket.state {
+            TicketState::Resolved(_) => self.poll(),
+            TicketState::Pending(rx) => match rx.recv_timeout(timeout) {
+                Ok(r) => Some(r),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => Some(shutdown_response()),
+            },
         }
     }
 }
 
-pub(crate) fn shutdown_response() -> ServiceResponse {
+fn shutdown_response() -> ServiceResponse {
     ServiceResponse {
         module: Err(Error::Emit(
             "compile service shut down before answering".into(),

@@ -22,8 +22,9 @@
 //! * **Module cache.** Responses of cacheable requests are stored under a
 //!   content hash of the request ([`ServiceBackend::request_key`]); a
 //!   repeated module skips compilation entirely and is answered at
-//!   submission with a byte-identical copy of the cached buffer. The cache
-//!   is LRU-bounded by [`ServiceConfig::cache_capacity`].
+//!   submission with the cached module itself, shared through an `Arc`
+//!   (no copy, no channel). The cache is LRU-bounded by
+//!   [`ServiceConfig::cache_capacity`].
 //! * **Disk tier.** With [`ServiceConfig::disk_cache`] set, in-memory
 //!   misses consult a persistent on-disk artifact store
 //!   ([`crate::diskcache::DiskCache`]) before compiling: a hit is answered
@@ -111,7 +112,7 @@ pub mod front;
 pub mod ring;
 
 pub use fairness::ClientId;
-pub use front::{Request, TicketRef, WakeupMode};
+pub use front::{Request, Ticket, TicketRef, WakeupMode};
 
 use crate::codebuf::CodeBuffer;
 use crate::codegen::{CompileSession, CompileStats, CompiledModule};
@@ -125,7 +126,7 @@ use fairness::ClientTable;
 use front::{Dispatcher, Submission};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -209,7 +210,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Scheduling class of a request (see [`SubmitOptions`]).
+/// Scheduling class of a request (see [`Request::priority`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// Latency-sensitive JIT traffic: dequeued before any bulk work.
@@ -219,45 +220,6 @@ pub enum Priority {
     /// dequeued only when no interactive work is waiting and shed first
     /// under load.
     Bulk,
-}
-
-/// Per-request submission options of the deprecated
-/// [`CompileService::submit_with`]/[`CompileService::compile_with`] shims.
-/// New code builds a [`Request`] instead, which carries the same
-/// attributes plus the fairness ones ([`ClientId`], weight).
-#[derive(Clone, Debug, Default)]
-pub struct SubmitOptions {
-    /// Scheduling class; [`Priority::Interactive`] by default.
-    pub priority: Priority,
-    /// Time budget measured from submission. An expired request is
-    /// answered with [`Error::DeadlineExceeded`] at dequeue (before the
-    /// compile starts) or at the next shard function boundary; a compile
-    /// already running on one worker is not interrupted. When an identical
-    /// in-flight request coalesces with this one, the *loosest* deadline
-    /// of the group wins — attaching a waiter never tightens the leader's
-    /// budget.
-    pub deadline: Option<Duration>,
-}
-
-impl SubmitOptions {
-    /// Interactive priority, no deadline (the default).
-    pub fn interactive() -> SubmitOptions {
-        SubmitOptions::default()
-    }
-
-    /// Bulk priority, no deadline.
-    pub fn bulk() -> SubmitOptions {
-        SubmitOptions {
-            priority: Priority::Bulk,
-            ..SubmitOptions::default()
-        }
-    }
-
-    /// Sets the deadline, measured from submission.
-    pub fn with_deadline(mut self, deadline: Duration) -> SubmitOptions {
-        self.deadline = Some(deadline);
-        self
-    }
 }
 
 /// The IR- and target-specific half of a [`CompileService`].
@@ -346,73 +308,32 @@ pub trait ServiceBackend: Send + Sync + 'static {
 /// A service response: the compile result plus its request-level timing.
 #[derive(Debug)]
 pub struct ServiceResponse {
-    /// The compiled module, or the compile error.
-    pub module: Result<CompiledModule>,
+    /// The compiled module, or the compile error. The module is shared, not
+    /// copied: every response to the same cached compile (hits, coalesced
+    /// waiters, the leader itself) holds the same `Arc`. Its `timings` are
+    /// those of the compile that produced it, and empty for a module loaded
+    /// from the disk tier.
+    pub module: Result<Arc<CompiledModule>>,
     /// Request-level timing and placement information.
     pub timing: RequestTiming,
 }
 
-/// Handle to one in-flight request; redeem with the consuming
-/// [`Ticket::wait`], or borrow a non-consuming [`TicketRef`] via
-/// [`Ticket::by_ref`] for poll loops and bounded waits. The
-/// completion-state machine is documented in [`front`].
-///
-/// Tickets outlive the service: dropping the [`CompileService`] drains the
-/// queue first, so a ticket submitted before the drop still resolves.
-#[derive(Debug)]
-pub struct Ticket {
-    rx: Receiver<ServiceResponse>,
-}
-
-impl Ticket {
-    /// Blocks until the response is ready.
-    pub fn wait(self) -> ServiceResponse {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| front::shutdown_response())
-    }
-
-    /// Borrows a non-consuming view for [`TicketRef::poll`] and
-    /// [`TicketRef::wait_timeout`].
-    pub fn by_ref(&self) -> TicketRef<'_> {
-        TicketRef { rx: &self.rx }
-    }
-
-    /// Blocks until the response is ready or `timeout` elapses.
-    #[deprecated(note = "use `ticket.by_ref().wait_timeout(..)`")]
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<ServiceResponse> {
-        self.by_ref().wait_timeout(timeout)
-    }
-}
-
 /// LRU module cache keyed by request content hash.
 ///
-/// Entries are `Arc`-shared so lookups and inserts only touch the map under
-/// the cache lock — the O(module-size) deep clone of the buffer handed to a
-/// cache-hit response happens *outside* the lock, so concurrent submitters
-/// never serialize behind a memcpy.
+/// Entries hold the module behind an `Arc`, so a lookup under the cache
+/// lock is a map probe plus a reference-count increment, and the hit hands
+/// that same `Arc` to its response — nothing is copied, inside the lock or
+/// out.
 struct ModuleCache {
     capacity: usize,
-    map: KeyMap<Arc<CacheEntry>>,
+    map: KeyMap<CacheEntry>,
     tick: AtomicU64,
     evictions: u64,
 }
 
 struct CacheEntry {
-    buf: CodeBuffer,
-    stats: CompileStats,
+    module: Arc<CompiledModule>,
     last_use: AtomicU64,
-}
-
-impl CacheEntry {
-    /// Deep copy for a response (call without holding the cache lock).
-    fn to_module(&self) -> CompiledModule {
-        CompiledModule {
-            buf: self.buf.clone(),
-            stats: self.stats.clone(),
-            timings: PassTimings::new(),
-        }
-    }
 }
 
 impl ModuleCache {
@@ -425,14 +346,14 @@ impl ModuleCache {
         }
     }
 
-    fn get(&self, key: u64) -> Option<Arc<CacheEntry>> {
+    fn get(&self, key: u64) -> Option<Arc<CompiledModule>> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let e = self.map.get(&key)?;
         e.last_use.store(tick, Ordering::Relaxed);
-        Some(Arc::clone(e))
+        Some(Arc::clone(&e.module))
     }
 
-    fn insert(&mut self, key: u64, entry: Arc<CacheEntry>) {
+    fn insert(&mut self, key: u64, module: &Arc<CompiledModule>) {
         if self.capacity == 0 {
             return;
         }
@@ -448,8 +369,13 @@ impl ModuleCache {
                 self.evictions += 1;
             }
         }
-        entry.last_use.store(tick, Ordering::Relaxed);
-        self.map.insert(key, entry);
+        self.map.insert(
+            key,
+            CacheEntry {
+                module: Arc::clone(module),
+                last_use: AtomicU64::new(tick),
+            },
+        );
     }
 }
 
@@ -624,9 +550,9 @@ struct Counters {
 /// Capacity of each client's sliding latency window (completion-side).
 const CLIENT_WINDOW: usize = 128;
 
-/// Completion-side per-client accounting behind a short-lived mutex (the
-/// hot submission path never touches it; workers update it once per
-/// response).
+/// Per-client accounting behind a short-lived mutex, updated once per
+/// answered request: by the worker for a compile, and by the submitting
+/// thread for an answer known at submission (hits and sheds included).
 #[derive(Default)]
 struct ClientRecord {
     completed: u64,
@@ -729,12 +655,33 @@ impl<B: ServiceBackend> Shared<B> {
         self.client_backlog.decr(client);
     }
 
+    /// Answers a request at submission: the ticket is resolved inline,
+    /// without a channel.
+    fn resolve(
+        &self,
+        module: Result<Arc<CompiledModule>>,
+        timing: RequestTiming,
+        client: ClientId,
+    ) -> Ticket {
+        let response = ServiceResponse { module, timing };
+        self.account(&response, client);
+        Ticket::resolved(response)
+    }
+
+    /// Answers a queued or coalesced request through its channel.
     fn finish_request(
         &self,
         tx: &Sender<ServiceResponse>,
         response: ServiceResponse,
         client: ClientId,
     ) {
+        self.account(&response, client);
+        // The submitter may have dropped its ticket; that is not an error.
+        let _ = tx.send(response);
+    }
+
+    /// Completion accounting shared by every answered request.
+    fn account(&self, response: &ServiceResponse, client: ClientId) {
         self.counters.completed.fetch_add(1, Ordering::Relaxed);
         self.counters.inflight.fetch_sub(1, Ordering::Relaxed);
         let latency_ns = response.timing.total.as_nanos() as u64;
@@ -755,18 +702,17 @@ impl<B: ServiceBackend> Shared<B> {
                 rec.window.pop_front();
             }
         }
-        // The submitter may have dropped its ticket; that is not an error.
-        let _ = tx.send(response);
     }
 
     /// Answers the ticket of a queued job and fans the result out to every
-    /// coalesced waiter. `timing` describes the leader; waiters get their
-    /// own submission-to-now latency and the `coalesced` flag.
+    /// coalesced waiter, each holding the leader's `Arc`. `timing`
+    /// describes the leader; waiters get their own submission-to-now
+    /// latency and the `coalesced` flag.
     fn complete(
         &self,
         key: Option<u64>,
         tx: Sender<ServiceResponse>,
-        result: Result<CompiledModule>,
+        result: Result<Arc<CompiledModule>>,
         timing: RequestTiming,
         client: ClientId,
     ) {
@@ -778,20 +724,10 @@ impl<B: ServiceBackend> Shared<B> {
             None => Vec::new(),
         };
         for w in waiters {
-            // Deep-clone per waiter outside every lock, exactly like a
-            // cache hit: each response owns its buffer.
-            let module = match &result {
-                Ok(m) => Ok(CompiledModule {
-                    buf: m.buf.clone(),
-                    stats: m.stats.clone(),
-                    timings: PassTimings::new(),
-                }),
-                Err(e) => Err(e.clone()),
-            };
             self.finish_request(
                 &w.tx,
                 ServiceResponse {
-                    module,
+                    module: result.clone(),
                     timing: RequestTiming {
                         queued: timing.queued,
                         total: w.submitted.elapsed(),
@@ -813,22 +749,22 @@ impl<B: ServiceBackend> Shared<B> {
         );
     }
 
-    fn cache_store(&self, key: Option<u64>, result: &Result<CompiledModule>) {
-        if let (Some(k), Ok(m)) = (key, result) {
-            // Deep-clone into the entry before taking the lock; the map
-            // operation itself is cheap.
-            let entry = Arc::new(CacheEntry {
-                buf: m.buf.clone(),
-                stats: m.stats.clone(),
-                last_use: AtomicU64::new(0),
-            });
-            self.cache.lock().unwrap().insert(k, entry);
+    /// Wraps a compile result in the one `Arc` that the cache, the disk
+    /// tier and every response to this compile share, and stores it.
+    fn cache_store(
+        &self,
+        key: Option<u64>,
+        result: Result<CompiledModule>,
+    ) -> Result<Arc<CompiledModule>> {
+        let module = Arc::new(result?);
+        if let Some(k) = key {
+            self.cache.lock().unwrap().insert(k, &module);
             // Persist to the disk tier. This runs on the worker thread that
             // compiled the module (or merged the shards), so artifact I/O
             // stays off the submit path. Store failures degrade to a
             // smaller cache, never to a wrong answer.
             if let Some(disk) = &self.disk {
-                match disk.store(k, m) {
+                match disk.store(k, &module) {
                     Ok(true) => {
                         self.counters.disk_stores.fetch_add(1, Ordering::Relaxed);
                     }
@@ -837,6 +773,7 @@ impl<B: ServiceBackend> Shared<B> {
                 }
             }
         }
+        Ok(module)
     }
 }
 
@@ -903,10 +840,11 @@ impl<B: ServiceBackend> CompileService<B> {
     /// Submits a request and returns immediately with a [`Ticket`].
     ///
     /// [`Request::new`] defaults to [`Priority::Interactive`], no deadline
-    /// and the anonymous client; use the builder methods to override. Cache
-    /// hits are answered before this returns (the ticket resolves without
-    /// blocking); misses go through fair-share admission and the lock-free
-    /// submission ring to the worker pool.
+    /// and the anonymous client; use the builder methods to override.
+    /// Answers known at submission — memory and disk hits, sheds, invalid
+    /// IR — come back in a ticket that is already resolved; misses go
+    /// through fair-share admission and the lock-free submission ring to
+    /// the worker pool.
     pub fn submit(&self, req: Request<B>) -> Ticket {
         let Request {
             payload: req,
@@ -923,29 +861,32 @@ impl<B: ServiceBackend> CompileService<B> {
             .counters
             .max_queue_depth
             .fetch_max(inflight, Ordering::Relaxed);
-        let (tx, rx) = channel();
         let key = shared.backend.request_key(&req);
+        // A memory hit shares the cached module and resolves the ticket
+        // inline: no copy, no channel.
+        let hit = |module| {
+            shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            let timing = RequestTiming {
+                total: submitted.elapsed(),
+                cache_hit: true,
+                ..RequestTiming::default()
+            };
+            shared.resolve(Ok(module), timing, client)
+        };
+        // Other answers known at submission (sheds, invalid IR, a closed
+        // service) resolve inline too.
+        let reject = |e| {
+            let timing = RequestTiming {
+                total: submitted.elapsed(),
+                ..RequestTiming::default()
+            };
+            shared.resolve(Err(e), timing, client)
+        };
 
         if let Some(k) = key {
-            // Hold the cache lock only for the map lookup; the deep clone
-            // of the cached buffer happens after it is released.
-            let hit = shared.cache.lock().unwrap().get(k);
-            if let Some(entry) = hit {
-                shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let module = entry.to_module();
-                shared.finish_request(
-                    &tx,
-                    ServiceResponse {
-                        module: Ok(module),
-                        timing: RequestTiming {
-                            total: submitted.elapsed(),
-                            cache_hit: true,
-                            ..RequestTiming::default()
-                        },
-                    },
-                    client,
-                );
-                return Ticket { rx };
+            let cached = shared.cache.lock().unwrap().get(k);
+            if let Some(module) = cached {
+                return hit(module);
             }
             shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
 
@@ -961,25 +902,14 @@ impl<B: ServiceBackend> CompileService<B> {
                         .counters
                         .disk_load_samples_ns
                         .record(load_started.elapsed().as_nanos() as u64);
-                    let entry = Arc::new(CacheEntry {
-                        buf: module.buf.clone(),
-                        stats: module.stats.clone(),
-                        last_use: AtomicU64::new(0),
-                    });
-                    shared.cache.lock().unwrap().insert(k, entry);
-                    shared.finish_request(
-                        &tx,
-                        ServiceResponse {
-                            module: Ok(module),
-                            timing: RequestTiming {
-                                total: submitted.elapsed(),
-                                disk_hit: true,
-                                ..RequestTiming::default()
-                            },
-                        },
-                        client,
-                    );
-                    return Ticket { rx };
+                    let module = Arc::new(module);
+                    shared.cache.lock().unwrap().insert(k, &module);
+                    let timing = RequestTiming {
+                        total: submitted.elapsed(),
+                        disk_hit: true,
+                        ..RequestTiming::default()
+                    };
+                    return shared.resolve(Ok(module), timing, client);
                 }
                 shared.counters.disk_misses.fetch_add(1, Ordering::Relaxed);
             }
@@ -995,36 +925,14 @@ impl<B: ServiceBackend> CompileService<B> {
                 .counters
                 .rejected_invalid
                 .fetch_add(1, Ordering::Relaxed);
-            shared.finish_request(
-                &tx,
-                ServiceResponse {
-                    module: Err(e),
-                    timing: RequestTiming {
-                        total: submitted.elapsed(),
-                        ..RequestTiming::default()
-                    },
-                },
-                client,
-            );
-            return Ticket { rx };
+            return reject(e);
         }
 
         let nfuncs = shared.backend.func_count(&req);
         let shard = shared.cfg.workers > 1 && nfuncs >= shared.cfg.shard_threshold.max(2);
         let deadline_ns = shared.deadline_ns_from(submitted, deadline);
         if shared.dispatch.is_closed() {
-            shared.finish_request(
-                &tx,
-                ServiceResponse {
-                    module: Err(Error::Emit("compile service is shutting down".into())),
-                    timing: RequestTiming {
-                        total: submitted.elapsed(),
-                        ..RequestTiming::default()
-                    },
-                },
-                client,
-            );
-            return Ticket { rx };
+            return reject(Error::Emit("compile service is shutting down".into()));
         }
 
         // Coalescing, the late cache re-check and admission all run under
@@ -1043,13 +951,14 @@ impl<B: ServiceBackend> CompileService<B> {
                     .job
                     .deadline_ns()
                     .fetch_max(deadline_ns, Ordering::Relaxed);
+                let (tx, rx) = channel();
                 entry.waiters.push(Waiter {
                     tx,
                     submitted,
                     client,
                 });
                 shared.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                return Ticket { rx };
+                return Ticket::pending(rx);
             }
             // An identical in-flight compile may have finished between the
             // cache lookup above and taking the inflight lock (verification
@@ -1060,23 +969,9 @@ impl<B: ServiceBackend> CompileService<B> {
             // Lock order is inflight -> cache; no path acquires them
             // reversed.
             let late_hit = shared.cache.lock().unwrap().get(k);
-            if let Some(entry) = late_hit {
+            if let Some(module) = late_hit {
                 drop(inflight);
-                shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let module = entry.to_module();
-                shared.finish_request(
-                    &tx,
-                    ServiceResponse {
-                        module: Ok(module),
-                        timing: RequestTiming {
-                            total: submitted.elapsed(),
-                            cache_hit: true,
-                            ..RequestTiming::default()
-                        },
-                    },
-                    client,
-                );
-                return Ticket { rx };
+                return hit(module);
             }
         }
 
@@ -1113,24 +1008,14 @@ impl<B: ServiceBackend> CompileService<B> {
             if let Some(depth) = reject_depth {
                 drop(inflight);
                 shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                shared.finish_request(
-                    &tx,
-                    ServiceResponse {
-                        module: Err(Error::Rejected { queue_depth: depth }),
-                        timing: RequestTiming {
-                            total: submitted.elapsed(),
-                            ..RequestTiming::default()
-                        },
-                    },
-                    client,
-                );
-                return Ticket { rx };
+                return reject(Error::Rejected { queue_depth: depth });
             }
         } else {
             shared.counters.queued.fetch_add(1, Ordering::Relaxed);
         }
         shared.client_backlog.incr(client);
 
+        let (tx, rx) = channel();
         let meta = JobMeta {
             client,
             weight,
@@ -1203,29 +1088,12 @@ impl<B: ServiceBackend> CompileService<B> {
                 }
             }
         }
-        Ticket { rx }
+        Ticket::pending(rx)
     }
 
     /// Submits a request and blocks until its response is ready.
     pub fn compile(&self, req: Request<B>) -> ServiceResponse {
         self.submit(req).wait()
-    }
-
-    /// Compatibility shim for the pre-[`Request`] two-method API.
-    #[deprecated(note = "build a `Request` and call `submit` instead")]
-    pub fn submit_with(&self, req: B::Request, opts: SubmitOptions) -> Ticket {
-        let mut r = Request::new(req).priority(opts.priority);
-        if let Some(d) = opts.deadline {
-            r = r.deadline(d);
-        }
-        self.submit(r)
-    }
-
-    /// Compatibility shim for the pre-[`Request`] two-method API.
-    #[deprecated(note = "build a `Request` and call `compile` instead")]
-    pub fn compile_with(&self, req: B::Request, opts: SubmitOptions) -> ServiceResponse {
-        #[allow(deprecated)]
-        self.submit_with(req, opts).wait()
     }
 
     /// Snapshot of the request-level statistics.
@@ -1520,7 +1388,7 @@ fn run_single<B: ServiceBackend>(
     let Some(tx) = lock(&job.tx).take() else {
         return poisoned;
     };
-    shared.cache_store(job.key, &result);
+    let result = shared.cache_store(job.key, result);
     shared.complete(
         job.key,
         tx,
@@ -1766,7 +1634,7 @@ fn run_shard_participant<B: ServiceBackend>(
     // slowest participant) was stuck; whoever holds the sender answers.
     let tx = lock(&job.collect).tx.take();
     if let Some(tx) = tx {
-        shared.cache_store(job.key, &result);
+        let result = shared.cache_store(job.key, result);
         shared.complete(
             job.key,
             tx,
@@ -2683,9 +2551,10 @@ mod tests {
         let r3 = t3.wait();
         assert!(!r1.timing.coalesced);
         assert!(r2.timing.coalesced && r3.timing.coalesced);
+        // Every waiter holds the leader's module itself, not a copy.
         let lead = r1.module.unwrap();
         for r in [r2, r3] {
-            crate::codebuf::assert_identical(&lead.buf, &r.module.unwrap().buf, "coalesced");
+            assert!(Arc::ptr_eq(&lead, &r.module.unwrap()));
         }
         let stats = svc.stats();
         assert_eq!(stats.coalesced, 2);
@@ -2717,6 +2586,51 @@ mod tests {
         // response was taken above, so a second wait reports shutdown-style
         // closure rather than hanging.
         assert!(t.wait().module.is_err());
+    }
+
+    #[test]
+    fn tickets_resolved_at_submission_answer_once() {
+        let svc = front_service(ServiceConfig {
+            workers: 1,
+            shard_threshold: 100,
+            cache_capacity: 8,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        let cached = ByteModule::new(vec![4; 3]);
+        assert!(svc
+            .compile(Request::new(Arc::clone(&cached)))
+            .module
+            .is_ok());
+        // The worker is busy and one request fills the backlog, so the next
+        // distinct submission is shed.
+        let blocker = occupy_worker(&svc, Duration::from_millis(200));
+        let queued = svc.submit(Request::new(ByteModule::new(vec![1])));
+        let is_spent = |r: ServiceResponse| matches!(r.module, Err(Error::Emit(msg)) if msg.contains("shut down"));
+        type Check = fn(&ServiceResponse) -> bool;
+        let cases: [(&str, Arc<ByteModule>, Check); 3] = [
+            ("hit", Arc::clone(&cached), |r| r.timing.cache_hit),
+            ("shed", ByteModule::new(vec![2]), |r| {
+                matches!(r.module, Err(Error::Rejected { .. }))
+            }),
+            ("invalid", ByteModule::new(vec![0xFF]), |r| {
+                matches!(r.module, Err(Error::InvalidIr(_)))
+            }),
+        ];
+        for (what, m, expected) in cases {
+            let t = svc.submit(Request::new(Arc::clone(&m)));
+            let r = t.by_ref().poll().expect("resolved at submission");
+            assert!(expected(&r), "{what}: {:?}", r.module);
+            assert!(is_spent(t.by_ref().poll().unwrap()), "{what}: poll twice");
+            assert!(is_spent(t.wait()), "{what}: wait after poll");
+
+            let t = svc.submit(Request::new(m));
+            let r = t.by_ref().wait_timeout(Duration::ZERO);
+            assert!(r.is_some_and(|r| expected(&r)), "{what}: wait_timeout(0)");
+            assert!(is_spent(t.wait()), "{what}: wait after wait_timeout");
+        }
+        assert!(blocker.wait().module.is_ok());
+        drop(queued);
     }
 
     #[test]
@@ -2867,33 +2781,5 @@ mod tests {
             stats.ring_fallbacks, 0,
             "condvar mode never touches the ring"
         );
-    }
-
-    /// Pins the deprecated pre-`Request` surface: the shims must keep the
-    /// exact old semantics (priority + deadline via [`SubmitOptions`]) until
-    /// they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_option_shims_match_the_request_builder() {
-        let svc = service(1, 100, 0);
-        let m = ByteModule::new(vec![1, 2, 3]);
-        let via_request = svc
-            .compile(Request::new(Arc::clone(&m)).priority(Priority::Bulk))
-            .module
-            .unwrap();
-        let via_shim = svc.compile_with(Arc::clone(&m), SubmitOptions::bulk());
-        crate::codebuf::assert_identical(
-            &via_request.buf,
-            &via_shim.module.unwrap().buf,
-            "shim vs builder",
-        );
-        let t = svc.submit_with(Arc::clone(&m), SubmitOptions::interactive());
-        assert!(t.wait().module.is_ok());
-        // An already-expired deadline still sheds through the shim.
-        let late = svc.submit_with(
-            ByteModule::slow(vec![9], Duration::from_millis(30)).clone(),
-            SubmitOptions::bulk().with_deadline(Duration::ZERO),
-        );
-        assert!(late.wait().module.unwrap_err().is_shed());
     }
 }

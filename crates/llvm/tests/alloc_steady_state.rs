@@ -1,18 +1,19 @@
-//! Counts heap allocations on the warm one-shot compile path and on the
-//! service's admission verify.
+//! Counts heap allocations on the warm one-shot compile path, on the
+//! service's admission verify and on a service memory hit.
 //!
 //! The claims under test: once a thread has compiled a module of some shape,
 //! compiling a module with twice as many functions of that shape allocates
 //! only for the output it returns (sections, symbols and relocations growing
-//! by doubling) — nothing per function, block, instruction or value; and
-//! once a thread has verified a module, verifying it again allocates nothing.
+//! by doubling) — nothing per function, block, instruction or value; once a
+//! thread has verified a module, verifying it again allocates nothing; and a
+//! warm memory hit, submitted and redeemed on one thread, allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use tpde_core::codegen::CompileOptions;
-use tpde_core::service::ServiceBackend;
-use tpde_llvm::backend::LlvmServiceBackend;
+use tpde_core::service::{Request, ServiceBackend, ServiceConfig};
+use tpde_llvm::backend::{compile_service, LlvmServiceBackend};
 use tpde_llvm::ir::Module;
 use tpde_llvm::workloads::{build_workload, IrStyle, Workload, WorkloadKind};
 
@@ -100,4 +101,33 @@ fn second_and_later_admission_verifies_allocate_nothing() {
     for call in 2..5 {
         assert_eq!(allocs_of(verify, &req.module), 0, "call {call}");
     }
+}
+
+#[test]
+fn warm_memory_hits_allocate_nothing() {
+    let w = Workload {
+        name: "alloc",
+        kind: WorkloadKind::Branchy,
+        funcs: 8,
+        input: 1,
+    };
+    let module = Arc::new(build_workload(&w, IrStyle::O0));
+    let svc = compile_service(ServiceConfig::with_workers(1));
+    let compile = || {
+        svc.compile(Request::new(tpde_llvm::ModuleRequest::new(
+            Arc::clone(&module),
+            tpde_llvm::ServiceBackendKind::TpdeX64,
+        )))
+    };
+    assert!(!compile().timing.cache_hit);
+    let hit = |_: &Module| {
+        let r = compile();
+        assert!(r.timing.cache_hit && r.module.is_ok());
+    };
+    // Enough hits to fill the client's latency window, which grows once.
+    for _ in 0..256 {
+        hit(&module);
+    }
+    let total: u64 = (0..64).map(|_| allocs_of(hit, &module)).sum();
+    assert_eq!(total, 0, "64 warm memory hits allocated {total} times");
 }

@@ -300,6 +300,26 @@ fn cache_hits_are_deterministic_across_equal_modules() {
 }
 
 #[test]
+fn cache_hits_share_the_compiled_module() {
+    let opts = CompileOptions::default();
+    let svc = service(2, 16);
+    let module = Arc::new(build_workload(&small(&spec_workloads()[2]), IrStyle::O0));
+    let compiled = compile_service_x64(&svc, &module, &opts).module.unwrap();
+    let hits: Vec<_> = (0..2)
+        .map(|_| {
+            let r = compile_service_x64(&svc, &module, &opts);
+            assert!(r.timing.cache_hit);
+            r.module.unwrap()
+        })
+        .collect();
+    // Both hits hold the module the compile produced: nothing was copied.
+    assert!(Arc::ptr_eq(&hits[0], &hits[1]));
+    assert!(Arc::ptr_eq(&compiled, &hits[0]));
+    let one_shot = compile_x64(&module, &opts).unwrap();
+    assert_identical(&one_shot.buf, &hits[0].buf, "shared cache hit");
+}
+
+#[test]
 fn cache_eviction_keeps_serving_correct_bytes() {
     let opts = CompileOptions::default();
     // Capacity 2: compiling a third distinct module evicts the LRU entry.
@@ -430,8 +450,8 @@ fn disk_loaded_tiered_module_still_patches_and_executes() {
         ServiceBackendKind::CopyPatchTier0,
     )));
     assert!(r.timing.disk_hit);
-    let t0 = r.module.unwrap().buf;
-    let mut image = tpde_core::jit::link_in_memory(&t0, 0x40_0000, |_| None).unwrap();
+    let t0 = r.module.unwrap();
+    let mut image = tpde_core::jit::link_in_memory(&t0.buf, 0x40_0000, |_| None).unwrap();
     let mut m = tpde_x64emu::Machine::new();
     m.load_image(&image);
     tpde_x64emu::register_default_hostcalls(&mut m, &image);

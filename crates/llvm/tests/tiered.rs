@@ -195,11 +195,10 @@ fn tiered_compiles_are_deterministic_across_pipelines() {
                 ServiceBackendKind::CopyPatchTier0,
             )))
             .module
-            .unwrap()
-            .buf;
+            .unwrap();
         assert_identical(
             &seq_cp,
-            &got,
+            &got.buf,
             &format!("service tiered copy-patch threshold={shard_threshold}"),
         );
         let got = svc
@@ -208,11 +207,10 @@ fn tiered_compiles_are_deterministic_across_pipelines() {
                 ServiceBackendKind::TpdeX64Tier0,
             )))
             .module
-            .unwrap()
-            .buf;
+            .unwrap();
         assert_identical(
             &seq_tpde,
-            &got,
+            &got.buf,
             &format!("service tiered TPDE threshold={shard_threshold}"),
         );
     }
@@ -251,13 +249,12 @@ fn tier1_recompiles_are_byte_identical_per_function() {
             ServiceBackendKind::BaselineO1,
         )))
         .module
-        .unwrap()
-        .buf;
-    assert_identical(&one_shot, &recompiled, "tier-1 recompile whole module");
+        .unwrap();
+    assert_identical(&one_shot, &recompiled.buf, "tier-1 recompile whole module");
     for func in &module.funcs {
         assert_eq!(
             func_bytes(&one_shot, &func.name),
-            func_bytes(&recompiled, &func.name),
+            func_bytes(&recompiled.buf, &func.name),
             "tier-1 bytes of {}",
             func.name
         );
