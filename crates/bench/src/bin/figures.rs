@@ -2,7 +2,7 @@
 //! the ablation studies, printing one table per figure.
 //!
 //! Usage: `cargo run -p tpde-bench --bin figures [--quick] [--json]
-//! [--threads N] [--service] [--sustained] [--tiered] [--disk-cache]
+//! [--threads N] [--service] [--tiered] [--disk-cache]
 //! [--chaos] [--fuzz [N]] [--fuzz-seed S] [--gate [PCT]]`
 //! (`--quick` scales down the
 //! workload inputs for a fast smoke run; `--json` additionally writes the
@@ -13,12 +13,7 @@
 //! persistent compile service's request throughput — modules/sec at 1/2/4
 //! workers, cold vs. warm cache, byte-identity asserted per request —
 //! enforcing that warm-cache repeats are at least 5× faster than cold
-//! compiles; `--sustained` measures the async submission front-end under
-//! sustained closed-loop load — 2× oversubscribed client threads hammer an
-//! uncached service at 1/2/4 workers, once with the lock-free ring +
-//! parker wakeups and once with the legacy mutex + condvar dispatcher,
-//! asserting byte identity per response and that ring throughput is at
-//! least 0.9× the condvar baseline at every worker count; `--tiered` runs the tiered-execution scenario — a call-heavy
+//! compiles; `--tiered` runs the tiered-execution scenario — a call-heavy
 //! workload executes tier-0 (instrumented copy-patch) code in the emulator
 //! while a `TieringController` polls the entry counters and recompiles hot
 //! functions with the LLVM-O1-like tier-1 back-end on the warm service
@@ -72,9 +67,7 @@ use tpde_core::diskcache::DiskCacheConfig;
 use tpde_core::error::Error;
 use tpde_core::faultpoint::{arm, sites, FaultAction, FaultRule};
 use tpde_core::jit::{link_in_memory, JitImage};
-use tpde_core::service::{
-    ClientId, Priority, Request, ServiceConfig, Ticket, TieringController, WakeupMode,
-};
+use tpde_core::service::{ClientId, Priority, Request, ServiceConfig, Ticket, TieringController};
 use tpde_core::timing::Phase;
 use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle};
 use tpde_llvm::{
@@ -325,129 +318,6 @@ fn service_throughput(quick: bool, worker_counts: &[usize]) -> ServiceReport {
     }
 }
 
-/// One worker-count measurement of the sustained submission sweep.
-struct SustainedPoint {
-    workers: usize,
-    ring_mps: f64,
-    condvar_mps: f64,
-}
-
-/// Results of the async front-end sweep (`--sustained`).
-struct SustainedReport {
-    modules: usize,
-    clients: usize,
-    points: Vec<SustainedPoint>,
-}
-
-/// Measures sustained modules/sec through the submission front-end: several
-/// client threads (each with its own `ClientId`) run a closed loop over the
-/// request mix — submit one, wait, verify — once with the lock-free ring +
-/// parker wake-ups and once with the legacy condvar path driving the same
-/// DRR scheduler. The cache is disabled so every request actually crosses
-/// the front-end (a cache hit is answered at submission and would bypass
-/// it). Every response is checked byte-identical against the one-shot
-/// compiler, and the ring path must not fall behind the condvar baseline at
-/// any worker count.
-fn sustained_submission(quick: bool, worker_counts: &[usize]) -> SustainedReport {
-    let mult = if quick { 2 } else { 8 };
-    // Enough closed-loop rounds that each trial runs for tens of
-    // milliseconds — shorter trials measure OS scheduling, not the ring.
-    let iters = if quick { 8 } else { 6 };
-    let mix = service_request_modules(mult);
-    let opts = CompileOptions::default();
-    let references: Vec<_> = mix
-        .iter()
-        .map(|(_, m)| compile_x64(m, &opts).expect("one-shot reference").buf)
-        .collect();
-
-    println!("\n== Async front-end: sustained submission throughput (modules/sec)");
-    println!(
-        "   {} modules x{iters} rounds per client, ring vs. condvar wakeups, cache disabled",
-        mix.len()
-    );
-    println!(
-        "{:<10} {:>10} {:>14} {:>14} {:>8}",
-        "workers", "clients", "ring mod/s", "condvar mod/s", "ratio"
-    );
-
-    let run_mode = |mode: WakeupMode, workers: usize, clients: usize| -> f64 {
-        let svc = compile_service(ServiceConfig {
-            workers,
-            shard_threshold: 64,
-            cache_capacity: 0,
-            disk_cache: None,
-            wakeup: mode,
-            ..ServiceConfig::default()
-        });
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                let svc = &svc;
-                let mix = &mix;
-                let references = &references;
-                scope.spawn(move || {
-                    for _ in 0..iters {
-                        for (i, (name, m)) in mix.iter().enumerate() {
-                            let req = Request::new(ModuleRequest::new(
-                                Arc::clone(m),
-                                ServiceBackendKind::TpdeX64,
-                            ))
-                            .client(ClientId(c as u64 + 1));
-                            let got = svc.compile(req).module.expect(name);
-                            assert_identical(
-                                &references[i],
-                                &got.buf,
-                                &format!("sustained {name} ({mode:?}, workers={workers})"),
-                            );
-                        }
-                    }
-                });
-            }
-        });
-        let total = clients * iters * mix.len();
-        total as f64 / start.elapsed().as_secs_f64()
-    };
-
-    // Best-of-N per mode: on an oversubscribed (or single-core) host a
-    // single closed-loop run is dominated by OS scheduling noise; the best
-    // trial is the measurement the dispatcher actually determines.
-    let trials = 5;
-    let best = |mode: WakeupMode, workers: usize, clients: usize| -> f64 {
-        (0..trials)
-            .map(|_| run_mode(mode, workers, clients))
-            .fold(0.0f64, f64::max)
-    };
-
-    let mut points = Vec::new();
-    let mut clients = 0;
-    for &workers in worker_counts {
-        clients = (2 * workers).max(2);
-        // Condvar first so the ring run cannot ride a warmer file cache.
-        let condvar_mps = best(WakeupMode::Condvar, workers, clients);
-        let ring_mps = best(WakeupMode::Ring, workers, clients);
-        println!(
-            "{workers:<10} {clients:>10} {ring_mps:>14.0} {condvar_mps:>14.0} {:>8.2}",
-            ring_mps / condvar_mps
-        );
-        assert!(
-            ring_mps >= 0.9 * condvar_mps,
-            "ring path fell behind the condvar baseline at {workers} workers \
-             (ring {ring_mps:.0} vs condvar {condvar_mps:.0} modules/sec)"
-        );
-        points.push(SustainedPoint {
-            workers,
-            ring_mps,
-            condvar_mps,
-        });
-    }
-    println!("   (byte-identity asserted per response; ring >= 0.9x condvar enforced)");
-    SustainedReport {
-        modules: mix.len(),
-        clients,
-        points,
-    }
-}
-
 /// Results of the persistent-cache restart scenario (`--disk-cache`).
 struct DiskReport {
     modules: usize,
@@ -658,7 +528,6 @@ struct ChaosReport {
     disk_retries: u64,
     interactive_p99_ms: f64,
     preemptions: u64,
-    ring_fallbacks: u64,
     recovered: usize,
 }
 
@@ -692,7 +561,7 @@ fn chaos_resilience(quick: bool) -> ChaosReport {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create chaos store dir");
 
-    println!("\n== Chaos: resilient front-end under injected disk, worker and ring faults");
+    println!("\n== Chaos: resilient front-end under injected disk and worker faults");
     println!(
         "   {} modules x2 rounds, workers=3, bulk queue cap 1, hang budget {} ms",
         mix.len(),
@@ -716,13 +585,7 @@ fn chaos_resilience(quick: bool) -> ChaosReport {
             FaultAction::Delay(Duration::from_micros(50)),
         )
         .every(31),
-        FaultRule::new(
-            sites::RING_PUBLISH,
-            FaultAction::Delay(Duration::from_micros(200)),
-        )
-        .every(17),
-        FaultRule::new(sites::RING_FULL, FaultAction::Fail).every(11),
-        FaultRule::new(sites::RING_WAKEUP, FaultAction::Fail).every(13),
+        FaultRule::new(sites::WORKER_WAKEUP, FaultAction::Fail).every(13),
     ]);
     let service_at = || {
         compile_service(ServiceConfig {
@@ -733,7 +596,6 @@ fn chaos_resilience(quick: bool) -> ChaosReport {
             queue_capacity: 4 * mix.len(),
             bulk_queue_capacity: 1,
             hang_timeout: Some(hang),
-            ..ServiceConfig::default()
         })
     };
 
@@ -831,10 +693,7 @@ fn chaos_resilience(quick: bool) -> ChaosReport {
         "   faults absorbed: disk_retries={} coalesced={} watchdog_timeouts={} respawned={}",
         s.disk_retries, s.coalesced, s.watchdog_timeouts, s.workers_respawned
     );
-    println!(
-        "   front-end: preemptions={} ring_fallbacks={}",
-        s.preemptions, s.ring_fallbacks
-    );
+    println!("   front-end: preemptions={}", s.preemptions);
     for cs in &s.clients {
         println!(
             "   client {}: completed={} shed={} preemptions={} p50 {:.1} ms p99 {:.1} ms",
@@ -911,7 +770,6 @@ fn chaos_resilience(quick: bool) -> ChaosReport {
         disk_retries: s.disk_retries,
         interactive_p99_ms,
         preemptions: s.preemptions,
-        ring_fallbacks: s.ring_fallbacks,
         recovered,
     }
 }
@@ -1244,7 +1102,6 @@ fn write_json(
     geo: (f64, f64, f64),
     par: Option<&ParallelReport>,
     service: Option<&ServiceReport>,
-    sustained: Option<&SustainedReport>,
     tiered: Option<&TieredReport>,
     disk: Option<&DiskReport>,
     chaos: Option<&ChaosReport>,
@@ -1286,23 +1143,6 @@ fn write_json(
         None => {
             if let Some(old) = &replaced {
                 entry.push_str(&salvage_fields(old, "\"svc_"));
-            }
-        }
-    }
-    match sustained {
-        Some(s) => {
-            if let Some(p) = s.points.last() {
-                let _ = write!(
-                    entry,
-                    ", \"sust_t{}_ring_mps\": {:.1}, \"sust_t{}_cv_mps\": {:.1}",
-                    p.workers, p.ring_mps, p.workers, p.condvar_mps
-                );
-            }
-        }
-        // no sustained sweep this run: keep the same-SHA entry's numbers
-        None => {
-            if let Some(old) = &replaced {
-                entry.push_str(&salvage_fields(old, "\"sust_"));
             }
         }
     }
@@ -1463,7 +1303,7 @@ fn write_json(
             "  \"chaos\": {{\"submitted\": {}, \"ok\": {}, \"shed\": {}, \"bulk_shed\": {}, \
              \"coalesced\": {}, \"watchdog_timeouts\": {}, \"workers_respawned\": {}, \
              \"disk_retries\": {}, \"interactive_p99_ms\": {:.1}, \"preemptions\": {}, \
-             \"ring_fallbacks\": {}, \"recovered\": {}}},",
+             \"recovered\": {}}},",
             c.submitted,
             c.ok,
             c.shed,
@@ -1474,26 +1314,7 @@ fn write_json(
             c.disk_retries,
             c.interactive_p99_ms,
             c.preemptions,
-            c.ring_fallbacks,
             c.recovered
-        );
-    }
-    if let Some(s) = sustained {
-        let mut pts = String::new();
-        for p in &s.points {
-            if !pts.is_empty() {
-                pts.push_str(", ");
-            }
-            let _ = write!(
-                pts,
-                "{{\"workers\": {}, \"ring_mps\": {:.1}, \"condvar_mps\": {:.1}}}",
-                p.workers, p.ring_mps, p.condvar_mps
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  \"sustained\": {{\"modules\": {}, \"clients\": {}, \"points\": [{pts}]}},",
-            s.modules, s.clients
         );
     }
     out.push_str("  \"history\": [\n");
@@ -1570,7 +1391,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let service = args.iter().any(|a| a == "--service");
-    let sustained = args.iter().any(|a| a == "--sustained");
     let tiered = args.iter().any(|a| a == "--tiered");
     let disk = args.iter().any(|a| a == "--disk-cache");
     let chaos = args.iter().any(|a| a == "--chaos");
@@ -1672,8 +1492,6 @@ fn main() {
     );
     let par_report = threads.map(|n| thread_scaling(quick, n.max(1)));
     let service_report = service.then(|| service_throughput(quick, &[1, 2, 4]));
-    let sustained_report = sustained
-        .then(|| sustained_submission(quick, if quick { &[1, 2][..] } else { &[1, 2, 4][..] }));
     let tiered_report = tiered.then(|| tiered_execution(quick));
     let disk_report = disk.then(|| disk_cache_restart(quick));
     let chaos_report = chaos.then(|| chaos_resilience(quick));
@@ -1689,7 +1507,6 @@ fn main() {
             geo,
             par_report.as_ref(),
             service_report.as_ref(),
-            sustained_report.as_ref(),
             tiered_report.as_ref(),
             disk_report.as_ref(),
             chaos_report.as_ref(),

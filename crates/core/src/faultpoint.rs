@@ -25,11 +25,10 @@
 //! a low-rate mix of *transparent* disk faults (transient read/rename
 //! errors that the retry path must absorb, mmap failures that must fall
 //! back to heap buffers, flock contention delays); `worker` arms small
-//! worker-loop delays; `ring` arms submission front-end degradations
-//! (stalled ring publishes, forced ring-full fallbacks, dropped worker
-//! wakeups). All are chosen so that a correct build passes its full test
-//! suite unchanged while armed — that is the point: the suite *is* the
-//! assertion that these degradations are invisible. Destructive actions
+//! worker-loop delays and dropped worker wakeups. All are chosen so that
+//! a correct build passes its full test suite unchanged while armed —
+//! that is the point: the suite *is* the assertion that these
+//! degradations are invisible. Destructive actions
 //! (short reads, panics) are only injected by targeted tests and the
 //! `figures --chaos` harness, with explicit rules.
 
@@ -59,19 +58,10 @@ pub mod sites {
     pub const WORKER_FUNC: &str = "service.func";
     /// The sharded merge step on the last participant.
     pub const WORKER_MERGE: &str = "service.merge";
-    /// Publish window of a submission-ring slot: between the CAS that
-    /// claims the slot and the sequence store that publishes it. A delay
-    /// here widens the claimed-but-unpublished window consumers must
-    /// tolerate (they observe `Pending`, not `Empty`).
-    pub const RING_PUBLISH: &str = "ring.publish";
-    /// Capacity check of the submission ring. A firing rule forces the
-    /// push down the mutex-guarded overflow path even when the ring has
-    /// room.
-    pub const RING_FULL: &str = "ring.full";
-    /// Worker wakeup after a ring push. A firing rule drops the wakeup;
+    /// Worker wakeup after a submission. A firing rule drops the wakeup;
     /// the bounded park timeout must recover (latency only, never a lost
     /// ticket).
-    pub const RING_WAKEUP: &str = "ring.wakeup";
+    pub const WORKER_WAKEUP: &str = "service.wakeup";
 }
 
 /// What an armed faultpoint injects when it fires.
@@ -319,18 +309,7 @@ fn env_rules(spec: &str) -> Vec<FaultRule> {
                 )
                 .every(31)
                 .offset(7),
-            ]),
-            "ring" => rules.extend([
-                FaultRule::new(
-                    sites::RING_PUBLISH,
-                    FaultAction::Delay(Duration::from_micros(200)),
-                )
-                .every(17)
-                .offset(3),
-                FaultRule::new(sites::RING_FULL, FaultAction::Fail)
-                    .every(11)
-                    .offset(2),
-                FaultRule::new(sites::RING_WAKEUP, FaultAction::Fail)
+                FaultRule::new(sites::WORKER_WAKEUP, FaultAction::Fail)
                     .every(13)
                     .offset(1),
             ]),
@@ -477,13 +456,10 @@ mod tests {
         assert!(env_rules("worker")
             .iter()
             .all(|r| r.site.starts_with("service.")));
-        assert!(env_rules("ring")
-            .iter()
-            .all(|r| r.site.starts_with("ring.")));
-        let all = env_rules("disk, worker, ring");
+        let all = env_rules("disk, worker");
         assert_eq!(
             all.len(),
-            env_rules("disk").len() + env_rules("worker").len() + env_rules("ring").len()
+            env_rules("disk").len() + env_rules("worker").len()
         );
         assert!(env_rules("bogus").is_empty());
     }

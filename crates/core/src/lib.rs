@@ -70,10 +70,9 @@ pub use error::{Error, Result};
 pub use parallel::{ParallelDriver, WorkerPool};
 pub use regs::{Reg, RegBank};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use service::ring;
 pub use service::{
     ClientId, CompileService, Priority, Request, ServiceBackend, ServiceConfig, ServiceResponse,
-    Ticket, TicketRef, WakeupMode,
+    Ticket, TicketRef,
 };
 pub use timing::{ClientStats, RequestTiming, ServiceStats};
 pub use verify::{Verifier, VerifyError};

@@ -117,8 +117,8 @@ impl<T> Lane<T> {
 
 /// The worker-side backlog: two priority lanes of weighted deficit
 /// round-robin client FIFOs. Not thread-safe by itself — the service
-/// guards it with a mutex contended only worker-vs-worker (submission
-/// goes through the lock-free ring).
+/// guards it with the dispatcher mutex, under which submitters push and
+/// workers pop.
 pub(crate) struct DrrQueue<T> {
     interactive: Lane<T>,
     bulk: Lane<T>,
@@ -144,12 +144,10 @@ impl<T> DrrQueue<T> {
         self.interactive.pop().or_else(|| self.bulk.pop())
     }
 
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.interactive.len + self.bulk.len
     }
 
-    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -1,24 +1,22 @@
-//! The service front-end: the redesigned submission API ([`Request`],
-//! [`Ticket`], [`TicketRef`]) and the async ingress machinery (lock-free
-//! ring → fairness scheduler → parker wakeups) behind it.
+//! The service front-end: the submission API ([`Request`], [`Ticket`],
+//! [`TicketRef`]) and the ingress machinery (fairness scheduler + parker
+//! wakeups) behind it.
 //!
 //! # Submission path
 //!
 //! ```text
-//!  submitter ──Request──▶ admission ──▶ [ lock-free ring ]──┐ push
-//!     │                   (shed/verify/                     │
-//!     │                    cache/coalesce)                  ▼
-//!     ▼                                        worker: drain ring into
-//!  Ticket ◀────────── response ◀── workers ◀── DRR scheduler, pop by
-//!                                              lane + client fairness
+//!  submitter ──Request──▶ admission ──▶ push under ──▶ wake one parked
+//!     │                   (shed/verify/  scheduler      worker (or all,
+//!     │                    cache/coalesce) mutex        for a shard job)
+//!     ▼                                                      │
+//!  Ticket ◀────────── response ◀── workers ◀── DRR pop ◀─────┘
+//!                                            (lane + client fairness)
 //! ```
 //!
-//! Submitting threads never take the scheduler mutex: they CAS into the
-//! [`super::ring::Ring`] and poke at most one worker's [`Parker`]. The
-//! scheduler mutex is contended only worker-vs-worker, and only a full
-//! ring (or an injected `ring.full` fault) falls back to pushing under it
-//! directly — admission therefore stays effectively unbounded, exactly as
-//! before, with the ring as a fast path rather than a correctness bound.
+//! Submitters and workers share one mutex-guarded [`DrrQueue`]: a miss is
+//! pushed under it, then at most as many workers as the job needs are
+//! poked through their [`Parker`]s. Admission stays unbounded unless a
+//! queue capacity is configured.
 //!
 //! # Wakeups
 //!
@@ -27,10 +25,8 @@
 //! (one for a batched module, all for a sharded one) instead of a global
 //! `Condvar::notify_all` thundering herd. Parking always uses a bounded
 //! `park_timeout`, so a *lost* wakeup (dropped by fault injection at the
-//! `ring.wakeup` site, or by a genuine bug) costs bounded latency, never a
-//! stranded ticket. The legacy Condvar mode is kept behind
-//! [`WakeupMode::Condvar`] purely so `figures --sustained` can measure
-//! ring vs. condvar on identical scheduler semantics.
+//! `service.wakeup` site, or by a genuine bug) costs bounded latency,
+//! never a stranded ticket.
 //!
 //! # Ticket completion-state machine
 //!
@@ -58,13 +54,12 @@
 //! a ticket abandons the response; the service never blocks on it.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use super::fairness::{ClientId, DrrQueue};
-use super::ring::{Pop, Ring};
 use super::{lock, Priority, ServiceBackend, ServiceResponse};
 use crate::error::Error;
 use crate::faultpoint::{self, sites};
@@ -237,18 +232,6 @@ fn shutdown_response() -> ServiceResponse {
     }
 }
 
-/// How the front-end hands submissions to the worker pool.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum WakeupMode {
-    /// Lock-free ring ingress with per-worker parker wakeups (the
-    /// default).
-    #[default]
-    Ring,
-    /// Legacy mutex + condvar ingress. Same scheduler, same fairness —
-    /// kept as the measured baseline of `figures --sustained`.
-    Condvar,
-}
-
 /// Parker states. `NOTIFIED` is a sticky token: an unpark delivered to a
 /// running worker is consumed at its next park attempt.
 const EMPTY: u8 = 0;
@@ -256,8 +239,8 @@ const NOTIFIED: u8 = 1;
 const PARKED: u8 = 2;
 
 /// Bounded sleep per park. This is the recovery bound for a lost wakeup:
-/// a worker never sleeps longer than this without re-checking the ring,
-/// so a dropped notification costs at most one timeout of latency.
+/// a worker never sleeps longer than this without re-checking the
+/// scheduler, so a dropped notification costs at most one timeout of latency.
 pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(2);
 
 /// One worker's wakeup state machine (see the module docs).
@@ -341,33 +324,23 @@ pub(crate) struct Submission<T> {
     pub weight: u32,
 }
 
-/// The ingress pipeline between submitters and workers: ring (or legacy
-/// condvar) in front, DRR fairness scheduler behind, parkers on the side.
+/// The ingress pipeline between submitters and workers: the DRR fairness
+/// scheduler behind one mutex, with a parker per worker on the side.
 pub(crate) struct Dispatcher<T> {
-    mode: WakeupMode,
-    ring: Ring<Submission<T>>,
-    /// Worker-side backlog. Submitters touch this mutex only on the
-    /// ring-full fallback (and in Condvar mode).
     sched: Mutex<DrrQueue<T>>,
-    cv: Condvar,
     parkers: Box<[Parker]>,
     /// Rotation cursor for picking which parker to wake.
     next_wake: AtomicUsize,
     closed: AtomicBool,
-    ring_fallbacks: AtomicU64,
 }
 
 impl<T> Dispatcher<T> {
-    pub(crate) fn new(mode: WakeupMode, workers: usize, ring_capacity: usize) -> Dispatcher<T> {
+    pub(crate) fn new(workers: usize) -> Dispatcher<T> {
         Dispatcher {
-            mode,
-            ring: Ring::new(ring_capacity),
             sched: Mutex::new(DrrQueue::new()),
-            cv: Condvar::new(),
             parkers: (0..workers).map(|_| Parker::new()).collect(),
             next_wake: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
-            ring_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -375,183 +348,84 @@ impl<T> Dispatcher<T> {
         self.closed.load(Ordering::Acquire)
     }
 
-    pub(crate) fn ring_fallbacks(&self) -> u64 {
-        self.ring_fallbacks.load(Ordering::Relaxed)
-    }
-
     /// Binds the calling worker thread to its parker.
     pub(crate) fn register(&self, worker: usize) {
         self.parkers[worker].register();
     }
 
-    /// Hands one submission to the pool (lock-free in Ring mode unless
-    /// the ring is full or an injected `ring.full` fault forces the
-    /// fallback). Call [`Dispatcher::wake`] afterwards.
+    /// Hands one submission (or a paused shard job's requeue) to the
+    /// pool. Call [`Dispatcher::wake`] afterwards.
     pub(crate) fn enqueue(&self, sub: Submission<T>) {
-        match self.mode {
-            WakeupMode::Condvar => {
-                let mut sched = lock(&self.sched);
-                sched.push(sub.class, sub.client, sub.weight, sub.item);
-            }
-            WakeupMode::Ring => {
-                let forced_full = faultpoint::trip(sites::RING_FULL, 0).is_some();
-                let overflow = if forced_full {
-                    Some(sub)
-                } else {
-                    self.ring.push(sub).err()
-                };
-                if let Some(sub) = overflow {
-                    // Capacity (or an injected fault) is a latency event,
-                    // never an admission event: spill under the scheduler
-                    // mutex like the legacy path.
-                    self.ring_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let mut sched = lock(&self.sched);
-                    sched.push(sub.class, sub.client, sub.weight, sub.item);
-                }
-            }
-        }
-    }
-
-    /// Requeue from a worker thread (paused shard jobs). Workers are on
-    /// the consumer side already, so this pushes straight into the
-    /// scheduler in both modes.
-    pub(crate) fn requeue(&self, sub: Submission<T>) {
-        let mut sched = lock(&self.sched);
-        sched.push(sub.class, sub.client, sub.weight, sub.item);
+        lock(&self.sched).push(sub.class, sub.client, sub.weight, sub.item);
     }
 
     /// Wakes up to `n` workers (1 for a batched job, the pool for a
     /// sharded one). Parked workers are preferred; if fewer than `n` are
     /// parked, the notification token is left on running workers, which
-    /// consume it at their next park attempt. An injected `ring.wakeup`
+    /// consume it at their next park attempt. An injected `service.wakeup`
     /// fault drops the whole wakeup — the bounded park timeout recovers.
     pub(crate) fn wake(&self, n: usize) {
-        match self.mode {
-            WakeupMode::Condvar => {
-                if n <= 1 {
-                    self.cv.notify_one();
-                } else {
-                    self.cv.notify_all();
-                }
+        if faultpoint::trip(sites::WORKER_WAKEUP, n as u64).is_some() {
+            return;
+        }
+        let w = self.parkers.len();
+        let n = n.min(w);
+        let start = self.next_wake.fetch_add(1, Ordering::Relaxed);
+        let mut woken = 0;
+        for i in 0..w {
+            if woken >= n {
+                return;
             }
-            WakeupMode::Ring => {
-                if faultpoint::trip(sites::RING_WAKEUP, n as u64).is_some() {
-                    return;
-                }
-                let w = self.parkers.len();
-                let n = n.min(w);
-                let start = self.next_wake.fetch_add(1, Ordering::Relaxed);
-                let mut woken = 0;
-                for i in 0..w {
-                    if woken >= n {
-                        return;
-                    }
-                    let p = &self.parkers[(start + i) % w];
-                    if p.is_parked() {
-                        p.unpark();
-                        woken += 1;
-                    }
-                }
-                // Not enough parked workers: stamp tokens on the next few
-                // in rotation so imminent parks return immediately.
-                for i in 0..(n - woken) {
-                    self.parkers[(start + i) % w].unpark();
-                }
+            let p = &self.parkers[(start + i) % w];
+            if p.is_parked() {
+                p.unpark();
+                woken += 1;
             }
+        }
+        // Not enough parked workers: stamp tokens on the next few in
+        // rotation so imminent parks return immediately.
+        for i in 0..(n - woken) {
+            self.parkers[(start + i) % w].unpark();
         }
     }
 
     /// Closes the front-end (shutdown): no effect on already-enqueued
-    /// work, but workers exit once ring and scheduler are drained.
+    /// work, but workers exit once the scheduler is drained. Shutdown
+    /// wakeups bypass fault injection.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        match self.mode {
-            WakeupMode::Condvar => self.cv.notify_all(),
-            WakeupMode::Ring => {
-                // Shutdown wakeups bypass fault injection: a dropped one
-                // would only add a park-timeout of drain latency, but
-                // there is no reason to inject here.
-                for p in self.parkers.iter() {
-                    p.unpark();
-                }
-            }
+        for p in self.parkers.iter() {
+            p.unpark();
         }
     }
 
     /// Blocks until a job is available, returning `None` only when the
-    /// dispatcher is closed *and* fully drained — including ring slots
-    /// still inside their publish window, which read as [`Pop::Pending`]
-    /// and are waited out, never dropped.
+    /// dispatcher is closed *and* drained.
     pub(crate) fn next(&self, worker: usize) -> Option<T> {
-        match self.mode {
-            WakeupMode::Condvar => {
+        loop {
+            {
                 let mut sched = lock(&self.sched);
-                loop {
-                    if let Some(item) = sched.pop() {
-                        return Some(item);
-                    }
-                    if self.is_closed() {
-                        return None;
-                    }
-                    sched = self.cv.wait(sched).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-            WakeupMode::Ring => loop {
-                {
-                    let mut sched = lock(&self.sched);
-                    while let Pop::Item(s) = self.ring.pop() {
-                        sched.push(s.class, s.client, s.weight, s.item);
-                    }
-                    if let Some(item) = sched.pop() {
-                        return Some(item);
-                    }
+                if let Some(item) = sched.pop() {
+                    return Some(item);
                 }
                 if self.is_closed() {
-                    match self.ring.pop() {
-                        Pop::Item(s) => {
-                            lock(&self.sched).push(s.class, s.client, s.weight, s.item);
-                        }
-                        Pop::Pending => std::hint::spin_loop(),
-                        Pop::Empty => {
-                            // One last scheduler check (a peer may have
-                            // requeued a paused shard) before exiting.
-                            if let Some(item) = lock(&self.sched).pop() {
-                                return Some(item);
-                            }
-                            if self.ring.is_empty() {
-                                return None;
-                            }
-                        }
-                    }
-                    continue;
+                    return None;
                 }
-                // A submission published after the drain above may have
-                // stamped its wakeup token on a busy peer; the post-PARKED
-                // recheck inside `park_unless` closes that window, so the
-                // timeout is only a backstop for injected wakeup faults.
-                self.parkers[worker].park_unless(PARK_TIMEOUT, || !self.ring.is_empty());
-            },
+            }
+            // Producers push under the mutex before waking, so a push that
+            // stamped its wakeup token on a busy peer is seen by the
+            // post-PARKED re-check; the timeout only backstops injected
+            // wakeup faults.
+            self.parkers[worker].park_unless(PARK_TIMEOUT, || !lock(&self.sched).is_empty());
         }
     }
 
-    /// Strict post-join drain for `Drop`: empties the ring (waiting out
-    /// any publish still in flight) and the scheduler, returning the
-    /// leftovers so the service can answer their tickets. Only sound once
-    /// the workers have exited — they would otherwise race for the items.
+    /// Post-join drain for `Drop`: returns what is left in the scheduler
+    /// so the service can answer those tickets. Only sound once the
+    /// workers have exited — they would otherwise race for the items.
     pub(crate) fn drain_remaining(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        loop {
-            match self.ring.pop() {
-                Pop::Item(s) => out.push(s.item),
-                Pop::Pending => std::hint::spin_loop(),
-                Pop::Empty => break,
-            }
-        }
         let mut sched = lock(&self.sched);
-        while let Some(item) = sched.pop() {
-            out.push(item);
-        }
-        out
+        std::iter::from_fn(|| sched.pop()).collect()
     }
 }
 
@@ -601,66 +475,70 @@ mod tests {
         assert!(slept < Duration::from_secs(5), "parked thread never woke");
     }
 
+    fn submission(item: u32, client: u32) -> Submission<u32> {
+        Submission {
+            item,
+            class: Priority::Interactive,
+            client: ClientId(client.into()),
+            weight: 1,
+        }
+    }
+
     #[test]
-    fn dispatcher_round_trips_submissions_through_the_ring() {
-        let d: Dispatcher<u32> = Dispatcher::new(WakeupMode::Ring, 1, 8);
+    fn dispatcher_round_trips_submissions_in_fifo_order() {
+        let d: Dispatcher<u32> = Dispatcher::new(1);
         d.register(0);
         for v in 0..5 {
-            d.enqueue(Submission {
-                item: v,
-                class: Priority::Interactive,
-                client: ClientId(1),
-                weight: 1,
-            });
+            d.enqueue(submission(v, 1));
         }
         d.wake(1);
         let got: Vec<u32> = (0..5).map(|_| d.next(0).unwrap()).collect();
-        if crate::faultpoint::armed() {
-            // Env-armed `ring` faults may spill pushes to the scheduler
-            // queue, reordering across lanes — delivery stays exactly-once.
-            let mut sorted = got.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..5).collect::<Vec<_>>());
-        } else {
-            assert_eq!(got, (0..5).collect::<Vec<_>>(), "same-client FIFO");
-        }
+        assert_eq!(got, (0..5).collect::<Vec<_>>(), "same-client FIFO");
         d.close();
         assert_eq!(d.next(0), None);
     }
 
     #[test]
-    fn dispatcher_overflow_spills_to_the_scheduler_not_the_floor() {
-        // Ring capacity 2 (min power of two), 10 submissions: the spill
-        // path must preserve every item.
-        let d: Dispatcher<u32> = Dispatcher::new(WakeupMode::Ring, 1, 2);
-        d.register(0);
-        for v in 0..10 {
-            d.enqueue(Submission {
-                item: v,
-                class: Priority::Bulk,
-                client: ClientId(1),
-                weight: 1,
-            });
+    fn dispatcher_delivers_each_item_exactly_once_under_contention() {
+        const PRODUCERS: u32 = 4;
+        const PER_PRODUCER: u32 = 1000;
+        let d: Arc<Dispatcher<u32>> = Arc::new(Dispatcher::new(2));
+        let consumers: Vec<_> = (0..2)
+            .map(|w| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    d.register(w);
+                    let mut got = Vec::new();
+                    while let Some(v) = d.next(w) {
+                        got.push(v);
+                    }
+                    got
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        d.enqueue(submission(p * PER_PRODUCER + i, p));
+                        d.wake(1);
+                    }
+                })
+            })
+            .collect();
+        for h in producers {
+            h.join().unwrap();
         }
-        assert!(d.ring_fallbacks() > 0);
-        let mut got: Vec<u32> = (0..10).map(|_| d.next(0).unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn condvar_mode_delivers_and_closes() {
-        let d: Dispatcher<u32> = Dispatcher::new(WakeupMode::Condvar, 2, 8);
-        d.enqueue(Submission {
-            item: 9,
-            class: Priority::Interactive,
-            client: ClientId(1),
-            weight: 1,
-        });
-        d.wake(1);
-        assert_eq!(d.next(0), Some(9));
         d.close();
-        assert_eq!(d.next(0), None);
-        assert_eq!(d.next(1), None);
+        // A consumer returns `None` only once closed and drained, so the
+        // joined results must hold every item, each exactly once.
+        let mut all: Vec<u32> = consumers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
+        assert_eq!((d.next(0), d.next(1)), (None, None));
     }
 }

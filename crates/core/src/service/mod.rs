@@ -45,27 +45,24 @@
 //!
 //! # Async front-end
 //!
-//! Submission is asynchronous and lock-free on the hot path: a request is
-//! admitted (cache lookup, verification, coalescing, shedding), pushed
-//! into a bounded lock-free [`ring::Ring`], and exactly as many workers
-//! as the job needs are woken through per-worker [`front::Parker`] state
-//! machines — no mutex, no condvar, no thundering herd. Workers drain the
-//! ring into a weighted deficit-round-robin scheduler
-//! ([`fairness::DrrQueue`]) whose mutex is contended only
-//! worker-vs-worker. Requests carry a [`ClientId`]; within a priority
-//! lane the scheduler round-robins across clients (weighted), and when a
-//! queue capacity is configured a client's backlog share is bounded by
+//! Submission is asynchronous: a request is admitted (cache lookup,
+//! verification, coalescing, shedding), pushed under the mutex of a
+//! weighted deficit-round-robin scheduler ([`fairness::DrrQueue`]), and
+//! exactly as many workers as the job needs are woken through per-worker
+//! [`front::Parker`] state machines — no condvar, no thundering herd.
+//! Requests carry a [`ClientId`]; within a priority lane the scheduler
+//! round-robins across clients (weighted), and when a queue capacity is
+//! configured a client's backlog share is bounded by
 //! `capacity / active_clients`, so one greedy client is shed while others
-//! still admit. See [`front`] for the full picture (and the ticket
-//! completion-state machine) and [`ring`] for the ingress queue.
+//! still admit. See [`front`] for the full picture and the ticket
+//! completion-state machine.
 //!
 //! A running *bulk* sharded compile is additionally **preemptible**: an
 //! interactive arrival sets the job's `preempt` flag, participants pause
 //! at the next function boundary (the existing deadline-probe point),
 //! bank their partial shards and requeue the job, freeing the pool for
 //! the interactive request; the job later resumes where it left off and
-//! merges byte-identically. [`WakeupMode::Condvar`] keeps the legacy
-//! mutex+condvar ingress selectable as the measured baseline.
+//! merges byte-identically.
 //!
 //! # Resilience front-end
 //!
@@ -109,10 +106,9 @@
 
 pub mod fairness;
 pub mod front;
-pub mod ring;
 
 pub use fairness::ClientId;
-pub use front::{Request, Ticket, TicketRef, WakeupMode};
+pub use front::{Request, Ticket, TicketRef};
 
 use crate::codebuf::CodeBuffer;
 use crate::codegen::{CompileSession, CompileStats, CompiledModule};
@@ -172,15 +168,6 @@ pub struct ServiceConfig {
     /// compile longer than the timeout is indistinguishable from a hang —
     /// pick a bound well above the largest expected module.
     pub hang_timeout: Option<Duration>,
-    /// How submissions reach the worker pool: the lock-free ring with
-    /// parker wakeups ([`WakeupMode::Ring`], the default) or the legacy
-    /// mutex+condvar path kept as a measured baseline.
-    pub wakeup: WakeupMode,
-    /// Slot count of the submission ring (rounded up to a power of two);
-    /// 0 (the default) picks 1024. A full ring is a latency event, not an
-    /// admission event — the push spills to the scheduler mutex, counted
-    /// in [`ServiceStats::ring_fallbacks`].
-    pub ring_capacity: usize,
 }
 
 impl ServiceConfig {
@@ -204,8 +191,6 @@ impl Default for ServiceConfig {
             queue_capacity: 0,
             bulk_queue_capacity: 0,
             hang_timeout: None,
-            wakeup: WakeupMode::default(),
-            ring_capacity: 0,
         }
     }
 }
@@ -602,8 +587,8 @@ impl<B: ServiceBackend> WorkerSlot<B> {
 struct Shared<B: ServiceBackend> {
     backend: B,
     cfg: ServiceConfig,
-    /// The async front-end: lock-free ring ingress, DRR fairness
-    /// scheduler, parker wakeups (or the legacy condvar, by config).
+    /// The async front-end: DRR fairness scheduler behind a mutex, with
+    /// per-worker parker wakeups.
     dispatch: Dispatcher<Job<B>>,
     /// Queued-or-compiling cacheable jobs by request key — the coalescing
     /// rendezvous. Attach (submit) and remove (completion) both run under
@@ -800,16 +785,11 @@ impl<B: ServiceBackend> CompileService<B> {
                 }
             });
         let hang_timeout = cfg.hang_timeout;
-        let ring_capacity = if cfg.ring_capacity == 0 {
-            1024
-        } else {
-            cfg.ring_capacity
-        };
         let shared = Arc::new(Shared {
             cache: Mutex::new(ModuleCache::new(cfg.cache_capacity)),
             disk,
             backend,
-            dispatch: Dispatcher::new(cfg.wakeup, workers, ring_capacity),
+            dispatch: Dispatcher::new(workers),
             cfg,
             inflight: Mutex::new(KeyMap::default()),
             client_backlog: ClientTable::new(),
@@ -843,8 +823,8 @@ impl<B: ServiceBackend> CompileService<B> {
     /// and the anonymous client; use the builder methods to override.
     /// Answers known at submission — memory and disk hits, sheds, invalid
     /// IR — come back in a ticket that is already resolved; misses go
-    /// through fair-share admission and the lock-free submission ring to
-    /// the worker pool.
+    /// through fair-share admission and the scheduler queue to the worker
+    /// pool.
     pub fn submit(&self, req: Request<B>) -> Ticket {
         let Request {
             payload: req,
@@ -1155,7 +1135,7 @@ impl<B: ServiceBackend> CompileService<B> {
             watchdog_timeouts: c.watchdog_timeouts.load(Ordering::Relaxed),
             workers_respawned: c.workers_respawned.load(Ordering::Relaxed),
             preemptions: c.preemptions.load(Ordering::Relaxed),
-            ring_fallbacks: self.shared.dispatch.ring_fallbacks(),
+            ring_fallbacks: 0,
             clients,
             disk_retries: self
                 .shared
@@ -1177,12 +1157,9 @@ impl<B: ServiceBackend> Drop for CompileService<B> {
     /// Drains the queue: already-submitted requests (queued or in flight)
     /// are compiled and answered before the worker threads exit.
     ///
-    /// Shutdown routes through the ring's close protocol: workers keep
-    /// consuming until the ring *and* the fairness scheduler are empty,
-    /// spinning out claimed-but-unpublished slots (they read as
-    /// [`ring::Pop::Pending`], never as empty), so a submission racing
-    /// with drop is either answered by a worker or swept below — never
-    /// silently lost.
+    /// Shutdown closes the dispatcher: workers keep consuming until the
+    /// fairness scheduler is empty, so a submission racing with drop is
+    /// either answered by a worker or swept below — never silently lost.
     fn drop(&mut self) {
         self.shared.dispatch.close();
         self.shared.shutdown.store(true, Ordering::Relaxed);
@@ -1202,8 +1179,8 @@ impl<B: ServiceBackend> Drop for CompileService<B> {
             }
         }
         // Backstop sweep: with every worker joined, anything still in the
-        // front-end (e.g. a publish delayed past the last worker's exit by
-        // fault injection) is answered with the shutdown error rather than
+        // scheduler (a submission that raced past the last worker's exit)
+        // is answered with the shutdown error rather than
         // left to hang its ticket.
         for job in self.shared.dispatch.drain_remaining() {
             let (key, tx, submitted, client) = match &job {
@@ -1600,7 +1577,7 @@ fn run_shard_participant<B: ServiceBackend>(
         job.preempt.store(false, Ordering::Relaxed);
         let requeued = Job::Shard(Arc::clone(job));
         for _ in 0..shared.cfg.workers {
-            shared.dispatch.requeue(requeued.submission());
+            shared.dispatch.enqueue(requeued.submission());
         }
         return poisoned;
     }
@@ -2757,29 +2734,5 @@ mod tests {
         let c7 = stats.clients.iter().find(|c| c.client == 7).unwrap();
         assert!(c7.preemptions >= 1);
         assert_eq!(c7.completed, 1);
-    }
-
-    #[test]
-    fn condvar_wakeup_mode_serves_identically() {
-        let ring = service(2, 4, 0);
-        let cv = front_service(ServiceConfig {
-            workers: 2,
-            shard_threshold: 4,
-            cache_capacity: 0,
-            wakeup: WakeupMode::Condvar,
-            ..ServiceConfig::default()
-        });
-        for len in [1u8, 3, 20] {
-            let m = ByteModule::new((0..len).collect());
-            let a = ring.compile(Request::new(Arc::clone(&m))).module.unwrap();
-            let b = cv.compile(Request::new(Arc::clone(&m))).module.unwrap();
-            crate::codebuf::assert_identical(&a.buf, &b.buf, "condvar vs ring");
-        }
-        let stats = cv.stats();
-        assert_eq!(stats.completed, 3);
-        assert_eq!(
-            stats.ring_fallbacks, 0,
-            "condvar mode never touches the ring"
-        );
     }
 }

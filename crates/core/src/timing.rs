@@ -195,8 +195,8 @@ pub struct ServiceStats {
     /// Times a running bulk shard job was cooperatively paused (and
     /// requeued) so an interactive arrival could take its workers.
     pub preemptions: u64,
-    /// Ring pushes that found the submission ring full (or were forced by
-    /// fault injection) and fell back to the mutex-guarded scheduler path.
+    /// Always 0: submissions have a single path into the scheduler, so
+    /// none ever falls back. Kept so existing readers of the field build.
     pub ring_fallbacks: u64,
     /// Per-client request statistics, one entry per [`crate::ClientId`]
     /// observed on a completed (or shed) request, in ascending client-id

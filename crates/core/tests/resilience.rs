@@ -409,28 +409,18 @@ fn injected_hang_is_condemned_by_the_watchdog() {
 }
 
 // --------------------------------------------------------------------------
-// Submission ring under injected faults
+// Submission front-end under injected faults
 // --------------------------------------------------------------------------
 
-/// Shutdown under load with delayed ring publishes: `Drop` must drain the
-/// ring — including slots claimed but not yet published at close time — and
-/// answer every outstanding ticket instead of leaving waiters hung.
+/// Shutdown under load: `Drop` must drain the scheduler and answer every
+/// outstanding ticket instead of leaving waiters hung.
 #[test]
-fn drop_under_load_with_delayed_publishes_loses_no_ticket() {
-    let _g = arm(vec![
-        // Stretch the claim→publish window on every other push so shutdown
-        // races against slots that are claimed but not yet visible.
-        FaultRule::new(
-            sites::RING_PUBLISH,
-            FaultAction::Delay(Duration::from_micros(300)),
-        )
-        .every(2),
-        // Slow each compile enough that a deep backlog survives to Drop.
-        FaultRule::new(
-            sites::WORKER_JOB,
-            FaultAction::Delay(Duration::from_millis(10)),
-        ),
-    ]);
+fn drop_under_load_with_delayed_jobs_loses_no_ticket() {
+    // Slow each compile enough that a deep backlog survives to Drop.
+    let _g = arm(vec![FaultRule::new(
+        sites::WORKER_JOB,
+        FaultAction::Delay(Duration::from_millis(10)),
+    )]);
     let svc = Arc::new(toy_service(ServiceConfig {
         workers: 2,
         shard_threshold: 100,
@@ -446,7 +436,7 @@ fn drop_under_load_with_delayed_publishes_loses_no_ticket() {
         std::thread::spawn(move || {
             for i in 0..PER_THREAD {
                 // Payload unique per (thread, index): no two submissions
-                // coalesce, so the ring sees the full load.
+                // coalesce, so the scheduler sees the full load.
                 let m = toy(vec![t as u8, i as u8, 0x5A]);
                 let ticket = svc.submit(Request::new(Arc::clone(&m)));
                 tx.send((m, ticket)).unwrap();
@@ -482,40 +472,14 @@ fn drop_under_load_with_delayed_publishes_loses_no_ticket() {
     assert_eq!(answered, THREADS * PER_THREAD);
 }
 
-/// A full (or fault-failed) ring push must spill to the fallback mutex
-/// queue, not drop the request: every compile still completes identically
-/// and the spills are visible in the stats.
-#[test]
-fn ring_full_spills_to_fallback_queue() {
-    let _g = arm(vec![FaultRule::new(sites::RING_FULL, FaultAction::Fail)]);
-    let svc = toy_service(ServiceConfig {
-        workers: 2,
-        shard_threshold: 100,
-        cache_capacity: 0,
-        ..ServiceConfig::default()
-    });
-    for i in 0..8u8 {
-        let m = toy(vec![i, i.wrapping_add(1)]);
-        let got = svc.compile(Request::new(Arc::clone(&m))).module.unwrap();
-        let reference = ToyBackend
-            .compile_module(&m, &mut (), &mut CompileSession::new())
-            .unwrap();
-        assert_identical(&reference.buf, &got.buf, "spilled submission");
-    }
-    let stats = svc.stats();
-    assert_eq!(stats.completed, 8);
-    assert!(
-        stats.ring_fallbacks >= 8,
-        "expected every push to spill, saw {}",
-        stats.ring_fallbacks
-    );
-}
-
 /// A lost wakeup (the notify itself is swallowed) may add latency but not
 /// lose work: the parker's bounded park timeout picks the job up.
 #[test]
 fn lost_wakeups_are_bounded_by_the_park_timeout() {
-    let _g = arm(vec![FaultRule::new(sites::RING_WAKEUP, FaultAction::Fail)]);
+    let _g = arm(vec![FaultRule::new(
+        sites::WORKER_WAKEUP,
+        FaultAction::Fail,
+    )]);
     let svc = toy_service(ServiceConfig {
         workers: 1,
         shard_threshold: 100,
