@@ -2,7 +2,7 @@
 //! the ablation studies, printing one table per figure.
 //!
 //! Usage: `cargo run -p tpde-bench --bin figures [--quick] [--json]
-//! [--threads N] [--service] [--tiered] [--disk-cache]
+//! [--threads N] [--service] [--disk-cache]
 //! [--chaos] [--fuzz [N]] [--fuzz-seed S] [--gate [PCT]]`
 //! (`--quick` scales down the
 //! workload inputs for a fast smoke run; `--json` additionally writes the
@@ -13,14 +13,7 @@
 //! persistent compile service's request throughput — modules/sec at 1/2/4
 //! workers, cold vs. warm cache, byte-identity asserted per request —
 //! enforcing that warm-cache repeats are at least 5× faster than cold
-//! compiles; `--tiered` runs the tiered-execution scenario — a call-heavy
-//! workload executes tier-0 (instrumented copy-patch) code in the emulator
-//! while a `TieringController` polls the entry counters and recompiles hot
-//! functions with the LLVM-O1-like tier-1 back-end on the warm service
-//! workers, redirecting callers by patching the call slots; steady-state
-//! emulated throughput is reported for tier-0-only vs. tier-1-only vs.
-//! tiered, asserting tiered ≥ tier-0-only and that every recompile is
-//! byte-identical to a direct one-shot tier-1 compile; `--disk-cache` runs
+//! compiles; `--disk-cache` runs
 //! the persistent-cache restart scenario — a service backed by the on-disk
 //! artifact store compiles the request mix cold, is dropped (simulated
 //! process exit), and a fresh service over the same directory must answer
@@ -54,9 +47,9 @@
 //! file carries a `history` array with one geomean entry per (git commit,
 //! mode): each run appends (or, for the same SHA and mode, replaces) its
 //! entry instead of overwriting the trajectory, so the file records the
-//! compile-time speedup across PRs; `--threads`/`--service`/`--tiered`/
-//! `--disk-cache`/`--fuzz` runs add `par_tN`/`svc_*`/`tier_*`/`disk_*`/
-//! `fuzz_*` fields to their entry.
+//! compile-time speedup across PRs; `--threads`/`--service`/`--disk-cache`/
+//! `--fuzz` runs add `par_tN`/`svc_*`/`disk_*`/`fuzz_*` fields to their
+//! entry.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,13 +59,13 @@ use tpde_core::codegen::CompileOptions;
 use tpde_core::diskcache::DiskCacheConfig;
 use tpde_core::error::Error;
 use tpde_core::faultpoint::{arm, sites, FaultAction, FaultRule};
-use tpde_core::jit::{link_in_memory, JitImage};
-use tpde_core::service::{ClientId, Priority, Request, ServiceConfig, Ticket, TieringController};
+use tpde_core::jit::link_in_memory;
+use tpde_core::service::{ClientId, Priority, Request, ServiceConfig, Ticket};
 use tpde_core::timing::Phase;
-use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle};
+use tpde_llvm::workloads::{build_workload, spec_workloads, IrStyle};
 use tpde_llvm::{
-    compile_baseline, compile_copy_patch, compile_copy_patch_tiered, compile_service, compile_x64,
-    LlvmCompileService, ModuleRequest, ServiceBackendKind,
+    compile_baseline, compile_copy_patch, compile_service, compile_x64, LlvmCompileService,
+    ModuleRequest, ServiceBackendKind,
 };
 use tpde_x64emu::{register_default_hostcalls, Machine};
 
@@ -774,208 +767,6 @@ fn chaos_resilience(quick: bool) -> ChaosReport {
     }
 }
 
-/// Results of the tiered-execution scenario (`--tiered`): steady-state
-/// emulated execution throughput in `bench_main` iterations per giga-cycle.
-struct TieredReport {
-    workload: String,
-    funcs: usize,
-    threshold: u64,
-    warmup_iters: u32,
-    promotions: u64,
-    tier0_ipgc: f64,
-    tier1_ipgc: f64,
-    tiered_ipgc: f64,
-}
-
-/// Loads `image` into a fresh machine and measures steady-state execution:
-/// one warm-up call of `bench_main(input)`, then `iters` timed calls, each
-/// checked against the reference result. Returns the emulated cycle count of
-/// the timed calls.
-fn steady_cycles(image: &JitImage, input: u64, expected: u64, iters: u32) -> u64 {
-    let mut m = Machine::new();
-    m.load_image(image);
-    register_default_hostcalls(&mut m, image);
-    let addr = image.symbol_addr("bench_main").expect("bench_main");
-    assert_eq!(m.call(addr, &[input]).expect("warmup"), expected);
-    m.reset_stats();
-    for _ in 0..iters {
-        assert_eq!(m.call(addr, &[input]).expect("steady run"), expected);
-    }
-    m.stats().cycles
-}
-
-/// The tiered-execution scenario: the call-heavy `620.omnetpp` workload runs
-/// as tier-0 code (instrumented copy-patch: entry counters + slot-routed
-/// calls) in the emulator while a [`TieringController`] polls the counters
-/// after every iteration. Functions crossing the threshold are recompiled
-/// with the LLVM-O1-like tier-1 back-end on the warm service workers and
-/// their callers redirected by patching the call slots; once `bench_main`
-/// itself is promoted, the top-level dispatch switches to its tier-1 entry.
-/// Steady-state throughput is then compared against tier-0-only and
-/// tier-1-only runs: tiered must be at least as fast as tier-0-only, and the
-/// tier-1 recompile must be byte-identical to a direct one-shot tier-1
-/// compile (both asserted).
-fn tiered_execution(quick: bool) -> TieredReport {
-    let base = spec_workloads()
-        .into_iter()
-        .find(|w| w.name == "620.omnetpp")
-        .expect("call-heavy workload");
-    let scale = if quick { 2_000 } else { 50_000 };
-    let w = scaled(&base, base.input.min(scale));
-    let module = Arc::new(build_workload(&w, IrStyle::O0));
-    let expected = expected_result(&w);
-    let nfuncs = module.funcs.len();
-    let threshold = 3u64;
-    let steady_iters = if quick { 5 } else { 10 };
-
-    // One-shot references: the tier-0 and tier-1 compiles the service
-    // responses must match byte for byte.
-    let tier0_ref = compile_copy_patch_tiered(&module)
-        .expect("tier-0 compile")
-        .buf;
-    let tier1_ref = compile_baseline(&module, 1).expect("tier-1 compile").buf;
-
-    // Baseline runs: each tier on its own.
-    let tier0_cycles = steady_cycles(
-        &link_in_memory(&tier0_ref, 0x40_0000, |_| None).expect("link tier-0"),
-        w.input,
-        expected,
-        steady_iters,
-    );
-    let tier1_cycles = steady_cycles(
-        &link_in_memory(&tier1_ref, 0x40_0000, |_| None).expect("link tier-1"),
-        w.input,
-        expected,
-        steady_iters,
-    );
-
-    // Tiered run. The service workers are warmed by the initial tier-0
-    // request; the tier-1 recompile later lands on the same warm pool.
-    let svc = compile_service(ServiceConfig {
-        workers: 2,
-        shard_threshold: 64,
-        cache_capacity: 8,
-        disk_cache: None,
-        ..ServiceConfig::default()
-    });
-    let tier0 = svc
-        .compile(Request::new(ModuleRequest::new(
-            Arc::clone(&module),
-            ServiceBackendKind::CopyPatchTier0,
-        )))
-        .module
-        .expect("service tier-0 compile");
-    assert_identical(&tier0_ref, &tier0.buf, "service tier-0 vs one-shot");
-    let mut tier0_image = link_in_memory(&tier0.buf, 0x40_0000, |_| None).expect("link tier-0");
-    assert_eq!(tier0_image.tier_func_count(), Some(nfuncs));
-    let counter_addrs: Vec<u64> = (0..nfuncs as u32)
-        .map(|f| tier0_image.tier_counter_addr(f).expect("counter"))
-        .collect();
-
-    let mut m = Machine::new();
-    m.load_image(&tier0_image);
-    register_default_hostcalls(&mut m, &tier0_image);
-    let mut entry = tier0_image.symbol_addr("bench_main").expect("bench_main");
-
-    let mut controller = TieringController::new(nfuncs, threshold);
-    let mut tier1_image: Option<JitImage> = None;
-    let mut warmup_iters = 0u32;
-    while !controller.all_promoted() {
-        warmup_iters += 1;
-        assert!(
-            warmup_iters <= 4 * threshold as u32,
-            "tiering did not converge after {warmup_iters} iterations"
-        );
-        assert_eq!(m.call(entry, &[w.input]).expect("tier-0 run"), expected);
-        // Snapshot the counters from guest memory (tier-0 code increments
-        // its own copy), then promote everything over the threshold.
-        let counters: Vec<u64> = counter_addrs.iter().map(|&a| m.mem.read(a, 8)).collect();
-        controller
-            .poll(
-                |f| counters[f as usize],
-                |f| {
-                    if tier1_image.is_none() {
-                        // First hot function: tier-1 recompile of the module
-                        // on the warm workers, byte-identity checked against
-                        // the one-shot compile.
-                        let tier1 = svc
-                            .compile(Request::new(ModuleRequest::new(
-                                Arc::clone(&module),
-                                ServiceBackendKind::BaselineO1,
-                            )))
-                            .module
-                            .expect("service tier-1 recompile");
-                        assert_identical(&tier1_ref, &tier1.buf, "tier-1 recompile vs one-shot");
-                        let img =
-                            link_in_memory(&tier1.buf, 0x80_0000, |_| None).expect("link tier-1");
-                        m.load_image(&img);
-                        register_default_hostcalls(&mut m, &img);
-                        tier1_image = Some(img);
-                    }
-                    let target = tier1_image
-                        .as_ref()
-                        .expect("tier-1 image")
-                        .symbol_addr(&module.funcs[f as usize].name)
-                        .expect("tier-1 symbol");
-                    m.apply_call_patch(&mut tier0_image, f, target)
-                        .map_err(|e| tpde_core::error::Error::Emit(e.to_string()))?;
-                    Ok(())
-                },
-            )
-            .expect("promotion");
-        // `bench_main` has no slot-routed caller (the host dispatches it
-        // directly), so its promotion switches the top-level entry instead.
-        if controller.is_promoted(nfuncs as u32 - 1) {
-            if let Some(img) = &tier1_image {
-                entry = img.symbol_addr("bench_main").expect("bench_main tier-1");
-            }
-        }
-    }
-    assert_eq!(controller.promotions(), nfuncs as u64);
-    m.reset_stats();
-    for _ in 0..steady_iters {
-        assert_eq!(m.call(entry, &[w.input]).expect("tiered run"), expected);
-    }
-    let tiered_cycles = m.stats().cycles;
-
-    let ipgc = |cycles: u64| steady_iters as f64 * 1e9 / cycles as f64;
-    let report = TieredReport {
-        workload: base.name.to_string(),
-        funcs: nfuncs,
-        threshold,
-        warmup_iters,
-        promotions: controller.promotions(),
-        tier0_ipgc: ipgc(tier0_cycles),
-        tier1_ipgc: ipgc(tier1_cycles),
-        tiered_ipgc: ipgc(tiered_cycles),
-    };
-    println!("\n== Tiered execution: profile-guided recompilation with patchable call sites");
-    println!(
-        "   {} ({} functions), threshold {} entries, {} promotions in {} warm-up iterations",
-        report.workload, report.funcs, report.threshold, report.promotions, report.warmup_iters
-    );
-    println!("{:<44} {:>16}", "configuration", "iters/Gcycle");
-    println!(
-        "{:<44} {:>16.2}",
-        "tier-0 only (instrumented copy-patch)", report.tier0_ipgc
-    );
-    println!(
-        "{:<44} {:>16.2}",
-        "tier-1 only (LLVM-O1-like)", report.tier1_ipgc
-    );
-    println!(
-        "{:<44} {:>16.2}",
-        "tiered (tier-0, hot functions patched)", report.tiered_ipgc
-    );
-    assert!(
-        tiered_cycles <= tier0_cycles,
-        "tiered steady state ({tiered_cycles} cycles) must not be slower than \
-         tier-0 only ({tier0_cycles} cycles)"
-    );
-    println!("   (tier-1 recompiles byte-identical to one-shot; tiered >= tier-0-only asserted)");
-    report
-}
-
 /// Results of the differential fuzzing campaign (`--fuzz`).
 struct FuzzScenarioReport {
     modules: usize,
@@ -1102,7 +893,6 @@ fn write_json(
     geo: (f64, f64, f64),
     par: Option<&ParallelReport>,
     service: Option<&ServiceReport>,
-    tiered: Option<&TieredReport>,
     disk: Option<&DiskReport>,
     chaos: Option<&ChaosReport>,
     fuzz: Option<&FuzzScenarioReport>,
@@ -1143,21 +933,6 @@ fn write_json(
         None => {
             if let Some(old) = &replaced {
                 entry.push_str(&salvage_fields(old, "\"svc_"));
-            }
-        }
-    }
-    match tiered {
-        Some(t) => {
-            let _ = write!(
-                entry,
-                ", \"tier_t0_ipgc\": {:.2}, \"tier_t1_ipgc\": {:.2}, \"tier_tiered_ipgc\": {:.2}",
-                t.tier0_ipgc, t.tier1_ipgc, t.tiered_ipgc
-            );
-        }
-        // no tiered scenario this run: keep the same-SHA entry's numbers
-        None => {
-            if let Some(old) = &replaced {
-                entry.push_str(&salvage_fields(old, "\"tier_"));
             }
         }
     }
@@ -1261,22 +1036,6 @@ fn write_json(
             );
         }
         out.push_str("  ]},\n");
-    }
-    if let Some(t) = tiered {
-        let _ = writeln!(
-            out,
-            "  \"tiered\": {{\"workload\": \"{}\", \"funcs\": {}, \"threshold\": {}, \
-             \"warmup_iters\": {}, \"promotions\": {}, \"tier0_ipgc\": {:.2}, \
-             \"tier1_ipgc\": {:.2}, \"tiered_ipgc\": {:.2}}},",
-            t.workload,
-            t.funcs,
-            t.threshold,
-            t.warmup_iters,
-            t.promotions,
-            t.tier0_ipgc,
-            t.tier1_ipgc,
-            t.tiered_ipgc
-        );
     }
     if let Some(d) = disk {
         let _ = writeln!(
@@ -1391,7 +1150,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let service = args.iter().any(|a| a == "--service");
-    let tiered = args.iter().any(|a| a == "--tiered");
     let disk = args.iter().any(|a| a == "--disk-cache");
     let chaos = args.iter().any(|a| a == "--chaos");
     // `--fuzz` takes an optional module count (defaults scale with the
@@ -1492,7 +1250,6 @@ fn main() {
     );
     let par_report = threads.map(|n| thread_scaling(quick, n.max(1)));
     let service_report = service.then(|| service_throughput(quick, &[1, 2, 4]));
-    let tiered_report = tiered.then(|| tiered_execution(quick));
     let disk_report = disk.then(|| disk_cache_restart(quick));
     let chaos_report = chaos.then(|| chaos_resilience(quick));
     let fuzz_report = fuzz_n.map(|n| fuzz_campaign(n, fuzz_seed));
@@ -1507,7 +1264,6 @@ fn main() {
             geo,
             par_report.as_ref(),
             service_report.as_ref(),
-            tiered_report.as_ref(),
             disk_report.as_ref(),
             chaos_report.as_ref(),
             fuzz_report.as_ref(),

@@ -80,46 +80,8 @@
 //! Output is never silently wrong either way; back-ends that target
 //! parallel compilation should simply avoid both constructs, as all
 //! in-tree back-ends do.
-//!
-//! # The tiered-execution call-stub contract
-//!
-//! Tier-0 code supports profile-guided recompilation through two per-module
-//! tables in the data section, named [`TIER_COUNTERS_SYM`] and
-//! [`TIER_SLOTS_SYM`]:
-//!
-//! * the **counter table** holds one 8-byte entry counter per IR function
-//!   (indexed by function index); instrumented prologues increment their
-//!   entry with a plain aligned read-modify-write.
-//! * the **slot table** holds one 8-byte-aligned call slot per IR function.
-//!   Entry `f` starts as an [`RelocKind::Abs64`] relocation to function
-//!   symbol `f`, so an unpatched slot resolves to the tier-0 (or call-out)
-//!   address at link time. Instrumented call sites route every direct call
-//!   through `slots[callee_index]` with an indirect call; redirecting all
-//!   callers of a function is then a single aligned 8-byte store into its
-//!   slot — the patch API on `crate::jit::JitImage` performs exactly that
-//!   store (and nothing else), which is what makes patching atomic and
-//!   idempotent.
-//!
-//! Both tables are *declared* (by name, in a fixed order: counters first,
-//! then slots) at the start of the first instrumented function body, which
-//! places their symbol ids directly after the module's predeclared function
-//! symbols — the pattern the declaration-log replay reproduces for the
-//! sharded pipeline. They are *defined* once per module by
-//! [`define_tier_tables`], which every sequential driver calls after its
-//! function loop and the parallel/service merge calls after
-//! [`CodeBuffer::merge_from`]. The slot table is 8-byte aligned, the
-//! counter table is laid out immediately before it, and the recorded patch
-//! offset of function `f`'s slot is `slot_table_offset + 8 * f`.
 
 use crate::error::{Error, Result};
-
-/// Name of the per-module tier-0 entry-counter table (see the module docs'
-/// call-stub contract).
-pub const TIER_COUNTERS_SYM: &str = "__tier_counters";
-
-/// Name of the per-module patchable call-slot table (see the module docs'
-/// call-stub contract).
-pub const TIER_SLOTS_SYM: &str = "__tier_slots";
 
 /// Identifies one of the output sections.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -821,59 +783,6 @@ impl CodeBuffer {
     /// All recorded relocations.
     pub fn relocs(&self) -> &[Reloc] {
         &self.relocs
-    }
-
-    // ---- tiered execution ---------------------------------------------------
-
-    /// Declares the tier-0 counter and call-slot table symbols (in the fixed
-    /// order of the module docs' call-stub contract) and returns their ids
-    /// `(counters, slots)`. Instrumented function bodies call this at their
-    /// start; repeats are interning no-ops.
-    pub fn declare_tier_symbols(&mut self) -> (SymbolId, SymbolId) {
-        let counters = self.declare_symbol(TIER_COUNTERS_SYM, SymbolBinding::Local, false);
-        let slots = self.declare_symbol(TIER_SLOTS_SYM, SymbolBinding::Local, false);
-        (counters, slots)
-    }
-
-    /// Defines the tier-0 counter and call-slot tables for a module of
-    /// `nfuncs` functions, if (and only if) instrumented code declared them.
-    /// Zero-fills both tables and plants one [`RelocKind::Abs64`] relocation
-    /// per slot-table entry targeting the corresponding function symbol, so
-    /// unpatched slots resolve to tier-0 code at link time. Idempotent:
-    /// returns `false` without touching the buffer when the symbols are
-    /// absent or already defined. Sequential drivers call this after their
-    /// function loop; the sharded pipeline calls it once after the merge.
-    pub fn define_tier_tables(&mut self, nfuncs: usize) -> bool {
-        let (Some(counters), Some(slots)) = (
-            self.symbol_by_name(TIER_COUNTERS_SYM),
-            self.symbol_by_name(TIER_SLOTS_SYM),
-        ) else {
-            return false;
-        };
-        if self.symbol(counters).section.is_some() {
-            return false;
-        }
-        debug_assert_eq!(
-            counters.0 as usize, nfuncs,
-            "tier symbols must directly follow the predeclared function symbols"
-        );
-        let size = (nfuncs * 8) as u64;
-        self.align(SectionKind::Data, 8);
-        let zeros = vec![0u8; nfuncs * 8];
-        let coff = self.append(SectionKind::Data, &zeros);
-        self.define_symbol(counters, SectionKind::Data, coff, size);
-        let soff = self.append(SectionKind::Data, &zeros);
-        self.define_symbol(slots, SectionKind::Data, soff, size);
-        for f in 0..nfuncs {
-            self.add_reloc(Reloc {
-                section: SectionKind::Data,
-                offset: soff + 8 * f as u64,
-                symbol: SymbolId(f as u32),
-                kind: RelocKind::Abs64,
-                addend: 0,
-            });
-        }
-        true
     }
 
     // ---- labels & fixups ----------------------------------------------------

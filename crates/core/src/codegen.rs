@@ -50,35 +50,6 @@ impl Default for CompileOptions {
     }
 }
 
-/// Tier-0 instrumentation emitted by the code generator (see the call-stub
-/// contract in [`crate::codebuf`]). The default (both off) compiles exactly
-/// as before; tiered drivers enable both so a `TieringController` can
-/// observe entry counts and redirect calls to recompiled functions.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct TierConfig {
-    /// Emit a per-function entry-counter increment after the prologue.
-    pub entry_counters: bool,
-    /// Route direct calls to module-local functions through the patchable
-    /// call-slot table instead of direct relocations.
-    pub patchable_calls: bool,
-}
-
-impl TierConfig {
-    /// A configuration with both instrumentations enabled (the tier-0
-    /// profile).
-    pub fn tier0() -> TierConfig {
-        TierConfig {
-            entry_counters: true,
-            patchable_calls: true,
-        }
-    }
-
-    /// Whether any instrumentation is enabled.
-    pub fn enabled(&self) -> bool {
-        self.entry_counters || self.patchable_calls
-    }
-}
-
 /// Counters collected during compilation (used by the benches and tests).
 #[derive(Clone, Debug, Default)]
 pub struct CompileStats {
@@ -133,9 +104,7 @@ impl CompiledModule {
 
     /// Structural consistency check of the compiled module: every defined
     /// symbol lies within its section, every relocation patches a field that
-    /// exists and targets a symbol that exists, and the tier tables (if
-    /// present) obey the adjacency contract of
-    /// [`CodeBuffer::define_tier_tables`].
+    /// exists and targets a symbol that exists.
     ///
     /// The compiler upholds these invariants by construction; the check
     /// exists for modules that arrive from *outside* a compile — above all
@@ -183,24 +152,6 @@ impl CompiledModule {
                         "relocation {i} field extends past the end of {}",
                         reloc.section.name()
                     ))
-                }
-            }
-        }
-        // Tier-table adjacency: the slot table sits directly after the
-        // counter table (JitImage derives the function count from the
-        // distance between the two symbols).
-        if let (Some(counters), Some(slots)) = (
-            buf.symbol_by_name(crate::codebuf::TIER_COUNTERS_SYM),
-            buf.symbol_by_name(crate::codebuf::TIER_SLOTS_SYM),
-        ) {
-            let (c, s) = (buf.symbol(counters), buf.symbol(slots));
-            if let (Some(_), Some(_)) = (c.section, s.section) {
-                if c.section != s.section
-                    || c.size != s.size
-                    || !c.size.is_multiple_of(8)
-                    || s.offset != c.offset + c.size
-                {
-                    return corrupt("tier tables violate the adjacency contract".into());
                 }
             }
         }
@@ -360,29 +311,12 @@ impl CompileSession {
 pub struct CodeGen<T: Target> {
     target: T,
     opts: CompileOptions,
-    tier: TierConfig,
 }
 
 impl<T: Target> CodeGen<T> {
-    /// Creates a driver for the given target and options (no tier-0
-    /// instrumentation).
+    /// Creates a driver for the given target and options.
     pub fn new(target: T, opts: CompileOptions) -> CodeGen<T> {
-        CodeGen {
-            target,
-            opts,
-            tier: TierConfig::default(),
-        }
-    }
-
-    /// Creates a driver that additionally emits the given tier-0
-    /// instrumentation.
-    pub fn with_tier(target: T, opts: CompileOptions, tier: TierConfig) -> CodeGen<T> {
-        CodeGen { target, opts, tier }
-    }
-
-    /// The tier-0 instrumentation this driver emits.
-    pub fn tier(&self) -> TierConfig {
-        self.tier
+        CodeGen { target, opts }
     }
 
     /// The target this driver generates code for.
@@ -453,11 +387,6 @@ impl<T: Target> CodeGen<T> {
                     &mut timings,
                 )?;
             }
-            // With tier-0 instrumentation enabled, the function bodies
-            // declared the tier tables; define them once per module (a no-op
-            // otherwise). The sharded pipeline does the same after its merge,
-            // keeping both outputs byte-identical.
-            buf.define_tier_tables(syms.len());
             Ok(())
         })();
 
@@ -529,7 +458,6 @@ impl<T: Target> CodeGen<T> {
                 buf,
                 analysis,
                 &self.opts,
-                self.tier,
                 stats,
                 sym,
                 scratch,
@@ -624,10 +552,6 @@ pub struct FuncCodeGen<'a, A: IrAdapter, T: Target> {
     pub analysis: &'a Analysis,
 
     opts: &'a CompileOptions,
-    tier: TierConfig,
-    /// Tier table symbols `(counters, slots)`, declared at the start of the
-    /// function body when tiering is enabled.
-    tier_syms: Option<(SymbolId, SymbolId)>,
     stats: &'a mut CompileStats,
     /// Reused per-function scratch state (see [`FuncScratch`]).
     s: &'a mut FuncScratch,
@@ -648,7 +572,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         buf: &'a mut CodeBuffer,
         analysis: &'a Analysis,
         opts: &'a CompileOptions,
-        tier: TierConfig,
         stats: &'a mut CompileStats,
         func_sym: SymbolId,
         s: &'a mut FuncScratch,
@@ -669,8 +592,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             buf,
             analysis,
             opts,
-            tier,
-            tier_syms: None,
             stats,
             s,
             regfile,
@@ -731,13 +652,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     // ---- function driver ------------------------------------------------------
 
     fn compile_function<C: InstCompiler<A, T>>(&mut self, compiler: &mut C) -> Result<()> {
-        // Tier tables are declared (not defined) at the very start of every
-        // instrumented function body so the declaration-log replay of the
-        // sharded pipeline interns them at the same ids as sequential
-        // compilation — directly after the predeclared function symbols.
-        if self.tier.enabled() {
-            self.tier_syms = Some(self.buf.declare_tier_symbols());
-        }
         let n = self.analysis.layout.len();
         for _ in 0..n {
             let l = self.buf.new_label();
@@ -773,14 +687,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     fn emit_prologue_and_args(&mut self) -> Result<()> {
         self.target.emit_prologue(self.buf, &mut self.s.frame_state);
-        // Tier-0 entry counter: emitted right after the prologue, where the
-        // flags are dead and no argument register has been touched yet.
-        if self.tier.entry_counters {
-            if let Some((counters, _)) = self.tier_syms {
-                self.target
-                    .emit_tier_counter(self.buf, counters, self.func_sym.0);
-            }
-        }
         let adapter = self.adapter;
 
         // Static stack variables: allocated in the frame, value = address,
@@ -1821,21 +1727,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         }
 
         // 5. the call itself; afterwards every caller-saved register is
-        //    considered clobbered. With patchable calls enabled, direct
-        //    calls to module-local functions (whose symbol ids index the
-        //    predeclared prefix) are routed through the call-slot table.
+        //    considered clobbered.
         match callee {
-            CallTarget::Sym(sym) => {
-                let routed = self.tier.patchable_calls
-                    && (sym.0 as usize) < self.adapter.func_count()
-                    && match self.tier_syms {
-                        Some((_, slots)) => self.target.emit_call_slot(self.buf, slots, sym.0),
-                        None => false,
-                    };
-                if !routed {
-                    self.target.emit_call_sym(self.buf, sym);
-                }
-            }
+            CallTarget::Sym(sym) => self.target.emit_call_sym(self.buf, sym),
             CallTarget::Indirect(_) => self.target.emit_call_reg(self.buf, indirect.unwrap()),
         }
         self.s.owned_regs.clear();

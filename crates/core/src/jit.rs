@@ -12,11 +12,8 @@
 //! parallel pipeline's deterministic merge ([`crate::parallel`]) maps to an
 //! image identical to the single-threaded one.
 
-use crate::codebuf::{
-    CodeBuffer, Reloc, RelocKind, SectionKind, SymbolId, TIER_COUNTERS_SYM, TIER_SLOTS_SYM,
-};
+use crate::codebuf::{CodeBuffer, Reloc, RelocKind, SectionKind, SymbolId};
 use crate::error::{Error, Result};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Read-only view of a compiled module as the in-memory linker consumes it:
@@ -93,9 +90,6 @@ pub struct JitImage {
     pub symbols: HashMap<String, u64>,
     /// Synthetic call-out addresses assigned to unresolved external symbols.
     pub externals: HashMap<String, u64>,
-    /// Cached [`JitImage::fingerprint`] value, invalidated by the call-slot
-    /// patch API (the only mutation the image supports after linking).
-    fingerprint_cache: Cell<Option<u64>>,
 }
 
 impl JitImage {
@@ -131,15 +125,10 @@ impl JitImage {
     /// order and relocations, two byte-identical [`CodeBuffer`]s — e.g. a
     /// compile-service cache hit and a fresh compile — map to images with
     /// equal fingerprints; the service tests and the `figures --service`
-    /// scenario use this to compare whole images cheaply.
-    /// The value is cached after the first computation; mutations through
-    /// [`JitImage::patch_call_slot`] invalidate the cache, so a fingerprint
-    /// can never go stale after call-site patching.
+    /// scenario use this to compare whole images cheaply. It is recomputed
+    /// on every call, so it always reflects the current (public) fields.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
-        if let Some(v) = self.fingerprint_cache.get() {
-            return v;
-        }
         let mut h = crate::hash::StableHasher::new();
         for (kind, addr, data) in &self.sections {
             (*kind as u8).hash(&mut h);
@@ -151,89 +140,7 @@ impl JitImage {
             entries.sort_unstable();
             entries.hash(&mut h);
         }
-        let v = h.finish();
-        self.fingerprint_cache.set(Some(v));
-        v
-    }
-
-    // ---- tiered execution: the call-slot patch API --------------------------
-
-    /// Number of functions covered by the tier tables, if the module was
-    /// compiled with tiering enabled. Derived from the layout contract of
-    /// [`crate::codebuf::CodeBuffer::define_tier_tables`]: the slot table is
-    /// placed directly after the counter table, so the distance between the
-    /// two symbols is the table size.
-    pub fn tier_func_count(&self) -> Option<usize> {
-        let counters = *self.symbols.get(TIER_COUNTERS_SYM)?;
-        let slots = *self.symbols.get(TIER_SLOTS_SYM)?;
-        if slots <= counters {
-            return None;
-        }
-        Some(((slots - counters) / 8) as usize)
-    }
-
-    /// Address of the tier-0 entry counter for function index `f`.
-    pub fn tier_counter_addr(&self, f: u32) -> Option<u64> {
-        if (f as usize) < self.tier_func_count()? {
-            Some(self.symbols[TIER_COUNTERS_SYM] + 8 * f as u64)
-        } else {
-            None
-        }
-    }
-
-    /// Address of the patchable call slot for function index `f`.
-    pub fn call_slot_addr(&self, f: u32) -> Option<u64> {
-        if (f as usize) < self.tier_func_count()? {
-            Some(self.symbols[TIER_SLOTS_SYM] + 8 * f as u64)
-        } else {
-            None
-        }
-    }
-
-    /// Current target address stored in function `f`'s call slot.
-    pub fn call_slot_target(&self, f: u32) -> Option<u64> {
-        let addr = self.call_slot_addr(f)?;
-        let (sec_base, data) = self.section_containing(addr, 8)?;
-        let off = (addr - sec_base) as usize;
-        Some(u64::from_le_bytes(data[off..off + 8].try_into().unwrap()))
-    }
-
-    /// Atomically redirects every slot-routed caller of function `f` to
-    /// `target` by storing the new address into the function's call slot (one
-    /// aligned 8-byte store — the whole patch, per the call-stub contract in
-    /// [`crate::codebuf`]). Idempotent: returns `Ok(false)` without writing
-    /// when the slot already holds `target`. Invalidates the cached
-    /// [`JitImage::fingerprint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the image has no tier tables or `f` is out of
-    /// range.
-    pub fn patch_call_slot(&mut self, f: u32, target: u64) -> Result<bool> {
-        let addr = self
-            .call_slot_addr(f)
-            .ok_or_else(|| Error::Emit(format!("no patchable call slot for function {f}")))?;
-        debug_assert_eq!(addr % 8, 0, "call slots are 8-byte aligned");
-        let (sec_base, data) = self
-            .sections
-            .iter_mut()
-            .find(|(_, base, data)| *base <= addr && addr + 8 <= *base + data.len() as u64)
-            .map(|(_, base, data)| (*base, data))
-            .ok_or_else(|| Error::Emit(format!("call slot {f} outside image sections")))?;
-        let off = (addr - sec_base) as usize;
-        if u64::from_le_bytes(data[off..off + 8].try_into().unwrap()) == target {
-            return Ok(false);
-        }
-        data[off..off + 8].copy_from_slice(&target.to_le_bytes());
-        self.fingerprint_cache.set(None);
-        Ok(true)
-    }
-
-    fn section_containing(&self, addr: u64, len: u64) -> Option<(u64, &[u8])> {
-        self.sections
-            .iter()
-            .find(|(_, base, data)| *base <= addr && addr + len <= *base + data.len() as u64)
-            .map(|(_, base, data)| (*base, data.as_slice()))
+        h.finish()
     }
 }
 
@@ -358,7 +265,6 @@ pub fn link_in_memory<V: LinkView + ?Sized>(
         sections,
         symbols,
         externals,
-        fingerprint_cache: Cell::new(None),
     })
 }
 
@@ -444,5 +350,24 @@ mod tests {
         assert!(a >= EXTERNAL_CALLOUT_BASE);
         assert!(b >= EXTERNAL_CALLOUT_BASE);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fingerprint_tracks_section_mutations() {
+        let mut buf = CodeBuffer::new();
+        let f = buf.declare_symbol("f", SymbolBinding::Global, true);
+        buf.emit_u8(0x90);
+        buf.emit_u8(0xc3);
+        buf.define_symbol(f, SectionKind::Text, 0, 2);
+        let mut image = link_in_memory(&buf, 0x10000, |_| None).unwrap();
+        let before = image.fingerprint();
+        assert_eq!(image.fingerprint(), before);
+        let (_, _, text) = image
+            .sections
+            .iter_mut()
+            .find(|(k, _, _)| *k == SectionKind::Text)
+            .unwrap();
+        text[0] ^= 0xff;
+        assert_ne!(image.fingerprint(), before);
     }
 }

@@ -231,10 +231,6 @@ where
     if let Err(e) = merge_shards(&mut merged, nfuncs, &shards) {
         return (states, Err(e));
     }
-    // Tiered compiles declare the tier tables inside function bodies; define
-    // them once after the merge, exactly like the sequential driver does
-    // after its function loop (a no-op for untiered compiles).
-    merged.define_tier_tables(nfuncs);
     (states, Ok(merged))
 }
 

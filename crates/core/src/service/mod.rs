@@ -201,7 +201,7 @@ pub enum Priority {
     /// Latency-sensitive JIT traffic: dequeued before any bulk work.
     #[default]
     Interactive,
-    /// Throughput traffic (warm-up sweeps, tier promotions, prefetching):
+    /// Throughput traffic (warm-up sweeps, prefetching):
     /// dequeued only when no interactive work is waiting and shed first
     /// under load.
     Bulk,
@@ -1644,9 +1644,6 @@ fn merge_shard_job<B: ServiceBackend>(
     shared.backend.predeclare(&job.req, &mut merged);
     check_predeclared_func_symbols(&merged, job.nfuncs)?;
     merge_shards(&mut merged, job.nfuncs, &shards)?;
-    // Tiered backends declare the tier tables inside function bodies; define
-    // them after the merge like the sequential drivers do (no-op otherwise).
-    merged.define_tier_tables(job.nfuncs);
     Ok(CompiledModule {
         buf: merged,
         stats,
@@ -1756,87 +1753,6 @@ fn percentile(sorted: &[u64], pct: u64) -> u64 {
         .div_ceil(100)
         .clamp(1, sorted.len() as u64);
     sorted[(rank - 1) as usize]
-}
-
-// --------------------------------------------------------------------------
-// Tiered execution: the profile-polling controller
-// --------------------------------------------------------------------------
-
-/// Drives profile-guided tier promotion: polls the tier-0 entry counters,
-/// picks functions whose entry count crossed the threshold and promotes each
-/// of them exactly once.
-///
-/// The controller is deliberately decoupled from how counters are read and
-/// how a promotion is carried out — the host passes closures, so the same
-/// controller works against emulator guest memory (the `figures --tiered`
-/// scenario: read the counter table, recompile on the warm service workers
-/// with the tier-1 backend, patch the call slot) and against plain arrays in
-/// unit tests.
-pub struct TieringController {
-    threshold: u64,
-    promoted: Vec<bool>,
-    promotions: u64,
-}
-
-impl TieringController {
-    /// A controller for `nfuncs` functions that promotes at `threshold`
-    /// entries.
-    pub fn new(nfuncs: usize, threshold: u64) -> TieringController {
-        TieringController {
-            threshold: threshold.max(1),
-            promoted: vec![false; nfuncs],
-            promotions: 0,
-        }
-    }
-
-    /// The promotion threshold (entry count at which a function gets
-    /// recompiled).
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Whether function `f` has been promoted to tier 1.
-    pub fn is_promoted(&self, f: u32) -> bool {
-        self.promoted.get(f as usize).copied().unwrap_or(false)
-    }
-
-    /// Total number of promotions carried out so far.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Whether every function has been promoted (polling is then a no-op).
-    pub fn all_promoted(&self) -> bool {
-        self.promoted.iter().all(|&p| p)
-    }
-
-    /// One poll cycle: reads the entry counter of every not-yet-promoted
-    /// function and invokes `promote` for each one at or over the threshold,
-    /// marking it promoted only when the closure succeeds. Returns the
-    /// number of functions promoted by this poll.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and propagates the first `promote` failure; already-promoted
-    /// functions stay promoted, the failing one can be retried on the next
-    /// poll.
-    pub fn poll(
-        &mut self,
-        mut read_counter: impl FnMut(u32) -> u64,
-        mut promote: impl FnMut(u32) -> crate::error::Result<()>,
-    ) -> crate::error::Result<usize> {
-        let mut n = 0;
-        for f in 0..self.promoted.len() as u32 {
-            if self.promoted[f as usize] || read_counter(f) < self.threshold {
-                continue;
-            }
-            promote(f)?;
-            self.promoted[f as usize] = true;
-            self.promotions += 1;
-            n += 1;
-        }
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -2306,66 +2222,6 @@ mod tests {
         assert_eq!(percentile(&v, 100), 100);
         assert_eq!(percentile(&[10, 20, 30, 40], 50), 20);
         assert_eq!(percentile(&[10, 20, 30, 40], 99), 40);
-    }
-
-    #[test]
-    fn tiering_controller_promotes_over_threshold_once() {
-        let mut c = TieringController::new(3, 5);
-        assert_eq!(c.threshold(), 5);
-        let counters = [4u64, 5, 6];
-        let mut promoted = Vec::new();
-        let n = c
-            .poll(
-                |f| counters[f as usize],
-                |f| {
-                    promoted.push(f);
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(promoted, vec![1, 2]);
-        assert!(!c.is_promoted(0));
-        assert!(c.is_promoted(1) && c.is_promoted(2));
-        assert!(!c.all_promoted());
-        // A second poll with unchanged counters promotes nothing new.
-        let n = c
-            .poll(|f| counters[f as usize], |_| panic!("re-promotion"))
-            .unwrap();
-        assert_eq!(n, 0);
-        // Once every counter crosses the threshold the controller converges.
-        let n = c.poll(|_| 100, |_| Ok(())).unwrap();
-        assert_eq!(n, 1);
-        assert!(c.all_promoted());
-        assert_eq!(c.promotions(), 3);
-    }
-
-    #[test]
-    fn tiering_controller_retries_failed_promotions() {
-        let mut c = TieringController::new(2, 1);
-        let err = c.poll(
-            |_| 1,
-            |f| match f {
-                0 => Ok(()),
-                _ => Err(Error::Unsupported("backend busy".into())),
-            },
-        );
-        assert!(err.is_err());
-        assert!(c.is_promoted(0), "successful promotion sticks");
-        assert!(!c.is_promoted(1), "failed promotion stays pending");
-        // The failed function is retried on the next poll.
-        let n = c.poll(|_| 1, |_| Ok(())).unwrap();
-        assert_eq!(n, 1);
-        assert!(c.all_promoted());
-    }
-
-    #[test]
-    fn tiering_controller_zero_threshold_is_clamped() {
-        let mut c = TieringController::new(1, 0);
-        assert_eq!(c.threshold(), 1);
-        // A never-entered function is not promoted even at threshold 0.
-        assert_eq!(c.poll(|_| 0, |_| panic!("cold promotion")).unwrap(), 0);
-        assert_eq!(c.poll(|_| 1, |_| Ok(())).unwrap(), 1);
     }
 
     // ----------------------------------------------------------------------

@@ -161,29 +161,6 @@ pub trait Target {
     fn emit_vararg_fp_count(&self, buf: &mut CodeBuffer, count: u8) {
         let _ = (buf, count);
     }
-
-    // ---- tiered execution ---------------------------------------------------
-
-    /// Emits the tier-0 entry-counter increment for function `index` against
-    /// the counter table symbol (see the call-stub contract in
-    /// [`crate::codebuf`]). Emitted directly after the prologue, where the
-    /// flags are dead and only the scratch register may be clobbered.
-    /// Returns `false` (the default) when the target does not support
-    /// tiering; the code generator then falls back to uninstrumented code.
-    fn emit_tier_counter(&self, buf: &mut CodeBuffer, counters: SymbolId, index: u32) -> bool {
-        let _ = (buf, counters, index);
-        false
-    }
-
-    /// Emits a call routed through patchable call slot `index` of the slot
-    /// table (load the slot, then call indirect through the scratch
-    /// register). Returns `false` (the default) when the target does not
-    /// support tiering; the code generator then emits a plain
-    /// [`Target::emit_call_sym`].
-    fn emit_call_slot(&self, buf: &mut CodeBuffer, slots: SymbolId, index: u32) -> bool {
-        let _ = (buf, slots, index);
-        false
-    }
 }
 
 #[cfg(test)]

@@ -491,32 +491,6 @@ pub fn alu_mr(buf: &mut CodeBuffer, op: Alu, size: u32, mem: Mem, src: Gp) {
     buf.emit_inst(i);
 }
 
-/// `op <size> ptr [mem], imm` (immediate ALU on memory; chooses imm8 when
-/// possible). Used for the tier-0 entry counters (`add qword [r11], 1`).
-#[inline]
-pub fn alu_mi(buf: &mut CodeBuffer, op: Alu, size: u32, mem: Mem, imm: i32) {
-    let mut i = InstBuf::new();
-    rex_for_mem(&mut i, size, 0, mem);
-    if size == 1 {
-        i.push_u8(0x80);
-        modrm_mem(&mut i, op as u8, mem);
-        i.push_u8(imm as u8);
-    } else if (-128..=127).contains(&imm) {
-        i.push_u8(0x83);
-        modrm_mem(&mut i, op as u8, mem);
-        i.push_u8(imm as u8);
-    } else {
-        i.push_u8(0x81);
-        modrm_mem(&mut i, op as u8, mem);
-        if size == 2 {
-            i.push_u16(imm as u16);
-        } else {
-            i.push_i32(imm);
-        }
-    }
-    buf.emit_inst(i);
-}
-
 /// `test dst, src`.
 #[inline]
 pub fn test_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {

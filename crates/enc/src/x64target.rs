@@ -265,25 +265,6 @@ impl Target for X64Target {
     fn emit_vararg_fp_count(&self, buf: &mut CodeBuffer, count: u8) {
         x64::mov_ri(buf, 4, Gp::RAX, count as u64);
     }
-
-    #[inline]
-    fn emit_tier_counter(&self, buf: &mut CodeBuffer, counters: SymbolId, index: u32) -> bool {
-        // movabs r11, &counters[index] ; add qword [r11], 1
-        let r11 = Gp::from(self.scratch_gp());
-        x64::mov_sym_abs(buf, r11, counters, 8 * index as i64);
-        x64::alu_mi(buf, Alu::Add, 8, Mem::base(r11), 1);
-        true
-    }
-
-    #[inline]
-    fn emit_call_slot(&self, buf: &mut CodeBuffer, slots: SymbolId, index: u32) -> bool {
-        // movabs r11, &slots[index] ; mov r11, [r11] ; call r11
-        let r11 = Gp::from(self.scratch_gp());
-        x64::mov_sym_abs(buf, r11, slots, 8 * index as i64);
-        x64::mov_rm(buf, 8, r11, Mem::base(r11));
-        x64::call_reg(buf, r11);
-        true
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@
 
 use crate::adapter::{block_ref, value_ref, AdapterScratch, LlvmAdapter};
 use crate::baselines::{
-    compile_function_baseline, compile_function_stacky, compile_function_stacky_tiered,
-    declare_baseline_symbols, BaselineOutput,
+    compile_function_baseline, compile_function_stacky, declare_baseline_symbols, BaselineOutput,
 };
 use crate::ir::{Function, Inst, Module, Type};
 use std::hash::Hasher;
@@ -18,7 +17,7 @@ use tpde_core::adapter::{FuncRef, InstRef, IrAdapter};
 use tpde_core::codebuf::{CodeBuffer, SymbolBinding};
 use tpde_core::codegen::{
     declare_func_symbols, CallTarget, CodeGen, CompileOptions, CompileSession, CompileStats,
-    CompiledModule, FuncCodeGen, InstCompiler, TierConfig,
+    CompiledModule, FuncCodeGen, InstCompiler,
 };
 use tpde_core::error::{Error, Result};
 use tpde_core::hash::StableHasher;
@@ -368,29 +367,6 @@ pub fn compile_a64(module: &Module, opts: &CompileOptions) -> Result<CompiledMod
     compile_with_target(module, A64Target::new(), opts)
 }
 
-/// Compiles a module with the x86-64 TPDE back-end and full tier-0
-/// instrumentation (entry counters + patchable call slots); the one-shot
-/// reference for [`ServiceBackendKind::TpdeX64Tier0`].
-pub fn compile_x64_tier0(module: &Module, opts: &CompileOptions) -> Result<CompiledModule> {
-    let cg = CodeGen::with_tier(X64Target::new(), opts.clone(), TierConfig::tier0());
-    compile_warm(&cg, module, None)
-}
-
-/// Function-sharded parallel variant of [`compile_x64_tier0`];
-/// byte-identical to the sequential compiler for any thread count.
-pub fn compile_x64_tier0_parallel(
-    module: &Module,
-    opts: &CompileOptions,
-    threads: usize,
-) -> Result<CompiledModule> {
-    let cg = CodeGen::with_tier(X64Target::new(), opts.clone(), TierConfig::tier0());
-    ParallelDriver::new(threads).compile_module(
-        &cg,
-        || LlvmAdapter::new(module),
-        LlvmInstCompiler::default,
-    )
-}
-
 /// The working memory the one-shot entry points and the service's admission
 /// verify keep per thread: compile session, adapter tables, instruction
 /// compiler and verifier. A JIT calling [`compile_x64`] or submitting to a
@@ -532,12 +508,6 @@ pub enum ServiceBackendKind {
     /// The copy-and-patch-style baseline, x86-64
     /// (byte-identical to [`crate::baselines::compile_copy_patch`]).
     CopyPatch,
-    /// TPDE targeting x86-64 with tier-0 instrumentation (entry counters and
-    /// patchable call slots; byte-identical to [`compile_x64_tier0`]).
-    TpdeX64Tier0,
-    /// The copy-and-patch baseline with tier-0 instrumentation
-    /// (byte-identical to [`crate::baselines::compile_copy_patch_tiered`]).
-    CopyPatchTier0,
 }
 
 impl ServiceBackendKind {
@@ -547,6 +517,11 @@ impl ServiceBackendKind {
     /// disk-cache key computed by one build of the service means the same
     /// backend to every other build. New variants get new tags; existing
     /// tags never change or get reused.
+    ///
+    /// Tags 5 and 6 are retired: they named the tier-0 (instrumented) TPDE
+    /// x86-64 and copy-and-patch backends, which were removed. They are never
+    /// reused, so artifacts stored under them are simply never looked up
+    /// again and age out of the disk cache's LRU.
     pub fn artifact_tag(self) -> u8 {
         match self {
             ServiceBackendKind::TpdeX64 => 0,
@@ -554,8 +529,6 @@ impl ServiceBackendKind {
             ServiceBackendKind::BaselineO0 => 2,
             ServiceBackendKind::BaselineO1 => 3,
             ServiceBackendKind::CopyPatch => 4,
-            ServiceBackendKind::TpdeX64Tier0 => 5,
-            ServiceBackendKind::CopyPatchTier0 => 6,
         }
     }
 }
@@ -583,25 +556,23 @@ impl ModuleRequest {
 }
 
 /// A [`CodeGen`] cached per worker, rebuilt only when a request carries
-/// different options than the previous one for the same target and tier.
+/// different options than the previous one for the same target.
 struct CachedCg<T: Target> {
     opts: CompileOptions,
-    tier: TierConfig,
     cg: CodeGen<T>,
 }
 
 impl<T: Target> CachedCg<T> {
-    fn new(make: impl Fn() -> T, tier: TierConfig) -> CachedCg<T> {
+    fn new(make: impl Fn() -> T) -> CachedCg<T> {
         CachedCg {
             opts: CompileOptions::default(),
-            tier,
-            cg: CodeGen::with_tier(make(), CompileOptions::default(), tier),
+            cg: CodeGen::new(make(), CompileOptions::default()),
         }
     }
 
     fn get(&mut self, opts: &CompileOptions, make: impl Fn() -> T) -> &CodeGen<T> {
         if self.opts != *opts {
-            self.cg = CodeGen::with_tier(make(), opts.clone(), self.tier);
+            self.cg = CodeGen::new(make(), opts.clone());
             self.opts = opts.clone();
         }
         &self.cg
@@ -616,7 +587,6 @@ pub struct LlvmServiceWorker {
     scratch: AdapterScratch,
     x64: CachedCg<X64Target>,
     a64: CachedCg<A64Target>,
-    x64_tier0: CachedCg<X64Target>,
     /// The previous request's module. Holding a `Weak` pins the allocation's
     /// address (the control block outlives the module), so pointer equality
     /// is a sound "same module?" test and the callee-symbol cache is cleared
@@ -724,9 +694,8 @@ impl ServiceBackend for LlvmServiceBackend {
         LlvmServiceWorker {
             compiler: LlvmInstCompiler::default(),
             scratch: AdapterScratch::default(),
-            x64: CachedCg::new(X64Target::new, TierConfig::default()),
-            a64: CachedCg::new(A64Target::new, TierConfig::default()),
-            x64_tier0: CachedCg::new(X64Target::new, TierConfig::tier0()),
+            x64: CachedCg::new(X64Target::new),
+            a64: CachedCg::new(A64Target::new),
             last_module: Weak::new(),
         }
     }
@@ -789,12 +758,6 @@ impl ServiceBackend for LlvmServiceBackend {
                     .get(&req.opts, A64Target::new)
                     .prepare_session(session);
             }
-            ServiceBackendKind::TpdeX64Tier0 => {
-                worker
-                    .x64_tier0
-                    .get(&req.opts, X64Target::new)
-                    .prepare_session(session);
-            }
             // The baselines do not use the framework session.
             _ => {}
         }
@@ -802,9 +765,7 @@ impl ServiceBackend for LlvmServiceBackend {
 
     fn predeclare(&self, req: &ModuleRequest, buf: &mut CodeBuffer) {
         match req.backend {
-            ServiceBackendKind::TpdeX64
-            | ServiceBackendKind::TpdeA64
-            | ServiceBackendKind::TpdeX64Tier0 => {
+            ServiceBackendKind::TpdeX64 | ServiceBackendKind::TpdeA64 => {
                 let _ = declare_func_symbols(&LlvmAdapter::new(&req.module), buf);
             }
             _ => declare_baseline_symbols(&req.module, buf),
@@ -861,22 +822,6 @@ impl ServiceBackend for LlvmServiceBackend {
                     compile_function_stacky(module, func, buf)
                 })
             }
-            ServiceBackendKind::TpdeX64Tier0 => tpde_service_func(
-                worker.x64_tier0.get(&req.opts, X64Target::new),
-                &mut worker.compiler,
-                &mut worker.scratch,
-                module,
-                session,
-                buf,
-                f,
-                stats,
-                timings,
-            ),
-            ServiceBackendKind::CopyPatchTier0 => {
-                baseline_service_func(&module.funcs[f as usize], buf, stats, |func, buf| {
-                    compile_function_stacky_tiered(module, func, f, buf)
-                })
-            }
         }
     }
 
@@ -911,17 +856,6 @@ impl ServiceBackend for LlvmServiceBackend {
             }
             ServiceBackendKind::CopyPatch => {
                 crate::baselines::compile_copy_patch(module).map(|o| wrap_baseline(o, module))
-            }
-            ServiceBackendKind::TpdeX64Tier0 => tpde_service_module(
-                worker.x64_tier0.get(&req.opts, X64Target::new),
-                &mut worker.compiler,
-                &mut worker.scratch,
-                module,
-                session,
-            ),
-            ServiceBackendKind::CopyPatchTier0 => {
-                crate::baselines::compile_copy_patch_tiered(module)
-                    .map(|o| wrap_baseline(o, module))
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use crate::ir::{BinOp, FBinOp, Function, ICmp, Inst, Module, ShiftKind, Type, Value, ValueDef};
 use std::collections::HashMap;
-use tpde_core::codebuf::{CodeBuffer, Label, SectionKind, SymbolBinding, SymbolId};
+use tpde_core::codebuf::{CodeBuffer, Label, SectionKind, SymbolBinding};
 use tpde_core::error::Result;
 use tpde_enc::x64::{self, Alu, Cond, Gp, Mem, Shift, Xmm};
 
@@ -158,7 +158,6 @@ fn emit_inst(
     buf: &mut CodeBuffer,
     inst: &Inst,
     epilogue: &dyn Fn(&mut CodeBuffer),
-    tier_slots: Option<SymbolId>,
 ) -> Result<()> {
     match inst {
         Inst::Bin {
@@ -394,23 +393,14 @@ fn emit_inst(
                     next_gp += 1;
                 }
             }
-            if let Some(slots) = tier_slots {
-                // Route the call through the patchable slot table (see the
-                // call-stub contract in `tpde_core::codebuf`): load the
-                // slot's current target and call indirect through r11.
-                x64::mov_sym_abs(buf, Gp::R11, slots, 8 * callee.0 as i64);
-                x64::mov_rm(buf, 8, Gp::R11, Mem::base(Gp::R11));
-                x64::call_reg(buf, Gp::R11);
+            let callee_f = &module.funcs[callee.0 as usize];
+            let binding = if callee_f.internal {
+                SymbolBinding::Local
             } else {
-                let callee_f = &module.funcs[callee.0 as usize];
-                let binding = if callee_f.internal {
-                    SymbolBinding::Local
-                } else {
-                    SymbolBinding::Global
-                };
-                let sym = buf.declare_symbol(&callee_f.name, binding, true);
-                x64::call_sym(buf, sym);
-            }
+                SymbolBinding::Global
+            };
+            let sym = buf.declare_symbol(&callee_f.name, binding, true);
+            x64::call_sym(buf, sym);
             if let Some(r) = res {
                 if *ret_ty != Type::Void {
                     if ret_ty.is_fp() {
@@ -469,31 +459,6 @@ pub(crate) fn compile_function_stacky(
     f: &Function,
     buf: &mut CodeBuffer,
 ) -> Result<()> {
-    compile_function_stacky_inner(module, f, buf, None)
-}
-
-/// Tier-0 instrumented variant of [`compile_function_stacky`]: declares the
-/// tier table symbols, bumps entry counter `fi` after the prologue and
-/// routes every direct call through the patchable call-slot table.
-pub(crate) fn compile_function_stacky_tiered(
-    module: &Module,
-    f: &Function,
-    fi: u32,
-    buf: &mut CodeBuffer,
-) -> Result<()> {
-    compile_function_stacky_inner(module, f, buf, Some(fi))
-}
-
-fn compile_function_stacky_inner(
-    module: &Module,
-    f: &Function,
-    buf: &mut CodeBuffer,
-    tier_index: Option<u32>,
-) -> Result<()> {
-    // Tier symbols are declared at the very start of the body so the
-    // declaration-log replay of the sharded pipeline interns them at the
-    // same ids as the sequential loop.
-    let tier_syms = tier_index.map(|_| buf.declare_tier_symbols());
     let mut ctx = FuncCtx::new(f);
     ctx.block_labels = f.blocks.iter().map(|_| buf.new_label()).collect();
 
@@ -501,11 +466,6 @@ fn compile_function_stacky_inner(
     x64::push_r(buf, Gp::RBP);
     x64::mov_rr(buf, 8, Gp::RBP, Gp::RSP);
     x64::alu_ri(buf, Alu::Sub, 8, Gp::RSP, ctx.frame_size);
-    // tier-0 entry counter (flags are dead here, r11 is never live)
-    if let (Some(fi), Some((counters, _))) = (tier_index, tier_syms) {
-        x64::mov_sym_abs(buf, Gp::R11, counters, 8 * fi as i64);
-        x64::alu_mi(buf, Alu::Add, 8, Mem::base(Gp::R11), 1);
-    }
     // spill arguments to their slots
     let gp_args = [Gp::RDI, Gp::RSI, Gp::RDX, Gp::RCX, Gp::R8, Gp::R9];
     let mut next_gp = 0;
@@ -537,15 +497,7 @@ fn compile_function_stacky_inner(
                     emit_phi_moves(f, &ctx, buf, bi as u32, succ.0);
                 }
             }
-            emit_inst(
-                module,
-                f,
-                &ctx,
-                buf,
-                inst,
-                &epilogue,
-                tier_syms.map(|(_, s)| s),
-            )?;
+            emit_inst(module, f, &ctx, buf, inst, &epilogue)?;
         }
     }
     Ok(())
@@ -583,21 +535,10 @@ pub(crate) fn defined_inst_count(module: &Module) -> usize {
 /// driver does), so the symbol table is identical to the parallel variant's
 /// even when a function calls one defined later in the module.
 pub fn compile_copy_patch(module: &Module) -> Result<BaselineOutput> {
-    compile_copy_patch_inner(module, false)
-}
-
-/// Tier-0 variant of [`compile_copy_patch`]: entry counters, slot-routed
-/// calls, and the tier tables defined at the end of the module (see the
-/// call-stub contract in [`tpde_core::codebuf`]).
-pub fn compile_copy_patch_tiered(module: &Module) -> Result<BaselineOutput> {
-    compile_copy_patch_inner(module, true)
-}
-
-fn compile_copy_patch_inner(module: &Module, tiered: bool) -> Result<BaselineOutput> {
     let mut buf = CodeBuffer::new();
     declare_baseline_symbols(module, &mut buf);
     let mut insts = 0;
-    for (fi, f) in module.funcs.iter().enumerate() {
+    for f in &module.funcs {
         if f.is_decl {
             continue;
         }
@@ -606,16 +547,11 @@ fn compile_copy_patch_inner(module: &Module, tiered: bool) -> Result<BaselineOut
             .expect("function symbol predeclared");
         let start = buf.text_offset();
         buf.define_symbol(sym, SectionKind::Text, start, 0);
-        if tiered {
-            compile_function_stacky_tiered(module, f, fi as u32, &mut buf)?;
-        } else {
-            compile_function_stacky(module, f, &mut buf)?;
-        }
+        compile_function_stacky(module, f, &mut buf)?;
         buf.set_symbol_size(sym, buf.text_offset() - start);
         buf.finish_func_fixups()?;
         insts += f.inst_count();
     }
-    buf.define_tier_tables(module.funcs.len());
     Ok(BaselineOutput { buf, insts })
 }
 
@@ -628,7 +564,7 @@ fn compile_copy_patch_inner(module: &Module, tiered: bool) -> Result<BaselineOut
 fn compile_baseline_sharded(
     module: &Module,
     threads: usize,
-    compile_fn: impl Fn(u32, &Function, &mut CodeBuffer) -> Result<()> + Sync,
+    compile_fn: impl Fn(&Function, &mut CodeBuffer) -> Result<()> + Sync,
 ) -> Result<BaselineOutput> {
     let nfuncs = module.funcs.len();
     let workers = threads.max(1).min(nfuncs.max(1));
@@ -641,7 +577,7 @@ fn compile_baseline_sharded(
             if f.is_decl {
                 return Ok(false);
             }
-            compile_fn(fi, f, buf)?;
+            compile_fn(f, buf)?;
             buf.finish_func_fixups()?;
             Ok(true)
         },
@@ -655,20 +591,8 @@ fn compile_baseline_sharded(
 /// Function-sharded parallel variant of [`compile_copy_patch`]; the output
 /// is byte-identical to the sequential compiler.
 pub fn compile_copy_patch_parallel(module: &Module, threads: usize) -> Result<BaselineOutput> {
-    compile_baseline_sharded(module, threads, |_, f, buf| {
+    compile_baseline_sharded(module, threads, |f, buf| {
         compile_function_stacky(module, f, buf)
-    })
-}
-
-/// Function-sharded parallel variant of [`compile_copy_patch_tiered`]; the
-/// output is byte-identical to the sequential tiered compiler (the merge
-/// replays the tier-symbol declarations and defines the tables afterwards).
-pub fn compile_copy_patch_tiered_parallel(
-    module: &Module,
-    threads: usize,
-) -> Result<BaselineOutput> {
-    compile_baseline_sharded(module, threads, |fi, f, buf| {
-        compile_function_stacky_tiered(module, f, fi, buf)
     })
 }
 
@@ -777,7 +701,7 @@ pub(crate) fn compile_function_baseline(
                 emit_phi_moves(f, &ctx, buf, cur_block, succ.0);
             }
         }
-        emit_inst(module, f, &ctx, buf, &m.inst, &epilogue, None)?;
+        emit_inst(module, f, &ctx, buf, &m.inst, &epilogue)?;
     }
     Ok(())
 }
@@ -812,7 +736,7 @@ pub fn compile_baseline_parallel(
     opt_level: u32,
     threads: usize,
 ) -> Result<BaselineOutput> {
-    compile_baseline_sharded(module, threads, |_, f, buf| {
+    compile_baseline_sharded(module, threads, |f, buf| {
         compile_function_baseline(module, f, buf, opt_level)
     })
 }

@@ -45,19 +45,16 @@ use crate::ir::{
 pub type ExecFn<'a> = &'a dyn Fn(&CodeBuffer, u64) -> std::result::Result<u64, String>;
 
 /// All service backend kinds, in a fixed order.
-pub const ALL_KINDS: [ServiceBackendKind; 7] = [
+pub const ALL_KINDS: [ServiceBackendKind; 5] = [
     ServiceBackendKind::TpdeX64,
     ServiceBackendKind::TpdeA64,
     ServiceBackendKind::BaselineO0,
     ServiceBackendKind::BaselineO1,
     ServiceBackendKind::CopyPatch,
-    ServiceBackendKind::TpdeX64Tier0,
-    ServiceBackendKind::CopyPatchTier0,
 ];
 
-/// The x86-64 kinds whose output the emulator can execute directly (the
-/// tier-0 variants carry patchable slots and counters and are checked by
-/// byte identity only).
+/// The x86-64 kinds, whose output the emulator can execute directly; the
+/// AArch64 kind is checked by byte identity only.
 pub const EXEC_KINDS: [ServiceBackendKind; 4] = [
     ServiceBackendKind::TpdeX64,
     ServiceBackendKind::BaselineO0,
@@ -83,8 +80,6 @@ pub fn one_shot_buf(m: &Module, kind: ServiceBackendKind) -> tpde_core::error::R
         ServiceBackendKind::BaselineO0 => crate::baselines::compile_baseline(m, 0)?.buf,
         ServiceBackendKind::BaselineO1 => crate::baselines::compile_baseline(m, 1)?.buf,
         ServiceBackendKind::CopyPatch => crate::baselines::compile_copy_patch(m)?.buf,
-        ServiceBackendKind::TpdeX64Tier0 => crate::backend::compile_x64_tier0(m, &opts)?.buf,
-        ServiceBackendKind::CopyPatchTier0 => crate::baselines::compile_copy_patch_tiered(m)?.buf,
     })
 }
 

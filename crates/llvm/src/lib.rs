@@ -29,10 +29,8 @@ pub mod workloads;
 
 pub use backend::{
     compile_a64, compile_a64_parallel, compile_service, compile_service_a64, compile_service_x64,
-    compile_x64, compile_x64_parallel, compile_x64_tier0, compile_x64_tier0_parallel,
-    LlvmCompileService, ModuleRequest, ServiceBackendKind,
+    compile_x64, compile_x64_parallel, LlvmCompileService, ModuleRequest, ServiceBackendKind,
 };
 pub use baselines::{
     compile_baseline, compile_baseline_parallel, compile_copy_patch, compile_copy_patch_parallel,
-    compile_copy_patch_tiered, compile_copy_patch_tiered_parallel,
 };

@@ -5,7 +5,9 @@
 use tpde_core::codebuf::CodeBuffer;
 use tpde_core::codegen::CompileOptions;
 use tpde_core::jit::link_in_memory;
-use tpde_llvm::fuzz::{gen_module, inject_miscompile, minimize, run_fuzz, FuzzConfig};
+use tpde_llvm::fuzz::{
+    gen_module, inject_miscompile, minimize, run_fuzz, FuzzConfig, ALL_KINDS, EXEC_KINDS,
+};
 use tpde_llvm::ir::Module;
 use tpde_x64emu::{register_default_hostcalls, Machine};
 
@@ -24,10 +26,10 @@ fn exec_budgeted(buf: &CodeBuffer, input: u64, max_insts: u64) -> Result<u64, St
     m.call(addr, &[input]).map_err(|e| format!("{e:?}"))
 }
 
-/// A short but complete campaign: every module through all seven backend
-/// kinds (service vs one-shot byte identity, which is the whole AArch64
-/// check), emulator-equal results across the four executable x86-64
-/// kinds, and one verifier-rejected mutant per module.
+/// A short but complete campaign: every module through every backend kind
+/// (service vs one-shot byte identity, which is the whole AArch64 check),
+/// emulator-equal results across the executable x86-64 kinds, and one
+/// verifier-rejected mutant per module.
 #[test]
 fn fuzz_campaign_quick() {
     let cfg = FuzzConfig {
@@ -45,8 +47,8 @@ fn fuzz_campaign_quick() {
     assert_eq!(rep.rejected_invalid as usize, rep.mutants);
     assert_eq!(rep.panics_backend, 0);
     assert_eq!(rep.workers_respawned, 0);
-    assert_eq!(rep.compared, cfg.modules * 7);
-    assert_eq!(rep.executed, cfg.modules * 4);
+    assert_eq!(rep.compared, cfg.modules * ALL_KINDS.len());
+    assert_eq!(rep.executed, cfg.modules * EXEC_KINDS.len());
 }
 
 /// An intentionally planted single-instruction miscompile (first integer

@@ -15,9 +15,8 @@ use tpde_core::service::{Request, ServiceConfig};
 use tpde_llvm::ir::Module;
 use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle, Workload};
 use tpde_llvm::{
-    compile_a64, compile_baseline, compile_copy_patch, compile_copy_patch_tiered, compile_service,
-    compile_service_a64, compile_service_x64, compile_x64, compile_x64_tier0, LlvmCompileService,
-    ModuleRequest, ServiceBackendKind,
+    compile_a64, compile_baseline, compile_copy_patch, compile_service, compile_service_a64,
+    compile_service_x64, compile_x64, LlvmCompileService, ModuleRequest, ServiceBackendKind,
 };
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -89,15 +88,6 @@ fn one_shot(module: &Module, kind: ServiceBackendKind, opts: &CompileOptions) ->
                 timings: Default::default(),
             }
         }
-        ServiceBackendKind::TpdeX64Tier0 => compile_x64_tier0(module, opts).unwrap(),
-        ServiceBackendKind::CopyPatchTier0 => {
-            let o = compile_copy_patch_tiered(module).unwrap();
-            CompiledModule {
-                buf: o.buf,
-                stats: Default::default(),
-                timings: Default::default(),
-            }
-        }
     }
 }
 
@@ -142,20 +132,11 @@ fn service_matches_one_shot_for_all_workloads_and_worker_counts() {
 fn heterogeneous_backends_share_one_pool() {
     let opts = CompileOptions::default();
     let svc = service(4, 0);
-    let kinds = [
-        ServiceBackendKind::TpdeX64,
-        ServiceBackendKind::TpdeA64,
-        ServiceBackendKind::BaselineO0,
-        ServiceBackendKind::BaselineO1,
-        ServiceBackendKind::CopyPatch,
-        ServiceBackendKind::TpdeX64Tier0,
-        ServiceBackendKind::CopyPatchTier0,
-    ];
     for w in spec_workloads().iter().step_by(2) {
         let module = Arc::new(build_workload(&small(w), IrStyle::O0));
         // Interleave targets and pipelines request by request on the same
         // persistent threads; each must match its own sequential compiler.
-        for kind in kinds {
+        for kind in tpde_llvm::fuzz::ALL_KINDS {
             let want = one_shot(&module, kind, &opts);
             let got = svc
                 .compile(Request::new(ModuleRequest::new(Arc::clone(&module), kind)))
@@ -365,7 +346,6 @@ fn restarted_process_answers_from_disk_byte_identically() {
         ServiceBackendKind::TpdeA64,
         ServiceBackendKind::BaselineO1,
         ServiceBackendKind::CopyPatch,
-        ServiceBackendKind::TpdeX64Tier0,
     ];
     let modules: Vec<Arc<Module>> = spec_workloads()
         .iter()
@@ -418,58 +398,6 @@ fn restarted_process_answers_from_disk_byte_identically() {
         kinds[0],
     )));
     assert!(again.timing.cache_hit);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn disk_loaded_tiered_module_still_patches_and_executes() {
-    let dir = temp_dir("tiered");
-    let w = spec_workloads()
-        .into_iter()
-        .find(|w| w.name == "620.omnetpp")
-        .expect("call-heavy workload");
-    let w = Workload { input: 500, ..w };
-    let module = Arc::new(build_workload(&w, IrStyle::O0));
-    let expected = expected_result(&w);
-
-    {
-        let svc = disk_service(2, 8, &dir);
-        svc.compile(Request::new(ModuleRequest::new(
-            Arc::clone(&module),
-            ServiceBackendKind::CopyPatchTier0,
-        )))
-        .module
-        .expect("cold tiered compile");
-    }
-
-    // Restart; the tiered module comes back from disk with its counter and
-    // call-slot tables intact, executes, and accepts call-slot patches.
-    let svc = disk_service(2, 8, &dir);
-    let r = svc.compile(Request::new(ModuleRequest::new(
-        Arc::clone(&module),
-        ServiceBackendKind::CopyPatchTier0,
-    )));
-    assert!(r.timing.disk_hit);
-    let t0 = r.module.unwrap();
-    let mut image = tpde_core::jit::link_in_memory(&t0.buf, 0x40_0000, |_| None).unwrap();
-    let mut m = tpde_x64emu::Machine::new();
-    m.load_image(&image);
-    tpde_x64emu::register_default_hostcalls(&mut m, &image);
-    assert_eq!(image.tier_func_count(), Some(module.funcs.len()));
-    let main = image.symbol_addr("bench_main").unwrap();
-    assert_eq!(m.call(main, &[w.input]).unwrap(), expected);
-
-    // Patch kernel 0 into its tier-1 compile and re-run: result unchanged,
-    // counter frozen — call-slot patching works on disk-loaded artifacts.
-    let t1 = compile_baseline(&module, 1).unwrap().buf;
-    let tier1 = tpde_core::jit::link_in_memory(&t1, 0x80_0000, |_| None).unwrap();
-    m.load_image(&tier1);
-    tpde_x64emu::register_default_hostcalls(&mut m, &tier1);
-    let k0_tier1 = tier1.symbol_addr(&module.funcs[0].name).unwrap();
-    assert!(m.apply_call_patch(&mut image, 0, k0_tier1).unwrap());
-    assert_eq!(m.call(main, &[w.input]).unwrap(), expected);
-    let frozen = m.mem.read(image.tier_counter_addr(0).expect("counter"), 8);
-    assert_eq!(frozen, 1, "patched kernel must have left tier 0");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

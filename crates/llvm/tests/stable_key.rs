@@ -144,6 +144,21 @@ fn module_and_request_keys_are_pinned() {
         0xadf7_d5be_408f_cd6d,
         "TpdeA64"
     );
+    assert_eq!(
+        key(ServiceBackendKind::BaselineO0),
+        0xd97d_c07a_bb64_2fb6,
+        "BaselineO0"
+    );
+    assert_eq!(
+        key(ServiceBackendKind::BaselineO1),
+        0x31fa_2695_611c_2aa4,
+        "BaselineO1"
+    );
+    assert_eq!(
+        key(ServiceBackendKind::CopyPatch),
+        0x59ae_39b0_da79_1b5a,
+        "CopyPatch"
+    );
 }
 
 #[test]

@@ -137,33 +137,6 @@ impl Machine {
         self.host_fns.insert(addr, f);
     }
 
-    /// Patches the call slot of function `f` in `image` to `target` and
-    /// writes the patch through to guest memory (the machine executes from
-    /// its own copy of the image), keeping both views consistent. The write
-    /// is the single aligned 8-byte store of
-    /// [`JitImage::patch_call_slot`]; returns `Ok(false)` when the slot
-    /// already held `target` (idempotent re-patch, nothing written).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the patch API's errors (no tier tables, index out of
-    /// range) as an [`EmuError::Fault`].
-    pub fn apply_call_patch(
-        &mut self,
-        image: &mut JitImage,
-        f: u32,
-        target: u64,
-    ) -> Result<bool, EmuError> {
-        let patched = image
-            .patch_call_slot(f, target)
-            .map_err(|e| EmuError::Fault(e.to_string()))?;
-        if patched {
-            let addr = image.call_slot_addr(f).expect("slot exists after patch");
-            self.mem.write(addr, 8, target);
-        }
-        Ok(patched)
-    }
-
     /// Execution statistics accumulated so far.
     pub fn stats(&self) -> &EmuStats {
         &self.stats
