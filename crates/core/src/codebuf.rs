@@ -1114,8 +1114,8 @@ impl ShardExtent {
 /// (names, definitions, sizes, bindings, kinds) and every relocation.
 ///
 /// This is the single source of truth for "byte-identical output" used by
-/// the parallel-pipeline determinism tests and the `figures --threads`
-/// per-run check; keeping it here means a future [`CodeBuffer`] field only
+/// the parallel-pipeline, service and disk-cache determinism tests;
+/// keeping it here means a future [`CodeBuffer`] field only
 /// needs to be added to the comparison once.
 pub fn assert_identical(a: &CodeBuffer, b: &CodeBuffer, what: &str) {
     for kind in SectionKind::ALL {
@@ -1537,7 +1537,7 @@ mod tests {
 
     #[test]
     fn declare_log_reproduces_order_of_unreferenced_symbols() {
-        // With the declaration log (as the parallel driver configures shard
+        // With the declaration log (as the parallel driver sets up shard
         // buffers), the merged symbol table preserves the exact declaration
         // order even for symbols never referenced by a relocation.
         let mut shard = CodeBuffer::new();

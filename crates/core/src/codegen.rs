@@ -399,7 +399,7 @@ impl<T: Target> CodeGen<T> {
         })
     }
 
-    /// Configures the session's register file for this driver's target.
+    /// Sets up the session's register file for this driver's target.
     /// Called once per module by [`CodeGen::compile_module_with`]; parallel
     /// drivers call it once per worker session before the first
     /// [`CodeGen::compile_func_into`].

@@ -48,7 +48,9 @@
 //! ids, interned arena and all — and the materialized module is
 //! **byte-identical** to the one that was stored
 //! ([`crate::codebuf::assert_identical`] is the contract, pinned by the
-//! round-trip tests and re-asserted per request by `figures --disk-cache`).
+//! round-trip tests and re-asserted per request across a real process
+//! restart by `disk_store_answers_a_second_process` in
+//! `crates/llvm/tests/service.rs`).
 //!
 //! # Keying
 //!

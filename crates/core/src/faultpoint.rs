@@ -29,8 +29,8 @@
 //! a correct build passes its full test suite unchanged while armed —
 //! that is the point: the suite *is* the assertion that these
 //! degradations are invisible. Destructive actions
-//! (short reads, panics) are only injected by targeted tests and the
-//! `figures --chaos` harness, with explicit rules.
+//! (short reads, panics) are only injected by targeted tests, such as
+//! `crates/llvm/tests/chaos.rs`, with explicit rules.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};

@@ -124,9 +124,9 @@ impl JitImage {
     /// Because in-memory linking depends only on the buffer's bytes, symbol
     /// order and relocations, two byte-identical [`CodeBuffer`]s — e.g. a
     /// compile-service cache hit and a fresh compile — map to images with
-    /// equal fingerprints; the service tests and the `figures --service`
-    /// scenario use this to compare whole images cheaply. It is recomputed
-    /// on every call, so it always reflects the current (public) fields.
+    /// equal fingerprints; the service tests use this to compare whole
+    /// images cheaply. It is recomputed on every call, so it always
+    /// reflects the current (public) fields.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = crate::hash::StableHasher::new();

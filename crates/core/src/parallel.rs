@@ -241,7 +241,7 @@ where
 /// and the merged output are still allocated per module.
 ///
 /// Sessions are **target-agnostic**: every compile re-runs
-/// [`CodeGen::prepare_session`], which reconfigures the register file from
+/// [`CodeGen::prepare_session`], which resets the register file from
 /// scratch for the driver's target, so one pool can serve modules for
 /// heterogeneous targets (x86-64 and AArch64 interleaved) without being
 /// rebuilt — only the warm buffer capacities carry over. Pinned by the

@@ -80,7 +80,7 @@ impl RegFile {
         f
     }
 
-    /// Reconfigures the register file for a (possibly different) target,
+    /// Resets the register file for a (possibly different) target,
     /// clearing all ownership state but keeping buffer capacity. Used by
     /// compile sessions that reuse one `RegFile` across functions.
     pub fn configure(&mut self, gp: &[Reg], fp: &[Reg]) {

@@ -95,8 +95,8 @@
 //!   the stuck thread exits on its own when (if) the backend returns.
 //!
 //! The degradation paths are exercised deterministically by the
-//! [`crate::faultpoint`] injection layer and the `figures --chaos`
-//! scenario.
+//! [`crate::faultpoint`] injection layer and the chaos test in
+//! `crates/llvm/tests/chaos.rs`.
 //!
 //! # Shutdown
 //!
@@ -250,7 +250,7 @@ pub trait ServiceBackend: Send + Sync + 'static {
     /// Number of functions in the request's module (drives placement).
     fn func_count(&self, req: &Self::Request) -> usize;
 
-    /// Configures a session for the request's target (sharded path only;
+    /// Prepares a session for the request's target (sharded path only;
     /// the batched path prepares inside [`ServiceBackend::compile_module`]).
     /// The worker state is available so backends can reuse warm per-target
     /// drivers instead of rebuilding them per request.

@@ -1,7 +1,7 @@
-//! Lightweight per-pass timing used to reproduce the paper's Figure 6
-//! (time distribution between preparation, analysis and code generation),
-//! plus the service-side statistics types ([`ServiceStats`],
-//! [`ClientStats`]) and the lock-free [`Reservoir`] sampler backing them.
+//! Per-phase compile timing ([`PassTimings`]: the analysis pass versus the
+//! single code-generation pass), plus the service-side statistics types
+//! ([`ServiceStats`], [`ClientStats`]) and the lock-free [`Reservoir`]
+//! sampler backing them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -9,44 +9,16 @@ use std::time::{Duration, Instant};
 /// Compilation phases the framework distinguishes for timing purposes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// IR-specific preparation pass (e.g. value numbering, legalization).
-    Prepare,
     /// The framework's analysis pass (loops, layout, liveness).
     Analysis,
     /// The single code-generation pass.
     CodeGen,
-    /// Everything else (object emission, bookkeeping).
-    Misc,
-}
-
-impl Phase {
-    /// All phases in reporting order.
-    pub const ALL: [Phase; 4] = [Phase::Prepare, Phase::Analysis, Phase::CodeGen, Phase::Misc];
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Prepare => "prepare",
-            Phase::Analysis => "analysis",
-            Phase::CodeGen => "codegen",
-            Phase::Misc => "misc",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Prepare => 0,
-            Phase::Analysis => 1,
-            Phase::CodeGen => 2,
-            Phase::Misc => 3,
-        }
-    }
 }
 
 /// Accumulates wall-clock time per compilation phase.
 #[derive(Debug, Default, Clone)]
 pub struct PassTimings {
-    totals: [Duration; 4],
+    totals: [Duration; 2],
 }
 
 impl PassTimings {
@@ -57,7 +29,7 @@ impl PassTimings {
 
     /// Adds `dur` to the total of `phase`.
     pub fn add(&mut self, phase: Phase, dur: Duration) {
-        self.totals[phase.index()] += dur;
+        self.totals[phase as usize] += dur;
     }
 
     /// Runs `f`, attributing its wall-clock time to `phase`.
@@ -70,23 +42,7 @@ impl PassTimings {
 
     /// Total time recorded for a phase.
     pub fn total(&self, phase: Phase) -> Duration {
-        self.totals[phase.index()]
-    }
-
-    /// Sum over all phases.
-    pub fn grand_total(&self) -> Duration {
-        self.totals.iter().sum()
-    }
-
-    /// Fraction (0..=1) of the grand total spent in `phase`.
-    /// Returns 0 if nothing was recorded.
-    pub fn fraction(&self, phase: Phase) -> f64 {
-        let total = self.grand_total().as_secs_f64();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.total(phase).as_secs_f64() / total
-        }
+        self.totals[phase as usize]
     }
 
     /// Merges another accumulator into this one.
@@ -384,32 +340,28 @@ mod tests {
         t.add(Phase::Analysis, Duration::from_millis(5));
         t.add(Phase::CodeGen, Duration::from_millis(15));
         assert_eq!(t.total(Phase::Analysis), Duration::from_millis(15));
-        assert_eq!(t.grand_total(), Duration::from_millis(30));
-        assert!((t.fraction(Phase::CodeGen) - 0.5).abs() < 1e-9);
+        assert_eq!(t.total(Phase::CodeGen), Duration::from_millis(15));
     }
 
     #[test]
     fn time_closure_runs_and_attributes() {
         let mut t = PassTimings::new();
-        let v = t.time(Phase::Prepare, || 41 + 1);
+        let v = t.time(Phase::Analysis, || 41 + 1);
         assert_eq!(v, 42);
-        assert!(t.total(Phase::Prepare) >= Duration::ZERO);
+        assert_eq!(t.total(Phase::CodeGen), Duration::ZERO);
     }
 
     #[test]
     fn merge_adds_all_phases() {
         let mut a = PassTimings::new();
-        a.add(Phase::Misc, Duration::from_millis(1));
+        a.add(Phase::Analysis, Duration::from_millis(1));
+        a.add(Phase::CodeGen, Duration::from_millis(4));
         let mut b = PassTimings::new();
-        b.add(Phase::Misc, Duration::from_millis(2));
+        b.add(Phase::Analysis, Duration::from_millis(2));
+        b.add(Phase::CodeGen, Duration::from_millis(8));
         a.merge(&b);
-        assert_eq!(a.total(Phase::Misc), Duration::from_millis(3));
-    }
-
-    #[test]
-    fn empty_fraction_is_zero() {
-        let t = PassTimings::new();
-        assert_eq!(t.fraction(Phase::CodeGen), 0.0);
+        assert_eq!(a.total(Phase::Analysis), Duration::from_millis(3));
+        assert_eq!(a.total(Phase::CodeGen), Duration::from_millis(12));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! shrinking against an opaque predicate). Actually *running* the
 //! compiled x86-64 code requires the emulator crate, which depends on
 //! this one for its tests — so the execution-differential harness is
-//! injected as a closure ([`ExecFn`]) by the integration tests and the
-//! `figures --fuzz` scenario.
+//! injected as a closure ([`ExecFn`]) by the integration tests in
+//! `tests/fuzz.rs`, whose `#[ignore]`d `fuzz_campaign` is the long
+//! campaign.
 //!
 //! Reproducing a failure is always two numbers: the run seed selects the
 //! per-module seeds, and every [`FuzzFailure`] records the per-module

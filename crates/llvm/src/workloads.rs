@@ -56,7 +56,7 @@ pub enum WorkloadKind {
     FpKernel,
 }
 
-/// The nine SPECint-2017-like workloads used by the figures.
+/// The nine SPECint-2017-like workloads used by the tests and `benchmark/`.
 pub fn spec_workloads() -> Vec<Workload> {
     vec![
         Workload {

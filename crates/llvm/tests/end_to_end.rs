@@ -141,25 +141,46 @@ fn check_workload(w: &Workload, style: IrStyle) {
     let got = run_buf(&tpde.buf, "bench_main", &[w.input]);
     assert_eq!(
         got, expected,
-        "TPDE x86-64 wrong for {} ({:?})",
-        w.name, style
+        "TPDE x86-64 wrong for {} ({:?}, input {})",
+        w.name, style, w.input
     );
 
     let cp = compile_copy_patch(&module).unwrap();
     let got = run_buf(&cp.buf, "bench_main", &[w.input]);
     assert_eq!(
         got, expected,
-        "copy-and-patch wrong for {} ({:?})",
-        w.name, style
+        "copy-and-patch wrong for {} ({:?}, input {})",
+        w.name, style, w.input
     );
 
     let base = compile_baseline(&module, 0).unwrap();
     let got = run_buf(&base.buf, "bench_main", &[w.input]);
-    assert_eq!(got, expected, "baseline wrong for {} ({:?})", w.name, style);
+    assert_eq!(
+        got, expected,
+        "baseline wrong for {} ({:?}, input {})",
+        w.name, style, w.input
+    );
 
     // AArch64: compile-only (executed targets are x86-64; see DESIGN.md)
     let a64 = compile_a64(&module, &CompileOptions::default()).unwrap();
     assert!(a64.text_size() > 0, "empty AArch64 code for {}", w.name);
+}
+
+/// Edge-case iteration counts (zero and one included) for a single
+/// function of the loop, branchy, memory and call-heavy kernels.
+#[test]
+fn workloads_are_correct_at_small_inputs() {
+    for input in [0, 1, 2, 3, 10, 100] {
+        for idx in [6, 0, 2, 3] {
+            let w = Workload {
+                input,
+                funcs: 1,
+                ..spec_workloads()[idx].clone()
+            };
+            check_workload(&w, IrStyle::O0);
+            check_workload(&w, IrStyle::O1);
+        }
+    }
 }
 
 #[test]

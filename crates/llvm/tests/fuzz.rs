@@ -1,12 +1,19 @@
 //! Differential-fuzzing integration tests: the emulator-executed half of
 //! the harness (the generator/mutator/minimizer unit tests live in
 //! `tpde_llvm::fuzz`). Everything here is seeded and deterministic.
+//!
+//! The long campaign is `#[ignore]`d; run it with
+//! `cargo test --release -p tpde-llvm --test fuzz -- --ignored`, sized by
+//! `TPDE_FUZZ_MODULES` (default 200) and seeded by `TPDE_FUZZ_SEED`
+//! (decimal or `0x` hex, default `0xC60_2026`; always printed).
 
+use std::path::Path;
 use tpde_core::codebuf::CodeBuffer;
 use tpde_core::codegen::CompileOptions;
 use tpde_core::jit::link_in_memory;
 use tpde_llvm::fuzz::{
-    gen_module, inject_miscompile, minimize, run_fuzz, FuzzConfig, ALL_KINDS, EXEC_KINDS,
+    gen_module, inject_miscompile, minimize, one_shot_buf, run_fuzz, FuzzConfig, FuzzFailure,
+    ALL_KINDS, EXEC_KINDS,
 };
 use tpde_llvm::ir::Module;
 use tpde_x64emu::{register_default_hostcalls, Machine};
@@ -49,6 +56,91 @@ fn fuzz_campaign_quick() {
     assert_eq!(rep.workers_respawned, 0);
     assert_eq!(rep.compared, cfg.modules * ALL_KINDS.len());
     assert_eq!(rep.executed, cfg.modules * EXEC_KINDS.len());
+}
+
+/// Reads a campaign parameter from the environment: decimal or `0x` hex.
+fn env_u64(name: &str, default: u64) -> u64 {
+    let Ok(v) = std::env::var(name) else {
+        return default;
+    };
+    let parsed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    parsed.unwrap_or_else(|e| panic!("{name}={v}: {e}"))
+}
+
+/// Writes a failure as a reproducer file under `dir`. A result mismatch is
+/// first shrunk while any two executable kinds still disagree, so the
+/// reproducer is a few instructions instead of a whole module.
+fn write_reproducer(dir: &Path, index: usize, f: &FuzzFailure) {
+    let mut ir = f.ir.clone();
+    if f.kind == "result mismatch" {
+        let input = f.seed & 0x3F;
+        let mut differs = |m: &Module| -> bool {
+            let mut first = None;
+            for kind in EXEC_KINDS {
+                let Ok(buf) = one_shot_buf(m, kind) else {
+                    return false;
+                };
+                let Ok(r) = exec_budgeted(&buf, input, 200_000) else {
+                    return false;
+                };
+                match first {
+                    None => first = Some(r),
+                    Some(r0) if r0 != r => return true,
+                    Some(_) => {}
+                }
+            }
+            false
+        };
+        let small = minimize(&gen_module(f.seed), &mut differs, 400);
+        if differs(&small) {
+            ir = small.dump();
+        }
+    }
+    let path = dir.join(format!("fuzz_{index:03}_{:016x}.txt", f.seed));
+    let text = format!(
+        "seed: {:#x}\nkind: {}\ndetail: {}\n\n{ir}\n",
+        f.seed, f.kind, f.detail
+    );
+    std::fs::write(&path, text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+}
+
+/// The differential campaign CI runs on every push (200 modules, fixed
+/// seed) and nightly (5000 modules, time-derived seed). Every failure is
+/// written to `fuzz_failures/` at the repository root as a
+/// seed-reproducible test case before the test fails.
+#[test]
+#[ignore = "long campaign; run with --ignored"]
+fn fuzz_campaign() {
+    let cfg = FuzzConfig {
+        modules: env_u64("TPDE_FUZZ_MODULES", 200) as usize,
+        seed: env_u64("TPDE_FUZZ_SEED", 0xC60_2026),
+        mutants_per_module: 1,
+        workers: 3,
+    };
+    println!(
+        "fuzz campaign: {} modules, seed {:#x} (rerun with TPDE_FUZZ_SEED={:#x})",
+        cfg.modules, cfg.seed, cfg.seed
+    );
+    let rep = run_fuzz(&cfg, &|b, i| exec_budgeted(b, i, 100_000_000));
+    println!("{}", rep.summary());
+    if !rep.failures.is_empty() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fuzz_failures");
+        std::fs::create_dir_all(&dir).expect("create fuzz_failures/");
+        for (i, f) in rep.failures.iter().enumerate() {
+            println!("FAILURE seed {:#x}: {} ({})", f.seed, f.kind, f.detail);
+            write_reproducer(&dir, i, f);
+        }
+    }
+    assert!(
+        rep.ok(),
+        "{}, {} backend panics, {} respawns; reproducers in fuzz_failures/",
+        rep.summary(),
+        rep.panics_backend,
+        rep.workers_respawned
+    );
 }
 
 /// An intentionally planted single-instruction miscompile (first integer

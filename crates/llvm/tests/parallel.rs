@@ -174,7 +174,7 @@ fn worker_pool_reuse_across_modules_stays_identical() {
 fn worker_pool_serves_heterogeneous_targets_without_rebuild() {
     let opts = CompileOptions::default();
     let mut pool = WorkerPool::new();
-    // One pool, alternating targets: prepare_session reconfigures the
+    // One pool, alternating targets: prepare_session resets the
     // register file per compile, so sessions warmed by one target must
     // produce byte-identical output when reused for the other.
     for w in spec_workloads().iter().take(3) {

@@ -5,6 +5,7 @@
 //! from the content-addressed module cache.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 use tpde_core::codebuf::assert_identical;
@@ -399,6 +400,75 @@ fn restarted_process_answers_from_disk_byte_identically() {
     )));
     assert!(again.timing.cache_hit);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cross-process restart test's name, as libtest prints it.
+const CROSS_PROCESS_TEST: &str = "disk_store_answers_a_second_process";
+
+/// A real process restart over one artifact store: this test re-executes
+/// its own binary twice. The first child compiles every request into a
+/// fresh store; the second, a genuinely different process, must answer
+/// every one from disk — no miss, no store, no compile path — byte-identical
+/// to the one-shot compiler.
+///
+/// A child is told its role and store by one extra libtest filter after
+/// the test's own name, `populate=<dir>` or `reuse=<dir>`; under `--exact`
+/// that filter matches no test, so only this one runs.
+#[test]
+fn disk_store_answers_a_second_process() {
+    let role = std::env::args()
+        .skip_while(|a| a != CROSS_PROCESS_TEST)
+        .nth(1);
+    if let Some(role) = role {
+        let (role, dir) = role.split_once('=').expect("<role>=<dir>");
+        return disk_restart_child(role == "reuse", Path::new(dir));
+    }
+    let dir = temp_dir("cross-process");
+    for role in ["populate", "reuse"] {
+        let out = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", CROSS_PROCESS_TEST])
+            .arg(format!("{role}={}", dir.display()))
+            .output()
+            .expect("spawn child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{role} child failed ({}):\n{stdout}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One side of [`disk_store_answers_a_second_process`].
+fn disk_restart_child(reuse: bool, dir: &Path) {
+    let opts = CompileOptions::default();
+    let kinds = [ServiceBackendKind::TpdeX64, ServiceBackendKind::TpdeA64];
+    let requests: Vec<(Arc<Module>, ServiceBackendKind)> = spec_workloads()
+        .iter()
+        .map(|w| Arc::new(build_workload(&small(w), IrStyle::O0)))
+        .flat_map(|m| kinds.map(|kind| (Arc::clone(&m), kind)))
+        .collect();
+    let svc = disk_service(2, 0, dir);
+    for (i, (m, kind)) in requests.iter().enumerate() {
+        let r = svc.compile(Request::new(ModuleRequest::new(Arc::clone(m), *kind)));
+        let what = format!("request {i} ({kind:?}), reuse={reuse}");
+        assert_eq!(r.timing.disk_hit, reuse, "{what}: disk hit");
+        let got = r.module.expect(&what);
+        assert_identical(&one_shot(m, *kind, &opts).buf, &got.buf, &what);
+    }
+    let stats = svc.stats();
+    let n = requests.len() as u64;
+    if reuse {
+        assert_eq!(
+            (stats.disk_hits, stats.disk_misses, stats.disk_stores),
+            (n, 0, 0)
+        );
+        assert_eq!(stats.batched + stats.sharded, 0, "no compile path ran");
+    } else {
+        assert_eq!((stats.disk_misses, stats.disk_stores), (n, n));
+    }
 }
 
 #[test]
