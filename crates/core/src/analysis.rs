@@ -10,7 +10,8 @@
 //!    that the blocks of a loop are laid out contiguously;
 //! 4. compute, for every value, a coarse live range — a contiguous range of
 //!    layout block indices, a flag whether liveness extends to the end of
-//!    the last block, and the number of uses (Kohn et al. style).
+//!    the last block (and whether only phi moves on that block's out-edges
+//!    need it there), and the number of uses (Kohn et al. style).
 //!
 //! ## Reuse
 //!
@@ -54,6 +55,11 @@ pub struct LiveRange {
     /// (e.g. because of a loop back edge or a phi use on an outgoing edge);
     /// otherwise it dies at its last use within the block.
     pub last_full: bool,
+    /// If `true`, `last_full` holds only because the value is a phi
+    /// incoming on an out-edge of block `last`: past its uses there, nothing
+    /// but that edge's phi moves reads it. Loop extension and a phi's own
+    /// back-edge range clear it.
+    pub phi_end: bool,
     /// Number of uses the code generator will observe.
     pub uses: u32,
     /// Whether the value has a definition (arguments, phis, instruction
@@ -67,6 +73,7 @@ impl Default for LiveRange {
             first: u32::MAX,
             last: 0,
             last_full: false,
+            phi_end: false,
             uses: 0,
             defined: false,
         }
@@ -560,15 +567,15 @@ impl Analyzer {
             }
             if let Some(c) = candidate {
                 let end = loops[c as usize].end;
-                if end > lr.last {
+                if end >= lr.last {
                     lr.last = end;
                     lr.last_full = true;
-                } else if end == lr.last {
-                    lr.last_full = true;
+                    lr.phi_end = false;
                 }
             }
         };
 
+        // `at_end` marks a phi incoming: the use sits at the end of `pos`.
         let add_use = |liveness: &mut [LiveRange], v: ValueRef, pos: u32, at_end: bool| {
             if v.idx() >= liveness.len() || adapter.val_is_const(v) {
                 return;
@@ -579,8 +586,10 @@ impl Analyzer {
             if pos > lr.last {
                 lr.last = pos;
                 lr.last_full = at_end;
-            } else if pos == lr.last && at_end {
+                lr.phi_end = at_end;
+            } else if pos == lr.last && at_end && !lr.last_full {
                 lr.last_full = true;
+                lr.phi_end = true;
             }
             if has_loops {
                 extend_for_loops(lr, pos);
@@ -627,6 +636,7 @@ impl Analyzer {
                     if ipos > ppos && ipos >= lr.last {
                         lr.last = ipos;
                         lr.last_full = true;
+                        lr.phi_end = false;
                     }
                 }
             }
@@ -989,6 +999,68 @@ mod tests {
         let lphi = a.live(ValueRef(1));
         assert_eq!(lphi.last, a.pos(BlockRef(1)));
         assert!(lphi.last_full, "the back edge's move writes the phi");
+    }
+
+    /// 0 -> 1 (header) -> 2 (latch) -> {1, 3}; block 1 has phi v1 with
+    /// `arg0` from 0 and `latch_inc` from 2; the latch defines v2 = f(v1).
+    fn counted_loop(latch_inc: u32) -> MockIr {
+        let mut ir = MockIr::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
+        ir.phi(1, 1, vec![(0, 0), (2, latch_inc)]);
+        ir.inst(2, Some(2), vec![1]);
+        ir
+    }
+
+    #[test]
+    fn phi_end_marks_a_latch_value_that_only_feeds_the_header_phi() {
+        let mut ir = counted_loop(2);
+        let a = run_analysis(&mut ir).unwrap();
+        let l2 = a.live(ValueRef(2));
+        assert_eq!(l2.last, a.pos(BlockRef(2)));
+        assert!(l2.last_full && l2.phi_end);
+        // the entry-edge incoming is phi-only at the end of block 0 as well
+        assert!(a.live(ValueRef(0)).phi_end);
+    }
+
+    #[test]
+    fn phi_end_is_clear_for_a_loop_invariant_latch_incoming() {
+        // v5 is defined before the loop and is the latch's incoming: it must
+        // survive every iteration, so loop extension clears the mark.
+        let mut ir = counted_loop(5);
+        ir.inst(0, Some(5), vec![]);
+        let a = run_analysis(&mut ir).unwrap();
+        let l5 = a.live(ValueRef(5));
+        assert_eq!(l5.last, a.pos(BlockRef(2)));
+        assert!(l5.last_full && !l5.phi_end);
+    }
+
+    #[test]
+    fn phi_end_is_clear_for_a_phi_feeding_another_phis_back_edge() {
+        // Header phis v1 and v3; v3's latch incoming is v1. v1 is the move
+        // target of its own back edge, so it is not phi-only there — in
+        // either phi order.
+        for v1_first in [true, false] {
+            let mut ir = MockIr::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
+            let p1 = (1, vec![(0, 0), (2, 2)]);
+            let p3 = (3, vec![(0, 0), (2, 1)]);
+            let (first, second) = if v1_first { (p1, p3) } else { (p3, p1) };
+            ir.phi(1, first.0, first.1);
+            ir.phi(1, second.0, second.1);
+            ir.inst(2, Some(2), vec![1]);
+            let a = run_analysis(&mut ir).unwrap();
+            let l1 = a.live(ValueRef(1));
+            assert_eq!(l1.last, a.pos(BlockRef(2)));
+            assert!(l1.last_full && !l1.phi_end, "v1_first = {v1_first}");
+        }
+    }
+
+    #[test]
+    fn phi_end_is_clear_for_a_value_with_a_later_non_phi_use() {
+        let mut ir = counted_loop(2);
+        ir.inst(3, None, vec![2]);
+        let a = run_analysis(&mut ir).unwrap();
+        let l2 = a.live(ValueRef(2));
+        assert_eq!(l2.last, a.pos(BlockRef(3)));
+        assert!(!l2.last_full && !l2.phi_end);
     }
 
     #[test]

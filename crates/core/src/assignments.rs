@@ -67,6 +67,9 @@ pub struct Assignment {
     pub last_pos: u32,
     /// Whether liveness extends to the end of `last_pos`.
     pub last_full: bool,
+    /// Whether only phi moves on `last_pos`'s out-edges need the value at
+    /// the end of that block ([`crate::analysis::LiveRange::phi_end`]).
+    pub phi_end: bool,
     /// Number of parts in use.
     pub nparts: u8,
     /// Per-part state; entries from `nparts` on are unused.
@@ -234,6 +237,7 @@ mod tests {
             remaining_uses,
             last_pos,
             last_full: false,
+            phi_end: false,
             nparts,
             parts: [PartState::new(8, RegBank::GP); MAX_PARTS],
         }

@@ -756,7 +756,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         // spill all register arguments now.
         let entry = self.analysis.layout[0];
         if self.analysis.num_preds[entry.idx()] > 0 {
-            self.spill_all_register_values()?;
+            self.spill_all_register_values(false)?;
             self.entry_state_valid = false;
         }
         Ok(())
@@ -914,6 +914,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 remaining_uses: uses,
                 last_pos,
                 last_full,
+                phi_end: live.phi_end && !self.opts.assume_all_live,
                 nparts: nparts as u8,
                 parts,
             },
@@ -991,6 +992,21 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         } else {
             None
         }
+    }
+
+    /// Frame offset of the static stack variable a value part is the
+    /// address of, if it is one ([`Recompute::StackAddr`]) — used by
+    /// back-ends that address it frame-relative instead of materializing
+    /// the address.
+    pub fn val_stack_addr(&self, p: &ValuePartRef) -> Option<i32> {
+        if p.is_const {
+            return None;
+        }
+        self.s
+            .assignments
+            .get(p.val)?
+            .recompute
+            .map(|Recompute::StackAddr(off)| off)
     }
 
     /// Current register of a value part, if it happens to be in one.
@@ -1107,8 +1123,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     /// Allocates a register for a result, reusing the operand's register if
-    /// this is the operand's last use (otherwise a copy is emitted). This is
-    /// the `result_ref_will_overwrite` pattern from the paper's Listing 1.
+    /// this is the operand's last use (otherwise the operand is copied or
+    /// loaded into it). This is the `result_ref_will_overwrite` pattern from
+    /// the paper's Listing 1.
     pub fn result_reuse(&mut self, v: ValueRef, part: u32, op: &ValuePartRef) -> Result<Reg> {
         if !op.is_const && self.val_is_last_use(op) {
             if let Some(reg) = self.val_cur_reg(op) {
@@ -1124,6 +1141,14 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 self.regfile.lock(reg);
                 return Ok(reg);
             }
+        }
+        // An operand outside a register is loaded (or rematerialized)
+        // straight into the result register, not into a register of its
+        // own that is then copied.
+        if op.is_const || (op.val != v && self.val_cur_reg(op).is_none()) {
+            let dst = self.result_reg(v, part)?;
+            self.materialize_into(dst, op)?;
+            return Ok(dst);
         }
         let src = self.val_as_reg(op)?;
         let dst = self.result_reg(v, part)?;
@@ -1257,12 +1282,25 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         Ok(())
     }
 
-    fn spill_all_register_values(&mut self) -> Result<()> {
+    /// Spills every live register-resident value. With `at_branch`, a value
+    /// whose range ends in the current block only for the phi moves of its
+    /// out-edges ([`Assignment::phi_end`]) is skipped: those moves read it
+    /// from its register, so a store to its slot would never be read.
+    fn spill_all_register_values(&mut self, at_branch: bool) -> Result<()> {
         self.s.owned_regs.clear();
         self.regfile.value_owned_into(&mut self.s.owned_regs);
         for i in 0..self.s.owned_regs.len() {
             let (reg, v, p) = self.s.owned_regs[i];
             if self.regfile.is_fixed(reg) {
+                continue;
+            }
+            if at_branch
+                && self
+                    .s
+                    .assignments
+                    .get(v)
+                    .is_some_and(|a| a.phi_end && a.last_pos == self.cur_pos)
+            {
                 continue;
             }
             self.spill_part_if_needed(v, p)?;
@@ -1280,7 +1318,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let succs = self.adapter.block_succs(block);
         let need = succs.iter().any(|&s| !self.succ_keeps_state(s));
         if need {
-            self.spill_all_register_values()?;
+            self.spill_all_register_values(true)?;
         }
         // Determine whether the register state stays valid for the next
         // layout block.
@@ -2331,6 +2369,90 @@ mod tests {
             all_live.stats.spills >= normal.stats.spills,
             "disabling liveness must not reduce spills"
         );
+    }
+
+    /// b0 -> b1 (header, phi v1 of v0 and `latch_inc`) -> b2 (latch:
+    /// v2 = v1 + v1, back edge on v2) -> b3 (return). v5 is defined in b0.
+    fn counted_loop(latch_inc: u32) -> MiniIr {
+        let mut ir = MiniIr::new(4, 1);
+        ir.push(0, MiniOp::Add(5, vec![]));
+        ir.push(0, MiniOp::Jump(1));
+        ir.phi(1, 1, vec![(0, 0), (2, latch_inc)]);
+        ir.push(1, MiniOp::Jump(2));
+        ir.push(2, MiniOp::Add(2, vec![1, 1]));
+        ir.push(2, MiniOp::Branch(2, 1, 3));
+        ir.push(3, MiniOp::Ret(None));
+        ir
+    }
+
+    #[test]
+    fn phi_only_values_are_not_spilled_before_the_branch() {
+        // v0 only feeds the entry edge's move and v2 only the back edge's:
+        // both moves read the register, and the phi sits in a fixed one.
+        let m = compile(&mut counted_loop(2));
+        assert_eq!(m.stats.spills, 0);
+    }
+
+    #[test]
+    fn a_loop_invariant_phi_incoming_is_still_spilled() {
+        // v5 must survive every iteration, so it is stored before the loop.
+        let m = compile(&mut counted_loop(5));
+        assert_eq!(m.stats.spills, 1);
+    }
+
+    #[test]
+    fn assume_all_live_still_spills_phi_only_values() {
+        let cg = CodeGen::new(
+            MockTarget::new(),
+            CompileOptions {
+                assume_all_live: true,
+                ..CompileOptions::default()
+            },
+        );
+        let m = cg
+            .compile_module(&mut counted_loop(2), &mut MiniCompiler)
+            .unwrap();
+        assert!(m.stats.spills >= 2, "v0 and v2 spilled: {:?}", m.stats);
+    }
+
+    #[test]
+    fn result_reuse_loads_a_spilled_live_operand_into_the_result() {
+        // b0: v1 = def; branch on v1 to b1 / b2; b1: jump b2. b2 has two
+        // predecessors, so v1 arrives there spilled and is used twice:
+        // v2 = v1 + ...; v3 = v1 + v2.
+        let mut ir = MiniIr::new(3, 0);
+        ir.push(0, MiniOp::Add(1, vec![]));
+        ir.push(0, MiniOp::Branch(1, 1, 2));
+        ir.push(1, MiniOp::Jump(2));
+        ir.push(2, MiniOp::Add(2, vec![1]));
+        ir.push(2, MiniOp::Add(3, vec![1, 2]));
+        ir.push(2, MiniOp::Ret(Some(3)));
+        let probe = InstRef(3); // v2 = v1 + ...
+        let mut seen = None;
+        let mut compiler = |cg: &mut FuncCodeGen<'_, MiniIr, MockTarget>, inst: InstRef| {
+            if inst != probe {
+                return MiniCompiler.compile_inst(cg, inst);
+            }
+            let op = cg.val_ref(ValueRef(1), 0)?;
+            assert!(cg.val_mem_loc(&op).is_some(), "v1 arrives spilled");
+            assert!(!cg.val_is_last_use(&op), "v1 is still live");
+            let start = cg.buf.text_offset() as usize;
+            let before = cg.stats_mut().clone();
+            let dst = cg.result_reuse(ValueRef(2), 0, &op)?;
+            let after = cg.stats_mut().clone();
+            seen = Some((
+                cg.buf.text()[start..].to_vec(),
+                dst,
+                after.reloads - before.reloads,
+                after.moves - before.moves,
+            ));
+            Ok(())
+        };
+        let cg = CodeGen::new(MockTarget::new(), CompileOptions::default());
+        cg.compile_module(&mut ir, &mut compiler).unwrap();
+        let (bytes, dst, reloads, moves) = seen.expect("probe compiled");
+        assert_eq!(bytes, [OP_LOAD, dst.compact() as u8], "one load, no mov");
+        assert_eq!((reloads, moves), (1, 0));
     }
 
     #[test]

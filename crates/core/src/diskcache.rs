@@ -68,6 +68,17 @@
 //! Format version 2 changed both the key derivation and the checksum;
 //! version-1 directories degrade to misses.
 //!
+//! The key names the *request*, not the compiler that answered it, so the
+//! version also stands for the emitted code: **a change to the bytes the
+//! compiler emits for an unchanged request bumps [`FORMAT_VERSION`]**, even
+//! when the layout and the keys stay as they are. Otherwise a restarted
+//! service would serve, under a valid checksum, code the current compiler
+//! no longer emits — breaking the byte-identical-to-a-fresh-compile
+//! contract above. Version 3 is such a bump (fewer spill stores on both
+//! targets; frame-relative stack-variable operands, direct reloads and
+//! jumped-over callee-save padding on x86-64); version-2 artifacts are
+//! misses and get unlinked on first touch.
+//!
 //! # Crash safety and corruption
 //!
 //! Writers serialize to a process/thread-unique temp file, `fsync` it, and
@@ -133,9 +144,10 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// Magic bytes at the start of every artifact file.
 pub const MAGIC: [u8; 8] = *b"TPDEART\0";
 
-/// Version of the artifact layout; any change to the format above bumps
-/// this, and an artifact with a different version is a cache miss.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version of the artifact layout and of the code it holds; any change to
+/// the format above or to the bytes the compiler emits bumps this, and an
+/// artifact with a different version is a cache miss.
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 64;
 const SYM_RECORD: usize = 32;

@@ -181,6 +181,22 @@ fn stale_format_version_is_a_miss() {
 }
 
 #[test]
+fn previous_format_version_is_a_miss_and_unlinked() {
+    // An artifact written by the previous format carries a valid checksum
+    // but may hold code the current compiler no longer emits.
+    let dir = temp_dir("prev-version");
+    let store = cache(&dir);
+    store.store(3, &sample_module()).unwrap();
+    let path = artifact_file(&dir);
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[0x08..0x0c].copy_from_slice(&2u32.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    assert!(store.load(3).is_none(), "a version-2 artifact must miss");
+    assert!(!path.exists(), "a version-2 artifact is unlinked");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stored_hash_mismatch_is_a_miss() {
     let dir = temp_dir("hash");
     let store = cache(&dir);

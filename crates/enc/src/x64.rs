@@ -690,6 +690,14 @@ pub fn jmp_label(buf: &mut CodeBuffer, label: Label) {
     emit_rel32_branch(buf, i, label);
 }
 
+/// `jmp rel8` over the next `rel` bytes (a short jump with a known
+/// displacement, no label).
+#[inline]
+pub fn jmp_rel8(buf: &mut CodeBuffer, rel: i8) {
+    buf.emit_u8(0xeb);
+    buf.emit_u8(rel as u8);
+}
+
 /// `jcc label` (rel32; encoded immediately for bound labels, fixed up
 /// otherwise).
 #[inline]

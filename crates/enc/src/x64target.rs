@@ -150,9 +150,11 @@ impl Target for X64Target {
         let size = (frame_size + 15) & !15;
         buf.patch_text(frame.frame_size_patch, &size.to_le_bytes());
         // saves/restores of the used-register subset, patched over the
-        // nop-filled areas
-        let mut patch_area = |start: u64, is_save: bool| {
+        // nop-filled areas; a tail of two or more unused bytes is jumped
+        // over rather than executed
+        let mut patch_area = |start: u64, len: u64, is_save: bool| {
             buf.patch_text_with(start, |buf| {
+                let begin = buf.text_offset();
                 for (idx, &regno) in SAVE_ORDER.iter().enumerate() {
                     if !used_callee_saved.contains(Reg::new(RegBank::GP, regno)) {
                         continue;
@@ -164,13 +166,17 @@ impl Target for X64Target {
                         x64::mov_rm(buf, 8, Gp(regno), mem);
                     }
                 }
+                let tail = len - (buf.text_offset() - begin);
+                if tail >= 2 {
+                    x64::jmp_rel8(buf, (tail - 2) as i8);
+                }
             });
         };
-        if let Some((start, _)) = frame.save_area {
-            patch_area(start, true);
+        if let Some((start, len)) = frame.save_area {
+            patch_area(start, len, true);
         }
-        for &(start, _) in &frame.restore_areas {
-            patch_area(start, false);
+        for &(start, len) in &frame.restore_areas {
+            patch_area(start, len, false);
         }
     }
 
@@ -294,8 +300,8 @@ mod tests {
         assert_eq!(&text[11..15], &[0x48, 0x89, 0x5d, 0xf8]);
         // then mov [rbp-16], r12
         assert_eq!(&text[15..19], &[0x4c, 0x89, 0x65, 0xf0]);
-        // remaining save slots stay nops
-        assert_eq!(text[19], 0x90);
+        // the 12 unused save-area bytes are jumped over: jmp +10
+        assert_eq!(&text[19..21], &[0xeb, 0x0a]);
         // function ends with ret
         assert_eq!(*text.last().unwrap(), 0xc3);
         let _ = body_start;

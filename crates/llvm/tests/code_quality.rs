@@ -1,0 +1,191 @@
+//! Code quality, held by tests rather than only by a benchmark run.
+//!
+//! The ratchet compiles the nine `spec_workloads()` in both IR styles for
+//! both targets and asserts that `.text` size, spill stores and reloads are
+//! no worse than the recorded values. A change that makes any of them
+//! better should lower the table in the same commit; one that makes them
+//! worse must be a deliberate trade, re-recorded here with its reason.
+//!
+//! The snippet tests pin what the x86-64 encoders emit for a stack
+//! variable: frame-relative operands, no address materialization.
+
+use tpde_core::codebuf::CodeBuffer;
+use tpde_core::codegen::{CompileOptions, CompiledModule};
+use tpde_enc::x64::{self, Gp, Mem};
+use tpde_llvm::ir::{FunctionBuilder, Module, Type};
+use tpde_llvm::workloads::{build_workload, spec_workloads, IrStyle};
+use tpde_llvm::{compile_a64, compile_x64};
+
+/// `(workload, style, target, text bytes, spills, reloads)`.
+type Row = (&'static str, &'static str, &'static str, u64, usize, usize);
+
+const RECORDED: &[Row] = &[
+    ("600.perl", "O0", "x64", 5848, 154, 208),
+    ("600.perl", "O0", "a64", 8348, 154, 222),
+    ("600.perl", "O1", "x64", 5204, 112, 40),
+    ("600.perl", "O1", "a64", 6556, 112, 54),
+    ("602.gcc", "O0", "x64", 9160, 242, 328),
+    ("602.gcc", "O0", "a64", 13020, 242, 350),
+    ("602.gcc", "O1", "x64", 8148, 176, 64),
+    ("602.gcc", "O1", "a64", 10204, 176, 86),
+    ("605.mcf", "O0", "x64", 3276, 24, 22),
+    ("605.mcf", "O0", "a64", 5836, 16, 22),
+    ("605.mcf", "O1", "x64", 3276, 24, 22),
+    ("605.mcf", "O1", "a64", 5836, 16, 22),
+    ("620.omnetpp", "O0", "x64", 3508, 36, 34),
+    ("620.omnetpp", "O0", "a64", 6220, 36, 52),
+    ("620.omnetpp", "O1", "x64", 3292, 36, 34),
+    ("620.omnetpp", "O1", "a64", 5500, 36, 52),
+    ("623.xalanc", "O0", "x64", 4660, 48, 46),
+    ("623.xalanc", "O0", "a64", 8236, 48, 70),
+    ("623.xalanc", "O1", "x64", 4372, 48, 46),
+    ("623.xalanc", "O1", "a64", 7276, 48, 70),
+    ("625.x264", "O0", "x64", 2368, 24, 22),
+    ("625.x264", "O0", "a64", 4204, 24, 34),
+    ("625.x264", "O1", "x64", 2200, 24, 22),
+    ("625.x264", "O1", "a64", 3676, 24, 34),
+    ("631.deepsjeng", "O0", "x64", 1982, 20, 18),
+    ("631.deepsjeng", "O0", "a64", 3532, 20, 28),
+    ("631.deepsjeng", "O1", "x64", 1842, 20, 18),
+    ("631.deepsjeng", "O1", "a64", 3092, 20, 28),
+    ("641.leela", "O0", "x64", 3839, 30, 28),
+    ("641.leela", "O0", "a64", 5052, 30, 38),
+    ("641.leela", "O1", "x64", 3839, 30, 28),
+    ("641.leela", "O1", "a64", 5052, 30, 38),
+    ("657.xz", "O0", "x64", 3679, 27, 25),
+    ("657.xz", "O0", "a64", 6544, 18, 25),
+    ("657.xz", "O1", "x64", 3679, 27, 25),
+    ("657.xz", "O1", "a64", 6544, 18, 25),
+];
+
+fn measure() -> Vec<Row> {
+    let mut rows = Vec::new();
+    for w in spec_workloads() {
+        for (style, sname) in [(IrStyle::O0, "O0"), (IrStyle::O1, "O1")] {
+            let module = build_workload(&w, style);
+            let opts = CompileOptions::default();
+            let targets: [(&str, CompiledModule); 2] = [
+                ("x64", compile_x64(&module, &opts).unwrap()),
+                ("a64", compile_a64(&module, &opts).unwrap()),
+            ];
+            for (tname, m) in targets {
+                rows.push((
+                    w.name,
+                    sname,
+                    tname,
+                    m.text_size(),
+                    m.stats.spills,
+                    m.stats.reloads,
+                ));
+            }
+        }
+    }
+    rows
+}
+
+#[test]
+fn code_size_spills_and_reloads_do_not_regress() {
+    let rows = measure();
+    for r in &rows {
+        println!("    {r:?},");
+    }
+    assert_eq!(
+        rows.len(),
+        RECORDED.len(),
+        "one recorded row per workload, style and target"
+    );
+    let mut worse = Vec::new();
+    for (got, want) in rows.iter().zip(RECORDED) {
+        assert_eq!((got.0, got.1, got.2), (want.0, want.1, want.2), "row order");
+        if got.3 > want.3 || got.4 > want.4 || got.5 > want.5 {
+            worse.push(format!(
+                "{} {} {}: text {} (recorded {}), spills {} ({}), reloads {} ({})",
+                got.0, got.1, got.2, got.3, want.3, got.4, want.4, got.5, want.5
+            ));
+        }
+    }
+    assert!(
+        worse.is_empty(),
+        "emitted code got worse than recorded:\n{}\nIf this is a deliberate trade, \
+         re-record RECORDED in crates/llvm/tests/code_quality.rs (the rows above \
+         are printed with --nocapture) and say why in the commit.",
+        worse.join("\n")
+    );
+}
+
+/// `f(x)`: a 16-byte stack variable; stores `x` to it — through a GEP by
+/// `x` if `gep` — and returns what it loads back from there.
+fn stack_roundtrip(gep: bool) -> Vec<u8> {
+    let mut b = FunctionBuilder::new("f", &[Type::I64], Type::I64);
+    let x = b.arg(0);
+    let slot = b.alloca(16, 8);
+    let addr = if gep {
+        b.gep(slot, Some(x), 8, 0)
+    } else {
+        slot
+    };
+    b.store(Type::I64, addr, 0, x);
+    let v = b.load(Type::I64, addr, 0);
+    b.ret(Some(v));
+    let mut m = Module::new();
+    m.add_function(b.build());
+    let compiled = compile_x64(&m, &CompileOptions::default()).unwrap();
+    compiled.buf.text().to_vec()
+}
+
+fn encode(emit: impl FnOnce(&mut CodeBuffer)) -> Vec<u8> {
+    let mut buf = CodeBuffer::new();
+    emit(&mut buf);
+    buf.text().to_vec()
+}
+
+fn contains(text: &[u8], inst: &[u8]) -> bool {
+    text.windows(inst.len()).any(|w| w == inst)
+}
+
+/// The frame displacements `d` some register is loaded with `lea r, [rbp+d]`.
+fn frame_leas(text: &[u8]) -> Vec<i32> {
+    (-128..0)
+        .filter(|&d| {
+            (0..16).any(|r| {
+                contains(
+                    text,
+                    &encode(|b| x64::lea(b, Gp(r), Mem::base_disp(Gp::RBP, d))),
+                )
+            })
+        })
+        .collect()
+}
+
+/// Whether `x` (in `rdi`) is stored to `[rbp+d]` and some register loaded
+/// from there.
+fn frame_roundtrip_at(text: &[u8], d: i32) -> bool {
+    let mem = Mem::base_disp(Gp::RBP, d);
+    contains(text, &encode(|b| x64::mov_mr(b, 8, mem, Gp::RDI)))
+        && (0..16).any(|r| contains(text, &encode(|b| x64::mov_rm(b, 8, Gp(r), mem))))
+}
+
+#[test]
+fn static_stack_variable_is_addressed_frame_relative() {
+    let text = stack_roundtrip(false);
+    assert_eq!(
+        frame_leas(&text),
+        Vec::<i32>::new(),
+        "no lea of the slot address"
+    );
+    assert!(
+        (-128..0).any(|d| frame_roundtrip_at(&text, d)),
+        "store and load address the slot as [rbp+disp]"
+    );
+}
+
+#[test]
+fn gep_derived_address_goes_through_a_base_register() {
+    let text = stack_roundtrip(true);
+    let leas = frame_leas(&text);
+    assert_eq!(leas.len(), 1, "the GEP materializes the slot address once");
+    assert!(
+        !frame_roundtrip_at(&text, leas[0]),
+        "the access goes through the computed address, not [rbp+disp]"
+    );
+}

@@ -6,7 +6,10 @@
 //! key is shown to separate near-identical modules.
 //!
 //! **Changing any of the constants below requires bumping
-//! `diskcache::FORMAT_VERSION`.**
+//! `diskcache::FORMAT_VERSION`.** So does a change to the bytes the compiler
+//! emits, although no constant here moves: the keys name the request, and
+//! an artifact stored under one must hold what the current compiler emits
+//! for it.
 
 use std::collections::HashMap;
 use std::hash::Hasher;

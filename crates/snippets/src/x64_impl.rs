@@ -2,8 +2,9 @@
 //!
 //! These perform the operand-dependent decisions the paper's generated
 //! snippet encoders make: folding immediates into instructions, using memory
-//! operands for spilled values, reusing a dying operand's register for the
-//! result, and satisfying fixed-register constraints (division, shifts).
+//! operands for spilled values and frame-relative ones for stack variables,
+//! reusing a dying operand's register for the result, and satisfying
+//! fixed-register constraints (division, shifts).
 
 use crate::ops::{AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
 use crate::{ResultPart, SnippetEmitter};
@@ -60,6 +61,18 @@ fn op_mem<A: IrAdapter>(cg: Cg<'_, '_, A>, op: &AsmOperand) -> Option<Mem> {
         AsmOperand::Val(p) => cg.val_mem_loc(p).map(|off| Mem::base_disp(Gp::RBP, off)),
         AsmOperand::Imm(_) => None,
     }
+}
+
+/// The memory operand `[addr + offset]`: frame-relative for the address of
+/// a static stack variable, otherwise through the address in a register.
+fn addr_mem<A: IrAdapter>(cg: Cg<'_, '_, A>, addr: &AsmOperand, offset: i32) -> Result<Mem> {
+    if let AsmOperand::Val(p) = addr {
+        if let Some(disp) = cg.val_stack_addr(p).and_then(|off| off.checked_add(offset)) {
+            return Ok(Mem::base_disp(Gp::RBP, disp));
+        }
+    }
+    let base = Gp::from(op_as_reg(cg, addr, RegBank::GP, 8)?);
+    Ok(Mem::base_disp(base, offset))
 }
 
 /// Allocates the result register, reusing the operand's register if this is
@@ -330,8 +343,7 @@ impl SnippetEmitter for X64Target {
         addr: &AsmOperand,
         offset: i32,
     ) -> Result<()> {
-        let base = Gp::from(op_as_reg(cg, addr, RegBank::GP, 8)?);
-        let mem = Mem::base_disp(base, offset);
+        let mem = addr_mem(cg, addr, offset)?;
         if fp {
             let dst = Xmm::from(cg.result_reg(res.0, res.1)?);
             x64::fp_load(cg.buf, mem_size, dst, mem);
@@ -356,8 +368,7 @@ impl SnippetEmitter for X64Target {
         offset: i32,
         value: &AsmOperand,
     ) -> Result<()> {
-        let base = Gp::from(op_as_reg(cg, addr, RegBank::GP, 8)?);
-        let mem = Mem::base_disp(base, offset);
+        let mem = addr_mem(cg, addr, offset)?;
         if fp {
             let src = Xmm::from(op_as_reg(cg, value, RegBank::FP, mem_size)?);
             x64::fp_store(cg.buf, mem_size, mem, src);
