@@ -10,6 +10,7 @@ use tpde_core::codebuf::{
 };
 use tpde_core::codegen::{CompileStats, CompiledModule};
 use tpde_core::diskcache::{serialize_module, DiskCache, DiskCacheConfig};
+use tpde_core::hash::StableHasher;
 use tpde_core::jit::link_in_memory;
 use tpde_core::rng::Xoshiro256;
 use tpde_core::timing::PassTimings;
@@ -240,6 +241,99 @@ fn hash_consistent_but_invalid_module_is_a_miss() {
     assert!(module.validate().is_err());
     assert!(store.load(8).is_none(), "validate() must gate every load");
     assert!(!store.contains(8), "invalid artifact should be unlinked");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn rd_u32(b: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(b[off..off + 4].try_into().unwrap())
+}
+
+fn rd_u64(b: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(b[off..off + 8].try_into().unwrap())
+}
+
+/// File offsets of the name arena, the first symbol record and the first
+/// relocation record of a serialized artifact (see the format table in the
+/// `diskcache` module docs).
+fn record_offsets(bytes: &[u8]) -> (usize, usize, usize) {
+    let align8 = |n: usize| (n + 7) & !7;
+    let mut cursor = 64;
+    for _ in 0..3 {
+        cursor = align8(cursor + 8 + rd_u64(bytes, cursor) as usize);
+    }
+    let names = cursor;
+    let syms = align8(names + rd_u32(bytes, 0x38) as usize);
+    let relocs = syms + 32 * rd_u32(bytes, 0x30) as usize;
+    (names, syms, relocs)
+}
+
+#[test]
+fn hash_consistent_forged_records_are_misses() {
+    // Each case forges one record field of a correct artifact and re-seals
+    // the payload hash, so only the decoder's record checks stand between
+    // the forged bytes and a hit.
+    let dir = temp_dir("forged");
+    let store = cache(&dir);
+    let clean = serialize_module(0, &sample_module());
+    let (names, syms, relocs) = record_offsets(&clean);
+    let names_len = rd_u32(&clean, 0x38);
+    let nsyms = rd_u32(&clean, 0x30);
+    let sym = move |i: usize| syms + 32 * i;
+    let reloc = move |i: usize| relocs + 24 * i;
+    let put_u32 = |b: &mut Vec<u8>, off: usize, v: u32| {
+        b[off..off + 4].copy_from_slice(&v.to_le_bytes());
+    };
+    type Forge = Box<dyn Fn(&mut Vec<u8>)>;
+    let cases: Vec<(&str, Forge)> = vec![
+        (
+            "name end past the arena",
+            Box::new(move |b| put_u32(b, sym(3) + 4, names_len + 1)),
+        ),
+        (
+            "name start after its end",
+            Box::new(move |b| {
+                let end = rd_u32(b, sym(1) + 4);
+                put_u32(b, sym(1), end + 1);
+            }),
+        ),
+        ("non-UTF-8 arena byte", Box::new(move |b| b[names] = 0xff)),
+        ("unknown binding", Box::new(move |b| b[sym(0) + 25] = 0x7f)),
+        ("is_func = 2", Box::new(move |b| b[sym(0) + 26] = 2)),
+        (
+            "unknown symbol section",
+            Box::new(move |b| b[sym(0) + 24] = 0x7e),
+        ),
+        (
+            "duplicate name",
+            Box::new(move |b| {
+                let (start, end) = (rd_u32(b, sym(0)), rd_u32(b, sym(0) + 4));
+                put_u32(b, sym(1), start);
+                put_u32(b, sym(1) + 4, end);
+            }),
+        ),
+        (
+            "reloc symbol >= nsyms",
+            Box::new(move |b| put_u32(b, reloc(0) + 16, nsyms)),
+        ),
+        (
+            "unknown reloc section",
+            Box::new(move |b| b[reloc(0) + 20] = 0x7e),
+        ),
+        (
+            "unknown reloc kind",
+            Box::new(move |b| b[reloc(0) + 21] = 0x7e),
+        ),
+    ];
+    for (key, (what, forge)) in (100u64..).zip(cases) {
+        let mut bytes = serialize_module(key, &sample_module());
+        forge(&mut bytes);
+        let hash = StableHasher::hash_bytes(&bytes[64..]);
+        bytes[0x20..0x28].copy_from_slice(&hash.to_le_bytes());
+        let path = dir.join(format!("{key:016x}.tpdeart"));
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.load(key).is_none(), "{what}: forged record must miss");
+        assert!(!path.exists(), "{what}: forged artifact should be unlinked");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
