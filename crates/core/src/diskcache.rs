@@ -1,5 +1,5 @@
-//! Persistent cross-process code cache: an mmap-able on-disk artifact store
-//! for zero-compile warm restarts.
+//! Persistent cross-process code cache: an on-disk artifact store for
+//! zero-compile warm restarts.
 //!
 //! The in-memory module cache of [`crate::service::CompileService`] answers
 //! repeat requests at memory speed but dies with the process. This module
@@ -14,8 +14,8 @@
 //! One artifact file per cache key, `<key:016x>.tpdeart`, little-endian
 //! throughout. A fixed 64-byte header is followed by a single hash-covered
 //! payload; every variable-length chunk inside the payload is padded to an
-//! 8-byte boundary so the fixed-size symbol/relocation records that follow
-//! it stay naturally aligned for the zero-copy views:
+//! 8-byte boundary (part of format 3, so the fixed-size symbol/relocation
+//! records that follow start 8-byte aligned in the file):
 //!
 //! ```text
 //! offset  size  field
@@ -43,9 +43,10 @@
 //!         48    compile stats (6 x u64)
 //! ```
 //!
-//! Symbol names are stored in declaration order, so replaying them through
-//! [`CodeBuffer::declare_symbol`] reproduces the original symbol table —
-//! ids, interned arena and all — and the materialized module is
+//! A load reads the whole file into memory and decodes it in one checked
+//! pass. Symbol names are stored in declaration order, so replaying them
+//! through [`CodeBuffer::declare_symbol`] reproduces the original symbol
+//! table — ids, interned arena and all — and the materialized module is
 //! **byte-identical** to the one that was stored
 //! ([`crate::codebuf::assert_identical`] is the contract, pinned by the
 //! round-trip tests and re-asserted per request across a real process
@@ -86,7 +87,7 @@
 //! concurrent reader sees either no artifact or a complete one — a crash
 //! mid-store leaves at most a stale `.tmp` file. Loads verify before they
 //! trust: the header is bounds-checked, the payload hash is recomputed over
-//! the mapping, every record index is range-checked, and the materialized
+//! the bytes read, every record field is range-checked, and the materialized
 //! module must pass [`CompiledModule::validate`]. A truncated file, a
 //! flipped byte, a stale format version or a key mismatch all degrade to a
 //! cache miss (the corrupt file is unlinked so the next store can heal it).
@@ -94,49 +95,47 @@
 //! backoff before any such verdict — a signal-interrupted read must not
 //! unlink a perfectly good artifact — and counted in
 //! [`DiskCache::io_retries`]. All I/O paths carry [`crate::faultpoint`]
-//! probes (`disk.read`, `disk.short_read`, `disk.rename`, `disk.flock`,
-//! `disk.mmap`) so the fault-injection harness can exercise exactly these
-//! degradations deterministically.
+//! probes (`disk.read`, `disk.short_read`, `disk.rename`, `disk.flock`) so
+//! the fault-injection harness can exercise exactly these degradations
+//! deterministically.
 //!
 //! # Concurrency
 //!
 //! Multiple service processes share one cache directory. Artifact files are
-//! immutable once renamed into place and unlinking a mapped file is safe on
-//! Unix, so readers never lock. The only shared mutable state is the LRU
-//! index (`index.tpde`: `key tick` lines driving eviction, the last line of
-//! a key counts) and the byte ledger (a 16-byte record, magic + running
-//! artifact total, at the start of `index.lock`), both updated under an
-//! exclusive `flock` on `index.lock`. Hits and stores do O(1) work there: a
-//! hit appends one line with a process-monotonic wall-clock tick; a store
-//! appends one line and adds its artifact's bytes to the ledger — no
-//! directory scan, no index rewrite. The full *reconcile* (scan the
-//! directory, evict least-recently-used artifacts down to `max_bytes`,
-//! rewrite the index with one line per live artifact, rewrite the ledger
-//! with the true total) runs at open, when ledger plus new bytes would
-//! exceed `max_bytes`, when the index is past both 1 MiB and twice its
-//! size after this handle's last compaction, when the ledger record is
-//! missing or foreign, and after this handle failed to take the lock. The
-//! ledger may over-count (a key stored by two processes at once, a corrupt
-//! artifact unlinked by a load): that only brings the next reconcile
-//! forward. It may under-count by the bytes whose ledger update was lost (a
-//! crash between rename and update, an older binary sharing the directory)
-//! until the next open reconciles, so the size bound is best-effort, as
-//! recency is; with an exact ledger, eviction decisions are those of a scan
-//! per store. Artifact *presence* is the source of truth, so a lost or
-//! stale index only resets recency, never correctness. Stores of a key that
-//! already has an artifact skip the write entirely — determinism guarantees
-//! the bytes would be identical.
+//! immutable once renamed into place, and a load reads a file through one
+//! open handle that a concurrent unlink does not disturb, so readers never
+//! lock. The only shared mutable state is the LRU index (`index.tpde`: `key
+//! tick` lines driving eviction, the last line of a key counts) and the byte
+//! ledger (a 16-byte record, magic + running artifact total, at the start of
+//! `index.lock`), both updated under an exclusive [`File::lock`] on
+//! `index.lock`. Hits and stores do O(1) work there: a hit appends one line
+//! with a process-monotonic wall-clock tick; a store appends one line and
+//! adds its artifact's bytes to the ledger — no directory scan, no index
+//! rewrite. The full *reconcile* (scan the directory, evict
+//! least-recently-used artifacts down to `max_bytes`, rewrite the index with
+//! one line per live artifact, rewrite the ledger with the true total) runs
+//! at open, when ledger plus new bytes would exceed `max_bytes`, when the
+//! index is past both 1 MiB and twice its size after this handle's last
+//! compaction, when the ledger record is missing or foreign, and after this
+//! handle failed to take the lock. The ledger may over-count (a key stored
+//! by two processes at once, a corrupt artifact unlinked by a load): that
+//! only brings the next reconcile forward. It may under-count by the bytes
+//! whose ledger update was lost (a crash between rename and update, an older
+//! binary sharing the directory) until the next open reconciles, so the size
+//! bound is best-effort, as recency is; with an exact ledger, eviction
+//! decisions are those of a scan per store. Artifact *presence* is the
+//! source of truth, so a lost or stale index only resets recency, never
+//! correctness. Stores of a key that already has an artifact skip the write
+//! entirely — determinism guarantees the bytes would be identical.
 
 use crate::codebuf::{CodeBuffer, Reloc, RelocKind, SectionKind, SymbolBinding, SymbolId};
 use crate::codegen::{CompileStats, CompiledModule};
-use crate::error::{Error, Result};
 use crate::faultpoint::{self, sites, IoFault};
 use crate::hash::StableHasher;
-use crate::jit::LinkView;
 use crate::timing::PassTimings;
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -278,175 +277,8 @@ pub fn serialize_module(key: u64, module: &CompiledModule) -> Vec<u8> {
 }
 
 // --------------------------------------------------------------------------
-// Memory mapping (no libc crate: std already links libc on Unix)
+// Decoding: one checked pass from file bytes to a module
 // --------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-    const LOCK_EX: i32 = 2;
-    const LOCK_UN: i32 = 8;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-        fn flock(fd: i32, operation: i32) -> i32;
-    }
-
-    /// Maps `len` bytes of `file` read-only; `None` on failure (the caller
-    /// falls back to reading the file into memory).
-    pub fn map_readonly(file: &File, len: usize) -> Option<*mut c_void> {
-        if len == 0 {
-            return None;
-        }
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ,
-                MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        (ptr as isize != -1).then_some(ptr)
-    }
-
-    pub fn unmap(ptr: *mut c_void, len: usize) {
-        unsafe {
-            munmap(ptr, len);
-        }
-    }
-
-    /// Takes an exclusive advisory lock on `file`, blocking until available.
-    /// `flock` locks the open file description, so two lock files opened by
-    /// threads of one process exclude each other just like two processes do.
-    pub fn lock_exclusive(file: &File) -> bool {
-        unsafe { flock(file.as_raw_fd(), LOCK_EX) == 0 }
-    }
-
-    pub fn unlock(file: &File) {
-        unsafe {
-            flock(file.as_raw_fd(), LOCK_UN);
-        }
-    }
-}
-
-/// Backing storage of an [`Artifact`]: a read-only memory mapping where the
-/// platform provides one, otherwise the file contents read into memory.
-enum Backing {
-    #[cfg(unix)]
-    Map {
-        ptr: *mut std::ffi::c_void,
-        len: usize,
-    },
-    Heap(Vec<u8>),
-}
-
-impl Backing {
-    /// Maps (or reads) the whole file. An injected [`sites::DISK_MMAP`]
-    /// fault skips the mapping attempt, exercising the heap fallback; an
-    /// injected [`sites::DISK_SHORT_READ`] truncates the buffered bytes
-    /// (the hash check downstream must catch it).
-    fn from_file(file: &mut File, len: usize) -> io::Result<Backing> {
-        #[cfg(unix)]
-        if faultpoint::trip(sites::DISK_MMAP, 0).is_none() {
-            if let Some(ptr) = sys::map_readonly(file, len) {
-                return Ok(Backing::Map { ptr, len });
-            }
-        }
-        let mut bytes = Vec::with_capacity(len);
-        file.read_to_end(&mut bytes)?;
-        match faultpoint::trip(sites::DISK_SHORT_READ, 0) {
-            Some(IoFault::Short) => bytes.truncate(bytes.len() / 2),
-            Some(fault) => return Err(fault.to_io_error()),
-            None => {}
-        }
-        Ok(Backing::Heap(bytes))
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            Backing::Map { ptr, len } => unsafe {
-                std::slice::from_raw_parts(*ptr as *const u8, *len)
-            },
-            Backing::Heap(v) => v,
-        }
-    }
-
-    /// Whether the bytes are served by a memory mapping (vs. a heap copy).
-    fn is_mapped(&self) -> bool {
-        match self {
-            #[cfg(unix)]
-            Backing::Map { .. } => true,
-            Backing::Heap(_) => false,
-        }
-    }
-}
-
-impl Drop for Backing {
-    fn drop(&mut self) {
-        match self {
-            #[cfg(unix)]
-            Backing::Map { ptr, len } => sys::unmap(*ptr, *len),
-            Backing::Heap(_) => {}
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// Artifact: verified zero-copy view of one stored module
-// --------------------------------------------------------------------------
-
-/// Why an artifact could not be opened (internal; the public API treats
-/// every variant as a cache miss).
-enum OpenError {
-    /// No artifact stored under the key.
-    Missing,
-    /// The file exists but failed verification; the loader unlinks it.
-    Corrupt,
-    /// Reading failed with a transient error even after retries. The
-    /// artifact is presumed intact — a miss, but **not** unlinked.
-    Unavailable,
-}
-
-/// A verified, mmap-ed view of one on-disk artifact.
-///
-/// Section bytes, symbol records and relocation records are read directly
-/// out of the mapping — nothing is copied until [`Artifact::to_module`]
-/// materializes a [`CompiledModule`]. The view implements
-/// [`crate::jit::LinkView`], so [`crate::jit::link_in_memory`] can produce a
-/// [`crate::jit::JitImage`] straight from the mapping on a warm restart.
-///
-/// Every accessor is safe on a successfully opened artifact: opening
-/// verifies the header, the payload hash and the bounds of every record, so
-/// corruption is rejected up front rather than discovered mid-read.
-pub struct Artifact {
-    backing: Backing,
-    bss_size: u64,
-    nsyms: u32,
-    nrelocs: u32,
-    /// (offset, len) of .text/.data/.rodata bytes within the file.
-    sections: [(usize, usize); 3],
-    /// (offset, len) of the name arena within the file.
-    names: (usize, usize),
-    syms_off: usize,
-    relocs_off: usize,
-    stats: CompileStats,
-}
 
 fn rd_u32(b: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(b[off..off + 4].try_into().unwrap())
@@ -456,267 +288,133 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b[off..off + 8].try_into().unwrap())
 }
 
-fn rd_i64(b: &[u8], off: usize) -> i64 {
-    i64::from_le_bytes(b[off..off + 8].try_into().unwrap())
-}
+/// Verifies the artifact bytes `b` stored under `key` and materializes them
+/// into a [`CompiledModule`] byte-identical to the module that was stored,
+/// by replaying the symbol declarations, section bytes and relocations
+/// through the public [`CodeBuffer`] API. Timings start at zero (they
+/// describe a compile, and no compile happened).
+///
+/// `None` means corrupt or mismatched: a bad header, key or hash, a chunk
+/// walk that does not end exactly at the end of the file, any record field
+/// out of range (name bounds, binding, `is_func`, section, relocation symbol
+/// and kind codes, duplicate names), or a module that fails
+/// [`CompiledModule::validate`]. The records are input from outside the
+/// program, so they are checked even where `validate` would also catch them.
+fn decode(b: &[u8], key: u64) -> Option<CompiledModule> {
+    if b.len() < HEADER_LEN
+        || b[..8] != MAGIC
+        || rd_u32(b, 0x08) != FORMAT_VERSION
+        || rd_u64(b, 0x10) != key
+    {
+        return None;
+    }
+    if rd_u64(b, 0x18) != (b.len() - HEADER_LEN) as u64 {
+        return None; // truncated (or trailing garbage)
+    }
+    if StableHasher::hash_bytes(&b[HEADER_LEN..]) != rd_u64(b, 0x20) {
+        return None;
+    }
+    let bss_size = rd_u64(b, 0x28);
+    let nsyms = rd_u32(b, 0x30);
+    let nrelocs = rd_u32(b, 0x34);
+    let names_len = rd_u32(b, 0x38) as u64;
 
-impl Artifact {
-    /// Opens and verifies the artifact at `path`. Each attempt re-opens the
-    /// file from scratch, so transient failures (injected via
-    /// [`sites::DISK_READ`] or real `EINTR`/`EAGAIN`) retry cleanly; a
-    /// transient error that survives the retries is [`OpenError::Unavailable`]
-    /// — a miss that must *not* unlink the (presumed intact) artifact.
-    fn open(
-        path: &Path,
-        expect_key: u64,
-        retries: &AtomicU64,
-    ) -> std::result::Result<Artifact, OpenError> {
-        let backing = retry_io(retries, || {
-            if let Some(fault) = faultpoint::trip(sites::DISK_READ, 0) {
-                return Err(fault.to_io_error());
-            }
-            let mut file = File::open(path)?;
-            let len = file.metadata()?.len() as usize;
-            Backing::from_file(&mut file, len)
+    // Walk the payload chunks with overflow-checked arithmetic (a corrupt
+    // length field must not wrap the cursor); all offsets are file-relative.
+    let align8 = |n: u64| n.checked_add(7).map(|n| n & !7);
+    let file_len = b.len() as u64;
+    let mut cursor = HEADER_LEN as u64;
+    let mut sections: [&[u8]; 3] = [&[]; 3];
+    for data in sections.iter_mut() {
+        if cursor + 8 > file_len {
+            return None;
+        }
+        let len = rd_u64(b, cursor as usize);
+        let end = (cursor + 8).checked_add(len)?;
+        if end > file_len {
+            return None;
+        }
+        *data = &b[(cursor + 8) as usize..end as usize];
+        cursor = align8(end)?;
+    }
+    let names_off = cursor as usize;
+    cursor = align8(cursor.checked_add(names_len)?)?;
+    let syms_off = cursor as usize;
+    cursor = cursor.checked_add(nsyms as u64 * SYM_RECORD as u64)?;
+    let relocs_off = cursor as usize;
+    cursor = cursor.checked_add(nrelocs as u64 * RELOC_RECORD as u64)?;
+    let stats_off = cursor as usize;
+    if cursor.checked_add(STATS_LEN as u64)? != file_len {
+        return None;
+    }
+
+    let names = std::str::from_utf8(&b[names_off..names_off + names_len as usize]).ok()?;
+    let mut buf = CodeBuffer::new();
+    for (i, rec) in (0..).zip(b[syms_off..relocs_off].chunks_exact(SYM_RECORD)) {
+        // `get` is `None` for a reversed range, an end past the arena and a
+        // bound off a char boundary.
+        let name = names.get(rd_u32(rec, 0) as usize..rd_u32(rec, 4) as usize)?;
+        let section = match rec[24] {
+            SECTION_NONE => None,
+            code => Some(SectionKind::from_code(code)?),
+        };
+        let binding = SymbolBinding::from_code(rec[25])?;
+        let is_func = match rec[26] {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let id = buf.declare_symbol(name, binding, is_func);
+        if id.0 != i {
+            return None; // duplicate name
+        }
+        let size = rd_u64(rec, 16);
+        match section {
+            Some(kind) => buf.define_symbol(id, kind, rd_u64(rec, 8), size),
+            None => buf.set_symbol_size(id, size),
+        }
+    }
+    for (kind, data) in [SectionKind::Text, SectionKind::Data, SectionKind::ROData]
+        .into_iter()
+        .zip(sections)
+    {
+        buf.append(kind, data);
+    }
+    if bss_size > 0 {
+        buf.reserve_bss(bss_size, 1);
+    }
+    for rec in b[relocs_off..stats_off].chunks_exact(RELOC_RECORD) {
+        let symbol = rd_u32(rec, 16);
+        if symbol >= nsyms {
+            return None;
+        }
+        buf.add_reloc(Reloc {
+            offset: rd_u64(rec, 0),
+            addend: rd_u64(rec, 8) as i64,
+            symbol: SymbolId(symbol),
+            section: SectionKind::from_code(rec[20])?,
+            kind: RelocKind::from_code(rec[21])?,
         });
-        let backing = match backing {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(OpenError::Missing),
-            Err(e) if is_transient(&e) => return Err(OpenError::Unavailable),
-            Err(_) => return Err(OpenError::Corrupt),
-        };
-        Artifact::parse(backing, expect_key).ok_or(OpenError::Corrupt)
     }
-
-    /// Parses and verifies the artifact; `None` means corrupt/mismatched.
-    fn parse(backing: Backing, expect_key: u64) -> Option<Artifact> {
-        let b = backing.bytes();
-        if b.len() < HEADER_LEN || b[..8] != MAGIC {
-            return None;
-        }
-        if rd_u32(b, 0x08) != FORMAT_VERSION || rd_u64(b, 0x10) != expect_key {
-            return None;
-        }
-        let payload_len = rd_u64(b, 0x18);
-        if payload_len != (b.len() - HEADER_LEN) as u64 {
-            return None; // truncated (or trailing garbage)
-        }
-        let payload = &b[HEADER_LEN..];
-        if StableHasher::hash_bytes(payload) != rd_u64(b, 0x20) {
-            return None;
-        }
-        let bss_size = rd_u64(b, 0x28);
-        let nsyms = rd_u32(b, 0x30);
-        let nrelocs = rd_u32(b, 0x34);
-        let names_len = rd_u32(b, 0x38);
-
-        // Walk the payload chunks with overflow-checked arithmetic (a
-        // corrupt length field must not wrap the cursor); all offsets below
-        // are file-relative.
-        let align8 = |n: u64| n.checked_add(7).map(|n| n & !7);
-        let file_len = b.len() as u64;
-        let mut cursor = HEADER_LEN as u64;
-        let mut sections = [(0usize, 0usize); 3];
-        for slot in sections.iter_mut() {
-            if cursor + 8 > file_len {
-                return None;
-            }
-            let len = rd_u64(b, cursor as usize);
-            let end = (cursor + 8).checked_add(len)?;
-            if end > file_len {
-                return None;
-            }
-            *slot = ((cursor + 8) as usize, len as usize);
-            cursor = align8(end)?;
-        }
-        let names = (cursor as usize, names_len as usize);
-        cursor = align8(cursor.checked_add(names_len as u64)?)?;
-        let syms_off = cursor as usize;
-        cursor = cursor.checked_add(nsyms as u64 * SYM_RECORD as u64)?;
-        let relocs_off = cursor as usize;
-        cursor = cursor.checked_add(nrelocs as u64 * RELOC_RECORD as u64)?;
-        let stats_off = cursor as usize;
-        cursor = cursor.checked_add(STATS_LEN as u64)?;
-        if cursor != file_len {
-            return None;
-        }
-
-        // Verify the name arena and every record up front so the accessors
-        // are panic-free afterwards.
-        let names_str = std::str::from_utf8(&b[names.0..names.0 + names.1]).ok()?;
-        for i in 0..nsyms {
-            let rec = syms_off + i as usize * SYM_RECORD;
-            let (start, end) = (rd_u32(b, rec) as usize, rd_u32(b, rec + 4) as usize);
-            if start > end
-                || end > names_str.len()
-                || !names_str.is_char_boundary(start)
-                || !names_str.is_char_boundary(end)
-            {
-                return None;
-            }
-            let section = b[rec + 24];
-            if section != SECTION_NONE && SectionKind::from_code(section).is_none() {
-                return None;
-            }
-            if SymbolBinding::from_code(b[rec + 25]).is_none() || b[rec + 26] > 1 {
-                return None;
-            }
-        }
-        for i in 0..nrelocs {
-            let rec = relocs_off + i as usize * RELOC_RECORD;
-            if rd_u32(b, rec + 16) >= nsyms
-                || SectionKind::from_code(b[rec + 20]).is_none()
-                || RelocKind::from_code(b[rec + 21]).is_none()
-            {
-                return None;
-            }
-        }
-        let stats = CompileStats {
-            funcs: rd_u64(b, stats_off) as usize,
-            blocks: rd_u64(b, stats_off + 8) as usize,
-            insts: rd_u64(b, stats_off + 16) as usize,
-            spills: rd_u64(b, stats_off + 24) as usize,
-            reloads: rd_u64(b, stats_off + 32) as usize,
-            moves: rd_u64(b, stats_off + 40) as usize,
-        };
-        Some(Artifact {
-            backing,
-            bss_size,
-            nsyms,
-            nrelocs,
-            sections,
-            names,
-            syms_off,
-            relocs_off,
-            stats,
-        })
-    }
-
-    /// Compile-event counters stored with the module.
-    pub fn stats(&self) -> &CompileStats {
-        &self.stats
-    }
-
-    /// Whether the artifact is served by a memory mapping (`false` on
-    /// platforms without mmap, where the file was read into memory).
-    pub fn is_mapped(&self) -> bool {
-        self.backing.is_mapped()
-    }
-
-    fn sym_record(&self, i: u32) -> usize {
-        self.syms_off + i as usize * SYM_RECORD
-    }
-
-    /// `(binding, is_func, size)` of symbol `i`.
-    fn symbol_meta(&self, i: u32) -> (SymbolBinding, bool, u64) {
-        let b = self.backing.bytes();
-        let rec = self.sym_record(i);
-        (
-            SymbolBinding::from_code(b[rec + 25]).expect("verified at open"),
-            b[rec + 26] != 0,
-            rd_u64(b, rec + 8 + 8),
-        )
-    }
-
-    /// Materializes the artifact into a [`CompiledModule`] byte-identical to
-    /// the module that was stored, by replaying the symbol declarations,
-    /// section bytes and relocations through the public [`CodeBuffer`] API.
-    /// Timings start at zero (they describe a compile, and no compile
-    /// happened). The result must pass [`CompiledModule::validate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Emit`] if the (hash-consistent) artifact is
-    /// structurally inconsistent; callers treat that as a cache miss.
-    pub fn to_module(&self) -> Result<CompiledModule> {
-        let mut buf = CodeBuffer::new();
-        for i in 0..self.nsyms {
-            let (binding, is_func, size) = self.symbol_meta(i);
-            let id = buf.declare_symbol(self.symbol_name(i), binding, is_func);
-            if id.0 != i {
-                return Err(Error::Emit(
-                    "invalid module: duplicate symbol name in artifact".into(),
-                ));
-            }
-            match self.symbol_def(i) {
-                Some((kind, offset)) => buf.define_symbol(id, kind, offset, size),
-                None => buf.set_symbol_size(id, size),
-            }
-        }
-        for kind in [SectionKind::Text, SectionKind::Data, SectionKind::ROData] {
-            buf.append(kind, LinkView::section_data(self, kind));
-        }
-        if self.bss_size > 0 {
-            buf.reserve_bss(self.bss_size, 1);
-        }
-        for i in 0..self.nrelocs as usize {
-            buf.add_reloc(self.reloc(i));
-        }
-        let module = CompiledModule {
-            buf,
-            stats: self.stats.clone(),
-            timings: PassTimings::new(),
-        };
-        module.validate()?;
-        Ok(module)
-    }
-}
-
-impl LinkView for Artifact {
-    fn section_size(&self, kind: SectionKind) -> u64 {
-        match kind {
-            SectionKind::Bss => self.bss_size,
-            _ => self.sections[kind.code() as usize].1 as u64,
-        }
-    }
-
-    fn section_data(&self, kind: SectionKind) -> &[u8] {
-        match kind {
-            SectionKind::Bss => &[],
-            _ => {
-                let (off, len) = self.sections[kind.code() as usize];
-                &self.backing.bytes()[off..off + len]
-            }
-        }
-    }
-
-    fn symbol_count(&self) -> u32 {
-        self.nsyms
-    }
-
-    fn symbol_name(&self, i: u32) -> &str {
-        let b = self.backing.bytes();
-        let rec = self.sym_record(i);
-        let (start, end) = (rd_u32(b, rec) as usize, rd_u32(b, rec + 4) as usize);
-        std::str::from_utf8(&b[self.names.0 + start..self.names.0 + end]).expect("verified at open")
-    }
-
-    fn symbol_def(&self, i: u32) -> Option<(SectionKind, u64)> {
-        let b = self.backing.bytes();
-        let rec = self.sym_record(i);
-        let kind = SectionKind::from_code(b[rec + 24])?;
-        Some((kind, rd_u64(b, rec + 8)))
-    }
-
-    fn reloc_count(&self) -> usize {
-        self.nrelocs as usize
-    }
-
-    fn reloc(&self, i: usize) -> Reloc {
-        let b = self.backing.bytes();
-        let rec = self.relocs_off + i * RELOC_RECORD;
-        Reloc {
-            offset: rd_u64(b, rec),
-            addend: rd_i64(b, rec + 8),
-            symbol: SymbolId(rd_u32(b, rec + 16)),
-            section: SectionKind::from_code(b[rec + 20]).expect("verified at open"),
-            kind: RelocKind::from_code(b[rec + 21]).expect("verified at open"),
-        }
-    }
+    let stat = |i: usize| rd_u64(b, stats_off + 8 * i) as usize;
+    let module = CompiledModule {
+        buf,
+        stats: CompileStats {
+            funcs: stat(0),
+            blocks: stat(1),
+            insts: stat(2),
+            spills: stat(3),
+            reloads: stat(4),
+            moves: stat(5),
+        },
+        timings: PassTimings::new(),
+    };
+    module.validate().ok()?;
+    Some(module)
 }
 
 // --------------------------------------------------------------------------
-// The store: crash-safe writes, flock-ed LRU index, size-bounded eviction
+// The store: crash-safe writes, locked LRU index, size-bounded eviction
 // --------------------------------------------------------------------------
 
 /// Configuration of a [`DiskCache`].
@@ -739,74 +437,49 @@ impl DiskCacheConfig {
     }
 }
 
-/// Exclusive inter-process lock over the cache index (advisory `flock`; a
-/// no-op on platforms without it, where the cache is single-process only).
-struct IndexLock {
-    #[cfg(unix)]
-    file: File,
-}
+/// Exclusive inter-process lock over the cache index: [`File::lock`] on
+/// `index.lock`, released when the file closes. On Linux that is
+/// `flock(2)`, which locks the open file description, so two handles opened
+/// by threads of one process exclude each other just like two processes do.
+struct IndexLock(File);
 
 impl IndexLock {
     fn acquire(dir: &Path, retries: &AtomicU64) -> Option<IndexLock> {
-        #[cfg(unix)]
-        {
-            let file = retry_io(retries, || {
-                if let Some(fault) = faultpoint::trip(sites::DISK_FLOCK, 0) {
-                    return Err(fault.to_io_error());
-                }
-                File::options()
-                    .create(true)
-                    .truncate(false)
-                    .read(true)
-                    .write(true)
-                    .open(dir.join("index.lock"))
-            })
-            .ok()?;
-            sys::lock_exclusive(&file).then_some(IndexLock { file })
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = (dir, retries);
-            Some(IndexLock {})
-        }
+        let file = retry_io(retries, || {
+            if let Some(fault) = faultpoint::trip(sites::DISK_FLOCK, 0) {
+                return Err(fault.to_io_error());
+            }
+            File::options()
+                .create(true)
+                .truncate(false)
+                .read(true)
+                .write(true)
+                .open(dir.join("index.lock"))
+        })
+        .ok()?;
+        file.lock().ok()?;
+        Some(IndexLock(file))
     }
 
-    /// The byte ledger (`pread` of the held lock file); `None` if the
-    /// record is missing, short or has the wrong magic.
+    /// The byte ledger (the first 16 bytes of the held lock file); `None`
+    /// if the record is missing, short or has the wrong magic.
     fn ledger(&self) -> Option<u64> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            let mut rec = [0u8; 16];
-            self.file.read_exact_at(&mut rec, 0).ok()?;
-            (rec[..8] == LEDGER_MAGIC).then(|| rd_u64(&rec, 8))
-        }
-        #[cfg(not(unix))]
-        None
+        let mut file = &self.0;
+        let mut rec = [0u8; 16];
+        file.seek(SeekFrom::Start(0)).ok()?;
+        file.read_exact(&mut rec).ok()?;
+        (rec[..8] == LEDGER_MAGIC).then(|| rd_u64(&rec, 8))
     }
 
-    /// Overwrites the ledger record (`pwrite`); `false` if that failed.
+    /// Overwrites the ledger record; `false` if that failed.
     fn set_ledger(&self, total: u64) -> bool {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            let mut rec = [0u8; 16];
-            rec[..8].copy_from_slice(&LEDGER_MAGIC);
-            rec[8..].copy_from_slice(&total.to_le_bytes());
-            self.file.write_all_at(&rec, 0).is_ok()
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = total;
-            false
-        }
-    }
-}
-
-impl Drop for IndexLock {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        sys::unlock(&self.file);
+        let mut file = &self.0;
+        let mut rec = [0u8; 16];
+        rec[..8].copy_from_slice(&LEDGER_MAGIC);
+        rec[8..].copy_from_slice(&total.to_le_bytes());
+        file.seek(SeekFrom::Start(0))
+            .and_then(|_| file.write_all(&rec))
+            .is_ok()
     }
 }
 
@@ -919,37 +592,41 @@ impl DiskCache {
         Ok(fresh)
     }
 
-    /// Opens the verified artifact stored under `key` as a zero-copy view;
-    /// `None` if absent or corrupt (a corrupt file is unlinked so a later
-    /// store heals it; a persistently *transient* read failure is a miss
-    /// but leaves the artifact in place).
-    pub fn open_artifact(&self, key: u64) -> Option<Artifact> {
-        let path = self.artifact_path(key);
-        match Artifact::open(&path, key, &self.retries) {
-            Ok(a) => Some(a),
-            Err(OpenError::Missing | OpenError::Unavailable) => None,
-            Err(OpenError::Corrupt) => {
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
     /// Loads and materializes the module stored under `key`, verifying the
-    /// artifact hash and [`CompiledModule::validate`] on the way; `None` is
-    /// a miss (absent, corrupt, or structurally invalid — the latter two
-    /// unlink the artifact). A hit bumps the key's LRU recency with one
+    /// whole artifact and [`CompiledModule::validate`] on the way; `None` is
+    /// a miss. An absent artifact, or one whose read still fails
+    /// transiently after the retries (injected via [`sites::DISK_READ`] or
+    /// real `EINTR`/`EAGAIN`), stays in place; any other read error and a
+    /// corrupt or structurally invalid artifact are unlinked, so a later
+    /// store heals them. A hit bumps the key's LRU recency with one
     /// appended index line: it adds no bytes, so the budget alone never
     /// makes it reconcile.
     pub fn load(&self, key: u64) -> Option<CompiledModule> {
-        let artifact = self.open_artifact(key)?;
-        match artifact.to_module() {
-            Ok(module) => {
+        let path = self.artifact_path(key);
+        let read = retry_io(&self.retries, || {
+            if let Some(fault) = faultpoint::trip(sites::DISK_READ, 0) {
+                return Err(fault.to_io_error());
+            }
+            let mut bytes = fs::read(&path)?;
+            match faultpoint::trip(sites::DISK_SHORT_READ, 0) {
+                Some(IoFault::Short) => bytes.truncate(bytes.len() / 2),
+                Some(fault) => return Err(fault.to_io_error()),
+                None => {}
+            }
+            Ok(bytes)
+        });
+        let module = match read {
+            Ok(bytes) => decode(&bytes, key),
+            Err(e) if e.kind() == io::ErrorKind::NotFound || is_transient(&e) => return None,
+            Err(_) => None,
+        };
+        match module {
+            Some(module) => {
                 self.with_index_lock(|lock| self.update(lock, key, None));
                 Some(module)
             }
-            Err(_) => {
-                let _ = fs::remove_file(self.artifact_path(key));
+            None => {
+                let _ = fs::remove_file(&path);
                 None
             }
         }

@@ -23,12 +23,11 @@
 //!
 //! `TPDE_FAULTS` accepts a comma-separated list of categories. `disk` arms
 //! a low-rate mix of *transparent* disk faults (transient read/rename
-//! errors that the retry path must absorb, mmap failures that must fall
-//! back to heap buffers, flock contention delays); `worker` arms small
-//! worker-loop delays and dropped worker wakeups. All are chosen so that
-//! a correct build passes its full test suite unchanged while armed —
-//! that is the point: the suite *is* the assertion that these
-//! degradations are invisible. Destructive actions
+//! errors that the retry path must absorb, index-lock contention delays);
+//! `worker` arms small worker-loop delays and dropped worker wakeups. All
+//! are chosen so that a correct build passes its full test suite unchanged
+//! while armed — that is the point: the suite *is* the assertion that
+//! these degradations are invisible. Destructive actions
 //! (short reads, panics) are only injected by targeted tests, such as
 //! `crates/llvm/tests/chaos.rs`, with explicit rules.
 
@@ -42,14 +41,12 @@ use std::time::Duration;
 pub mod sites {
     /// Reading an artifact file from the disk cache (open/read path).
     pub const DISK_READ: &str = "disk.read";
-    /// Short read while buffering an artifact (delivers truncated bytes).
+    /// Short read of an artifact file (delivers truncated bytes).
     pub const DISK_SHORT_READ: &str = "disk.short_read";
     /// Publishing rename of a freshly written artifact.
     pub const DISK_RENAME: &str = "disk.rename";
-    /// Acquiring the disk cache index flock (contention).
+    /// Acquiring the disk cache index lock (contention).
     pub const DISK_FLOCK: &str = "disk.flock";
-    /// Mapping an artifact file (falls back to a heap buffer on failure).
-    pub const DISK_MMAP: &str = "disk.mmap";
     /// Start of one service worker job (single or shard participant).
     pub const WORKER_JOB: &str = "service.job";
     /// One function boundary inside the sharded compile loop; the probe
@@ -237,7 +234,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Whether any fault plan is armed. One relaxed load on the fast path.
 #[inline]
-pub fn armed() -> bool {
+fn armed() -> bool {
     match STATE.load(Ordering::Relaxed) {
         ARMED => true,
         DISARMED => false,
@@ -274,8 +271,7 @@ fn install(rules: Option<Vec<FaultRule>>) {
 
 /// Built-in rule sets for the `TPDE_FAULTS` categories. Rates are chosen
 /// so every injected fault is *transparent* to a correct build: transient
-/// errors are retried, mmap failures fall back to heap buffers, delays
-/// only add latency.
+/// errors are retried and delays only add latency.
 fn env_rules(spec: &str) -> Vec<FaultRule> {
     let mut rules = Vec::new();
     for cat in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
@@ -287,9 +283,6 @@ fn env_rules(spec: &str) -> Vec<FaultRule> {
                 FaultRule::new(sites::DISK_RENAME, FaultAction::Transient)
                     .every(7)
                     .offset(3),
-                FaultRule::new(sites::DISK_MMAP, FaultAction::Fail)
-                    .every(3)
-                    .offset(1),
                 FaultRule::new(
                     sites::DISK_FLOCK,
                     FaultAction::Delay(Duration::from_micros(500)),

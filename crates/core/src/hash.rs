@@ -80,7 +80,7 @@ impl Hasher for StableHasher {
         mum(mum(self.a ^ K[4], K[1]) ^ self.b, K[2])
     }
 
-    /// Full words first (four lanes while at least [`WIDE`] bytes remain),
+    /// Full words first (four lanes while at least `WIDE` bytes remain),
     /// then the zero-padded tail and the length, so no two slices feed the
     /// same word stream.
     #[inline]

@@ -12,64 +12,9 @@
 //! parallel pipeline's deterministic merge ([`crate::parallel`]) maps to an
 //! image identical to the single-threaded one.
 
-use crate::codebuf::{CodeBuffer, Reloc, RelocKind, SectionKind, SymbolId};
+use crate::codebuf::{CodeBuffer, RelocKind, SectionKind, SymbolId};
 use crate::error::{Error, Result};
 use std::collections::HashMap;
-
-/// Read-only view of a compiled module as the in-memory linker consumes it:
-/// section bytes/sizes, the symbol table and the relocation list.
-///
-/// [`link_in_memory`] is generic over this trait so the same linking code
-/// serves both a freshly compiled [`CodeBuffer`] and an mmap-ed on-disk
-/// artifact ([`crate::diskcache::Artifact`]) — the latter without copying
-/// section bytes into an intermediate buffer first.
-pub trait LinkView {
-    /// Size of a section in bytes (`.bss` reports its reserved size).
-    fn section_size(&self, kind: SectionKind) -> u64;
-    /// Section contents (empty for `.bss`).
-    fn section_data(&self, kind: SectionKind) -> &[u8];
-    /// Number of symbols.
-    fn symbol_count(&self) -> u32;
-    /// Name of symbol `i` (`i < symbol_count()`).
-    fn symbol_name(&self, i: u32) -> &str;
-    /// `(section, offset)` of symbol `i` if defined, `None` if external.
-    fn symbol_def(&self, i: u32) -> Option<(SectionKind, u64)>;
-    /// Number of relocation records.
-    fn reloc_count(&self) -> usize;
-    /// Relocation record `i` (`i < reloc_count()`).
-    fn reloc(&self, i: usize) -> Reloc;
-}
-
-impl LinkView for CodeBuffer {
-    fn section_size(&self, kind: SectionKind) -> u64 {
-        CodeBuffer::section_size(self, kind)
-    }
-
-    fn section_data(&self, kind: SectionKind) -> &[u8] {
-        CodeBuffer::section_data(self, kind)
-    }
-
-    fn symbol_count(&self) -> u32 {
-        self.symbols().len() as u32
-    }
-
-    fn symbol_name(&self, i: u32) -> &str {
-        CodeBuffer::symbol_name(self, SymbolId(i))
-    }
-
-    fn symbol_def(&self, i: u32) -> Option<(SectionKind, u64)> {
-        let sym = self.symbol(SymbolId(i));
-        sym.section.map(|kind| (kind, sym.offset))
-    }
-
-    fn reloc_count(&self) -> usize {
-        self.relocs().len()
-    }
-
-    fn reloc(&self, i: usize) -> Reloc {
-        self.relocs()[i].clone()
-    }
-}
 
 /// Base virtual address at which external (unresolved) symbols are placed.
 /// Calls to these addresses are treated as host call-outs by the emulator.
@@ -151,11 +96,6 @@ fn align_up(v: u64, align: u64) -> u64 {
 /// Lays out all sections starting at `base`, applies relocations and returns
 /// the linked image.
 ///
-/// Accepts any [`LinkView`] — a [`CodeBuffer`] or a zero-copy view of an
-/// mmap-ed disk artifact; because linking reads only section bytes, symbol
-/// order and relocations, both inputs produce identical images for
-/// byte-identical modules.
-///
 /// `resolve` is consulted for undefined symbols; symbols it does not resolve
 /// are assigned synthetic call-out addresses (see [`EXTERNAL_CALLOUT_BASE`])
 /// so that generated code can still be executed in the emulator, which
@@ -164,8 +104,8 @@ fn align_up(v: u64, align: u64) -> u64 {
 /// # Errors
 ///
 /// Returns an error if a relocation does not fit its field.
-pub fn link_in_memory<V: LinkView + ?Sized>(
-    buf: &V,
+pub fn link_in_memory(
+    buf: &CodeBuffer,
     base: u64,
     mut resolve: impl FnMut(&str) -> Option<u64>,
 ) -> Result<JitImage> {
@@ -189,13 +129,13 @@ pub fn link_in_memory<V: LinkView + ?Sized>(
     // Resolve symbols.
     let mut symbols = HashMap::new();
     let mut externals = HashMap::new();
-    let mut sym_addr = vec![0u64; buf.symbol_count() as usize];
+    let mut sym_addr = vec![0u64; buf.symbols().len()];
     let mut next_external = EXTERNAL_CALLOUT_BASE;
-    for i in 0..buf.symbol_count() {
-        let name = buf.symbol_name(i);
-        let a = match buf.symbol_def(i) {
-            Some((kind, offset)) => {
-                let a = sec_addr[&kind] + offset;
+    for (i, sym) in buf.symbols().iter().enumerate() {
+        let name = buf.symbol_name(SymbolId(i as u32));
+        let a = match sym.section {
+            Some(kind) => {
+                let a = sec_addr[&kind] + sym.offset;
                 symbols.insert(name.to_string(), a);
                 a
             }
@@ -211,12 +151,11 @@ pub fn link_in_memory<V: LinkView + ?Sized>(
                 }
             }
         };
-        sym_addr[i as usize] = a;
+        sym_addr[i] = a;
     }
 
     // Apply relocations.
-    for i in 0..buf.reloc_count() {
-        let reloc = buf.reloc(i);
+    for reloc in buf.relocs() {
         let target = sym_addr[reloc.symbol.0 as usize] as i64 + reloc.addend;
         let (_, sec_base, data) = sections
             .iter_mut()

@@ -40,6 +40,8 @@
 //! assert_eq!(r.index(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adapter;
 pub mod analysis;
 pub mod assignments;

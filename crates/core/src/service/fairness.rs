@@ -4,7 +4,7 @@
 //! Requests carry a [`ClientId`]. Two mechanisms keep one greedy client
 //! from starving the rest:
 //!
-//! * **Dequeue fairness** — the worker-side backlog is a [`DrrQueue`]:
+//! * **Dequeue fairness** — the worker-side backlog is a `DrrQueue`:
 //!   two priority lanes (interactive strictly before bulk, preserving the
 //!   service's existing priority semantics), and *within* each lane a
 //!   weighted deficit round-robin over per-client FIFOs. Each visit tops
@@ -13,7 +13,7 @@
 //!   fast as a client with weight 1 — but never monopolizes the lane.
 //! * **Admission fairness** — when a queue capacity is configured, a
 //!   client's backlog share is bounded by `capacity / active_clients`
-//!   (clients with queued work, tracked lock-free in [`ClientTable`]).
+//!   (clients with queued work, tracked lock-free in `ClientTable`).
 //!   With a single client this degenerates to the old global bound; with
 //!   several, a flooding client is shed while the others still admit.
 //!

@@ -13,14 +13,14 @@
 //!                                            (lane + client fairness)
 //! ```
 //!
-//! Submitters and workers share one mutex-guarded [`DrrQueue`]: a miss is
+//! Submitters and workers share one mutex-guarded `DrrQueue`: a miss is
 //! pushed under it, then at most as many workers as the job needs are
-//! poked through their [`Parker`]s. Admission stays unbounded unless a
+//! poked through their `Parker`s. Admission stays unbounded unless a
 //! queue capacity is configured.
 //!
 //! # Wakeups
 //!
-//! One [`Parker`] per worker — a three-state atomic (`EMPTY`, `NOTIFIED`,
+//! One `Parker` per worker — a three-state atomic (`EMPTY`, `NOTIFIED`,
 //! `PARKED`). A submitter wakes exactly as many workers as the job needs
 //! (one for a batched module, all for a sharded one) instead of a global
 //! `Condvar::notify_all` thundering herd. Parking always uses a bounded

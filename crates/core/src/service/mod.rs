@@ -47,9 +47,9 @@
 //!
 //! Submission is asynchronous: a request is admitted (cache lookup,
 //! verification, coalescing, shedding), pushed under the mutex of a
-//! weighted deficit-round-robin scheduler ([`fairness::DrrQueue`]), and
+//! weighted deficit-round-robin scheduler (`fairness::DrrQueue`), and
 //! exactly as many workers as the job needs are woken through per-worker
-//! [`front::Parker`] state machines — no condvar, no thundering herd.
+//! `front::Parker` state machines — no condvar, no thundering herd.
 //! Requests carry a [`ClientId`]; within a priority lane the scheduler
 //! round-robins across clients (weighted), and when a queue capacity is
 //! configured a client's backlog share is bounded by
@@ -528,7 +528,7 @@ struct Counters {
     /// [`CompileService::stats`] snapshot.
     latency_samples_ns: Reservoir,
     /// Disk-artifact load latency samples (nanoseconds), one per disk hit:
-    /// mmap + verify + validate + materialize.
+    /// read + verify + validate + materialize.
     disk_load_samples_ns: Reservoir,
 }
 

@@ -11,7 +11,7 @@
 //! [`CodeBuffer`].
 //!
 //! Concrete implementations for x86-64 and AArch64 live in the `tpde-enc`
-//! crate ([`tpde_enc::X64Target`] and [`tpde_enc::A64Target`] in that crate).
+//! crate (`tpde_enc::X64Target` and `tpde_enc::A64Target`).
 
 use crate::callconv::CallConv;
 use crate::codebuf::{CodeBuffer, Label, SymbolId};

@@ -101,7 +101,7 @@ pub struct ServiceStats {
     pub disk_misses: u64,
     /// Modules written to the on-disk artifact cache.
     pub disk_stores: u64,
-    /// Median (nearest-rank p50) disk-artifact load latency — mmap, verify,
+    /// Median (nearest-rank p50) disk-artifact load latency — read, verify,
     /// validate and materialize. Zero until the first disk hit.
     pub disk_load_p50: Duration,
     /// Nearest-rank p99 disk-artifact load latency.

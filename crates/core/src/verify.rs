@@ -1,6 +1,6 @@
 //! IR verifier: the admission gate between untrusted IR and the back-ends.
 //!
-//! The framework trusts its [`IrAdapter`](crate::adapter::IrAdapter)
+//! The framework trusts its [`IrAdapter`]
 //! contract completely — analysis indexes successor arrays without bounds
 //! checks, codegen assumes every block ends in a terminator, the register
 //! allocator assumes every operand was defined earlier in layout order.

@@ -11,7 +11,6 @@ use tpde_core::codebuf::{
 use tpde_core::codegen::{CompileStats, CompiledModule};
 use tpde_core::diskcache::{serialize_module, DiskCache, DiskCacheConfig};
 use tpde_core::hash::StableHasher;
-use tpde_core::jit::link_in_memory;
 use tpde_core::rng::Xoshiro256;
 use tpde_core::timing::PassTimings;
 
@@ -107,28 +106,6 @@ fn round_trip_is_byte_identical() {
     let other = cache(&dir);
     let again = other.load(7).expect("shared store");
     assert_identical(&module.buf, &again.buf, "second cache instance");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn mmap_view_links_identically_to_the_buffer() {
-    let dir = temp_dir("linkview");
-    let store = cache(&dir);
-    let module = sample_module();
-    store.store(9, &module).unwrap();
-    let artifact = store.open_artifact(9).expect("verified artifact");
-    // (`TPDE_FAULTS=disk` fails some mmaps on purpose: heap fallback.)
-    #[cfg(unix)]
-    assert!(
-        artifact.is_mapped() || tpde_core::faultpoint::armed(),
-        "unix should serve artifacts by mmap"
-    );
-    // Zero-copy link straight off the mapping vs. a link of the original
-    // buffer: identical images.
-    let from_disk = link_in_memory(&artifact, 0x40_0000, |_| None).unwrap();
-    let from_buf = link_in_memory(&module.buf, 0x40_0000, |_| None).unwrap();
-    assert_eq!(from_disk.fingerprint(), from_buf.fingerprint());
-    assert_eq!(from_disk.text_size(), from_buf.text_size());
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -189,20 +189,6 @@ fn exhausted_transient_faults_miss_without_unlinking() {
 }
 
 #[test]
-fn mmap_failure_falls_back_to_heap_buffers() {
-    let dir = temp_dir("mmap-fallback");
-    let module = sample_module();
-    let _g = arm(vec![FaultRule::new(sites::DISK_MMAP, FaultAction::Fail)]);
-    let store = cache(&dir);
-    store.store(3, &module).unwrap();
-    let artifact = store.open_artifact(3).expect("open via heap fallback");
-    assert!(!artifact.is_mapped(), "mmap fault must force the heap path");
-    let loaded = artifact.to_module().unwrap();
-    assert_identical(&module.buf, &loaded.buf, "heap-backed artifact");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn short_read_is_caught_as_corruption_and_heals() {
     let dir = temp_dir("short-read");
     let module = sample_module();
@@ -213,13 +199,12 @@ fn short_read_is_caught_as_corruption_and_heals() {
         store
     };
     {
-        // Force the heap path (short reads only exist there), then truncate
-        // the buffered bytes: the payload-length/hash verification must
-        // reject the artifact rather than serve half a module.
-        let _g = arm(vec![
-            FaultRule::new(sites::DISK_MMAP, FaultAction::Fail),
-            FaultRule::new(sites::DISK_SHORT_READ, FaultAction::Short),
-        ]);
+        // Truncate the bytes read: the payload-length/hash verification
+        // must reject the artifact rather than serve half a module.
+        let _g = arm(vec![FaultRule::new(
+            sites::DISK_SHORT_READ,
+            FaultAction::Short,
+        )]);
         assert!(store.load(4).is_none(), "short read must never verify");
     }
     // Treated as corruption: unlinked, and the next store heals it.

@@ -108,11 +108,13 @@ pub fn mov_sp(buf: &mut CodeBuffer, rd: u8, rn: u8) {
 
 #[inline]
 pub(crate) fn movz_word(is64: bool, rd: u8, imm16: u16, hw: u8) -> u32 {
+    debug_assert!(is64 || hw < 2, "32-bit movz shifted by {}", 16 * hw);
     sf(is64) | 0x5280_0000 | ((hw as u32) << 21) | ((imm16 as u32) << 5) | rd as u32
 }
 
 #[inline]
 fn movk_word(is64: bool, rd: u8, imm16: u16, hw: u8) -> u32 {
+    debug_assert!(is64 || hw < 2, "32-bit movk shifted by {}", 16 * hw);
     sf(is64) | 0x7280_0000 | ((hw as u32) << 21) | ((imm16 as u32) << 5) | rd as u32
 }
 
@@ -131,6 +133,7 @@ pub fn movk(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
 /// `movn rd, #imm16, lsl #(hw*16)`.
 #[inline]
 pub fn movn(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
+    debug_assert!(is64 || hw < 2, "32-bit movn shifted by {}", 16 * hw);
     emit(
         buf,
         sf(is64) | 0x1280_0000 | ((hw as u32) << 21) | ((imm16 as u32) << 5) | rd as u32,

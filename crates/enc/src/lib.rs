@@ -19,6 +19,8 @@
 //! assert_eq!(buf.text(), &[0x48, 0x01, 0xc8, 0xc3]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod a64;
 pub mod a64target;
 pub mod x64;

@@ -803,7 +803,7 @@ impl Module {
 
     /// Deterministic content hash of the module: every function with its
     /// name, signature, linkage, stack slots, blocks, phis, instructions and
-    /// value metadata, in the packed encoding of [`Function::hash_into`].
+    /// value metadata, in the packed encoding of `Function::hash_into`.
     /// Two modules with equal hashes compile to the same machine code (for
     /// a given back-end and options), which is what the compile-service
     /// module cache and the on-disk artifact names key on. Computed afresh

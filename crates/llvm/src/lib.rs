@@ -20,6 +20,8 @@
 //! assert!(compiled.text_size() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adapter;
 pub mod backend;
 pub mod baselines;

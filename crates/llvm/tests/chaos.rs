@@ -1,8 +1,8 @@
 //! The resilience scenario: an open-loop burst of mixed-priority requests
 //! hits a small disk-backed service while armed faultpoints inject
-//! transient disk I/O errors, mmap failures, lock-contention delays and two
-//! worker stalls long past the hang budget. The front-end must degrade
-//! explicitly, never silently: every ticket resolves, every `Ok` response
+//! transient disk I/O errors, lock-contention delays and two worker stalls
+//! long past the hang budget. The front-end must degrade explicitly, never
+//! silently: every ticket resolves, every `Ok` response
 //! is byte-identical to the fault-free one-shot compiler, every `Err` is a
 //! shed class (admission rejection, deadline expiry, watchdog timeout),
 //! bulk traffic is shed while interactive p99 stays bounded, the watchdog
@@ -83,7 +83,6 @@ fn service_degrades_explicitly_under_injected_faults() {
     let guard = arm(vec![
         FaultRule::new(sites::DISK_READ, FaultAction::Transient).every(4),
         FaultRule::new(sites::DISK_RENAME, FaultAction::Transient).every(3),
-        FaultRule::new(sites::DISK_MMAP, FaultAction::Fail).every(3),
         FaultRule::new(
             sites::DISK_FLOCK,
             FaultAction::Delay(Duration::from_micros(500)),

@@ -16,6 +16,8 @@
 //! lets the LLVM, WebAssembly and Umbra back-ends in this workspace share
 //! one implementation per IR.
 
+#![forbid(unsafe_code)]
+
 mod a64_impl;
 mod ops;
 mod x64_impl;

@@ -38,6 +38,8 @@
 //! assert!(stats.insts > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cpu;
 mod decode;
 mod hostcalls;
