@@ -2,9 +2,11 @@
 //!
 //! All machine code and data generated by the framework ends up in a
 //! [`CodeBuffer`]. Instructions are appended to the text section and are
-//! never moved afterwards; forward references (jumps to not-yet-emitted
-//! blocks, prologue patching) are handled through labels and fixups that are
-//! resolved when the label is bound or when the function is finished.
+//! never moved afterwards, with one exception: the tail of the function
+//! being compiled moves when [`CodeBuffer::insert_text_with`] inserts code
+//! before it (a prologue sized once the function is known). Forward
+//! references (jumps to not-yet-emitted blocks) are handled through labels
+//! and fixups that are resolved when the function is finished.
 //!
 //! # The reserve/commit emission contract
 //!
@@ -24,9 +26,10 @@
 //! Labels and fixups live in a [`FixupPool`] that is recycled per function
 //! rather than growing for the lifetime of the module:
 //!
-//! 1. Branch encoders targeting an **already-bound** label (back-edges)
-//!    encode their displacement immediately and record nothing.
-//! 2. Forward branches record a fixup in the pool.
+//! 1. A reference to an **already-bound** label (a back-edge) is encoded
+//!    immediately by [`CodeBuffer::add_fixup`] and kept in the pool, so an
+//!    insertion can re-encode it.
+//! 2. Forward references record a pending fixup in the pool.
 //! 3. At function end the driver calls [`CodeBuffer::finish_func_fixups`],
 //!    which resolves every pending fixup and then clears the pool (keeping
 //!    its capacity), so the live fixup/label set never exceeds one
@@ -297,7 +300,14 @@ struct Fixup {
 #[derive(Debug, Default)]
 pub struct FixupPool {
     labels: Vec<Option<u64>>,
+    /// Pending references to labels not bound yet.
     fixups: Vec<Fixup>,
+    /// References to labels that were already bound, encoded at once and
+    /// kept so [`CodeBuffer::insert_text_with`] can re-encode them.
+    bound_refs: Vec<Fixup>,
+    /// Text symbols defined since the pool was last cleared: the current
+    /// function's, which an insertion moves.
+    text_syms: Vec<SymbolId>,
 }
 
 impl FixupPool {
@@ -310,6 +320,8 @@ impl FixupPool {
     pub fn clear(&mut self) {
         self.labels.clear();
         self.fixups.clear();
+        self.bound_refs.clear();
+        self.text_syms.clear();
     }
 }
 
@@ -326,15 +338,15 @@ fn apply_fixup(text: &mut [u8], f: &Fixup, target: u64) -> Result<()> {
         FixupKind::A64Branch26 => {
             let imm = branch26_imm(f.offset, target)?;
             let off = f.offset as usize;
-            let mut insn = u32::from_le_bytes(text[off..off + 4].try_into().unwrap());
-            insn |= imm;
+            let insn = u32::from_le_bytes(text[off..off + 4].try_into().unwrap());
+            let insn = (insn & !0x03ff_ffff) | imm;
             text[off..off + 4].copy_from_slice(&insn.to_le_bytes());
         }
         FixupKind::A64Branch19 => {
             let imm = branch19_imm(f.offset, target)?;
             let off = f.offset as usize;
-            let mut insn = u32::from_le_bytes(text[off..off + 4].try_into().unwrap());
-            insn |= imm << 5;
+            let insn = u32::from_le_bytes(text[off..off + 4].try_into().unwrap());
+            let insn = (insn & !(0x7ffff << 5)) | (imm << 5);
             text[off..off + 4].copy_from_slice(&insn.to_le_bytes());
         }
         FixupKind::AbsTextOff32 => {
@@ -481,6 +493,9 @@ pub struct CodeBuffer {
     /// at most one arena copy and zero `String` allocations.
     name_slots: Vec<u32>,
     relocs: Vec<Reloc>,
+    /// Index of the current function's first relocation: the relocation
+    /// count when the fixup pool was last recycled or installed.
+    func_relocs: usize,
     pool: FixupPool,
     /// Count of `align`/`reserve_bss` calls with alignment > 1, per section.
     /// [`CodeBuffer::merge_from`] uses the per-extent delta to detect (and
@@ -753,6 +768,9 @@ impl CodeBuffer {
         sym.section = Some(section);
         sym.offset = offset;
         sym.size = size;
+        if section == SectionKind::Text {
+            self.pool.text_syms.push(id);
+        }
     }
 
     /// Updates the recorded size of a symbol (e.g. once a function is done).
@@ -805,24 +823,92 @@ impl CodeBuffer {
         *slot = Some(self.sections[0].len() as u64);
     }
 
-    /// Returns the offset a label is bound to, if any. Branch encoders use
-    /// this to encode back-edges immediately instead of recording a fixup.
+    /// Returns the offset a label is bound to, if any.
     #[inline]
     pub fn label_offset(&self, label: Label) -> Option<u64> {
         self.pool.labels[label.0 as usize]
     }
 
-    /// Records that the field at `offset` in the text section must be patched
-    /// to refer to `label` once it is bound.
+    /// Records that the field at `offset` in the text section refers to
+    /// `label`. A field referring to an already-bound label (a back-edge) is
+    /// encoded now; any other is patched once the label is bound, by
+    /// [`CodeBuffer::resolve_fixups`]. A back-edge whose displacement does
+    /// not fit stays pending, so resolution reports it.
     pub fn add_fixup(&mut self, offset: u64, label: Label, kind: FixupKind) {
         if kind == FixupKind::AbsTextOff32 {
             self.abs_fixup_events += 1;
         }
-        self.pool.fixups.push(Fixup {
+        let f = Fixup {
             offset,
             label,
             kind,
-        });
+        };
+        match self.pool.labels[label.0 as usize] {
+            Some(target) if apply_fixup(&mut self.sections[0], &f, target).is_ok() => {
+                self.pool.bound_refs.push(f)
+            }
+            _ => self.pool.fixups.push(f),
+        }
+    }
+
+    /// Inserts the bytes `emit` appends to the text section at `at`, a text
+    /// offset inside the current function (the code emitted since the fixup
+    /// pool was last recycled or installed). Everything at or after `at`
+    /// moves up by the inserted length: the text, bound labels, pending
+    /// fixups, and the current function's text relocations and symbols.
+    /// References that were encoded already are re-encoded. The cost is
+    /// linear in the current function's bytes and records, not the module's.
+    ///
+    /// `emit` must append plain instruction bytes only: no labels, fixups,
+    /// relocations or symbols.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a re-encoded reference no longer fits its field.
+    /// The text has moved by then, so the function must be discarded.
+    pub fn insert_text_with(&mut self, at: u64, emit: impl FnOnce(&mut CodeBuffer)) -> Result<()> {
+        let end = self.text_offset();
+        debug_assert!(at <= end, "insertion past the end of the text");
+        let records = |b: &CodeBuffer| {
+            let p = &b.pool;
+            p.fixups.len() + p.bound_refs.len() + p.text_syms.len() + b.relocs.len()
+        };
+        let before = records(self);
+        emit(self);
+        debug_assert_eq!(
+            before,
+            records(self),
+            "inserted code must not record fixups, relocations or symbols"
+        );
+        let n = self.text_offset() - end;
+        if n == 0 {
+            return Ok(());
+        }
+        self.sections[0][at as usize..].rotate_right(n as usize);
+        let moved = |off: &mut u64| {
+            if *off >= at {
+                *off += n;
+            }
+        };
+        let pool = &mut self.pool;
+        pool.labels.iter_mut().flatten().for_each(moved);
+        pool.fixups.iter_mut().for_each(|f| moved(&mut f.offset));
+        pool.bound_refs
+            .iter_mut()
+            .for_each(|f| moved(&mut f.offset));
+        for r in &mut self.relocs[self.func_relocs..] {
+            if r.section == SectionKind::Text {
+                moved(&mut r.offset);
+            }
+        }
+        for &id in &pool.text_syms {
+            moved(&mut self.symbols[id.0 as usize].offset);
+        }
+        for f in &pool.bound_refs {
+            let target = pool.labels[f.label.0 as usize].expect("bound reference to a bound label");
+            apply_fixup(&mut self.sections[0], f, target)?;
+        }
+        Ok(())
     }
 
     /// Resolves all pending fixups. Must be called after all labels used by
@@ -867,7 +953,8 @@ impl CodeBuffer {
     /// successfully applied prefix is dropped), and the labels stay intact.
     pub fn finish_func_fixups(&mut self) -> Result<()> {
         self.resolve_fixups()?;
-        self.pool.labels.clear();
+        self.pool.clear();
+        self.func_relocs = self.relocs.len();
         Ok(())
     }
 
@@ -877,6 +964,7 @@ impl CodeBuffer {
     /// across modules.
     pub fn adopt_fixup_pool(&mut self, mut pool: FixupPool) -> FixupPool {
         pool.clear();
+        self.func_relocs = self.relocs.len();
         std::mem::replace(&mut self.pool, pool)
     }
 
@@ -885,6 +973,7 @@ impl CodeBuffer {
     pub fn release_fixup_pool(&mut self) -> FixupPool {
         let mut pool = std::mem::take(&mut self.pool);
         pool.clear();
+        self.func_relocs = self.relocs.len();
         pool
     }
 
@@ -1379,6 +1468,127 @@ mod tests {
         buf.emit_u32(0xdead_beef);
         buf.patch_text(0, &[0; 4]);
         assert_eq!(buf.text(), &[0, 0, 0, 0]);
+    }
+
+    /// Seeded property test of [`CodeBuffer::insert_text_with`]: a function
+    /// of random filler, forward and back `jmp rel32`s, label bindings,
+    /// `call`-style relocations and text symbols, after an earlier function;
+    /// code inserted at a random instruction boundary. Every branch must
+    /// land on the instruction its label was bound before, every relocation
+    /// must point at its own field, and the earlier function must not move.
+    #[test]
+    fn insertion_keeps_every_reference_on_its_instruction() {
+        use crate::rng::Xoshiro256;
+        for seed in 0..300 {
+            let mut rng = Xoshiro256::new(seed);
+            let mut buf = CodeBuffer::new();
+            // an earlier, finished function with a relocation and a symbol
+            let prev = buf.declare_symbol("prev", SymbolBinding::Global, true);
+            buf.define_symbol(prev, SectionKind::Text, 0, 0);
+            buf.emit_slice(&[0xcc; 7]);
+            buf.add_reloc(Reloc {
+                section: SectionKind::Text,
+                offset: 3,
+                symbol: prev,
+                kind: RelocKind::Pc32,
+                addend: 0,
+            });
+            buf.finish_func_fixups().unwrap();
+            let prev_text = buf.text().to_vec();
+
+            let start = buf.text_offset();
+            let func = buf.declare_symbol("f", SymbolBinding::Global, true);
+            buf.define_symbol(func, SectionKind::Text, start, 0);
+            let mut starts = vec![start]; // instruction boundaries
+            let mut labels: Vec<(Label, Option<u64>)> = Vec::new();
+            let mut branches: Vec<(u64, usize)> = Vec::new(); // (field, label index)
+            let mut relocs: Vec<(usize, u32)> = Vec::new(); // (reloc index, marker)
+            let mut syms: Vec<(SymbolId, u64)> = vec![(func, start)];
+            for step in 0..40u32 {
+                match rng.below(5) {
+                    0 => buf.emit_slice(&vec![0x90; 1 + rng.below(6) as usize]),
+                    1 => {
+                        let l = buf.new_label();
+                        let bound = rng.chance(1, 2).then(|| {
+                            buf.bind_label(l);
+                            buf.text_offset()
+                        });
+                        labels.push((l, bound));
+                        continue;
+                    }
+                    2 if !labels.is_empty() => {
+                        let li = rng.below(labels.len() as u64) as usize;
+                        buf.emit_u8(0xe9);
+                        let field = buf.text_offset();
+                        buf.emit_u32(0);
+                        buf.add_fixup(field, labels[li].0, FixupKind::X64Rel32);
+                        branches.push((field, li));
+                    }
+                    3 => {
+                        buf.emit_u8(0xe8);
+                        let marker = 0x5eed_0000 | step;
+                        relocs.push((buf.relocs().len(), marker));
+                        buf.add_reloc(Reloc {
+                            section: SectionKind::Text,
+                            offset: buf.text_offset(),
+                            symbol: func,
+                            kind: RelocKind::Pc32,
+                            addend: -4,
+                        });
+                        buf.emit_u32(marker);
+                    }
+                    _ => {
+                        let name = format!("s{step}");
+                        let id = buf.declare_symbol(&name, SymbolBinding::Local, false);
+                        buf.define_symbol(id, SectionKind::Text, buf.text_offset(), 0);
+                        syms.push((id, buf.text_offset()));
+                        continue;
+                    }
+                }
+                starts.push(buf.text_offset());
+            }
+
+            let at = *rng.pick(&starts);
+            let n = 1 + rng.below(24);
+            let moved = |off: u64| if off >= at { off + n } else { off };
+            buf.insert_text_with(at, |b| b.emit_slice(&vec![0xab; n as usize]))
+                .unwrap();
+            // labels left unbound are bound after the insertion, at the end
+            for (l, bound) in &mut labels {
+                match bound {
+                    Some(off) => *off = moved(*off),
+                    None => {
+                        buf.bind_label(*l);
+                        *bound = Some(buf.text_offset());
+                    }
+                }
+            }
+            buf.finish_func_fixups().unwrap();
+
+            let text = buf.text();
+            assert_eq!(&text[..prev_text.len()], &prev_text[..], "seed {seed}");
+            assert_eq!(buf.relocs()[0].offset, 3, "seed {seed}");
+            assert_eq!(
+                &text[at as usize..(at + n) as usize],
+                &vec![0xab; n as usize][..]
+            );
+            for &(field, li) in &branches {
+                let field = moved(field) as usize;
+                assert_eq!(text[field - 1], 0xe9, "seed {seed}");
+                let disp = i32::from_le_bytes(text[field..field + 4].try_into().unwrap());
+                let target = (field as i64 + 4 + disp as i64) as u64;
+                assert_eq!(Some(target), labels[li].1, "seed {seed}: branch at {field}");
+            }
+            for &(ri, marker) in &relocs {
+                let off = buf.relocs()[ri].offset as usize;
+                assert_eq!(text[off - 1], 0xe8, "seed {seed}");
+                let got = u32::from_le_bytes(text[off..off + 4].try_into().unwrap());
+                assert_eq!(got, marker, "seed {seed}: relocation {ri}");
+            }
+            for &(id, off) in &syms {
+                assert_eq!(buf.symbol(id).offset, moved(off), "seed {seed}");
+            }
+        }
     }
 
     /// Emits one fake "function" into a shard: `code` bytes, one call-style

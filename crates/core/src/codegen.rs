@@ -246,7 +246,8 @@ pub enum CallTarget {
 struct FuncScratch {
     assignments: AssignmentTable,
     frame: FrameAlloc,
-    /// Patch offsets of the current function's prologue and epilogues.
+    /// What the target completes in the current function's prologue and
+    /// epilogue at [`Target::finish_func`].
     frame_state: FrameState,
     block_labels: Vec<Label>,
     inst_scratch: Vec<Reg>,
@@ -681,8 +682,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             &self.s.frame_state,
             self.s.frame.frame_size(),
             self.used_callee_saved,
-        );
-        Ok(())
+        )
     }
 
     fn emit_prologue_and_args(&mut self) -> Result<()> {
@@ -1331,7 +1331,13 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     fn succ_keeps_state(&self, succ: BlockRef) -> bool {
-        self.analysis.num_preds[succ.idx()] == 1 && self.analysis.pos(succ) == self.cur_pos + 1
+        self.analysis.num_preds[succ.idx()] == 1 && self.is_next_block(succ)
+    }
+
+    /// Whether `block` is laid out directly after the current block, so a
+    /// branch to it can fall through.
+    pub fn is_next_block(&self, block: BlockRef) -> bool {
+        self.analysis.pos(block) == self.cur_pos + 1
     }
 
     /// Returns the label a conditional branch should target for `succ`.
@@ -1374,9 +1380,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             .and_then(|()| self.emit_parallel_moves(&moves));
         self.s.move_scratch = moves;
         result?;
-        let succ_pos = self.analysis.pos(succ);
-        let fallthrough = succ_pos == self.cur_pos + 1 && self.s.pending_edges.is_empty();
-        if !fallthrough {
+        if !self.is_next_block(succ) || !self.s.pending_edges.is_empty() {
             let label = self.block_label(succ);
             self.target.emit_jump(self.buf, label);
         }
@@ -1593,7 +1597,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     // ---- returns & calls ------------------------------------------------------------
 
     /// Moves the given value parts into the ABI return registers and emits
-    /// the epilogue and return.
+    /// the return.
     pub fn emit_return(&mut self, parts: &[ValuePartRef]) -> Result<()> {
         let cc = self.target.call_conv();
         self.s.parts_desc.clear();
@@ -1637,16 +1641,15 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let result = prep.and_then(|()| self.emit_parallel_moves(&moves));
         self.s.move_scratch = moves;
         result?;
-        self.target
-            .emit_epilogue_and_ret(self.buf, &mut self.s.frame_state);
-        self.state_valid_next = false;
-        Ok(())
+        self.emit_return_void()
     }
 
-    /// Emits an epilogue and return without a return value.
+    /// Emits a return without a return value.
     pub fn emit_return_void(&mut self) -> Result<()> {
+        // a return in the last block is the function's last code
+        let at_end = self.cur_pos as usize + 1 == self.analysis.layout.len();
         self.target
-            .emit_epilogue_and_ret(self.buf, &mut self.s.frame_state);
+            .emit_ret(self.buf, &mut self.s.frame_state, at_end);
         self.state_valid_next = false;
         Ok(())
     }
@@ -1984,10 +1987,12 @@ mod tests {
             frame.reset();
             buf.emit_u8(0xAA);
         }
-        fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, _frame: &mut FrameState) {
+        fn emit_ret(&self, buf: &mut CodeBuffer, _frame: &mut FrameState, _at_end: bool) {
             buf.emit_u8(OP_RET);
         }
-        fn finish_func(&self, _: &mut CodeBuffer, _: &FrameState, _: u32, _: RegSet) {}
+        fn finish_func(&self, _: &mut CodeBuffer, _: &FrameState, _: u32, _: RegSet) -> Result<()> {
+            Ok(())
+        }
         fn emit_mov_rr(&self, buf: &mut CodeBuffer, _: RegBank, _: u32, dst: Reg, src: Reg) {
             buf.emit_u8(OP_MOV);
             buf.emit_u8(dst.compact() as u8);

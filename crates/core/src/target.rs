@@ -2,8 +2,9 @@
 //! the framework that the code-generation pass delegates to.
 //!
 //! A [`Target`] knows the register file, the calling convention, how to emit
-//! the prologue/epilogue skeleton (with reserved, patchable space, as
-//! described in the paper), and how to emit the small set of "glue"
+//! the prologue/epilogue skeleton (completed once the function's frame size
+//! and used callee-saved registers are known), and how to emit the small set
+//! of "glue"
 //! instructions the framework itself needs: register moves, spills, reloads,
 //! constant materialization, jumps and calls. Everything else — the actual
 //! semantics of IR instructions — is emitted by the user's instruction
@@ -15,6 +16,7 @@
 
 use crate::callconv::CallConv;
 use crate::codebuf::{CodeBuffer, Label, SymbolId};
+use crate::error::Result;
 use crate::regs::{Reg, RegBank, RegSet};
 
 /// Supported target architectures.
@@ -40,22 +42,29 @@ impl TargetArch {
 /// target.
 ///
 /// The prologue is emitted before the frame size or the set of used
-/// callee-saved registers is known; the target records the offsets of the
-/// reserved (nop-padded) areas here so [`Target::finish_func`] can patch in
-/// the real instructions at the end of the function, exactly as described in
-/// the paper.
+/// callee-saved registers is known; the target records here what
+/// [`Target::finish_func`] completes at the end of the function. x86-64
+/// inserts the frame allocation and exactly the needed saves into the
+/// prologue ([`CodeBuffer::insert_text_with`]) and emits one epilogue that
+/// every return reaches. AArch64 still reserves nop-padded areas and patches
+/// them, as described in the paper.
 ///
 /// The code generator keeps one `FrameState` per compile session and hands it
 /// to [`Target::emit_prologue`] for every function, so the epilogue list's
 /// buffer is reused.
 #[derive(Debug, Clone, Default)]
 pub struct FrameState {
-    /// Offset of the prologue instruction encoding the frame size.
+    /// Offset of the prologue instruction encoding the frame size (AArch64),
+    /// or where the frame allocation and the saves are inserted (x86-64).
     pub frame_size_patch: u64,
-    /// `(offset, length)` of the nop-padded callee-save area in the prologue.
+    /// The shared epilogue, bound by [`Target::finish_func`]; created by
+    /// the first return (x86-64).
+    pub epilogue: Option<Label>,
+    /// `(offset, length)` of the nop-padded callee-save area in the prologue
+    /// (AArch64).
     pub save_area: Option<(u64, u64)>,
-    /// `(offset, length)` of each nop-padded callee-restore area (one per
-    /// emitted epilogue).
+    /// `(offset, length)` of each nop-padded callee-restore area, one per
+    /// emitted epilogue (AArch64).
     pub restore_areas: Vec<(u64, u64)>,
 }
 
@@ -64,6 +73,7 @@ impl FrameState {
     /// capacity.
     pub fn reset(&mut self) {
         self.frame_size_patch = 0;
+        self.epilogue = None;
         self.save_area = None;
         self.restore_areas.clear();
     }
@@ -105,24 +115,29 @@ pub trait Target {
 
     // ---- function skeleton -------------------------------------------------
 
-    /// Emits the function prologue with reserved space for callee-saved
-    /// register saves and a patchable frame size, and restarts `frame` for
-    /// the new function ([`FrameState::reset`]).
+    /// Emits the start of the function prologue, recording in `frame` where
+    /// [`Target::finish_func`] completes it, and restarts `frame` for the
+    /// new function ([`FrameState::reset`]).
     fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState);
 
-    /// Emits an epilogue (restore area + frame teardown + return) at the
-    /// current position, recording its patch areas in `frame`.
-    fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState);
+    /// Emits a return at the current position. `at_end` says that no code
+    /// of the function follows it, so a return into an epilogue emitted by
+    /// [`Target::finish_func`] needs no jump.
+    fn emit_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState, at_end: bool);
 
-    /// Patches the prologue and all epilogues once the final frame size and
-    /// set of used callee-saved registers are known.
+    /// Completes the prologue and the epilogue(s) once the final frame size
+    /// and set of used callee-saved registers are known.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CodeBuffer::insert_text_with`] errors.
     fn finish_func(
         &self,
         buf: &mut CodeBuffer,
         frame: &FrameState,
         frame_size: u32,
         used_callee_saved: RegSet,
-    );
+    ) -> Result<()>;
 
     // ---- framework glue instructions ----------------------------------------
 
@@ -178,9 +193,11 @@ mod tests {
         let mut f = FrameState::default();
         assert!(f.save_area.is_none());
         assert!(f.restore_areas.is_empty());
+        f.epilogue = Some(Label(3));
         f.save_area = Some((4, 8));
         f.restore_areas.push((16, 8));
         f.reset();
+        assert!(f.epilogue.is_none());
         assert!(f.save_area.is_none());
         assert!(f.restore_areas.is_empty());
     }

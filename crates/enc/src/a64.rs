@@ -17,8 +17,7 @@
 //! depending on the instruction, as in the ISA).
 
 use tpde_core::codebuf::{
-    branch19_imm, branch26_imm, CodeBuffer, FixupKind, InstBuf, Label, Reloc, RelocKind,
-    SectionKind, SymbolId,
+    CodeBuffer, FixupKind, InstBuf, Label, Reloc, RelocKind, SectionKind, SymbolId,
 };
 
 /// The zero register / stack pointer number.
@@ -634,32 +633,19 @@ pub fn ldp(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
 
 // --- branches ------------------------------------------------------------------------------
 
-/// `b label`. Back-edges (bound labels) encode their displacement
-/// immediately; forward references record a fixup.
+/// `b label`. [`CodeBuffer::add_fixup`] encodes the displacement of an
+/// already-bound label (a back-edge) at once.
 #[inline]
 pub fn b_label(buf: &mut CodeBuffer, label: Label) {
     let off = buf.text_offset();
-    if let Some(target) = buf.label_offset(label) {
-        if let Ok(imm) = branch26_imm(off, target) {
-            emit(buf, 0x1400_0000 | imm);
-            return;
-        }
-    }
     emit(buf, 0x1400_0000);
     buf.add_fixup(off, label, FixupKind::A64Branch26);
 }
 
-/// Commits a branch19-class instruction word: immediate encoding for bound
-/// labels whose displacement fits, fixup otherwise.
+/// Commits a branch19-class instruction word referring to `label`.
 #[inline]
 fn emit_branch19(buf: &mut CodeBuffer, word: u32, label: Label) {
     let off = buf.text_offset();
-    if let Some(target) = buf.label_offset(label) {
-        if let Ok(imm) = branch19_imm(off, target) {
-            emit(buf, word | (imm << 5));
-            return;
-        }
-    }
     emit(buf, word);
     buf.add_fixup(off, label, FixupKind::A64Branch19);
 }

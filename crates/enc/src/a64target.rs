@@ -3,6 +3,7 @@
 use crate::a64;
 use tpde_core::callconv::{aapcs_a64, CallConv};
 use tpde_core::codebuf::{CodeBuffer, Label, SymbolId};
+use tpde_core::error::Result;
 use tpde_core::regs::{Reg, RegBank, RegSet};
 use tpde_core::target::{FrameState, Target, TargetArch};
 
@@ -163,7 +164,7 @@ impl Target for A64Target {
     }
 
     #[inline]
-    fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
+    fn emit_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState, _at_end: bool) {
         let restore_area = buf.text_offset();
         for _ in 0..Self::total_save_slots() {
             a64::nop(buf);
@@ -184,7 +185,7 @@ impl Target for A64Target {
         frame: &FrameState,
         frame_size: u32,
         used_callee_saved: RegSet,
-    ) {
+    ) -> Result<()> {
         let size = (frame_size + 15) & !15;
         assert!(size < 65536, "frame larger than 64 KiB not supported");
         // patch the imm16 of the movz (bits 5..21)
@@ -217,6 +218,7 @@ impl Target for A64Target {
         for &(start, _) in &frame.restore_areas {
             patch_area(start, false);
         }
+        Ok(())
     }
 
     #[inline]
@@ -310,11 +312,11 @@ mod tests {
         let mut frame = FrameState::default();
         t.emit_prologue(&mut buf, &mut frame);
         a64::nop(&mut buf);
-        t.emit_epilogue_and_ret(&mut buf, &mut frame);
+        t.emit_ret(&mut buf, &mut frame, true);
         let mut used = RegSet::empty();
         used.insert(Reg::new(RegBank::GP, 19));
         used.insert(Reg::new(RegBank::FP, 8));
-        t.finish_func(&mut buf, &frame, 64, used);
+        t.finish_func(&mut buf, &frame, 64, used).unwrap();
         let w0 = u32::from_le_bytes(buf.text()[0..4].try_into().unwrap());
         assert_eq!(w0, 0xa9bf7bfd); // stp x29, x30, [sp, #-16]!
                                     // movz x16, #64 patched in

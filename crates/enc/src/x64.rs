@@ -664,18 +664,11 @@ pub fn cmovcc(buf: &mut CodeBuffer, cc: Cond, size: u32, dst: Gp, src: Gp) {
 // --- control flow -----------------------------------------------------------------
 
 /// Commits a branch whose rel32 field starts at `i.len()` bytes into the
-/// window. Already-bound labels (back-edges) get their displacement encoded
-/// immediately; forward references record a fixup.
+/// window. [`CodeBuffer::add_fixup`] encodes the displacement of an
+/// already-bound label (a back-edge) at once.
 #[inline]
 fn emit_rel32_branch(buf: &mut CodeBuffer, mut i: InstBuf, label: Label) {
     let field_off = buf.text_offset() + i.len() as u64;
-    if let Some(target) = buf.label_offset(label) {
-        if let Ok(disp) = i32::try_from(target as i64 - (field_off + 4) as i64) {
-            i.push_i32(disp);
-            buf.emit_inst(i);
-            return;
-        }
-    }
     i.push_u32(0);
     buf.emit_inst(i);
     buf.add_fixup(field_off, label, FixupKind::X64Rel32);
@@ -688,14 +681,6 @@ pub fn jmp_label(buf: &mut CodeBuffer, label: Label) {
     let mut i = InstBuf::new();
     i.push_u8(0xe9);
     emit_rel32_branch(buf, i, label);
-}
-
-/// `jmp rel8` over the next `rel` bytes (a short jump with a known
-/// displacement, no label).
-#[inline]
-pub fn jmp_rel8(buf: &mut CodeBuffer, rel: i8) {
-    buf.emit_u8(0xeb);
-    buf.emit_u8(rel as u8);
 }
 
 /// `jcc label` (rel32; encoded immediately for bound labels, fixed up

@@ -2,17 +2,15 @@
 
 use crate::x64::{self, Alu, Gp, Mem, Xmm};
 use tpde_core::callconv::{sysv_x64, CallConv};
-use tpde_core::codebuf::{CodeBuffer, InstBuf, Label, SymbolId};
+use tpde_core::codebuf::{CodeBuffer, Label, SymbolId};
+use tpde_core::error::Result;
 use tpde_core::regs::{Reg, RegBank, RegSet};
 use tpde_core::target::{FrameState, Target, TargetArch};
 
-/// Callee-saved registers handled by the prologue/epilogue patch areas, in
-/// slot order (slot `i` is stored at `[rbp - 8*(i+1)]`). `rbp` itself is
-/// saved by `push rbp`.
+/// Callee-saved registers the prologue saves and the epilogue restores when
+/// used, in slot order (slot `i` is stored at `[rbp - 8*(i+1)]`). `rbp`
+/// itself is saved by `push rbp`.
 const SAVE_ORDER: [u8; 5] = [3, 12, 13, 14, 15]; // rbx, r12..r15
-
-/// Bytes of one save/restore instruction (`mov [rbp+disp8], reg`).
-const SAVE_INSN_LEN: usize = 4;
 
 /// x86-64 System V target.
 #[derive(Debug)]
@@ -107,38 +105,29 @@ impl Target for X64Target {
         (SAVE_ORDER.len() as u32) * 8
     }
 
+    /// Emits `push rbp ; mov rbp, rsp`. [`Target::finish_func`] inserts the
+    /// frame allocation and the saves after it.
     #[inline]
     fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
         frame.reset();
         x64::push_r(buf, Gp::RBP);
         x64::mov_rr(buf, 8, Gp::RBP, Gp::RSP);
-        // sub rsp, imm32 (patched)
-        let mut i = InstBuf::new();
-        i.push_u8(0x48);
-        i.push_u8(0x81);
-        i.push_u8(0xec);
-        frame.frame_size_patch = buf.text_offset() + i.len() as u64;
-        i.push_u32(0);
-        buf.emit_inst(i);
-        // reserved callee-save area (patched at finish)
-        let save_area = buf.text_offset();
-        x64::nops(buf, SAVE_ORDER.len() * SAVE_INSN_LEN);
-        frame.save_area = Some((save_area, (SAVE_ORDER.len() * SAVE_INSN_LEN) as u64));
+        frame.frame_size_patch = buf.text_offset();
     }
 
+    /// Jumps to the function's one epilogue, or falls into it when the
+    /// return is the function's last code.
     #[inline]
-    fn emit_epilogue_and_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
-        let restore_area = buf.text_offset();
-        x64::nops(buf, SAVE_ORDER.len() * SAVE_INSN_LEN);
-        frame
-            .restore_areas
-            .push((restore_area, (SAVE_ORDER.len() * SAVE_INSN_LEN) as u64));
-        // mov rsp, rbp ; pop rbp ; ret
-        x64::mov_rr(buf, 8, Gp::RSP, Gp::RBP);
-        x64::pop_r(buf, Gp::RBP);
-        x64::ret(buf);
+    fn emit_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState, at_end: bool) {
+        let epilogue = *frame.epilogue.get_or_insert_with(|| buf.new_label());
+        if !at_end {
+            x64::jmp_label(buf, epilogue);
+        }
     }
 
+    /// Emits the epilogue (if any return reaches it) with exactly the used
+    /// registers' restores, then inserts `sub rsp, size` and their saves
+    /// into the prologue.
     #[inline]
     fn finish_func(
         &self,
@@ -146,38 +135,34 @@ impl Target for X64Target {
         frame: &FrameState,
         frame_size: u32,
         used_callee_saved: RegSet,
-    ) {
-        let size = (frame_size + 15) & !15;
-        buf.patch_text(frame.frame_size_patch, &size.to_le_bytes());
-        // saves/restores of the used-register subset, patched over the
-        // nop-filled areas; a tail of two or more unused bytes is jumped
-        // over rather than executed
-        let mut patch_area = |start: u64, len: u64, is_save: bool| {
-            buf.patch_text_with(start, |buf| {
-                let begin = buf.text_offset();
-                for (idx, &regno) in SAVE_ORDER.iter().enumerate() {
-                    if !used_callee_saved.contains(Reg::new(RegBank::GP, regno)) {
-                        continue;
-                    }
-                    let mem = Mem::base_disp(Gp::RBP, Self::save_slot_off(idx));
-                    if is_save {
-                        x64::mov_mr(buf, 8, mem, Gp(regno));
-                    } else {
-                        x64::mov_rm(buf, 8, Gp(regno), mem);
-                    }
-                }
-                let tail = len - (buf.text_offset() - begin);
-                if tail >= 2 {
-                    x64::jmp_rel8(buf, (tail - 2) as i8);
-                }
-            });
+    ) -> Result<()> {
+        let used = || {
+            (0..SAVE_ORDER.len())
+                .filter(|&idx| used_callee_saved.contains(Reg::new(RegBank::GP, SAVE_ORDER[idx])))
+                .map(|idx| {
+                    let slot = Mem::base_disp(Gp::RBP, Self::save_slot_off(idx));
+                    (slot, Gp(SAVE_ORDER[idx]))
+                })
         };
-        if let Some((start, len)) = frame.save_area {
-            patch_area(start, len, true);
+        if let Some(epilogue) = frame.epilogue {
+            buf.bind_label(epilogue);
+            for (mem, reg) in used() {
+                x64::mov_rm(buf, 8, reg, mem);
+            }
+            // mov rsp, rbp ; pop rbp ; ret
+            x64::mov_rr(buf, 8, Gp::RSP, Gp::RBP);
+            x64::pop_r(buf, Gp::RBP);
+            x64::ret(buf);
         }
-        for &(start, len) in &frame.restore_areas {
-            patch_area(start, len, false);
-        }
+        let size = (frame_size + 15) & !15;
+        buf.insert_text_with(frame.frame_size_patch, |buf| {
+            if size != 0 {
+                x64::alu_ri(buf, Alu::Sub, 8, Gp::RSP, size as i32);
+            }
+            for (mem, reg) in used() {
+                x64::mov_mr(buf, 8, mem, reg);
+            }
+        })
     }
 
     #[inline]
@@ -283,28 +268,52 @@ mod tests {
         let mut buf = CodeBuffer::new();
         let mut frame = FrameState::default();
         t.emit_prologue(&mut buf, &mut frame);
-        let body_start = buf.text_offset();
+        // a body whose loop branches back to its first instruction, with an
+        // early return and a return at the end
+        let head = buf.new_label();
+        buf.bind_label(head);
         x64::nops(&mut buf, 3);
-        t.emit_epilogue_and_ret(&mut buf, &mut frame);
+        t.emit_ret(&mut buf, &mut frame, false);
+        x64::jmp_label(&mut buf, head);
+        t.emit_ret(&mut buf, &mut frame, true);
         let mut used = RegSet::empty();
         used.insert(Reg::new(RegBank::GP, 3)); // rbx
         used.insert(Reg::new(RegBank::GP, 12)); // r12
-        t.finish_func(&mut buf, &frame, 40, used);
-        let text = buf.text();
-        // push rbp ; mov rbp, rsp
-        assert_eq!(&text[0..4], &[0x55, 0x48, 0x89, 0xe5]);
-        // sub rsp, 48 (40 rounded up to 16)
-        assert_eq!(&text[4..7], &[0x48, 0x81, 0xec]);
-        assert_eq!(u32::from_le_bytes(text[7..11].try_into().unwrap()), 48);
-        // save area starts with mov [rbp-8], rbx
-        assert_eq!(&text[11..15], &[0x48, 0x89, 0x5d, 0xf8]);
-        // then mov [rbp-16], r12
-        assert_eq!(&text[15..19], &[0x4c, 0x89, 0x65, 0xf0]);
-        // the 12 unused save-area bytes are jumped over: jmp +10
-        assert_eq!(&text[19..21], &[0xeb, 0x0a]);
-        // function ends with ret
-        assert_eq!(*text.last().unwrap(), 0xc3);
-        let _ = body_start;
+        t.finish_func(&mut buf, &frame, 40, used).unwrap();
+        buf.finish_func_fixups().unwrap();
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            0x55,                         // push rbp
+            0x48, 0x89, 0xe5,             // mov rbp, rsp
+            0x48, 0x83, 0xec, 0x30,       // sub rsp, 48 (40 rounded up to 16)
+            0x48, 0x89, 0x5d, 0xf8,       // mov [rbp-8], rbx
+            0x4c, 0x89, 0x65, 0xf0,       // mov [rbp-16], r12
+            0x90, 0x90, 0x90,             // head: the body
+            0xe9, 0x05, 0x00, 0x00, 0x00, // jmp epilogue (early return)
+            0xe9, 0xf3, 0xff, 0xff, 0xff, // jmp head: moved with the body
+            0x48, 0x8b, 0x5d, 0xf8,       // epilogue: mov rbx, [rbp-8]
+            0x4c, 0x8b, 0x65, 0xf0,       // mov r12, [rbp-16]
+            0x48, 0x89, 0xec,             // mov rsp, rbp
+            0x5d,                         // pop rbp
+            0xc3,                         // ret
+        ];
+        assert_eq!(buf.text(), want);
+    }
+
+    #[test]
+    fn a_function_without_return_gets_no_epilogue() {
+        let t = X64Target::new();
+        let mut buf = CodeBuffer::new();
+        let mut frame = FrameState::default();
+        t.emit_prologue(&mut buf, &mut frame);
+        x64::nops(&mut buf, 1);
+        t.finish_func(&mut buf, &frame, 40, RegSet::empty())
+            .unwrap();
+        // push rbp ; mov rbp, rsp ; sub rsp, 48 ; nop
+        assert_eq!(
+            buf.text(),
+            &[0x55, 0x48, 0x89, 0xe5, 0x48, 0x83, 0xec, 0x30, 0x90]
+        );
     }
 
     #[test]

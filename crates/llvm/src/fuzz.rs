@@ -178,10 +178,17 @@ fn rand_op(
         }
         2 => {
             // Unsigned div/rem with a forced-odd divisor: no div-by-zero,
-            // no INT_MIN / -1 overflow.
-            let one = b.iconst(Type::I64, 1);
+            // no INT_MIN / -1 overflow. A constant divisor stays a
+            // constant, so the x86-64 back-end's multiply-high path is
+            // compared with the baselines' real `div`.
             let d = cx.pick(rng);
-            let rhs = b.bin(BinOp::Or, Type::I64, d, one);
+            let rhs = match b.const_bits(d) {
+                Some(c) => b.iconst(Type::I64, (c | 1) as i64),
+                None => {
+                    let one = b.iconst(Type::I64, 1);
+                    b.bin(BinOp::Or, Type::I64, d, one)
+                }
+            };
             let l = cx.pick(rng);
             b.div(false, rng.chance(1, 2), Type::I64, l, rhs)
         }

@@ -905,6 +905,14 @@ impl FunctionBuilder {
         val
     }
 
+    /// The bit pattern of `v` if it is a constant.
+    pub fn const_bits(&self, v: Value) -> Option<u64> {
+        match self.func.values[v.0 as usize].def {
+            ValueDef::Const(bits) => Some(bits),
+            _ => None,
+        }
+    }
+
     /// An `f64` constant.
     pub fn fconst(&mut self, v: f64) -> Value {
         let bits = v.to_bits();

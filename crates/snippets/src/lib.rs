@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 mod a64_impl;
+mod magic;
 mod ops;
 mod x64_impl;
 

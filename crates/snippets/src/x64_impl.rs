@@ -3,12 +3,15 @@
 //! These perform the operand-dependent decisions the paper's generated
 //! snippet encoders make: folding immediates into instructions, using memory
 //! operands for spilled values and frame-relative ones for stack variables,
-//! reusing a dying operand's register for the result, and satisfying
-//! fixed-register constraints (division, shifts).
+//! reusing a dying operand's register for the result, satisfying
+//! fixed-register constraints (division, shifts), and strength-reducing
+//! multiplication and division by constants.
 
+use crate::magic::{signed_magic, unsigned_magic};
 use crate::ops::{AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
 use crate::{ResultPart, SnippetEmitter};
 use tpde_core::adapter::{BlockRef, IrAdapter};
+use tpde_core::codebuf::CodeBuffer;
 use tpde_core::codegen::FuncCodeGen;
 use tpde_core::error::Result;
 use tpde_core::regs::{Reg, RegBank, RegSet};
@@ -95,6 +98,165 @@ fn result_from<A: IrAdapter>(
     }
 }
 
+/// The constant bits of an operand as a `size`-byte value, if it is one.
+fn const_bits(op: &AsmOperand, size: u32) -> Option<u64> {
+    let v = op.as_imm()?;
+    Some(if size >= 8 {
+        v
+    } else {
+        v & ((1 << (size * 8)) - 1)
+    })
+}
+
+/// `x / d` or `x % d` for a constant `d` of a 32- or 64-bit operation,
+/// without a `div`: shift and mask for powers of two, multiply-high by a
+/// magic number otherwise. Returns `false`, having emitted nothing, for the
+/// divisors whose `div`/`idiv` behaviour (traps included) must stay: 0 and
+/// signed -1.
+fn divrem_by_const<A: IrAdapter>(
+    cg: Cg<'_, '_, A>,
+    signed: bool,
+    rem: bool,
+    size: u32,
+    res: ResultPart,
+    lhs: &AsmOperand,
+    d: u64,
+) -> Result<bool> {
+    let bits = size * 8;
+    let ds = ((d << (64 - bits)) as i64) >> (64 - bits); // sign-extended
+    let ad = if signed { ds.unsigned_abs() } else { d };
+    if d == 0 || (signed && ds == -1) {
+        return Ok(false);
+    }
+    if ad.is_power_of_two() {
+        let k = ad.trailing_zeros() as u8;
+        if !signed || k == 0 {
+            let dst = Gp::from(result_from(cg, res, lhs, RegBank::GP, size)?);
+            match (rem, k) {
+                (false, 0) => {}
+                (false, _) => x64::shift_ri(cg.buf, Shift::Shr, size, dst, k),
+                (true, _) => mask_low_bits(cg.buf, size, dst, k),
+            }
+            return Ok(true);
+        }
+        // bias = x < 0 ? 2^k - 1 : 0, so that the shift rounds to zero
+        let x = Gp::from(op_as_reg(cg, lhs, RegBank::GP, size)?);
+        let bias = Gp::from(cg.alloc_scratch(RegBank::GP)?);
+        x64::mov_rr(cg.buf, size, bias, x);
+        if k > 1 {
+            x64::shift_ri(cg.buf, Shift::Sar, size, bias, bits as u8 - 1);
+        }
+        x64::shift_ri(cg.buf, Shift::Shr, size, bias, bits as u8 - k);
+        if rem {
+            // x - ((x + bias) & -2^k)
+            x64::alu_rr(cg.buf, Alu::Add, size, bias, x);
+            clear_low_bits(cg.buf, size, bias, k);
+            let dst = Gp::from(result_from(cg, res, lhs, RegBank::GP, size)?);
+            x64::alu_rr(cg.buf, Alu::Sub, size, dst, bias);
+        } else {
+            let dst = Gp::from(result_from(cg, res, lhs, RegBank::GP, size)?);
+            x64::alu_rr(cg.buf, Alu::Add, size, dst, bias);
+            x64::shift_ri(cg.buf, Shift::Sar, size, dst, k);
+            if ds < 0 {
+                x64::neg(cg.buf, size, dst);
+            }
+        }
+        return Ok(true);
+    }
+
+    // the dividend stays intact outside rax/rdx, which the multiply takes
+    let (rax, rdx) = (gp(0), gp(2));
+    let allowed = cg.allocatable_set(RegBank::GP, &[rax, rdx]);
+    let x = Gp::from(op_as_reg_in(cg, lhs, RegBank::GP, size, allowed)?);
+    cg.alloc_scratch_in(RegBank::GP, RegSet::from_regs([rax]))?;
+    cg.alloc_scratch_in(RegBank::GP, RegSet::from_regs([rdx]))?;
+    let q = if signed {
+        let mg = signed_magic(ds, bits);
+        x64::mov_ri(
+            cg.buf,
+            size,
+            Gp::RAX,
+            mg.m as u64 & (u64::MAX >> (64 - bits)),
+        );
+        x64::imul_wide(cg.buf, size, x);
+        if ds > 0 && mg.m < 0 {
+            x64::alu_rr(cg.buf, Alu::Add, size, Gp::RDX, x);
+        } else if ds < 0 && mg.m > 0 {
+            x64::alu_rr(cg.buf, Alu::Sub, size, Gp::RDX, x);
+        }
+        if mg.shift > 0 {
+            x64::shift_ri(cg.buf, Shift::Sar, size, Gp::RDX, mg.shift as u8);
+        }
+        // round towards zero: add one to a negative quotient
+        x64::mov_rr(cg.buf, size, Gp::RAX, Gp::RDX);
+        x64::shift_ri(cg.buf, Shift::Shr, size, Gp::RAX, bits as u8 - 1);
+        x64::alu_rr(cg.buf, Alu::Add, size, Gp::RDX, Gp::RAX);
+        Gp::RDX
+    } else {
+        let mg = unsigned_magic(d, bits);
+        x64::mov_ri(cg.buf, size, Gp::RAX, mg.m);
+        x64::mul_unsigned(cg.buf, size, x);
+        if mg.add {
+            // (t + ((x - t) >> 1)) >> (shift - 1), t = mulhi in rdx
+            x64::mov_rr(cg.buf, size, Gp::RAX, x);
+            x64::alu_rr(cg.buf, Alu::Sub, size, Gp::RAX, Gp::RDX);
+            x64::shift_ri(cg.buf, Shift::Shr, size, Gp::RAX, 1);
+            x64::alu_rr(cg.buf, Alu::Add, size, Gp::RAX, Gp::RDX);
+            if mg.shift > 1 {
+                x64::shift_ri(cg.buf, Shift::Shr, size, Gp::RAX, mg.shift as u8 - 1);
+            }
+            Gp::RAX
+        } else {
+            if mg.shift > 0 {
+                x64::shift_ri(cg.buf, Shift::Shr, size, Gp::RDX, mg.shift as u8);
+            }
+            Gp::RDX
+        }
+    };
+    if !rem {
+        cg.take_reg_for_result(res.0, res.1, gp(q.0))?;
+        return Ok(true);
+    }
+    // x - q*d, in the other one of rax/rdx
+    let r = if q == Gp::RAX { Gp::RDX } else { Gp::RAX };
+    match d {
+        3 | 5 | 9 => x64::lea(cg.buf, q, Mem::sib(q, q, d as u8 - 1, 0)),
+        _ => match i32::try_from(ds) {
+            Ok(imm) => x64::imul_rri(cg.buf, size, q, q, imm),
+            Err(_) => {
+                x64::mov_ri(cg.buf, size, r, d);
+                x64::imul_rr(cg.buf, size, q, r);
+            }
+        },
+    }
+    x64::mov_rr(cg.buf, size, r, x);
+    x64::alu_rr(cg.buf, Alu::Sub, size, r, q);
+    cg.take_reg_for_result(res.0, res.1, gp(r.0))?;
+    Ok(true)
+}
+
+/// `dst &= 2^k - 1` for a `size`-byte value.
+fn mask_low_bits(buf: &mut CodeBuffer, size: u32, dst: Gp, k: u8) {
+    match k {
+        0..=31 => x64::alu_ri(buf, Alu::And, size, dst, ((1u32 << k) - 1) as i32),
+        32 => x64::mov_rr(buf, 4, dst, dst),
+        _ => {
+            x64::shift_ri(buf, Shift::Shl, size, dst, 64 - k);
+            x64::shift_ri(buf, Shift::Shr, size, dst, 64 - k);
+        }
+    }
+}
+
+/// `dst &= -2^k` for a `size`-byte value.
+fn clear_low_bits(buf: &mut CodeBuffer, size: u32, dst: Gp, k: u8) {
+    if k <= 31 {
+        x64::alu_ri(buf, Alu::And, size, dst, (u32::MAX << k) as i32);
+    } else {
+        x64::shift_ri(buf, Shift::Shr, size, dst, k);
+        x64::shift_ri(buf, Shift::Shl, size, dst, k);
+    }
+}
+
 fn icmp_cond(cc: ICmp) -> Cond {
     match cc {
         ICmp::Eq => Cond::E,
@@ -148,6 +310,26 @@ fn emit_icmp<A: IrAdapter>(
     Ok(icmp_cond(cc))
 }
 
+/// Ends a block with a branch to `if_true` on `cond` and to `if_false`
+/// otherwise, as one `jcc` and a fall-through where the layout allows:
+/// when `if_true` is the next block the condition is inverted.
+fn cond_branch<A: IrAdapter>(
+    cg: Cg<'_, '_, A>,
+    cond: Cond,
+    if_true: BlockRef,
+    if_false: BlockRef,
+) -> Result<()> {
+    cg.spill_before_branch()?;
+    let (cond, taken, other) = if cg.is_next_block(if_true) && !cg.is_next_block(if_false) {
+        (cond.invert(), if_false, if_true)
+    } else {
+        (cond, if_true, if_false)
+    };
+    let label = cg.branch_target(taken)?;
+    x64::jcc_label(cg.buf, cond, label);
+    cg.terminator_fallthrough(other)
+}
+
 impl SnippetEmitter for X64Target {
     fn enc_bin<A: IrAdapter>(
         cg: &mut FuncCodeGen<'_, A, Self>,
@@ -164,6 +346,13 @@ impl SnippetEmitter for X64Target {
         } else {
             (lhs, rhs)
         };
+        if let Some(d) = const_bits(rhs, size).filter(|d| op == BinOp::Mul && d.is_power_of_two()) {
+            let dst = Gp::from(result_from(cg, res, lhs, RegBank::GP, osize)?);
+            if d > 1 {
+                x64::shift_ri(cg.buf, Shift::Shl, osize, dst, d.trailing_zeros() as u8);
+            }
+            return Ok(());
+        }
         // make sure the rhs is loaded before the result possibly reuses lhs
         let rhs_reg = if rhs.as_imm32(osize).is_none() && op_mem(cg, rhs).is_none() {
             Some(op_as_reg(cg, rhs, RegBank::GP, osize)?)
@@ -215,6 +404,11 @@ impl SnippetEmitter for X64Target {
         lhs: &AsmOperand,
         rhs: &AsmOperand,
     ) -> Result<()> {
+        if let Some(d) = const_bits(rhs, size).filter(|_| size >= 4) {
+            if divrem_by_const(cg, signed, rem, size, res, lhs, d)? {
+                return Ok(());
+            }
+        }
         let osize = size.max(4);
         let rax = gp(0);
         let rdx = gp(2);
@@ -311,10 +505,7 @@ impl SnippetEmitter for X64Target {
         if_false: BlockRef,
     ) -> Result<()> {
         let cond = emit_icmp(cg, cc, size, lhs, rhs)?;
-        cg.spill_before_branch()?;
-        let taken = cg.branch_target(if_true)?;
-        x64::jcc_label(cg.buf, cond, taken);
-        cg.terminator_fallthrough(if_false)
+        cond_branch(cg, cond, if_true, if_false)
     }
 
     fn enc_branch_nonzero<A: IrAdapter>(
@@ -327,11 +518,8 @@ impl SnippetEmitter for X64Target {
     ) -> Result<()> {
         let reg = Gp::from(op_as_reg(cg, val, RegBank::GP, size)?);
         x64::test_rr(cg.buf, size.max(4), reg, reg);
-        cg.spill_before_branch()?;
         let cond = if branch_if_zero { Cond::E } else { Cond::NE };
-        let taken = cg.branch_target(if_true)?;
-        x64::jcc_label(cg.buf, cond, taken);
-        cg.terminator_fallthrough(if_false)
+        cond_branch(cg, cond, if_true, if_false)
     }
 
     fn enc_load<A: IrAdapter>(
