@@ -480,10 +480,11 @@ impl<T: Target> CodeGen<T> {
     /// pool to `buf` for the duration of the call, and skips declarations
     /// (returns `Ok(false)`).
     ///
-    /// Both the scoped [`crate::parallel::ParallelDriver`] workers and the
-    /// persistent [`crate::service::CompileService`] workers call this from
-    /// their shard loops, which is what keeps the two pipelines
-    /// byte-identical: they emit through the exact same unit.
+    /// A front end's per-function unit calls this both from the scoped
+    /// workers of [`crate::parallel::compile_sharded`] and from the shard
+    /// loops of persistent [`crate::service::CompileService`] workers,
+    /// which is what keeps the two pipelines byte-identical: they emit
+    /// through the exact same unit.
     ///
     /// # Errors
     ///

@@ -69,7 +69,6 @@ pub use analysis::{Analysis, Analyzer, LoopInfo};
 pub use codegen::{CodeGen, CompileOptions, CompileSession, CompiledModule};
 pub use diskcache::{DiskCache, DiskCacheConfig};
 pub use error::{Error, Result};
-pub use parallel::{ParallelDriver, WorkerPool};
 pub use regs::{Reg, RegBank};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use service::{

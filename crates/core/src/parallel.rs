@@ -2,15 +2,17 @@
 //!
 //! TPDE keeps all per-function compilation state self-contained: the
 //! analysis scratch, assignment tables, register file and label/fixup pool
-//! live in a [`CompileSession`], and a function's machine code never refers
-//! to another function except through symbols and relocations. This module
-//! exploits that to scale module compilation across cores:
+//! live in a [`crate::codegen::CompileSession`], and a function's machine
+//! code never refers to another function except through symbols and
+//! relocations. This module exploits that to scale module compilation
+//! across cores:
 //!
-//! 1. A shared atomic index queue hands out function indices to worker
-//!    threads. Each worker owns a full [`CompileSession`] plus a thread-local
-//!    shard [`CodeBuffer`] and compiles every function it pulls with
-//!    [`CodeGen::compile_func_into`], bracketing each function's output with
-//!    [`CodeBuffer::mark`]s.
+//! 1. [`compile_sharded`]'s shared atomic index queue hands out function
+//!    indices to worker threads. Each worker owns a caller-defined state
+//!    (for TPDE, a full session that
+//!    [`crate::codegen::CodeGen::compile_func_pooled`] compiles with) plus
+//!    a thread-local shard [`CodeBuffer`], and brackets each function's
+//!    output with [`CodeBuffer::mark`]s.
 //! 2. After all workers drain the queue, the shards are merged: every
 //!    function extent is appended to the output buffer **in function-index
 //!    order** via [`CodeBuffer::merge_from`], which rebases relocations and
@@ -27,17 +29,13 @@
 //! replays each function's symbol declarations in their exact order, and
 //! per-extent alignment-event counts let the merge *reject* function
 //! output whose data/bss padding depends on the shard base instead of
-//! merging it wrongly. All in-tree back-ends compile under this contract;
-//! it is pinned by the determinism suite in `crates/llvm/tests/parallel.rs`.
+//! merging it wrongly. All in-tree back-ends compile under this contract
+//! (`tpde_llvm::compile_parallel` shards every backend kind through
+//! [`compile_sharded`]); it is pinned by the determinism suite in
+//! `crates/llvm/tests/parallel.rs`.
 
-use crate::adapter::{FuncRef, IrAdapter};
 use crate::codebuf::{CodeBuffer, SectionKind, ShardExtent, SymbolId, SymbolRemap};
-use crate::codegen::{
-    declare_func_symbols, CodeGen, CompileSession, CompileStats, CompiledModule, InstCompiler,
-};
 use crate::error::{Error, Result};
-use crate::target::Target;
-use crate::timing::PassTimings;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One worker's shard: its buffer and the extents of the functions it
@@ -100,8 +98,9 @@ pub(crate) fn merge_shards(merged: &mut CodeBuffer, nfuncs: usize, shards: &[Sha
 }
 
 /// Compiles `nfuncs` function units across `states.len()` worker threads and
-/// merges the shards deterministically. This is the IR-agnostic core of the
-/// parallel pipeline, also used directly by the baseline back-ends.
+/// merges the shards deterministically. This is the IR-agnostic parallel
+/// compile; the persistent [`crate::service`] shards with the same units
+/// and merge from long-lived threads.
 ///
 /// * `predeclare` is applied to every shard buffer *and* the merged buffer;
 ///   it must declare exactly one symbol per function, in function-index
@@ -124,8 +123,7 @@ pub(crate) fn merge_shards(merged: &mut CodeBuffer, nfuncs: usize, shards: &[Sha
 /// contract above is verified on the merged buffer and violations reported
 /// as [`Error::Emit`], as is an empty `states` vector with `nfuncs > 0`
 /// (nothing would ever compile). The worker states are handed back in
-/// worker order even when compilation fails, so pooled sessions survive
-/// per-module errors.
+/// worker order even when compilation fails.
 pub fn compile_sharded<S, P, F>(
     nfuncs: usize,
     states: Vec<S>,
@@ -234,179 +232,6 @@ where
     (states, Ok(merged))
 }
 
-/// Reusable per-worker [`CompileSession`]s. Like a single session for the
-/// sequential driver, a pool lets JIT-style drivers compile many modules
-/// without regrowing working memory — each worker keeps reusing the same
-/// analysis scratch, assignment tables and fixup pool. The shard buffers
-/// and the merged output are still allocated per module.
-///
-/// Sessions are **target-agnostic**: every compile re-runs
-/// [`CodeGen::prepare_session`], which resets the register file from
-/// scratch for the driver's target, so one pool can serve modules for
-/// heterogeneous targets (x86-64 and AArch64 interleaved) without being
-/// rebuilt — only the warm buffer capacities carry over. Pinned by the
-/// cross-target pool test in `crates/llvm/tests/parallel.rs`.
-#[derive(Debug, Default)]
-pub struct WorkerPool {
-    sessions: Vec<CompileSession>,
-}
-
-impl WorkerPool {
-    /// Creates an empty pool; sessions are created on first use.
-    pub fn new() -> WorkerPool {
-        WorkerPool::default()
-    }
-
-    /// Number of sessions currently parked in the pool.
-    pub fn sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
-    fn take(&mut self, n: usize) -> Vec<CompileSession> {
-        while self.sessions.len() < n {
-            self.sessions.push(CompileSession::new());
-        }
-        self.sessions.drain(..n).collect()
-    }
-
-    fn put_back(&mut self, sessions: impl IntoIterator<Item = CompileSession>) {
-        self.sessions.extend(sessions);
-    }
-}
-
-/// Per-worker state of a TPDE parallel compile.
-struct Worker<A, C> {
-    adapter: A,
-    compiler: C,
-    session: CompileSession,
-    stats: CompileStats,
-    timings: PassTimings,
-}
-
-/// The module-level parallel compilation driver: shards a module's functions
-/// across worker threads, each owning a [`CompileSession`] and an adapter,
-/// and merges the shard buffers into output byte-identical to
-/// [`CodeGen::compile_module`] (see the module docs for the contract).
-#[derive(Copy, Clone, Debug)]
-pub struct ParallelDriver {
-    threads: usize,
-}
-
-impl ParallelDriver {
-    /// Creates a driver using up to `threads` workers (at least one). The
-    /// effective worker count is additionally capped by the number of
-    /// functions in the module being compiled.
-    pub fn new(threads: usize) -> ParallelDriver {
-        ParallelDriver {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured maximum worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Compiles the module with fresh worker sessions. Drivers compiling
-    /// many modules should reuse a [`WorkerPool`] via
-    /// [`ParallelDriver::compile_module_with`] instead.
-    ///
-    /// `make_adapter` and `make_compiler` are invoked once per worker (plus
-    /// one probe adapter for the module-level queries), so every worker
-    /// pre-indexes functions into its own adapter and no IR state is shared
-    /// mutably across threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors; see [`compile_sharded`].
-    pub fn compile_module<T, A, C, MA, MC>(
-        &self,
-        cg: &CodeGen<T>,
-        make_adapter: MA,
-        make_compiler: MC,
-    ) -> Result<CompiledModule>
-    where
-        T: Target + Sync,
-        A: IrAdapter + Send + Sync,
-        C: InstCompiler<A, T> + Send,
-        MA: Fn() -> A + Sync,
-        MC: Fn() -> C + Sync,
-    {
-        let mut pool = WorkerPool::new();
-        self.compile_module_with(&mut pool, cg, make_adapter, make_compiler)
-    }
-
-    /// Compiles the module reusing the pool's worker sessions, whose
-    /// working memory is not regrown (see [`WorkerPool`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors; see [`compile_sharded`].
-    pub fn compile_module_with<T, A, C, MA, MC>(
-        &self,
-        pool: &mut WorkerPool,
-        cg: &CodeGen<T>,
-        make_adapter: MA,
-        make_compiler: MC,
-    ) -> Result<CompiledModule>
-    where
-        T: Target + Sync,
-        A: IrAdapter + Send + Sync,
-        C: InstCompiler<A, T> + Send,
-        MA: Fn() -> A + Sync,
-        MC: Fn() -> C + Sync,
-    {
-        let probe = make_adapter();
-        let nfuncs = probe.func_count();
-        let threads = self.threads.min(nfuncs.max(1));
-        let mut sessions = pool.take(threads);
-        for s in &mut sessions {
-            cg.prepare_session(s);
-        }
-        let states: Vec<Worker<A, C>> = sessions
-            .into_iter()
-            .map(|session| Worker {
-                adapter: make_adapter(),
-                compiler: make_compiler(),
-                session,
-                stats: CompileStats::default(),
-                timings: PassTimings::new(),
-            })
-            .collect();
-
-        let predeclare = |buf: &mut CodeBuffer| {
-            let _ = declare_func_symbols(&probe, buf);
-        };
-        let compile = |w: &mut Worker<A, C>, buf: &mut CodeBuffer, f: u32| -> Result<bool> {
-            cg.compile_func_pooled(
-                &mut w.session,
-                &mut w.adapter,
-                &mut w.compiler,
-                buf,
-                FuncRef(f),
-                &mut w.stats,
-                &mut w.timings,
-            )
-        };
-
-        let (states, buf) = compile_sharded(nfuncs, states, predeclare, compile);
-        // Hand the sessions back before propagating any error, so pooled
-        // drivers keep their warm working memory across failing modules.
-        let mut stats = CompileStats::default();
-        let mut timings = PassTimings::new();
-        pool.put_back(states.into_iter().map(|w| {
-            stats.merge(&w.stats);
-            timings.merge(&w.timings);
-            w.session
-        }));
-        Ok(CompiledModule {
-            buf: buf?,
-            stats,
-            timings,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,7 +332,7 @@ mod tests {
         };
         let (states, result) = compile_sharded(8, vec![(); 3], predeclare, compile);
         assert!(matches!(result.unwrap_err(), Error::Unsupported(_)));
-        // worker states survive the failure (pooled sessions are recovered)
+        // worker states survive the failure
         assert_eq!(states.len(), 3);
     }
 
@@ -531,18 +356,5 @@ mod tests {
         let compile = |_: &mut (), _: &mut CodeBuffer, _: u32| Ok(true);
         let (_, result) = compile_sharded(3, vec![(); 2], predeclare, compile);
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn worker_pool_reuses_sessions() {
-        let mut pool = WorkerPool::new();
-        let taken = pool.take(3);
-        assert_eq!(taken.len(), 3);
-        assert_eq!(pool.sessions(), 0);
-        pool.put_back(taken);
-        assert_eq!(pool.sessions(), 3);
-        let again = pool.take(2);
-        assert_eq!(again.len(), 2);
-        assert_eq!(pool.sessions(), 1);
     }
 }

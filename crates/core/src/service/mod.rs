@@ -2,7 +2,7 @@
 //! content-addressed module cache.
 //!
 //! The one-shot entry points ([`crate::codegen::CodeGen::compile_module`],
-//! [`crate::parallel::ParallelDriver`]) pay their setup cost — thread spawn,
+//! [`crate::parallel::compile_sharded`]) pay their setup cost — thread spawn,
 //! session warm-up, adapter indexing — on every call. JIT-style workloads
 //! instead see a *stream* of mostly small modules arriving continuously, so
 //! a [`CompileService`] keeps everything warm across requests:

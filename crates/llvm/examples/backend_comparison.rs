@@ -1,13 +1,16 @@
-//! Compares the three back-ends (TPDE, LLVM-O0-like baseline, copy-and-patch)
-//! on one SPEC-like workload: compile time, code size and emulated run time.
+//! Compares the x86-64 back-ends (TPDE, LLVM-O0-like baseline,
+//! copy-and-patch) on one SPEC-like workload: compile time, code size and
+//! emulated run time.
 //!
 //! Run with: `cargo run --release -p tpde-llvm --example backend_comparison`
 
 use std::time::Instant;
+use tpde_core::codebuf::SectionKind;
 use tpde_core::codegen::CompileOptions;
 use tpde_core::jit::link_in_memory;
+use tpde_llvm::compile;
+use tpde_llvm::fuzz::EXEC_KINDS;
 use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle, Workload};
-use tpde_llvm::{compile_baseline, compile_copy_patch, compile_x64};
 use tpde_x64emu::run_function;
 
 fn main() {
@@ -23,32 +26,19 @@ fn main() {
         module.inst_count()
     );
 
-    let report = |name: &str, buf: &tpde_core::codebuf::CodeBuffer, compile_time| {
-        let image = link_in_memory(buf, 0x40_0000, |_| None).unwrap();
+    for kind in EXEC_KINDS {
+        let t = Instant::now();
+        let compiled = compile(&module, kind, &CompileOptions::default()).unwrap();
+        let compile_time = t.elapsed();
+        let image = link_in_memory(&compiled.buf, 0x40_0000, |_| None).unwrap();
         let (ret, stats) = run_function(&image, "bench_main", &[w.input]).unwrap();
         println!(
             "{:<14} compile {:>8.3} ms   text {:>7} B   cycles {:>12}   correct: {}",
-            name,
-            1000.0 * f64::from_bits(compile_time),
-            buf.section_size(tpde_core::codebuf::SectionKind::Text),
+            format!("{kind:?}"),
+            1000.0 * compile_time.as_secs_f64(),
+            compiled.buf.section_size(SectionKind::Text),
             stats.cycles,
             ret == expected
         );
-    };
-
-    let t = Instant::now();
-    let tpde = compile_x64(&module, &CompileOptions::default()).unwrap();
-    report("TPDE", &tpde.buf, t.elapsed().as_secs_f64().to_bits());
-
-    let t = Instant::now();
-    let base = compile_baseline(&module, 0).unwrap();
-    report(
-        "LLVM-O0-like",
-        &base.buf,
-        t.elapsed().as_secs_f64().to_bits(),
-    );
-
-    let t = Instant::now();
-    let cp = compile_copy_patch(&module).unwrap();
-    report("Copy-Patch", &cp.buf, t.elapsed().as_secs_f64().to_bits());
+    }
 }

@@ -151,7 +151,10 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
     }
 
     fn func_linkage(&self, func: FuncRef) -> Linkage {
-        if self.module.funcs[func.idx()].internal {
+        // An undefined symbol cannot be local: a declaration is external
+        // whatever its `internal` flag says.
+        let f = &self.module.funcs[func.idx()];
+        if f.internal && !f.is_decl {
             Linkage::Internal
         } else {
             Linkage::External

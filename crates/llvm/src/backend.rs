@@ -5,14 +5,17 @@
 //! and only uses the framework for calls, returns and branch bookkeeping,
 //! mirroring §5.1.2 of the paper (calls/returns/branches and compare+branch
 //! fusion are the only parts that are not expressed through snippets).
+//!
+//! It is also the one place that maps a [`ServiceBackendKind`] to a code
+//! path: a module unit and a per-function unit on [`LlvmServiceWorker`],
+//! plus one symbol predeclare, behind [`compile`], [`compile_parallel`]
+//! and the [`LlvmCompileService`] alike.
 
 use crate::adapter::{block_ref, value_ref, AdapterScratch, LlvmAdapter};
-use crate::baselines::{
-    compile_function_baseline, compile_function_stacky, declare_baseline_symbols, BaselineOutput,
-};
-use crate::ir::{Function, Inst, Module, Type};
+use crate::baselines::{compile_function_baseline, compile_function_stacky};
+use crate::ir::{Inst, Module, Type};
 use std::hash::Hasher;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use tpde_core::adapter::{FuncRef, InstRef, IrAdapter};
 use tpde_core::codebuf::{CodeBuffer, SymbolBinding};
 use tpde_core::codegen::{
@@ -21,9 +24,9 @@ use tpde_core::codegen::{
 };
 use tpde_core::error::{Error, Result};
 use tpde_core::hash::StableHasher;
-use tpde_core::parallel::{ParallelDriver, WorkerPool};
-use tpde_core::service::{CompileService, Request, ServiceBackend, ServiceConfig, ServiceResponse};
-use tpde_core::target::Target;
+use tpde_core::parallel::compile_sharded;
+use tpde_core::service::{CompileService, ServiceBackend, ServiceConfig};
+use tpde_core::target::{Target, TargetArch};
 use tpde_core::timing::PassTimings;
 use tpde_core::verify::Verifier;
 use tpde_enc::{A64Target, X64Target};
@@ -47,9 +50,9 @@ pub struct LlvmInstCompiler {
 
 impl LlvmInstCompiler {
     /// Drops the per-module callee-symbol cache (keeping its capacity).
-    /// Long-lived workers call this when they move to a different module,
-    /// since the address tag alone cannot distinguish a new module that
-    /// reuses a dropped module's allocation.
+    /// Workers call this before each module, since the address tag alone
+    /// cannot distinguish a new module that reuses a dropped module's
+    /// allocation.
     fn reset(&mut self) {
         self.callee_syms.clear();
         self.callee_syms_module = 0;
@@ -357,156 +360,28 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
     }
 }
 
-/// Compiles a module with the TPDE back-end for x86-64.
-pub fn compile_x64(module: &Module, opts: &CompileOptions) -> Result<CompiledModule> {
-    compile_with_target(module, X64Target::new(), opts)
-}
-
-/// Compiles a module with the TPDE back-end for AArch64.
-pub fn compile_a64(module: &Module, opts: &CompileOptions) -> Result<CompiledModule> {
-    compile_with_target(module, A64Target::new(), opts)
-}
-
-/// The working memory the one-shot entry points and the service's admission
-/// verify keep per thread: compile session, adapter tables, instruction
-/// compiler and verifier. A JIT calling [`compile_x64`] or submitting to a
-/// service per module would otherwise regrow all of it every time.
-#[derive(Default)]
-struct WarmState {
-    session: CompileSession,
-    scratch: AdapterScratch,
-    compiler: LlvmInstCompiler,
-    verifier: Verifier,
-}
-
-thread_local! {
-    static WARM: std::cell::RefCell<WarmState> = std::cell::RefCell::default();
-}
-
-/// One-shot sequential compile with this thread's warm state (and the
-/// caller's session, if given). The state is taken out of the thread-local
-/// for the duration, so a nested or panicking compile just starts cold.
-fn compile_warm<T: Target + SnippetEmitter>(
-    cg: &CodeGen<T>,
-    module: &Module,
-    session: Option<&mut CompileSession>,
-) -> Result<CompiledModule> {
-    let mut warm = WARM.take();
-    // The callee-symbol cache is per module, and a module's address can be
-    // reused by the next one.
-    warm.compiler.reset();
-    let r = tpde_service_module(
-        cg,
-        &mut warm.compiler,
-        &mut warm.scratch,
-        module,
-        session.unwrap_or(&mut warm.session),
-    );
-    WARM.set(warm);
-    r
-}
-
-/// Compiles a module with the TPDE back-end for an arbitrary target that has
-/// snippet encoders.
-pub fn compile_with_target<T: Target + SnippetEmitter>(
-    module: &Module,
-    target: T,
-    opts: &CompileOptions,
-) -> Result<CompiledModule> {
-    compile_warm(&CodeGen::new(target, opts.clone()), module, None)
-}
-
-/// Like [`compile_with_target`], but with the caller's compile session in
-/// place of the thread's own.
-pub fn compile_with_session<T: Target + SnippetEmitter>(
-    module: &Module,
-    target: T,
-    opts: &CompileOptions,
-    session: &mut tpde_core::codegen::CompileSession,
-) -> Result<CompiledModule> {
-    compile_warm(&CodeGen::new(target, opts.clone()), module, Some(session))
-}
-
-/// Compiles a module for x86-64 with functions sharded across `threads`
-/// worker threads. The output is byte-identical to [`compile_x64`] for any
-/// thread count (see [`tpde_core::parallel`] for the determinism contract).
-pub fn compile_x64_parallel(
-    module: &Module,
-    opts: &CompileOptions,
-    threads: usize,
-) -> Result<CompiledModule> {
-    compile_with_target_parallel(module, X64Target::new(), opts, threads)
-}
-
-/// Compiles a module for AArch64 with functions sharded across `threads`
-/// worker threads; byte-identical to [`compile_a64`].
-pub fn compile_a64_parallel(
-    module: &Module,
-    opts: &CompileOptions,
-    threads: usize,
-) -> Result<CompiledModule> {
-    compile_with_target_parallel(module, A64Target::new(), opts, threads)
-}
-
-/// Parallel variant of [`compile_with_target`]: every worker owns a full
-/// compile session, an [`LlvmAdapter`] that pre-indexes functions
-/// independently, and its own instruction compiler (so the per-module
-/// callee-symbol cache is worker-local).
-pub fn compile_with_target_parallel<T: Target + SnippetEmitter + Sync>(
-    module: &Module,
-    target: T,
-    opts: &CompileOptions,
-    threads: usize,
-) -> Result<CompiledModule> {
-    let cg = CodeGen::new(target, opts.clone());
-    ParallelDriver::new(threads).compile_module(
-        &cg,
-        || LlvmAdapter::new(module),
-        LlvmInstCompiler::default,
-    )
-}
-
-/// Parallel variant of [`compile_with_session`]: reuses the pool's worker
-/// sessions, so no worker regrows its working memory from module to module.
-pub fn compile_with_pool<T: Target + SnippetEmitter + Sync>(
-    module: &Module,
-    target: T,
-    opts: &CompileOptions,
-    threads: usize,
-    pool: &mut WorkerPool,
-) -> Result<CompiledModule> {
-    let cg = CodeGen::new(target, opts.clone());
-    ParallelDriver::new(threads).compile_module_with(
-        pool,
-        &cg,
-        || LlvmAdapter::new(module),
-        LlvmInstCompiler::default,
-    )
-}
-
 // --------------------------------------------------------------------------
-// Persistent compile service
+// The one (kind → code path) dispatch
 // --------------------------------------------------------------------------
 
-/// Which compiler answers a [`ModuleRequest`].
+/// Which compiler answers a compile: the argument of [`compile`] and
+/// [`compile_parallel`], and the choice a [`ModuleRequest`] carries to an
+/// [`LlvmCompileService`].
 ///
-/// One [`LlvmCompileService`] serves all of these from the same persistent
-/// worker pool — heterogeneous targets (x86-64 and AArch64) and
-/// heterogeneous pipelines (TPDE and the paper's baselines) can be
-/// interleaved request by request without re-spawning threads.
+/// The same worker state serves all of them, so one service pool (or one
+/// thread's warm state) interleaves targets (x86-64 and AArch64) and
+/// pipelines (TPDE and the paper's baselines) request by request.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ServiceBackendKind {
-    /// TPDE targeting x86-64 (byte-identical to [`compile_x64`]).
+    /// TPDE targeting x86-64.
     TpdeX64,
-    /// TPDE targeting AArch64 (byte-identical to [`compile_a64`]).
+    /// TPDE targeting AArch64.
     TpdeA64,
     /// The multi-pass LLVM-O0-like baseline, x86-64
-    /// (byte-identical to [`crate::baselines::compile_baseline`] at level 0).
+    /// ([`crate::baselines::compile_baseline`]).
     BaselineO0,
-    /// The multi-pass LLVM-O1-like baseline, x86-64 (level 1).
-    BaselineO1,
     /// The copy-and-patch-style baseline, x86-64
-    /// (byte-identical to [`crate::baselines::compile_copy_patch`]).
+    /// ([`crate::baselines::compile_copy_patch`]).
     CopyPatch,
 }
 
@@ -518,20 +393,325 @@ impl ServiceBackendKind {
     /// backend to every other build. New variants get new tags; existing
     /// tags never change or get reused.
     ///
-    /// Tags 5 and 6 are retired: they named the tier-0 (instrumented) TPDE
-    /// x86-64 and copy-and-patch backends, which were removed. They are never
-    /// reused, so artifacts stored under them are simply never looked up
-    /// again and age out of the disk cache's LRU.
+    /// Tags 3, 5 and 6 are retired: they named the LLVM-O1-like baseline
+    /// (whose output was byte-identical to tag 2's) and the tier-0
+    /// (instrumented) TPDE x86-64 and copy-and-patch backends, which were
+    /// removed. They are never reused, so artifacts stored under them are
+    /// simply never looked up again and age out of the disk cache's LRU.
     pub fn artifact_tag(self) -> u8 {
         match self {
             ServiceBackendKind::TpdeX64 => 0,
             ServiceBackendKind::TpdeA64 => 1,
             ServiceBackendKind::BaselineO0 => 2,
-            ServiceBackendKind::BaselineO1 => 3,
             ServiceBackendKind::CopyPatch => 4,
         }
     }
+
+    /// The TPDE kind for a target architecture.
+    fn tpde(arch: TargetArch) -> ServiceBackendKind {
+        match arch {
+            TargetArch::X86_64 => ServiceBackendKind::TpdeX64,
+            TargetArch::Aarch64 => ServiceBackendKind::TpdeA64,
+        }
+    }
 }
+
+/// A per-target [`CodeGen`], built on first use and rebuilt only when a
+/// compile asks for different options than the previous one.
+struct CachedCg<T: Target>(Option<(CompileOptions, CodeGen<T>)>);
+
+impl<T: Target> Default for CachedCg<T> {
+    fn default() -> Self {
+        CachedCg(None)
+    }
+}
+
+impl<T: Target> CachedCg<T> {
+    fn get(&mut self, opts: &CompileOptions, make: fn() -> T) -> &CodeGen<T> {
+        if self.0.as_ref().is_none_or(|(o, _)| o != opts) {
+            self.0 = Some((opts.clone(), CodeGen::new(make(), opts.clone())));
+        }
+        &self.0.as_ref().expect("built above").1
+    }
+}
+
+/// Runs `f` on an adapter for `module` that borrows the warm flat tables
+/// in `scratch` for the duration.
+fn with_adapter<R>(
+    scratch: &mut AdapterScratch,
+    module: &Module,
+    f: impl FnOnce(&mut LlvmAdapter<'_>) -> R,
+) -> R {
+    let mut adapter = LlvmAdapter::with_scratch(module, std::mem::take(scratch));
+    let r = f(&mut adapter);
+    *scratch = adapter.into_scratch();
+    r
+}
+
+/// Declares one symbol per module function, in function order, for every
+/// kind: the prefix each shard buffer and the merged buffer of a sharded
+/// compile start from.
+fn predeclare(module: &Module, buf: &mut CodeBuffer) {
+    let _ = declare_func_symbols(&LlvmAdapter::new(module), buf);
+}
+
+/// The warm state one thread compiles with, for every
+/// [`ServiceBackendKind`]: the instruction compiler, the adapter's
+/// flat-table scratch and the per-target code generators, kept across
+/// compiles so none regrows them. A service worker, a
+/// [`compile_parallel`] thread and [`compile`]'s thread-local each own one.
+#[derive(Default)]
+pub struct LlvmServiceWorker {
+    compiler: LlvmInstCompiler,
+    scratch: AdapterScratch,
+    x64: CachedCg<X64Target>,
+    a64: CachedCg<A64Target>,
+}
+
+impl LlvmServiceWorker {
+    /// The module unit: compiles all of `module` with `kind` on this
+    /// thread. TPDE runs the framework's sequential module compile
+    /// ([`CodeGen::compile_module_with`]); the baselines run their
+    /// per-function unit over every function.
+    fn compile_module(
+        &mut self,
+        module: &Module,
+        kind: ServiceBackendKind,
+        opts: &CompileOptions,
+        session: &mut CompileSession,
+    ) -> Result<CompiledModule> {
+        self.compiler.reset();
+        match kind {
+            ServiceBackendKind::TpdeX64 => {
+                let cg = self.x64.get(opts, X64Target::new);
+                with_adapter(&mut self.scratch, module, |a| {
+                    cg.compile_module_with(session, a, &mut self.compiler)
+                })
+            }
+            ServiceBackendKind::TpdeA64 => {
+                let cg = self.a64.get(opts, A64Target::new);
+                with_adapter(&mut self.scratch, module, |a| {
+                    cg.compile_module_with(session, a, &mut self.compiler)
+                })
+            }
+            ServiceBackendKind::BaselineO0 | ServiceBackendKind::CopyPatch => {
+                let mut out = CompiledModule {
+                    buf: CodeBuffer::new(),
+                    stats: CompileStats::default(),
+                    timings: PassTimings::new(),
+                };
+                let CompiledModule {
+                    buf,
+                    stats,
+                    timings,
+                } = &mut out;
+                predeclare(module, buf);
+                for f in 0..module.funcs.len() as u32 {
+                    self.compile_func(module, kind, opts, session, buf, f, stats, timings)?;
+                }
+                Ok(out)
+            }
+        }
+    }
+
+    /// Readies this worker and `session` for [`Self::compile_func`] calls
+    /// on one module: TPDE configures the session's register file for its
+    /// target; the baselines use no session.
+    fn prepare(
+        &mut self,
+        kind: ServiceBackendKind,
+        opts: &CompileOptions,
+        session: &mut CompileSession,
+    ) {
+        self.compiler.reset();
+        match kind {
+            ServiceBackendKind::TpdeX64 => {
+                self.x64.get(opts, X64Target::new).prepare_session(session)
+            }
+            ServiceBackendKind::TpdeA64 => {
+                self.a64.get(opts, A64Target::new).prepare_session(session)
+            }
+            ServiceBackendKind::BaselineO0 | ServiceBackendKind::CopyPatch => {}
+        }
+    }
+
+    /// The per-function unit: compiles function `f` of `module` with `kind`
+    /// into `buf` under `SymbolId(f)`, self-contained as
+    /// [`tpde_core::parallel`] requires, or skips a declaration
+    /// (`Ok(false)`). Every sharded compile and, for the baselines, the
+    /// module unit emit through it.
+    #[allow(clippy::too_many_arguments)]
+    fn compile_func(
+        &mut self,
+        module: &Module,
+        kind: ServiceBackendKind,
+        opts: &CompileOptions,
+        session: &mut CompileSession,
+        buf: &mut CodeBuffer,
+        f: u32,
+        stats: &mut CompileStats,
+        timings: &mut PassTimings,
+    ) -> Result<bool> {
+        let (compiler, func) = (&mut self.compiler, FuncRef(f));
+        match kind {
+            ServiceBackendKind::TpdeX64 => {
+                let cg = self.x64.get(opts, X64Target::new);
+                with_adapter(&mut self.scratch, module, |a| {
+                    cg.compile_func_pooled(session, a, compiler, buf, func, stats, timings)
+                })
+            }
+            ServiceBackendKind::TpdeA64 => {
+                let cg = self.a64.get(opts, A64Target::new);
+                with_adapter(&mut self.scratch, module, |a| {
+                    cg.compile_func_pooled(session, a, compiler, buf, func, stats, timings)
+                })
+            }
+            ServiceBackendKind::BaselineO0 => {
+                crate::baselines::compile_func(module, f, compile_function_baseline, buf, stats)
+            }
+            ServiceBackendKind::CopyPatch => {
+                crate::baselines::compile_func(module, f, compile_function_stacky, buf, stats)
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------------------
+// Entry points
+// --------------------------------------------------------------------------
+
+/// The working memory of [`compile`] and of the service's admission verify,
+/// kept per thread. A JIT calling [`compile`] or submitting to a service per
+/// module would otherwise regrow all of it every time.
+#[derive(Default)]
+struct WarmState {
+    worker: LlvmServiceWorker,
+    session: CompileSession,
+    verifier: Verifier,
+}
+
+thread_local! {
+    static WARM: std::cell::RefCell<WarmState> = std::cell::RefCell::default();
+}
+
+/// The module unit with this thread's warm state (and the caller's session,
+/// if given). The state is taken out of the thread-local for the duration,
+/// so a nested or panicking compile just starts cold.
+fn compile_on_thread(
+    module: &Module,
+    kind: ServiceBackendKind,
+    opts: &CompileOptions,
+    session: Option<&mut CompileSession>,
+) -> Result<CompiledModule> {
+    let mut warm = WARM.take();
+    let session = session.unwrap_or(&mut warm.session);
+    let r = warm.worker.compile_module(module, kind, opts, session);
+    WARM.set(warm);
+    r
+}
+
+/// Compiles a module with `kind` on the calling thread.
+///
+/// The thread keeps its working memory in a thread-local, so its first
+/// compile is cold and later ones reuse what it grew. The output is
+/// byte-identical to [`compile_parallel`] at any thread count and to an
+/// [`LlvmCompileService`] response to the same request.
+pub fn compile(
+    module: &Module,
+    kind: ServiceBackendKind,
+    opts: &CompileOptions,
+) -> Result<CompiledModule> {
+    compile_on_thread(module, kind, opts, None)
+}
+
+/// One thread's state in [`compile_parallel`].
+#[derive(Default)]
+struct ShardWorker {
+    worker: LlvmServiceWorker,
+    session: CompileSession,
+    stats: CompileStats,
+    timings: PassTimings,
+}
+
+/// Compiles a module with `kind`, its functions sharded across up to
+/// `threads` threads (at most one per function), each with a fresh
+/// worker state. Even one thread goes through the shard-and-merge path.
+/// The output is byte-identical to [`compile`] for any thread count (see
+/// [`tpde_core::parallel`] for the determinism contract).
+pub fn compile_parallel(
+    module: &Module,
+    kind: ServiceBackendKind,
+    opts: &CompileOptions,
+    threads: usize,
+) -> Result<CompiledModule> {
+    let nfuncs = module.funcs.len();
+    let states = (0..threads.max(1).min(nfuncs.max(1)))
+        .map(|_| {
+            let mut w = ShardWorker::default();
+            w.worker.prepare(kind, opts, &mut w.session);
+            w
+        })
+        .collect();
+    let (states, buf) = compile_sharded(
+        nfuncs,
+        states,
+        |buf| predeclare(module, buf),
+        |w: &mut ShardWorker, buf, f| {
+            let (stats, timings) = (&mut w.stats, &mut w.timings);
+            w.worker
+                .compile_func(module, kind, opts, &mut w.session, buf, f, stats, timings)
+        },
+    );
+    let mut out = CompiledModule {
+        buf: buf?,
+        stats: CompileStats::default(),
+        timings: PassTimings::new(),
+    };
+    for w in &states {
+        out.stats.merge(&w.stats);
+        out.timings.merge(&w.timings);
+    }
+    Ok(out)
+}
+
+/// [`compile`] with [`ServiceBackendKind::TpdeX64`].
+pub fn compile_x64(module: &Module, opts: &CompileOptions) -> Result<CompiledModule> {
+    compile(module, ServiceBackendKind::TpdeX64, opts)
+}
+
+/// [`compile`] with [`ServiceBackendKind::TpdeA64`].
+pub fn compile_a64(module: &Module, opts: &CompileOptions) -> Result<CompiledModule> {
+    compile(module, ServiceBackendKind::TpdeA64, opts)
+}
+
+/// [`compile_parallel`] with [`ServiceBackendKind::TpdeX64`].
+pub fn compile_x64_parallel(
+    module: &Module,
+    opts: &CompileOptions,
+    threads: usize,
+) -> Result<CompiledModule> {
+    compile_parallel(module, ServiceBackendKind::TpdeX64, opts, threads)
+}
+
+/// [`compile`] with the TPDE kind of `target`'s architecture, and with the
+/// caller's compile session in place of the thread's own.
+pub fn compile_with_session<T: Target>(
+    module: &Module,
+    target: T,
+    opts: &CompileOptions,
+    session: &mut CompileSession,
+) -> Result<CompiledModule> {
+    compile_on_thread(
+        module,
+        ServiceBackendKind::tpde(target.arch()),
+        opts,
+        Some(session),
+    )
+}
+
+// --------------------------------------------------------------------------
+// Persistent compile service
+// --------------------------------------------------------------------------
 
 /// One compile request for the LLVM-IR-like module service.
 #[derive(Clone)]
@@ -555,149 +735,20 @@ impl ModuleRequest {
     }
 }
 
-/// A [`CodeGen`] cached per worker, rebuilt only when a request carries
-/// different options than the previous one for the same target.
-struct CachedCg<T: Target> {
-    opts: CompileOptions,
-    cg: CodeGen<T>,
-}
-
-impl<T: Target> CachedCg<T> {
-    fn new(make: impl Fn() -> T) -> CachedCg<T> {
-        CachedCg {
-            opts: CompileOptions::default(),
-            cg: CodeGen::new(make(), CompileOptions::default()),
-        }
-    }
-
-    fn get(&mut self, opts: &CompileOptions, make: impl Fn() -> T) -> &CodeGen<T> {
-        if self.opts != *opts {
-            self.cg = CodeGen::new(make(), opts.clone());
-            self.opts = opts.clone();
-        }
-        &self.cg
-    }
-}
-
-/// Warm per-thread state of the LLVM service: the instruction compiler, the
-/// adapter's flat-table scratch and the per-target code generators, all
-/// kept across requests so no request regrows them.
-pub struct LlvmServiceWorker {
-    compiler: LlvmInstCompiler,
-    scratch: AdapterScratch,
-    x64: CachedCg<X64Target>,
-    a64: CachedCg<A64Target>,
-    /// The previous request's module. Holding a `Weak` pins the allocation's
-    /// address (the control block outlives the module), so pointer equality
-    /// is a sound "same module?" test and the callee-symbol cache is cleared
-    /// exactly when the module really changes.
-    last_module: Weak<Module>,
-}
-
-impl LlvmServiceWorker {
-    fn sync_module(&mut self, module: &Arc<Module>) {
-        if !std::ptr::eq(self.last_module.as_ptr(), Arc::as_ptr(module)) {
-            self.compiler.reset();
-            self.last_module = Arc::downgrade(module);
-        }
-    }
-}
-
-/// The [`ServiceBackend`] for the LLVM-IR-like module; see
-/// [`ServiceBackendKind`] for the compilers it dispatches to.
+/// The [`ServiceBackend`] for the LLVM-IR-like module: every request runs
+/// the same module and per-function units as [`compile`] and
+/// [`compile_parallel`].
 pub struct LlvmServiceBackend;
 
 /// A persistent compile service for the LLVM-IR-like module.
 pub type LlvmCompileService = CompileService<LlvmServiceBackend>;
-
-/// Wraps a baseline result as a [`CompiledModule`] (the baselines track an
-/// instruction count but no per-pass timings).
-fn wrap_baseline(out: BaselineOutput, module: &Module) -> CompiledModule {
-    CompiledModule {
-        buf: out.buf,
-        stats: CompileStats {
-            funcs: module.funcs.iter().filter(|f| !f.is_decl).count(),
-            insts: out.insts,
-            ..CompileStats::default()
-        },
-        timings: PassTimings::new(),
-    }
-}
-
-/// Sequential whole-module TPDE compile with warm worker state — this *is*
-/// the one-shot path ([`CodeGen::compile_module_with`]), so the batched
-/// service output is byte-identical by construction.
-fn tpde_service_module<T: Target + SnippetEmitter>(
-    cg: &CodeGen<T>,
-    compiler: &mut LlvmInstCompiler,
-    scratch: &mut AdapterScratch,
-    module: &Module,
-    session: &mut CompileSession,
-) -> Result<CompiledModule> {
-    let mut adapter = LlvmAdapter::with_scratch(module, std::mem::take(scratch));
-    let r = cg.compile_module_with(session, &mut adapter, compiler);
-    *scratch = adapter.into_scratch();
-    r
-}
-
-/// Per-function TPDE shard unit with warm worker state; the same
-/// [`CodeGen::compile_func_pooled`] unit the scoped parallel driver uses.
-#[allow(clippy::too_many_arguments)]
-fn tpde_service_func<T: Target + SnippetEmitter>(
-    cg: &CodeGen<T>,
-    compiler: &mut LlvmInstCompiler,
-    scratch: &mut AdapterScratch,
-    module: &Module,
-    session: &mut CompileSession,
-    buf: &mut CodeBuffer,
-    f: u32,
-    stats: &mut CompileStats,
-    timings: &mut PassTimings,
-) -> Result<bool> {
-    let mut adapter = LlvmAdapter::with_scratch(module, std::mem::take(scratch));
-    let r = cg.compile_func_pooled(
-        session,
-        &mut adapter,
-        compiler,
-        buf,
-        FuncRef(f),
-        stats,
-        timings,
-    );
-    *scratch = adapter.into_scratch();
-    r
-}
-
-/// Per-function baseline shard unit (the closure body of the scoped
-/// `compile_baseline_sharded` harness, reused by the service).
-fn baseline_service_func(
-    f: &Function,
-    buf: &mut CodeBuffer,
-    stats: &mut CompileStats,
-    compile_fn: impl FnOnce(&Function, &mut CodeBuffer) -> Result<()>,
-) -> Result<bool> {
-    if f.is_decl {
-        return Ok(false);
-    }
-    compile_fn(f, buf)?;
-    buf.finish_func_fixups()?;
-    stats.funcs += 1;
-    stats.insts += f.inst_count();
-    Ok(true)
-}
 
 impl ServiceBackend for LlvmServiceBackend {
     type Request = ModuleRequest;
     type Worker = LlvmServiceWorker;
 
     fn new_worker(&self) -> LlvmServiceWorker {
-        LlvmServiceWorker {
-            compiler: LlvmInstCompiler::default(),
-            scratch: AdapterScratch::default(),
-            x64: CachedCg::new(X64Target::new),
-            a64: CachedCg::new(A64Target::new),
-            last_module: Weak::new(),
-        }
+        LlvmServiceWorker::default()
     }
 
     /// `StableHasher` over two words: the pinned artifact tag with the
@@ -728,9 +779,12 @@ impl ServiceBackend for LlvmServiceBackend {
         // Taken out for the call and put back on every path; a panic in
         // between just leaves the next call cold.
         let mut warm = WARM.take();
-        let mut adapter = LlvmAdapter::with_scratch(&req.module, std::mem::take(&mut warm.scratch));
-        let verdict = warm.verifier.verify_module(&mut adapter);
-        warm.scratch = adapter.into_scratch();
+        let WarmState {
+            worker, verifier, ..
+        } = &mut warm;
+        let verdict = with_adapter(&mut worker.scratch, &req.module, |a| {
+            verifier.verify_module(a)
+        });
         WARM.set(warm);
         verdict.map_err(Error::from)
     }
@@ -745,31 +799,11 @@ impl ServiceBackend for LlvmServiceBackend {
         worker: &mut LlvmServiceWorker,
         session: &mut CompileSession,
     ) {
-        match req.backend {
-            ServiceBackendKind::TpdeX64 => {
-                worker
-                    .x64
-                    .get(&req.opts, X64Target::new)
-                    .prepare_session(session);
-            }
-            ServiceBackendKind::TpdeA64 => {
-                worker
-                    .a64
-                    .get(&req.opts, A64Target::new)
-                    .prepare_session(session);
-            }
-            // The baselines do not use the framework session.
-            _ => {}
-        }
+        worker.prepare(req.backend, &req.opts, session);
     }
 
     fn predeclare(&self, req: &ModuleRequest, buf: &mut CodeBuffer) {
-        match req.backend {
-            ServiceBackendKind::TpdeX64 | ServiceBackendKind::TpdeA64 => {
-                let _ = declare_func_symbols(&LlvmAdapter::new(&req.module), buf);
-            }
-            _ => declare_baseline_symbols(&req.module, buf),
-        }
+        predeclare(&req.module, buf);
     }
 
     fn compile_func(
@@ -782,47 +816,8 @@ impl ServiceBackend for LlvmServiceBackend {
         stats: &mut CompileStats,
         timings: &mut PassTimings,
     ) -> Result<bool> {
-        let module = &*req.module;
-        worker.sync_module(&req.module);
-        match req.backend {
-            ServiceBackendKind::TpdeX64 => tpde_service_func(
-                worker.x64.get(&req.opts, X64Target::new),
-                &mut worker.compiler,
-                &mut worker.scratch,
-                module,
-                session,
-                buf,
-                f,
-                stats,
-                timings,
-            ),
-            ServiceBackendKind::TpdeA64 => tpde_service_func(
-                worker.a64.get(&req.opts, A64Target::new),
-                &mut worker.compiler,
-                &mut worker.scratch,
-                module,
-                session,
-                buf,
-                f,
-                stats,
-                timings,
-            ),
-            ServiceBackendKind::BaselineO0 => {
-                baseline_service_func(&module.funcs[f as usize], buf, stats, |func, buf| {
-                    compile_function_baseline(module, func, buf, 0)
-                })
-            }
-            ServiceBackendKind::BaselineO1 => {
-                baseline_service_func(&module.funcs[f as usize], buf, stats, |func, buf| {
-                    compile_function_baseline(module, func, buf, 1)
-                })
-            }
-            ServiceBackendKind::CopyPatch => {
-                baseline_service_func(&module.funcs[f as usize], buf, stats, |func, buf| {
-                    compile_function_stacky(module, func, buf)
-                })
-            }
-        }
+        let (m, kind, opts) = (&*req.module, req.backend, &req.opts);
+        worker.compile_func(m, kind, opts, session, buf, f, stats, timings)
     }
 
     fn compile_module(
@@ -831,33 +826,7 @@ impl ServiceBackend for LlvmServiceBackend {
         worker: &mut LlvmServiceWorker,
         session: &mut CompileSession,
     ) -> Result<CompiledModule> {
-        let module = &*req.module;
-        worker.sync_module(&req.module);
-        match req.backend {
-            ServiceBackendKind::TpdeX64 => tpde_service_module(
-                worker.x64.get(&req.opts, X64Target::new),
-                &mut worker.compiler,
-                &mut worker.scratch,
-                module,
-                session,
-            ),
-            ServiceBackendKind::TpdeA64 => tpde_service_module(
-                worker.a64.get(&req.opts, A64Target::new),
-                &mut worker.compiler,
-                &mut worker.scratch,
-                module,
-                session,
-            ),
-            ServiceBackendKind::BaselineO0 => {
-                crate::baselines::compile_baseline(module, 0).map(|o| wrap_baseline(o, module))
-            }
-            ServiceBackendKind::BaselineO1 => {
-                crate::baselines::compile_baseline(module, 1).map(|o| wrap_baseline(o, module))
-            }
-            ServiceBackendKind::CopyPatch => {
-                crate::baselines::compile_copy_patch(module).map(|o| wrap_baseline(o, module))
-            }
-        }
+        worker.compile_module(&req.module, req.backend, &req.opts, session)
     }
 }
 
@@ -868,30 +837,47 @@ pub fn compile_service(cfg: ServiceConfig) -> LlvmCompileService {
     CompileService::new(LlvmServiceBackend, cfg)
 }
 
-/// Submits an x86-64 TPDE compile to a service and waits for the response;
-/// the output is byte-identical to [`compile_x64`].
-pub fn compile_service_x64(
-    svc: &LlvmCompileService,
-    module: &Arc<Module>,
-    opts: &CompileOptions,
-) -> ServiceResponse {
-    svc.compile(Request::new(ModuleRequest {
-        module: Arc::clone(module),
-        backend: ServiceBackendKind::TpdeX64,
-        opts: opts.clone(),
-    }))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fuzz::ALL_KINDS;
+    use crate::ir::FunctionBuilder;
+    use tpde_core::codebuf::SymbolId;
 
-/// Submits an AArch64 TPDE compile to a service and waits for the response;
-/// the output is byte-identical to [`compile_a64`].
-pub fn compile_service_a64(
-    svc: &LlvmCompileService,
-    module: &Arc<Module>,
-    opts: &CompileOptions,
-) -> ServiceResponse {
-    svc.compile(Request::new(ModuleRequest {
-        module: Arc::clone(module),
-        backend: ServiceBackendKind::TpdeA64,
-        opts: opts.clone(),
-    }))
+    /// An `internal` declaration is still an undefined, hence global,
+    /// symbol, and every kind's symbol table says the same.
+    #[test]
+    fn every_kind_builds_the_same_symbol_table() {
+        let mut m = Module::new();
+        let helper = m.declare("helper", vec![Type::I64], Type::I64);
+        m.funcs[helper.0 as usize].internal = true;
+        let mut b = FunctionBuilder::new("local", &[Type::I64], Type::I64);
+        b.set_internal();
+        let r = b.call(helper, Type::I64, vec![b.arg(0)]);
+        b.ret(Some(r));
+        let local = m.add_function(b.build());
+        let mut b = FunctionBuilder::new("main", &[Type::I64], Type::I64);
+        let r = b.call(local, Type::I64, vec![b.arg(0)]);
+        b.ret(Some(r));
+        m.add_function(b.build());
+
+        let table = |kind| {
+            let buf = compile(&m, kind, &CompileOptions::default()).unwrap().buf;
+            let syms = buf.symbols().iter().enumerate();
+            syms.map(|(i, s)| {
+                let name = buf.symbol_name(SymbolId(i as u32)).to_string();
+                (name, s.binding, s.section.is_some(), s.is_func)
+            })
+            .collect::<Vec<_>>()
+        };
+        let want = [
+            ("helper", SymbolBinding::Global, false),
+            ("local", SymbolBinding::Local, true),
+            ("main", SymbolBinding::Global, true),
+        ]
+        .map(|(name, binding, defined)| (name.to_string(), binding, defined, true));
+        for kind in ALL_KINDS {
+            assert_eq!(table(kind), want, "{kind:?}");
+        }
+    }
 }

@@ -1,32 +1,28 @@
-//! Baseline back-ends the paper compares against.
+//! Baseline back-ends the paper compares against, both x86-64 only (the
+//! paper's copy-and-patch comparator is also x86-64 only).
 //!
 //! * [`compile_copy_patch`] — a copy-and-patch-style compiler: one pass, no
 //!   liveness, every value lives in a stack slot and is moved through fixed
 //!   registers, exactly the behaviour the paper attributes to template-based
 //!   compilation (fast compile times, large and slow code).
 //! * [`compile_baseline`] — a conventional multi-pass back-end standing in
-//!   for LLVM -O0/-O1: it materializes a separate machine-level IR, runs
-//!   per-function analysis/assignment passes over hash-map-keyed data
-//!   structures and only then encodes, which is the structural cost the
-//!   paper attributes to LLVM's pipeline. `opt_level = 1` runs additional
-//!   cleanup passes (the "-O1 back-end" configuration of Figure 8).
+//!   for LLVM -O0: it materializes a separate machine-level IR and runs a
+//!   per-function analysis pass over hash-map-keyed data structures before
+//!   it encodes, which is the structural cost the paper attributes to
+//!   LLVM's pipeline.
 //!
-//! Both baselines target x86-64 only (the paper's copy-and-patch comparator
-//! is also x86-64 only).
+//! Both emit through the same function emitter, so they produce the same
+//! bytes and differ only in what they do before emitting. Neither passes
+//! arguments on the stack: a call or a function with more than 6 integer
+//! or 8 floating-point arguments is [`Error::Unsupported`].
 
+use crate::backend::{compile, ServiceBackendKind};
 use crate::ir::{BinOp, FBinOp, Function, ICmp, Inst, Module, ShiftKind, Type, Value, ValueDef};
 use std::collections::HashMap;
-use tpde_core::codebuf::{CodeBuffer, Label, SectionKind, SymbolBinding};
-use tpde_core::error::Result;
+use tpde_core::codebuf::{CodeBuffer, Label, SectionKind, SymbolBinding, SymbolId};
+use tpde_core::codegen::{CompileOptions, CompileStats, CompiledModule};
+use tpde_core::error::{Error, Result};
 use tpde_enc::x64::{self, Alu, Cond, Gp, Mem, Shift, Xmm};
-
-/// Result of a baseline compilation.
-pub struct BaselineOutput {
-    /// The filled code buffer (text section, symbols, relocations).
-    pub buf: CodeBuffer,
-    /// Number of compiled instructions (for reporting).
-    pub insts: usize,
-}
 
 const TMP0: Gp = Gp::RAX;
 const TMP1: Gp = Gp::RCX;
@@ -157,7 +153,6 @@ fn emit_inst(
     ctx: &FuncCtx,
     buf: &mut CodeBuffer,
     inst: &Inst,
-    epilogue: &dyn Fn(&mut CodeBuffer),
 ) -> Result<()> {
     match inst {
         Inst::Bin {
@@ -380,17 +375,11 @@ fn emit_inst(
             ret_ty,
             args,
         } => {
-            // move the first six integer/fp args into ABI registers from slots
-            let gp_args = [Gp::RDI, Gp::RSI, Gp::RDX, Gp::RCX, Gp::R8, Gp::R9];
-            let mut next_gp = 0;
-            let mut next_fp = 0;
+            let mut regs = ArgRegs::default();
             for a in args {
-                if f.value_type(*a).is_fp() {
-                    ctx.load_fp(buf, Xmm(next_fp), *a, 8);
-                    next_fp += 1;
-                } else {
-                    ctx.load_gp(buf, gp_args[next_gp], *a);
-                    next_gp += 1;
+                match regs.next(f.value_type(*a).is_fp())? {
+                    ArgReg::Gp(r) => ctx.load_gp(buf, r, *a),
+                    ArgReg::Fp(r) => ctx.load_fp(buf, r, *a, 8),
                 }
             }
             let callee_f = &module.funcs[callee.0 as usize];
@@ -432,7 +421,9 @@ fn emit_inst(
                     ctx.load_gp(buf, Gp::RAX, *v);
                 }
             }
-            epilogue(buf);
+            x64::mov_rr(buf, 8, Gp::RSP, Gp::RBP);
+            x64::pop_r(buf, Gp::RBP);
+            x64::ret(buf);
         }
     }
     Ok(())
@@ -454,146 +445,89 @@ fn emit_phi_moves(f: &Function, ctx: &FuncCtx, buf: &mut CodeBuffer, pred: u32, 
     }
 }
 
+/// The register an argument travels in under the SysV ABI.
+enum ArgReg {
+    Gp(Gp),
+    Fp(Xmm),
+}
+
+/// Hands out the SysV argument registers in order.
+#[derive(Default)]
+struct ArgRegs {
+    gp: usize,
+    fp: u8,
+}
+
+impl ArgRegs {
+    const GP: [Gp; 6] = [Gp::RDI, Gp::RSI, Gp::RDX, Gp::RCX, Gp::R8, Gp::R9];
+    const FP: u8 = 8;
+
+    /// The register of the next floating-point (`fp`) or integer argument,
+    /// or [`Error::Unsupported`] once that bank's registers are used up.
+    fn next(&mut self, fp: bool) -> Result<ArgReg> {
+        if fp && self.fp < Self::FP {
+            self.fp += 1;
+            Ok(ArgReg::Fp(Xmm(self.fp - 1)))
+        } else if !fp && self.gp < Self::GP.len() {
+            self.gp += 1;
+            Ok(ArgReg::Gp(Self::GP[self.gp - 1]))
+        } else {
+            Err(Error::Unsupported(
+                "stack-passed arguments in the baseline back-ends".into(),
+            ))
+        }
+    }
+}
+
+/// The baselines' one function emitter: frame setup, argument spills, then
+/// `insts` — `(block index, instruction)` in layout order — with each
+/// block's label bound before its first instruction and the phi moves of
+/// an edge emitted right before the terminator that takes it.
+fn emit_function<'i>(
+    module: &Module,
+    f: &Function,
+    mut ctx: FuncCtx,
+    buf: &mut CodeBuffer,
+    insts: impl Iterator<Item = (u32, &'i Inst)>,
+) -> Result<()> {
+    ctx.block_labels = f.blocks.iter().map(|_| buf.new_label()).collect();
+    x64::push_r(buf, Gp::RBP);
+    x64::mov_rr(buf, 8, Gp::RBP, Gp::RSP);
+    x64::alu_ri(buf, Alu::Sub, 8, Gp::RSP, ctx.frame_size);
+    let mut regs = ArgRegs::default();
+    for (i, ty) in f.params.iter().enumerate() {
+        let v = Value(i as u32);
+        match regs.next(ty.is_fp())? {
+            ArgReg::Gp(r) => ctx.store_gp(buf, v, r),
+            ArgReg::Fp(r) => ctx.store_fp(buf, v, r, 8),
+        }
+    }
+    let mut cur_block = u32::MAX;
+    for (block, inst) in insts {
+        if block != cur_block {
+            cur_block = block;
+            buf.bind_label(ctx.block_labels[block as usize]);
+        }
+        if inst.is_terminator() {
+            for succ in inst.successors() {
+                emit_phi_moves(f, &ctx, buf, block, succ.0);
+            }
+        }
+        emit_inst(module, f, &ctx, buf, inst)?;
+    }
+    Ok(())
+}
+
+/// The copy-and-patch per-function compiler: the emitter straight over the
+/// IR (single pass, no analysis, everything through the stack).
 pub(crate) fn compile_function_stacky(
     module: &Module,
     f: &Function,
     buf: &mut CodeBuffer,
 ) -> Result<()> {
-    let mut ctx = FuncCtx::new(f);
-    ctx.block_labels = f.blocks.iter().map(|_| buf.new_label()).collect();
-
-    // prologue
-    x64::push_r(buf, Gp::RBP);
-    x64::mov_rr(buf, 8, Gp::RBP, Gp::RSP);
-    x64::alu_ri(buf, Alu::Sub, 8, Gp::RSP, ctx.frame_size);
-    // spill arguments to their slots
-    let gp_args = [Gp::RDI, Gp::RSI, Gp::RDX, Gp::RCX, Gp::R8, Gp::R9];
-    let mut next_gp = 0;
-    let mut next_fp = 0;
-    for (i, ty) in f.params.iter().enumerate() {
-        let v = Value(i as u32);
-        if ty.is_fp() {
-            ctx.store_fp(buf, v, Xmm(next_fp), 8);
-            next_fp += 1;
-        } else {
-            ctx.store_gp(buf, v, gp_args[next_gp]);
-            next_gp += 1;
-        }
-    }
-    let _ = next_fp;
-
-    let epilogue = |buf: &mut CodeBuffer| {
-        x64::mov_rr(buf, 8, Gp::RSP, Gp::RBP);
-        x64::pop_r(buf, Gp::RBP);
-        x64::ret(buf);
-    };
-
-    for (bi, block) in f.blocks.iter().enumerate() {
-        buf.bind_label(ctx.block_labels[bi]);
-        for inst in &block.insts {
-            // phi moves belong on the edge; emit them right before terminators
-            if inst.is_terminator() {
-                for succ in inst.successors() {
-                    emit_phi_moves(f, &ctx, buf, bi as u32, succ.0);
-                }
-            }
-            emit_inst(module, f, &ctx, buf, inst, &epilogue)?;
-        }
-    }
-    Ok(())
-}
-
-/// Declares one symbol per module function in function order (decls get a
-/// global binding, definitions follow their `internal` flag), matching what
-/// the sequential baseline loops produce. Shared with the parallel variants,
-/// which require every shard to pre-declare the identical symbol prefix.
-pub(crate) fn declare_baseline_symbols(module: &Module, buf: &mut CodeBuffer) {
-    for f in &module.funcs {
-        let binding = if !f.is_decl && f.internal {
-            SymbolBinding::Local
-        } else {
-            SymbolBinding::Global
-        };
-        buf.declare_symbol(&f.name, binding, true);
-    }
-}
-
-/// Total instruction count of the module's defined functions.
-pub(crate) fn defined_inst_count(module: &Module) -> usize {
-    module
-        .funcs
-        .iter()
-        .filter(|f| !f.is_decl)
-        .map(|f| f.inst_count())
-        .sum()
-}
-
-/// Copy-and-patch-style compilation of a whole module (single pass, no
-/// analysis, everything through the stack).
-///
-/// All function symbols are declared upfront in function order (as the TPDE
-/// driver does), so the symbol table is identical to the parallel variant's
-/// even when a function calls one defined later in the module.
-pub fn compile_copy_patch(module: &Module) -> Result<BaselineOutput> {
-    let mut buf = CodeBuffer::new();
-    declare_baseline_symbols(module, &mut buf);
-    let mut insts = 0;
-    for f in &module.funcs {
-        if f.is_decl {
-            continue;
-        }
-        let sym = buf
-            .symbol_by_name(&f.name)
-            .expect("function symbol predeclared");
-        let start = buf.text_offset();
-        buf.define_symbol(sym, SectionKind::Text, start, 0);
-        compile_function_stacky(module, f, &mut buf)?;
-        buf.set_symbol_size(sym, buf.text_offset() - start);
-        buf.finish_func_fixups()?;
-        insts += f.inst_count();
-    }
-    Ok(BaselineOutput { buf, insts })
-}
-
-/// Shared scaffolding of the parallel baseline variants: shards the given
-/// per-function compiler across workers through the generic
-/// [`tpde_core::parallel::compile_sharded`] harness and assembles the
-/// baseline output. Both baselines are self-contained per function (labels
-/// and fixups resolved per function, callee symbols declared at use), so
-/// the merged output is byte-identical to the sequential compilers.
-fn compile_baseline_sharded(
-    module: &Module,
-    threads: usize,
-    compile_fn: impl Fn(&Function, &mut CodeBuffer) -> Result<()> + Sync,
-) -> Result<BaselineOutput> {
-    let nfuncs = module.funcs.len();
-    let workers = threads.max(1).min(nfuncs.max(1));
-    let (_, buf) = tpde_core::parallel::compile_sharded(
-        nfuncs,
-        vec![(); workers],
-        |buf| declare_baseline_symbols(module, buf),
-        |_: &mut (), buf, fi| {
-            let f = &module.funcs[fi as usize];
-            if f.is_decl {
-                return Ok(false);
-            }
-            compile_fn(f, buf)?;
-            buf.finish_func_fixups()?;
-            Ok(true)
-        },
-    );
-    Ok(BaselineOutput {
-        buf: buf?,
-        insts: defined_inst_count(module),
-    })
-}
-
-/// Function-sharded parallel variant of [`compile_copy_patch`]; the output
-/// is byte-identical to the sequential compiler.
-pub fn compile_copy_patch_parallel(module: &Module, threads: usize) -> Result<BaselineOutput> {
-    compile_baseline_sharded(module, threads, |f, buf| {
-        compile_function_stacky(module, f, buf)
-    })
+    let insts = f.blocks.iter().enumerate();
+    let insts = insts.flat_map(|(bi, b)| b.insts.iter().map(move |i| (bi as u32, i)));
+    emit_function(module, f, FuncCtx::new(f), buf, insts)
 }
 
 /// A "machine instruction" of the baseline's intermediate representation;
@@ -602,18 +536,18 @@ pub fn compile_copy_patch_parallel(module: &Module, threads: usize) -> Result<Ba
 struct MachInst {
     inst: Inst,
     block: u32,
-    /// operand locations resolved during "instruction selection"
+    /// Operand locations resolved during "instruction selection". Never
+    /// read: building them is the cost being modelled.
+    #[allow(dead_code)]
     operand_locs: Vec<Loc>,
 }
 
-/// The multi-pass baseline's per-function compilation unit (passes 1–4).
-/// Self-contained: labels and fixups are resolved per function, callee
-/// symbols are declared at use, so the unit can run in a shard buffer.
+/// The multi-pass baseline's per-function compiler: two analysis passes,
+/// then the emitter over the machine-level copy.
 pub(crate) fn compile_function_baseline(
     module: &Module,
     f: &Function,
     buf: &mut CodeBuffer,
-    opt_level: u32,
 ) -> Result<()> {
     // Pass 1: value bookkeeping (use counts), hash-map keyed.
     let mut use_counts: HashMap<Value, u32> = HashMap::new();
@@ -645,98 +579,51 @@ pub(crate) fn compile_function_baseline(
         }
     }
 
-    // Pass 3 (-O1 only): cleanup passes over the machine IR.
-    if opt_level >= 1 {
-        // constant-operand marking and a trivial redundancy scan; these
-        // walk the whole machine IR again (cost model of -O1 passes).
-        let mut const_ops = 0usize;
-        for m in &mir {
-            for l in &m.operand_locs {
-                if matches!(l, Loc::Const(_)) {
-                    const_ops += 1;
-                }
-            }
-        }
-        let mut last_def: HashMap<Value, usize> = HashMap::new();
-        for (i, m) in mir.iter().enumerate() {
-            if let Some(r) = m.inst.result() {
-                last_def.insert(r, i);
-            }
-        }
-        let _ = (const_ops, last_def);
-    }
-
-    // Pass 4: emission.
-    let mut ctx = ctx;
-    ctx.block_labels = f.blocks.iter().map(|_| buf.new_label()).collect();
-    x64::push_r(buf, Gp::RBP);
-    x64::mov_rr(buf, 8, Gp::RBP, Gp::RSP);
-    x64::alu_ri(buf, Alu::Sub, 8, Gp::RSP, ctx.frame_size);
-    let gp_args = [Gp::RDI, Gp::RSI, Gp::RDX, Gp::RCX, Gp::R8, Gp::R9];
-    let mut next_gp = 0;
-    let mut next_fp = 0;
-    for (i, ty) in f.params.iter().enumerate() {
-        let v = Value(i as u32);
-        if ty.is_fp() {
-            ctx.store_fp(buf, v, Xmm(next_fp), 8);
-            next_fp += 1;
-        } else {
-            ctx.store_gp(buf, v, gp_args[next_gp]);
-            next_gp += 1;
-        }
-    }
-    let epilogue = |buf: &mut CodeBuffer| {
-        x64::mov_rr(buf, 8, Gp::RSP, Gp::RBP);
-        x64::pop_r(buf, Gp::RBP);
-        x64::ret(buf);
-    };
-    let mut cur_block = u32::MAX;
-    for m in &mir {
-        if m.block != cur_block {
-            cur_block = m.block;
-            buf.bind_label(ctx.block_labels[cur_block as usize]);
-        }
-        if m.inst.is_terminator() {
-            for succ in m.inst.successors() {
-                emit_phi_moves(f, &ctx, buf, cur_block, succ.0);
-            }
-        }
-        emit_inst(module, f, &ctx, buf, &m.inst, &epilogue)?;
-    }
-    Ok(())
+    // Pass 3: emission.
+    emit_function(module, f, ctx, buf, mir.iter().map(|m| (m.block, &m.inst)))
 }
 
-/// Multi-pass baseline back-end (LLVM -O0 / -O1 stand-in). Function symbols
-/// are declared upfront, like [`compile_copy_patch`].
-pub fn compile_baseline(module: &Module, opt_level: u32) -> Result<BaselineOutput> {
-    let mut buf = CodeBuffer::new();
-    declare_baseline_symbols(module, &mut buf);
-    let mut insts = 0;
-    for f in &module.funcs {
-        if f.is_decl {
-            continue;
-        }
-        let sym = buf
-            .symbol_by_name(&f.name)
-            .expect("function symbol predeclared");
-        let start = buf.text_offset();
-        buf.define_symbol(sym, SectionKind::Text, start, 0);
-        compile_function_baseline(module, f, &mut buf, opt_level)?;
-        buf.set_symbol_size(sym, buf.text_offset() - start);
-        buf.finish_func_fixups()?;
-        insts += f.inst_count();
-    }
-    Ok(BaselineOutput { buf, insts })
-}
-
-/// Function-sharded parallel variant of [`compile_baseline`]; byte-identical
-/// output for any thread count.
-pub fn compile_baseline_parallel(
+/// The baselines' per-function unit: compiles function `f` with `emit`
+/// into `buf` under its predeclared symbol `SymbolId(f)` and resolves its
+/// fixups. Skips a declaration (returns `Ok(false)`).
+pub(crate) fn compile_func(
     module: &Module,
-    opt_level: u32,
-    threads: usize,
-) -> Result<BaselineOutput> {
-    compile_baseline_sharded(module, threads, |f, buf| {
-        compile_function_baseline(module, f, buf, opt_level)
-    })
+    f: u32,
+    emit: fn(&Module, &Function, &mut CodeBuffer) -> Result<()>,
+    buf: &mut CodeBuffer,
+    stats: &mut CompileStats,
+) -> Result<bool> {
+    let func = &module.funcs[f as usize];
+    if func.is_decl {
+        return Ok(false);
+    }
+    let (sym, start) = (SymbolId(f), buf.text_offset());
+    buf.define_symbol(sym, SectionKind::Text, start, 0);
+    emit(module, func, buf)?;
+    buf.set_symbol_size(sym, buf.text_offset() - start);
+    buf.finish_func_fixups()?;
+    stats.funcs += 1;
+    stats.insts += func.inst_count();
+    Ok(true)
+}
+
+/// Compiles a module with the copy-and-patch baseline:
+/// [`compile`] with [`ServiceBackendKind::CopyPatch`].
+pub fn compile_copy_patch(module: &Module) -> Result<CompiledModule> {
+    compile(
+        module,
+        ServiceBackendKind::CopyPatch,
+        &CompileOptions::default(),
+    )
+}
+
+/// Compiles a module with the multi-pass baseline:
+/// [`compile`] with [`ServiceBackendKind::BaselineO0`]. The optimization
+/// level is ignored; the parameter is kept for existing callers.
+pub fn compile_baseline(module: &Module, _opt_level: u32) -> Result<CompiledModule> {
+    compile(
+        module,
+        ServiceBackendKind::BaselineO0,
+        &CompileOptions::default(),
+    )
 }

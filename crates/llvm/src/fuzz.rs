@@ -10,7 +10,7 @@
 //!
 //! The split between this crate and its callers is deliberate:
 //! everything here is *execution-agnostic* (generation, mutation, byte
-//! identity between the service and the one-shot entry points,
+//! identity between the service, [`compile`] and [`compile_parallel`],
 //! shrinking against an opaque predicate). Actually *running* the
 //! compiled x86-64 code requires the emulator crate, which depends on
 //! this one for its tests — so the execution-differential harness is
@@ -34,7 +34,9 @@ use tpde_core::service::{Request, ServiceConfig};
 use tpde_core::verify::{Verifier, VerifyError};
 
 use crate::adapter::LlvmAdapter;
-use crate::backend::{compile_service, ModuleRequest, ServiceBackendKind};
+use crate::backend::{
+    compile, compile_parallel, compile_service, ModuleRequest, ServiceBackendKind,
+};
 use crate::ir::{
     BinOp, FBinOp, FuncId, Function, FunctionBuilder, ICmp, Inst, Module, ShiftKind, Type, Value,
     ValueDef,
@@ -46,20 +48,18 @@ use crate::ir::{
 pub type ExecFn<'a> = &'a dyn Fn(&CodeBuffer, u64) -> std::result::Result<u64, String>;
 
 /// All service backend kinds, in a fixed order.
-pub const ALL_KINDS: [ServiceBackendKind; 5] = [
+pub const ALL_KINDS: [ServiceBackendKind; 4] = [
     ServiceBackendKind::TpdeX64,
     ServiceBackendKind::TpdeA64,
     ServiceBackendKind::BaselineO0,
-    ServiceBackendKind::BaselineO1,
     ServiceBackendKind::CopyPatch,
 ];
 
 /// The x86-64 kinds, whose output the emulator can execute directly; the
 /// AArch64 kind is checked by byte identity only.
-pub const EXEC_KINDS: [ServiceBackendKind; 4] = [
+pub const EXEC_KINDS: [ServiceBackendKind; 3] = [
     ServiceBackendKind::TpdeX64,
     ServiceBackendKind::BaselineO0,
-    ServiceBackendKind::BaselineO1,
     ServiceBackendKind::CopyPatch,
 ];
 
@@ -69,19 +69,6 @@ pub fn buffers_equal(a: &CodeBuffer, b: &CodeBuffer) -> bool {
     SectionKind::ALL
         .iter()
         .all(|&k| a.section_data(k) == b.section_data(k))
-}
-
-/// Compiles `m` with the one-shot entry point matching `kind` (the
-/// reference the service output must be byte-identical to).
-pub fn one_shot_buf(m: &Module, kind: ServiceBackendKind) -> tpde_core::error::Result<CodeBuffer> {
-    let opts = CompileOptions::default();
-    Ok(match kind {
-        ServiceBackendKind::TpdeX64 => crate::backend::compile_x64(m, &opts)?.buf,
-        ServiceBackendKind::TpdeA64 => crate::backend::compile_a64(m, &opts)?.buf,
-        ServiceBackendKind::BaselineO0 => crate::baselines::compile_baseline(m, 0)?.buf,
-        ServiceBackendKind::BaselineO1 => crate::baselines::compile_baseline(m, 1)?.buf,
-        ServiceBackendKind::CopyPatch => crate::baselines::compile_copy_patch(m)?.buf,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -834,7 +821,8 @@ pub struct FuzzReport {
     pub mutants: usize,
     /// Emulator executions performed.
     pub executed: usize,
-    /// Service-vs-one-shot byte-identity comparisons performed.
+    /// Modules compiled through all three paths and compared (one per
+    /// module and kind).
     pub compared: usize,
     /// Service admission rejections (must equal `mutants` on a clean run).
     pub rejected_invalid: u64,
@@ -865,10 +853,10 @@ impl FuzzReport {
 /// Runs a differential fuzzing campaign.
 ///
 /// Every generated module must pass the verifier, compile byte-identically
-/// through the service and the one-shot entry point for **all seven**
-/// backend kinds (this is the whole AArch64 check — no AArch64 emulator
-/// exists), and produce the same executed result for every kind in
-/// [`EXEC_KINDS`]. Every mutant must be rejected by the verifier with the
+/// through the service, [`compile`] and [`compile_parallel`] at two threads
+/// for every kind in [`ALL_KINDS`] (this is the whole AArch64 check — no
+/// AArch64 emulator exists), and produce the same executed result for
+/// every kind in [`EXEC_KINDS`]. Every mutant must be rejected by the verifier with the
 /// matching [`VerifyError`] class and by the service with
 /// [`Error::InvalidIr`], without a panic or worker respawn.
 pub fn run_fuzz(cfg: &FuzzConfig, exec: ExecFn<'_>) -> FuzzReport {
@@ -880,6 +868,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, exec: ExecFn<'_>) -> FuzzReport {
     let mut rng = Xoshiro256::new(cfg.seed);
     let mut verifier = Verifier::new();
     let mut rep = FuzzReport::default();
+    let opts = CompileOptions::default();
 
     for _ in 0..cfg.modules {
         let mseed = rng.next_u64();
@@ -914,12 +903,15 @@ pub fn run_fuzz(cfg: &FuzzConfig, exec: ExecFn<'_>) -> FuzzReport {
                     continue;
                 }
             };
-            let one = match one_shot_buf(&arc, kind) {
-                Ok(b) => b,
-                Err(e) => {
+            let (one, par) = match (
+                compile(&arc, kind, &opts),
+                compile_parallel(&arc, kind, &opts, 2),
+            ) {
+                (Ok(one), Ok(par)) => (one.buf, par.buf),
+                (Err(e), _) | (_, Err(e)) => {
                     rep.failures.push(FuzzFailure {
                         seed: mseed,
-                        kind: "one-shot compile failed".into(),
+                        kind: "direct compile failed".into(),
                         detail: format!("{kind:?}: {e}"),
                         ir: arc.dump(),
                     });
@@ -927,13 +919,15 @@ pub fn run_fuzz(cfg: &FuzzConfig, exec: ExecFn<'_>) -> FuzzReport {
                 }
             };
             rep.compared += 1;
-            if !buffers_equal(&served.buf, &one) {
-                rep.failures.push(FuzzFailure {
-                    seed: mseed,
-                    kind: "service/one-shot bytes differ".into(),
-                    detail: format!("{kind:?}"),
-                    ir: arc.dump(),
-                });
+            for (path, buf) in [("service", &served.buf), ("compile_parallel", &par)] {
+                if !buffers_equal(buf, &one) {
+                    rep.failures.push(FuzzFailure {
+                        seed: mseed,
+                        kind: format!("{path}/compile bytes differ"),
+                        detail: format!("{kind:?}"),
+                        ir: arc.dump(),
+                    });
+                }
             }
             if EXEC_KINDS.contains(&kind) {
                 match exec(&one, input) {

@@ -12,8 +12,8 @@ use tpde_core::codebuf::CodeBuffer;
 use tpde_core::codegen::CompileOptions;
 use tpde_core::jit::link_in_memory;
 use tpde_llvm::fuzz::{
-    gen_module, inject_miscompile, minimize, one_shot_buf, run_fuzz, FuzzConfig, FuzzFailure,
-    ALL_KINDS, EXEC_KINDS,
+    gen_module, inject_miscompile, minimize, run_fuzz, FuzzConfig, FuzzFailure, ALL_KINDS,
+    EXEC_KINDS,
 };
 use tpde_llvm::ir::Module;
 use tpde_x64emu::{register_default_hostcalls, Machine};
@@ -80,10 +80,10 @@ fn write_reproducer(dir: &Path, index: usize, f: &FuzzFailure) {
         let mut differs = |m: &Module| -> bool {
             let mut first = None;
             for kind in EXEC_KINDS {
-                let Ok(buf) = one_shot_buf(m, kind) else {
+                let Ok(c) = tpde_llvm::compile(m, kind, &CompileOptions::default()) else {
                     return false;
                 };
-                let Ok(r) = exec_budgeted(&buf, input, 200_000) else {
+                let Ok(r) = exec_budgeted(&c.buf, input, 200_000) else {
                     return false;
                 };
                 match first {

@@ -11,13 +11,13 @@ use std::time::Duration;
 use tpde_core::codebuf::assert_identical;
 use tpde_core::codegen::{CompileOptions, CompiledModule};
 use tpde_core::diskcache::DiskCacheConfig;
+use tpde_core::error::Error;
 use tpde_core::faultpoint::{arm, sites, FaultAction, FaultRule};
-use tpde_core::service::{Request, ServiceConfig};
+use tpde_core::service::{Request, ServiceConfig, ServiceResponse};
 use tpde_llvm::ir::Module;
 use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle, Workload};
 use tpde_llvm::{
-    compile_a64, compile_baseline, compile_copy_patch, compile_service, compile_service_a64,
-    compile_service_x64, compile_x64, LlvmCompileService, ModuleRequest, ServiceBackendKind,
+    compile, compile_service, compile_x64, LlvmCompileService, ModuleRequest, ServiceBackendKind,
 };
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -60,36 +60,18 @@ fn disk_service(workers: usize, cache: usize, dir: &Path) -> LlvmCompileService 
     })
 }
 
-/// One-shot reference output for a request.
-fn one_shot(module: &Module, kind: ServiceBackendKind, opts: &CompileOptions) -> CompiledModule {
-    match kind {
-        ServiceBackendKind::TpdeX64 => compile_x64(module, opts).unwrap(),
-        ServiceBackendKind::TpdeA64 => compile_a64(module, opts).unwrap(),
-        ServiceBackendKind::BaselineO0 => {
-            let o = compile_baseline(module, 0).unwrap();
-            CompiledModule {
-                buf: o.buf,
-                stats: Default::default(),
-                timings: Default::default(),
-            }
-        }
-        ServiceBackendKind::BaselineO1 => {
-            let o = compile_baseline(module, 1).unwrap();
-            CompiledModule {
-                buf: o.buf,
-                stats: Default::default(),
-                timings: Default::default(),
-            }
-        }
-        ServiceBackendKind::CopyPatch => {
-            let o = compile_copy_patch(module).unwrap();
-            CompiledModule {
-                buf: o.buf,
-                stats: Default::default(),
-                timings: Default::default(),
-            }
-        }
-    }
+/// Submits a compile of `module` with `kind` and waits for the response.
+fn request(
+    svc: &LlvmCompileService,
+    module: &Arc<Module>,
+    kind: ServiceBackendKind,
+    opts: &CompileOptions,
+) -> ServiceResponse {
+    svc.compile(Request::new(ModuleRequest {
+        module: Arc::clone(module),
+        backend: kind,
+        opts: opts.clone(),
+    }))
 }
 
 #[test]
@@ -103,7 +85,7 @@ fn service_matches_one_shot_for_all_workloads_and_worker_counts() {
             for style in [IrStyle::O0, IrStyle::O1] {
                 let module = Arc::new(build_workload(&w, style));
                 let seq = compile_x64(&module, &opts).unwrap();
-                let got = compile_service_x64(&svc, &module, &opts);
+                let got = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
                 let what = format!("{} {:?} workers={workers}", w.name, style);
                 let got_module = got.module.expect(&what);
                 got_module
@@ -138,7 +120,7 @@ fn heterogeneous_backends_share_one_pool() {
         // Interleave targets and pipelines request by request on the same
         // persistent threads; each must match its own sequential compiler.
         for kind in tpde_llvm::fuzz::ALL_KINDS {
-            let want = one_shot(&module, kind, &opts);
+            let want = compile(&module, kind, &opts).unwrap();
             let got = svc
                 .compile(Request::new(ModuleRequest::new(Arc::clone(&module), kind)))
                 .module
@@ -205,7 +187,7 @@ fn concurrent_stress_interleaves_small_and_large_modules() {
         .collect();
     drop(slow_workers);
     for ((what, req), ticket) in requests.iter().zip(tickets) {
-        let want = one_shot(&req.module, req.backend, &opts);
+        let want = compile(&req.module, req.backend, &opts).unwrap();
         let got = ticket.wait().module.expect(what);
         assert_identical(&want.buf, &got.buf, what);
     }
@@ -222,7 +204,8 @@ fn service_output_executes_correctly() {
     let w = small(&spec_workloads()[6]);
     let module = Arc::new(build_workload(&w, IrStyle::O0));
     let svc = service(4, 8);
-    let compiled = compile_service_x64(&svc, &module, &CompileOptions::default())
+    let opts = CompileOptions::default();
+    let compiled = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts)
         .module
         .unwrap();
     let image = tpde_core::jit::link_in_memory(&compiled.buf, 0x40_0000, |_| None).unwrap();
@@ -231,7 +214,7 @@ fn service_output_executes_correctly() {
 
     // A cache hit links to an identical image (same fingerprint) and runs
     // to the same result.
-    let warm = compile_service_x64(&svc, &module, &CompileOptions::default());
+    let warm = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
     assert!(warm.timing.cache_hit);
     let warm_image =
         tpde_core::jit::link_in_memory(&warm.module.unwrap().buf, 0x40_0000, |_| None).unwrap();
@@ -246,12 +229,12 @@ fn cache_hits_are_deterministic_across_equal_modules() {
     let svc = service(2, 16);
     let w = small(&spec_workloads()[2]);
     let module = Arc::new(build_workload(&w, IrStyle::O0));
-    let cold = compile_service_x64(&svc, &module, &opts);
+    let cold = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
     assert!(!cold.timing.cache_hit);
     // A structurally equal module in a different allocation hits the cache
     // (content-addressed, not pointer-addressed)...
     let rebuilt = Arc::new(build_workload(&w, IrStyle::O0));
-    let warm = compile_service_x64(&svc, &rebuilt, &opts);
+    let warm = request(&svc, &rebuilt, ServiceBackendKind::TpdeX64, &opts);
     assert!(warm.timing.cache_hit, "content-equal module must hit");
     assert_identical(
         &cold.module.unwrap().buf,
@@ -260,19 +243,23 @@ fn cache_hits_are_deterministic_across_equal_modules() {
     );
     // ...while a different target, different options or different content
     // each miss.
-    assert!(!compile_service_a64(&svc, &module, &opts).timing.cache_hit);
+    assert!(
+        !request(&svc, &module, ServiceBackendKind::TpdeA64, &opts)
+            .timing
+            .cache_hit
+    );
     let other_opts = CompileOptions {
         fusion: false,
         ..CompileOptions::default()
     };
     assert!(
-        !compile_service_x64(&svc, &module, &other_opts)
+        !request(&svc, &module, ServiceBackendKind::TpdeX64, &other_opts)
             .timing
             .cache_hit
     );
     let different = Arc::new(build_workload(&small(&spec_workloads()[3]), IrStyle::O0));
     assert!(
-        !compile_service_x64(&svc, &different, &opts)
+        !request(&svc, &different, ServiceBackendKind::TpdeX64, &opts)
             .timing
             .cache_hit
     );
@@ -286,10 +273,12 @@ fn cache_hits_share_the_compiled_module() {
     let opts = CompileOptions::default();
     let svc = service(2, 16);
     let module = Arc::new(build_workload(&small(&spec_workloads()[2]), IrStyle::O0));
-    let compiled = compile_service_x64(&svc, &module, &opts).module.unwrap();
+    let compiled = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts)
+        .module
+        .unwrap();
     let hits: Vec<_> = (0..2)
         .map(|_| {
-            let r = compile_service_x64(&svc, &module, &opts);
+            let r = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
             assert!(r.timing.cache_hit);
             r.module.unwrap()
         })
@@ -322,11 +311,13 @@ fn cache_eviction_keeps_serving_correct_bytes() {
         .map(|m| compile_x64(m, &opts).unwrap())
         .collect();
     for (m, want) in modules.iter().zip(&references) {
-        let got = compile_service_x64(&svc, m, &opts).module.unwrap();
+        let got = request(&svc, m, ServiceBackendKind::TpdeX64, &opts)
+            .module
+            .unwrap();
         assert_identical(&want.buf, &got.buf, "cold fill");
     }
     // modules[0] was evicted (LRU); recompiling it must still be identical.
-    let again = compile_service_x64(&svc, &modules[0], &opts);
+    let again = request(&svc, &modules[0], ServiceBackendKind::TpdeX64, &opts);
     assert!(!again.timing.cache_hit, "evicted module must recompile");
     assert_identical(
         &references[0].buf,
@@ -345,7 +336,7 @@ fn restarted_process_answers_from_disk_byte_identically() {
     let kinds = [
         ServiceBackendKind::TpdeX64,
         ServiceBackendKind::TpdeA64,
-        ServiceBackendKind::BaselineO1,
+        ServiceBackendKind::BaselineO0,
         ServiceBackendKind::CopyPatch,
     ];
     let modules: Vec<Arc<Module>> = spec_workloads()
@@ -380,7 +371,7 @@ fn restarted_process_answers_from_disk_byte_identically() {
         assert!(!r.timing.cache_hit, "{what}: memory cache starts empty");
         let got = r.module.expect(&what);
         got.validate().unwrap();
-        let want = one_shot(m, kind, &opts);
+        let want = compile(m, kind, &opts).unwrap();
         assert_identical(&want.buf, &got.buf, &what);
         // The disk-loaded module links to the same image as a fresh compile.
         let a = tpde_core::jit::link_in_memory(&got.buf, 0x40_0000, |_| None).unwrap();
@@ -456,7 +447,7 @@ fn disk_restart_child(reuse: bool, dir: &Path) {
         let what = format!("request {i} ({kind:?}), reuse={reuse}");
         assert_eq!(r.timing.disk_hit, reuse, "{what}: disk hit");
         let got = r.module.expect(&what);
-        assert_identical(&one_shot(m, *kind, &opts).buf, &got.buf, &what);
+        assert_identical(&compile(m, *kind, &opts).unwrap().buf, &got.buf, &what);
     }
     let stats = svc.stats();
     let n = requests.len() as u64;
@@ -494,4 +485,63 @@ fn teardown_drains_pipelined_requests() {
         let got = t.wait().module.expect("request dropped at teardown");
         assert_identical(&want.buf, &got.buf, "drained at teardown");
     }
+}
+
+/// `sum7(a, .., g) = a + 2b + .. + 7g`, and `bench_main(x)` calling it on
+/// `x, x+1, .., x+6`; without `sum7`'s body when `with_callee` is false.
+fn seven_arg_call_module(with_callee: bool) -> Module {
+    use tpde_llvm::ir::{BinOp, FunctionBuilder, Type};
+    let mut m = Module::new();
+    let params = [Type::I64; 7];
+    let callee = if with_callee {
+        let mut b = FunctionBuilder::new("sum7", &params, Type::I64);
+        let mut acc = b.arg(0);
+        for i in 1..7 {
+            let k = b.iconst(Type::I64, i as i64 + 1);
+            let term = b.bin(BinOp::Mul, Type::I64, b.arg(i), k);
+            acc = b.bin(BinOp::Add, Type::I64, acc, term);
+        }
+        b.ret(Some(acc));
+        m.add_function(b.build())
+    } else {
+        m.declare("sum7", params.to_vec(), Type::I64)
+    };
+    let mut b = FunctionBuilder::new("bench_main", &[Type::I64], Type::I64);
+    let args = (0..7i64)
+        .map(|i| {
+            let k = b.iconst(Type::I64, i);
+            b.bin(BinOp::Add, Type::I64, b.arg(0), k)
+        })
+        .collect();
+    let r = b.call(callee, Type::I64, args);
+    b.ret(Some(r));
+    m.add_function(b.build());
+    m
+}
+
+#[test]
+fn baselines_reject_stack_passed_arguments_as_unsupported() {
+    let opts = CompileOptions::default();
+    let module = Arc::new(seven_arg_call_module(true));
+    let tpde = compile(&module, ServiceBackendKind::TpdeX64, &opts).unwrap();
+    let image = tpde_core::jit::link_in_memory(&tpde.buf, 0x40_0000, |_| None).unwrap();
+    let (ret, _) = tpde_x64emu::run_function(&image, "bench_main", &[10]).unwrap();
+    assert_eq!(ret, (0..7).map(|i| (i + 1) * (10 + i)).sum::<u64>());
+
+    // The callee's parameters and, with the callee only declared, the
+    // call's arguments: both are an error, not a panic, on every path.
+    let svc = service(2, 0);
+    let caller_only = Arc::new(seven_arg_call_module(false));
+    for m in [&module, &caller_only] {
+        for kind in [
+            ServiceBackendKind::BaselineO0,
+            ServiceBackendKind::CopyPatch,
+        ] {
+            let direct = compile(m, kind, &opts);
+            assert!(matches!(direct, Err(Error::Unsupported(_))), "{kind:?}");
+            let served = request(&svc, m, kind, &opts).module;
+            assert!(matches!(served, Err(Error::Unsupported(_))), "{kind:?}");
+        }
+    }
+    assert_eq!(svc.stats().panics_backend, 0);
 }

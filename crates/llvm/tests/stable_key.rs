@@ -153,11 +153,6 @@ fn module_and_request_keys_are_pinned() {
         "BaselineO0"
     );
     assert_eq!(
-        key(ServiceBackendKind::BaselineO1),
-        0x31fa_2695_611c_2aa4,
-        "BaselineO1"
-    );
-    assert_eq!(
         key(ServiceBackendKind::CopyPatch),
         0x59ae_39b0_da79_1b5a,
         "CopyPatch"
