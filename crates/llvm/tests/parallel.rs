@@ -20,14 +20,15 @@ fn small(w: &Workload) -> Workload {
     }
 }
 
-#[test]
-fn every_kind_parallel_is_byte_identical_for_all_workloads() {
+/// Checks every workload, both IR styles and every worker count for each
+/// of `kinds`: `compile_parallel` must match `compile` byte for byte.
+fn assert_parallel_identical(kinds: &[ServiceBackendKind]) {
     let opts = CompileOptions::default();
     for w in spec_workloads() {
         let w = small(&w);
         for style in [IrStyle::O0, IrStyle::O1] {
             let module = build_workload(&w, style);
-            for kind in ALL_KINDS {
+            for &kind in kinds {
                 let machine = if kind == ServiceBackendKind::TpdeA64 {
                     ElfMachine::Aarch64
                 } else {
@@ -52,6 +53,35 @@ fn every_kind_parallel_is_byte_identical_for_all_workloads() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn tpde_x64_parallel_is_byte_identical_for_all_workloads() {
+    assert_parallel_identical(&[ServiceBackendKind::TpdeX64]);
+}
+
+#[test]
+fn tpde_a64_parallel_is_byte_identical() {
+    assert_parallel_identical(&[ServiceBackendKind::TpdeA64]);
+}
+
+#[test]
+fn baseline_backends_parallel_are_byte_identical() {
+    assert_parallel_identical(&[ServiceBackendKind::BaselineO0, ServiceBackendKind::CopyPatch]);
+}
+
+/// The three tests above together cover every kind the crate compiles.
+#[test]
+fn parallel_tests_cover_every_kind() {
+    let covered = [
+        ServiceBackendKind::TpdeX64,
+        ServiceBackendKind::TpdeA64,
+        ServiceBackendKind::BaselineO0,
+        ServiceBackendKind::CopyPatch,
+    ];
+    for kind in ALL_KINDS {
+        assert!(covered.contains(&kind), "{kind:?} has no parallel determinism test");
     }
 }
 
