@@ -78,7 +78,11 @@
 //! contract above. Version 3 is such a bump (fewer spill stores on both
 //! targets; frame-relative stack-variable operands, direct reloads and
 //! jumped-over callee-save padding on x86-64); version-2 artifacts are
-//! misses and get unlinked on first touch.
+//! misses and get unlinked on first touch. So are version 4 (exact-size
+//! x86-64 frames, division by constants without `div`) and version 5
+//! (x86-64 address arithmetic folded into operands: a GEP into the
+//! scaled-index memory operand of the access after it, `lea` and
+//! three-operand `imul` instead of a copy and a two-operand instruction).
 //!
 //! # Crash safety and corruption
 //!
@@ -146,7 +150,7 @@ pub const MAGIC: [u8; 8] = *b"TPDEART\0";
 /// Version of the artifact layout and of the code it holds; any change to
 /// the format above or to the bytes the compiler emits bumps this, and an
 /// artifact with a different version is a cache miss.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 64;
 const SYM_RECORD: usize = 32;

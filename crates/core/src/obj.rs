@@ -323,6 +323,21 @@ pub fn write_elf_object(buf: &CodeBuffer, machine: ElfMachine) -> Result<Vec<u8>
         });
     }
 
+    // An empty `.note.GNU-stack` section: the code needs no executable
+    // stack, so the stack of a program linked from this object stays
+    // non-executable.
+    headers.push(SectionHeader {
+        name_off: shstrtab.add(".note.GNU-stack"),
+        sh_type: SHT_PROGBITS,
+        flags: 0,
+        offset: ehdr_size + data_blob.len() as u64,
+        size: 0,
+        link: 0,
+        info: 0,
+        addralign: 1,
+        entsize: 0,
+    });
+
     // shstrtab
     let shstrtab_name = shstrtab.add(".shstrtab");
     let shstrtab_off = ehdr_size + data_blob.len() as u64;
@@ -430,14 +445,52 @@ mod tests {
         let elf = write_elf_object(&buf, ElfMachine::X86_64).unwrap();
         let shoff = u64::from_le_bytes(elf[40..48].try_into().unwrap()) as usize;
         let shnum = u16::from_le_bytes(elf[60..62].try_into().unwrap()) as usize;
-        // null + 4 sections + symtab + strtab + 1 rela + shstrtab = 9
-        assert_eq!(shnum, 9);
+        // null + 4 sections + symtab + strtab + 1 rela + note + shstrtab = 10
+        assert_eq!(shnum, 10);
         // every header must fit in the file
         assert!(shoff + shnum * 64 <= elf.len());
         // first non-null section is .text with our 6 bytes
         let text_size =
             u64::from_le_bytes(elf[shoff + 64 + 32..shoff + 64 + 40].try_into().unwrap());
         assert_eq!(text_size, buf.section_size(SectionKind::Text));
+    }
+
+    /// `(name, sh_type, sh_flags, sh_size)` of every section header.
+    fn section_headers(elf: &[u8]) -> Vec<(String, u32, u64, u64)> {
+        let u16_at = |at: usize| u16::from_le_bytes(elf[at..at + 2].try_into().unwrap());
+        let u32_at = |at: usize| u32::from_le_bytes(elf[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(elf[at..at + 8].try_into().unwrap());
+        let shoff = u64_at(40) as usize;
+        let (shnum, shstrndx) = (u16_at(60) as usize, u16_at(62) as usize);
+        let names = u64_at(shoff + shstrndx * 64 + 24) as usize;
+        (0..shnum)
+            .map(|i| {
+                let h = shoff + i * 64;
+                let name = &elf[names + u32_at(h) as usize..];
+                let name = &name[..name.iter().position(|&c| c == 0).unwrap()];
+                let name = String::from_utf8(name.to_vec()).unwrap();
+                (name, u32_at(h + 4), u64_at(h + 8), u64_at(h + 32))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stack_note_marks_the_stack_non_executable() {
+        let buf = sample_buffer();
+        for machine in [ElfMachine::X86_64, ElfMachine::Aarch64] {
+            let elf = write_elf_object(&buf, machine).unwrap();
+            let notes: Vec<_> = section_headers(&elf)
+                .into_iter()
+                .filter(|h| h.0 == ".note.GNU-stack")
+                .collect();
+            // an empty section without SHF_EXECINSTR asks for a
+            // non-executable stack
+            assert_eq!(
+                notes,
+                [(".note.GNU-stack".to_string(), SHT_PROGBITS, 0, 0)],
+                "{machine:?}"
+            );
+        }
     }
 
     #[test]

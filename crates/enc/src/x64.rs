@@ -421,11 +421,13 @@ pub fn movsx_rm(buf: &mut CodeBuffer, to_size: u32, dst: Gp, mem: Mem, from_size
     buf.emit_inst(i);
 }
 
-/// `lea dst, [mem]`.
+/// `lea dst, [mem]`; a `size` of 4 keeps the low 32 bits of the address,
+/// zero-extended.
 #[inline]
-pub fn lea(buf: &mut CodeBuffer, dst: Gp, mem: Mem) {
+pub fn lea(buf: &mut CodeBuffer, size: u32, dst: Gp, mem: Mem) {
+    debug_assert!(matches!(size, 4 | 8));
     let mut i = InstBuf::new();
-    rex_for_mem(&mut i, 8, dst.0, mem);
+    rex_for_mem(&mut i, size, dst.0, mem);
     i.push_u8(0x8d);
     modrm_mem(&mut i, dst.0, mem);
     buf.emit_inst(i);
@@ -1006,12 +1008,21 @@ mod tests {
     #[test]
     fn lea_and_stack_addressing() {
         assert_eq!(
-            enc(|b| lea(b, Gp::RAX, Mem::base_disp(Gp::RBP, -16))),
+            enc(|b| lea(b, 8, Gp::RAX, Mem::base_disp(Gp::RBP, -16))),
             vec![0x48, 0x8d, 0x45, 0xf0]
         );
         assert_eq!(
-            enc(|b| lea(b, Gp::RDX, Mem::sib(Gp::RAX, Gp::RCX, 4, 3))),
+            enc(|b| lea(b, 8, Gp::RDX, Mem::sib(Gp::RAX, Gp::RCX, 4, 3))),
             vec![0x48, 0x8d, 0x54, 0x88, 0x03]
+        );
+        // lea eax, [rcx + 5] ; lea r9d, [r8 + r10*1]
+        assert_eq!(
+            enc(|b| lea(b, 4, Gp::RAX, Mem::base_disp(Gp::RCX, 5))),
+            vec![0x8d, 0x41, 0x05]
+        );
+        assert_eq!(
+            enc(|b| lea(b, 4, Gp::R9, Mem::sib(Gp::R8, Gp::R10, 1, 0))),
+            vec![0x47, 0x8d, 0x0c, 0x10]
         );
     }
 

@@ -199,7 +199,7 @@ impl Target for X64Target {
 
     #[inline]
     fn emit_frame_addr(&self, buf: &mut CodeBuffer, dst: Reg, off: i32) {
-        x64::lea(buf, Gp::from(dst), Mem::base_disp(Gp::RBP, off));
+        x64::lea(buf, 8, Gp::from(dst), Mem::base_disp(Gp::RBP, off));
     }
 
     #[inline]

@@ -113,8 +113,8 @@ fn x64_catalogue(buf: &mut CodeBuffer) {
         }
     }
     for &mem in &mems {
-        x64::lea(buf, Gp::RAX, mem);
-        x64::lea(buf, Gp::R14, mem);
+        x64::lea(buf, 8, Gp::RAX, mem);
+        x64::lea(buf, 8, Gp::R14, mem);
     }
 
     // ALU

@@ -30,7 +30,7 @@ use tpde_core::target::{Target, TargetArch};
 use tpde_core::timing::PassTimings;
 use tpde_core::verify::Verifier;
 use tpde_enc::{A64Target, X64Target};
-use tpde_snippets::{AsmOperand, SnippetEmitter};
+use tpde_snippets::{AsmAddr, AsmOperand, SnippetEmitter};
 
 /// The instruction compiler for the LLVM-IR-like IR, generic over the target
 /// through the snippet-encoder abstraction.
@@ -63,6 +63,80 @@ impl LlvmInstCompiler {
         v: crate::ir::Value,
     ) -> Result<AsmOperand> {
         Ok(AsmOperand::Val(cg.val_ref(value_ref(v), 0)?))
+    }
+
+    fn load<'m, T: SnippetEmitter>(
+        cg: &mut FuncCodeGen<'_, LlvmAdapter<'m>, T>,
+        ty: Type,
+        res: crate::ir::Value,
+        addr: &AsmAddr,
+    ) -> Result<()> {
+        // The IR has no sign-extending loads; sub-64-bit loads always
+        // zero-extend.
+        T::enc_load(cg, ty.size(), false, ty.is_fp(), (value_ref(res), 0), addr)
+    }
+
+    fn store<'m, T: SnippetEmitter>(
+        cg: &mut FuncCodeGen<'_, LlvmAdapter<'m>, T>,
+        ty: Type,
+        addr: &AsmAddr,
+        value: crate::ir::Value,
+    ) -> Result<()> {
+        let v = Self::operand(cg, value)?;
+        T::enc_store(cg, ty.size(), ty.is_fp(), addr, &v)
+    }
+
+    /// The access `gep` can be folded into, the index that stays in a
+    /// register and the displacement of the folded memory operand. The
+    /// access is the next instruction, if it is a load or a store through
+    /// the GEP's result and the GEP's only use, on a target with
+    /// [`SnippetEmitter::INDEXED_ADDR`]. The operand
+    /// `[base + index*scale + disp]` needs a scale the addressing mode has
+    /// (or a constant index, which goes into `disp`) and a `disp` that fits
+    /// in 32 bits; it then computes the same 64-bit address as the
+    /// multiply-and-add sequence.
+    fn gep_access<'m, T: SnippetEmitter>(
+        cg: &FuncCodeGen<'_, LlvmAdapter<'m>, T>,
+        inst: InstRef,
+        gep: &Inst,
+    ) -> Option<(InstRef, Option<crate::ir::Value>, i32)> {
+        let Inst::Gep {
+            res,
+            index: Some(index),
+            scale,
+            off,
+            ..
+        } = *gep
+        else {
+            return None;
+        };
+        if !T::INDEXED_ADDR || !cg.options().fusion {
+            return None;
+        }
+        let adapter = cg.adapter;
+        let next = adapter.next_inst_in_block(inst)?;
+        let access_off = match *adapter.inst(next) {
+            Inst::Load { addr, off, .. } if addr == res => off,
+            Inst::Store {
+                addr, off, value, ..
+            } if addr == res && value != res => off,
+            _ => return None,
+        };
+        if cg.analysis.live(value_ref(res)).uses != 1 {
+            return None;
+        }
+        let index_ref = value_ref(index);
+        let mut disp = off.wrapping_add(access_off as i64);
+        let reg_index = if adapter.val_is_const(index_ref) {
+            let index_bits = adapter.val_const_data(index_ref, 0);
+            disp = disp.wrapping_add(index_bits.wrapping_mul(scale as u64) as i64);
+            None
+        } else if matches!(scale, 1 | 2 | 4 | 8) {
+            Some(index)
+        } else {
+            return None;
+        };
+        Some((next, reg_index, i32::try_from(disp).ok()?))
     }
 }
 
@@ -178,18 +252,8 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                 T::enc_fneg(cg, ty.size(), (value_ref(res), 0), &s)
             }
             Inst::Load { ty, res, addr, off } => {
-                let a = Self::operand(cg, addr)?;
-                T::enc_load(
-                    cg,
-                    ty.size(),
-                    // The IR has no sign-extending loads; sub-64-bit loads
-                    // always zero-extend.
-                    false,
-                    ty.is_fp(),
-                    (value_ref(res), 0),
-                    &a,
-                    off,
-                )
+                let a = AsmAddr::base_disp(Self::operand(cg, addr)?, off);
+                Self::load(cg, ty, res, &a)
             }
             Inst::Store {
                 ty,
@@ -197,9 +261,8 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                 off,
                 value,
             } => {
-                let a = Self::operand(cg, addr)?;
-                let v = Self::operand(cg, value)?;
-                T::enc_store(cg, ty.size(), ty.is_fp(), &a, off, &v)
+                let a = AsmAddr::base_disp(Self::operand(cg, addr)?, off);
+                Self::store(cg, ty, &a, value)
             }
             Inst::Gep {
                 res,
@@ -208,6 +271,22 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                 scale,
                 off,
             } => {
+                // address + memory access fusion: the next instruction's
+                // memory operand computes the address instead
+                if let Some((next, reg_index, disp)) = Self::gep_access(cg, inst, ir) {
+                    cg.mark_fused(next);
+                    let base = Self::operand(cg, base)?;
+                    let index = match reg_index {
+                        Some(i) => Some((Self::operand(cg, i)?, scale as u8)),
+                        None => None,
+                    };
+                    let a = AsmAddr { base, index, disp };
+                    return match *adapter.inst(next) {
+                        Inst::Load { ty, res, .. } => Self::load(cg, ty, res, &a),
+                        Inst::Store { ty, value, .. } => Self::store(cg, ty, &a, value),
+                        _ => unreachable!("gep_access returns a load or store"),
+                    };
+                }
                 // res = base + index*scale + off, computed with integer snippets
                 let b = Self::operand(cg, base)?;
                 match index {

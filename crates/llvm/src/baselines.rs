@@ -115,7 +115,7 @@ impl FuncCtx {
         match self.loc[&v] {
             Loc::Slot(off) => x64::mov_rm(buf, 8, dst, Mem::base_disp(Gp::RBP, off)),
             Loc::Const(c) => x64::mov_ri(buf, 8, dst, c),
-            Loc::StackAddr(off) => x64::lea(buf, dst, Mem::base_disp(Gp::RBP, off)),
+            Loc::StackAddr(off) => x64::lea(buf, 8, dst, Mem::base_disp(Gp::RBP, off)),
         }
     }
 

@@ -81,7 +81,8 @@ pub fn buffers_equal(a: &CodeBuffer, b: &CodeBuffer) -> bool {
 /// signatures) plus an exported `bench_main(i64) -> i64` that calls every
 /// kernel and folds the results. Generation follows a strict dominance
 /// discipline (values cross control flow only through phis, memory is
-/// loaded only from offsets unconditionally stored earlier, divisors are
+/// loaded only from offsets unconditionally stored earlier or from the
+/// address just stored to, divisors are
 /// forced odd, shift amounts are masked constants, loops have constant
 /// trip counts), so the result both passes [`tpde_core::verify`] and
 /// computes the same value on every correct backend.
@@ -151,7 +152,7 @@ fn rand_op(
     callees: &[(FuncId, usize)],
     register_stores: bool,
 ) -> Value {
-    match rng.below(8) {
+    match rng.below(10) {
         0 => {
             let op = *rng.pick(&BIN_OPS);
             let (l, r) = (cx.pick(rng), cx.pick(rng));
@@ -230,6 +231,31 @@ fn rand_op(
             let f2 = b.fbin(op, Type::F64, f, k);
             b.fp_to_int(Type::F64, Type::I64, f2)
         }
+        7 => indexed_roundtrip(b, rng, cx),
+        8 => {
+            // Add, subtract or multiply by an immediate, or add of a value,
+            // whose left operand stays live: the x86-64 back-end emits a
+            // `lea` or a three-operand `imul` for it instead of a copy and
+            // a two-operand instruction. The xor is that operand's next use.
+            let l = cx.pick(rng);
+            let op = *rng.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul]);
+            let imm = *rng.pick(&LIVE_OPERAND_IMMS);
+            if rng.chance(1, 3) {
+                let t = b.cast(false, Type::I64, Type::I32, l);
+                let c = b.iconst(Type::I32, imm as i32 as i64);
+                let r = b.bin(op, Type::I32, t, c);
+                let x = b.bin(BinOp::Xor, Type::I32, r, t);
+                return b.cast(rng.chance(1, 2), Type::I32, Type::I64, x);
+            }
+            let r = if rng.chance(1, 4) {
+                let rv = cx.pick(rng);
+                b.bin(BinOp::Add, Type::I64, l, rv)
+            } else {
+                let c = b.iconst(Type::I64, imm);
+                b.bin(op, Type::I64, l, c)
+            };
+            b.bin(BinOp::Xor, Type::I64, r, l)
+        }
         _ => {
             if !callees.is_empty() && rng.chance(1, 2) {
                 let (id, arity) = *rng.pick(callees);
@@ -244,6 +270,68 @@ fn rand_op(
             }
         }
     }
+}
+
+/// Immediates for the live-operand arithmetic of [`rand_op`]: small and
+/// large, the edges of a sign-extended 32-bit immediate (`-i32::MIN` does
+/// not fit one), a power of two and one that needs 64 bits.
+const LIVE_OPERAND_IMMS: [i64; 9] = [
+    1,
+    -1,
+    3,
+    100,
+    -4096,
+    8,
+    0x7fff_ffff,
+    -0x8000_0000,
+    0x1_0000_0001,
+];
+
+/// Stores a value through an indexed GEP into the scratch slot and loads
+/// it back through another. The index is masked (or a constant) so that
+/// the 8-byte access stays inside the slot, and its scale is 1, 2, 4 or 8,
+/// which the x86-64 back-end folds into the access's memory operand, or
+/// 16, which it does not. Two variants keep the GEP out of the access:
+/// a GEP with two uses, and one whose access is not the next instruction.
+/// The indexed store clobbers bytes at registered offsets, but only with
+/// defined values, so later loads stay deterministic.
+fn indexed_roundtrip(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) -> Value {
+    let scale = *rng.pick(&[1u32, 2, 4, 8, 16]);
+    // largest index with index*scale + 8 <= 64
+    let max_index = [31u64, 15, 7, 7, 3][scale.trailing_zeros() as usize];
+    let reach = max_index * scale as u64;
+    let off = 8 * rng.below((56 - reach) / 8 + 1) as i64;
+    // split the offset between the GEP and the access
+    let access_off = if rng.chance(1, 2) { off as i32 } else { 0 };
+    let gep_off = off - access_off as i64;
+    let index = if rng.chance(1, 4) {
+        b.iconst(Type::I64, rng.below(max_index + 1) as i64)
+    } else {
+        let mask = b.iconst(Type::I64, max_index as i64);
+        let v = cx.pick(rng);
+        b.bin(BinOp::And, Type::I64, v, mask)
+    };
+    // the slot's address in a register instead of frame-relative
+    let base = if rng.chance(1, 4) {
+        b.gep(cx.slot, None, 0, 0)
+    } else {
+        cx.slot
+    };
+    let v = cx.pick(rng);
+    let addr = b.gep(base, Some(index), scale, gep_off);
+    match rng.below(3) {
+        0 => b.store(Type::I64, addr, access_off, v),
+        1 => {
+            b.store(Type::I64, addr, access_off, v);
+            return b.load(Type::I64, addr, access_off);
+        }
+        _ => {
+            let w = b.bin(BinOp::Add, Type::I64, v, index);
+            b.store(Type::I64, addr, access_off, w);
+        }
+    }
+    let addr = b.gep(base, Some(index), scale, gep_off);
+    b.load(Type::I64, addr, access_off)
 }
 
 /// Emits a run of 2–5 straight-line ops into the current block.

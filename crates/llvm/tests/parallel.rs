@@ -68,7 +68,10 @@ fn tpde_a64_parallel_is_byte_identical() {
 
 #[test]
 fn baseline_backends_parallel_are_byte_identical() {
-    assert_parallel_identical(&[ServiceBackendKind::BaselineO0, ServiceBackendKind::CopyPatch]);
+    assert_parallel_identical(&[
+        ServiceBackendKind::BaselineO0,
+        ServiceBackendKind::CopyPatch,
+    ]);
 }
 
 /// The three tests above together cover every kind the crate compiles.
@@ -81,7 +84,10 @@ fn parallel_tests_cover_every_kind() {
         ServiceBackendKind::CopyPatch,
     ];
     for kind in ALL_KINDS {
-        assert!(covered.contains(&kind), "{kind:?} has no parallel determinism test");
+        assert!(
+            covered.contains(&kind),
+            "{kind:?} has no parallel determinism test"
+        );
     }
 }
 

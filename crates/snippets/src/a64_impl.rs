@@ -5,11 +5,11 @@
 //! registers (folding small immediates into `add`/`sub`/`cmp` and shift
 //! amounts), and there are no fixed-register constraints to satisfy.
 
-use crate::ops::{AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
+use crate::ops::{AsmAddr, AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
 use crate::{ResultPart, SnippetEmitter};
 use tpde_core::adapter::{BlockRef, IrAdapter};
 use tpde_core::codegen::FuncCodeGen;
-use tpde_core::error::Result;
+use tpde_core::error::{Error, Result};
 use tpde_core::regs::RegBank;
 use tpde_core::target::Target;
 use tpde_enc::a64::{self, Cond, FpOp, ShiftOp};
@@ -31,6 +31,17 @@ fn op_as_reg<A: IrAdapter>(
             Ok(r.index())
         }
     }
+}
+
+/// The base register and offset of an address without an index (this
+/// target does not set [`SnippetEmitter::INDEXED_ADDR`]).
+fn addr_base<A: IrAdapter>(cg: Cg<'_, '_, A>, addr: &AsmAddr) -> Result<(u8, i32)> {
+    if addr.index.is_some() {
+        return Err(Error::Unsupported(
+            "indexed memory operand on AArch64".into(),
+        ));
+    }
+    Ok((op_as_reg(cg, &addr.base, RegBank::GP, 8)?, addr.disp))
 }
 
 fn result_reg<A: IrAdapter>(cg: Cg<'_, '_, A>, res: ResultPart) -> Result<u8> {
@@ -261,10 +272,9 @@ impl SnippetEmitter for A64Target {
         sign_extend: bool,
         fp: bool,
         res: ResultPart,
-        addr: &AsmOperand,
-        offset: i32,
+        addr: &AsmAddr,
     ) -> Result<()> {
-        let base = op_as_reg(cg, addr, RegBank::GP, 8)?;
+        let (base, offset) = addr_base(cg, addr)?;
         let dst = result_reg(cg, res)?;
         if fp {
             a64::ldr_fp(cg.buf, mem_size, dst, base, offset);
@@ -280,11 +290,10 @@ impl SnippetEmitter for A64Target {
         cg: &mut FuncCodeGen<'_, A, Self>,
         mem_size: u32,
         fp: bool,
-        addr: &AsmOperand,
-        offset: i32,
+        addr: &AsmAddr,
         value: &AsmOperand,
     ) -> Result<()> {
-        let base = op_as_reg(cg, addr, RegBank::GP, 8)?;
+        let (base, offset) = addr_base(cg, addr)?;
         if fp {
             let src = op_as_reg(cg, value, RegBank::FP, mem_size)?;
             a64::str_fp(cg.buf, mem_size, src, base, offset);

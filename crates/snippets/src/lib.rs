@@ -23,7 +23,7 @@ mod magic;
 mod ops;
 mod x64_impl;
 
-pub use ops::{AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
+pub use ops::{AsmAddr, AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
 
 use tpde_core::adapter::{BlockRef, IrAdapter, ValueRef};
 use tpde_core::codegen::FuncCodeGen;
@@ -39,6 +39,11 @@ pub type ResultPart = (ValueRef, u32);
 /// operand placement (registers, spilled stack slots, immediates) and result
 /// register allocation through the framework callbacks of [`FuncCodeGen`].
 pub trait SnippetEmitter: Target + Sized {
+    /// Whether [`Self::enc_load`] and [`Self::enc_store`] accept an
+    /// [`AsmAddr`] with an index, so that an instruction compiler may fold
+    /// an address computation into the access that uses it.
+    const INDEXED_ADDR: bool = false;
+
     /// Integer binary operation (`add`, `sub`, `and`, `or`, `xor`, `mul`).
     fn enc_bin<A: IrAdapter>(
         cg: &mut FuncCodeGen<'_, A, Self>,
@@ -109,26 +114,23 @@ pub trait SnippetEmitter: Target + Sized {
         cg.terminator_fallthrough(target)
     }
 
-    /// Memory load of `mem_size` bytes from `[addr + offset]`, optionally
-    /// sign-extended, into a result of `res_size` bytes in bank `fp`/`gp`.
-    #[allow(clippy::too_many_arguments)]
+    /// Memory load of `mem_size` bytes from `addr`, optionally
+    /// sign-extended, into a result in bank `fp`/`gp`.
     fn enc_load<A: IrAdapter>(
         cg: &mut FuncCodeGen<'_, A, Self>,
         mem_size: u32,
         sign_extend: bool,
         fp: bool,
         res: ResultPart,
-        addr: &AsmOperand,
-        offset: i32,
+        addr: &AsmAddr,
     ) -> Result<()>;
 
-    /// Memory store of `mem_size` bytes of `value` to `[addr + offset]`.
+    /// Memory store of `mem_size` bytes of `value` to `addr`.
     fn enc_store<A: IrAdapter>(
         cg: &mut FuncCodeGen<'_, A, Self>,
         mem_size: u32,
         fp: bool,
-        addr: &AsmOperand,
-        offset: i32,
+        addr: &AsmAddr,
         value: &AsmOperand,
     ) -> Result<()>;
 

@@ -37,6 +37,32 @@ impl AsmOperand {
     }
 }
 
+/// A memory address `[base + index*scale + disp]`, the one address form of
+/// [`SnippetEmitter::enc_load`](crate::SnippetEmitter::enc_load) and
+/// [`SnippetEmitter::enc_store`](crate::SnippetEmitter::enc_store).
+#[derive(Clone, Debug)]
+pub struct AsmAddr {
+    /// The base address.
+    pub base: AsmOperand,
+    /// An index value and its scale (1, 2, 4 or 8). Only targets with
+    /// [`SnippetEmitter::INDEXED_ADDR`](crate::SnippetEmitter::INDEXED_ADDR)
+    /// accept one.
+    pub index: Option<(AsmOperand, u8)>,
+    /// Constant displacement.
+    pub disp: i32,
+}
+
+impl AsmAddr {
+    /// `[base + disp]`
+    pub fn base_disp(base: AsmOperand, disp: i32) -> AsmAddr {
+        AsmAddr {
+            base,
+            index: None,
+            disp,
+        }
+    }
+}
+
 impl From<ValuePartRef> for AsmOperand {
     fn from(p: ValuePartRef) -> AsmOperand {
         AsmOperand::Val(p)

@@ -8,7 +8,7 @@
 //! multiplication and division by constants.
 
 use crate::magic::{signed_magic, unsigned_magic};
-use crate::ops::{AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
+use crate::ops::{AsmAddr, AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
 use crate::{ResultPart, SnippetEmitter};
 use tpde_core::adapter::{BlockRef, IrAdapter};
 use tpde_core::codebuf::CodeBuffer;
@@ -66,16 +66,28 @@ fn op_mem<A: IrAdapter>(cg: Cg<'_, '_, A>, op: &AsmOperand) -> Option<Mem> {
     }
 }
 
-/// The memory operand `[addr + offset]`: frame-relative for the address of
-/// a static stack variable, otherwise through the address in a register.
-fn addr_mem<A: IrAdapter>(cg: Cg<'_, '_, A>, addr: &AsmOperand, offset: i32) -> Result<Mem> {
-    if let AsmOperand::Val(p) = addr {
-        if let Some(disp) = cg.val_stack_addr(p).and_then(|off| off.checked_add(offset)) {
-            return Ok(Mem::base_disp(Gp::RBP, disp));
-        }
-    }
-    let base = Gp::from(op_as_reg(cg, addr, RegBank::GP, 8)?);
-    Ok(Mem::base_disp(base, offset))
+/// The memory operand of `addr`: frame-relative for the address of a
+/// static stack variable, otherwise through the base address in a register;
+/// an index goes in a register too.
+fn addr_mem<A: IrAdapter>(cg: Cg<'_, '_, A>, addr: &AsmAddr) -> Result<Mem> {
+    let frame_disp = match &addr.base {
+        AsmOperand::Val(p) => cg
+            .val_stack_addr(p)
+            .and_then(|off| off.checked_add(addr.disp)),
+        AsmOperand::Imm(_) => None,
+    };
+    let (base, disp) = match frame_disp {
+        Some(disp) => (Gp::RBP, disp),
+        None => (
+            Gp::from(op_as_reg(cg, &addr.base, RegBank::GP, 8)?),
+            addr.disp,
+        ),
+    };
+    let index = match &addr.index {
+        Some((i, scale)) => Some((Gp::from(op_as_reg(cg, i, RegBank::GP, 8)?), *scale)),
+        None => None,
+    };
+    Ok(Mem { base, index, disp })
 }
 
 /// Allocates the result register, reusing the operand's register if this is
@@ -96,6 +108,48 @@ fn result_from<A: IrAdapter>(
             Ok(dst)
         }
     }
+}
+
+/// `dst = lhs op rhs` as one non-destructive instruction when `lhs` is in a
+/// register and lives on, so that [`result_from`] would copy it first:
+/// `lea` for an add or subtract of an immediate and for an add of a
+/// register, three-operand `imul` for a multiply by an immediate. Returns
+/// `false`, having emitted nothing, for every other shape.
+fn bin_non_destructive<A: IrAdapter>(
+    cg: Cg<'_, '_, A>,
+    op: BinOp,
+    osize: u32,
+    res: ResultPart,
+    lhs: &AsmOperand,
+    rhs: &AsmOperand,
+) -> Result<bool> {
+    let AsmOperand::Val(p) = lhs else {
+        return Ok(false);
+    };
+    if p.is_const || cg.val_cur_reg(p).is_none() || cg.val_is_last_use(p) {
+        return Ok(false);
+    }
+    let imm = rhs.as_imm32(osize);
+    match (op, imm) {
+        (BinOp::Add | BinOp::Mul, Some(_)) => {}
+        (BinOp::Sub, Some(imm)) if imm != i32::MIN => {}
+        (BinOp::Add, None) if op_mem(cg, rhs).is_none() => {}
+        _ => return Ok(false),
+    }
+    let src = Gp::from(cg.val_as_reg(p)?);
+    let mem = match (op, imm) {
+        (BinOp::Mul, Some(imm)) => {
+            let dst = Gp::from(cg.result_reg(res.0, res.1)?);
+            x64::imul_rri(cg.buf, osize, dst, src, imm);
+            return Ok(true);
+        }
+        (BinOp::Add, Some(imm)) => Mem::base_disp(src, imm),
+        (BinOp::Sub, Some(imm)) => Mem::base_disp(src, -imm),
+        _ => Mem::sib(src, Gp::from(op_as_reg(cg, rhs, RegBank::GP, osize)?), 1, 0),
+    };
+    let dst = Gp::from(cg.result_reg(res.0, res.1)?);
+    x64::lea(cg.buf, osize, dst, mem);
+    Ok(true)
 }
 
 /// The constant bits of an operand as a `size`-byte value, if it is one.
@@ -220,7 +274,7 @@ fn divrem_by_const<A: IrAdapter>(
     // x - q*d, in the other one of rax/rdx
     let r = if q == Gp::RAX { Gp::RDX } else { Gp::RAX };
     match d {
-        3 | 5 | 9 => x64::lea(cg.buf, q, Mem::sib(q, q, d as u8 - 1, 0)),
+        3 | 5 | 9 => x64::lea(cg.buf, 8, q, Mem::sib(q, q, d as u8 - 1, 0)),
         _ => match i32::try_from(ds) {
             Ok(imm) => x64::imul_rri(cg.buf, size, q, q, imm),
             Err(_) => {
@@ -331,6 +385,8 @@ fn cond_branch<A: IrAdapter>(
 }
 
 impl SnippetEmitter for X64Target {
+    const INDEXED_ADDR: bool = true;
+
     fn enc_bin<A: IrAdapter>(
         cg: &mut FuncCodeGen<'_, A, Self>,
         op: BinOp,
@@ -351,6 +407,9 @@ impl SnippetEmitter for X64Target {
             if d > 1 {
                 x64::shift_ri(cg.buf, Shift::Shl, osize, dst, d.trailing_zeros() as u8);
             }
+            return Ok(());
+        }
+        if bin_non_destructive(cg, op, osize, res, lhs, rhs)? {
             return Ok(());
         }
         // make sure the rhs is loaded before the result possibly reuses lhs
@@ -528,10 +587,9 @@ impl SnippetEmitter for X64Target {
         sign_extend: bool,
         fp: bool,
         res: ResultPart,
-        addr: &AsmOperand,
-        offset: i32,
+        addr: &AsmAddr,
     ) -> Result<()> {
-        let mem = addr_mem(cg, addr, offset)?;
+        let mem = addr_mem(cg, addr)?;
         if fp {
             let dst = Xmm::from(cg.result_reg(res.0, res.1)?);
             x64::fp_load(cg.buf, mem_size, dst, mem);
@@ -552,11 +610,10 @@ impl SnippetEmitter for X64Target {
         cg: &mut FuncCodeGen<'_, A, Self>,
         mem_size: u32,
         fp: bool,
-        addr: &AsmOperand,
-        offset: i32,
+        addr: &AsmAddr,
         value: &AsmOperand,
     ) -> Result<()> {
-        let mem = addr_mem(cg, addr, offset)?;
+        let mem = addr_mem(cg, addr)?;
         if fp {
             let src = Xmm::from(op_as_reg(cg, value, RegBank::FP, mem_size)?);
             x64::fp_store(cg.buf, mem_size, mem, src);

@@ -334,7 +334,7 @@ impl Machine {
             0x8d => {
                 let m = self.decode_modrm(&mut p, rex);
                 if let RmOperand::Mem(a) = m.rm {
-                    self.write_reg(m.reg, 8, a);
+                    self.write_reg(m.reg, osize, a);
                 } else {
                     return Err(EmuError::Decode {
                         rip: start,

@@ -33,6 +33,23 @@ fn add_two_arguments() {
 }
 
 #[test]
+fn lea_computes_scaled_index_addresses_at_both_widths() {
+    // lea rax, [rdi + rsi*8 - 3]: all 64 bits, wrapping
+    let (ret, _) = build_and_run("lea64", &[u64::MAX - 1, 2], |b| {
+        x64::lea(b, 8, Gp::RAX, Mem::sib(Gp::RDI, Gp::RSI, 8, -3));
+        x64::ret(b);
+    });
+    assert_eq!(ret, (u64::MAX - 1).wrapping_add(16).wrapping_sub(3));
+    // lea eax, [rdi + rsi + 2]: the low 32 bits, zero-extended
+    let (ret, _) = build_and_run("lea32", &[0xffff_ffff, 0x1_0000_0000], |b| {
+        x64::mov_ri(b, 8, Gp::RAX, u64::MAX);
+        x64::lea(b, 4, Gp::RAX, Mem::sib(Gp::RDI, Gp::RSI, 1, 2));
+        x64::ret(b);
+    });
+    assert_eq!(ret, 1);
+}
+
+#[test]
 fn loop_sums_first_n_integers() {
     // sum = 0; for (i = 0; i != n; i++) sum += i; return sum
     let (ret, stats) = build_and_run("sum", &[100], |b| {
