@@ -70,6 +70,14 @@ pub struct Assignment {
     /// Whether only phi moves on `last_pos`'s out-edges need the value at
     /// the end of that block ([`crate::analysis::LiveRange::phi_end`]).
     pub phi_end: bool,
+    /// Whether `frame_off` is the value's home: memory the value was
+    /// defined in (a stack variable it was loaded from), which it does not
+    /// own. A homed value is never spilled, and its home is never freed.
+    pub homed: bool,
+    /// Whether a homed value has been read from its home into a register
+    /// once: that first read stands for the IR's load, later ones are
+    /// reloads.
+    pub home_read: bool,
     /// Number of parts in use.
     pub nparts: u8,
     /// Per-part state; entries from `nparts` on are unused.
@@ -238,6 +246,8 @@ mod tests {
             last_pos,
             last_full: false,
             phi_end: false,
+            homed: false,
+            home_read: false,
             nparts,
             parts: [PartState::new(8, RegBank::GP); MAX_PARTS],
         }

@@ -276,6 +276,10 @@ struct FuncScratch {
     owned_regs: Vec<(Reg, ValueRef, u32)>,
     /// Registers cleared at block boundaries.
     cleared_regs: Vec<(Reg, RegOwner)>,
+    /// Values defined in place by [`FuncCodeGen::define_in_frame`], for
+    /// [`FuncCodeGen::clobber_frame`]. May name values that are no longer
+    /// homed; the next clobber drops them.
+    homed: Vec<ValueRef>,
 }
 
 /// Reusable compile session: the analysis pass working memory, the analysis
@@ -587,6 +591,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         s.maybe_dead.clear();
         s.pending_edges.clear();
         s.edge_moves.clear();
+        s.homed.clear();
         s.fused.reset(adapter.inst_count());
         FuncCodeGen {
             adapter,
@@ -870,10 +875,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                     }
                 }
             }
-            if let Some(off) = a.frame_off {
-                if off < 0 {
-                    self.s.frame.free(off, a.spill_size());
-                }
+            // Incoming stack arguments (above the frame pointer) and
+            // homes belong to someone else.
+            if let Some(off) = a.frame_off.filter(|&off| off < 0 && !a.homed) {
+                self.s.frame.free(off, a.spill_size());
             }
         }
     }
@@ -916,6 +921,8 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 last_pos,
                 last_full,
                 phi_end: live.phi_end && !self.opts.assume_all_live,
+                homed: false,
+                home_read: false,
                 nparts: nparts as u8,
                 parts,
             },
@@ -968,6 +975,17 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 if a.remaining_uses == 0 {
                     self.s.maybe_dead.push(v);
                 }
+            }
+            // In its defining block, a homed value that is used again is
+            // read into a register once, as the load it stands for would
+            // have been; elsewhere it is read where it is used.
+            if a.homed
+                && a.parts[0].reg.is_none()
+                && a.remaining_uses > 0
+                && self.analysis.live(v).first == self.cur_pos
+            {
+                let a = *a;
+                self.read_home(v, &a)?;
             }
         }
         Ok(ValuePartRef {
@@ -1094,7 +1112,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             (None, Some(off), true) => {
                 self.target
                     .emit_frame_load(self.buf, p.bank, p.size, reg, off);
-                self.stats.reloads += 1;
+                self.count_frame_load(p.val);
             }
             _ => {
                 // Undefined value (e.g. LLVM `undef`): materialize zero.
@@ -1263,15 +1281,28 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         Ok(())
     }
 
+    /// Whether a value may still be read after the current instruction.
+    fn lives_on(&self, a: &Assignment) -> bool {
+        a.remaining_uses > 0
+            || a.last_pos > self.cur_pos
+            || (a.last_pos == self.cur_pos && a.last_full)
+    }
+
+    /// Counts a load of `v` from its frame location: a reload, unless it
+    /// is the first read of a homed value, which stands for the IR's load.
+    fn count_frame_load(&mut self, v: ValueRef) {
+        match self.s.assignments.get_mut(v) {
+            Some(a) if a.homed && !a.home_read => a.home_read = true,
+            _ => self.stats.reloads += 1,
+        }
+    }
+
     fn spill_part_if_needed(&mut self, v: ValueRef, p: u32) -> Result<()> {
         let Some(&a) = self.s.assignments.get(v) else {
             return Ok(());
         };
         let ps = a.parts[p as usize];
-        let live = a.remaining_uses > 0
-            || a.last_pos > self.cur_pos
-            || (a.last_pos == self.cur_pos && a.last_full);
-        if !live || ps.in_mem || a.recompute.is_some() || ps.fixed {
+        if !self.lives_on(&a) || ps.in_mem || a.recompute.is_some() || ps.fixed {
             return Ok(());
         }
         let Some(reg) = ps.reg else { return Ok(()) };
@@ -1846,13 +1877,89 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 let off = off + a.part_offset(p.part);
                 self.target
                     .emit_frame_load(self.buf, p.bank, p.size, dst, off);
-                self.stats.reloads += 1;
+                self.count_frame_load(p.val);
                 return Ok(());
             }
         }
         // undefined
         self.target.emit_const(self.buf, p.bank, p.size, dst, 0);
         Ok(())
+    }
+
+    /// Defines the single-part value `v` in place: the frame bytes at
+    /// `off` already hold it (e.g. `v` is a load from a stack variable), so
+    /// they become its home and nothing is emitted. Uses read the home on
+    /// demand or fold it as a memory operand ([`FuncCodeGen::val_mem_loc`]);
+    /// the value is never spilled and its home is never freed.
+    ///
+    /// The caller guarantees that every store to the home that can run
+    /// between this definition and a use of `v` is emitted after this call
+    /// and preceded by [`FuncCodeGen::clobber_frame`].
+    pub fn define_in_frame(&mut self, v: ValueRef, off: i32) -> Result<()> {
+        self.ensure_assignment(v)?;
+        let a = self.s.assignments.get_mut(v).unwrap();
+        if a.nparts != 1 {
+            return Err(Error::Unsupported(format!(
+                "value {v:?} has {} parts and cannot live in one frame location",
+                a.nparts
+            )));
+        }
+        a.frame_off = Some(off);
+        a.homed = true;
+        a.home_read = false;
+        a.parts[0].in_mem = true;
+        a.parts[0].reg = None;
+        self.s.homed.push(v);
+        Ok(())
+    }
+
+    /// Must precede a store to the `size` frame bytes at `off`: every value
+    /// homed there ([`FuncCodeGen::define_in_frame`]) that may still be read
+    /// moves into a register, and from then on is an ordinary value.
+    pub fn clobber_frame(&mut self, off: i32, size: u32) -> Result<()> {
+        let (lo, hi) = (off as i64, off as i64 + size as i64);
+        let mut i = 0;
+        while i < self.s.homed.len() {
+            let v = self.s.homed[i];
+            let Some(&a) = self.s.assignments.get(v).filter(|a| a.homed) else {
+                self.s.homed.swap_remove(i);
+                continue;
+            };
+            let home = a.frame_off.unwrap_or(0) as i64;
+            if home >= hi || lo >= home + a.parts[0].size as i64 {
+                i += 1;
+                continue;
+            }
+            self.s.homed.swap_remove(i);
+            if a.parts[0].reg.is_none() && self.lives_on(&a) {
+                self.read_home(v, &a)?;
+            }
+            let a = self.s.assignments.get_mut(v).unwrap();
+            a.homed = false;
+            a.frame_off = None;
+            a.parts[0].in_mem = false;
+        }
+        Ok(())
+    }
+
+    /// Loads homed value `v` (assignment `a`) into a register of its own.
+    fn read_home(&mut self, v: ValueRef, a: &Assignment) -> Result<()> {
+        let ps = a.parts[0];
+        let reg = self.alloc_reg(ps.bank, None)?;
+        let home = a.frame_off.unwrap_or(0);
+        self.target
+            .emit_frame_load(self.buf, ps.bank, ps.size as u32, reg, home);
+        self.count_frame_load(v);
+        self.s.assignments.get_mut(v).unwrap().parts[0].reg = Some(reg);
+        self.regfile.set_owner(reg, RegOwner::Value(v, 0));
+        Ok(())
+    }
+
+    /// The home of a value defined by [`FuncCodeGen::define_in_frame`], as
+    /// long as no [`FuncCodeGen::clobber_frame`] has touched it. Does not
+    /// count as a use.
+    pub fn val_home(&self, v: ValueRef) -> Option<i32> {
+        self.s.assignments.get(v).filter(|a| a.homed)?.frame_off
     }
 
     /// Allocates (or returns) the frame slot of a value and reports its

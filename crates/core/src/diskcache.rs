@@ -82,7 +82,11 @@
 //! x86-64 frames, division by constants without `div`) and version 5
 //! (x86-64 address arithmetic folded into operands: a GEP into the
 //! scaled-index memory operand of the access after it, `lea` and
-//! three-operand `imul` instead of a copy and a two-operand instruction).
+//! three-operand `imul` instead of a copy and a two-operand instruction)
+//! and version 6 (x86-64 loads from a non-escaping stack variable left in
+//! the variable until their uses read it, so no spill store; one `lea` for
+//! an indexed GEP that is not folded; no compare for a branch whose two
+//! targets are one block; 64-bit GEP immediates in the baselines).
 //!
 //! # Crash safety and corruption
 //!
@@ -150,7 +154,7 @@ pub const MAGIC: [u8; 8] = *b"TPDEART\0";
 /// Version of the artifact layout and of the code it holds; any change to
 /// the format above or to the bytes the compiler emits bumps this, and an
 /// artifact with a different version is a cache miss.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 64;
 const SYM_RECORD: usize = 32;

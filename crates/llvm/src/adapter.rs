@@ -81,6 +81,107 @@ pub struct AdapterScratch {
     args: Vec<ValueRef>,
     /// Static stack variables of the current function.
     stack_vars: Vec<StackVarDesc>,
+    /// How the current function uses its stack variables.
+    stack_uses: StackVarUses,
+}
+
+/// Marks the end of a store-block list in [`StackVarUses::stores`].
+const NO_LINK: u32 = u32::MAX;
+
+/// How one function uses its static stack variables, gathered by the
+/// indexing walk of `switch_func`: what a back-end needs to tell whether a
+/// load from a stack variable may be deferred to the load's uses.
+#[derive(Debug, Default)]
+struct StackVarUses {
+    /// Per stack variable: size, whether its address escapes, and the
+    /// head of its list of storing blocks in `stores`.
+    vars: Vec<StackVarUse>,
+    /// The storing blocks of every variable, as linked lists: a block and
+    /// the index of the variable's previous storing block (or `NO_LINK`).
+    stores: Vec<(BlockRef, u32)>,
+    /// Whether every load and store through a stack variable's address
+    /// stays inside that variable.
+    in_bounds: bool,
+    /// The smallest and largest value id of a variable's address, which
+    /// rule out most operands before the value table is read.
+    ids: (u32, u32),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct StackVarUse {
+    size: u32,
+    escaped: bool,
+    stores: u32,
+}
+
+impl StackVarUses {
+    fn reset(&mut self, f: &Function) {
+        self.vars.clear();
+        self.stores.clear();
+        self.in_bounds = true;
+        let ids = f.stack_slot_values.iter().map(|v| v.0);
+        self.ids = (ids.clone().min().unwrap_or(1), ids.max().unwrap_or(0));
+        self.vars
+            .extend(f.stack_slots.iter().map(|&(size, _)| StackVarUse {
+                size,
+                escaped: false,
+                stores: NO_LINK,
+            }));
+    }
+
+    /// The stack variable `v` is the address of, if it is one.
+    fn var_of(&self, f: &Function, v: Value) -> Option<usize> {
+        if v.0 < self.ids.0 || v.0 > self.ids.1 {
+            return None;
+        }
+        match f.values.get(v.0 as usize)?.def {
+            ValueDef::StackSlot(i) => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// Any use of a variable's address other than as the address of a
+    /// load or store lets it escape.
+    fn escape(&mut self, f: &Function, v: Value) {
+        if let Some(var) = self.var_of(f, v).and_then(|i| self.vars.get_mut(i)) {
+            var.escaped = true;
+        }
+    }
+
+    /// An access of `size` bytes at `off` through `addr`; returns the
+    /// variable `addr` is the address of.
+    fn access(&mut self, f: &Function, addr: Value, off: i32, size: u32) -> Option<usize> {
+        let i = self.var_of(f, addr)?;
+        let var = self.vars.get(i)?;
+        if off < 0 || off as u64 + size as u64 > var.size as u64 {
+            self.in_bounds = false;
+        }
+        Some(i)
+    }
+
+    fn note_inst(&mut self, f: &Function, block: BlockRef, inst: &Inst) {
+        match *inst {
+            Inst::Load { ty, addr, off, .. } => {
+                self.access(f, addr, off, ty.size());
+            }
+            Inst::Store {
+                ty,
+                addr,
+                off,
+                value,
+            } => {
+                if let Some(i) = self.access(f, addr, off, ty.size()) {
+                    let head = self.vars[i].stores;
+                    if head == NO_LINK || self.stores[head as usize].0 != block {
+                        self.vars[i].stores = self.stores.len() as u32;
+                        self.stores.push((block, head));
+                    }
+                }
+                self.escape(f, value);
+            }
+            _ => inst.visit_operands(|v| self.escape(f, v)),
+        }
+    }
 }
 
 impl<'m> LlvmAdapter<'m> {
@@ -125,6 +226,38 @@ impl<'m> LlvmAdapter<'m> {
     pub fn next_inst_in_block(&self, inst: InstRef) -> Option<InstRef> {
         let e = &self.s.insts[inst.idx()];
         (e.idx + 1 < self.s.blocks[e.block as usize].inst_len).then_some(InstRef(inst.0 + 1))
+    }
+
+    /// The stack variable a load of `size` bytes at `addr + off` reads,
+    /// if the loaded value may stay in that memory until its uses: `addr`
+    /// is the address of a static stack variable that does not escape
+    /// (every use of it is the address of a load or store), and no access
+    /// through any stack variable of the function leaves its variable.
+    /// Whether a store to it can then run before a use is the caller's
+    /// question ([`LlvmAdapter::stack_var_store_blocks`]).
+    pub fn deferrable_stack_load(
+        &self,
+        addr: crate::ir::Value,
+        off: i32,
+        size: u32,
+    ) -> Option<u32> {
+        let u = &self.s.stack_uses;
+        let i = u.var_of(self.cur_func(), addr)?;
+        let var = u.vars.get(i)?;
+        let inside = off >= 0 && off as u64 + size as u64 <= var.size as u64;
+        (u.in_bounds && !var.escaped && inside).then_some(i as u32)
+    }
+
+    /// The blocks that store to stack variable `var`, each once, in no
+    /// particular order.
+    pub fn stack_var_store_blocks(&self, var: u32) -> impl Iterator<Item = BlockRef> + '_ {
+        let u = &self.s.stack_uses;
+        let mut next = u.vars.get(var as usize).map_or(NO_LINK, |v| v.stores);
+        std::iter::from_fn(move || {
+            let (block, prev) = *u.stores.get(next as usize)?;
+            next = prev;
+            Some(block)
+        })
     }
 
     /// Type of a value in the current function.
@@ -189,6 +322,8 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
         s.phi_inc.clear();
         s.args.clear();
         s.stack_vars.clear();
+        s.stack_uses.reset(f);
+        let track_stack = !f.stack_slots.is_empty();
 
         s.args.extend((0..f.params.len() as u32).map(ValueRef));
         s.stack_vars
@@ -205,6 +340,9 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
             for (ii, inst) in b.insts.iter().enumerate() {
                 let op_start = s.operands.len() as u32;
                 inst.visit_operands(|v| s.operands.push(ValueRef(v.0)));
+                if track_stack {
+                    s.stack_uses.note_inst(f, BlockRef(bi as u32), inst);
+                }
                 s.insts.push(InstEntry {
                     block: bi as u32,
                     idx: ii as u32,
@@ -225,6 +363,11 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
 
             let phi_start = s.phis.len() as u32;
             for p in &b.phis {
+                if track_stack {
+                    for &(_, v) in &p.incoming {
+                        s.stack_uses.escape(f, v);
+                    }
+                }
                 s.phis.push(ValueRef(p.res.0));
                 let inc_start = s.phi_inc.len() as u32;
                 s.phi_inc

@@ -86,22 +86,64 @@ impl LlvmInstCompiler {
         T::enc_store(cg, ty.size(), ty.is_fp(), addr, &v)
     }
 
-    /// The access `gep` can be folded into, the index that stays in a
-    /// register and the displacement of the folded memory operand. The
-    /// access is the next instruction, if it is a load or a store through
-    /// the GEP's result and the GEP's only use, on a target with
-    /// [`SnippetEmitter::INDEXED_ADDR`]. The operand
-    /// `[base + index*scale + disp]` needs a scale the addressing mode has
-    /// (or a constant index, which goes into `disp`) and a `disp` that fits
-    /// in 32 bits; it then computes the same 64-bit address as the
-    /// multiply-and-add sequence.
-    fn gep_access<'m, T: SnippetEmitter>(
+    /// Where a load's result can be left, if [`SnippetEmitter::LAZY_STACK_LOADS`]
+    /// holds: in the stack variable it reads, as its home
+    /// ([`FuncCodeGen::define_in_frame`]). The variable must not escape,
+    /// the load must be 4 or 8 bytes, and no store to the variable may run
+    /// between the load and a use of its result unless the store is
+    /// emitted after the load and before every such use, so that its
+    /// [`FuncCodeGen::clobber_frame`] moves the result out first.
+    ///
+    /// The layout is a reverse post-order, so a use is emitted at or after
+    /// the load's block `def`, and the result `v` can only be live in the
+    /// blocks its live range `[def, last]` covers. A store in block `b`
+    /// is therefore harmless when `b` is before `def` or after `last` (`v`
+    /// is dead there), or is `def` itself or a `last` that `v` does not
+    /// live out of: every use that can run after such a store is emitted
+    /// after it. Any store strictly inside the range, or in a `last` that
+    /// `v` lives out of, refuses the home.
+    fn load_home<'m, T: SnippetEmitter>(
         cg: &FuncCodeGen<'_, LlvmAdapter<'m>, T>,
-        inst: InstRef,
+        load: &Inst,
+        base: &AsmOperand,
+    ) -> Option<i32> {
+        let Inst::Load { ty, res, addr, off } = *load else {
+            return None;
+        };
+        let AsmOperand::Val(p) = base else {
+            return None;
+        };
+        if !T::LAZY_STACK_LOADS || !matches!(ty.size(), 4 | 8) {
+            return None;
+        }
+        let slot = cg.val_stack_addr(p)?;
+        let adapter = cg.adapter;
+        let var = adapter.deferrable_stack_load(addr, off, ty.size())?;
+        let (def, live) = (cg.cur_pos(), cg.analysis.live(value_ref(res)));
+        let clobbers =
+            |pos: u32| pos > def && (pos < live.last || (pos == live.last && live.last_full));
+        if adapter
+            .stack_var_store_blocks(var)
+            .any(|b| clobbers(cg.analysis.pos(b)))
+        {
+            return None;
+        }
+        slot.checked_add(off)
+    }
+
+    /// An indexed `gep`'s address plus `access_off` as one operand
+    /// `[base + index*scale + disp]`, on a target with
+    /// [`SnippetEmitter::INDEXED_ADDR`]: the index that stays in a register
+    /// and `disp`. It needs a scale the addressing mode has (or a constant
+    /// index, which goes into `disp`) and a `disp` that fits in 32 bits;
+    /// the operand then computes the same 64-bit address as the
+    /// multiply-and-add sequence.
+    fn gep_operand<'m, T: SnippetEmitter>(
+        cg: &FuncCodeGen<'_, LlvmAdapter<'m>, T>,
         gep: &Inst,
-    ) -> Option<(InstRef, Option<crate::ir::Value>, i32)> {
+        access_off: i32,
+    ) -> Option<(Option<crate::ir::Value>, i32)> {
         let Inst::Gep {
-            res,
             index: Some(index),
             scale,
             off,
@@ -110,7 +152,37 @@ impl LlvmInstCompiler {
         else {
             return None;
         };
-        if !T::INDEXED_ADDR || !cg.options().fusion {
+        if !T::INDEXED_ADDR {
+            return None;
+        }
+        let adapter = cg.adapter;
+        let index_ref = value_ref(index);
+        let mut disp = off.wrapping_add(access_off as i64);
+        let reg_index = if adapter.val_is_const(index_ref) {
+            let index_bits = adapter.val_const_data(index_ref, 0);
+            disp = disp.wrapping_add(index_bits.wrapping_mul(scale as u64) as i64);
+            None
+        } else if matches!(scale, 1 | 2 | 4 | 8) {
+            Some(index)
+        } else {
+            return None;
+        };
+        Some((reg_index, i32::try_from(disp).ok()?))
+    }
+
+    /// The access an indexed `gep` can be folded into, with the
+    /// [`Self::gep_operand`] of the folded memory operand. The access is
+    /// the next instruction, if it is a load or a store through the GEP's
+    /// result and the GEP's only use.
+    fn gep_access<'m, T: SnippetEmitter>(
+        cg: &FuncCodeGen<'_, LlvmAdapter<'m>, T>,
+        inst: InstRef,
+        gep: &Inst,
+    ) -> Option<(InstRef, Option<crate::ir::Value>, i32)> {
+        let Inst::Gep { res, .. } = *gep else {
+            return None;
+        };
+        if !cg.options().fusion {
             return None;
         }
         let adapter = cg.adapter;
@@ -125,18 +197,8 @@ impl LlvmInstCompiler {
         if cg.analysis.live(value_ref(res)).uses != 1 {
             return None;
         }
-        let index_ref = value_ref(index);
-        let mut disp = off.wrapping_add(access_off as i64);
-        let reg_index = if adapter.val_is_const(index_ref) {
-            let index_bits = adapter.val_const_data(index_ref, 0);
-            disp = disp.wrapping_add(index_bits.wrapping_mul(scale as u64) as i64);
-            None
-        } else if matches!(scale, 1 | 2 | 4 | 8) {
-            Some(index)
-        } else {
-            return None;
-        };
-        Some((next, reg_index, i32::try_from(disp).ok()?))
+        let (reg_index, disp) = Self::gep_operand(cg, gep, access_off)?;
+        Some((next, reg_index, disp))
     }
 }
 
@@ -252,8 +314,11 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                 T::enc_fneg(cg, ty.size(), (value_ref(res), 0), &s)
             }
             Inst::Load { ty, res, addr, off } => {
-                let a = AsmAddr::base_disp(Self::operand(cg, addr)?, off);
-                Self::load(cg, ty, res, &a)
+                let base = Self::operand(cg, addr)?;
+                if let Some(home) = Self::load_home(cg, ir, &base) {
+                    return cg.define_in_frame(value_ref(res), home);
+                }
+                Self::load(cg, ty, res, &AsmAddr::base_disp(base, off))
             }
             Inst::Store {
                 ty,
@@ -261,8 +326,23 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                 off,
                 value,
             } => {
-                let a = AsmAddr::base_disp(Self::operand(cg, addr)?, off);
-                Self::store(cg, ty, &a, value)
+                let base = Self::operand(cg, addr)?;
+                let frame_off = match &base {
+                    AsmOperand::Val(p) if T::LAZY_STACK_LOADS => cg.val_stack_addr(p),
+                    _ => None,
+                };
+                if let Some(dst) = frame_off.and_then(|slot| slot.checked_add(off)) {
+                    let v = value_ref(value);
+                    // storing a value back to its own home changes nothing
+                    if cg.val_home(v) == Some(dst) && adapter.val_part_size(v, 0) == ty.size() {
+                        cg.val_ref(v, 0)?;
+                        return Ok(());
+                    }
+                    // before the operand is taken, so a value homed here
+                    // that this store reads is still live for the clobber
+                    cg.clobber_frame(dst, ty.size())?;
+                }
+                Self::store(cg, ty, &AsmAddr::base_disp(base, off), value)
             }
             Inst::Gep {
                 res,
@@ -273,19 +353,27 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
             } => {
                 // address + memory access fusion: the next instruction's
                 // memory operand computes the address instead
-                if let Some((next, reg_index, disp)) = Self::gep_access(cg, inst, ir) {
-                    cg.mark_fused(next);
+                let indexed = |cg: &mut FuncCodeGen<'_, LlvmAdapter<'m>, T>, reg_index, disp| {
                     let base = Self::operand(cg, base)?;
                     let index = match reg_index {
                         Some(i) => Some((Self::operand(cg, i)?, scale as u8)),
                         None => None,
                     };
-                    let a = AsmAddr { base, index, disp };
+                    Ok::<_, Error>(AsmAddr { base, index, disp })
+                };
+                if let Some((next, reg_index, disp)) = Self::gep_access(cg, inst, ir) {
+                    cg.mark_fused(next);
+                    let a = indexed(cg, reg_index, disp)?;
                     return match *adapter.inst(next) {
                         Inst::Load { ty, res, .. } => Self::load(cg, ty, res, &a),
                         Inst::Store { ty, value, .. } => Self::store(cg, ty, &a, value),
                         _ => unreachable!("gep_access returns a load or store"),
                     };
+                }
+                // otherwise one address computation, if the operand exists
+                if let Some((reg_index, disp)) = Self::gep_operand(cg, ir, 0) {
+                    let a = indexed(cg, reg_index, disp)?;
+                    return T::enc_addr(cg, (value_ref(res), 0), &a);
                 }
                 // res = base + index*scale + off, computed with integer snippets
                 let b = Self::operand(cg, base)?;

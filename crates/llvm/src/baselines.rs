@@ -308,14 +308,27 @@ fn emit_inst(
             scale,
             off,
         } => {
+            // An immediate that does not fit a sign-extended i32 goes
+            // through a register.
             ctx.load_gp(buf, TMP0, *base);
             if let Some(i) = index {
                 ctx.load_gp(buf, TMP1, *i);
-                x64::imul_rri(buf, 8, TMP1, TMP1, *scale as i32);
+                match i32::try_from(*scale) {
+                    Ok(scale) => x64::imul_rri(buf, 8, TMP1, TMP1, scale),
+                    Err(_) => {
+                        x64::mov_ri(buf, 8, TMP2, *scale as u64);
+                        x64::imul_rr(buf, 8, TMP1, TMP2);
+                    }
+                }
                 x64::alu_rr(buf, Alu::Add, 8, TMP0, TMP1);
             }
-            if *off != 0 {
-                x64::alu_ri(buf, Alu::Add, 8, TMP0, *off as i32);
+            match i32::try_from(*off) {
+                Ok(0) => {}
+                Ok(off) => x64::alu_ri(buf, Alu::Add, 8, TMP0, off),
+                Err(_) => {
+                    x64::mov_ri(buf, 8, TMP1, *off as u64);
+                    x64::alu_rr(buf, Alu::Add, 8, TMP0, TMP1);
+                }
             }
             ctx.store_gp(buf, *res, TMP0);
         }

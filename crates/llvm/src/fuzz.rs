@@ -82,7 +82,8 @@ pub fn buffers_equal(a: &CodeBuffer, b: &CodeBuffer) -> bool {
 /// kernel and folds the results. Generation follows a strict dominance
 /// discipline (values cross control flow only through phis, memory is
 /// loaded only from offsets unconditionally stored earlier or from the
-/// address just stored to, divisors are
+/// address just stored to, or from 8-byte O0-style variables stored in
+/// the entry block, divisors are
 /// forced odd, shift amounts are masked constants, loops have constant
 /// trip counts), so the result both passes [`tpde_core::verify`] and
 /// computes the same value on every correct backend.
@@ -110,6 +111,13 @@ struct GenCtx {
     slot: Value,
     /// Slot offsets that have been stored unconditionally.
     stored: Vec<i32>,
+    /// O0-style scalar variables: 8-byte stack slots that are only ever
+    /// loaded and stored whole, each stored in the entry block first.
+    vars: Vec<Value>,
+    /// A scalar variable whose address escapes, and a second pointer to
+    /// it (a GEP of it, or its address stored to and loaded back from
+    /// another variable).
+    escaped: (Value, Value),
 }
 
 impl GenCtx {
@@ -152,7 +160,7 @@ fn rand_op(
     callees: &[(FuncId, usize)],
     register_stores: bool,
 ) -> Value {
-    match rng.below(10) {
+    match rng.below(12) {
         0 => {
             let op = *rng.pick(&BIN_OPS);
             let (l, r) = (cx.pick(rng), cx.pick(rng));
@@ -232,6 +240,7 @@ fn rand_op(
             b.fp_to_int(Type::F64, Type::I64, f2)
         }
         7 => indexed_roundtrip(b, rng, cx),
+        10 => var_access(b, rng, cx),
         8 => {
             // Add, subtract or multiply by an immediate, or add of a value,
             // whose left operand stays live: the x86-64 back-end emits a
@@ -334,6 +343,45 @@ fn indexed_roundtrip(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut Gen
     b.load(Type::I64, addr, access_off)
 }
 
+/// Loads and stores of the scalar variables, in the shapes a back-end that
+/// leaves a load in its variable until the uses (`LAZY_STACK_LOADS`) must
+/// get right: a plain load, whose value the pool carries into later
+/// blocks, diamonds and loops; a load, a store to the same variable and
+/// then a use of the loaded value; a value stored back to the variable it
+/// was loaded from; and a load, a store through the escaped variable's
+/// other pointer, and a use of the old value next to a fresh load. A
+/// variable always holds a defined value, so a store may sit anywhere,
+/// conditional arms included.
+fn var_access(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) -> Value {
+    let var = *rng.pick(&cx.vars);
+    match rng.below(4) {
+        0 => b.load(Type::I64, var, 0),
+        1 => {
+            let x = b.load(Type::I64, var, 0);
+            let y = cx.pick(rng);
+            b.store(Type::I64, var, 0, y);
+            let op = *rng.pick(&BIN_OPS);
+            let z = cx.pick(rng);
+            let r = b.bin(op, Type::I64, x, z);
+            b.bin(BinOp::Xor, Type::I64, r, x)
+        }
+        2 => {
+            let x = b.load(Type::I64, var, 0);
+            b.store(Type::I64, var, 0, x);
+            x
+        }
+        _ => {
+            let (slot, ptr) = cx.escaped;
+            let x = b.load(Type::I64, slot, 0);
+            let y = cx.pick(rng);
+            b.store(Type::I64, ptr, 0, y);
+            let fresh = b.load(Type::I64, slot, 0);
+            let r = b.bin(BinOp::Sub, Type::I64, x, fresh);
+            b.bin(BinOp::Add, Type::I64, r, x)
+        }
+    }
+}
+
 /// Emits a run of 2–5 straight-line ops into the current block.
 fn straight_segment(
     b: &mut FunctionBuilder,
@@ -383,6 +431,12 @@ fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) 
     let zero = b.iconst(Type::I64, 0);
     let one = b.iconst(Type::I64, 1);
     let init = cx.pick(rng);
+    // Half the loops store to a variable in the body, while a load of it
+    // from before the loop is used after the loop.
+    let var_store = rng
+        .chance(1, 2)
+        .then(|| *rng.pick(&cx.vars))
+        .map(|var| (var, b.load(Type::I64, var, 0)));
     let pre = b.current_block();
     let hdr = b.create_block();
     let body = b.create_block();
@@ -406,11 +460,17 @@ fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) 
         a = b.bin(op2, Type::I64, a, i);
     }
     let inext = b.bin(BinOp::Add, Type::I64, i, one);
+    if let Some((var, _)) = var_store {
+        b.store(Type::I64, var, 0, a);
+    }
     b.phi_add_incoming(i, body, inext);
     b.phi_add_incoming(acc, body, a);
     b.br(hdr);
     b.switch_to(exit);
     cx.pool.push(acc);
+    if let Some((_, before)) = var_store {
+        cx.pool.push(before);
+    }
 }
 
 fn gen_kernel(
@@ -427,10 +487,37 @@ fn gen_kernel(
         pool.push(b.iconst(Type::I64, (rng.next_u64() & 0xFFFF) as i64));
     }
     let slot = b.alloca(64, 8);
+    let mut vars = Vec::new();
+    for _ in 0..2 {
+        let var = b.alloca(8, 8);
+        b.store(
+            Type::I64,
+            var,
+            0,
+            pool[rng.below(pool.len() as u64) as usize],
+        );
+        vars.push(var);
+    }
+    let esc = b.alloca(8, 8);
+    b.store(
+        Type::I64,
+        esc,
+        0,
+        pool[rng.below(pool.len() as u64) as usize],
+    );
+    let esc_ptr = if rng.chance(1, 2) {
+        b.gep(esc, None, 0, 0)
+    } else {
+        let holder = b.alloca(8, 8);
+        b.store(Type::Ptr, holder, 0, esc);
+        b.load(Type::Ptr, holder, 0)
+    };
     let mut cx = GenCtx {
         pool,
         slot,
         stored: Vec::new(),
+        vars,
+        escaped: (esc, esc_ptr),
     };
     for _ in 0..1 + rng.below(3) {
         match rng.below(3) {
@@ -630,8 +717,11 @@ fn apply_corruption(m: &mut Module, rng: &mut Xoshiro256, c: Corruption) -> bool
 /// forever count as not-failing instead of hanging the shrink. Reduction
 /// passes, repeated to a fixpoint: drop uncalled functions (with
 /// [`FuncId`] remapping), collapse conditional branches and prune
-/// unreachable blocks, delete instructions (rewriting their result to
-/// constant zero), and delete phis the same way. Candidates stay
+/// unreachable blocks, break loops by sending a back edge to the loop's
+/// exit, merge a block into its only predecessor, delete instructions (rewriting their result to
+/// constant zero), delete phis the same way or in favour of a sibling
+/// phi, delete instructions by
+/// forwarding one of their operands to their uses. Candidates stay
 /// verifier-clean by construction, but shrinking — like any fuzzing
 /// reducer — may change program semantics; only the predicate is
 /// preserved.
@@ -683,6 +773,37 @@ pub fn minimize(m: &Module, fails: &mut dyn FnMut(&Module) -> bool, max_evals: u
             }
         }
 
+        // Pass B2: reshape the CFG. A jump back to a block laid out
+        // earlier (a back edge, for the generator's loops) is sent to that
+        // block's other successor, its exit, or else the loop runs its body
+        // exactly once; a block joins its only predecessor when that
+        // predecessor jumps to it unconditionally.
+        'outer: for fi in 0..cur.funcs.len() {
+            for bi in 0..cur.funcs[fi].blocks.len() {
+                for k in 0..3 {
+                    let f = &cur.funcs[fi];
+                    let cand = match k {
+                        0 | 1 => break_loop(f, bi, k == 1),
+                        _ => merge_into_pred(f, bi),
+                    };
+                    let Some(cand) = cand else {
+                        continue;
+                    };
+                    if evals >= max_evals {
+                        return cur;
+                    }
+                    let mut cand_m = cur.clone();
+                    cand_m.funcs[fi] = cand;
+                    evals += 1;
+                    if fails(&cand_m) {
+                        cur = cand_m;
+                        changed = true;
+                        continue 'outer; // block indices shifted; restart func scan
+                    }
+                }
+            }
+        }
+
         // Pass C: delete non-terminator instructions; a deleted result
         // becomes the constant 0 of its type so uses stay well-formed.
         for fi in 0..cur.funcs.len() {
@@ -708,23 +829,71 @@ pub fn minimize(m: &Module, fails: &mut dyn FnMut(&Module) -> bool, max_evals: u
             }
         }
 
-        // Pass D: delete phis the same way.
+        // Pass D: delete phis the same way, or by reading another phi of
+        // the block in their place.
         for fi in 0..cur.funcs.len() {
             for bi in 0..cur.funcs[fi].blocks.len() {
                 let mut pi = 0;
                 while pi < cur.funcs[fi].blocks[bi].phis.len() {
-                    if evals >= max_evals {
-                        return cur;
+                    let mut kept = true;
+                    for with in 0..cur.funcs[fi].blocks[bi].phis.len() {
+                        if evals >= max_evals {
+                            return cur;
+                        }
+                        let mut cand = cur.clone();
+                        let f = &mut cand.funcs[fi];
+                        let phi = f.blocks[bi].phis.remove(pi);
+                        if with == pi {
+                            f.values[phi.res.0 as usize].def = ValueDef::Const(0);
+                        } else {
+                            let other = &cur.funcs[fi].blocks[bi].phis[with];
+                            if other.ty != phi.ty {
+                                continue;
+                            }
+                            replace_uses(f, (phi.res, other.res));
+                        }
+                        evals += 1;
+                        if fails(&cand) {
+                            cur = cand;
+                            changed = true;
+                            kept = false;
+                            break;
+                        }
                     }
-                    let mut cand = cur.clone();
-                    let phi = cand.funcs[fi].blocks[bi].phis.remove(pi);
-                    cand.funcs[fi].values[phi.res.0 as usize].def = ValueDef::Const(0);
-                    evals += 1;
-                    if fails(&cand) {
-                        cur = cand;
-                        changed = true;
-                    } else {
+                    if kept {
                         pi += 1;
+                    }
+                }
+            }
+        }
+
+        // Pass E: delete an instruction by forwarding one of its operands
+        // of the same type to its uses (`x = y op z` becomes `y`), where
+        // a zero in its place would lose the failure.
+        for fi in 0..cur.funcs.len() {
+            for bi in 0..cur.funcs[fi].blocks.len() {
+                let mut ii = 0;
+                while ii + 1 < cur.funcs[fi].blocks[bi].insts.len() {
+                    let mut kept = true;
+                    for k in 0.. {
+                        let Some(cand) = forward_operand(&cur.funcs[fi], bi, ii, k) else {
+                            break;
+                        };
+                        if evals >= max_evals {
+                            return cur;
+                        }
+                        let mut cand_m = cur.clone();
+                        cand_m.funcs[fi] = cand;
+                        evals += 1;
+                        if fails(&cand_m) {
+                            cur = cand_m;
+                            changed = true;
+                            kept = false;
+                            break;
+                        }
+                    }
+                    if kept {
+                        ii += 1;
                     }
                 }
             }
@@ -734,6 +903,158 @@ pub fn minimize(m: &Module, fails: &mut dyn FnMut(&Module) -> bool, max_evals: u
             return cur;
         }
     }
+}
+
+/// Rewrites every use of a value `from_to.0` in `f` to `from_to.1`.
+fn replace_uses(f: &mut Function, (from, to): (Value, Value)) {
+    for blk in &mut f.blocks {
+        for p in &mut blk.phis {
+            for (_, v) in &mut p.incoming {
+                if *v == from {
+                    *v = to;
+                }
+            }
+        }
+        for inst in &mut blk.insts {
+            inst.visit_operands_mut(|v| {
+                if *v == from {
+                    *v = to;
+                }
+            });
+        }
+    }
+}
+
+/// `f` with block `x` appended to its only predecessor `p`, which ends in
+/// `br x`: `x`'s phis (one incoming value each) become that value, and
+/// `x`'s successors see `p` as the predecessor instead. `None` if `x` has
+/// another predecessor or is the entry.
+fn merge_into_pred(f: &Function, x: usize) -> Option<Function> {
+    let xb = crate::ir::Block(x as u32);
+    let mut preds = Vec::new();
+    for (bi, blk) in f.blocks.iter().enumerate() {
+        if let Some(t) = blk.insts.last() {
+            t.visit_successors(|s| {
+                if s == xb {
+                    preds.push(bi);
+                }
+            });
+        }
+    }
+    let [p] = preds[..] else {
+        return None;
+    };
+    if x == 0 || p == x || !matches!(f.blocks[p].insts.last(), Some(Inst::Br { .. })) {
+        return None;
+    }
+    let pb = crate::ir::Block(p as u32);
+    let mut out = f.clone();
+    let moved = std::mem::take(&mut out.blocks[x]);
+    out.blocks[p].insts.pop();
+    out.blocks[p].insts.extend(moved.insts);
+    out.blocks[x].insts.push(Inst::Br { target: xb });
+    for phi in moved.phis {
+        replace_uses(&mut out, (phi.res, phi.incoming.first()?.1));
+    }
+    for blk in &mut out.blocks {
+        for phi in &mut blk.phis {
+            for (b, _) in &mut phi.incoming {
+                if *b == xb {
+                    *b = pb;
+                }
+            }
+        }
+    }
+    prune_unreachable(&mut out);
+    Some(out)
+}
+
+/// `f` without instruction `ii` of block `bi`, every use of its result
+/// reading the instruction's `k`-th operand of the result's type instead.
+/// `None` if there is no such operand.
+fn forward_operand(f: &Function, bi: usize, ii: usize, k: usize) -> Option<Function> {
+    let inst = &f.blocks[bi].insts[ii];
+    let res = inst.result()?;
+    let ty = f.values[res.0 as usize].ty;
+    let mut ops = Vec::new();
+    inst.visit_operands(|v| {
+        if v != res && f.values.get(v.0 as usize).is_some_and(|i| i.ty == ty) && !ops.contains(&v) {
+            ops.push(v);
+        }
+    });
+    let with = *ops.get(k)?;
+    let mut out = f.clone();
+    out.blocks[bi].insts.remove(ii);
+    replace_uses(&mut out, (res, with));
+    Some(out)
+}
+
+/// `f` with block `bi`'s back edge redirected to the loop's exit: `bi`
+/// ends in `br h` for an `h` laid out before it whose conditional branch
+/// leaves to a block `e` without phis, and `bi` now ends in `br e`. `h`'s
+/// phis lose their incoming value from `bi`. With `once`, `bi` must be
+/// `h`'s other successor, `h` then always branches to it, and outside `h`
+/// and `bi` a phi of `h` reads the value `bi` passed it: the body runs
+/// exactly once. `None` if `bi` is not such a block.
+fn break_loop(f: &Function, bi: usize, once: bool) -> Option<Function> {
+    let Some(&Inst::Br { target: h }) = f.blocks[bi].insts.last() else {
+        return None;
+    };
+    if h.0 as usize >= bi {
+        return None;
+    }
+    let Some(&Inst::CondBr {
+        if_true, if_false, ..
+    }) = f.blocks[h.0 as usize].insts.last()
+    else {
+        return None;
+    };
+    let exit = [if_true, if_false]
+        .into_iter()
+        .find(|&e| e != h && e.0 as usize != bi && f.blocks[e.0 as usize].phis.is_empty())?;
+    let body = crate::ir::Block(bi as u32);
+    if once && ![if_true, if_false].contains(&body) {
+        return None;
+    }
+    let mut out = f.clone();
+    *out.blocks[bi].insts.last_mut().unwrap() = Inst::Br { target: exit };
+    let mut back = Vec::new();
+    for p in &mut out.blocks[h.0 as usize].phis {
+        back.extend(
+            p.incoming
+                .iter()
+                .find(|&&(b, _)| b == body)
+                .map(|&(_, v)| (p.res, v)),
+        );
+        p.incoming.retain(|&(b, _)| b != body);
+    }
+    if once {
+        *out.blocks[h.0 as usize].insts.last_mut().unwrap() = Inst::Br { target: body };
+        let inside = [h.0 as usize, bi];
+        for (bj, blk) in out.blocks.iter_mut().enumerate() {
+            if inside.contains(&bj) {
+                continue;
+            }
+            for &(phi, v) in &back {
+                for p in &mut blk.phis {
+                    for (_, u) in &mut p.incoming {
+                        if *u == phi {
+                            *u = v;
+                        }
+                    }
+                }
+                for inst in &mut blk.insts {
+                    inst.visit_operands_mut(|u| {
+                        if *u == phi {
+                            *u = v;
+                        }
+                    });
+                }
+            }
+        }
+    }
+    prune_unreachable(&mut out);
+    Some(out)
 }
 
 /// Rebuilds `m` without function `idx`, remapping call targets; `None`
@@ -835,19 +1156,20 @@ fn prune_unreachable(f: &mut Function) {
     f.blocks = blocks;
 }
 
-/// Flips the first integer `Add` in the module to `Sub` — a stand-in for
-/// a single-instruction backend bug, used to prove the harness catches
-/// and minimizes real miscompiles. `None` if the module has no `Add`.
-pub fn inject_miscompile(m: &Module) -> Option<Module> {
+/// Flips the integer `Add` that defines `res` in function `func` to `Sub`
+/// — a stand-in for a single-instruction backend bug, used to prove the
+/// harness catches and minimizes real miscompiles. Function names and
+/// value ids survive [`minimize`], so the site stays the same while a
+/// module shrinks. `None` if `m` has no such `Add`.
+pub fn inject_miscompile(m: &Module, func: &str, res: Value) -> Option<Module> {
     let mut out = m.clone();
-    for f in &mut out.funcs {
-        for blk in &mut f.blocks {
-            for inst in &mut blk.insts {
-                if let Inst::Bin { op, .. } = inst {
-                    if *op == BinOp::Add {
-                        *op = BinOp::Sub;
-                        return Some(out);
-                    }
+    let f = out.funcs.iter_mut().find(|f| f.name == func)?;
+    for blk in &mut f.blocks {
+        for inst in &mut blk.insts {
+            if let Inst::Bin { op, res: r, .. } = inst {
+                if *r == res && *op == BinOp::Add {
+                    *op = BinOp::Sub;
+                    return Some(out);
                 }
             }
         }
@@ -1173,8 +1495,19 @@ mod tests {
     #[test]
     fn miscompile_injection_flips_one_add() {
         let m = gen_module(3);
-        let bad = inject_miscompile(&m).expect("bench_main always holds an Add");
+        let main = m.funcs.last().unwrap();
+        let add = main.blocks[0].insts.iter().find_map(|i| match *i {
+            Inst::Bin {
+                op: BinOp::Add,
+                res,
+                ..
+            } => Some(res),
+            _ => None,
+        });
+        let add = add.expect("bench_main always holds an Add");
+        let bad = inject_miscompile(&m, "bench_main", add).unwrap();
         assert_ne!(m.content_hash(), bad.content_hash());
+        assert!(inject_miscompile(&m, "bench_main", Value(u32::MAX)).is_none());
         // Still valid IR — the bug is semantic, not structural.
         assert!(Verifier::new()
             .verify_module(&mut LlvmAdapter::new(&bad))

@@ -94,6 +94,50 @@ fn phi_of_stack_addresses_selects_the_right_slot() {
     assert_ne!(offsets[0], offsets[1]);
 }
 
+/// GEP immediates that do not fit in 32 bits: `slot + 2^31` (as an offset,
+/// or as index 1 times scale 2^31) and then `- 2^31 + 8` is `slot + 8`,
+/// and a value stored through that address loads back from `slot + 8`.
+#[test]
+fn gep_immediates_beyond_32_bits_are_not_truncated() {
+    for by_scale in [false, true] {
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("f", &[Type::I64, Type::I64], Type::I64);
+        let slot = b.alloca(16, 8);
+        let zero = b.iconst(Type::I64, 0);
+        b.store(Type::I64, slot, 8, zero);
+        let far = if by_scale {
+            b.gep(slot, Some(b.arg(1)), 0x8000_0000, 0)
+        } else {
+            b.gep(slot, None, 0, 0x8000_0000)
+        };
+        let back = b.gep(far, None, 0, -0x8000_0000 + 8);
+        b.store(Type::I64, back, 0, b.arg(0));
+        let v = b.load(Type::I64, slot, 8);
+        b.ret(Some(v));
+        m.add_function(b.build());
+
+        let args = [42, 1];
+        let base = compile_baseline(&m, 0).unwrap();
+        assert_eq!(
+            run_buf(&base.buf, "f", &args),
+            42,
+            "BaselineO0, by_scale={by_scale}"
+        );
+        let cp = compile_copy_patch(&m).unwrap();
+        assert_eq!(
+            run_buf(&cp.buf, "f", &args),
+            42,
+            "CopyPatch, by_scale={by_scale}"
+        );
+        let tpde = compile_x64(&m, &CompileOptions::default()).unwrap();
+        assert_eq!(
+            run_buf(&tpde.buf, "f", &args),
+            42,
+            "TpdeX64, by_scale={by_scale}"
+        );
+    }
+}
+
 /// A loop whose latch block is numbered before its header: the phi is used
 /// in the latch and written by the back edge's move at the latch's end, so
 /// it must stay assigned until there.

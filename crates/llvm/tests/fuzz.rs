@@ -15,7 +15,7 @@ use tpde_llvm::fuzz::{
     gen_module, inject_miscompile, minimize, run_fuzz, FuzzConfig, FuzzFailure, ALL_KINDS,
     EXEC_KINDS,
 };
-use tpde_llvm::ir::Module;
+use tpde_llvm::ir::{BinOp, Inst, Module, Value};
 use tpde_x64emu::{register_default_hostcalls, Machine};
 
 /// Runs `bench_main(input)` from a compiled buffer under an instruction
@@ -143,17 +143,17 @@ fn fuzz_campaign() {
     );
 }
 
-/// An intentionally planted single-instruction miscompile (first integer
+/// An intentionally planted single-instruction miscompile (an integer
 /// `Add` flipped to `Sub`, standing in for a backend bug) must be caught
 /// by the differential check and shrink to a handful of instructions.
 #[test]
 fn injected_miscompile_is_caught_and_minimized() {
     let opts = CompileOptions::default();
-    let input = 5u64;
+    const INPUTS: [u64; 2] = [5, u64::MAX];
     // "Failing" = the planted bug changes the executed result relative to
     // the O0 baseline compiling the unmodified module.
-    let mut differs = |m: &Module| -> bool {
-        let Some(bad) = inject_miscompile(m) else {
+    let differs = |m: &Module, (func, res): (&str, Value)| -> bool {
+        let Some(bad) = inject_miscompile(m, func, res) else {
             return false;
         };
         let good = match tpde_llvm::compile_baseline(m, 0) {
@@ -167,27 +167,51 @@ fn injected_miscompile_is_caught_and_minimized() {
         // A tight budget: generated loops run a handful of iterations, and
         // candidates the minimizer breaks into infinite loops must time out
         // quickly rather than stall the shrink.
-        match (
-            exec_budgeted(&good, input, 200_000),
-            exec_budgeted(&buggy, input, 200_000),
-        ) {
-            (Ok(a), Ok(b)) => a != b,
-            _ => false,
-        }
+        INPUTS.iter().any(|&input| {
+            match (
+                exec_budgeted(&good, input, 200_000),
+                exec_budgeted(&buggy, input, 200_000),
+            ) {
+                (Ok(a), Ok(b)) => a != b,
+                _ => false,
+            }
+        })
     };
 
-    // Seed 4, not 2: since the generator grew indexed GEPs and live-operand
-    // arithmetic, seed 2's planted `Add` ends up as a loop increment, and
-    // the greedy minimizer cannot shrink a failure that needs the loop
-    // below 15 instructions.
-    let m = gen_module(4);
-    assert!(differs(&m), "seed must make the planted bug observable");
-    let small = minimize(&m, &mut differs, 800);
-    assert!(differs(&small), "shrinking must preserve the failure");
+    // Every generator seed 0-10. The planted `Add` is the module's first
+    // one whose flip shows in the result: often a loop increment, whose
+    // loop the minimizer has to break. In some modules no `Add` shows (in
+    // seed 4's, the only one feeds a value that cancels itself out).
+    let mut planted = 0;
+    for seed in 0..=10 {
+        let m = gen_module(seed);
+        let adds = m.funcs.iter().flat_map(|f| {
+            let insts = f.blocks.iter().flat_map(|b| &b.insts);
+            insts.filter_map(move |i| match *i {
+                Inst::Bin {
+                    op: BinOp::Add,
+                    res,
+                    ..
+                } => Some((f.name.as_str(), res)),
+                _ => None,
+            })
+        });
+        let Some(site) = adds.into_iter().find(|&site| differs(&m, site)) else {
+            eprintln!("seed {seed}: no planted Add changes the result");
+            continue;
+        };
+        planted += 1;
+        let small = minimize(&m, &mut |c| differs(c, site), 800);
+        assert!(differs(&small, site), "shrinking must preserve the failure");
+        assert!(
+            small.inst_count() <= 10,
+            "seed {seed}: minimized to {} instructions, want <= 10:\n{}",
+            small.inst_count(),
+            small.dump()
+        );
+    }
     assert!(
-        small.inst_count() <= 10,
-        "minimized to {} instructions, want <= 10:\n{}",
-        small.inst_count(),
-        small.dump()
+        planted >= 10,
+        "only {planted} of 11 seeds plant an observable bug"
     );
 }

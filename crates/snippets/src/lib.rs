@@ -27,7 +27,7 @@ pub use ops::{AsmAddr, AsmOperand, BinOp, FBinOp, FCmp, ICmp, ShiftKind};
 
 use tpde_core::adapter::{BlockRef, IrAdapter, ValueRef};
 use tpde_core::codegen::FuncCodeGen;
-use tpde_core::error::Result;
+use tpde_core::error::{Error, Result};
 use tpde_core::target::Target;
 
 /// A result destination: one part of an IR value.
@@ -43,6 +43,13 @@ pub trait SnippetEmitter: Target + Sized {
     /// [`AsmAddr`] with an index, so that an instruction compiler may fold
     /// an address computation into the access that uses it.
     const INDEXED_ADDR: bool = false;
+
+    /// Whether an instruction compiler may leave a load from a stack
+    /// variable in that variable's memory until its uses read it
+    /// ([`FuncCodeGen::define_in_frame`]). Every use then reads the value
+    /// through [`FuncCodeGen::val_as_reg`] or a folded memory operand,
+    /// which changes the emitted code, so a target opts in.
+    const LAZY_STACK_LOADS: bool = false;
 
     /// Integer binary operation (`add`, `sub`, `and`, `or`, `xor`, `mul`).
     fn enc_bin<A: IrAdapter>(
@@ -124,6 +131,18 @@ pub trait SnippetEmitter: Target + Sized {
         res: ResultPart,
         addr: &AsmAddr,
     ) -> Result<()>;
+
+    /// `res = ` the address `addr` names. Only called on a target with
+    /// [`Self::INDEXED_ADDR`]; the others return [`Error::Unsupported`].
+    fn enc_addr<A: IrAdapter>(
+        _cg: &mut FuncCodeGen<'_, A, Self>,
+        _res: ResultPart,
+        _addr: &AsmAddr,
+    ) -> Result<()> {
+        Err(Error::Unsupported(
+            "address computation without an indexed addressing mode".into(),
+        ))
+    }
 
     /// Memory store of `mem_size` bytes of `value` to `addr`.
     fn enc_store<A: IrAdapter>(

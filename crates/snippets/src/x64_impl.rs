@@ -365,7 +365,8 @@ fn emit_icmp<A: IrAdapter>(
 }
 
 /// Ends a block with a branch to `if_true` on `cond` and to `if_false`
-/// otherwise, as one `jcc` and a fall-through where the layout allows:
+/// otherwise (the callers have turned a branch whose two targets are the
+/// same block into a jump, without a compare), as one `jcc` and a fall-through where the layout allows:
 /// when `if_true` is the next block the condition is inverted.
 fn cond_branch<A: IrAdapter>(
     cg: Cg<'_, '_, A>,
@@ -386,6 +387,7 @@ fn cond_branch<A: IrAdapter>(
 
 impl SnippetEmitter for X64Target {
     const INDEXED_ADDR: bool = true;
+    const LAZY_STACK_LOADS: bool = true;
 
     fn enc_bin<A: IrAdapter>(
         cg: &mut FuncCodeGen<'_, A, Self>,
@@ -563,6 +565,9 @@ impl SnippetEmitter for X64Target {
         if_true: BlockRef,
         if_false: BlockRef,
     ) -> Result<()> {
+        if if_true == if_false {
+            return Self::enc_jump(cg, if_true);
+        }
         let cond = emit_icmp(cg, cc, size, lhs, rhs)?;
         cond_branch(cg, cond, if_true, if_false)
     }
@@ -575,6 +580,9 @@ impl SnippetEmitter for X64Target {
         if_true: BlockRef,
         if_false: BlockRef,
     ) -> Result<()> {
+        if if_true == if_false {
+            return Self::enc_jump(cg, if_true);
+        }
         let reg = Gp::from(op_as_reg(cg, val, RegBank::GP, size)?);
         x64::test_rr(cg.buf, size.max(4), reg, reg);
         let cond = if branch_if_zero { Cond::E } else { Cond::NE };
@@ -603,6 +611,17 @@ impl SnippetEmitter for X64Target {
                 (s, true) => x64::movsx_rm(cg.buf, 8, dst, mem, s),
             }
         }
+        Ok(())
+    }
+
+    fn enc_addr<A: IrAdapter>(
+        cg: &mut FuncCodeGen<'_, A, Self>,
+        res: ResultPart,
+        addr: &AsmAddr,
+    ) -> Result<()> {
+        let mem = addr_mem(cg, addr)?;
+        let dst = Gp::from(cg.result_reg(res.0, res.1)?);
+        x64::lea(cg.buf, 8, dst, mem);
         Ok(())
     }
 
