@@ -25,8 +25,7 @@
 //! pass and then again by the code generator. A heap allocation per query
 //! would dominate the compile time of a single-pass back-end (§2 of the
 //! paper), so every collection-valued query returns a **borrowed slice**
-//! (`&[T]`) instead of a fresh `Vec`, and names are returned as `&str` /
-//! [`Cow`].
+//! (`&[T]`) instead of a fresh `Vec`, and names are returned as `&str`.
 //!
 //! The recommended implementation strategy, used by all adapters in this
 //! workspace, is to *pre-index* the current function in
@@ -52,7 +51,6 @@
 //! adapter.
 
 use crate::regs::RegBank;
-use std::borrow::Cow;
 
 /// Reference to an IR value of the current function (dense index).
 ///
@@ -131,11 +129,11 @@ pub struct StackVarDesc {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ArgInfo {
     /// Size for by-value (memory) argument passing, 0 if passed normally.
-    pub byval_size: u32,
+    pub(crate) byval_size: u32,
     /// Alignment for by-value passing.
-    pub byval_align: u32,
+    pub(crate) byval_align: u32,
     /// Whether this argument is the struct-return pointer.
-    pub is_sret: bool,
+    pub(crate) is_sret: bool,
 }
 
 /// One incoming edge of a phi node: the value flowing in from a predecessor.
@@ -198,16 +196,6 @@ pub trait IrAdapter {
     /// function. The framework sizes dense per-instruction side tables
     /// (e.g. the fusion bitmap) with this.
     fn inst_count(&self) -> usize;
-
-    /// Whether the current function needs exception unwind information.
-    fn needs_unwind_info(&self) -> bool {
-        false
-    }
-
-    /// Whether the current function is variadic.
-    fn is_variadic(&self) -> bool {
-        false
-    }
 
     /// The function arguments, in ABI order.
     fn args(&self) -> &[ValueRef];
@@ -279,11 +267,6 @@ pub trait IrAdapter {
     fn val_const_data(&self, val: ValueRef, part: u32) -> u64 {
         let _ = (val, part);
         0
-    }
-
-    /// Optional debug name of a value, used only in diagnostics.
-    fn val_name(&self, val: ValueRef) -> Cow<'_, str> {
-        Cow::Owned(format!("v{}", val.0))
     }
 
     // ---- verification support (optional) ----------------------------------

@@ -20,8 +20,7 @@
 //! [`Analyzer::analyze_into`] clears-and-refills a caller-owned [`Analysis`].
 //! A module-level driver allocates one `Analyzer` and one `Analysis` and
 //! reuses them for every function, so the steady-state compile loop performs
-//! no analysis allocations. [`analyze`] is the convenience wrapper that
-//! allocates fresh state for one-off use (tests, tools).
+//! no analysis allocations.
 
 use crate::adapter::{BlockRef, IrAdapter, ValueRef};
 use crate::error::{Error, Result};
@@ -31,24 +30,24 @@ use crate::error::{Error, Result};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopInfo {
     /// Parent loop id (the root loop is its own parent).
-    pub parent: u32,
+    pub(crate) parent: u32,
     /// Nesting level; the root loop has level 0.
-    pub level: u32,
+    pub(crate) level: u32,
     /// First block of the loop in layout order (inclusive).
-    pub begin: u32,
+    pub(crate) begin: u32,
     /// Last block of the loop in layout order (inclusive).
-    pub end: u32,
+    pub(crate) end: u32,
     /// Layout index of the loop header (== `begin` for natural loops).
-    pub header: u32,
+    pub(crate) header: u32,
     /// Number of blocks in the loop, including nested loops.
-    pub num_blocks: u32,
+    pub(crate) num_blocks: u32,
 }
 
 /// Coarse live range of one IR value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiveRange {
     /// Layout index of the first block the value is live in (its definition).
-    pub first: u32,
+    pub(crate) first: u32,
     /// Layout index of the last block the value is live in.
     pub last: u32,
     /// If `true`, the value is live until the *end* of block `last`
@@ -59,12 +58,12 @@ pub struct LiveRange {
     /// incoming on an out-edge of block `last`: past its uses there, nothing
     /// but that edge's phi moves reads it. Loop extension and a phi's own
     /// back-edge range clear it.
-    pub phi_end: bool,
+    pub(crate) phi_end: bool,
     /// Number of uses the code generator will observe.
     pub uses: u32,
     /// Whether the value has a definition (arguments, phis, instruction
     /// results and stack variables do; constants and unused numbers do not).
-    pub defined: bool,
+    pub(crate) defined: bool,
 }
 
 impl Default for LiveRange {
@@ -91,13 +90,13 @@ pub struct Analysis {
     /// Mapping from block index ([`BlockRef::idx`]) to layout position.
     pub block_pos: Vec<u32>,
     /// Innermost loop id of each block, indexed by layout position.
-    pub block_loop: Vec<u32>,
+    pub(crate) block_loop: Vec<u32>,
     /// The loop forest. Entry 0 is the pseudo root loop.
     pub loops: Vec<LoopInfo>,
     /// Live range per value, indexed by [`ValueRef::idx`].
-    pub liveness: Vec<LiveRange>,
+    pub(crate) liveness: Vec<LiveRange>,
     /// Number of predecessors per block, indexed by block index.
-    pub num_preds: Vec<u32>,
+    pub(crate) num_preds: Vec<u32>,
 }
 
 impl Analysis {
@@ -115,20 +114,15 @@ impl Analysis {
 
     /// Innermost loop id of the block at a layout position.
     #[inline]
-    pub fn loop_of_pos(&self, pos: u32) -> u32 {
+    pub(crate) fn loop_of_pos(&self, pos: u32) -> u32 {
         self.block_loop[pos as usize]
     }
 
     /// Whether the block at layout position `pos` is the header of a
     /// non-root loop with more than one block.
-    pub fn is_loop_header(&self, pos: u32) -> bool {
+    pub(crate) fn is_loop_header(&self, pos: u32) -> bool {
         let l = self.loop_of_pos(pos) as usize;
         l != 0 && self.loops[l].header == pos && self.loops[l].num_blocks > 1
-    }
-
-    /// Nesting depth of the block at layout position `pos` (0 = not in a loop).
-    pub fn loop_depth_of_pos(&self, pos: u32) -> u32 {
-        self.loops[self.loop_of_pos(pos) as usize].level
     }
 }
 
@@ -429,8 +423,8 @@ impl Analyzer {
     /// Runs the analysis pass over the current function of `adapter`,
     /// clearing and refilling `out`.
     ///
-    /// The result is identical to a fresh [`analyze`] run; only the working
-    /// memory is reused.
+    /// The result is identical to a run with fresh working memory; only
+    /// the working memory is reused.
     ///
     /// # Errors
     ///
@@ -646,190 +640,51 @@ impl Analyzer {
     }
 }
 
-/// Runs the analysis pass over the current function of `adapter` with fresh
-/// working memory. Convenience wrapper around [`Analyzer::analyze_into`];
-/// drivers that compile many functions should reuse an [`Analyzer`] instead.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidIr`] if the function has no blocks.
-pub fn analyze<A: IrAdapter>(adapter: &A) -> Result<Analysis> {
-    let mut analyzer = Analyzer::new();
-    let mut out = Analysis::default();
-    analyzer.analyze_into(adapter, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::{FuncRef, InstRef, Linkage, PhiIncoming};
-    use crate::regs::RegBank;
+    use crate::adapter::{FuncRef, InstRef};
+    use crate::test_ir::{TestInst, TestIr};
 
-    /// Minimal mock IR: a CFG plus per-block instructions described as
-    /// (result, operands) pairs. Value 0..num_args are arguments.
-    /// Per block: (phi value, [(pred, incoming value)]).
-    type PhiList = Vec<Vec<(u32, Vec<(u32, u32)>)>>;
+    /// An instruction: the value it defines, if any, and the values it
+    /// reads. Values `0..num_args` are arguments.
+    type Inst = (Option<u32>, Vec<u32>);
 
-    struct MockIr {
-        succs: Vec<Vec<u32>>,
-        /// per block: list of (result value or NONE, operand values)
-        insts: Vec<Vec<(Option<u32>, Vec<u32>)>>,
-        phis: PhiList,
-        num_args: u32,
-        num_values: usize,
-        // dense index tables built by switch_func (adapter contract: every
-        // collection query answers with a borrowed slice)
-        idx_args: Vec<ValueRef>,
-        idx_succs: Vec<Vec<BlockRef>>,
-        idx_phis: Vec<Vec<ValueRef>>,
-        idx_insts: Vec<Vec<InstRef>>,
-        idx_ops: Vec<Vec<ValueRef>>,
-        idx_res: Vec<Vec<ValueRef>>,
-        idx_phi_inc: Vec<Vec<PhiIncoming>>,
-    }
-
-    impl MockIr {
-        fn new(succs: Vec<Vec<u32>>, num_args: u32) -> MockIr {
-            let n = succs.len();
-            MockIr {
-                succs,
-                insts: vec![Vec::new(); n],
-                phis: vec![Vec::new(); n],
-                num_args,
-                num_values: num_args as usize,
-                idx_args: Vec::new(),
-                idx_succs: Vec::new(),
-                idx_phis: Vec::new(),
-                idx_insts: Vec::new(),
-                idx_ops: Vec::new(),
-                idx_res: Vec::new(),
-                idx_phi_inc: Vec::new(),
-            }
+    impl TestInst for Inst {
+        fn result(&self) -> Option<u32> {
+            self.0
         }
-        fn inst(&mut self, block: u32, result: Option<u32>, ops: Vec<u32>) {
-            if let Some(r) = result {
-                self.num_values = self.num_values.max(r as usize + 1);
-            }
-            self.insts[block as usize].push((result, ops));
-        }
-        fn phi(&mut self, block: u32, val: u32, incoming: Vec<(u32, u32)>) {
-            self.num_values = self.num_values.max(val as usize + 1);
-            self.phis[block as usize].push((val, incoming));
+        fn operands(&self) -> Vec<u32> {
+            self.1.clone()
         }
     }
 
-    /// Helper: index the mock (as `switch_func` would) and run a fresh
+    /// A CFG given as per-block successor lists, with [`Inst`]s.
+    type Ir = TestIr<Inst>;
+
+    /// Helper: index the IR (as `switch_func` would) and run a fresh
     /// analysis.
-    fn run_analysis(ir: &mut MockIr) -> Result<Analysis> {
+    fn run_analysis(ir: &mut Ir) -> Result<Analysis> {
         ir.switch_func(FuncRef(0));
         analyze(ir)
     }
 
-    impl IrAdapter for MockIr {
-        fn func_count(&self) -> usize {
-            1
-        }
-        fn func_name(&self, _: FuncRef) -> &str {
-            "mock"
-        }
-        fn func_linkage(&self, _: FuncRef) -> Linkage {
-            Linkage::External
-        }
-        fn func_is_definition(&self, _: FuncRef) -> bool {
-            true
-        }
-        fn switch_func(&mut self, _: FuncRef) {
-            self.idx_args = (0..self.num_args).map(ValueRef).collect();
-            self.idx_succs = self
-                .succs
-                .iter()
-                .map(|s| s.iter().map(|&b| BlockRef(b)).collect())
-                .collect();
-            self.idx_phis = self
-                .phis
-                .iter()
-                .map(|p| p.iter().map(|&(v, _)| ValueRef(v)).collect())
-                .collect();
-            self.idx_phi_inc = vec![Vec::new(); self.num_values];
-            for blk in &self.phis {
-                for (v, inc) in blk {
-                    self.idx_phi_inc[*v as usize] = inc
-                        .iter()
-                        .map(|&(b, val)| PhiIncoming {
-                            block: BlockRef(b),
-                            value: ValueRef(val),
-                        })
-                        .collect();
-                }
-            }
-            // dense instruction numbering: flat index across blocks
-            self.idx_insts.clear();
-            self.idx_ops.clear();
-            self.idx_res.clear();
-            let mut next = 0u32;
-            for blk in &self.insts {
-                let mut refs = Vec::new();
-                for (res, ops) in blk {
-                    refs.push(InstRef(next));
-                    next += 1;
-                    self.idx_ops
-                        .push(ops.iter().map(|&v| ValueRef(v)).collect());
-                    self.idx_res
-                        .push(res.map(|v| vec![ValueRef(v)]).unwrap_or_default());
-                }
-                self.idx_insts.push(refs);
-            }
-        }
-        fn value_count(&self) -> usize {
-            self.num_values
-        }
-        fn inst_count(&self) -> usize {
-            self.idx_ops.len()
-        }
-        fn args(&self) -> &[ValueRef] {
-            &self.idx_args
-        }
-        fn block_count(&self) -> usize {
-            self.succs.len()
-        }
-        fn block_succs(&self, block: BlockRef) -> &[BlockRef] {
-            &self.idx_succs[block.idx()]
-        }
-        fn block_phis(&self, block: BlockRef) -> &[ValueRef] {
-            &self.idx_phis[block.idx()]
-        }
-        fn block_insts(&self, block: BlockRef) -> &[InstRef] {
-            &self.idx_insts[block.idx()]
-        }
-        fn phi_incoming(&self, phi: ValueRef) -> &[PhiIncoming] {
-            &self.idx_phi_inc[phi.idx()]
-        }
-        fn inst_operands(&self, inst: InstRef) -> &[ValueRef] {
-            &self.idx_ops[inst.idx()]
-        }
-        fn inst_results(&self, inst: InstRef) -> &[ValueRef] {
-            &self.idx_res[inst.idx()]
-        }
-        fn val_part_count(&self, _: ValueRef) -> u32 {
-            1
-        }
-        fn val_part_size(&self, _: ValueRef, _: u32) -> u32 {
-            8
-        }
-        fn val_part_bank(&self, _: ValueRef, _: u32) -> RegBank {
-            RegBank::GP
-        }
+    /// One analysis of `adapter`'s current function with fresh working
+    /// memory.
+    fn analyze<A: IrAdapter>(adapter: &A) -> Result<Analysis> {
+        let mut out = Analysis::default();
+        Analyzer::new().analyze_into(adapter, &mut out)?;
+        Ok(out)
     }
 
     /// diamond: 0 -> {1,2} -> 3
-    fn diamond() -> MockIr {
-        MockIr::new(vec![vec![1, 2], vec![3], vec![3], vec![]], 1)
+    fn diamond() -> Ir {
+        Ir::new(vec![vec![1, 2], vec![3], vec![3], vec![]], 1)
     }
 
     #[test]
     fn straight_line_layout() {
-        let mut ir = MockIr::new(vec![vec![1], vec![2], vec![]], 0);
+        let mut ir = Ir::new(vec![vec![1], vec![2], vec![]], 0);
         let a = run_analysis(&mut ir).unwrap();
         assert_eq!(a.layout, vec![BlockRef(0), BlockRef(1), BlockRef(2)]);
         assert_eq!(a.loops.len(), 1);
@@ -850,7 +705,7 @@ mod tests {
     #[test]
     fn simple_loop_detected_and_contiguous() {
         // 0 -> 1; 1 -> {2, 3}; 2 -> 1; 3 (exit)
-        let mut ir = MockIr::new(vec![vec![1], vec![2, 3], vec![1], vec![]], 0);
+        let mut ir = Ir::new(vec![vec![1], vec![2, 3], vec![1], vec![]], 0);
         let a = run_analysis(&mut ir).unwrap();
         assert_eq!(a.loops.len(), 2, "one real loop plus the root");
         let l = &a.loops[1];
@@ -871,14 +726,14 @@ mod tests {
     fn nested_loops_have_levels() {
         // 0 -> 1; 1 -> 2; 2 -> {2? no}. Build: outer 1..4, inner 2..3
         // 0->1, 1->2, 2->3, 3->{2,4}, 4->{1,5}, 5 exit
-        let mut ir = MockIr::new(
+        let mut ir = Ir::new(
             vec![vec![1], vec![2], vec![3], vec![2, 4], vec![1, 5], vec![]],
             0,
         );
         let a = run_analysis(&mut ir).unwrap();
         assert_eq!(a.loops.len(), 3);
         let depths: Vec<u32> = (0..6)
-            .map(|b| a.loop_depth_of_pos(a.pos(BlockRef(b))))
+            .map(|b| a.loops[a.loop_of_pos(a.pos(BlockRef(b))) as usize].level)
             .collect();
         assert_eq!(depths[0], 0);
         assert_eq!(depths[1], 1);
@@ -891,7 +746,7 @@ mod tests {
     #[test]
     fn irreducible_cfg_does_not_crash() {
         // 0 -> {1, 2}; 1 -> 2; 2 -> 1; 1 -> 3; 2 -> 3 (two-entry loop {1,2})
-        let mut ir = MockIr::new(vec![vec![1, 2], vec![2, 3], vec![1, 3], vec![]], 0);
+        let mut ir = Ir::new(vec![vec![1, 2], vec![2, 3], vec![1, 3], vec![]], 0);
         let a = run_analysis(&mut ir).unwrap();
         assert_eq!(a.layout.len(), 4);
         // every block has a position
@@ -902,7 +757,7 @@ mod tests {
 
     #[test]
     fn unreachable_blocks_are_appended() {
-        let mut ir = MockIr::new(vec![vec![1], vec![], vec![1]], 0); // block 2 unreachable
+        let mut ir = Ir::new(vec![vec![1], vec![], vec![1]], 0); // block 2 unreachable
         let a = run_analysis(&mut ir).unwrap();
         assert_eq!(a.layout.len(), 3);
         assert_eq!(a.pos(BlockRef(2)), 2);
@@ -911,10 +766,10 @@ mod tests {
     #[test]
     fn liveness_straight_line() {
         // b0: v1 = use(arg0); b1: v2 = use(v1); b2: use(v2)
-        let mut ir = MockIr::new(vec![vec![1], vec![2], vec![]], 1);
-        ir.inst(0, Some(1), vec![0]);
-        ir.inst(1, Some(2), vec![1]);
-        ir.inst(2, None, vec![2]);
+        let mut ir = Ir::new(vec![vec![1], vec![2], vec![]], 1);
+        ir.push(0, (Some(1), vec![0]));
+        ir.push(1, (Some(2), vec![1]));
+        ir.push(2, (None, vec![2]));
         let a = run_analysis(&mut ir).unwrap();
         let l1 = a.live(ValueRef(1));
         assert_eq!((l1.first, l1.last, l1.uses), (0, 1, 1));
@@ -928,9 +783,9 @@ mod tests {
     fn liveness_extends_over_loop() {
         // v1 defined in block 0, used in loop body block 2; loop is {1,2,3}
         // 0 -> 1; 1 -> 2; 2 -> 3; 3 -> {1, 4}; 4 exit
-        let mut ir = MockIr::new(vec![vec![1], vec![2], vec![3], vec![1, 4], vec![]], 0);
-        ir.inst(0, Some(0), vec![]);
-        ir.inst(2, None, vec![0]); // use inside loop
+        let mut ir = Ir::new(vec![vec![1], vec![2], vec![3], vec![1, 4], vec![]], 0);
+        ir.push(0, (Some(0), vec![]));
+        ir.push(2, (None, vec![0])); // use inside loop
         let a = run_analysis(&mut ir).unwrap();
         let lr = a.live(ValueRef(0));
         // must be extended to the end of the loop (block 3's layout pos)
@@ -941,9 +796,9 @@ mod tests {
     #[test]
     fn liveness_not_extended_when_def_inside_loop() {
         // value defined and used entirely inside the loop
-        let mut ir = MockIr::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 0);
-        ir.inst(1, Some(0), vec![]);
-        ir.inst(2, None, vec![0]);
+        let mut ir = Ir::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 0);
+        ir.push(1, (Some(0), vec![]));
+        ir.push(2, (None, vec![0]));
         let a = run_analysis(&mut ir).unwrap();
         let lr = a.live(ValueRef(0));
         assert_eq!(lr.first, a.pos(BlockRef(1)));
@@ -954,11 +809,11 @@ mod tests {
     #[test]
     fn phi_incoming_counts_as_use_at_end_of_pred() {
         // 0 -> {1,2}; 1 -> 3; 2 -> 3; 3 has phi(v3) of v1 from 1, v2 from 2
-        let mut ir = MockIr::new(vec![vec![1, 2], vec![3], vec![3], vec![]], 0);
-        ir.inst(1, Some(1), vec![]);
-        ir.inst(2, Some(2), vec![]);
+        let mut ir = Ir::new(vec![vec![1, 2], vec![3], vec![3], vec![]], 0);
+        ir.push(1, (Some(1), vec![]));
+        ir.push(2, (Some(2), vec![]));
         ir.phi(3, 3, vec![(1, 1), (2, 2)]);
-        ir.inst(3, None, vec![3]);
+        ir.push(3, (None, vec![3]));
         let a = run_analysis(&mut ir).unwrap();
         let l1 = a.live(ValueRef(1));
         assert_eq!(l1.last, a.pos(BlockRef(1)));
@@ -974,9 +829,9 @@ mod tests {
     #[test]
     fn loop_phi_live_range_covers_backedge() {
         // loop counter phi: blocks 0 -> 1(header, phi) -> 2(latch) -> {1, 3}
-        let mut ir = MockIr::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
+        let mut ir = Ir::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
         ir.phi(1, 1, vec![(0, 0), (2, 2)]);
-        ir.inst(2, Some(2), vec![1]);
+        ir.push(2, (Some(2), vec![1]));
         let a = run_analysis(&mut ir).unwrap();
         let lphi = a.live(ValueRef(1));
         assert_eq!(lphi.first, a.pos(BlockRef(1)));
@@ -992,9 +847,9 @@ mod tests {
         // Same loop with the latch numbered before the header, so its use of
         // the phi is recorded before the back edge is: 0 -> 2(header, phi);
         // 2 -> 1(latch); 1 -> {2, 3}.
-        let mut ir = MockIr::new(vec![vec![2], vec![2, 3], vec![1], vec![]], 1);
+        let mut ir = Ir::new(vec![vec![2], vec![2, 3], vec![1], vec![]], 1);
         ir.phi(2, 1, vec![(0, 0), (1, 2)]);
-        ir.inst(1, Some(2), vec![1]);
+        ir.push(1, (Some(2), vec![1]));
         let a = run_analysis(&mut ir).unwrap();
         let lphi = a.live(ValueRef(1));
         assert_eq!(lphi.last, a.pos(BlockRef(1)));
@@ -1003,10 +858,10 @@ mod tests {
 
     /// 0 -> 1 (header) -> 2 (latch) -> {1, 3}; block 1 has phi v1 with
     /// `arg0` from 0 and `latch_inc` from 2; the latch defines v2 = f(v1).
-    fn counted_loop(latch_inc: u32) -> MockIr {
-        let mut ir = MockIr::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
+    fn counted_loop(latch_inc: u32) -> Ir {
+        let mut ir = Ir::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
         ir.phi(1, 1, vec![(0, 0), (2, latch_inc)]);
-        ir.inst(2, Some(2), vec![1]);
+        ir.push(2, (Some(2), vec![1]));
         ir
     }
 
@@ -1026,7 +881,7 @@ mod tests {
         // v5 is defined before the loop and is the latch's incoming: it must
         // survive every iteration, so loop extension clears the mark.
         let mut ir = counted_loop(5);
-        ir.inst(0, Some(5), vec![]);
+        ir.push(0, (Some(5), vec![]));
         let a = run_analysis(&mut ir).unwrap();
         let l5 = a.live(ValueRef(5));
         assert_eq!(l5.last, a.pos(BlockRef(2)));
@@ -1039,13 +894,13 @@ mod tests {
         // target of its own back edge, so it is not phi-only there — in
         // either phi order.
         for v1_first in [true, false] {
-            let mut ir = MockIr::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
+            let mut ir = Ir::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
             let p1 = (1, vec![(0, 0), (2, 2)]);
             let p3 = (3, vec![(0, 0), (2, 1)]);
             let (first, second) = if v1_first { (p1, p3) } else { (p3, p1) };
             ir.phi(1, first.0, first.1);
             ir.phi(1, second.0, second.1);
-            ir.inst(2, Some(2), vec![1]);
+            ir.push(2, (Some(2), vec![1]));
             let a = run_analysis(&mut ir).unwrap();
             let l1 = a.live(ValueRef(1));
             assert_eq!(l1.last, a.pos(BlockRef(2)));
@@ -1056,7 +911,7 @@ mod tests {
     #[test]
     fn phi_end_is_clear_for_a_value_with_a_later_non_phi_use() {
         let mut ir = counted_loop(2);
-        ir.inst(3, None, vec![2]);
+        ir.push(3, (None, vec![2]));
         let a = run_analysis(&mut ir).unwrap();
         let l2 = a.live(ValueRef(2));
         assert_eq!(l2.last, a.pos(BlockRef(3)));
@@ -1065,39 +920,39 @@ mod tests {
 
     #[test]
     fn empty_function_is_an_error() {
-        let mut ir = MockIr::new(vec![], 0);
+        let mut ir = Ir::new(vec![], 0);
         assert!(run_analysis(&mut ir).is_err());
     }
 
     #[test]
     fn use_counts_accumulate() {
-        let mut ir = MockIr::new(vec![vec![]], 1);
-        ir.inst(0, Some(1), vec![0, 0, 0]);
-        ir.inst(0, None, vec![1, 0]);
+        let mut ir = Ir::new(vec![vec![]], 1);
+        ir.push(0, (Some(1), vec![0, 0, 0]));
+        ir.push(0, (None, vec![1, 0]));
         let a = run_analysis(&mut ir).unwrap();
         assert_eq!(a.live(ValueRef(0)).uses, 4);
         assert_eq!(a.live(ValueRef(1)).uses, 1);
     }
 
     /// All CFG fixtures used above, for the scratch-reuse golden test.
-    fn fixtures() -> Vec<MockIr> {
-        let mut with_liveness = MockIr::new(vec![vec![1], vec![2], vec![]], 1);
-        with_liveness.inst(0, Some(1), vec![0]);
-        with_liveness.inst(1, Some(2), vec![1]);
-        with_liveness.inst(2, None, vec![2]);
-        let mut loop_phi = MockIr::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
+    fn fixtures() -> Vec<Ir> {
+        let mut with_liveness = Ir::new(vec![vec![1], vec![2], vec![]], 1);
+        with_liveness.push(0, (Some(1), vec![0]));
+        with_liveness.push(1, (Some(2), vec![1]));
+        with_liveness.push(2, (None, vec![2]));
+        let mut loop_phi = Ir::new(vec![vec![1], vec![2], vec![1, 3], vec![]], 1);
         loop_phi.phi(1, 1, vec![(0, 0), (2, 2)]);
-        loop_phi.inst(2, Some(2), vec![1]);
+        loop_phi.push(2, (Some(2), vec![1]));
         vec![
-            MockIr::new(vec![vec![1], vec![2], vec![]], 0),
+            Ir::new(vec![vec![1], vec![2], vec![]], 0),
             diamond(),
-            MockIr::new(vec![vec![1], vec![2, 3], vec![1], vec![]], 0),
-            MockIr::new(
+            Ir::new(vec![vec![1], vec![2, 3], vec![1], vec![]], 0),
+            Ir::new(
                 vec![vec![1], vec![2], vec![3], vec![2, 4], vec![1, 5], vec![]],
                 0,
             ),
-            MockIr::new(vec![vec![1, 2], vec![2, 3], vec![1, 3], vec![]], 0),
-            MockIr::new(vec![vec![1], vec![], vec![1]], 0),
+            Ir::new(vec![vec![1, 2], vec![2, 3], vec![1, 3], vec![]], 0),
+            Ir::new(vec![vec![1], vec![], vec![1]], 0),
             with_liveness,
             loop_phi,
         ]
@@ -1129,7 +984,7 @@ mod tests {
         // repeated queries must return identical (and identically-located)
         // data until the next switch_func.
         let mut ir = diamond();
-        ir.inst(0, Some(1), vec![0]);
+        ir.push(0, (Some(1), vec![0]));
         ir.switch_func(FuncRef(0));
         let ops1 = ir.inst_operands(InstRef(0));
         let _interleaved = (ir.block_succs(BlockRef(0)), ir.block_insts(BlockRef(1)));

@@ -11,31 +11,31 @@ use crate::regs::{Reg, RegBank};
 
 /// How a value can be rematerialized instead of being spilled/reloaded.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Recompute {
-    /// The value is the address of a stack variable: `frame_reg + offset`.
+pub(crate) enum Recompute {
+    /// The value is the address of a stack variable: frame pointer + `offset`.
     StackAddr(i32),
 }
 
 /// State of one part of a value.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct PartState {
+pub(crate) struct PartState {
     /// Register currently holding the part, if any.
-    pub reg: Option<Reg>,
+    pub(crate) reg: Option<Reg>,
     /// Size of the part in bytes.
-    pub size: u8,
+    pub(crate) size: u8,
     /// Register bank of the part.
-    pub bank: RegBank,
+    pub(crate) bank: RegBank,
     /// Whether the stack slot currently holds the correct value. If `false`
     /// and `reg` is `Some`, the register is the only location of the value.
-    pub in_mem: bool,
+    pub(crate) in_mem: bool,
     /// Whether the part is pinned to `reg` for its whole live range
     /// (innermost-loop heuristic); fixed parts are never spilled or evicted.
-    pub fixed: bool,
+    pub(crate) fixed: bool,
 }
 
 impl PartState {
     /// An unassigned part of the given size and bank.
-    pub fn new(size: u8, bank: RegBank) -> PartState {
+    pub(crate) fn new(size: u8, bank: RegBank) -> PartState {
         PartState {
             reg: None,
             size,
@@ -48,40 +48,40 @@ impl PartState {
 
 /// Most parts a value can have (1 for scalars, 2 for 128-bit integers);
 /// the code generator rejects wider values as unsupported.
-pub const MAX_PARTS: usize = 2;
+pub(crate) const MAX_PARTS: usize = 2;
 
 /// Per-value state during code generation.
 ///
 /// One is created for every value the code generator touches, so it is
 /// `Copy` and small: the table below is filled and swept per function.
 #[derive(Copy, Clone, Debug)]
-pub struct Assignment {
+pub(crate) struct Assignment {
     /// Frame offset (relative to the frame pointer) of the spill slot,
     /// or `None` if no slot has been allocated yet.
-    pub frame_off: Option<i32>,
+    pub(crate) frame_off: Option<i32>,
     /// If set, the (single-part) value is recomputed instead of spilled.
-    pub recompute: Option<Recompute>,
+    pub(crate) recompute: Option<Recompute>,
     /// Number of uses the code generator has not yet seen.
-    pub remaining_uses: u32,
+    pub(crate) remaining_uses: u32,
     /// Layout position of the last block the value is live in.
-    pub last_pos: u32,
+    pub(crate) last_pos: u32,
     /// Whether liveness extends to the end of `last_pos`.
-    pub last_full: bool,
+    pub(crate) last_full: bool,
     /// Whether only phi moves on `last_pos`'s out-edges need the value at
     /// the end of that block ([`crate::analysis::LiveRange::phi_end`]).
-    pub phi_end: bool,
+    pub(crate) phi_end: bool,
     /// Whether `frame_off` is the value's home: memory the value was
     /// defined in (a stack variable it was loaded from), which it does not
     /// own. A homed value is never spilled, and its home is never freed.
-    pub homed: bool,
+    pub(crate) homed: bool,
     /// Whether a homed value has been read from its home into a register
     /// once: that first read stands for the IR's load, later ones are
     /// reloads.
-    pub home_read: bool,
+    pub(crate) home_read: bool,
     /// Number of parts in use.
-    pub nparts: u8,
+    pub(crate) nparts: u8,
     /// Per-part state; entries from `nparts` on are unused.
-    pub parts: [PartState; MAX_PARTS],
+    pub(crate) parts: [PartState; MAX_PARTS],
 }
 
 const _: () = assert!(std::mem::size_of::<Option<Assignment>>() <= 48);
@@ -89,19 +89,19 @@ const _: () = assert!(std::mem::size_of::<Option<Assignment>>() <= 48);
 impl Assignment {
     /// Total spill size in bytes (each part padded to 8 bytes so part
     /// offsets are trivially computable).
-    pub fn spill_size(&self) -> u32 {
+    pub(crate) fn spill_size(&self) -> u32 {
         self.nparts as u32 * 8
     }
 
     /// Byte offset of a part within the value's spill slot.
-    pub fn part_offset(&self, part: u32) -> i32 {
+    pub(crate) fn part_offset(&self, part: u32) -> i32 {
         part as i32 * 8
     }
 }
 
 /// Table of assignments indexed by value number.
 #[derive(Debug, Default)]
-pub struct AssignmentTable {
+pub(crate) struct AssignmentTable {
     slots: Vec<Option<Assignment>>,
     /// Every value inserted since the last prune, with its `last_pos`, in
     /// insertion order (the order the block-boundary sweep frees in). May
@@ -111,12 +111,12 @@ pub struct AssignmentTable {
 
 impl AssignmentTable {
     /// Whether a value currently has an assignment.
-    pub fn contains(&self, v: ValueRef) -> bool {
+    pub(crate) fn contains(&self, v: ValueRef) -> bool {
         self.slots.get(v.idx()).is_some_and(|s| s.is_some())
     }
 
     /// Inserts an assignment for a value (replacing any existing one).
-    pub fn insert(&mut self, v: ValueRef, a: Assignment) {
+    pub(crate) fn insert(&mut self, v: ValueRef, a: Assignment) {
         if self.slots[v.idx()].is_none() {
             self.active.push((v, a.last_pos));
         }
@@ -124,35 +124,35 @@ impl AssignmentTable {
     }
 
     /// Shared access to a value's assignment.
-    pub fn get(&self, v: ValueRef) -> Option<&Assignment> {
+    pub(crate) fn get(&self, v: ValueRef) -> Option<&Assignment> {
         self.slots.get(v.idx()).and_then(|s| s.as_ref())
     }
 
     /// Mutable access to a value's assignment.
-    pub fn get_mut(&mut self, v: ValueRef) -> Option<&mut Assignment> {
+    pub(crate) fn get_mut(&mut self, v: ValueRef) -> Option<&mut Assignment> {
         self.slots.get_mut(v.idx()).and_then(|s| s.as_mut())
     }
 
     /// Removes a value's assignment and returns it.
-    pub fn remove(&mut self, v: ValueRef) -> Option<Assignment> {
+    pub(crate) fn remove(&mut self, v: ValueRef) -> Option<Assignment> {
         self.slots.get_mut(v.idx()).and_then(|s| s.take())
     }
 
     /// The `i`-th active-list entry: a value and its `last_pos`.
-    pub fn active(&self, i: usize) -> Option<(ValueRef, u32)> {
+    pub(crate) fn active(&self, i: usize) -> Option<(ValueRef, u32)> {
         self.active.get(i).copied()
     }
 
     /// Drops the active-list entries whose live range ended before layout
     /// position `pos`. The caller has removed those values; a value removed
     /// earlier was at its `last_pos` then, so its entry goes here too.
-    pub fn prune_active(&mut self, pos: u32) {
+    pub(crate) fn prune_active(&mut self, pos: u32) {
         self.active.retain(|&(_, last)| last >= pos);
     }
 
     /// Clears all assignments and sizes the table for a new function. Only
     /// the slots the previous function filled are written.
-    pub fn reset(&mut self, value_count: usize) {
+    pub(crate) fn reset(&mut self, value_count: usize) {
         for (v, _) in self.active.drain(..) {
             self.slots[v.idx()] = None;
         }
@@ -166,26 +166,16 @@ impl AssignmentTable {
 /// The first `reserved` bytes below the frame pointer are owned by the
 /// target (callee-save area).
 #[derive(Debug, Default)]
-pub struct FrameAlloc {
+pub(crate) struct FrameAlloc {
     next_off: i32,
     free8: Vec<i32>,
     free16: Vec<i32>,
 }
 
 impl FrameAlloc {
-    /// Creates a frame allocator with `reserved` bytes already used below the
-    /// frame pointer.
-    pub fn new(reserved: u32) -> FrameAlloc {
-        FrameAlloc {
-            next_off: -(reserved as i32),
-            free8: Vec::new(),
-            free16: Vec::new(),
-        }
-    }
-
     /// Resets the allocator for a new function, keeping the free-list
     /// buffers' capacity.
-    pub fn reset(&mut self, reserved: u32) {
+    pub(crate) fn reset(&mut self, reserved: u32) {
         self.next_off = -(reserved as i32);
         self.free8.clear();
         self.free16.clear();
@@ -193,7 +183,7 @@ impl FrameAlloc {
 
     /// Allocates a slot of `size` bytes with the given alignment and returns
     /// its frame offset (negative).
-    pub fn alloc(&mut self, size: u32, align: u32) -> i32 {
+    pub(crate) fn alloc(&mut self, size: u32, align: u32) -> i32 {
         let size = size.max(1);
         let align = align.max(1).max(if size >= 8 {
             8
@@ -218,7 +208,7 @@ impl FrameAlloc {
     }
 
     /// Returns a slot to the allocator for reuse.
-    pub fn free(&mut self, off: i32, size: u32) {
+    pub(crate) fn free(&mut self, off: i32, size: u32) {
         if size <= 8 {
             self.free8.push(off);
         } else if size <= 16 {
@@ -228,7 +218,7 @@ impl FrameAlloc {
     }
 
     /// Total frame size in bytes used so far (positive), 16-byte aligned.
-    pub fn frame_size(&self) -> u32 {
+    pub(crate) fn frame_size(&self) -> u32 {
         let raw = (-self.next_off) as u32;
         (raw + 15) & !15
     }
@@ -308,7 +298,8 @@ mod tests {
 
     #[test]
     fn frame_alloc_is_aligned_and_reuses_slots() {
-        let mut f = FrameAlloc::new(64);
+        let mut f = FrameAlloc::default();
+        f.reset(64);
         let a = f.alloc(8, 8);
         assert!(a <= -64 - 8);
         assert_eq!(a % 8, 0);
@@ -325,7 +316,8 @@ mod tests {
 
     #[test]
     fn frame_alloc_respects_reserved_area() {
-        let mut f = FrameAlloc::new(48);
+        let mut f = FrameAlloc::default();
+        f.reset(48);
         let a = f.alloc(4, 4);
         assert!(a <= -48);
     }

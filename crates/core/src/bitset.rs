@@ -8,40 +8,22 @@
 
 /// A growable bit set over `u32` indices.
 #[derive(Debug, Default, Clone)]
-pub struct DenseBitSet {
+pub(crate) struct DenseBitSet {
     words: Vec<u64>,
-    /// Number of bits currently set (maintained for cheap emptiness checks).
-    len: usize,
 }
 
 impl DenseBitSet {
-    /// Creates an empty bit set.
-    pub fn new() -> DenseBitSet {
-        DenseBitSet::default()
-    }
-
     /// Clears all bits and ensures capacity for indices `< bits`, keeping
     /// the backing allocation.
-    pub fn reset(&mut self, bits: usize) {
+    pub(crate) fn reset(&mut self, bits: usize) {
         let words = bits.div_ceil(64);
         self.words.clear();
         self.words.resize(words, 0);
-        self.len = 0;
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Sets the bit at `idx` (growing the set if needed). Returns whether
     /// the bit was newly set.
-    pub fn insert(&mut self, idx: u32) -> bool {
+    pub(crate) fn insert(&mut self, idx: u32) -> bool {
         let (w, b) = (idx as usize / 64, idx as usize % 64);
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
@@ -49,18 +31,11 @@ impl DenseBitSet {
         let mask = 1u64 << b;
         let newly = self.words[w] & mask == 0;
         self.words[w] |= mask;
-        self.len += newly as usize;
         newly
     }
 
-    /// Whether the bit at `idx` is set.
-    pub fn contains(&self, idx: u32) -> bool {
-        let (w, b) = (idx as usize / 64, idx as usize % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
-    }
-
     /// Clears the bit at `idx` and returns whether it was set.
-    pub fn take(&mut self, idx: u32) -> bool {
+    pub(crate) fn take(&mut self, idx: u32) -> bool {
         let (w, b) = (idx as usize / 64, idx as usize % 64);
         let Some(word) = self.words.get_mut(w) else {
             return false;
@@ -68,7 +43,6 @@ impl DenseBitSet {
         let mask = 1u64 << b;
         let was = *word & mask != 0;
         *word &= !mask;
-        self.len -= was as usize;
         was
     }
 }
@@ -79,38 +53,33 @@ mod tests {
 
     #[test]
     fn insert_contains_take() {
-        let mut s = DenseBitSet::new();
-        assert!(s.is_empty());
-        assert!(!s.contains(5));
+        let mut s = DenseBitSet::default();
+        assert!(!s.take(5));
         assert!(s.insert(5));
         assert!(!s.insert(5), "second insert reports already-set");
-        assert!(s.contains(5));
-        assert_eq!(s.count(), 1);
         assert!(s.take(5));
         assert!(!s.take(5));
-        assert!(s.is_empty());
     }
 
     #[test]
     fn grows_on_demand_and_spans_words() {
-        let mut s = DenseBitSet::new();
-        s.insert(63);
-        s.insert(64);
-        s.insert(1000);
-        assert!(s.contains(63) && s.contains(64) && s.contains(1000));
-        assert!(!s.contains(65));
-        assert_eq!(s.count(), 3);
+        let mut s = DenseBitSet::default();
+        for i in [63, 64, 1000] {
+            assert!(s.insert(i));
+        }
+        assert!(!s.take(65));
+        for i in [63, 64, 1000] {
+            assert!(s.take(i));
+        }
     }
 
     #[test]
     fn reset_clears_but_out_of_range_queries_are_safe() {
-        let mut s = DenseBitSet::new();
+        let mut s = DenseBitSet::default();
         s.insert(200);
         s.reset(10);
-        assert!(s.is_empty());
-        assert!(!s.contains(200), "cleared even beyond the new size");
+        assert!(!s.take(200), "cleared even beyond the new size");
         assert!(!s.take(10_000), "take out of range is a no-op");
-        s.insert(9);
-        assert_eq!(s.count(), 1);
+        assert!(s.insert(9));
     }
 }

@@ -3,7 +3,7 @@
 //! The framework implements the two C calling conventions needed by the
 //! back-ends: System V AMD64 and AAPCS64 (AArch64). A [`CallConv`] lists the
 //! argument/return registers per bank and the caller/callee-saved sets;
-//! [`CallConv::assign_args`] maps a sequence of value parts to argument
+//! its argument assignment maps a sequence of value parts to argument
 //! locations the same way for incoming parameters (prologue) and outgoing
 //! call arguments.
 
@@ -11,7 +11,7 @@ use crate::regs::{Reg, RegBank, RegSet};
 
 /// Location assigned to one value part of an argument or return value.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ArgLoc {
+pub(crate) enum ArgLoc {
     /// Passed in a register.
     Reg(Reg),
     /// Passed on the stack at the given byte offset from the start of the
@@ -23,50 +23,34 @@ pub enum ArgLoc {
 #[derive(Clone, Debug)]
 pub struct CallConv {
     /// General-purpose argument registers, in order.
-    pub gp_args: Vec<Reg>,
+    pub(crate) gp_args: Vec<Reg>,
     /// Floating-point argument registers, in order.
-    pub fp_args: Vec<Reg>,
+    pub(crate) fp_args: Vec<Reg>,
     /// General-purpose return registers, in order.
-    pub gp_rets: Vec<Reg>,
+    pub(crate) gp_rets: Vec<Reg>,
     /// Floating-point return registers, in order.
-    pub fp_rets: Vec<Reg>,
+    pub(crate) fp_rets: Vec<Reg>,
     /// Registers preserved across calls.
-    pub callee_saved: RegSet,
+    pub(crate) callee_saved: RegSet,
     /// Registers clobbered by calls (complement of `callee_saved` within the
     /// allocatable set).
-    pub caller_saved: RegSet,
+    pub(crate) caller_saved: RegSet,
     /// Required stack alignment at call sites, in bytes.
-    pub stack_align: u32,
+    pub(crate) stack_align: u32,
     /// Slot size for stack arguments, in bytes.
-    pub stack_slot_size: u32,
-}
-
-/// Result of assigning arguments: one location per part, plus the total
-/// number of stack bytes used.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ArgAssignment {
-    /// One location per value part, in the order the parts were passed in.
-    pub locs: Vec<ArgLoc>,
-    /// Size of the outgoing stack argument area in bytes (unaligned).
-    pub stack_bytes: u32,
+    pub(crate) stack_slot_size: u32,
 }
 
 impl CallConv {
-    /// Assigns locations to a flat list of value parts `(bank, size)`.
+    /// Assigns locations to a flat list of value parts `(bank, size)`:
+    /// appends one [`ArgLoc`] per part to `locs` and returns the size of
+    /// the outgoing stack argument area in bytes (unaligned). Callers on the
+    /// hot path pass a reusable scratch buffer.
     ///
     /// Each part is assigned independently: multi-part values (e.g. 128-bit
     /// integers) therefore occupy consecutive registers when available, which
     /// matches both SysV and AAPCS64 for the types the back-ends support.
-    pub fn assign_args(&self, parts: &[(RegBank, u32)]) -> ArgAssignment {
-        let mut locs = Vec::with_capacity(parts.len());
-        let stack_bytes = self.assign_args_into(parts, &mut locs);
-        ArgAssignment { locs, stack_bytes }
-    }
-
-    /// Allocation-free variant of [`CallConv::assign_args`]: appends one
-    /// [`ArgLoc`] per part to `locs` and returns the unaligned stack-byte
-    /// count. Callers on the hot path pass a reusable scratch buffer.
-    pub fn assign_args_into(&self, parts: &[(RegBank, u32)], locs: &mut Vec<ArgLoc>) -> u32 {
+    pub(crate) fn assign_args_into(&self, parts: &[(RegBank, u32)], locs: &mut Vec<ArgLoc>) -> u32 {
         let mut next_gp = 0usize;
         let mut next_fp = 0usize;
         let mut stack_off = 0u32;
@@ -88,23 +72,11 @@ impl CallConv {
         stack_off
     }
 
-    /// Assigns locations to return-value parts.
-    ///
-    /// Returns `None` if the value cannot be returned in registers (the
-    /// back-ends handle such cases with an sret pointer instead).
-    pub fn assign_rets(&self, parts: &[(RegBank, u32)]) -> Option<Vec<Reg>> {
-        let mut out = Vec::with_capacity(parts.len());
-        if self.assign_rets_into(parts, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Allocation-free variant of [`CallConv::assign_rets`]: appends one
-    /// register per part to `out`. Returns `false` (leaving `out` in an
-    /// unspecified state) if the parts do not fit in return registers.
-    pub fn assign_rets_into(&self, parts: &[(RegBank, u32)], out: &mut Vec<Reg>) -> bool {
+    /// Assigns registers to return-value parts: appends one register per
+    /// part to `out`. Returns `false` (leaving `out` in an unspecified
+    /// state) if the parts do not fit in return registers; the back-ends
+    /// handle such cases with an sret pointer instead.
+    pub(crate) fn assign_rets_into(&self, parts: &[(RegBank, u32)], out: &mut Vec<Reg>) -> bool {
         let mut next_gp = 0usize;
         let mut next_fp = 0usize;
         for &(bank, _size) in parts {
@@ -123,53 +95,43 @@ impl CallConv {
 }
 
 /// x86-64 GP register numbers (architectural encoding order).
-pub mod x64 {
+mod x64 {
     /// rax
-    pub const RAX: u8 = 0;
+    pub(crate) const RAX: u8 = 0;
     /// rcx
-    pub const RCX: u8 = 1;
+    pub(crate) const RCX: u8 = 1;
     /// rdx
-    pub const RDX: u8 = 2;
+    pub(crate) const RDX: u8 = 2;
     /// rbx
-    pub const RBX: u8 = 3;
+    pub(crate) const RBX: u8 = 3;
     /// rsp
-    pub const RSP: u8 = 4;
+    pub(crate) const RSP: u8 = 4;
     /// rbp
-    pub const RBP: u8 = 5;
+    pub(crate) const RBP: u8 = 5;
     /// rsi
-    pub const RSI: u8 = 6;
+    pub(crate) const RSI: u8 = 6;
     /// rdi
-    pub const RDI: u8 = 7;
+    pub(crate) const RDI: u8 = 7;
     /// r8
-    pub const R8: u8 = 8;
+    pub(crate) const R8: u8 = 8;
     /// r9
-    pub const R9: u8 = 9;
-    /// r10
-    pub const R10: u8 = 10;
-    /// r11
-    pub const R11: u8 = 11;
+    pub(crate) const R9: u8 = 9;
     /// r12
-    pub const R12: u8 = 12;
+    pub(crate) const R12: u8 = 12;
     /// r13
-    pub const R13: u8 = 13;
+    pub(crate) const R13: u8 = 13;
     /// r14
-    pub const R14: u8 = 14;
+    pub(crate) const R14: u8 = 14;
     /// r15
-    pub const R15: u8 = 15;
+    pub(crate) const R15: u8 = 15;
 }
 
 /// AArch64 register numbers.
-pub mod a64 {
+mod a64 {
     /// Frame pointer x29.
-    pub const FP: u8 = 29;
-    /// Link register x30.
-    pub const LR: u8 = 30;
+    pub(crate) const FP: u8 = 29;
     /// Stack pointer / zero register number (31).
-    pub const SP: u8 = 31;
-    /// Scratch register x16 (IP0).
-    pub const IP0: u8 = 16;
-    /// Scratch register x17 (IP1).
-    pub const IP1: u8 = 17;
+    pub(crate) const SP: u8 = 31;
 }
 
 fn gp(i: u8) -> Reg {
@@ -256,25 +218,38 @@ pub fn aapcs_a64() -> CallConv {
 mod tests {
     use super::*;
 
+    /// The locations and stack bytes of `parts` as arguments.
+    fn assign_args(cc: &CallConv, parts: &[(RegBank, u32)]) -> (Vec<ArgLoc>, u32) {
+        let mut locs = Vec::new();
+        let stack_bytes = cc.assign_args_into(parts, &mut locs);
+        (locs, stack_bytes)
+    }
+
+    /// The registers of `parts` as return values, if they fit.
+    fn assign_rets(cc: &CallConv, parts: &[(RegBank, u32)]) -> Option<Vec<Reg>> {
+        let mut out = Vec::new();
+        cc.assign_rets_into(parts, &mut out).then_some(out)
+    }
+
     #[test]
     fn sysv_integer_args_in_order() {
         let cc = sysv_x64();
         let parts = vec![(RegBank::GP, 8); 3];
-        let a = cc.assign_args(&parts);
-        assert_eq!(a.locs[0], ArgLoc::Reg(gp(x64::RDI)));
-        assert_eq!(a.locs[1], ArgLoc::Reg(gp(x64::RSI)));
-        assert_eq!(a.locs[2], ArgLoc::Reg(gp(x64::RDX)));
-        assert_eq!(a.stack_bytes, 0);
+        let (locs, stack_bytes) = assign_args(&cc, &parts);
+        assert_eq!(locs[0], ArgLoc::Reg(gp(x64::RDI)));
+        assert_eq!(locs[1], ArgLoc::Reg(gp(x64::RSI)));
+        assert_eq!(locs[2], ArgLoc::Reg(gp(x64::RDX)));
+        assert_eq!(stack_bytes, 0);
     }
 
     #[test]
     fn sysv_overflow_goes_to_stack() {
         let cc = sysv_x64();
         let parts = vec![(RegBank::GP, 8); 8];
-        let a = cc.assign_args(&parts);
-        assert_eq!(a.locs[6], ArgLoc::Stack(0));
-        assert_eq!(a.locs[7], ArgLoc::Stack(8));
-        assert_eq!(a.stack_bytes, 16);
+        let (locs, stack_bytes) = assign_args(&cc, &parts);
+        assert_eq!(locs[6], ArgLoc::Stack(0));
+        assert_eq!(locs[7], ArgLoc::Stack(8));
+        assert_eq!(stack_bytes, 16);
     }
 
     #[test]
@@ -286,32 +261,29 @@ mod tests {
             (RegBank::GP, 8),
             (RegBank::FP, 8),
         ];
-        let a = cc.assign_args(&parts);
-        assert_eq!(a.locs[0], ArgLoc::Reg(gp(x64::RDI)));
-        assert_eq!(a.locs[1], ArgLoc::Reg(fp(0)));
-        assert_eq!(a.locs[2], ArgLoc::Reg(gp(x64::RSI)));
-        assert_eq!(a.locs[3], ArgLoc::Reg(fp(1)));
+        let (locs, _) = assign_args(&cc, &parts);
+        assert_eq!(locs[0], ArgLoc::Reg(gp(x64::RDI)));
+        assert_eq!(locs[1], ArgLoc::Reg(fp(0)));
+        assert_eq!(locs[2], ArgLoc::Reg(gp(x64::RSI)));
+        assert_eq!(locs[3], ArgLoc::Reg(fp(1)));
     }
 
     #[test]
     fn i128_uses_two_consecutive_gp_regs() {
         let cc = sysv_x64();
         let parts = vec![(RegBank::GP, 8), (RegBank::GP, 8)];
-        let a = cc.assign_args(&parts);
-        assert_eq!(a.locs[0], ArgLoc::Reg(gp(x64::RDI)));
-        assert_eq!(a.locs[1], ArgLoc::Reg(gp(x64::RSI)));
+        let (locs, _) = assign_args(&cc, &parts);
+        assert_eq!(locs[0], ArgLoc::Reg(gp(x64::RDI)));
+        assert_eq!(locs[1], ArgLoc::Reg(gp(x64::RSI)));
     }
 
     #[test]
     fn returns_fit_or_not() {
         let cc = sysv_x64();
-        assert!(cc
-            .assign_rets(&[(RegBank::GP, 8), (RegBank::GP, 8)])
-            .is_some());
-        assert!(cc
-            .assign_rets(&[(RegBank::GP, 8), (RegBank::GP, 8), (RegBank::GP, 8)])
-            .is_none());
-        let r = cc.assign_rets(&[(RegBank::FP, 8)]).unwrap();
+        assert!(assign_rets(&cc, &[(RegBank::GP, 8), (RegBank::GP, 8)]).is_some());
+        let three = [(RegBank::GP, 8), (RegBank::GP, 8), (RegBank::GP, 8)];
+        assert!(assign_rets(&cc, &three).is_none());
+        let r = assign_rets(&cc, &[(RegBank::FP, 8)]).unwrap();
         assert_eq!(r[0], fp(0));
     }
 
@@ -319,9 +291,9 @@ mod tests {
     fn aapcs_has_eight_gp_args_and_x19_callee_saved() {
         let cc = aapcs_a64();
         let parts = vec![(RegBank::GP, 8); 9];
-        let a = cc.assign_args(&parts);
-        assert_eq!(a.locs[7], ArgLoc::Reg(gp(7)));
-        assert_eq!(a.locs[8], ArgLoc::Stack(0));
+        let (locs, _) = assign_args(&cc, &parts);
+        assert_eq!(locs[7], ArgLoc::Reg(gp(7)));
+        assert_eq!(locs[8], ArgLoc::Stack(0));
         assert!(cc.callee_saved.contains(gp(19)));
         assert!(!cc.callee_saved.contains(gp(0)));
         assert!(cc.caller_saved.contains(gp(0)));
@@ -330,7 +302,7 @@ mod tests {
     #[test]
     fn callee_and_caller_saved_disjoint() {
         for cc in [sysv_x64(), aapcs_a64()] {
-            assert!(cc.callee_saved.intersect(cc.caller_saved).is_empty());
+            assert!(cc.callee_saved.iter().all(|r| !cc.caller_saved.contains(r)));
         }
     }
 }

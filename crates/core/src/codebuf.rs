@@ -23,7 +23,7 @@
 //!
 //! # The per-function fixup lifecycle
 //!
-//! Labels and fixups live in a [`FixupPool`] that is recycled per function
+//! Labels and fixups live in a `FixupPool` that is recycled per function
 //! rather than growing for the lifetime of the module:
 //!
 //! 1. A reference to an **already-bound** label (a back-edge) is encoded
@@ -35,7 +35,7 @@
 //!    its capacity), so the live fixup/label set never exceeds one
 //!    function's worth.
 //! 4. Drivers that compile many modules can move the pool between buffers
-//!    with [`CodeBuffer::adopt_fixup_pool`]/[`CodeBuffer::release_fixup_pool`]
+//!    with `CodeBuffer::adopt_fixup_pool`/`CodeBuffer::release_fixup_pool`
 //!    so even the pool's backing allocation is reused across modules.
 //!
 //! [`CodeBuffer::resolve_fixups`] remains available for single-shot,
@@ -49,15 +49,15 @@
 //! per-function extents of all shards, in function-index order, into one
 //! merged buffer. Three pieces of machinery here support that:
 //!
-//! * [`CodeBuffer::mark`] captures the current end of every section plus the
+//! * `CodeBuffer::mark` captures the current end of every section plus the
 //!   symbol and relocation counts; two marks bracket one function's output
-//!   as a [`ShardExtent`].
-//! * [`CodeBuffer::merge_from`] appends one extent's section bytes to the
+//!   as a `ShardExtent`.
+//! * `CodeBuffer::merge_from` appends one extent's section bytes to the
 //!   merged buffer and rebases its relocations and symbol definitions to the
 //!   merged offsets.
-//! * A [`SymbolRemap`] translates shard-local [`SymbolId`]s to merged ids.
+//! * A `SymbolRemap` translates shard-local [`SymbolId`]s to merged ids.
 //!   Shard buffers keep a *declaration log*
-//!   ([`CodeBuffer::enable_declare_log`]) recording every
+//!   (`CodeBuffer::enable_declare_log`) recording every
 //!   [`CodeBuffer::declare_symbol`] call, repeats included; the merge
 //!   replays each extent's slice of the log in order, so the merged symbol
 //!   table is *identical* to the one single-threaded compilation produces —
@@ -109,7 +109,7 @@ impl SectionKind {
     ];
 
     /// Conventional ELF section name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SectionKind::Text => ".text",
             SectionKind::Data => ".data",
@@ -130,12 +130,12 @@ impl SectionKind {
     /// Stable single-byte code used by the on-disk artifact format
     /// ([`crate::diskcache`]). Must never change for existing variants;
     /// new sections get new codes and a format-version bump.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         self.index() as u8
     }
 
     /// Inverse of [`SectionKind::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<SectionKind> {
+    pub(crate) fn from_code(code: u8) -> Option<SectionKind> {
         SectionKind::ALL.get(code as usize).copied()
     }
 }
@@ -158,7 +158,7 @@ pub enum SymbolBinding {
 impl SymbolBinding {
     /// Stable single-byte code used by the on-disk artifact format
     /// ([`crate::diskcache`]). Must never change for existing variants.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             SymbolBinding::Global => 0,
             SymbolBinding::Local => 1,
@@ -167,7 +167,7 @@ impl SymbolBinding {
     }
 
     /// Inverse of [`SymbolBinding::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<SymbolBinding> {
+    pub(crate) fn from_code(code: u8) -> Option<SymbolBinding> {
         match code {
             0 => Some(SymbolBinding::Global),
             1 => Some(SymbolBinding::Local),
@@ -189,9 +189,9 @@ pub struct Symbol {
     /// Section the symbol is defined in, `None` for undefined/external.
     pub section: Option<SectionKind>,
     /// Offset within the section.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Size in bytes (0 if unknown).
-    pub size: u64,
+    pub(crate) size: u64,
     /// Binding.
     pub binding: SymbolBinding,
     /// Whether the symbol names a function (vs. a data object).
@@ -217,7 +217,7 @@ pub enum RelocKind {
 impl RelocKind {
     /// Stable single-byte code used by the on-disk artifact format
     /// ([`crate::diskcache`]). Must never change for existing variants.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             RelocKind::Abs64 => 0,
             RelocKind::Pc32 => 1,
@@ -228,7 +228,7 @@ impl RelocKind {
     }
 
     /// Inverse of [`RelocKind::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<RelocKind> {
+    pub(crate) fn from_code(code: u8) -> Option<RelocKind> {
         match code {
             0 => Some(RelocKind::Abs64),
             1 => Some(RelocKind::Pc32),
@@ -242,7 +242,7 @@ impl RelocKind {
     /// Width in bytes of the patched field — what a relocation of this kind
     /// overwrites at its offset. Used by bounds validation
     /// ([`crate::codegen::CompiledModule::validate`]).
-    pub fn field_len(self) -> u64 {
+    pub(crate) fn field_len(self) -> u64 {
         match self {
             RelocKind::Abs64 => 8,
             _ => 4,
@@ -298,7 +298,7 @@ struct Fixup {
 /// working memory across modules (e.g. [`crate::codegen::CompileSession`])
 /// hold one and move it into each module's buffer.
 #[derive(Debug, Default)]
-pub struct FixupPool {
+pub(crate) struct FixupPool {
     labels: Vec<Option<u64>>,
     /// Pending references to labels not bound yet.
     fixups: Vec<Fixup>,
@@ -311,13 +311,8 @@ pub struct FixupPool {
 }
 
 impl FixupPool {
-    /// Creates an empty pool.
-    pub fn new() -> FixupPool {
-        FixupPool::default()
-    }
-
     /// Drops all labels and fixups but keeps the backing allocations.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.labels.clear();
         self.fixups.clear();
         self.bound_refs.clear();
@@ -362,7 +357,7 @@ fn apply_fixup(text: &mut [u8], f: &Fixup, target: u64) -> Result<()> {
 /// # Errors
 ///
 /// Returns an error if the displacement is unencodable.
-pub fn branch26_imm(from: u64, target: u64) -> Result<u32> {
+pub(crate) fn branch26_imm(from: u64, target: u64) -> Result<u32> {
     let delta = target as i64 - from as i64;
     let words = delta >> 2;
     if !(-(1 << 25)..(1 << 25)).contains(&words) || delta & 3 != 0 {
@@ -378,7 +373,7 @@ pub fn branch26_imm(from: u64, target: u64) -> Result<u32> {
 /// # Errors
 ///
 /// Returns an error if the displacement is unencodable.
-pub fn branch19_imm(from: u64, target: u64) -> Result<u32> {
+pub(crate) fn branch19_imm(from: u64, target: u64) -> Result<u32> {
     let delta = target as i64 - from as i64;
     let words = delta >> 2;
     if !(-(1 << 18)..(1 << 18)).contains(&words) || delta & 3 != 0 {
@@ -433,7 +428,7 @@ impl InstBuf {
 
     /// The assembled bytes.
     #[inline]
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.bytes[..self.len as usize]
     }
 
@@ -553,7 +548,7 @@ impl CodeBuffer {
 
     /// Pads a section with zero bytes up to the given alignment and returns
     /// the aligned offset.
-    pub fn align(&mut self, kind: SectionKind, align: u64) -> u64 {
+    pub(crate) fn align(&mut self, kind: SectionKind, align: u64) -> u64 {
         assert!(align.is_power_of_two());
         if align > 1 {
             self.align_events[kind.index()] += 1;
@@ -694,7 +689,7 @@ impl CodeBuffer {
     /// included, so [`CodeBuffer::merge_from`] can replay a function's
     /// declarations in their exact order. The parallel pipeline enables this
     /// on every shard buffer; it is off by default.
-    pub fn enable_declare_log(&mut self) {
+    pub(crate) fn enable_declare_log(&mut self) {
         if self.declare_log.is_none() {
             self.declare_log = Some(Vec::new());
         }
@@ -779,12 +774,13 @@ impl CodeBuffer {
     }
 
     /// Looks up a symbol by name.
-    pub fn symbol_by_name(&self, name: &str) -> Option<SymbolId> {
+    #[cfg(test)]
+    pub(crate) fn symbol_by_name(&self, name: &str) -> Option<SymbolId> {
         self.name_lookup(name, name_hash(name))
     }
 
     /// Read-only access to a symbol.
-    pub fn symbol(&self, id: SymbolId) -> &Symbol {
+    pub(crate) fn symbol(&self, id: SymbolId) -> &Symbol {
         &self.symbols[id.0 as usize]
     }
 
@@ -821,12 +817,6 @@ impl CodeBuffer {
         let slot = &mut self.pool.labels[label.0 as usize];
         assert!(slot.is_none(), "label bound twice");
         *slot = Some(self.sections[0].len() as u64);
-    }
-
-    /// Returns the offset a label is bound to, if any.
-    #[inline]
-    pub fn label_offset(&self, label: Label) -> Option<u64> {
-        self.pool.labels[label.0 as usize]
     }
 
     /// Records that the field at `offset` in the text section refers to
@@ -917,8 +907,7 @@ impl CodeBuffer {
     ///
     /// On success the fixup list is emptied (capacity retained). On error,
     /// every fixup that was not applied — including the failing one — is
-    /// preserved, so the caller can inspect [`CodeBuffer::pending_fixups`]
-    /// or bind the missing label and retry.
+    /// preserved, so the caller can bind the missing label and retry.
     ///
     /// # Errors
     ///
@@ -962,7 +951,7 @@ impl CodeBuffer {
     /// one. The installed pool is cleared first; use this together with
     /// [`CodeBuffer::release_fixup_pool`] to reuse the pool's allocations
     /// across modules.
-    pub fn adopt_fixup_pool(&mut self, mut pool: FixupPool) -> FixupPool {
+    pub(crate) fn adopt_fixup_pool(&mut self, mut pool: FixupPool) -> FixupPool {
         pool.clear();
         self.func_relocs = self.relocs.len();
         std::mem::replace(&mut self.pool, pool)
@@ -970,7 +959,7 @@ impl CodeBuffer {
 
     /// Takes the fixup pool out of the buffer (cleared, capacity retained),
     /// leaving an empty default pool behind.
-    pub fn release_fixup_pool(&mut self) -> FixupPool {
+    pub(crate) fn release_fixup_pool(&mut self) -> FixupPool {
         let mut pool = std::mem::take(&mut self.pool);
         pool.clear();
         self.func_relocs = self.relocs.len();
@@ -979,7 +968,8 @@ impl CodeBuffer {
 
     /// Number of unresolved fixups (0 after a successful
     /// [`CodeBuffer::resolve_fixups`]).
-    pub fn pending_fixups(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_fixups(&self) -> usize {
         self.pool.fixups.len()
     }
 
@@ -988,7 +978,7 @@ impl CodeBuffer {
     /// Captures the current end of every section plus the symbol and
     /// relocation counts. Two marks bracket the output of one compilation
     /// unit (a function) as a [`ShardExtent`].
-    pub fn mark(&self) -> BufMark {
+    pub(crate) fn mark(&self) -> BufMark {
         BufMark {
             text: self.sections[0].len() as u64,
             data: self.sections[1].len() as u64,
@@ -1041,7 +1031,7 @@ impl CodeBuffer {
     /// a shifted merge base, or it recorded an absolute-text-offset fixup
     /// ([`FixupKind::AbsTextOff32`]) whose baked-in offsets a rebase would
     /// invalidate.
-    pub fn merge_from(
+    pub(crate) fn merge_from(
         &mut self,
         shard: &CodeBuffer,
         ext: &ShardExtent,
@@ -1157,7 +1147,7 @@ impl CodeBuffer {
 /// A snapshot of a [`CodeBuffer`]'s section/symbol/relocation extents; see
 /// [`CodeBuffer::mark`].
 #[derive(Copy, Clone, Debug)]
-pub struct BufMark {
+pub(crate) struct BufMark {
     text: u64,
     data: u64,
     rodata: u64,
@@ -1184,16 +1174,16 @@ impl BufMark {
 /// The output of one compilation unit within a shard buffer, bracketed by
 /// two [`BufMark`]s.
 #[derive(Copy, Clone, Debug)]
-pub struct ShardExtent {
+pub(crate) struct ShardExtent {
     /// State of the shard buffer before the unit was compiled.
-    pub start: BufMark,
+    pub(crate) start: BufMark,
     /// State of the shard buffer after the unit was compiled.
-    pub end: BufMark,
+    pub(crate) end: BufMark,
 }
 
 impl ShardExtent {
     /// Number of text bytes the unit emitted.
-    pub fn text_len(&self) -> u64 {
+    pub(crate) fn text_len(&self) -> u64 {
         self.end.text - self.start.text
     }
 }
@@ -1244,7 +1234,7 @@ pub fn assert_identical(a: &CodeBuffer, b: &CodeBuffer, what: &str) {
 /// [`CodeBuffer::merge_from`]. One remap per shard buffer, shared across all
 /// of that shard's extents.
 #[derive(Debug, Default)]
-pub struct SymbolRemap {
+pub(crate) struct SymbolRemap {
     map: Vec<Option<SymbolId>>,
 }
 
@@ -1252,7 +1242,7 @@ impl SymbolRemap {
     /// A remap whose first `n` symbols translate to themselves — used when
     /// every shard and the merged buffer pre-declare the same `n` module
     /// symbols in the same order.
-    pub fn identity(n: u32) -> SymbolRemap {
+    pub(crate) fn identity(n: u32) -> SymbolRemap {
         SymbolRemap {
             map: (0..n).map(|i| Some(SymbolId(i))).collect(),
         }
@@ -1459,7 +1449,7 @@ mod tests {
         let l = b.new_label();
         assert_eq!(l, Label(0));
         b.bind_label(l);
-        assert_eq!(b.label_offset(l), Some(0));
+        assert_eq!(b.pool.labels[l.0 as usize], Some(0));
     }
 
     #[test]

@@ -23,32 +23,12 @@ use crate::target::{FrameState, Target};
 use crate::timing::{PassTimings, Phase};
 use std::time::Instant;
 
-/// Options controlling code generation; the non-default settings exist for
-/// the ablation studies described in DESIGN.md.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct CompileOptions {
-    /// Pin single-part phi values of innermost loop headers to callee-saved
-    /// registers (§3.4.5).
-    pub fixed_loop_regs: bool,
-    /// Hint for back-ends whether to fuse adjacent instructions
-    /// (compare+branch, address+memory access). The framework only exposes
-    /// the flag; back-ends consult it.
-    pub fusion: bool,
-    /// Ablation: ignore liveness and treat every value as live until the end
-    /// of the function (mimics the copy-and-patch situation of having no
-    /// liveness information).
-    pub assume_all_live: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            fixed_loop_regs: true,
-            fusion: true,
-            assume_all_live: false,
-        }
-    }
-}
+/// The compile configuration. It has no settings: every compile runs the
+/// one configuration (fixed loop registers, instruction fusion, liveness
+/// from the analysis pass). The type remains for the `tpde_llvm` compile
+/// wrappers, which take and ignore it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CompileOptions {}
 
 /// Counters collected during compilation (used by the benches and tests).
 #[derive(Clone, Debug, Default)]
@@ -198,7 +178,7 @@ pub struct ValuePartRef {
 
 /// An abstract location used for value moves.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum MoveLoc {
+pub(crate) enum MoveLoc {
     /// In a register.
     Reg(Reg),
     /// In the stack frame at the given frame-pointer-relative offset.
@@ -285,9 +265,9 @@ struct FuncScratch {
 /// Reusable compile session: the analysis pass working memory, the analysis
 /// result, the register file and all per-function codegen scratch.
 ///
-/// [`CodeGen::compile_module`] creates one internally; drivers that compile
-/// many modules (e.g. a JIT serving many requests) should allocate a session
-/// once and pass it to [`CodeGen::compile_module_with`]. A warm session
+/// Drivers that compile many modules (e.g. a JIT serving many requests)
+/// should allocate a session once and pass it to every
+/// [`CodeGen::compile_module_with`]. A warm session
 /// allocates only for the module it returns:
 /// `crates/llvm/tests/alloc_steady_state.rs` counts that doubling a module's
 /// function count adds no allocation per function, block, instruction or
@@ -315,35 +295,12 @@ impl CompileSession {
 #[derive(Debug)]
 pub struct CodeGen<T: Target> {
     target: T,
-    opts: CompileOptions,
 }
 
 impl<T: Target> CodeGen<T> {
-    /// Creates a driver for the given target and options.
-    pub fn new(target: T, opts: CompileOptions) -> CodeGen<T> {
-        CodeGen { target, opts }
-    }
-
-    /// The target this driver generates code for.
-    pub fn target(&self) -> &T {
-        &self.target
-    }
-
-    /// Compiles all defined functions of the adapter's module with a fresh
-    /// [`CompileSession`]. Drivers compiling many modules should reuse a
-    /// session via [`CodeGen::compile_module_with`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error produced by the analysis pass, the register
-    /// allocator or the instruction compilers.
-    pub fn compile_module<A: IrAdapter, C: InstCompiler<A, T>>(
-        &self,
-        adapter: &mut A,
-        compiler: &mut C,
-    ) -> Result<CompiledModule> {
-        let mut session = CompileSession::new();
-        self.compile_module_with(&mut session, adapter, compiler)
+    /// Creates a driver for the given target.
+    pub fn new(target: T) -> CodeGen<T> {
+        CodeGen { target }
     }
 
     /// Compiles all defined functions of the adapter's module, reusing the
@@ -407,7 +364,7 @@ impl<T: Target> CodeGen<T> {
     /// Sets up the session's register file for this driver's target.
     /// Called once per module by [`CodeGen::compile_module_with`]; parallel
     /// drivers call it once per worker session before the first
-    /// [`CodeGen::compile_func_into`].
+    /// [`CodeGen::compile_func_pooled`].
     pub fn prepare_session(&self, session: &mut CompileSession) {
         session.regfile.configure(
             self.target.allocatable_regs(RegBank::GP),
@@ -431,7 +388,7 @@ impl<T: Target> CodeGen<T> {
     /// Propagates any error produced by the analysis pass, the register
     /// allocator or the instruction compilers.
     #[allow(clippy::too_many_arguments)]
-    pub fn compile_func_into<A: IrAdapter, C: InstCompiler<A, T>>(
+    pub(crate) fn compile_func_into<A: IrAdapter, C: InstCompiler<A, T>>(
         &self,
         session: &mut CompileSession,
         adapter: &mut A,
@@ -462,9 +419,7 @@ impl<T: Target> CodeGen<T> {
                 &self.target,
                 buf,
                 analysis,
-                &self.opts,
                 stats,
-                sym,
                 scratch,
                 regfile,
             );
@@ -557,7 +512,6 @@ pub struct FuncCodeGen<'a, A: IrAdapter, T: Target> {
     /// The analysis result of the current function.
     pub analysis: &'a Analysis,
 
-    opts: &'a CompileOptions,
     stats: &'a mut CompileStats,
     /// Reused per-function scratch state (see [`FuncScratch`]).
     s: &'a mut FuncScratch,
@@ -566,7 +520,6 @@ pub struct FuncCodeGen<'a, A: IrAdapter, T: Target> {
     entry_state_valid: bool,
     state_valid_next: bool,
     used_callee_saved: RegSet,
-    func_sym: SymbolId,
     cycle_temp: Option<i32>,
 }
 
@@ -577,9 +530,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         target: &'a T,
         buf: &'a mut CodeBuffer,
         analysis: &'a Analysis,
-        opts: &'a CompileOptions,
         stats: &'a mut CompileStats,
-        func_sym: SymbolId,
         s: &'a mut FuncScratch,
         regfile: &'a mut RegFile,
     ) -> FuncCodeGen<'a, A, T> {
@@ -598,7 +549,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             target,
             buf,
             analysis,
-            opts,
             stats,
             s,
             regfile,
@@ -606,30 +556,14 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             entry_state_valid: true,
             state_valid_next: false,
             used_callee_saved: RegSet::empty(),
-            func_sym,
             cycle_temp: None,
         }
     }
 
     // ---- general accessors --------------------------------------------------
 
-    /// Compile options in effect.
-    pub fn options(&self) -> &CompileOptions {
-        self.opts
-    }
-
-    /// Statistics counters (back-ends may add their own events).
-    pub fn stats_mut(&mut self) -> &mut CompileStats {
-        self.stats
-    }
-
-    /// Symbol of the function being compiled.
-    pub fn func_symbol(&self) -> SymbolId {
-        self.func_sym
-    }
-
     /// The block currently being compiled.
-    pub fn cur_block(&self) -> BlockRef {
+    pub(crate) fn cur_block(&self) -> BlockRef {
         self.analysis.layout[self.cur_pos as usize]
     }
 
@@ -640,7 +574,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     /// Label of a basic block (created on demand, bound when the block is
     /// compiled).
-    pub fn block_label(&self, block: BlockRef) -> Label {
+    pub(crate) fn block_label(&self, block: BlockRef) -> Label {
         self.s.block_labels[self.analysis.pos(block) as usize]
     }
 
@@ -649,11 +583,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// (e.g. compare+branch fusion, §3.4.4).
     pub fn mark_fused(&mut self, inst: InstRef) {
         self.s.fused.insert(inst.0);
-    }
-
-    /// Whether an instruction was marked fused by an earlier compiler call.
-    pub fn is_fused(&self, inst: InstRef) -> bool {
-        self.s.fused.contains(inst.0)
     }
 
     // ---- function driver ------------------------------------------------------
@@ -665,7 +594,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             self.s.block_labels.push(l);
         }
         self.emit_prologue_and_args()?;
-        self.assign_fixed_loop_regs()?;
+        self.pin_loop_phis()?;
 
         let adapter = self.adapter;
         for pos in 0..n as u32 {
@@ -768,10 +697,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         Ok(())
     }
 
-    fn assign_fixed_loop_regs(&mut self) -> Result<()> {
-        if !self.opts.fixed_loop_regs {
-            return Ok(());
-        }
+    /// Pins the single-part phi values of loop headers to the target's
+    /// fixed-register candidates (§3.4.5).
+    fn pin_loop_phis(&mut self) -> Result<()> {
         let adapter = self.adapter;
         let mut next_idx = [0usize; RegBank::COUNT];
         for pos in 0..self.analysis.layout.len() as u32 {
@@ -907,20 +835,15 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 .map_err(|_| Error::Unsupported(format!("part of value {v:?} too large")))?;
             parts[p as usize] = PartState::new(size, self.adapter.val_part_bank(v, p));
         }
-        let (last_pos, last_full, uses) = if self.opts.assume_all_live {
-            (self.analysis.layout.len() as u32 - 1, true, u32::MAX / 2)
-        } else {
-            (live.last, live.last_full, live.uses)
-        };
         self.s.assignments.insert(
             v,
             Assignment {
                 frame_off: None,
                 recompute: None,
-                remaining_uses: uses,
-                last_pos,
-                last_full,
-                phi_end: live.phi_end && !self.opts.assume_all_live,
+                remaining_uses: live.uses,
+                last_pos: live.last,
+                last_full: live.last_full,
+                phi_end: live.phi_end,
                 homed: false,
                 home_read: false,
                 nparts: nparts as u8,
@@ -939,15 +862,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let off = self.s.frame.alloc(a.spill_size(), 8);
         a.frame_off = Some(off);
         Ok(off)
-    }
-
-    /// Remaining (not yet observed) uses of a value.
-    pub fn remaining_uses(&self, v: ValueRef) -> u32 {
-        self.s
-            .assignments
-            .get(v)
-            .map(|a| a.remaining_uses)
-            .unwrap_or(0)
     }
 
     // ---- operand handles ---------------------------------------------------------
@@ -1014,7 +928,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     /// Frame offset of the static stack variable a value part is the
-    /// address of, if it is one ([`Recompute::StackAddr`]) — used by
+    /// address of, if it is one (`Recompute::StackAddr`) — used by
     /// back-ends that address it frame-relative instead of materializing
     /// the address.
     pub fn val_stack_addr(&self, p: &ValuePartRef) -> Option<i32> {
@@ -1179,7 +1093,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     /// Allocates an unevictable scratch register, released at the end of the
-    /// instruction (or explicitly via [`FuncCodeGen::free_scratch`]).
+    /// instruction.
     pub fn alloc_scratch(&mut self, bank: RegBank) -> Result<Reg> {
         let reg = self.alloc_reg(bank, None)?;
         self.regfile.set_owner(reg, RegOwner::Scratch);
@@ -1197,34 +1111,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         Ok(reg)
     }
 
-    /// Releases a scratch register before the end of the instruction.
-    pub fn free_scratch(&mut self, reg: Reg) {
-        if let Some(idx) = self.s.inst_scratch.iter().position(|&r| r == reg) {
-            self.s.inst_scratch.swap_remove(idx);
-        }
-        if self.regfile.owner(reg) == Some(RegOwner::Scratch) {
-            self.regfile.clear(reg);
-        }
-    }
-
-    /// Declares that a value part now lives in `reg` (typically a scratch
-    /// register the instruction's result ended up in).
-    pub fn set_result_reg(&mut self, v: ValueRef, part: u32, reg: Reg) -> Result<()> {
-        self.ensure_assignment(v)?;
-        if let Some(idx) = self.s.inst_scratch.iter().position(|&r| r == reg) {
-            self.s.inst_scratch.swap_remove(idx);
-        }
-        let a = self.s.assignments.get_mut(v).unwrap();
-        a.parts[part as usize].reg = Some(reg);
-        a.parts[part as usize].in_mem = false;
-        self.regfile.set_owner(reg, RegOwner::Value(v, part));
-        self.regfile.lock(reg);
-        Ok(())
-    }
-
     /// Marks the end of an instruction: releases operand locks and scratch
     /// registers and frees values whose last use was in this instruction.
-    pub fn end_inst(&mut self) {
+    pub(crate) fn end_inst(&mut self) {
         // Both lists are walked by index and cleared, not taken: taking them
         // would free their buffers every instruction.
         for i in 0..self.s.inst_scratch.len() {
@@ -1375,7 +1264,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// Returns the label a conditional branch should target for `succ`.
     /// If the edge requires phi moves, a critical-edge block is created and
     /// its label returned; the block is emitted by
-    /// [`FuncCodeGen::finish_terminator`] (called automatically at the end of
+    /// `FuncCodeGen::finish_terminator` (called automatically at the end of
     /// the block).
     pub fn branch_target(&mut self, succ: BlockRef) -> Result<Label> {
         let mut moves = std::mem::take(&mut self.s.move_scratch);
@@ -1421,7 +1310,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     /// Emits any pending critical-edge blocks. Called automatically after the
     /// last instruction of each block; calling it again is a no-op.
-    pub fn finish_terminator(&mut self) -> Result<()> {
+    pub(crate) fn finish_terminator(&mut self) -> Result<()> {
         let edges = std::mem::take(&mut self.s.pending_edges);
         let edge_moves = std::mem::take(&mut self.s.edge_moves);
         let mut result = Ok(());
@@ -1851,7 +1740,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     /// Materializes a value part into a specific register (used for call
     /// arguments and indirect call targets).
-    pub fn materialize_into(&mut self, dst: Reg, p: &ValuePartRef) -> Result<()> {
+    pub(crate) fn materialize_into(&mut self, dst: Reg, p: &ValuePartRef) -> Result<()> {
         if p.is_const {
             self.target
                 .emit_const(self.buf, p.bank, p.size, dst, p.const_val);
@@ -1962,13 +1851,6 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         self.s.assignments.get(v).filter(|a| a.homed)?.frame_off
     }
 
-    /// Allocates (or returns) the frame slot of a value and reports its
-    /// frame offset; used by back-ends that implement `alloca`-style stack
-    /// variables or need to pass values by memory.
-    pub fn value_frame_slot(&mut self, v: ValueRef) -> Result<i32> {
-        self.ensure_frame_slot(v)
-    }
-
     /// Ensures the value part has an up-to-date copy in its stack slot (used
     /// by instruction compilers before an instruction that clobbers the
     /// operand's register, e.g. x86-64 division).
@@ -2016,20 +1898,14 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         }
         set
     }
-
-    /// Allocates raw frame space (e.g. for dynamic temporary storage) and
-    /// returns its frame offset.
-    pub fn alloc_frame_space(&mut self, size: u32, align: u32) -> i32 {
-        self.s.frame.alloc(size, align)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::{FuncRef, PhiIncoming};
     use crate::callconv::{sysv_x64, CallConv};
     use crate::target::TargetArch;
+    use crate::test_ir::{TestInst, TestIr};
 
     // ----- a pseudo target that emits readable byte codes --------------------
 
@@ -2078,9 +1954,6 @@ mod tests {
                 RegBank::GP => &self.fixed,
                 RegBank::FP => &[],
             }
-        }
-        fn frame_reg(&self) -> Reg {
-            Reg::new(RegBank::GP, 5)
         }
         fn scratch_gp(&self) -> Reg {
             Reg::new(RegBank::GP, 11)
@@ -2156,176 +2029,35 @@ mod tests {
         Ret(Option<u32>),
     }
 
-    /// Per block: (phi value, [(pred, incoming value)]).
-    type PhiList = Vec<Vec<(u32, Vec<(u32, u32)>)>>;
-
-    struct MiniIr {
-        blocks: Vec<Vec<MiniOp>>,
-        phis: PhiList,
-        num_args: u32,
-        num_values: usize,
-        /// Parts per value (1 unless a test widens it).
-        parts: u32,
-        // dense index tables built by switch_func
-        idx_args: Vec<ValueRef>,
-        idx_succs: Vec<Vec<BlockRef>>,
-        idx_phis: Vec<Vec<ValueRef>>,
-        idx_insts: Vec<Vec<InstRef>>,
-        idx_ops: Vec<Vec<ValueRef>>,
-        idx_res: Vec<Vec<ValueRef>>,
-        idx_phi_inc: Vec<Vec<PhiIncoming>>,
-        /// flat instruction index -> (block, index within block)
-        inst_index: Vec<(u32, u32)>,
-    }
-
-    impl MiniIr {
-        fn new(num_blocks: usize, num_args: u32) -> MiniIr {
-            MiniIr {
-                blocks: vec![Vec::new(); num_blocks],
-                phis: vec![Vec::new(); num_blocks],
-                num_args,
-                num_values: num_args as usize,
-                parts: 1,
-                idx_args: Vec::new(),
-                idx_succs: Vec::new(),
-                idx_phis: Vec::new(),
-                idx_insts: Vec::new(),
-                idx_ops: Vec::new(),
-                idx_res: Vec::new(),
-                idx_phi_inc: Vec::new(),
-                inst_index: Vec::new(),
+    impl TestInst for MiniOp {
+        fn result(&self) -> Option<u32> {
+            match self {
+                MiniOp::Add(r, _) => Some(*r),
+                _ => None,
             }
         }
-        fn push(&mut self, block: u32, op: MiniOp) {
-            if let MiniOp::Add(r, _) = &op {
-                self.num_values = self.num_values.max(*r as usize + 1);
+        fn operands(&self) -> Vec<u32> {
+            match self {
+                MiniOp::Add(_, ops) => ops.clone(),
+                MiniOp::Branch(c, _, _) | MiniOp::Ret(Some(c)) => vec![*c],
+                _ => Vec::new(),
             }
-            self.blocks[block as usize].push(op);
         }
-        fn phi(&mut self, block: u32, val: u32, inc: Vec<(u32, u32)>) {
-            self.num_values = self.num_values.max(val as usize + 1);
-            self.phis[block as usize].push((val, inc));
-        }
-        fn op(&self, inst: InstRef) -> &MiniOp {
-            let (b, i) = self.inst_index[inst.idx()];
-            &self.blocks[b as usize][i as usize]
+        fn successors(&self) -> Vec<u32> {
+            match self {
+                MiniOp::Jump(t) => vec![*t],
+                MiniOp::Branch(_, t, f) => vec![*t, *f],
+                _ => Vec::new(),
+            }
         }
     }
 
-    impl IrAdapter for MiniIr {
-        fn func_count(&self) -> usize {
-            1
-        }
-        fn func_name(&self, _: FuncRef) -> &str {
-            "mini"
-        }
-        fn func_linkage(&self, _: FuncRef) -> Linkage {
-            Linkage::External
-        }
-        fn func_is_definition(&self, _: FuncRef) -> bool {
-            true
-        }
-        fn switch_func(&mut self, _: FuncRef) {
-            self.idx_args = (0..self.num_args).map(ValueRef).collect();
-            self.idx_succs = self
-                .blocks
-                .iter()
-                .map(|blk| {
-                    let mut out = Vec::new();
-                    for op in blk {
-                        match op {
-                            MiniOp::Jump(t) => out.push(BlockRef(*t)),
-                            MiniOp::Branch(_, t, f) => {
-                                out.push(BlockRef(*t));
-                                out.push(BlockRef(*f));
-                            }
-                            _ => {}
-                        }
-                    }
-                    out
-                })
-                .collect();
-            self.idx_phis = self
-                .phis
-                .iter()
-                .map(|p| p.iter().map(|&(v, _)| ValueRef(v)).collect())
-                .collect();
-            self.idx_phi_inc = vec![Vec::new(); self.num_values];
-            for blk in &self.phis {
-                for (v, inc) in blk {
-                    self.idx_phi_inc[*v as usize] = inc
-                        .iter()
-                        .map(|&(b, val)| PhiIncoming {
-                            block: BlockRef(b),
-                            value: ValueRef(val),
-                        })
-                        .collect();
-                }
-            }
-            self.idx_insts.clear();
-            self.idx_ops.clear();
-            self.idx_res.clear();
-            self.inst_index.clear();
-            let mut next = 0u32;
-            for (bi, blk) in self.blocks.iter().enumerate() {
-                let mut refs = Vec::new();
-                for (ii, op) in blk.iter().enumerate() {
-                    refs.push(InstRef(next));
-                    next += 1;
-                    self.inst_index.push((bi as u32, ii as u32));
-                    self.idx_ops.push(match op {
-                        MiniOp::Add(_, ops) => ops.iter().map(|&v| ValueRef(v)).collect(),
-                        MiniOp::Branch(c, _, _) => vec![ValueRef(*c)],
-                        MiniOp::Ret(Some(v)) => vec![ValueRef(*v)],
-                        _ => Vec::new(),
-                    });
-                    self.idx_res.push(match op {
-                        MiniOp::Add(r, _) => vec![ValueRef(*r)],
-                        _ => Vec::new(),
-                    });
-                }
-                self.idx_insts.push(refs);
-            }
-        }
-        fn value_count(&self) -> usize {
-            self.num_values
-        }
-        fn inst_count(&self) -> usize {
-            self.inst_index.len()
-        }
-        fn args(&self) -> &[ValueRef] {
-            &self.idx_args
-        }
-        fn block_count(&self) -> usize {
-            self.blocks.len()
-        }
-        fn block_succs(&self, block: BlockRef) -> &[BlockRef] {
-            &self.idx_succs[block.idx()]
-        }
-        fn block_phis(&self, block: BlockRef) -> &[ValueRef] {
-            &self.idx_phis[block.idx()]
-        }
-        fn block_insts(&self, block: BlockRef) -> &[InstRef] {
-            &self.idx_insts[block.idx()]
-        }
-        fn phi_incoming(&self, phi: ValueRef) -> &[PhiIncoming] {
-            &self.idx_phi_inc[phi.idx()]
-        }
-        fn inst_operands(&self, inst: InstRef) -> &[ValueRef] {
-            &self.idx_ops[inst.idx()]
-        }
-        fn inst_results(&self, inst: InstRef) -> &[ValueRef] {
-            &self.idx_res[inst.idx()]
-        }
-        fn val_part_count(&self, _: ValueRef) -> u32 {
-            self.parts
-        }
-        fn val_part_size(&self, _: ValueRef, _: u32) -> u32 {
-            8
-        }
-        fn val_part_bank(&self, _: ValueRef, _: u32) -> RegBank {
-            RegBank::GP
-        }
+    /// A function of [`MiniOp`]s, whose jumps and branches give its CFG.
+    type MiniIr = TestIr<MiniOp>;
+
+    /// `num_blocks` empty blocks.
+    fn mini_ir(num_blocks: usize, num_args: u32) -> MiniIr {
+        TestIr::new(vec![Vec::new(); num_blocks], num_args)
     }
 
     struct MiniCompiler;
@@ -2387,13 +2119,14 @@ mod tests {
     }
 
     fn compile(ir: &mut MiniIr) -> CompiledModule {
-        let cg = CodeGen::new(MockTarget::new(), CompileOptions::default());
-        cg.compile_module(ir, &mut MiniCompiler).expect("compile")
+        let cg = CodeGen::new(MockTarget::new());
+        cg.compile_module_with(&mut CompileSession::new(), ir, &mut MiniCompiler)
+            .expect("compile")
     }
 
     #[test]
     fn straight_line_function_compiles() {
-        let mut ir = MiniIr::new(1, 2);
+        let mut ir = mini_ir(1, 2);
         ir.push(0, MiniOp::Add(2, vec![0, 1]));
         ir.push(0, MiniOp::Ret(Some(2)));
         let m = compile(&mut ir);
@@ -2403,23 +2136,25 @@ mod tests {
         // ends with mock RET
         assert_eq!(*m.buf.text().last().unwrap(), OP_RET);
         // function symbol defined with correct size
-        let sym = m.buf.symbol_by_name("mini").unwrap();
+        let sym = m.buf.symbol_by_name("test").unwrap();
         assert_eq!(m.buf.symbol(sym).size, m.text_size());
     }
 
     #[test]
     fn values_wider_than_two_parts_are_unsupported() {
-        let mut ir = MiniIr::new(1, 1);
+        let mut ir = mini_ir(1, 1);
         ir.parts = MAX_PARTS as u32 + 1;
         ir.push(0, MiniOp::Ret(None));
-        let cg = CodeGen::new(MockTarget::new(), CompileOptions::default());
-        let err = cg.compile_module(&mut ir, &mut MiniCompiler).unwrap_err();
+        let cg = CodeGen::new(MockTarget::new());
+        let err = cg
+            .compile_module_with(&mut CompileSession::new(), &mut ir, &mut MiniCompiler)
+            .unwrap_err();
         assert!(matches!(err, Error::Unsupported(_)), "{err}");
     }
 
     #[test]
     fn diamond_with_phi_compiles_and_resolves_labels() {
-        let mut ir = MiniIr::new(4, 1);
+        let mut ir = mini_ir(4, 1);
         ir.push(0, MiniOp::Branch(0, 1, 2));
         ir.push(1, MiniOp::Add(1, vec![0, 0]));
         ir.push(1, MiniOp::Jump(3));
@@ -2436,7 +2171,7 @@ mod tests {
     #[test]
     fn loop_with_phi_uses_fixed_register() {
         // b0 -> b1(header, phi i) -> b2(latch: i' = i + i) -> b1 or b3(ret i')
-        let mut ir = MiniIr::new(4, 1);
+        let mut ir = mini_ir(4, 1);
         ir.push(0, MiniOp::Jump(1));
         ir.phi(1, 1, vec![(0, 0), (2, 2)]);
         ir.push(1, MiniOp::Jump(2));
@@ -2446,48 +2181,12 @@ mod tests {
         let m = compile(&mut ir);
         assert_eq!(m.buf.pending_fixups(), 0);
         assert_eq!(m.stats.funcs, 1);
-
-        // with fixed loop registers disabled it must still compile
-        let cg = CodeGen::new(
-            MockTarget::new(),
-            CompileOptions {
-                fixed_loop_regs: false,
-                ..CompileOptions::default()
-            },
-        );
-        let m2 = cg.compile_module(&mut ir, &mut MiniCompiler).unwrap();
-        assert_eq!(m2.stats.funcs, 1);
-    }
-
-    #[test]
-    fn assume_all_live_increases_spills() {
-        let mut ir = MiniIr::new(4, 1);
-        ir.push(0, MiniOp::Branch(0, 1, 2));
-        for b in [1u32, 2] {
-            ir.push(b, MiniOp::Add(b + 10, vec![0, 0]));
-            ir.push(b, MiniOp::Jump(3));
-        }
-        ir.phi(3, 20, vec![(1, 11), (2, 12)]);
-        ir.push(3, MiniOp::Ret(Some(20)));
-        let normal = compile(&mut ir);
-        let cg = CodeGen::new(
-            MockTarget::new(),
-            CompileOptions {
-                assume_all_live: true,
-                ..CompileOptions::default()
-            },
-        );
-        let all_live = cg.compile_module(&mut ir, &mut MiniCompiler).unwrap();
-        assert!(
-            all_live.stats.spills >= normal.stats.spills,
-            "disabling liveness must not reduce spills"
-        );
     }
 
     /// b0 -> b1 (header, phi v1 of v0 and `latch_inc`) -> b2 (latch:
     /// v2 = v1 + v1, back edge on v2) -> b3 (return). v5 is defined in b0.
     fn counted_loop(latch_inc: u32) -> MiniIr {
-        let mut ir = MiniIr::new(4, 1);
+        let mut ir = mini_ir(4, 1);
         ir.push(0, MiniOp::Add(5, vec![]));
         ir.push(0, MiniOp::Jump(1));
         ir.phi(1, 1, vec![(0, 0), (2, latch_inc)]);
@@ -2514,26 +2213,11 @@ mod tests {
     }
 
     #[test]
-    fn assume_all_live_still_spills_phi_only_values() {
-        let cg = CodeGen::new(
-            MockTarget::new(),
-            CompileOptions {
-                assume_all_live: true,
-                ..CompileOptions::default()
-            },
-        );
-        let m = cg
-            .compile_module(&mut counted_loop(2), &mut MiniCompiler)
-            .unwrap();
-        assert!(m.stats.spills >= 2, "v0 and v2 spilled: {:?}", m.stats);
-    }
-
-    #[test]
     fn result_reuse_loads_a_spilled_live_operand_into_the_result() {
         // b0: v1 = def; branch on v1 to b1 / b2; b1: jump b2. b2 has two
         // predecessors, so v1 arrives there spilled and is used twice:
         // v2 = v1 + ...; v3 = v1 + v2.
-        let mut ir = MiniIr::new(3, 0);
+        let mut ir = mini_ir(3, 0);
         ir.push(0, MiniOp::Add(1, vec![]));
         ir.push(0, MiniOp::Branch(1, 1, 2));
         ir.push(1, MiniOp::Jump(2));
@@ -2550,9 +2234,9 @@ mod tests {
             assert!(cg.val_mem_loc(&op).is_some(), "v1 arrives spilled");
             assert!(!cg.val_is_last_use(&op), "v1 is still live");
             let start = cg.buf.text_offset() as usize;
-            let before = cg.stats_mut().clone();
+            let before = cg.stats.clone();
             let dst = cg.result_reuse(ValueRef(2), 0, &op)?;
-            let after = cg.stats_mut().clone();
+            let after = cg.stats.clone();
             seen = Some((
                 cg.buf.text()[start..].to_vec(),
                 dst,
@@ -2561,8 +2245,9 @@ mod tests {
             ));
             Ok(())
         };
-        let cg = CodeGen::new(MockTarget::new(), CompileOptions::default());
-        cg.compile_module(&mut ir, &mut compiler).unwrap();
+        let cg = CodeGen::new(MockTarget::new());
+        cg.compile_module_with(&mut CompileSession::new(), &mut ir, &mut compiler)
+            .unwrap();
         let (bytes, dst, reloads, moves) = seen.expect("probe compiled");
         assert_eq!(bytes, [OP_LOAD, dst.compact() as u8], "one load, no mov");
         assert_eq!((reloads, moves), (1, 0));
@@ -2610,13 +2295,15 @@ mod tests {
                 }
             }
         }
-        let mut ir = MiniIr::new(1, 1);
+        let mut ir = mini_ir(1, 1);
         ir.push(0, MiniOp::Add(1, vec![])); // v1 = 7
         ir.push(0, MiniOp::Add(2, vec![0])); // v2 = call(arg0)
         ir.push(0, MiniOp::Add(3, vec![1, 2])); // v3 = call(v1, v2) -- v1 live across first call
         ir.push(0, MiniOp::Ret(Some(3)));
-        let cg = CodeGen::new(MockTarget::new(), CompileOptions::default());
-        let m = cg.compile_module(&mut ir, &mut CallCompiler).unwrap();
+        let cg = CodeGen::new(MockTarget::new());
+        let m = cg
+            .compile_module_with(&mut CompileSession::new(), &mut ir, &mut CallCompiler)
+            .unwrap();
         assert!(m.stats.spills >= 1, "v1 must be spilled across the call");
         let text = m.buf.text();
         assert!(text.contains(&0x08), "call byte emitted");
@@ -2625,7 +2312,7 @@ mod tests {
     #[test]
     fn register_pressure_causes_eviction_not_failure() {
         // define 12 values (only 8 allocatable GP regs), then use each one
-        let mut ir = MiniIr::new(1, 0);
+        let mut ir = mini_ir(1, 0);
         for i in 0..12u32 {
             ir.push(0, MiniOp::Add(1 + i, vec![]));
         }

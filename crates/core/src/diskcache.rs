@@ -57,7 +57,7 @@
 //!
 //! Artifacts are keyed by the same deterministic request hash the in-memory
 //! cache uses ([`crate::service::ServiceBackend::request_key`]), combined
-//! with the [`FORMAT_VERSION`] stored in the header. The key is a
+//! with the `FORMAT_VERSION` stored in the header. The key is a
 //! [`crate::hash::StableHasher`] value over an encoding the backend spells
 //! out field by field (for the LLVM-IR backend: the pinned artifact tag,
 //! the compile options as flag bits, and the module's packed content
@@ -71,7 +71,7 @@
 //!
 //! The key names the *request*, not the compiler that answered it, so the
 //! version also stands for the emitted code: **a change to the bytes the
-//! compiler emits for an unchanged request bumps [`FORMAT_VERSION`]**, even
+//! compiler emits for an unchanged request bumps `FORMAT_VERSION`**, even
 //! when the layout and the keys stay as they are. Otherwise a restarted
 //! service would serve, under a valid checksum, code the current compiler
 //! no longer emits — breaking the byte-identical-to-a-fresh-compile
@@ -149,12 +149,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Magic bytes at the start of every artifact file.
-pub const MAGIC: [u8; 8] = *b"TPDEART\0";
+pub(crate) const MAGIC: [u8; 8] = *b"TPDEART\0";
 
 /// Version of the artifact layout and of the code it holds; any change to
 /// the format above or to the bytes the compiler emits bumps this, and an
 /// artifact with a different version is a cache miss.
-pub const FORMAT_VERSION: u32 = 6;
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 64;
 const SYM_RECORD: usize = 32;
@@ -532,11 +532,6 @@ impl DiskCache {
         };
         cache.with_index_lock(|lock| cache.reconcile(lock, None));
         Ok(cache)
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
     }
 
     /// Transient I/O errors absorbed by retrying since this handle opened.

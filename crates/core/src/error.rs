@@ -35,15 +35,6 @@ pub enum Error {
     Timeout(String),
 }
 
-impl Error {
-    /// Whether this error is an intentional load-shedding response
-    /// (admission rejection or deadline expiry) rather than a compile
-    /// failure.
-    pub fn is_shed(&self) -> bool {
-        matches!(self, Error::Rejected { .. } | Error::DeadlineExceeded)
-    }
-}
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -85,10 +76,6 @@ mod tests {
 
     #[test]
     fn shed_errors_are_classified() {
-        assert!(Error::Rejected { queue_depth: 9 }.is_shed());
-        assert!(Error::DeadlineExceeded.is_shed());
-        assert!(!Error::Timeout("hung worker".into()).is_shed());
-        assert!(!Error::Emit("bad".into()).is_shed());
         let e = Error::Rejected { queue_depth: 9 };
         assert!(e.to_string().contains("depth 9"));
     }

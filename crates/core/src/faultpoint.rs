@@ -10,7 +10,7 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **Zero cost when disarmed.** The fast path of [`trip`] is a single
+//! * **Zero cost when disarmed.** The fast path of `trip` is a single
 //!   relaxed atomic load and a predictable branch; no lock, no allocation,
 //!   no syscall. Production builds that never set `TPDE_FAULTS` pay one
 //!   lazy env lookup per process.
@@ -83,17 +83,17 @@ pub enum FaultAction {
 #[derive(Clone, Debug)]
 pub struct FaultRule {
     /// Site name (see [`sites`]).
-    pub site: &'static str,
+    pub(crate) site: &'static str,
     /// What to inject.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
     /// Fire on every `every`-th matching encounter (1 = every one).
-    pub every: u64,
+    pub(crate) every: u64,
     /// Skip the first `offset` matching encounters.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Only match probes reporting this index (e.g. a function index).
-    pub index: Option<u64>,
+    pub(crate) index: Option<u64>,
     /// Stop firing after this many injections (`None` = unlimited).
-    pub limit: Option<u64>,
+    pub(crate) limit: Option<u64>,
 }
 
 impl FaultRule {
@@ -116,7 +116,7 @@ impl FaultRule {
     }
 
     /// Skip the first `n` matching encounters.
-    pub fn offset(mut self, n: u64) -> FaultRule {
+    pub(crate) fn offset(mut self, n: u64) -> FaultRule {
         self.offset = n;
         self
     }
@@ -137,7 +137,7 @@ impl FaultRule {
 /// The fault a probed I/O path is asked to simulate. Delays and panics are
 /// applied inside [`trip`] itself and never reach the caller.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum IoFault {
+pub(crate) enum IoFault {
     /// Simulate a transient error (`EINTR`-like).
     Transient,
     /// Simulate a hard failure.
@@ -148,7 +148,7 @@ pub enum IoFault {
 
 impl IoFault {
     /// The `std::io::Error` equivalent of this fault, for I/O call sites.
-    pub fn to_io_error(self) -> std::io::Error {
+    pub(crate) fn to_io_error(self) -> std::io::Error {
         match self {
             IoFault::Transient => std::io::Error::new(
                 std::io::ErrorKind::Interrupted,
@@ -347,7 +347,7 @@ pub fn arm(rules: Vec<FaultRule>) -> FaultGuard {
 /// panics are applied here and return `None`/never. Disarmed cost: one
 /// relaxed atomic load.
 #[inline]
-pub fn trip(site: &'static str, index: u64) -> Option<IoFault> {
+pub(crate) fn trip(site: &'static str, index: u64) -> Option<IoFault> {
     if !armed() {
         return None;
     }

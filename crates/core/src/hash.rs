@@ -4,7 +4,7 @@
 //! The value depends only on the sequence of writes — not on the process,
 //! the host's endianness or its pointer width — so it can name files that
 //! outlive the binary that wrote them. Changing anything here changes every
-//! persisted key: bump [`crate::diskcache::FORMAT_VERSION`] with it (the
+//! persisted key: bump `crate::diskcache::FORMAT_VERSION` with it (the
 //! constants are pinned by `crates/llvm/tests/stable_key.rs`).
 //!
 //! Every step is a folded 64×64→128 multiply (the wyhash/rapidhash "mum"),
@@ -156,11 +156,11 @@ impl Hasher for StableHasher {
 
 /// A map keyed by a [`StableHasher`] result. The key is already mixed, so
 /// it is its own hash: a lookup pays no second hash.
-pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyIsHash>>;
+pub(crate) type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyIsHash>>;
 
 /// The pass-through hasher of [`KeyMap`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct KeyIsHash(u64);
+pub(crate) struct KeyIsHash(u64);
 
 impl Hasher for KeyIsHash {
     fn finish(&self) -> u64 {

@@ -32,7 +32,7 @@ pub struct JitImage {
     /// `.bss` appears with zero-filled contents.
     pub sections: Vec<(SectionKind, u64, Vec<u8>)>,
     /// Addresses of all defined symbols.
-    pub symbols: HashMap<String, u64>,
+    pub(crate) symbols: HashMap<String, u64>,
     /// Synthetic call-out addresses assigned to unresolved external symbols.
     pub externals: HashMap<String, u64>,
 }
@@ -44,22 +44,6 @@ impl JitImage {
             .get(name)
             .or_else(|| self.externals.get(name))
             .copied()
-    }
-
-    /// Virtual address and size of the text section.
-    pub fn text_range(&self) -> (u64, u64) {
-        for (kind, addr, data) in &self.sections {
-            if *kind == SectionKind::Text {
-                return (*addr, data.len() as u64);
-            }
-        }
-        (0, 0)
-    }
-
-    /// Total number of bytes of machine code (`.text` size); the code-size
-    /// metric used for Figure 7.
-    pub fn text_size(&self) -> u64 {
-        self.text_range().1
     }
 
     /// Deterministic content fingerprint of the image: section kinds,
@@ -226,7 +210,8 @@ mod tests {
         let ga = image.symbol_addr("g_data").unwrap();
         assert!(fa >= 0x10000);
         assert_ne!(fa, ga);
-        assert_eq!(image.text_size(), 1);
+        let text = image.sections.iter().find(|s| s.0 == SectionKind::Text);
+        assert_eq!(text.map(|s| s.2.len()), Some(1));
     }
 
     #[test]

@@ -44,8 +44,8 @@
 
 pub mod adapter;
 pub mod analysis;
-pub mod assignments;
-pub mod bitset;
+mod assignments;
+mod bitset;
 pub mod callconv;
 pub mod codebuf;
 pub mod codegen;
@@ -56,24 +56,12 @@ pub mod hash;
 pub mod jit;
 pub mod obj;
 pub mod parallel;
-pub mod regalloc;
+mod regalloc;
 pub mod regs;
 pub mod rng;
 pub mod service;
 pub mod target;
+#[cfg(test)]
+mod test_ir;
 pub mod timing;
 pub mod verify;
-
-pub use adapter::{BlockRef, FuncRef, IrAdapter, Linkage, ValueRef};
-pub use analysis::{Analysis, Analyzer, LoopInfo};
-pub use codegen::{CodeGen, CompileOptions, CompileSession, CompiledModule};
-pub use diskcache::{DiskCache, DiskCacheConfig};
-pub use error::{Error, Result};
-pub use regs::{Reg, RegBank};
-pub use rng::{SplitMix64, Xoshiro256};
-pub use service::{
-    ClientId, CompileService, Priority, Request, ServiceBackend, ServiceConfig, ServiceResponse,
-    Ticket, TicketRef,
-};
-pub use timing::{ClientStats, RequestTiming, ServiceStats};
-pub use verify::{Verifier, VerifyError};

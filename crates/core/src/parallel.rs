@@ -12,11 +12,11 @@
 //!    (for TPDE, a full session that
 //!    [`crate::codegen::CodeGen::compile_func_pooled`] compiles with) plus
 //!    a thread-local shard [`CodeBuffer`], and brackets each function's
-//!    output with [`CodeBuffer::mark`]s.
+//!    output with `CodeBuffer::mark`s.
 //! 2. After all workers drain the queue, the shards are merged: every
 //!    function extent is appended to the output buffer **in function-index
-//!    order** via [`CodeBuffer::merge_from`], which rebases relocations and
-//!    remaps shard-local [`SymbolId`]s through a per-shard [`SymbolRemap`].
+//!    order** via `CodeBuffer::merge_from`, which rebases relocations and
+//!    remaps shard-local [`SymbolId`]s through a per-shard `SymbolRemap`.
 //!
 //! # Determinism contract
 //!
@@ -25,7 +25,7 @@
 //! **byte-identical to single-threaded compilation**, for any worker count
 //! and any scheduling, provided cross-function references go through
 //! relocations (never absolute text offsets). Shard buffers keep a
-//! declaration log ([`CodeBuffer::enable_declare_log`]) so the merge
+//! declaration log (`CodeBuffer::enable_declare_log`) so the merge
 //! replays each function's symbol declarations in their exact order, and
 //! per-extent alignment-event counts let the merge *reject* function
 //! output whose data/bss padding depends on the shard base instead of

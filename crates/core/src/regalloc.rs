@@ -20,7 +20,7 @@ use crate::regs::{Reg, RegBank, RegSet};
 
 /// Who currently owns a register.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum RegOwner {
+pub(crate) enum RegOwner {
     /// A value part.
     Value(ValueRef, u32),
     /// A temporary (scratch) register requested by an instruction compiler.
@@ -32,7 +32,7 @@ const NO_POS: u8 = u8::MAX;
 
 /// Tracks the state of every register of both banks.
 #[derive(Debug)]
-pub struct RegFile {
+pub(crate) struct RegFile {
     /// Owner per compact register number.
     owners: [Option<RegOwner>; 64],
     /// Registers pinned to a value (allocatable or not).
@@ -64,7 +64,7 @@ impl Default for RegFile {
 impl RegFile {
     /// Creates a register file with the given allocatable registers per bank
     /// (in allocation preference order).
-    pub fn new(gp: &[Reg], fp: &[Reg]) -> RegFile {
+    pub(crate) fn new(gp: &[Reg], fp: &[Reg]) -> RegFile {
         let mut f = RegFile {
             owners: [None; 64],
             fixed: RegSet::empty(),
@@ -83,7 +83,7 @@ impl RegFile {
     /// Resets the register file for a (possibly different) target,
     /// clearing all ownership state but keeping buffer capacity. Used by
     /// compile sessions that reuse one `RegFile` across functions.
-    pub fn configure(&mut self, gp: &[Reg], fp: &[Reg]) {
+    pub(crate) fn configure(&mut self, gp: &[Reg], fp: &[Reg]) {
         self.pos_of = [NO_POS; 64];
         self.allocatable[0].clear();
         self.allocatable[0].extend_from_slice(gp);
@@ -116,7 +116,7 @@ impl RegFile {
 
     /// Clears ownership, locks and pinning of every register (start of a new
     /// function), keeping the allocatable sets.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.owners = [None; 64];
         self.fixed = RegSet::empty();
         self.free = self.all;
@@ -125,25 +125,20 @@ impl RegFile {
         self.clock = [0, 0];
     }
 
-    /// The allocatable registers of a bank, in allocation order.
-    pub fn allocatable(&self, bank: RegBank) -> &[Reg] {
-        &self.allocatable[bank.index()]
-    }
-
     /// Current owner of a register.
     #[inline]
-    pub fn owner(&self, r: Reg) -> Option<RegOwner> {
+    pub(crate) fn owner(&self, r: Reg) -> Option<RegOwner> {
         self.owners[r.compact()]
     }
 
     /// Whether the register is pinned to a value for its whole live range.
-    pub fn is_fixed(&self, r: Reg) -> bool {
+    pub(crate) fn is_fixed(&self, r: Reg) -> bool {
         self.fixed.contains(r)
     }
 
     /// Marks `r` as owned by `owner`. Does not touch lock state.
     #[inline]
-    pub fn set_owner(&mut self, r: Reg, owner: RegOwner) {
+    pub(crate) fn set_owner(&mut self, r: Reg, owner: RegOwner) {
         self.owners[r.compact()] = Some(owner);
         if let Some((b, bit)) = self.pos_bit(r) {
             self.free[b] &= !bit;
@@ -151,7 +146,7 @@ impl RegFile {
     }
 
     /// Marks `r` as owned by a value part and pinned (never evicted).
-    pub fn set_fixed(&mut self, r: Reg, v: ValueRef, part: u32) {
+    pub(crate) fn set_fixed(&mut self, r: Reg, v: ValueRef, part: u32) {
         self.owners[r.compact()] = Some(RegOwner::Value(v, part));
         self.fixed.insert(r);
         if let Some((b, bit)) = self.pos_bit(r) {
@@ -162,7 +157,7 @@ impl RegFile {
 
     /// Clears ownership, pinning and the lock of a register.
     #[inline]
-    pub fn clear(&mut self, r: Reg) {
+    pub(crate) fn clear(&mut self, r: Reg) {
         self.owners[r.compact()] = None;
         self.fixed.remove(r);
         if let Some((b, bit)) = self.pos_bit(r) {
@@ -174,7 +169,7 @@ impl RegFile {
 
     /// Locks a register against eviction until the end of the instruction.
     #[inline]
-    pub fn lock(&mut self, r: Reg) {
+    pub(crate) fn lock(&mut self, r: Reg) {
         if let Some((b, bit)) = self.pos_bit(r) {
             self.locked[b] |= bit;
         }
@@ -182,7 +177,7 @@ impl RegFile {
 
     /// Releases every lock (end of instruction).
     #[inline]
-    pub fn end_inst(&mut self) {
+    pub(crate) fn end_inst(&mut self) {
         self.locked = [0, 0];
     }
 
@@ -211,7 +206,12 @@ impl RegFile {
     /// `within` is non-empty, restricting the choice to `within`. With no
     /// constraint sets this is a single trailing-zeros count on the bank's
     /// free mask.
-    pub fn find_free(&self, bank: RegBank, exclude: RegSet, within: Option<RegSet>) -> Option<Reg> {
+    pub(crate) fn find_free(
+        &self,
+        bank: RegBank,
+        exclude: RegSet,
+        within: Option<RegSet>,
+    ) -> Option<Reg> {
         let m = self.restrict_mask(bank, self.free[bank.index()], exclude, within);
         if m == 0 {
             None
@@ -223,7 +223,7 @@ impl RegFile {
     /// Chooses a register of `bank` to evict, round-robin, skipping locked,
     /// fixed and excluded registers. Returns `None` if every candidate is
     /// unavailable.
-    pub fn pick_eviction(
+    pub(crate) fn pick_eviction(
         &mut self,
         bank: RegBank,
         exclude: RegSet,
@@ -250,7 +250,7 @@ impl RegFile {
     /// Appends all registers currently owned by value parts to `out` (used
     /// when spilling before branches or calls; callers keep a reusable
     /// scratch buffer).
-    pub fn value_owned_into(&self, out: &mut Vec<(Reg, ValueRef, u32)>) {
+    pub(crate) fn value_owned_into(&self, out: &mut Vec<(Reg, ValueRef, u32)>) {
         for bank in RegBank::ALL {
             let bi = bank.index();
             // owned = allocatable positions that are not free
@@ -270,7 +270,7 @@ impl RegFile {
     /// block boundaries with unknown predecessors), appending the cleared
     /// registers and their owners to `out` so the caller can update
     /// assignments.
-    pub fn reset_non_fixed_into(&mut self, out: &mut Vec<(Reg, RegOwner)>) {
+    pub(crate) fn reset_non_fixed_into(&mut self, out: &mut Vec<(Reg, RegOwner)>) {
         for bank in RegBank::ALL {
             let bi = bank.index();
             let mut owned = self.all[bi] & !self.free[bi] & !self.pinned[bi];

@@ -21,19 +21,19 @@ pub enum RegBank {
 
 impl RegBank {
     /// Number of register banks known to the framework.
-    pub const COUNT: usize = 2;
+    pub(crate) const COUNT: usize = 2;
 
     /// All banks, in index order.
-    pub const ALL: [RegBank; 2] = [RegBank::GP, RegBank::FP];
+    pub(crate) const ALL: [RegBank; 2] = [RegBank::GP, RegBank::FP];
 
     /// Bank index usable for array indexing.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
     /// Short lowercase name, used in diagnostics.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RegBank::GP => "gp",
             RegBank::FP => "fp",
@@ -86,7 +86,7 @@ impl Reg {
 
     /// A compact id unique across banks, suitable for array indexing (0..64).
     #[inline]
-    pub fn compact(self) -> usize {
+    pub(crate) fn compact(self) -> usize {
         self.0 as usize
     }
 }
@@ -105,7 +105,7 @@ impl fmt::Display for Reg {
 
 /// A set of registers across both banks, stored as a 64-bit bitmap.
 ///
-/// Bit layout matches [`Reg::compact`]: bits 0..32 are GP registers, bits
+/// Bit layout matches `Reg::compact`: bits 0..32 are GP registers, bits
 /// 32..64 are FP registers.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Hash)]
 pub struct RegSet(u64);
@@ -128,14 +128,8 @@ impl RegSet {
 
     /// Returns `true` if no register is in the set.
     #[inline]
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.0 == 0
-    }
-
-    /// Number of registers in the set.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
     }
 
     /// Inserts a register.
@@ -146,7 +140,7 @@ impl RegSet {
 
     /// Removes a register.
     #[inline]
-    pub fn remove(&mut self, r: Reg) {
+    pub(crate) fn remove(&mut self, r: Reg) {
         self.0 &= !(1u64 << r.compact());
     }
 
@@ -156,26 +150,8 @@ impl RegSet {
         self.0 & (1u64 << r.compact()) != 0
     }
 
-    /// Union of two sets.
-    #[inline]
-    pub fn union(self, other: RegSet) -> RegSet {
-        RegSet(self.0 | other.0)
-    }
-
-    /// Intersection of two sets.
-    #[inline]
-    pub fn intersect(self, other: RegSet) -> RegSet {
-        RegSet(self.0 & other.0)
-    }
-
-    /// Set difference (`self` without `other`).
-    #[inline]
-    pub fn difference(self, other: RegSet) -> RegSet {
-        RegSet(self.0 & !other.0)
-    }
-
     /// Iterates over the registers in the set in ascending compact order.
-    pub fn iter(self) -> impl Iterator<Item = Reg> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = Reg> {
         let mut bits = self.0;
         std::iter::from_fn(move || {
             if bits == 0 {
@@ -240,7 +216,7 @@ mod tests {
         let b = Reg::new(RegBank::FP, 1);
         s.insert(a);
         s.insert(b);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.iter().count(), 2);
         assert!(s.contains(a));
         assert!(s.contains(b));
         s.remove(a);
@@ -252,9 +228,7 @@ mod tests {
     fn regset_iter_and_setops() {
         let a: RegSet = (0..4).map(|i| Reg::new(RegBank::GP, i)).collect();
         let b: RegSet = (2..6).map(|i| Reg::new(RegBank::GP, i)).collect();
-        assert_eq!(a.union(b).len(), 6);
-        assert_eq!(a.intersect(b).len(), 2);
-        assert_eq!(a.difference(b).len(), 2);
+        assert_eq!(a.iter().filter(|&r| !b.contains(r)).count(), 2);
         let collected: Vec<Reg> = a.iter().collect();
         assert_eq!(collected.len(), 4);
         assert_eq!(collected[0], Reg::new(RegBank::GP, 0));

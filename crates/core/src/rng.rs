@@ -4,7 +4,7 @@
 //! stress tests need reproducible pseudo-random streams. This module provides
 //! the two classic generators that cover both needs with ~30 lines of code:
 //!
-//! * [`SplitMix64`] — a one-instruction-per-step mixer, ideal for expanding a
+//! * `SplitMix64` — a one-instruction-per-step mixer, ideal for expanding a
 //!   single `u64` seed into independent sub-seeds (and for seeding the state
 //!   of the larger generator below).
 //! * [`Xoshiro256`] — `xoshiro256**`, the general-purpose stream generator.
@@ -20,18 +20,18 @@
 /// Primarily used to derive independent sub-seeds (one per fuzzed module,
 /// one per worker thread, ...) from a single user-visible seed.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a generator from `seed`. Any seed is fine, including 0.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Returns the next value in the stream.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -48,7 +48,7 @@ pub struct Xoshiro256 {
 
 impl Xoshiro256 {
     /// Creates a generator whose 256-bit state is expanded from `seed`
-    /// via [`SplitMix64`] (the canonical seeding procedure, which also
+    /// via `SplitMix64` (the canonical seeding procedure, which also
     /// guarantees the all-zero state cannot occur).
     pub fn new(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);

@@ -30,13 +30,13 @@ use super::Priority;
 ///
 /// An opaque caller-chosen 64-bit id: a tenant, a connection, a thread —
 /// whatever granularity fairness should apply at. Requests that never set
-/// one share [`ClientId::ANON`].
+/// one share `ClientId::ANON`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(pub u64);
 
 impl ClientId {
     /// The client id of requests that never set one.
-    pub const ANON: ClientId = ClientId(0);
+    pub(crate) const ANON: ClientId = ClientId(0);
 }
 
 /// One client's FIFO inside a lane.

@@ -48,7 +48,7 @@
 //! Exactly one party answers (the submit path inline, or whoever takes the
 //! job's sender first: worker, watchdog or shutdown sweep), so a response
 //! is observed *at most once*: [`Ticket::wait`] consumes the ticket, and
-//! the non-consuming [`TicketRef::poll`] / [`TicketRef::wait_timeout`]
+//! the non-consuming `TicketRef::poll` / [`TicketRef::wait_timeout`]
 //! return the response the first time it is ready, after which the ticket
 //! is spent (a later `wait` reports the service-shutdown error). Dropping
 //! a ticket abandons the response; the service never blocks on it.
@@ -86,7 +86,7 @@ pub struct Request<B: ServiceBackend> {
 
 impl<B: ServiceBackend> Request<B> {
     /// A request with the default attributes: [`Priority::Interactive`],
-    /// no deadline, [`ClientId::ANON`], weight 1.
+    /// no deadline, `ClientId::ANON`, weight 1.
     pub fn new(payload: B::Request) -> Request<B> {
         Request {
             payload,
@@ -118,14 +118,6 @@ impl<B: ServiceBackend> Request<B> {
     /// Attributes the request to a client for fairness accounting.
     pub fn client(mut self, client: ClientId) -> Request<B> {
         self.client = client;
-        self
-    }
-
-    /// Sets the client's deficit-round-robin weight (clamped to at least
-    /// 1): a weight-2 client drains twice as fast per rotation as a
-    /// weight-1 client in the same lane.
-    pub fn weight(mut self, weight: u32) -> Request<B> {
-        self.weight = weight.max(1);
         self
     }
 }
@@ -179,7 +171,7 @@ impl Ticket {
         .unwrap_or_else(shutdown_response)
     }
 
-    /// Borrows a non-consuming view for [`TicketRef::poll`] and
+    /// Borrows a non-consuming view for `TicketRef::poll` and
     /// [`TicketRef::wait_timeout`].
     pub fn by_ref(&self) -> TicketRef<'_> {
         TicketRef { ticket: self }
@@ -197,7 +189,7 @@ impl TicketRef<'_> {
     /// Returns the response if it is ready, without blocking. `None`
     /// means still in flight — poll again or block via
     /// [`TicketRef::wait_timeout`].
-    pub fn poll(&self) -> Option<ServiceResponse> {
+    pub(crate) fn poll(&self) -> Option<ServiceResponse> {
         match &self.ticket.state {
             TicketState::Resolved(r) => Some(r.take().unwrap_or_else(shutdown_response)),
             TicketState::Pending(rx) => match rx.try_recv() {
@@ -318,10 +310,10 @@ impl Parker {
 /// One enqueued unit: the item plus the scheduling attributes the DRR
 /// scheduler needs.
 pub(crate) struct Submission<T> {
-    pub item: T,
-    pub class: Priority,
-    pub client: ClientId,
-    pub weight: u32,
+    pub(crate) item: T,
+    pub(crate) class: Priority,
+    pub(crate) client: ClientId,
+    pub(crate) weight: u32,
 }
 
 /// The ingress pipeline between submitters and workers: the DRR fairness

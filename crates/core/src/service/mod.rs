@@ -1,7 +1,7 @@
 //! Persistent compile service: pooled multi-request pipelining with a
 //! content-addressed module cache.
 //!
-//! The one-shot entry points ([`crate::codegen::CodeGen::compile_module`],
+//! The one-shot entry points ([`crate::codegen::CodeGen::compile_module_with`],
 //! [`crate::parallel::compile_sharded`]) pay their setup cost — thread spawn,
 //! session warm-up, adapter indexing — on every call. JIT-style workloads
 //! instead see a *stream* of mostly small modules arriving continuously, so
@@ -104,7 +104,7 @@
 //! but every submitted request — queued or in flight — is compiled and its
 //! ticket answered before the worker threads exit.
 
-pub mod fairness;
+mod fairness;
 pub mod front;
 
 pub use fairness::ClientId;
@@ -1145,12 +1145,6 @@ impl<B: ServiceBackend> CompileService<B> {
                 .unwrap_or(0),
         }
     }
-
-    /// Drops every cached module (for tests and memory pressure handling).
-    pub fn clear_cache(&self) {
-        let mut cache = self.shared.cache.lock().unwrap();
-        cache.map.clear();
-    }
 }
 
 impl<B: ServiceBackend> Drop for CompileService<B> {
@@ -1987,7 +1981,6 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.cache_hits, 2);
         assert_eq!(stats.cache_misses, 1);
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -2256,14 +2249,13 @@ mod tests {
         let d = svc.submit(Request::new(ByteModule::new(vec![3])));
         let err = d.wait().module.unwrap_err();
         assert_eq!(err, Error::Rejected { queue_depth: 2 });
-        assert!(err.is_shed());
         // Admitted requests are unaffected by the shed one.
         assert!(blocker.wait().module.is_ok());
         assert!(b.wait().module.is_ok());
         assert!(c.wait().module.is_ok());
         let stats = svc.stats();
         assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.shed(), 1);
+        assert_eq!(stats.deadline_expired, 0);
         assert_eq!(stats.completed, 4);
     }
 
@@ -2343,7 +2335,7 @@ mod tests {
             .is_ok());
         let stats = svc.stats();
         assert_eq!(stats.deadline_expired, 1);
-        assert_eq!(stats.shed(), 1);
+        assert_eq!(stats.rejected, 0);
     }
 
     #[test]
@@ -2487,7 +2479,6 @@ mod tests {
             matches!(&err, Error::Timeout(msg) if msg.contains("hung")),
             "unexpected error: {err}"
         );
-        assert!(!err.is_shed(), "a timeout is a failure, not shedding");
         let stats = svc.stats();
         assert!(stats.watchdog_timeouts >= 1);
         assert!(stats.workers_respawned >= 1);
@@ -2538,7 +2529,6 @@ mod tests {
         // share can explain the rejection.
         let err = a3.wait().module.unwrap_err();
         assert!(matches!(err, Error::Rejected { .. }), "unexpected: {err}");
-        assert!(err.is_shed());
         // B is under its own share and is still admitted.
         let b2 = svc.submit(Request::new(ByteModule::new(vec![14])).client(b));
         for t in [blocker, b1, a1, a2, b2] {

@@ -28,16 +28,6 @@ pub enum TargetArch {
     Aarch64,
 }
 
-impl TargetArch {
-    /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TargetArch::X86_64 => "x86-64",
-            TargetArch::Aarch64 => "aarch64",
-        }
-    }
-}
-
 /// Per-function frame bookkeeping shared between the code generator and the
 /// target.
 ///
@@ -97,9 +87,6 @@ pub trait Target {
     /// registers for values kept in registers across an innermost loop.
     fn fixed_reg_candidates(&self, bank: RegBank) -> &[Reg];
 
-    /// The frame pointer register.
-    fn frame_reg(&self) -> Reg;
-
     /// An emergency general-purpose scratch register that is never
     /// allocated (used for address computations and FP constant
     /// materialization).
@@ -144,13 +131,15 @@ pub trait Target {
     /// Register-to-register move within one bank.
     fn emit_mov_rr(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, dst: Reg, src: Reg);
 
-    /// Store `src` to `[frame_reg + off]` (spill).
+    /// Store `src` to the frame slot at `off` from the frame pointer (spill).
     fn emit_frame_store(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, off: i32, src: Reg);
 
-    /// Load `[frame_reg + off]` into `dst` (reload).
+    /// Load the frame slot at `off` from the frame pointer into `dst`
+    /// (reload).
     fn emit_frame_load(&self, buf: &mut CodeBuffer, bank: RegBank, size: u32, dst: Reg, off: i32);
 
-    /// Compute `frame_reg + off` into `dst` (address of a stack variable).
+    /// Compute the frame pointer plus `off` into `dst` (address of a stack
+    /// variable).
     fn emit_frame_addr(&self, buf: &mut CodeBuffer, dst: Reg, off: i32);
 
     /// Materialize a constant into a register.
@@ -181,12 +170,6 @@ pub trait Target {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arch_names() {
-        assert_eq!(TargetArch::X86_64.name(), "x86-64");
-        assert_eq!(TargetArch::Aarch64.name(), "aarch64");
-    }
 
     #[test]
     fn frame_state_reset_empties_it() {

@@ -1,6 +1,6 @@
 //! Per-phase compile timing ([`PassTimings`]: the analysis pass versus the
 //! single code-generation pass), plus the service-side statistics types
-//! ([`ServiceStats`], [`ClientStats`]) and the lock-free [`Reservoir`]
+//! ([`ServiceStats`], [`ClientStats`]) and the lock-free `Reservoir`
 //! sampler backing them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,12 +28,12 @@ impl PassTimings {
     }
 
     /// Adds `dur` to the total of `phase`.
-    pub fn add(&mut self, phase: Phase, dur: Duration) {
+    pub(crate) fn add(&mut self, phase: Phase, dur: Duration) {
         self.totals[phase as usize] += dur;
     }
 
     /// Runs `f`, attributing its wall-clock time to `phase`.
-    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let r = f();
         self.add(phase, start.elapsed());
@@ -129,7 +129,7 @@ pub struct ServiceStats {
     /// Requests rejected at admission because their IR failed
     /// [`crate::service::ServiceBackend::verify`] — answered
     /// [`crate::error::Error::InvalidIr`] immediately, never compiled.
-    /// A caller error, so *not* counted by [`ServiceStats::shed`].
+    /// A caller error, so *not* counted as shed.
     pub rejected_invalid: u64,
     /// Worker panics contained on *verified* input — genuine backend bugs.
     /// With admission verification in place, malformed IR shows up in
@@ -154,7 +154,7 @@ pub struct ServiceStats {
     /// Always 0: submissions have a single path into the scheduler, so
     /// none ever falls back. Kept so existing readers of the field build.
     pub ring_fallbacks: u64,
-    /// Per-client request statistics, one entry per [`crate::ClientId`]
+    /// Per-client request statistics, one entry per [`crate::service::ClientId`]
     /// observed on a completed (or shed) request, in ascending client-id
     /// order. Tracked at completion time, so a client with only in-flight
     /// requests has no entry yet.
@@ -166,7 +166,7 @@ pub struct ServiceStats {
 /// is attributed to its client when its ticket resolves.
 #[derive(Clone, Debug, Default)]
 pub struct ClientStats {
-    /// The client these counters belong to (raw [`crate::ClientId`] value).
+    /// The client these counters belong to (raw [`crate::service::ClientId`] value).
     pub client: u64,
     /// Requests answered successfully (compiled, cached or coalesced).
     pub completed: u64,
@@ -183,17 +183,6 @@ pub struct ClientStats {
 }
 
 impl ServiceStats {
-    /// In-memory cache hit rate over cacheable requests (0 when none were
-    /// submitted).
-    pub fn hit_rate(&self) -> f64 {
-        let keyed = self.cache_hits + self.cache_misses;
-        if keyed == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / keyed as f64
-        }
-    }
-
     /// Disk-cache hit rate over requests that reached the disk tier, i.e.
     /// cacheable in-memory misses on a service with a disk cache configured
     /// (0 when none did).
@@ -203,22 +192,6 @@ impl ServiceStats {
             0.0
         } else {
             self.disk_hits as f64 / reached as f64
-        }
-    }
-
-    /// Requests intentionally shed by the front-end (admission rejection +
-    /// deadline expiry). Every shed request still resolves its ticket with
-    /// an explicit error.
-    pub fn shed(&self) -> u64 {
-        self.rejected + self.deadline_expired
-    }
-
-    /// Mean submission-to-response latency (zero before the first response).
-    pub fn mean_latency(&self) -> Duration {
-        if self.completed == 0 {
-            Duration::ZERO
-        } else {
-            self.total_latency / self.completed as u32
         }
     }
 }
@@ -237,7 +210,7 @@ impl ServiceStats {
 /// is dropped. That bias is bounded by the write rate and acceptable for
 /// the percentile estimates this feeds.
 #[derive(Debug)]
-pub struct Reservoir {
+pub(crate) struct Reservoir {
     count: AtomicU64,
     slots: Box<[AtomicU64]>,
 }
@@ -259,7 +232,7 @@ impl Default for Reservoir {
 
 impl Reservoir {
     /// Creates an empty reservoir holding at most `capacity` samples.
-    pub fn new(capacity: usize) -> Reservoir {
+    pub(crate) fn new(capacity: usize) -> Reservoir {
         Reservoir {
             count: AtomicU64::new(0),
             slots: (0..capacity.max(1)).map(|_| AtomicU64::new(0)).collect(),
@@ -267,7 +240,7 @@ impl Reservoir {
     }
 
     /// Records one observation.
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         let i = self.count.fetch_add(1, Ordering::Relaxed);
         let n = self.slots.len() as u64;
         if i < n {
@@ -280,19 +253,9 @@ impl Reservoir {
         }
     }
 
-    /// Total observations recorded (not capped at capacity).
-    pub fn len(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Copies the currently held samples out (at most `capacity` values,
     /// unsorted). Never blocks a concurrent writer.
-    pub fn snapshot(&self) -> Vec<u64> {
+    pub(crate) fn snapshot(&self) -> Vec<u64> {
         let filled = (self.count.load(Ordering::Relaxed) as usize).min(self.slots.len());
         self.slots[..filled]
             .iter()
@@ -304,21 +267,6 @@ impl Reservoir {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn service_stats_rates() {
-        let s = ServiceStats {
-            completed: 4,
-            cache_hits: 3,
-            cache_misses: 1,
-            total_latency: Duration::from_millis(8),
-            ..ServiceStats::default()
-        };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(s.mean_latency(), Duration::from_millis(2));
-        assert_eq!(ServiceStats::default().hit_rate(), 0.0);
-        assert_eq!(ServiceStats::default().mean_latency(), Duration::ZERO);
-    }
 
     #[test]
     fn disk_hit_rate_counts_only_requests_that_reached_disk() {
@@ -373,7 +321,7 @@ mod tests {
         let mut s = r.snapshot();
         s.sort_unstable();
         assert_eq!(s, [10, 20, 30, 40, 50]);
-        assert_eq!(r.len(), 5);
+        assert_eq!(r.count.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -384,7 +332,7 @@ mod tests {
         }
         let s = r.snapshot();
         assert_eq!(s.len(), 16);
-        assert_eq!(r.len(), 10_000);
+        assert_eq!(r.count.load(Ordering::Relaxed), 10_000);
         // Algorithm R keeps a sample spread across the whole stream, not
         // just the head: with 16 slots over 10k observations, at least one
         // survivor should come from the later half.
@@ -419,7 +367,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(r.len(), 4000);
+        assert_eq!(r.count.load(Ordering::Relaxed), 4000);
         assert_eq!(r.snapshot().len(), 32);
     }
 }

@@ -171,7 +171,7 @@ const UNDEF: u32 = u32::MAX;
 
 /// Reusable IR verifier. See the [module docs](self) for the checked
 /// invariants. Create once, call [`Verifier::verify_module`] (or
-/// [`Verifier::verify_func`] per function) as often as needed; all internal
+/// `Verifier::verify_func` per function) as often as needed; all internal
 /// buffers are reused.
 #[derive(Default)]
 pub struct Verifier {
@@ -211,7 +211,7 @@ impl Verifier {
 
     /// Verifies the adapter's *current* function (after `switch_func`).
     /// `func` is only used to label errors.
-    pub fn verify_func<A: IrAdapter>(
+    pub(crate) fn verify_func<A: IrAdapter>(
         &mut self,
         adapter: &A,
         func: FuncRef,
@@ -434,7 +434,6 @@ mod tests {
     use super::*;
     use crate::adapter::{InstRef, Linkage, PhiIncoming, StackVarDesc};
     use crate::regs::RegBank;
-    use std::borrow::Cow;
 
     /// Minimal scriptable adapter: one function, explicit tables.
     #[derive(Default)]
@@ -516,9 +515,6 @@ mod tests {
         }
         fn val_is_const(&self, v: ValueRef) -> bool {
             self.consts.contains(&v)
-        }
-        fn val_name(&self, v: ValueRef) -> Cow<'_, str> {
-            Cow::Owned(format!("v{}", v.0))
         }
         fn inst_is_terminator(&self, i: InstRef) -> Option<bool> {
             self.terms.get(i.idx()).copied().flatten()

@@ -9,7 +9,6 @@
 //!    error's message — without any worker compiling it, panicking over it,
 //!    or being respawned.
 
-use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -197,9 +196,6 @@ impl IrAdapter for MockAdapter<'_> {
     }
     fn val_part_bank(&self, _: ValueRef, _: u32) -> RegBank {
         RegBank::GP
-    }
-    fn val_name(&self, v: ValueRef) -> Cow<'_, str> {
-        Cow::Owned(format!("v{}", v.0))
     }
     fn inst_is_terminator(&self, i: InstRef) -> Option<bool> {
         self.0.terms.get(i.idx()).copied().flatten()

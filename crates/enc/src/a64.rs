@@ -53,7 +53,7 @@ pub enum Cond {
 impl Cond {
     /// The inverted condition.
     #[inline]
-    pub fn invert(self) -> Cond {
+    pub(crate) fn invert(self) -> Cond {
         match self {
             Cond::Eq => Cond::Ne,
             Cond::Ne => Cond::Eq,

@@ -128,11 +128,6 @@ impl Target for A64Target {
     }
 
     #[inline]
-    fn frame_reg(&self) -> Reg {
-        Reg::new(RegBank::GP, 29)
-    }
-
-    #[inline]
     fn scratch_gp(&self) -> Reg {
         Reg::new(RegBank::GP, 16)
     }

@@ -22,9 +22,9 @@
 #![forbid(unsafe_code)]
 
 pub mod a64;
-pub mod a64target;
+mod a64target;
 pub mod x64;
-pub mod x64target;
+mod x64target;
 
 pub use a64target::A64Target;
 pub use x64target::X64Target;

@@ -86,11 +86,6 @@ impl Target for X64Target {
     }
 
     #[inline]
-    fn frame_reg(&self) -> Reg {
-        Reg::new(RegBank::GP, 5)
-    }
-
-    #[inline]
     fn scratch_gp(&self) -> Reg {
         Reg::new(RegBank::GP, 11)
     }

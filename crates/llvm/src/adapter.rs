@@ -17,7 +17,7 @@ use tpde_core::regs::RegBank;
 /// (see the `tpde_core::adapter` module docs).
 pub struct LlvmAdapter<'m> {
     /// The module being compiled.
-    pub module: &'m Module,
+    pub(crate) module: &'m Module,
     /// The current function (`None` before the first `switch_func`).
     func: Option<&'m Function>,
     /// The reusable flat-table storage.
@@ -63,7 +63,7 @@ struct BlockEntry {
 /// ([`LlvmAdapter::with_scratch`]), so the per-function indexing in
 /// `switch_func` reuses the grown capacities.
 #[derive(Debug, Default)]
-pub struct AdapterScratch {
+pub(crate) struct AdapterScratch {
     insts: Vec<InstEntry>,
     blocks: Vec<BlockEntry>,
     /// `InstRef(i)` at index `i`: what `block_insts` slices. Only ever
@@ -192,7 +192,7 @@ impl<'m> LlvmAdapter<'m> {
 
     /// Creates an adapter for a module reusing previously grown table
     /// capacities (see [`AdapterScratch`]).
-    pub fn with_scratch(module: &'m Module, scratch: AdapterScratch) -> LlvmAdapter<'m> {
+    pub(crate) fn with_scratch(module: &'m Module, scratch: AdapterScratch) -> LlvmAdapter<'m> {
         LlvmAdapter {
             module,
             func: None,
@@ -201,7 +201,7 @@ impl<'m> LlvmAdapter<'m> {
     }
 
     /// Detaches the flat-table storage for reuse with another module.
-    pub fn into_scratch(self) -> AdapterScratch {
+    pub(crate) fn into_scratch(self) -> AdapterScratch {
         self.s
     }
 
@@ -211,19 +211,19 @@ impl<'m> LlvmAdapter<'m> {
     ///
     /// Panics before the first `switch_func`.
     #[inline]
-    pub fn cur_func(&self) -> &'m Function {
+    pub(crate) fn cur_func(&self) -> &'m Function {
         self.func.expect("switch_func selects the function first")
     }
 
     /// The IR instruction behind an [`InstRef`].
     #[inline]
-    pub fn inst(&self, inst: InstRef) -> &'m Inst {
+    pub(crate) fn inst(&self, inst: InstRef) -> &'m Inst {
         let e = &self.s.insts[inst.idx()];
         &self.cur_func().blocks[e.block as usize].insts[e.idx as usize]
     }
 
     /// The instruction following `inst` within the same block, if any.
-    pub fn next_inst_in_block(&self, inst: InstRef) -> Option<InstRef> {
+    pub(crate) fn next_inst_in_block(&self, inst: InstRef) -> Option<InstRef> {
         let e = &self.s.insts[inst.idx()];
         (e.idx + 1 < self.s.blocks[e.block as usize].inst_len).then_some(InstRef(inst.0 + 1))
     }
@@ -235,7 +235,7 @@ impl<'m> LlvmAdapter<'m> {
     /// through any stack variable of the function leaves its variable.
     /// Whether a store to it can then run before a use is the caller's
     /// question ([`LlvmAdapter::stack_var_store_blocks`]).
-    pub fn deferrable_stack_load(
+    pub(crate) fn deferrable_stack_load(
         &self,
         addr: crate::ir::Value,
         off: i32,
@@ -250,7 +250,7 @@ impl<'m> LlvmAdapter<'m> {
 
     /// The blocks that store to stack variable `var`, each once, in no
     /// particular order.
-    pub fn stack_var_store_blocks(&self, var: u32) -> impl Iterator<Item = BlockRef> + '_ {
+    pub(crate) fn stack_var_store_blocks(&self, var: u32) -> impl Iterator<Item = BlockRef> + '_ {
         let u = &self.s.stack_uses;
         let mut next = u.vars.get(var as usize).map_or(NO_LINK, |v| v.stores);
         std::iter::from_fn(move || {
@@ -258,11 +258,6 @@ impl<'m> LlvmAdapter<'m> {
             next = prev;
             Some(block)
         })
-    }
-
-    /// Type of a value in the current function.
-    pub fn value_type(&self, v: ValueRef) -> Type {
-        self.cur_func().value_type(Value(v.0))
     }
 }
 
@@ -496,11 +491,11 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
 }
 
 /// Helper to convert IR blocks to framework block references.
-pub fn block_ref(b: Block) -> BlockRef {
+pub(crate) fn block_ref(b: Block) -> BlockRef {
     BlockRef(b.0)
 }
 
 /// Helper to convert IR values to framework value references.
-pub fn value_ref(v: Value) -> ValueRef {
+pub(crate) fn value_ref(v: Value) -> ValueRef {
     ValueRef(v.0)
 }

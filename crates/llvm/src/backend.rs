@@ -39,7 +39,7 @@ use tpde_snippets::{AsmAddr, AsmOperand, SnippetEmitter};
 /// cache so compiling a call instruction does not allocate or re-intern the
 /// callee name in steady state.
 #[derive(Default)]
-pub struct LlvmInstCompiler {
+pub(crate) struct LlvmInstCompiler {
     arg_refs: Vec<tpde_core::codegen::ValuePartRef>,
     /// Cached `SymbolId` per IR function index, filled on first call. The
     /// ids belong to one module's `CodeBuffer`, so the cache is tagged with
@@ -182,9 +182,6 @@ impl LlvmInstCompiler {
         let Inst::Gep { res, .. } = *gep else {
             return None;
         };
-        if !cg.options().fusion {
-            return None;
-        }
         let adapter = cg.adapter;
         let next = adapter.next_inst_in_block(inst)?;
         let access_off = match *adapter.inst(next) {
@@ -257,29 +254,27 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                 // compare + branch fusion (§3.4.4): if the next instruction is
                 // a conditional branch on this result and this is its only
                 // use, emit the fused form and skip the branch.
-                if cg.options().fusion {
-                    if let Some(next) = cg.adapter.next_inst_in_block(inst) {
-                        if let Inst::CondBr {
-                            cond,
-                            if_true,
-                            if_false,
-                        } = cg.adapter.inst(next)
-                        {
-                            if *cond == res && cg.analysis.live(value_ref(res)).uses == 1 {
-                                let (it, if_) = (*if_true, *if_false);
-                                let l = Self::operand(cg, lhs)?;
-                                let r = Self::operand(cg, rhs)?;
-                                cg.mark_fused(next);
-                                return T::enc_icmp_branch(
-                                    cg,
-                                    cc,
-                                    ty.size(),
-                                    &l,
-                                    &r,
-                                    block_ref(it),
-                                    block_ref(if_),
-                                );
-                            }
+                if let Some(next) = cg.adapter.next_inst_in_block(inst) {
+                    if let Inst::CondBr {
+                        cond,
+                        if_true,
+                        if_false,
+                    } = cg.adapter.inst(next)
+                    {
+                        if *cond == res && cg.analysis.live(value_ref(res)).uses == 1 {
+                            let (it, if_) = (*if_true, *if_false);
+                            let l = Self::operand(cg, lhs)?;
+                            let r = Self::operand(cg, rhs)?;
+                            cg.mark_fused(next);
+                            return T::enc_icmp_branch(
+                                cg,
+                                cc,
+                                ty.size(),
+                                &l,
+                                &r,
+                                block_ref(it),
+                                block_ref(if_),
+                            );
                         }
                     }
                 }
@@ -565,7 +560,7 @@ impl ServiceBackendKind {
     /// (instrumented) TPDE x86-64 and copy-and-patch backends, which were
     /// removed. They are never reused, so artifacts stored under them are
     /// simply never looked up again and age out of the disk cache's LRU.
-    pub fn artifact_tag(self) -> u8 {
+    pub(crate) fn artifact_tag(self) -> u8 {
         match self {
             ServiceBackendKind::TpdeX64 => 0,
             ServiceBackendKind::TpdeA64 => 1,
@@ -580,25 +575,6 @@ impl ServiceBackendKind {
             TargetArch::X86_64 => ServiceBackendKind::TpdeX64,
             TargetArch::Aarch64 => ServiceBackendKind::TpdeA64,
         }
-    }
-}
-
-/// A per-target [`CodeGen`], built on first use and rebuilt only when a
-/// compile asks for different options than the previous one.
-struct CachedCg<T: Target>(Option<(CompileOptions, CodeGen<T>)>);
-
-impl<T: Target> Default for CachedCg<T> {
-    fn default() -> Self {
-        CachedCg(None)
-    }
-}
-
-impl<T: Target> CachedCg<T> {
-    fn get(&mut self, opts: &CompileOptions, make: fn() -> T) -> &CodeGen<T> {
-        if self.0.as_ref().is_none_or(|(o, _)| o != opts) {
-            self.0 = Some((opts.clone(), CodeGen::new(make(), opts.clone())));
-        }
-        &self.0.as_ref().expect("built above").1
     }
 }
 
@@ -624,15 +600,15 @@ fn predeclare(module: &Module, buf: &mut CodeBuffer) {
 
 /// The warm state one thread compiles with, for every
 /// [`ServiceBackendKind`]: the instruction compiler, the adapter's
-/// flat-table scratch and the per-target code generators, kept across
-/// compiles so none regrows them. A service worker, a
+/// flat-table scratch and the per-target code generators (built on first
+/// use), kept across compiles so none regrows them. A service worker, a
 /// [`compile_parallel`] thread and [`compile`]'s thread-local each own one.
 #[derive(Default)]
 pub struct LlvmServiceWorker {
     compiler: LlvmInstCompiler,
     scratch: AdapterScratch,
-    x64: CachedCg<X64Target>,
-    a64: CachedCg<A64Target>,
+    x64: Option<CodeGen<X64Target>>,
+    a64: Option<CodeGen<A64Target>>,
 }
 
 impl LlvmServiceWorker {
@@ -644,19 +620,22 @@ impl LlvmServiceWorker {
         &mut self,
         module: &Module,
         kind: ServiceBackendKind,
-        opts: &CompileOptions,
         session: &mut CompileSession,
     ) -> Result<CompiledModule> {
         self.compiler.reset();
         match kind {
             ServiceBackendKind::TpdeX64 => {
-                let cg = self.x64.get(opts, X64Target::new);
+                let cg = self
+                    .x64
+                    .get_or_insert_with(|| CodeGen::new(X64Target::new()));
                 with_adapter(&mut self.scratch, module, |a| {
                     cg.compile_module_with(session, a, &mut self.compiler)
                 })
             }
             ServiceBackendKind::TpdeA64 => {
-                let cg = self.a64.get(opts, A64Target::new);
+                let cg = self
+                    .a64
+                    .get_or_insert_with(|| CodeGen::new(A64Target::new()));
                 with_adapter(&mut self.scratch, module, |a| {
                     cg.compile_module_with(session, a, &mut self.compiler)
                 })
@@ -674,7 +653,7 @@ impl LlvmServiceWorker {
                 } = &mut out;
                 predeclare(module, buf);
                 for f in 0..module.funcs.len() as u32 {
-                    self.compile_func(module, kind, opts, session, buf, f, stats, timings)?;
+                    self.compile_func(module, kind, session, buf, f, stats, timings)?;
                 }
                 Ok(out)
             }
@@ -684,20 +663,17 @@ impl LlvmServiceWorker {
     /// Readies this worker and `session` for [`Self::compile_func`] calls
     /// on one module: TPDE configures the session's register file for its
     /// target; the baselines use no session.
-    fn prepare(
-        &mut self,
-        kind: ServiceBackendKind,
-        opts: &CompileOptions,
-        session: &mut CompileSession,
-    ) {
+    fn prepare(&mut self, kind: ServiceBackendKind, session: &mut CompileSession) {
         self.compiler.reset();
         match kind {
-            ServiceBackendKind::TpdeX64 => {
-                self.x64.get(opts, X64Target::new).prepare_session(session)
-            }
-            ServiceBackendKind::TpdeA64 => {
-                self.a64.get(opts, A64Target::new).prepare_session(session)
-            }
+            ServiceBackendKind::TpdeX64 => self
+                .x64
+                .get_or_insert_with(|| CodeGen::new(X64Target::new()))
+                .prepare_session(session),
+            ServiceBackendKind::TpdeA64 => self
+                .a64
+                .get_or_insert_with(|| CodeGen::new(A64Target::new()))
+                .prepare_session(session),
             ServiceBackendKind::BaselineO0 | ServiceBackendKind::CopyPatch => {}
         }
     }
@@ -712,7 +688,6 @@ impl LlvmServiceWorker {
         &mut self,
         module: &Module,
         kind: ServiceBackendKind,
-        opts: &CompileOptions,
         session: &mut CompileSession,
         buf: &mut CodeBuffer,
         f: u32,
@@ -722,13 +697,17 @@ impl LlvmServiceWorker {
         let (compiler, func) = (&mut self.compiler, FuncRef(f));
         match kind {
             ServiceBackendKind::TpdeX64 => {
-                let cg = self.x64.get(opts, X64Target::new);
+                let cg = self
+                    .x64
+                    .get_or_insert_with(|| CodeGen::new(X64Target::new()));
                 with_adapter(&mut self.scratch, module, |a| {
                     cg.compile_func_pooled(session, a, compiler, buf, func, stats, timings)
                 })
             }
             ServiceBackendKind::TpdeA64 => {
-                let cg = self.a64.get(opts, A64Target::new);
+                let cg = self
+                    .a64
+                    .get_or_insert_with(|| CodeGen::new(A64Target::new()));
                 with_adapter(&mut self.scratch, module, |a| {
                     cg.compile_func_pooled(session, a, compiler, buf, func, stats, timings)
                 })
@@ -767,12 +746,11 @@ thread_local! {
 fn compile_on_thread(
     module: &Module,
     kind: ServiceBackendKind,
-    opts: &CompileOptions,
     session: Option<&mut CompileSession>,
 ) -> Result<CompiledModule> {
     let mut warm = WARM.take();
     let session = session.unwrap_or(&mut warm.session);
-    let r = warm.worker.compile_module(module, kind, opts, session);
+    let r = warm.worker.compile_module(module, kind, session);
     WARM.set(warm);
     r
 }
@@ -782,13 +760,14 @@ fn compile_on_thread(
 /// The thread keeps its working memory in a thread-local, so its first
 /// compile is cold and later ones reuse what it grew. The output is
 /// byte-identical to [`compile_parallel`] at any thread count and to an
-/// [`LlvmCompileService`] response to the same request.
+/// [`LlvmCompileService`] response to the same request. `opts` is
+/// ignored: [`CompileOptions`] has no settings.
 pub fn compile(
     module: &Module,
     kind: ServiceBackendKind,
-    opts: &CompileOptions,
+    _opts: &CompileOptions,
 ) -> Result<CompiledModule> {
-    compile_on_thread(module, kind, opts, None)
+    compile_on_thread(module, kind, None)
 }
 
 /// One thread's state in [`compile_parallel`].
@@ -804,18 +783,19 @@ struct ShardWorker {
 /// `threads` threads (at most one per function), each with a fresh
 /// worker state. Even one thread goes through the shard-and-merge path.
 /// The output is byte-identical to [`compile`] for any thread count (see
-/// [`tpde_core::parallel`] for the determinism contract).
+/// [`tpde_core::parallel`] for the determinism contract). `opts` is
+/// ignored: [`CompileOptions`] has no settings.
 pub fn compile_parallel(
     module: &Module,
     kind: ServiceBackendKind,
-    opts: &CompileOptions,
+    _opts: &CompileOptions,
     threads: usize,
 ) -> Result<CompiledModule> {
     let nfuncs = module.funcs.len();
     let states = (0..threads.max(1).min(nfuncs.max(1)))
         .map(|_| {
             let mut w = ShardWorker::default();
-            w.worker.prepare(kind, opts, &mut w.session);
+            w.worker.prepare(kind, &mut w.session);
             w
         })
         .collect();
@@ -826,7 +806,7 @@ pub fn compile_parallel(
         |w: &mut ShardWorker, buf, f| {
             let (stats, timings) = (&mut w.stats, &mut w.timings);
             w.worker
-                .compile_func(module, kind, opts, &mut w.session, buf, f, stats, timings)
+                .compile_func(module, kind, &mut w.session, buf, f, stats, timings)
         },
     );
     let mut out = CompiledModule {
@@ -861,17 +841,17 @@ pub fn compile_x64_parallel(
 }
 
 /// [`compile`] with the TPDE kind of `target`'s architecture, and with the
-/// caller's compile session in place of the thread's own.
+/// caller's compile session in place of the thread's own. `opts` is
+/// ignored: [`CompileOptions`] has no settings.
 pub fn compile_with_session<T: Target>(
     module: &Module,
     target: T,
-    opts: &CompileOptions,
+    _opts: &CompileOptions,
     session: &mut CompileSession,
 ) -> Result<CompiledModule> {
     compile_on_thread(
         module,
         ServiceBackendKind::tpde(target.arch()),
-        opts,
         Some(session),
     )
 }
@@ -880,6 +860,12 @@ pub fn compile_with_session<T: Target>(
 // Persistent compile service
 // --------------------------------------------------------------------------
 
+/// The bits above the artifact tag in a request key's first word:
+/// `0b011 << 8`, the flags of the one compile configuration (fixed loop
+/// registers 1, fusion 2, all-live 4 clear). Every pinned key and every
+/// artifact already on disk was keyed with them, so they stay.
+const CONFIG_KEY_BITS: u64 = 0x300;
+
 /// One compile request for the LLVM-IR-like module service.
 #[derive(Clone)]
 pub struct ModuleRequest {
@@ -887,18 +873,12 @@ pub struct ModuleRequest {
     pub module: Arc<Module>,
     /// Which compiler/target answers the request.
     pub backend: ServiceBackendKind,
-    /// Compile options (part of the cache key).
-    pub opts: CompileOptions,
 }
 
 impl ModuleRequest {
-    /// A request with default compile options.
+    /// A request for `module` with `backend`.
     pub fn new(module: Arc<Module>, backend: ServiceBackendKind) -> ModuleRequest {
-        ModuleRequest {
-            module,
-            backend,
-            opts: CompileOptions::default(),
-        }
+        ModuleRequest { module, backend }
     }
 }
 
@@ -918,20 +898,13 @@ impl ServiceBackend for LlvmServiceBackend {
         LlvmServiceWorker::default()
     }
 
-    /// `StableHasher` over two words: the pinned artifact tag with the
-    /// compile options as flag bits above it, then the module's content
-    /// hash. Nothing derived enters the key, so it means the same to every
-    /// build (the on-disk cache outlives any single binary).
+    /// `StableHasher` over two words: the pinned artifact tag with
+    /// `CONFIG_KEY_BITS` above it, then the module's content hash.
+    /// Nothing derived enters the key, so it means the same to every build
+    /// (the on-disk cache outlives any single binary).
     fn request_key(&self, req: &ModuleRequest) -> Option<u64> {
-        // All fields named: a new option must not be left out of the key.
-        let CompileOptions {
-            fixed_loop_regs,
-            fusion,
-            assume_all_live,
-        } = req.opts;
-        let opts = fixed_loop_regs as u64 | (fusion as u64) << 1 | (assume_all_live as u64) << 2;
         let mut h = StableHasher::new();
-        h.write_u64(req.backend.artifact_tag() as u64 | opts << 8);
+        h.write_u64(req.backend.artifact_tag() as u64 | CONFIG_KEY_BITS);
         h.write_u64(req.module.content_hash());
         Some(h.finish())
     }
@@ -966,7 +939,7 @@ impl ServiceBackend for LlvmServiceBackend {
         worker: &mut LlvmServiceWorker,
         session: &mut CompileSession,
     ) {
-        worker.prepare(req.backend, &req.opts, session);
+        worker.prepare(req.backend, session);
     }
 
     fn predeclare(&self, req: &ModuleRequest, buf: &mut CodeBuffer) {
@@ -983,8 +956,8 @@ impl ServiceBackend for LlvmServiceBackend {
         stats: &mut CompileStats,
         timings: &mut PassTimings,
     ) -> Result<bool> {
-        let (m, kind, opts) = (&*req.module, req.backend, &req.opts);
-        worker.compile_func(m, kind, opts, session, buf, f, stats, timings)
+        let (m, kind) = (&*req.module, req.backend);
+        worker.compile_func(m, kind, session, buf, f, stats, timings)
     }
 
     fn compile_module(
@@ -993,7 +966,7 @@ impl ServiceBackend for LlvmServiceBackend {
         worker: &mut LlvmServiceWorker,
         session: &mut CompileSession,
     ) -> Result<CompiledModule> {
-        worker.compile_module(&req.module, req.backend, &req.opts, session)
+        worker.compile_module(&req.module, req.backend, session)
     }
 }
 

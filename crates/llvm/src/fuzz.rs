@@ -14,7 +14,7 @@
 //! shrinking against an opaque predicate). Actually *running* the
 //! compiled x86-64 code requires the emulator crate, which depends on
 //! this one for its tests — so the execution-differential harness is
-//! injected as a closure ([`ExecFn`]) by the integration tests in
+//! injected as a closure (`ExecFn`) by the integration tests in
 //! `tests/fuzz.rs`, whose `#[ignore]`d `fuzz_campaign` is the long
 //! campaign.
 //!
@@ -45,7 +45,7 @@ use crate::ir::{
 /// Executes the `bench_main` symbol of a compiled buffer with one `u64`
 /// argument and returns the result, or a human-readable error. Supplied
 /// by callers that can link against the emulator; see the module docs.
-pub type ExecFn<'a> = &'a dyn Fn(&CodeBuffer, u64) -> std::result::Result<u64, String>;
+pub(crate) type ExecFn<'a> = &'a dyn Fn(&CodeBuffer, u64) -> std::result::Result<u64, String>;
 
 /// All service backend kinds, in a fixed order.
 pub const ALL_KINDS: [ServiceBackendKind; 4] = [
@@ -571,7 +571,7 @@ pub enum Corruption {
 
 /// `true` iff the verifier rejected a [`Corruption`] with the matching
 /// error class.
-pub fn corruption_matches(c: Corruption, e: &VerifyError) -> bool {
+pub(crate) fn corruption_matches(c: Corruption, e: &VerifyError) -> bool {
     matches!(
         (c, e),
         (
@@ -1226,7 +1226,7 @@ pub struct FuzzReport {
     /// Well-formed modules generated.
     pub modules: usize,
     /// Total instructions across generated modules.
-    pub total_insts: usize,
+    pub(crate) total_insts: usize,
     /// Invalid mutants generated.
     pub mutants: usize,
     /// Emulator executions performed.

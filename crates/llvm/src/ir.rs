@@ -30,7 +30,7 @@ pub enum Type {
 
 impl Type {
     /// Size of the type in bytes (0 for void).
-    pub fn size(self) -> u32 {
+    pub(crate) fn size(self) -> u32 {
         match self {
             Type::Void => 0,
             Type::I1 | Type::I8 => 1,
@@ -41,7 +41,7 @@ impl Type {
     }
 
     /// Whether the type lives in the floating-point register bank.
-    pub fn is_fp(self) -> bool {
+    pub(crate) fn is_fp(self) -> bool {
         matches!(self, Type::F32 | Type::F64)
     }
 }
@@ -394,7 +394,7 @@ impl Inst {
 
     /// The result value defined by this instruction, if any.
     #[inline]
-    pub fn result(&self) -> Option<Value> {
+    pub(crate) fn result(&self) -> Option<Value> {
         match self {
             Inst::Bin { res, .. }
             | Inst::Div { res, .. }
@@ -419,7 +419,7 @@ impl Inst {
     /// order. Allocation-free variant of [`Inst::operands`] for hot paths
     /// (the adapter's per-function indexing).
     #[inline]
-    pub fn visit_operands(&self, mut f: impl FnMut(Value)) {
+    pub(crate) fn visit_operands(&self, mut f: impl FnMut(Value)) {
         match self {
             Inst::Bin { lhs, rhs, .. }
             | Inst::Div { lhs, rhs, .. }
@@ -465,7 +465,7 @@ impl Inst {
     }
 
     /// Calls `f` with a mutable reference to every operand value read by
-    /// this instruction, in the same order as [`Inst::visit_operands`].
+    /// this instruction, in the same order as `Inst::visit_operands`.
     /// Used by IR-rewriting tools (the fuzzer's mutator and the test-case
     /// minimizer) to redirect uses without matching on every variant.
     pub fn visit_operands_mut(&mut self, mut f: impl FnMut(&mut Value)) {
@@ -516,7 +516,7 @@ impl Inst {
     /// Calls `f` for every successor block if this is a terminator.
     /// Allocation-free variant of [`Inst::successors`].
     #[inline]
-    pub fn visit_successors(&self, mut f: impl FnMut(Block)) {
+    pub(crate) fn visit_successors(&self, mut f: impl FnMut(Block)) {
         match self {
             Inst::Br { target } => f(*target),
             Inst::CondBr {
@@ -532,7 +532,7 @@ impl Inst {
     /// The operand values read by this instruction.
     /// Convenience wrapper over [`Inst::visit_operands`] (the single source
     /// of truth for the operand list).
-    pub fn operands(&self) -> Vec<Value> {
+    pub(crate) fn operands(&self) -> Vec<Value> {
         let mut out = Vec::new();
         self.visit_operands(|v| out.push(v));
         out
@@ -540,14 +540,14 @@ impl Inst {
 
     /// Successor blocks if this is a terminator.
     /// Convenience wrapper over [`Inst::visit_successors`].
-    pub fn successors(&self) -> Vec<Block> {
+    pub(crate) fn successors(&self) -> Vec<Block> {
         let mut out = Vec::new();
         self.visit_successors(|b| out.push(b));
         out
     }
 
     /// Whether this is a terminator instruction.
-    pub fn is_terminator(&self) -> bool {
+    pub(crate) fn is_terminator(&self) -> bool {
         matches!(
             self,
             Inst::Br { .. } | Inst::CondBr { .. } | Inst::Ret { .. }
@@ -557,20 +557,20 @@ impl Inst {
 
 /// A phi node.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Phi {
+pub(crate) struct Phi {
     /// The value defined by the phi.
-    pub res: Value,
+    pub(crate) res: Value,
     /// The phi's type.
-    pub ty: Type,
+    pub(crate) ty: Type,
     /// Incoming `(block, value)` pairs.
-    pub incoming: Vec<(Block, Value)>,
+    pub(crate) incoming: Vec<(Block, Value)>,
 }
 
 /// One basic block.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockData {
     /// Phi nodes at the start of the block.
-    pub phis: Vec<Phi>,
+    pub(crate) phis: Vec<Phi>,
     /// Instructions, ending with a terminator.
     pub insts: Vec<Inst>,
 }
@@ -603,9 +603,9 @@ pub struct Function {
     /// Symbol name.
     pub name: String,
     /// Parameter types.
-    pub params: Vec<Type>,
+    pub(crate) params: Vec<Type>,
     /// Return type.
-    pub ret: Type,
+    pub(crate) ret: Type,
     /// Whether this is only a declaration (external function).
     pub is_decl: bool,
     /// Whether the symbol is internal to the module.
@@ -613,7 +613,7 @@ pub struct Function {
     /// Static stack variables: `(size, align)`.
     pub stack_slots: Vec<(u32, u32)>,
     /// Values of the stack-slot addresses, same order as `stack_slots`.
-    pub stack_slot_values: Vec<Value>,
+    pub(crate) stack_slot_values: Vec<Value>,
     /// Basic blocks; block 0 is the entry.
     pub blocks: Vec<BlockData>,
     /// Per-value metadata, indexed by value id.
@@ -678,17 +678,17 @@ impl Function {
     }
 
     /// Number of values in the function.
-    pub fn value_count(&self) -> usize {
+    pub(crate) fn value_count(&self) -> usize {
         self.values.len()
     }
 
     /// Type of a value.
-    pub fn value_type(&self, v: Value) -> Type {
+    pub(crate) fn value_type(&self, v: Value) -> Type {
         self.values[v.0 as usize].ty
     }
 
     /// Total number of instructions (for statistics).
-    pub fn inst_count(&self) -> usize {
+    pub(crate) fn inst_count(&self) -> usize {
         self.blocks
             .iter()
             .map(|b| b.insts.len() + b.phis.len())
@@ -906,7 +906,7 @@ impl FunctionBuilder {
     }
 
     /// The bit pattern of `v` if it is a constant.
-    pub fn const_bits(&self, v: Value) -> Option<u64> {
+    pub(crate) fn const_bits(&self, v: Value) -> Option<u64> {
         match self.func.values[v.0 as usize].def {
             ValueDef::Const(bits) => Some(bits),
             _ => None,

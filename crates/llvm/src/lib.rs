@@ -31,7 +31,7 @@
 
 pub mod adapter;
 pub mod backend;
-pub mod baselines;
+mod baselines;
 pub mod fuzz;
 pub mod ir;
 pub mod workloads;

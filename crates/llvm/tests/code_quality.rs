@@ -369,16 +369,6 @@ fn a_gep_whose_access_is_not_next_is_not_folded() {
     gep_is_one_indexed_lea(&text);
 }
 
-#[test]
-fn without_fusion_a_gep_is_not_folded() {
-    let opts = CompileOptions {
-        fusion: false,
-        ..CompileOptions::default()
-    };
-    let text = indexed_store(8, GepUse::Store, &opts);
-    gep_is_one_indexed_lea(&text);
-}
-
 /// `f(x, y) = (x op rhs) ^ x`, where `rhs` is `y` or the constant `imm`:
 /// `x` lives on after the operation.
 fn op_on_live_operand(op: BinOp, imm: Option<i64>) -> Vec<u8> {

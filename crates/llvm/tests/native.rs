@@ -11,10 +11,10 @@
 //! ```
 //!
 //! Each of the 18 workload modules (nine workloads × O0/O1) is compiled
-//! for x86-64, written as an ELF object and linked against
-//! `native_driver.c`. The binary must print the workload's
-//! `expected_result`, and its `GNU_STACK` segment (`readelf -lW`) must not
-//! be executable.
+//! by every x86-64 kind (TPDE, the O0-like baseline and copy-and-patch),
+//! written as an ELF object and linked against `native_driver.c`. Each of
+//! the 54 binaries must print the workload's `expected_result`, and its
+//! `GNU_STACK` segment (`readelf -lW`) must not be executable.
 
 #![forbid(unsafe_code)]
 
@@ -22,8 +22,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use tpde_core::codegen::CompileOptions;
 use tpde_core::obj::{write_elf_object, ElfMachine};
-use tpde_llvm::compile_x64;
 use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle};
+use tpde_llvm::{compile, ServiceBackendKind};
 
 fn cc() -> String {
     std::env::var("TPDE_CC").unwrap_or_else(|_| "cc".to_string())
@@ -80,38 +80,46 @@ fn workloads_run_natively_with_a_non_executable_stack() {
         .arg(&driver_src)
         .arg("-o")
         .arg(&driver));
+    let kinds = [
+        ServiceBackendKind::TpdeX64,
+        ServiceBackendKind::BaselineO0,
+        ServiceBackendKind::CopyPatch,
+    ];
     let mut checked = 0;
     for w in spec_workloads() {
         let want = expected_result(&w);
         for (style, sname) in [(IrStyle::O0, "O0"), (IrStyle::O1, "O1")] {
-            let name = format!("{}-{sname}", w.name);
-            let compiled = compile_x64(&build_workload(&w, style), &CompileOptions::default())
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let obj = dir.join(format!("{name}.o"));
-            std::fs::write(
-                &obj,
-                write_elf_object(&compiled.buf, ElfMachine::X86_64).unwrap(),
-            )
-            .unwrap();
-            let binary: PathBuf = dir.join(&name);
-            let link = run(Command::new(cc())
-                .arg(&driver)
-                .arg(&obj)
-                .arg("-o")
-                .arg(&binary));
-            let warnings = String::from_utf8_lossy(&link.stderr);
-            assert!(warnings.is_empty(), "{name}: linker warnings:\n{warnings}");
-            let out = run(Command::new(&binary).arg(w.input.to_string()));
-            let got = String::from_utf8(out.stdout).unwrap();
-            assert_eq!(
-                got.trim(),
-                want.to_string(),
-                "{name}: bench_main({})",
-                w.input
-            );
-            assert_eq!(gnu_stack_flags(&binary), "RW", "{name}: stack flags");
-            checked += 1;
+            let module = build_workload(&w, style);
+            for kind in kinds {
+                let name = format!("{}-{sname}-{kind:?}", w.name);
+                let compiled = compile(&module, kind, &CompileOptions::default())
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                let obj = dir.join(format!("{name}.o"));
+                std::fs::write(
+                    &obj,
+                    write_elf_object(&compiled.buf, ElfMachine::X86_64).unwrap(),
+                )
+                .unwrap();
+                let binary: PathBuf = dir.join(&name);
+                let link = run(Command::new(cc())
+                    .arg(&driver)
+                    .arg(&obj)
+                    .arg("-o")
+                    .arg(&binary));
+                let warnings = String::from_utf8_lossy(&link.stderr);
+                assert!(warnings.is_empty(), "{name}: linker warnings:\n{warnings}");
+                let out = run(Command::new(&binary).arg(w.input.to_string()));
+                let got = String::from_utf8(out.stdout).unwrap();
+                assert_eq!(
+                    got.trim(),
+                    want.to_string(),
+                    "{name}: bench_main({})",
+                    w.input
+                );
+                assert_eq!(gnu_stack_flags(&binary), "RW", "{name}: stack flags");
+                checked += 1;
+            }
         }
     }
-    assert_eq!(checked, 18);
+    assert_eq!(checked, 54);
 }

@@ -65,13 +65,8 @@ fn request(
     svc: &LlvmCompileService,
     module: &Arc<Module>,
     kind: ServiceBackendKind,
-    opts: &CompileOptions,
 ) -> ServiceResponse {
-    svc.compile(Request::new(ModuleRequest {
-        module: Arc::clone(module),
-        backend: kind,
-        opts: opts.clone(),
-    }))
+    svc.compile(Request::new(ModuleRequest::new(Arc::clone(module), kind)))
 }
 
 #[test]
@@ -85,7 +80,7 @@ fn service_matches_one_shot_for_all_workloads_and_worker_counts() {
             for style in [IrStyle::O0, IrStyle::O1] {
                 let module = Arc::new(build_workload(&w, style));
                 let seq = compile_x64(&module, &opts).unwrap();
-                let got = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
+                let got = request(&svc, &module, ServiceBackendKind::TpdeX64);
                 let what = format!("{} {:?} workers={workers}", w.name, style);
                 let got_module = got.module.expect(&what);
                 got_module
@@ -204,8 +199,7 @@ fn service_output_executes_correctly() {
     let w = small(&spec_workloads()[6]);
     let module = Arc::new(build_workload(&w, IrStyle::O0));
     let svc = service(4, 8);
-    let opts = CompileOptions::default();
-    let compiled = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts)
+    let compiled = request(&svc, &module, ServiceBackendKind::TpdeX64)
         .module
         .unwrap();
     let image = tpde_core::jit::link_in_memory(&compiled.buf, 0x40_0000, |_| None).unwrap();
@@ -214,7 +208,7 @@ fn service_output_executes_correctly() {
 
     // A cache hit links to an identical image (same fingerprint) and runs
     // to the same result.
-    let warm = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
+    let warm = request(&svc, &module, ServiceBackendKind::TpdeX64);
     assert!(warm.timing.cache_hit);
     let warm_image =
         tpde_core::jit::link_in_memory(&warm.module.unwrap().buf, 0x40_0000, |_| None).unwrap();
@@ -225,47 +219,36 @@ fn service_output_executes_correctly() {
 
 #[test]
 fn cache_hits_are_deterministic_across_equal_modules() {
-    let opts = CompileOptions::default();
     let svc = service(2, 16);
     let w = small(&spec_workloads()[2]);
     let module = Arc::new(build_workload(&w, IrStyle::O0));
-    let cold = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
+    let cold = request(&svc, &module, ServiceBackendKind::TpdeX64);
     assert!(!cold.timing.cache_hit);
     // A structurally equal module in a different allocation hits the cache
     // (content-addressed, not pointer-addressed)...
     let rebuilt = Arc::new(build_workload(&w, IrStyle::O0));
-    let warm = request(&svc, &rebuilt, ServiceBackendKind::TpdeX64, &opts);
+    let warm = request(&svc, &rebuilt, ServiceBackendKind::TpdeX64);
     assert!(warm.timing.cache_hit, "content-equal module must hit");
     assert_identical(
         &cold.module.unwrap().buf,
         &warm.module.unwrap().buf,
         "cache hit",
     );
-    // ...while a different target, different options or different content
-    // each miss.
+    // ...while a different target or different content each miss.
     assert!(
-        !request(&svc, &module, ServiceBackendKind::TpdeA64, &opts)
-            .timing
-            .cache_hit
-    );
-    let other_opts = CompileOptions {
-        fusion: false,
-        ..CompileOptions::default()
-    };
-    assert!(
-        !request(&svc, &module, ServiceBackendKind::TpdeX64, &other_opts)
+        !request(&svc, &module, ServiceBackendKind::TpdeA64)
             .timing
             .cache_hit
     );
     let different = Arc::new(build_workload(&small(&spec_workloads()[3]), IrStyle::O0));
     assert!(
-        !request(&svc, &different, ServiceBackendKind::TpdeX64, &opts)
+        !request(&svc, &different, ServiceBackendKind::TpdeX64)
             .timing
             .cache_hit
     );
     let stats = svc.stats();
     assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 4);
+    assert_eq!(stats.cache_misses, 3);
 }
 
 #[test]
@@ -273,12 +256,12 @@ fn cache_hits_share_the_compiled_module() {
     let opts = CompileOptions::default();
     let svc = service(2, 16);
     let module = Arc::new(build_workload(&small(&spec_workloads()[2]), IrStyle::O0));
-    let compiled = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts)
+    let compiled = request(&svc, &module, ServiceBackendKind::TpdeX64)
         .module
         .unwrap();
     let hits: Vec<_> = (0..2)
         .map(|_| {
-            let r = request(&svc, &module, ServiceBackendKind::TpdeX64, &opts);
+            let r = request(&svc, &module, ServiceBackendKind::TpdeX64);
             assert!(r.timing.cache_hit);
             r.module.unwrap()
         })
@@ -311,13 +294,13 @@ fn cache_eviction_keeps_serving_correct_bytes() {
         .map(|m| compile_x64(m, &opts).unwrap())
         .collect();
     for (m, want) in modules.iter().zip(&references) {
-        let got = request(&svc, m, ServiceBackendKind::TpdeX64, &opts)
+        let got = request(&svc, m, ServiceBackendKind::TpdeX64)
             .module
             .unwrap();
         assert_identical(&want.buf, &got.buf, "cold fill");
     }
     // modules[0] was evicted (LRU); recompiling it must still be identical.
-    let again = request(&svc, &modules[0], ServiceBackendKind::TpdeX64, &opts);
+    let again = request(&svc, &modules[0], ServiceBackendKind::TpdeX64);
     assert!(!again.timing.cache_hit, "evicted module must recompile");
     assert_identical(
         &references[0].buf,
@@ -539,7 +522,7 @@ fn baselines_reject_stack_passed_arguments_as_unsupported() {
         ] {
             let direct = compile(m, kind, &opts);
             assert!(matches!(direct, Err(Error::Unsupported(_))), "{kind:?}");
-            let served = request(&svc, m, kind, &opts).module;
+            let served = request(&svc, m, kind).module;
             assert!(matches!(served, Err(Error::Unsupported(_))), "{kind:?}");
         }
     }

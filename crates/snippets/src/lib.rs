@@ -31,7 +31,7 @@ use tpde_core::error::{Error, Result};
 use tpde_core::target::Target;
 
 /// A result destination: one part of an IR value.
-pub type ResultPart = (ValueRef, u32);
+pub(crate) type ResultPart = (ValueRef, u32);
 
 /// Architecture-independent interface to the snippet encoders.
 ///

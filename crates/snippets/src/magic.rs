@@ -10,9 +10,9 @@
 /// ideal multiplier needs `N + 1` bits), `q = (t + ((x - t) >> 1)) >> (shift - 1)`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct UnsignedMagic {
-    pub m: u64,
-    pub shift: u32,
-    pub add: bool,
+    pub(crate) m: u64,
+    pub(crate) shift: u32,
+    pub(crate) add: bool,
 }
 
 /// The shortest unsigned magic for `d`, which must be at least 3 and not a
@@ -57,8 +57,8 @@ pub(crate) fn unsigned_magic(d: u64, bits: u32) -> UnsignedMagic {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct SignedMagic {
     /// The `N`-bit multiplier, sign-extended.
-    pub m: i64,
-    pub shift: u32,
+    pub(crate) m: i64,
+    pub(crate) shift: u32,
 }
 
 /// The signed magic for `d` (sign-extended from `bits`), whose magnitude

@@ -15,7 +15,7 @@ pub enum AsmOperand {
 
 impl AsmOperand {
     /// The constant bits if the operand is an immediate or an IR constant.
-    pub fn as_imm(&self) -> Option<u64> {
+    pub(crate) fn as_imm(&self) -> Option<u64> {
         match self {
             AsmOperand::Imm(v) => Some(*v),
             AsmOperand::Val(p) if p.is_const => Some(p.const_val),
@@ -25,7 +25,7 @@ impl AsmOperand {
 
     /// Whether the immediate fits a sign-extended 32-bit field (given the
     /// operation size).
-    pub fn as_imm32(&self, size: u32) -> Option<i32> {
+    pub(crate) fn as_imm32(&self, size: u32) -> Option<i32> {
         let v = self.as_imm()?;
         let v = match size {
             1 => v as u8 as i8 as i64,
@@ -94,7 +94,7 @@ pub enum BinOp {
 impl BinOp {
     /// Whether the operation is commutative (so constant operands can be
     /// moved to the right-hand side).
-    pub fn commutative(self) -> bool {
+    pub(crate) fn commutative(self) -> bool {
         !matches!(self, BinOp::Sub)
     }
 }
@@ -126,7 +126,7 @@ pub enum ICmp {
 
 impl ICmp {
     /// The predicate with the operands swapped.
-    pub fn swapped(self) -> ICmp {
+    pub(crate) fn swapped(self) -> ICmp {
         match self {
             ICmp::Eq => ICmp::Eq,
             ICmp::Ne => ICmp::Ne,
@@ -138,22 +138,6 @@ impl ICmp {
             ICmp::Ule => ICmp::Uge,
             ICmp::Ugt => ICmp::Ult,
             ICmp::Uge => ICmp::Ule,
-        }
-    }
-
-    /// The inverted predicate.
-    pub fn inverted(self) -> ICmp {
-        match self {
-            ICmp::Eq => ICmp::Ne,
-            ICmp::Ne => ICmp::Eq,
-            ICmp::Slt => ICmp::Sge,
-            ICmp::Sle => ICmp::Sgt,
-            ICmp::Sgt => ICmp::Sle,
-            ICmp::Sge => ICmp::Slt,
-            ICmp::Ult => ICmp::Uge,
-            ICmp::Ule => ICmp::Ugt,
-            ICmp::Ugt => ICmp::Ule,
-            ICmp::Uge => ICmp::Ult,
         }
     }
 }

@@ -62,39 +62,32 @@ pub struct EmuStats {
 /// CPU flags tracked by the emulator.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Flags {
-    pub zf: bool,
-    pub sf: bool,
-    pub cf: bool,
-    pub of: bool,
-    pub pf: bool,
+    pub(crate) zf: bool,
+    pub(crate) sf: bool,
+    pub(crate) cf: bool,
+    pub(crate) of: bool,
+    pub(crate) pf: bool,
 }
 
 /// A registered host function: reads its arguments from the machine
 /// (SysV registers / stack) and writes results to `rax`/`xmm0`.
-pub type HostFn = Rc<dyn Fn(&mut Machine) -> Result<(), EmuError>>;
-
-/// Names of the host functions registered by default (the emulator's libc
-/// subset).
-pub const HOST_FN_NAMES: &[&str] = &[
-    "malloc", "calloc", "free", "memcpy", "memset", "memmove", "memcmp", "strlen", "abort", "puts",
-    "putchar", "exit",
-];
+pub(crate) type HostFn = Rc<dyn Fn(&mut Machine) -> Result<(), EmuError>>;
 
 /// The emulated machine.
 pub struct Machine {
     /// General-purpose registers, indexed by architectural number.
-    pub regs: [u64; 16],
+    pub(crate) regs: [u64; 16],
     /// SSE registers (low 64 bits only; the back-ends only use scalars).
-    pub xmm: [u64; 16],
+    pub(crate) xmm: [u64; 16],
     /// Instruction pointer.
-    pub rip: u64,
+    pub(crate) rip: u64,
     pub(crate) flags: Flags,
     /// Guest memory.
     pub mem: Memory,
     stats: EmuStats,
     host_fns: HashMap<u64, HostFn>,
     pub(crate) heap_next: u64,
-    /// Maximum number of instructions [`Machine::run`] will execute.
+    /// Maximum number of instructions `Machine::run` will execute.
     pub max_insts: u64,
 }
 
@@ -147,13 +140,8 @@ impl Machine {
         &mut self.stats
     }
 
-    /// Resets statistics (state and memory are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = EmuStats::default();
-    }
-
     /// Allocates `size` bytes of guest heap (bump allocation).
-    pub fn heap_alloc(&mut self, size: u64, align: u64) -> u64 {
+    pub(crate) fn heap_alloc(&mut self, size: u64, align: u64) -> u64 {
         let align = align.max(16);
         self.heap_next = (self.heap_next + align - 1) & !(align - 1);
         let addr = self.heap_next;
@@ -204,22 +192,8 @@ impl Machine {
         Ok(self.regs[0])
     }
 
-    /// Calls a function whose first arguments include doubles (placed in
-    /// xmm0..) — used by FP-heavy workloads.
-    pub fn call_fp(
-        &mut self,
-        addr: u64,
-        int_args: &[u64],
-        fp_args: &[f64],
-    ) -> Result<u64, EmuError> {
-        for (i, a) in fp_args.iter().enumerate().take(8) {
-            self.xmm[i] = a.to_bits();
-        }
-        self.call(addr, int_args)
-    }
-
     /// Runs until the outermost frame returns (to the magic return address).
-    pub fn run(&mut self) -> Result<(), EmuError> {
+    pub(crate) fn run(&mut self) -> Result<(), EmuError> {
         let budget = self.max_insts;
         let start = self.stats.insts;
         loop {

@@ -45,7 +45,7 @@ mod decode;
 mod hostcalls;
 mod memory;
 
-pub use cpu::{EmuError, EmuStats, Machine, HOST_FN_NAMES};
+pub use cpu::{EmuError, EmuStats, Machine};
 pub use hostcalls::register_default_hostcalls;
 pub use memory::Memory;
 

@@ -15,7 +15,7 @@ pub struct Memory {
 
 impl Memory {
     /// Creates empty memory.
-    pub fn new() -> Memory {
+    pub(crate) fn new() -> Memory {
         Memory::default()
     }
 
@@ -26,7 +26,7 @@ impl Memory {
     }
 
     /// Reads a single byte.
-    pub fn read_u8(&self, addr: u64) -> u8 {
+    pub(crate) fn read_u8(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
             Some(p) => p[(addr & (PAGE_SIZE - 1)) as usize],
             None => 0,
@@ -34,13 +34,13 @@ impl Memory {
     }
 
     /// Writes a single byte.
-    pub fn write_u8(&mut self, addr: u64, value: u8) {
+    pub(crate) fn write_u8(&mut self, addr: u64, value: u8) {
         let off = (addr & (PAGE_SIZE - 1)) as usize;
         self.page_mut(addr)[off] = value;
     }
 
     /// Reads `n <= 8` bytes little-endian, zero-extended to 64 bits.
-    pub fn read(&self, addr: u64, n: u32) -> u64 {
+    pub(crate) fn read(&self, addr: u64, n: u32) -> u64 {
         let mut v = 0u64;
         for i in 0..n as u64 {
             v |= (self.read_u8(addr + i) as u64) << (8 * i);
@@ -66,11 +66,6 @@ impl Memory {
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
     }
-
-    /// Number of resident pages (for tests / diagnostics).
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +80,7 @@ mod tests {
         assert_eq!(m.read(addr, 8), 0x1122_3344_5566_7788);
         assert_eq!(m.read(addr, 4), 0x5566_7788);
         assert_eq!(m.read_u8(addr), 0x88);
-        assert!(m.resident_pages() >= 2);
+        assert!(m.pages.len() >= 2);
     }
 
     #[test]
