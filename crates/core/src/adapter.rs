@@ -125,17 +125,6 @@ pub struct StackVarDesc {
     pub align: u32,
 }
 
-/// Extra per-argument information needed for ABI lowering.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ArgInfo {
-    /// Size for by-value (memory) argument passing, 0 if passed normally.
-    pub(crate) byval_size: u32,
-    /// Alignment for by-value passing.
-    pub(crate) byval_align: u32,
-    /// Whether this argument is the struct-return pointer.
-    pub(crate) is_sret: bool,
-}
-
 /// One incoming edge of a phi node: the value flowing in from a predecessor.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PhiIncoming {
@@ -199,13 +188,6 @@ pub trait IrAdapter {
 
     /// The function arguments, in ABI order.
     fn args(&self) -> &[ValueRef];
-
-    /// ABI information of the `idx`-th argument (same order as
-    /// [`IrAdapter::args`]).
-    fn arg_info(&self, idx: usize) -> ArgInfo {
-        let _ = idx;
-        ArgInfo::default()
-    }
 
     /// Fixed-size stack variables of the current function. The framework
     /// allocates these in the frame during prologue generation; their value
@@ -312,12 +294,5 @@ mod tests {
         assert_eq!(BlockRef(3).idx(), 3);
         assert_eq!(InstRef(0).idx(), 0);
         assert_eq!(FuncRef(2).idx(), 2);
-    }
-
-    #[test]
-    fn arg_info_default_is_plain() {
-        let i = ArgInfo::default();
-        assert_eq!(i.byval_size, 0);
-        assert!(!i.is_sret);
     }
 }

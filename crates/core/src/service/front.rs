@@ -1,6 +1,6 @@
 //! The service front-end: the submission API ([`Request`], [`Ticket`],
-//! [`TicketRef`]) and the ingress machinery (fairness scheduler + parker
-//! wakeups) behind it.
+//! [`TicketRef`]) and the ingress machinery (fair queue + parker wakeups)
+//! behind it.
 //!
 //! # Submission path
 //!
@@ -9,14 +9,15 @@
 //!     │                   (shed/verify/  scheduler      worker (or all,
 //!     │                    cache/coalesce) mutex        for a shard job)
 //!     ▼                                                      │
-//!  Ticket ◀────────── response ◀── workers ◀── DRR pop ◀─────┘
-//!                                            (lane + client fairness)
+//!  Ticket ◀────────── response ◀── workers ◀── fair pop ◀────┘
+//!                                          (lane, then client rotation)
 //! ```
 //!
-//! Submitters and workers share one mutex-guarded `DrrQueue`: a miss is
-//! pushed under it, then at most as many workers as the job needs are
-//! poked through their `Parker`s. Admission stays unbounded unless a
-//! queue capacity is configured.
+//! Submitters and workers share one mutex that guards the `FairQueue` and
+//! the admission `Backlog`: a miss is admitted and pushed under it, then at
+//! most as many workers as the job needs are poked through their
+//! `Parker`s. Admission stays unbounded unless a queue capacity is
+//! configured.
 //!
 //! # Wakeups
 //!
@@ -59,7 +60,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use super::fairness::{ClientId, DrrQueue};
+use super::fairness::{Backlog, ClientId, FairQueue};
 use super::{lock, Priority, ServiceBackend, ServiceResponse};
 use crate::error::Error;
 use crate::faultpoint::{self, sites};
@@ -81,19 +82,17 @@ pub struct Request<B: ServiceBackend> {
     pub(crate) priority: Priority,
     pub(crate) deadline: Option<Duration>,
     pub(crate) client: ClientId,
-    pub(crate) weight: u32,
 }
 
 impl<B: ServiceBackend> Request<B> {
     /// A request with the default attributes: [`Priority::Interactive`],
-    /// no deadline, `ClientId::ANON`, weight 1.
+    /// no deadline, `ClientId::ANON`.
     pub fn new(payload: B::Request) -> Request<B> {
         Request {
             payload,
             priority: Priority::default(),
             deadline: None,
             client: ClientId::ANON,
-            weight: 1,
         }
     }
 
@@ -307,29 +306,61 @@ impl Parker {
     }
 }
 
-/// One enqueued unit: the item plus the scheduling attributes the DRR
-/// scheduler needs.
+/// One request handed to the pool: the item, the scheduling attributes
+/// the fair queue needs, and how many copies of it to queue (one per
+/// worker for a shard job, else one).
 pub(crate) struct Submission<T> {
     pub(crate) item: T,
     pub(crate) class: Priority,
     pub(crate) client: ClientId,
-    pub(crate) weight: u32,
+    pub(crate) copies: usize,
 }
 
-/// The ingress pipeline between submitters and workers: the DRR fairness
-/// scheduler behind one mutex, with a parker per worker on the side.
+/// What the dispatcher mutex guards: the queued copies, and the admission
+/// backlog of the requests they belong to. The first copy of a request
+/// carries its client, and popping that copy takes the request out of the
+/// backlog, so a request counts from admission until a worker starts it.
+struct Sched<T> {
+    queue: FairQueue<(T, Option<ClientId>)>,
+    backlog: Backlog,
+}
+
+impl<T: Clone> Sched<T> {
+    fn push(&mut self, sub: Submission<T>) {
+        for i in 0..sub.copies {
+            let counted = (i == 0).then_some(sub.client);
+            self.queue
+                .push(sub.class, sub.client, (sub.item.clone(), counted));
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        let (item, counted) = self.queue.pop()?;
+        if let Some(client) = counted {
+            self.backlog.depart(client);
+        }
+        Some(item)
+    }
+}
+
+/// The ingress pipeline between submitters and workers: the fair queue
+/// and the admission backlog behind one mutex, with a parker per worker on
+/// the side.
 pub(crate) struct Dispatcher<T> {
-    sched: Mutex<DrrQueue<T>>,
+    sched: Mutex<Sched<T>>,
     parkers: Box<[Parker]>,
     /// Rotation cursor for picking which parker to wake.
     next_wake: AtomicUsize,
     closed: AtomicBool,
 }
 
-impl<T> Dispatcher<T> {
+impl<T: Clone> Dispatcher<T> {
     pub(crate) fn new(workers: usize) -> Dispatcher<T> {
         Dispatcher {
-            sched: Mutex::new(DrrQueue::new()),
+            sched: Mutex::new(Sched {
+                queue: FairQueue::new(),
+                backlog: Backlog::default(),
+            }),
             parkers: (0..workers).map(|_| Parker::new()).collect(),
             next_wake: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
@@ -345,10 +376,20 @@ impl<T> Dispatcher<T> {
         self.parkers[worker].register();
     }
 
-    /// Hands one submission (or a paused shard job's requeue) to the
-    /// pool. Call [`Dispatcher::wake`] afterwards.
+    /// Admits one request against `limit` (see [`Backlog::admit`]) and
+    /// queues its copies, or returns the observed backlog depth. Call
+    /// [`Dispatcher::wake`] after an admission.
+    pub(crate) fn admit(&self, sub: Submission<T>, limit: u64) -> Result<(), u64> {
+        let mut sched = lock(&self.sched);
+        sched.backlog.admit(sub.client, limit)?;
+        sched.push(sub);
+        Ok(())
+    }
+
+    /// Queues a request past the admission bound: a paused shard job
+    /// returning to the backlog it was admitted to.
     pub(crate) fn enqueue(&self, sub: Submission<T>) {
-        lock(&self.sched).push(sub.class, sub.client, sub.weight, sub.item);
+        let _unbounded = self.admit(sub, 0);
     }
 
     /// Wakes up to `n` workers (1 for a batched job, the pool for a
@@ -408,7 +449,7 @@ impl<T> Dispatcher<T> {
             // stamped its wakeup token on a busy peer is seen by the
             // post-PARKED re-check; the timeout only backstops injected
             // wakeup faults.
-            self.parkers[worker].park_unless(PARK_TIMEOUT, || !lock(&self.sched).is_empty());
+            self.parkers[worker].park_unless(PARK_TIMEOUT, || !lock(&self.sched).queue.is_empty());
         }
     }
 
@@ -472,7 +513,7 @@ mod tests {
             item,
             class: Priority::Interactive,
             client: ClientId(client.into()),
-            weight: 1,
+            copies: 1,
         }
     }
 

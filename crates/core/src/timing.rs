@@ -1,9 +1,8 @@
 //! Per-phase compile timing ([`PassTimings`]: the analysis pass versus the
-//! single code-generation pass), plus the service-side statistics types
-//! ([`ServiceStats`], [`ClientStats`]) and the lock-free `Reservoir`
-//! sampler backing them.
+//! single code-generation pass), plus the service-side types: the timing
+//! each response carries ([`RequestTiming`]) and the counter snapshots
+//! ([`ServiceStats`], [`ClientStats`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Compilation phases the framework distinguishes for timing purposes.
@@ -101,11 +100,6 @@ pub struct ServiceStats {
     pub disk_misses: u64,
     /// Modules written to the on-disk artifact cache.
     pub disk_stores: u64,
-    /// Median (nearest-rank p50) disk-artifact load latency — read, verify,
-    /// validate and materialize. Zero until the first disk hit.
-    pub disk_load_p50: Duration,
-    /// Nearest-rank p99 disk-artifact load latency.
-    pub disk_load_p99: Duration,
     /// Requests compiled by sharding functions across the pool.
     pub sharded: u64,
     /// Requests compiled whole on a single worker.
@@ -118,12 +112,6 @@ pub struct ServiceStats {
     /// not yet answered) — one count per request, however many shard jobs
     /// it fanned out into.
     pub max_queue_depth: u64,
-    /// Sum of submission-to-response latencies over completed requests.
-    pub total_latency: Duration,
-    /// Median (nearest-rank p50) submission-to-response latency.
-    pub p50_latency: Duration,
-    /// Nearest-rank p99 submission-to-response latency.
-    pub p99_latency: Duration,
     /// Requests shed at admission because the queue was at capacity.
     pub rejected: u64,
     /// Requests rejected at admission because their IR failed
@@ -174,12 +162,6 @@ pub struct ClientStats {
     pub shed: u64,
     /// Times a bulk shard job from this client was cooperatively paused.
     pub preemptions: u64,
-    /// Median submission-to-response latency over this client's recent
-    /// completions (sliding window).
-    pub p50_latency: Duration,
-    /// Nearest-rank p99 submission-to-response latency over this client's
-    /// recent completions (sliding window).
-    pub p99_latency: Duration,
 }
 
 impl ServiceStats {
@@ -193,74 +175,6 @@ impl ServiceStats {
         } else {
             self.disk_hits as f64 / reached as f64
         }
-    }
-}
-
-/// A fixed-size lock-free reservoir sampler over `u64` observations.
-///
-/// The first `capacity` observations are stored verbatim; after that each
-/// observation `i` replaces a uniformly chosen earlier sample with
-/// probability `capacity / (i + 1)` (classic Algorithm R), using a
-/// deterministic SplitMix64 hash of the observation index as the random
-/// source so replays are reproducible. Recording is a `fetch_add` plus at
-/// most one relaxed store — no lock, no allocation — so writers on the
-/// service hot path never contend with [`Reservoir::snapshot`] readers.
-///
-/// Concurrent writers can interleave on the same slot; the loser's sample
-/// is dropped. That bias is bounded by the write rate and acceptable for
-/// the percentile estimates this feeds.
-#[derive(Debug)]
-pub(crate) struct Reservoir {
-    count: AtomicU64,
-    slots: Box<[AtomicU64]>,
-}
-
-/// SplitMix64 finalizer: a cheap, well-distributed hash of a counter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl Default for Reservoir {
-    /// A reservoir with the service's default sample capacity (512).
-    fn default() -> Reservoir {
-        Reservoir::new(512)
-    }
-}
-
-impl Reservoir {
-    /// Creates an empty reservoir holding at most `capacity` samples.
-    pub(crate) fn new(capacity: usize) -> Reservoir {
-        Reservoir {
-            count: AtomicU64::new(0),
-            slots: (0..capacity.max(1)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Records one observation.
-    pub(crate) fn record(&self, value: u64) {
-        let i = self.count.fetch_add(1, Ordering::Relaxed);
-        let n = self.slots.len() as u64;
-        if i < n {
-            self.slots[i as usize].store(value, Ordering::Relaxed);
-        } else {
-            let j = splitmix64(i) % (i + 1);
-            if j < n {
-                self.slots[j as usize].store(value, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Copies the currently held samples out (at most `capacity` values,
-    /// unsorted). Never blocks a concurrent writer.
-    pub(crate) fn snapshot(&self) -> Vec<u64> {
-        let filled = (self.count.load(Ordering::Relaxed) as usize).min(self.slots.len());
-        self.slots[..filled]
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect()
     }
 }
 
@@ -310,64 +224,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(Phase::Analysis), Duration::from_millis(3));
         assert_eq!(a.total(Phase::CodeGen), Duration::from_millis(12));
-    }
-
-    #[test]
-    fn reservoir_below_capacity_keeps_everything() {
-        let r = Reservoir::new(8);
-        for v in 1..=5u64 {
-            r.record(v * 10);
-        }
-        let mut s = r.snapshot();
-        s.sort_unstable();
-        assert_eq!(s, [10, 20, 30, 40, 50]);
-        assert_eq!(r.count.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn reservoir_over_capacity_stays_bounded_and_samples_the_stream() {
-        let r = Reservoir::new(16);
-        for v in 0..10_000u64 {
-            r.record(v);
-        }
-        let s = r.snapshot();
-        assert_eq!(s.len(), 16);
-        assert_eq!(r.count.load(Ordering::Relaxed), 10_000);
-        // Algorithm R keeps a sample spread across the whole stream, not
-        // just the head: with 16 slots over 10k observations, at least one
-        // survivor should come from the later half.
-        assert!(s.iter().any(|&v| v >= 5_000), "{s:?}");
-    }
-
-    #[test]
-    fn reservoir_is_deterministic() {
-        let a = Reservoir::new(8);
-        let b = Reservoir::new(8);
-        for v in 0..1000u64 {
-            a.record(v);
-            b.record(v);
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
-    }
-
-    #[test]
-    fn reservoir_concurrent_writers_never_lose_the_structure() {
-        use std::sync::Arc;
-        let r = Arc::new(Reservoir::new(32));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for v in 0..1000u64 {
-                        r.record(t * 10_000 + v);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(r.count.load(Ordering::Relaxed), 4000);
-        assert_eq!(r.snapshot().len(), 32);
     }
 }

@@ -124,7 +124,8 @@ fn warm_memory_hits_allocate_nothing() {
         let r = compile();
         assert!(r.timing.cache_hit && r.module.is_ok());
     };
-    // Enough hits to fill the client's latency window, which grows once.
+    // Warm-up hits before the counted ones: nothing on the hit path may
+    // allocate once its per-client record exists.
     for _ in 0..256 {
         hit(&module);
     }

@@ -365,7 +365,6 @@ fn restarted_process_answers_from_disk_byte_identically() {
     assert_eq!(stats.disk_hits, kinds.len() as u64, "all served from disk");
     assert_eq!(stats.batched + stats.sharded, 0, "no compile path ran");
     assert!((stats.disk_hit_rate() - 1.0).abs() < 1e-9);
-    assert!(stats.disk_load_p99 >= stats.disk_load_p50);
 
     // Re-asking within the same process now hits the promoted memory entry.
     let again = svc.compile(Request::new(ModuleRequest::new(
