@@ -624,10 +624,10 @@ impl Analyzer {
                     add_use(liveness, inc.value, ipos, true);
                     // The phi itself is the move target of each incoming
                     // edge: it stays live to the end of every incoming block
-                    // laid out after it (back edges), mirroring the paper's
-                    // handling.
+                    // that is not laid out before it (back edges, the phi's
+                    // own block included), mirroring the paper's handling.
                     let lr = &mut liveness[phi.idx()];
-                    if ipos > ppos && ipos >= lr.last {
+                    if ipos >= ppos && ipos >= lr.last {
                         lr.last = ipos;
                         lr.last_full = true;
                         lr.phi_end = false;
@@ -854,6 +854,20 @@ mod tests {
         let lphi = a.live(ValueRef(1));
         assert_eq!(lphi.last, a.pos(BlockRef(1)));
         assert!(lphi.last_full, "the back edge's move writes the phi");
+    }
+
+    #[test]
+    fn a_one_block_loop_phi_stays_live_to_the_end_of_its_block() {
+        // 0 -> 1 (phi v1 of v0 and v2; v2 = f(v1)) -> {1, 2}: the back
+        // edge's move writes the phi after its last use, so its slot must
+        // not be handed out before the end of block 1.
+        let mut ir = Ir::new(vec![vec![1], vec![1, 2], vec![]], 1);
+        ir.phi(1, 1, vec![(0, 0), (1, 2)]);
+        ir.push(1, (Some(2), vec![1]));
+        let a = run_analysis(&mut ir).unwrap();
+        let lphi = a.live(ValueRef(1));
+        assert_eq!(lphi.last, a.pos(BlockRef(1)));
+        assert!(lphi.last_full && !lphi.phi_end);
     }
 
     /// 0 -> 1 (header) -> 2 (latch) -> {1, 3}; block 1 has phi v1 with

@@ -691,7 +691,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         // spill all register arguments now.
         let entry = self.analysis.layout[0];
         if self.analysis.num_preds[entry.idx()] > 0 {
-            self.spill_all_register_values(false)?;
+            self.spill_all_register_values(None)?;
             self.entry_state_valid = false;
         }
         Ok(())
@@ -756,25 +756,25 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         }
 
         // Phi values arrive through edge moves: their canonical location is
-        // their stack slot (or fixed register).
+        // their stack slot, fixed register or join register.
         let adapter = self.adapter;
         let block = self.analysis.layout[pos as usize];
         for &phi in adapter.block_phis(block) {
             self.ensure_assignment(phi)?;
             let nparts = adapter.val_part_count(phi);
             for p in 0..nparts {
-                let fixed = self
-                    .s
-                    .assignments
-                    .get(phi)
-                    .map(|a| a.parts[p as usize].fixed)
-                    .unwrap_or(false);
-                if !fixed {
+                if self.s.assignments.get(phi).unwrap().parts[p as usize].fixed {
+                    continue;
+                }
+                let reg = self.join_phi_reg(block, phi);
+                if reg.is_none() {
                     self.ensure_frame_slot(phi)?;
-                    if let Some(a) = self.s.assignments.get_mut(phi) {
-                        a.parts[p as usize].in_mem = true;
-                        a.parts[p as usize].reg = None;
-                    }
+                }
+                let part = &mut self.s.assignments.get_mut(phi).unwrap().parts[p as usize];
+                part.reg = reg;
+                part.in_mem = reg.is_none();
+                if let Some(r) = reg {
+                    self.regfile.set_owner(r, RegOwner::Value(phi, p));
                 }
             }
         }
@@ -1203,11 +1203,13 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         Ok(())
     }
 
-    /// Spills every live register-resident value. With `at_branch`, a value
-    /// whose range ends in the current block only for the phi moves of its
-    /// out-edges ([`Assignment::phi_end`]) is skipped: those moves read it
-    /// from its register, so a store to its slot would never be read.
-    fn spill_all_register_values(&mut self, at_branch: bool) -> Result<()> {
+    /// Spills every live register-resident value. At a branch (`branch` is
+    /// `Some(first)`), a value is skipped if its range ends before layout
+    /// position `first`, so that no successor needing the canonical state
+    /// reads it, or if it ends in the current block only for the phi moves
+    /// of its out-edges ([`Assignment::phi_end`]): those moves read it from
+    /// its register, so a store to its slot would never be read.
+    fn spill_all_register_values(&mut self, branch: Option<u32>) -> Result<()> {
         self.s.owned_regs.clear();
         self.regfile.value_owned_into(&mut self.s.owned_regs);
         for i in 0..self.s.owned_regs.len() {
@@ -1215,14 +1217,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             if self.regfile.is_fixed(reg) {
                 continue;
             }
-            if at_branch
-                && self
-                    .s
-                    .assignments
-                    .get(v)
-                    .is_some_and(|a| a.phi_end && a.last_pos == self.cur_pos)
-            {
-                continue;
+            if let (Some(first), Some(a)) = (branch, self.s.assignments.get(v)) {
+                if a.last_pos < first || (a.phi_end && a.last_pos == self.cur_pos) {
+                    continue;
+                }
             }
             self.spill_part_if_needed(v, p)?;
         }
@@ -1231,15 +1229,23 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
 
     // ---- branches & phi handling -----------------------------------------------------
 
-    /// Spills all live register-resident values before a branch, if required
+    /// Spills the live register-resident values before a branch, if required
     /// by any successor (§3.4.5: values must be in a well-known location
     /// when entering a block with multiple or non-fallthrough predecessors).
+    /// When all successors that need this are forward ones, a value whose
+    /// range ends before the first of them stays unstored; a back edge
+    /// among them keeps every value.
     pub fn spill_before_branch(&mut self) -> Result<()> {
         let block = self.cur_block();
         let succs = self.adapter.block_succs(block);
-        let need = succs.iter().any(|&s| !self.succ_keeps_state(s));
-        if need {
-            self.spill_all_register_values(true)?;
+        let first_need = succs
+            .iter()
+            .filter(|&&s| !self.succ_keeps_state(s))
+            .map(|&s| self.analysis.pos(s))
+            .min();
+        if let Some(first) = first_need {
+            let first = if first <= self.cur_pos { 0 } else { first };
+            self.spill_all_register_values(Some(first))?;
         }
         // Determine whether the register state stays valid for the next
         // layout block.
@@ -1362,7 +1368,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                             None
                         }
                     });
-                    match fixed_reg {
+                    match fixed_reg.or_else(|| self.join_phi_reg(succ, phi)) {
                         Some(r) => MoveLoc::Reg(r),
                         None => {
                             let off = self.ensure_frame_slot(phi)?;
@@ -1383,6 +1389,46 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             }
         }
         Ok(())
+    }
+
+    /// The register in which `phi`, a phi of block `join`, arrives there
+    /// ([`Target::JOIN_PHI_REGS`]): `phi` has one part and a range that
+    /// ends in `join`, and `join` has several predecessors, all earlier in
+    /// layout, so every in-edge stores the live values and `join` starts
+    /// from an empty register file. The n-th such phi of a bank takes the
+    /// bank's n-th caller-saved allocatable register; any other phi
+    /// arrives in its stack slot.
+    fn join_phi_reg(&self, join: BlockRef, phi: ValueRef) -> Option<Reg> {
+        if !T::JOIN_PHI_REGS {
+            return None;
+        }
+        let adapter = self.adapter;
+        let pos = self.analysis.pos(join);
+        let in_reg =
+            |v: ValueRef| adapter.val_part_count(v) == 1 && self.analysis.live(v).last == pos;
+        if self.analysis.num_preds[join.idx()] < 2
+            || !in_reg(phi)
+            || adapter
+                .phi_incoming(phi)
+                .iter()
+                .any(|i| self.analysis.pos(i.block) >= pos)
+        {
+            return None;
+        }
+        let bank = adapter.val_part_bank(phi, 0);
+        let nth = adapter
+            .block_phis(join)
+            .iter()
+            .take_while(|&&v| v != phi)
+            .filter(|&&v| in_reg(v) && adapter.val_part_bank(v, 0) == bank)
+            .count();
+        let callee_saved = self.target.call_conv().callee_saved;
+        self.target
+            .allocatable_regs(bank)
+            .iter()
+            .copied()
+            .filter(|&r| !callee_saved.contains(r))
+            .nth(nth)
     }
 
     /// Canonical (stable) location of a value part: constant, fixed/current
@@ -2210,6 +2256,49 @@ mod tests {
         // v5 must survive every iteration, so it is stored before the loop.
         let m = compile(&mut counted_loop(5));
         assert_eq!(m.stats.spills, 1);
+    }
+
+    /// b0: v1 = def, v2 = def; branch on v2 to b2 or on to b1; b1: v3 =
+    /// v1 + ..., jump b2; b2 (two predecessors): v4 = def, or v4 = v1 +
+    /// ... if `join_reads`; return. b1 has one predecessor and follows
+    /// b0, so it keeps the register state; b2 needs the canonical one.
+    fn branch_over_a_use(join_reads: bool) -> MiniIr {
+        let mut ir = mini_ir(3, 0);
+        ir.push(0, MiniOp::Add(1, vec![]));
+        ir.push(0, MiniOp::Add(2, vec![]));
+        ir.push(0, MiniOp::Branch(2, 2, 1));
+        ir.push(1, MiniOp::Add(3, vec![1]));
+        ir.push(1, MiniOp::Jump(2));
+        ir.push(2, MiniOp::Add(4, if join_reads { vec![1] } else { vec![] }));
+        ir.push(2, MiniOp::Ret(None));
+        ir
+    }
+
+    #[test]
+    fn a_value_only_the_next_block_reads_is_not_stored_before_the_branch() {
+        assert_eq!(compile(&mut branch_over_a_use(false)).stats.spills, 0);
+    }
+
+    #[test]
+    fn a_value_the_taken_successor_reads_is_stored_before_the_branch() {
+        assert_eq!(compile(&mut branch_over_a_use(true)).stats.spills, 1);
+    }
+
+    #[test]
+    fn a_back_edge_keeps_every_value_stored() {
+        // b0 -> b1 (header) -> b2 (latch: v2 = def, v3 = def; branch on v3
+        // back to b1 or on to b3) -> b3 (v4 = v2 + ...; return). v2 is
+        // dead on the back edge and b3 keeps the register state, but the
+        // back edge needs the canonical state, so v2 is stored.
+        let mut ir = mini_ir(4, 0);
+        ir.push(0, MiniOp::Jump(1));
+        ir.push(1, MiniOp::Jump(2));
+        ir.push(2, MiniOp::Add(2, vec![]));
+        ir.push(2, MiniOp::Add(3, vec![]));
+        ir.push(2, MiniOp::Branch(3, 1, 3));
+        ir.push(3, MiniOp::Add(4, vec![2]));
+        ir.push(3, MiniOp::Ret(None));
+        assert_eq!(compile(&mut ir).stats.spills, 1);
     }
 
     #[test]

@@ -71,6 +71,13 @@ impl FrameState {
 
 /// Architecture/platform-specific operations required by the code generator.
 pub trait Target {
+    /// Whether a single-part phi of a forward join, whose live range ends
+    /// in that join, arrives in a caller-saved register instead of its
+    /// stack slot: every in-edge moves the incoming value there and the
+    /// join starts with the phi in it. This changes the emitted code, so a
+    /// target opts in.
+    const JOIN_PHI_REGS: bool = false;
+
     /// The architecture this target generates code for.
     fn arch(&self) -> TargetArch;
 

@@ -482,17 +482,6 @@ pub fn alu_rm(buf: &mut CodeBuffer, op: Alu, size: u32, dst: Gp, mem: Mem) {
     buf.emit_inst(i);
 }
 
-/// `op [mem], src`.
-#[inline]
-pub fn alu_mr(buf: &mut CodeBuffer, op: Alu, size: u32, mem: Mem, src: Gp) {
-    let mut i = InstBuf::new();
-    rex_for_mem(&mut i, size, src.0, mem);
-    let base = (op as u8) * 8;
-    i.push_u8(if size == 1 { base } else { base + 1 });
-    modrm_mem(&mut i, src.0, mem);
-    buf.emit_inst(i);
-}
-
 /// `test dst, src`.
 #[inline]
 pub fn test_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
@@ -500,21 +489,6 @@ pub fn test_rr(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp) {
     rex_for_rm(&mut i, size, src.0, dst.0);
     i.push_u8(if size == 1 { 0x84 } else { 0x85 });
     modrm_rr(&mut i, src.0, dst.0);
-    buf.emit_inst(i);
-}
-
-/// `test dst, imm32`.
-#[inline]
-pub fn test_ri(buf: &mut CodeBuffer, size: u32, dst: Gp, imm: i32) {
-    let mut i = InstBuf::new();
-    rex_for_rm(&mut i, size, 0, dst.0);
-    i.push_u8(if size == 1 { 0xf6 } else { 0xf7 });
-    modrm_rr(&mut i, 0, dst.0);
-    if size == 1 {
-        i.push_u8(imm as u8);
-    } else {
-        i.push_i32(imm);
-    }
     buf.emit_inst(i);
 }
 
@@ -546,7 +520,7 @@ pub fn imul_rri(buf: &mut CodeBuffer, size: u32, dst: Gp, src: Gp, imm: i32) {
     buf.emit_inst(i);
 }
 
-/// Single-operand `0xf6/0xf7` group instruction (`neg`, `not`, `mul`, ...).
+/// Single-operand `0xf6/0xf7` group instruction (`neg`, `mul`, ...).
 #[inline]
 fn grp3(buf: &mut CodeBuffer, size: u32, ext: u8, rm: Gp) {
     let mut i = InstBuf::new();
@@ -560,12 +534,6 @@ fn grp3(buf: &mut CodeBuffer, size: u32, ext: u8, rm: Gp) {
 #[inline]
 pub fn neg(buf: &mut CodeBuffer, size: u32, dst: Gp) {
     grp3(buf, size, 3, dst);
-}
-
-/// `not dst`.
-#[inline]
-pub fn not(buf: &mut CodeBuffer, size: u32, dst: Gp) {
-    grp3(buf, size, 2, dst);
 }
 
 /// `mul src` (unsigned widening multiply of rax by src into rdx:rax).
@@ -695,16 +663,6 @@ pub fn jcc_label(buf: &mut CodeBuffer, cc: Cond, label: Label) {
     emit_rel32_branch(buf, i, label);
 }
 
-/// `jmp reg` (indirect).
-#[inline]
-pub fn jmp_reg(buf: &mut CodeBuffer, reg: Gp) {
-    let mut i = InstBuf::new();
-    rex(&mut i, false, false, false, reg.hi(), false);
-    i.push_u8(0xff);
-    modrm_rr(&mut i, 4, reg.0);
-    buf.emit_inst(i);
-}
-
 /// `call sym` (rel32 with a PC-relative relocation).
 #[inline]
 pub fn call_sym(buf: &mut CodeBuffer, sym: SymbolId) {
@@ -762,24 +720,6 @@ pub fn nops(buf: &mut CodeBuffer, len: usize) {
     let text = buf.text_mut();
     let new_len = text.len() + len;
     text.resize(new_len, 0x90);
-}
-
-/// Loads the address of `sym` into `dst` via `movabs` + absolute relocation.
-#[inline]
-pub fn mov_sym_abs(buf: &mut CodeBuffer, dst: Gp, sym: SymbolId, addend: i64) {
-    let mut i = InstBuf::new();
-    rex(&mut i, true, false, false, dst.hi(), false);
-    i.push_u8(0xb8 + dst.lo());
-    let off = buf.text_offset() + i.len() as u64;
-    i.push_u64(0);
-    buf.emit_inst(i);
-    buf.add_reloc(Reloc {
-        section: SectionKind::Text,
-        offset: off,
-        symbol: sym,
-        kind: RelocKind::Abs64,
-        addend,
-    });
 }
 
 // --- SSE scalar floating point ------------------------------------------------------
@@ -906,23 +846,6 @@ pub fn movq_xr(buf: &mut CodeBuffer, dst: Xmm, src: Gp) {
     buf.emit_inst(i);
 }
 
-/// `movq gp, xmm` (raw 64-bit bit move).
-#[inline]
-pub fn movq_rx(buf: &mut CodeBuffer, dst: Gp, src: Xmm) {
-    let mut i = InstBuf::new();
-    i.push_u8(0x66);
-    rex(&mut i, true, src.hi(), false, dst.hi(), false);
-    i.push_u8(0x0f);
-    i.push_u8(0x7e);
-    modrm_rr(&mut i, src.0, dst.0);
-    buf.emit_inst(i);
-}
-
-/// `movd xmm, gp32` / `movd gp32, xmm` are provided through
-/// [`movq_xr`]/[`movq_rx`] with 64-bit width; 32-bit floats are handled by
-/// the back-ends by moving the full 64 bits.
-///
-/// (No separate function needed.)
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1125,7 +1048,6 @@ mod tests {
         assert_eq!(enc(|b| pop_r(b, Gp::RBP)), vec![0x5d]);
         assert_eq!(enc(ret), vec![0xc3]);
         assert_eq!(enc(|b| call_reg(b, Gp::R11)), vec![0x41, 0xff, 0xd3]);
-        assert_eq!(enc(|b| jmp_reg(b, Gp::RAX)), vec![0xff, 0xe0]);
     }
 
     #[test]
@@ -1165,10 +1087,6 @@ mod tests {
         assert_eq!(
             enc(|b| movq_xr(b, Xmm(0), Gp::RAX)),
             vec![0x66, 0x48, 0x0f, 0x6e, 0xc0]
-        );
-        assert_eq!(
-            enc(|b| movq_rx(b, Gp::RAX, Xmm(0))),
-            vec![0x66, 0x48, 0x0f, 0x7e, 0xc0]
         );
         assert_eq!(
             enc(|b| fp_xor(b, 8, Xmm(1), Xmm(1))),
@@ -1225,16 +1143,5 @@ mod tests {
         );
         // mov cl, al does not
         assert_eq!(enc(|b| mov_rr(b, 1, Gp::RCX, Gp::RAX)), vec![0x88, 0xc1]);
-    }
-
-    #[test]
-    fn abs_symbol_move_has_relocation() {
-        let mut buf = CodeBuffer::new();
-        let sym = buf.declare_symbol("data", tpde_core::codebuf::SymbolBinding::Global, false);
-        mov_sym_abs(&mut buf, Gp::RDI, sym, 0);
-        assert_eq!(buf.relocs().len(), 1);
-        assert_eq!(buf.relocs()[0].kind, RelocKind::Abs64);
-        assert_eq!(buf.text()[0..2], [0x48, 0xbf]);
-        assert_eq!(buf.text().len(), 10);
     }
 }

@@ -59,6 +59,8 @@ impl X64Target {
 }
 
 impl Target for X64Target {
+    const JOIN_PHI_REGS: bool = true;
+
     #[inline]
     fn arch(&self) -> TargetArch {
         TargetArch::X86_64

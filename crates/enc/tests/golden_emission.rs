@@ -126,17 +126,14 @@ fn x64_catalogue(buf: &mut CodeBuffer) {
             x64::alu_ri(buf, op, size, Gp::RDX, 0x200);
             x64::alu_ri(buf, op, size, Gp::R12, -1);
             x64::alu_rm(buf, op, size, Gp::RSI, mems[4]);
-            x64::alu_mr(buf, op, size, mems[8], Gp::RDI);
         }
     }
     for &size in &sizes {
         x64::test_rr(buf, size, Gp::RAX, Gp::RBX);
-        x64::test_ri(buf, size, Gp::RSI, 5);
         x64::imul_rr(buf, size, Gp::RAX, Gp::RCX);
         x64::imul_rri(buf, size, Gp::RAX, Gp::RCX, 10);
         x64::imul_rri(buf, size, Gp::R8, Gp::RCX, 1000);
         x64::neg(buf, size, Gp::RDI);
-        x64::not(buf, size, Gp::R11);
         x64::mul_unsigned(buf, size, Gp::RCX);
         x64::imul_wide(buf, size, Gp::RCX);
         x64::div(buf, size, Gp::RSI);
@@ -171,8 +168,6 @@ fn x64_catalogue(buf: &mut CodeBuffer) {
         x64::jcc_label(buf, cc, back);
     }
     buf.bind_label(fwd);
-    x64::jmp_reg(buf, Gp::RAX);
-    x64::jmp_reg(buf, Gp::R11);
     let sym = buf.declare_symbol("ext_fn", SymbolBinding::Global, true);
     x64::call_sym(buf, sym);
     x64::call_reg(buf, Gp::RAX);
@@ -185,8 +180,6 @@ fn x64_catalogue(buf: &mut CodeBuffer) {
         }
     }
     x64::nops(buf, 5);
-    let data = buf.declare_symbol("ext_data", SymbolBinding::Global, false);
-    x64::mov_sym_abs(buf, Gp::RDI, data, 8);
 
     // SSE scalar floating point
     let xs = [Xmm(0), Xmm(1), Xmm(7), Xmm(8), Xmm(15)];
@@ -218,8 +211,6 @@ fn x64_catalogue(buf: &mut CodeBuffer) {
     }
     x64::movq_xr(buf, Xmm(0), Gp::RAX);
     x64::movq_xr(buf, Xmm(9), Gp::R10);
-    x64::movq_rx(buf, Gp::RAX, Xmm(0));
-    x64::movq_rx(buf, Gp::R10, Xmm(9));
 
     buf.resolve_fixups().expect("all labels bound");
 }

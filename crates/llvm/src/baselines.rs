@@ -143,15 +143,17 @@ impl FuncCtx {
     }
 }
 
-/// Emits the code for one instruction with all operands coming from and
-/// going to stack slots (shared by the copy-and-patch back-end and the
-/// emission pass of the multi-pass baseline).
+/// Emits the code for one instruction of `block` with all operands coming
+/// from and going to stack slots (shared by the copy-and-patch back-end and
+/// the emission pass of the multi-pass baseline). A branch also emits the
+/// phi moves of its edges.
 #[allow(clippy::too_many_lines)]
 fn emit_inst(
     module: &Module,
     f: &Function,
     ctx: &FuncCtx,
     buf: &mut CodeBuffer,
+    block: u32,
     inst: &Inst,
 ) -> Result<()> {
     match inst {
@@ -414,18 +416,14 @@ fn emit_inst(
             }
         }
         Inst::Br { target } => {
+            emit_phi_moves(f, ctx, buf, block, target.0);
             x64::jmp_label(buf, ctx.block_labels[target.0 as usize]);
         }
         Inst::CondBr {
             cond,
             if_true,
             if_false,
-        } => {
-            ctx.load_gp(buf, TMP0, *cond);
-            x64::test_rr(buf, 4, TMP0, TMP0);
-            x64::jcc_label(buf, Cond::NE, ctx.block_labels[if_true.0 as usize]);
-            x64::jmp_label(buf, ctx.block_labels[if_false.0 as usize]);
-        }
+        } => emit_cond_br(f, ctx, buf, block, *cond, if_true.0, if_false.0),
         Inst::Ret { value } => {
             if let Some(v) = value {
                 if f.value_type(*v).is_fp() {
@@ -494,8 +492,7 @@ impl ArgRegs {
 
 /// The baselines' one function emitter: frame setup, argument spills, then
 /// `insts` — `(block index, instruction)` in layout order — with each
-/// block's label bound before its first instruction and the phi moves of
-/// an edge emitted right before the terminator that takes it.
+/// block's label bound before its first instruction.
 fn emit_function<'i>(
     module: &Module,
     f: &Function,
@@ -521,14 +518,44 @@ fn emit_function<'i>(
             cur_block = block;
             buf.bind_label(ctx.block_labels[block as usize]);
         }
-        if inst.is_terminator() {
-            for succ in inst.successors() {
-                emit_phi_moves(f, &ctx, buf, block, succ.0);
-            }
-        }
-        emit_inst(module, f, &ctx, buf, inst)?;
+        emit_inst(module, f, &ctx, buf, block, inst)?;
     }
     Ok(())
+}
+
+/// A conditional branch whose phi moves run on their own edge only: the
+/// false edge's after the conditional jump, the true edge's, if any, in a
+/// block of their own behind the branch. A move before the branch would
+/// also write a phi the other successor may read (a one-block loop's
+/// exit reads the phi its back edge writes).
+fn emit_cond_br(
+    f: &Function,
+    ctx: &FuncCtx,
+    buf: &mut CodeBuffer,
+    block: u32,
+    cond: Value,
+    if_true: u32,
+    if_false: u32,
+) {
+    let true_moves = f.blocks[if_true as usize]
+        .phis
+        .iter()
+        .any(|phi| phi.incoming.iter().any(|(b, _)| b.0 == block));
+    let taken = if true_moves {
+        buf.new_label()
+    } else {
+        ctx.block_labels[if_true as usize]
+    };
+    ctx.load_gp(buf, TMP0, cond);
+    x64::test_rr(buf, 4, TMP0, TMP0);
+    x64::jcc_label(buf, Cond::NE, taken);
+    emit_phi_moves(f, ctx, buf, block, if_false);
+    x64::jmp_label(buf, ctx.block_labels[if_false as usize]);
+    if true_moves {
+        buf.bind_label(taken);
+        emit_phi_moves(f, ctx, buf, block, if_true);
+        x64::jmp_label(buf, ctx.block_labels[if_true as usize]);
+    }
 }
 
 /// The copy-and-patch per-function compiler: the emitter straight over the

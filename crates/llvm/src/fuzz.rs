@@ -80,13 +80,13 @@ pub fn buffers_equal(a: &CodeBuffer, b: &CodeBuffer) -> bool {
 /// The module has 1–3 internal "kernel" functions (arity 0–4, all-`i64`
 /// signatures) plus an exported `bench_main(i64) -> i64` that calls every
 /// kernel and folds the results. Generation follows a strict dominance
-/// discipline (values cross control flow only through phis, memory is
-/// loaded only from offsets unconditionally stored earlier or from the
-/// address just stored to, or from 8-byte O0-style variables stored in
-/// the entry block, divisors are
-/// forced odd, shift amounts are masked constants, loops have constant
-/// trip counts), so the result both passes [`tpde_core::verify`] and
-/// computes the same value on every correct backend.
+/// discipline (values cross control flow only through phis or out of a
+/// block that dominates every later one, memory is loaded only from
+/// offsets unconditionally stored earlier or from the address just stored
+/// to, or from 8-byte O0-style variables stored in the entry block,
+/// divisors are forced odd, shift amounts are masked to 0–63, loops have
+/// constant trip counts), so the result both passes [`tpde_core::verify`]
+/// and computes the same value on every correct backend.
 pub fn gen_module(seed: u64) -> Module {
     let mut rng = Xoshiro256::new(seed);
     let mut m = Module::new();
@@ -228,16 +228,8 @@ fn rand_op(
             b.cast(rng.chance(1, 2), Type::I32, Type::I64, r)
         }
         6 => {
-            // Bounded FP round-trip: mask to 16 bits so every intermediate
-            // is exact in f64 and the fp->int result is well defined.
-            let mask = b.iconst(Type::I64, 0xFFFF);
-            let v = cx.pick(rng);
-            let small = b.bin(BinOp::And, Type::I64, v, mask);
-            let f = b.int_to_fp(Type::I64, Type::F64, small);
-            let op = *rng.pick(&[FBinOp::Add, FBinOp::Sub, FBinOp::Mul]);
-            let k = b.fconst((1 + rng.below(7)) as f64 * 0.5);
-            let f2 = b.fbin(op, Type::F64, f, k);
-            b.fp_to_int(Type::F64, Type::I64, f2)
+            let f = rand_f64(b, rng, cx);
+            b.fp_to_int(Type::F64, Type::I64, f)
         }
         7 => indexed_roundtrip(b, rng, cx),
         10 => var_access(b, rng, cx),
@@ -395,37 +387,150 @@ fn straight_segment(
     }
 }
 
-/// Emits an if/else diamond whose arms compute independent values merged
-/// by a phi at the join; only the phi result joins the pool.
-fn diamond_segment(
+/// A bounded `f64`: a pool value masked to 16 bits, converted, and added
+/// to, subtracted from or multiplied by a multiple of 0.5, so that every
+/// step is exact and converting it back is well defined.
+fn rand_f64(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) -> Value {
+    let mask = b.iconst(Type::I64, 0xFFFF);
+    let v = cx.pick(rng);
+    let small = b.bin(BinOp::And, Type::I64, v, mask);
+    let f = b.int_to_fp(Type::I64, Type::F64, small);
+    let op = *rng.pick(&[FBinOp::Add, FBinOp::Sub, FBinOp::Mul]);
+    let k = b.fconst((1 + rng.below(7)) as f64 * 0.5);
+    b.fbin(op, Type::F64, f, k)
+}
+
+/// Emits a join of 2–5 arms whose values meet in phis; only values
+/// computed at the join, and sometimes the first phi, join the pool.
+///
+/// Two arms branch on one compare; more go through a chain of compares of
+/// a pool value modulo the arm count (a switch lowered to branches, as in
+/// Branchy). Each arm brings one or two `i64` values and sometimes an
+/// `f64`; two `i64` values may arrive crossed, a register swap for a
+/// back-end whose join phis arrive in registers. One arm may also read a
+/// value computed before the branch that nothing else reads, so it is
+/// live into one successor only. The join consumes its phis at once: the
+/// first instruction is an unsigned division, a shift by a variable
+/// amount (these need `rax`, `rdx` or `rcx` on x86-64), a call or a plain
+/// operation.
+fn join_segment(
     b: &mut FunctionBuilder,
     rng: &mut Xoshiro256,
     cx: &mut GenCtx,
     callees: &[(FuncId, usize)],
 ) {
-    let cc = *rng.pick(&ICMP_CCS);
-    let (l, r) = (cx.pick(rng), cx.pick(rng));
-    let cond = b.icmp(cc, Type::I64, l, r);
-    let tb = b.create_block();
-    let eb = b.create_block();
-    let jb = b.create_block();
-    b.cond_br(cond, tb, eb);
-    b.switch_to(tb);
-    let tv = rand_op(b, rng, cx, callees, false);
-    b.br(jb);
-    b.switch_to(eb);
-    let ev = rand_op(b, rng, cx, callees, false);
-    b.br(jb);
-    b.switch_to(jb);
+    let narms = if rng.chance(1, 2) {
+        2
+    } else {
+        3 + rng.below(3) as usize
+    };
+    let (two, fp) = (rng.chance(1, 2), rng.chance(1, 3));
+    let only = rng.chance(1, 2).then(|| {
+        (
+            rng.below(narms as u64) as usize,
+            rand_op(b, rng, cx, callees, true),
+        )
+    });
+    // the join's operands, computed before the branch so that the
+    // division or the shift is the join's first instruction
+    let d = cx.pick(rng);
+    let one = b.iconst(Type::I64, 1);
+    let odd = b.bin(BinOp::Or, Type::I64, d, one);
+    let a = cx.pick(rng);
+    let mask = b.iconst(Type::I64, 63);
+    let amount = b.bin(BinOp::And, Type::I64, a, mask);
+
+    let arms: Vec<_> = (0..narms).map(|_| b.create_block()).collect();
+    let join = b.create_block();
+    if narms == 2 {
+        let cc = *rng.pick(&ICMP_CCS);
+        let (l, r) = (cx.pick(rng), cx.pick(rng));
+        let cond = b.icmp(cc, Type::I64, l, r);
+        b.cond_br(cond, arms[0], arms[1]);
+    } else {
+        let n = b.iconst(Type::I64, narms as i64);
+        let v = cx.pick(rng);
+        let sel = b.div(false, true, Type::I64, v, n);
+        for k in 0..narms - 1 {
+            let kc = b.iconst(Type::I64, k as i64);
+            let is_k = b.icmp(ICmp::Eq, Type::I64, sel, kc);
+            let next = if k + 2 < narms {
+                b.create_block()
+            } else {
+                arms[narms - 1]
+            };
+            b.cond_br(is_k, arms[k], next);
+            b.switch_to(next);
+        }
+    }
+    let mut incoming = Vec::new();
+    for (k, &arm) in arms.iter().enumerate() {
+        b.switch_to(arm);
+        let mut x = rand_op(b, rng, cx, callees, false);
+        if let Some((_, v)) = only.filter(|&(o, _)| o == k) {
+            x = b.bin(BinOp::Add, Type::I64, x, v);
+        }
+        let y = if two {
+            rand_op(b, rng, cx, callees, false)
+        } else {
+            x
+        };
+        let (x, y) = if rng.chance(1, 2) { (y, x) } else { (x, y) };
+        let f = fp.then(|| rand_f64(b, rng, cx));
+        b.br(join);
+        incoming.push((arm, x, y, f));
+    }
+    b.switch_to(join);
     let p = b.phi(Type::I64);
-    b.phi_add_incoming(p, tb, tv);
-    b.phi_add_incoming(p, eb, ev);
-    cx.pool.push(p);
+    let q = two.then(|| b.phi(Type::I64));
+    let pf = fp.then(|| b.phi(Type::F64));
+    for &(arm, x, y, f) in &incoming {
+        b.phi_add_incoming(p, arm, x);
+        if let Some(q) = q {
+            b.phi_add_incoming(q, arm, y);
+        }
+        if let (Some(pf), Some(f)) = (pf, f) {
+            b.phi_add_incoming(pf, arm, f);
+        }
+    }
+    let mut r = match rng.below(4) {
+        0 => b.div(false, rng.chance(1, 2), Type::I64, p, odd),
+        1 => {
+            let kind = *rng.pick(&SHIFT_KINDS);
+            b.shift(kind, Type::I64, p, amount)
+        }
+        2 if !callees.is_empty() => {
+            let (id, arity) = *rng.pick(callees);
+            let args = (0..arity)
+                .map(|i| if i == 0 { p } else { cx.pick(rng) })
+                .collect();
+            let c = b.call(id, Type::I64, args);
+            b.bin(BinOp::Xor, Type::I64, c, p)
+        }
+        _ => {
+            let op = *rng.pick(&BIN_OPS);
+            let o = cx.pick(rng);
+            b.bin(op, Type::I64, p, o)
+        }
+    };
+    if let Some(q) = q {
+        let op = *rng.pick(&BIN_OPS);
+        r = b.bin(op, Type::I64, r, q);
+    }
+    if let Some(pf) = pf {
+        let i = b.fp_to_int(Type::F64, Type::I64, pf);
+        r = b.bin(BinOp::Add, Type::I64, r, i);
+    }
+    cx.pool.push(r);
+    if rng.chance(1, 3) {
+        cx.pool.push(p);
+    }
 }
 
 /// Emits a counted loop (constant trip count 2–8) accumulating into a
 /// phi; the accumulator phi joins the pool after the exit (the header
-/// dominates the exit, so that is legal everywhere downstream).
+/// dominates the exit, so that is legal everywhere downstream). A third
+/// of the loops are one block that branches back to itself at its end.
 fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) {
     let trip = b.iconst(Type::I64, (2 + rng.below(7)) as i64);
     let zero = b.iconst(Type::I64, 0);
@@ -437,9 +542,9 @@ fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) 
         .chance(1, 2)
         .then(|| *rng.pick(&cx.vars))
         .map(|var| (var, b.load(Type::I64, var, 0)));
+    let one_block = rng.chance(1, 3);
     let pre = b.current_block();
     let hdr = b.create_block();
-    let body = b.create_block();
     let exit = b.create_block();
     b.br(hdr);
     b.switch_to(hdr);
@@ -447,9 +552,15 @@ fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) 
     let acc = b.phi(Type::I64);
     b.phi_add_incoming(i, pre, zero);
     b.phi_add_incoming(acc, pre, init);
-    let c = b.icmp(ICmp::Ult, Type::I64, i, trip);
-    b.cond_br(c, body, exit);
-    b.switch_to(body);
+    let body = if one_block {
+        hdr
+    } else {
+        let body = b.create_block();
+        let c = b.icmp(ICmp::Ult, Type::I64, i, trip);
+        b.cond_br(c, body, exit);
+        b.switch_to(body);
+        body
+    };
     // The body may only use loop-invariant pool values plus i/acc; its
     // temporaries never escape except through the back-edge phis.
     let mixer = cx.pick(rng);
@@ -465,11 +576,20 @@ fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) 
     }
     b.phi_add_incoming(i, body, inext);
     b.phi_add_incoming(acc, body, a);
-    b.br(hdr);
+    if one_block {
+        let c = b.icmp(ICmp::Ult, Type::I64, inext, trip);
+        b.cond_br(c, hdr, exit);
+    } else {
+        b.br(hdr);
+    }
     b.switch_to(exit);
     cx.pool.push(acc);
     if let Some((_, before)) = var_store {
         cx.pool.push(before);
+    }
+    // A one-block body dominates the exit: its last value may live on.
+    if one_block && rng.chance(1, 2) {
+        cx.pool.push(a);
     }
 }
 
@@ -522,12 +642,14 @@ fn gen_kernel(
     for _ in 0..1 + rng.below(3) {
         match rng.below(3) {
             0 => straight_segment(&mut b, rng, &mut cx, callees),
-            1 => diamond_segment(&mut b, rng, &mut cx, callees),
+            1 => join_segment(&mut b, rng, &mut cx, callees),
             _ => loop_segment(&mut b, rng, &mut cx),
         }
     }
     let mut r = *cx.pool.last().unwrap();
-    let other = cx.pick(rng);
+    // never `r ^ r`: a kernel that returns 0 hides its body from every check
+    let others: Vec<Value> = cx.pool.iter().copied().filter(|&v| v != r).collect();
+    let other = *rng.pick(&others);
     r = b.bin(BinOp::Xor, Type::I64, r, other);
     b.ret(Some(r));
     b.build()

@@ -514,7 +514,6 @@ impl Inst {
     }
 
     /// Calls `f` for every successor block if this is a terminator.
-    /// Allocation-free variant of [`Inst::successors`].
     #[inline]
     pub(crate) fn visit_successors(&self, mut f: impl FnMut(Block)) {
         match self {
@@ -535,14 +534,6 @@ impl Inst {
     pub(crate) fn operands(&self) -> Vec<Value> {
         let mut out = Vec::new();
         self.visit_operands(|v| out.push(v));
-        out
-    }
-
-    /// Successor blocks if this is a terminator.
-    /// Convenience wrapper over [`Inst::visit_successors`].
-    pub(crate) fn successors(&self) -> Vec<Block> {
-        let mut out = Vec::new();
-        self.visit_successors(|b| out.push(b));
         out
     }
 

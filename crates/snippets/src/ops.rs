@@ -97,6 +97,19 @@ impl BinOp {
     pub(crate) fn commutative(self) -> bool {
         !matches!(self, BinOp::Sub)
     }
+
+    /// `lhs op rhs` on 64-bit words, wrapping; the low bytes are the result
+    /// of every narrower operation.
+    pub(crate) fn fold(self, lhs: u64, rhs: u64) -> u64 {
+        match self {
+            BinOp::Add => lhs.wrapping_add(rhs),
+            BinOp::Sub => lhs.wrapping_sub(rhs),
+            BinOp::And => lhs & rhs,
+            BinOp::Or => lhs | rhs,
+            BinOp::Xor => lhs ^ rhs,
+            BinOp::Mul => lhs.wrapping_mul(rhs),
+        }
+    }
 }
 
 /// Shift kinds.

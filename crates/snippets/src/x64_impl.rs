@@ -398,6 +398,14 @@ impl SnippetEmitter for X64Target {
         rhs: &AsmOperand,
     ) -> Result<()> {
         let osize = size.max(4);
+        // an operation on two constants is one constant, as wide as the
+        // operation would have written it
+        if let (Some(l), Some(r)) = (lhs.as_imm(), rhs.as_imm()) {
+            let dst = cg.result_reg(res.0, res.1)?;
+            cg.target
+                .emit_const(cg.buf, RegBank::GP, osize, dst, op.fold(l, r));
+            return Ok(());
+        }
         // prefer the constant on the right for commutative operations
         let (lhs, rhs) = if op.commutative() && lhs.as_imm().is_some() && rhs.as_imm().is_none() {
             (rhs, lhs)
