@@ -70,9 +70,10 @@ pub(crate) struct Assignment {
     /// Whether only phi moves on `last_pos`'s out-edges need the value at
     /// the end of that block ([`crate::analysis::LiveRange::phi_end`]).
     pub(crate) phi_end: bool,
-    /// Whether `frame_off` is the value's home: memory the value was
-    /// defined in (a stack variable it was loaded from), which it does not
-    /// own. A homed value is never spilled, and its home is never freed.
+    /// Whether the value lives in a home it does not own, where it was
+    /// defined: the memory at `frame_off` or, without a `frame_off`, the
+    /// fixed register of `parts[0]` (a stack variable it was loaded from).
+    /// A homed value is never spilled, and its home is never freed.
     pub(crate) homed: bool,
     /// Whether a homed value has been read from its home into a register
     /// once: that first read stands for the IR's load, later ones are

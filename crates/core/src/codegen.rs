@@ -145,6 +145,17 @@ pub trait InstCompiler<A: IrAdapter, T: Target> {
     /// Compiles one instruction. Terminators must use the branch/return API
     /// of [`FuncCodeGen`].
     fn compile_inst(&mut self, cg: &mut FuncCodeGen<'_, A, T>, inst: InstRef) -> Result<()>;
+
+    /// Whether the stack variables the adapter lets live in a register
+    /// ([`IrAdapter::stack_var_accesses`]) get one: the callee-saved
+    /// general-purpose registers that loop phis leave, most-accessed
+    /// variable first. The compiler must then compile every load and
+    /// store through such a variable's address with
+    /// [`FuncCodeGen::val_var_reg`] and the calls it names, since the
+    /// variable has no frame slot.
+    fn stack_vars_in_regs(&self) -> bool {
+        false
+    }
 }
 
 impl<A: IrAdapter, T: Target, F> InstCompiler<A, T> for F
@@ -256,10 +267,14 @@ struct FuncScratch {
     owned_regs: Vec<(Reg, ValueRef, u32)>,
     /// Registers cleared at block boundaries.
     cleared_regs: Vec<(Reg, RegOwner)>,
-    /// Values defined in place by [`FuncCodeGen::define_in_frame`], for
-    /// [`FuncCodeGen::clobber_frame`]. May name values that are no longer
-    /// homed; the next clobber drops them.
+    /// Values defined in place by [`FuncCodeGen::define_in_frame`] and
+    /// [`FuncCodeGen::define_in_reg`], for [`FuncCodeGen::clobber_frame`]
+    /// and the stores of [`FuncCodeGen::store_to_var_reg`]. May name values
+    /// that are no longer homed; the next clobber drops them.
     homed: Vec<ValueRef>,
+    /// The stack variables that live in a register: address value and
+    /// register.
+    var_regs: Vec<(ValueRef, Reg)>,
 }
 
 /// Reusable compile session: the analysis pass working memory, the analysis
@@ -543,6 +558,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         s.pending_edges.clear();
         s.edge_moves.clear();
         s.homed.clear();
+        s.var_regs.clear();
         s.fused.reset(adapter.inst_count());
         FuncCodeGen {
             adapter,
@@ -593,8 +609,8 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             let l = self.buf.new_label();
             self.s.block_labels.push(l);
         }
-        self.emit_prologue_and_args()?;
         self.pin_loop_phis()?;
+        self.emit_prologue_and_args(compiler.stack_vars_in_regs())?;
 
         let adapter = self.adapter;
         for pos in 0..n as u32 {
@@ -620,13 +636,19 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         )
     }
 
-    fn emit_prologue_and_args(&mut self) -> Result<()> {
+    fn emit_prologue_and_args(&mut self, var_regs: bool) -> Result<()> {
         self.target.emit_prologue(self.buf, &mut self.s.frame_state);
         let adapter = self.adapter;
+        if var_regs {
+            self.assign_var_regs()?;
+        }
 
         // Static stack variables: allocated in the frame, value = address,
         // trivially recomputable (never spilled).
         for sv in adapter.static_stack_vars() {
+            if self.s.var_regs.iter().any(|&(v, _)| v == sv.value) {
+                continue;
+            }
             let off = self.s.frame.alloc(sv.size, sv.align);
             self.ensure_assignment(sv.value)?;
             if let Some(a) = self.s.assignments.get_mut(sv.value) {
@@ -693,6 +715,39 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         if self.analysis.num_preds[entry.idx()] > 0 {
             self.spill_all_register_values(None)?;
             self.entry_state_valid = false;
+        }
+        Ok(())
+    }
+
+    /// Gives the stack variables that may live in a register
+    /// ([`IrAdapter::stack_var_accesses`]) the callee-saved allocatable
+    /// general-purpose registers that no loop phi is pinned to, in
+    /// allocation order, most-accessed variable first. Each register is
+    /// pinned to the variable's address value for the whole function
+    /// (never allocated, stored or cleared), saved by the prologue, and
+    /// holds the variable's current contents.
+    fn assign_var_regs(&mut self) -> Result<()> {
+        let (adapter, target) = (self.adapter, self.target);
+        let vars = adapter.static_stack_vars();
+        let callee_saved = target.call_conv().callee_saved;
+        for &reg in target.allocatable_regs(RegBank::GP) {
+            if !callee_saved.contains(reg) || self.regfile.is_fixed(reg) {
+                continue;
+            }
+            let placed = |v| self.s.var_regs.iter().any(|&(w, _)| w == v);
+            let candidates = (0..vars.len()).filter_map(|i| {
+                let n = adapter.stack_var_accesses(i)?;
+                (n > 0 && !placed(vars[i].value)).then_some((n, std::cmp::Reverse(i)))
+            });
+            // most accesses first, the first of equals
+            let Some((_, std::cmp::Reverse(i))) = candidates.max() else {
+                break;
+            };
+            let v = vars[i].value;
+            self.ensure_assignment(v)?;
+            self.regfile.set_fixed(reg, v, 0);
+            self.used_callee_saved.insert(reg);
+            self.s.var_regs.push((v, reg));
         }
         Ok(())
     }
@@ -1157,7 +1212,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     fn evict(&mut self, reg: Reg) -> Result<()> {
         match self.regfile.owner(reg) {
             Some(RegOwner::Value(v, p)) => {
-                self.spill_part_if_needed(v, p)?;
+                // an operand whose last use is the current instruction may
+                // not have been read yet: it is stored like a live value
+                let operand = self.s.maybe_dead.contains(&v);
+                self.spill_part(v, p, operand)?;
                 if let Some(a) = self.s.assignments.get_mut(v) {
                     a.parts[p as usize].reg = None;
                 }
@@ -1187,11 +1245,19 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     fn spill_part_if_needed(&mut self, v: ValueRef, p: u32) -> Result<()> {
+        self.spill_part(v, p, false)
+    }
+
+    /// Stores a register-resident part to its slot unless it is already
+    /// there, is recomputable or fixed, or is dead: no longer read after
+    /// the current instruction and not `read_now`.
+    fn spill_part(&mut self, v: ValueRef, p: u32, read_now: bool) -> Result<()> {
         let Some(&a) = self.s.assignments.get(v) else {
             return Ok(());
         };
         let ps = a.parts[p as usize];
-        if !self.lives_on(&a) || ps.in_mem || a.recompute.is_some() || ps.fixed {
+        let dead = !read_now && !self.lives_on(&a);
+        if dead || ps.in_mem || a.recompute.is_some() || ps.fixed {
             return Ok(());
         }
         let Some(reg) = ps.reg else { return Ok(()) };
@@ -1831,20 +1897,75 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// between this definition and a use of `v` is emitted after this call
     /// and preceded by [`FuncCodeGen::clobber_frame`].
     pub fn define_in_frame(&mut self, v: ValueRef, off: i32) -> Result<()> {
+        self.define_homed(v, Some(off), None)
+    }
+
+    /// Defines the single-part value `v` in place in `reg`, the register of
+    /// a stack variable ([`FuncCodeGen::val_var_reg`]) that already holds it
+    /// (`v` is a load from the variable), so nothing is emitted. Uses read
+    /// the register; `v` never owns it, so it is never spilled, moved or
+    /// handed to a result.
+    ///
+    /// The caller guarantees that every store to the variable that can run
+    /// between this definition and a use of `v` is emitted after this call
+    /// by [`FuncCodeGen::store_to_var_reg`].
+    pub fn define_in_reg(&mut self, v: ValueRef, reg: Reg) -> Result<()> {
+        self.define_homed(v, None, Some(reg))
+    }
+
+    fn define_homed(&mut self, v: ValueRef, off: Option<i32>, reg: Option<Reg>) -> Result<()> {
         self.ensure_assignment(v)?;
         let a = self.s.assignments.get_mut(v).unwrap();
         if a.nparts != 1 {
             return Err(Error::Unsupported(format!(
-                "value {v:?} has {} parts and cannot live in one frame location",
+                "value {v:?} has {} parts and cannot live in one home",
                 a.nparts
             )));
         }
-        a.frame_off = Some(off);
+        a.frame_off = off;
         a.homed = true;
         a.home_read = false;
-        a.parts[0].in_mem = true;
-        a.parts[0].reg = None;
+        a.parts[0].in_mem = off.is_some();
+        a.parts[0].reg = reg;
+        a.parts[0].fixed = reg.is_some();
         self.s.homed.push(v);
+        Ok(())
+    }
+
+    /// Defines `v` as a copy of `reg`, with one move: a load from a
+    /// variable register ([`FuncCodeGen::val_var_reg`]) whose value cannot
+    /// wait in it until its uses.
+    pub fn define_copy(&mut self, v: ValueRef, reg: Reg) -> Result<()> {
+        let size = self.adapter.val_part_size(v, 0);
+        let dst = self.result_reg(v, 0)?;
+        self.target
+            .emit_mov_rr(self.buf, RegBank::GP, size, dst, reg);
+        self.stats.moves += 1;
+        Ok(())
+    }
+
+    /// Stores `p` to the stack variable that lives in `reg`
+    /// ([`FuncCodeGen::val_var_reg`]): every value homed in `reg`
+    /// ([`FuncCodeGen::define_in_reg`]) that may still be read first moves
+    /// to a register of its own, then `reg` gets `p` with one move, load
+    /// or constant of `p`'s size. Storing a value back to the variable it
+    /// is homed in emits nothing.
+    pub fn store_to_var_reg(&mut self, reg: Reg, p: &ValuePartRef) -> Result<()> {
+        let homed_here = |a: &Assignment| a.frame_off.is_none() && a.parts[0].reg == Some(reg);
+        let home = self.s.assignments.get(p.val).filter(|a| a.homed);
+        if !p.is_const && home.is_some_and(homed_here) {
+            return Ok(());
+        }
+        self.clobber_homes(homed_here)?;
+        if p.is_const {
+            self.target
+                .emit_const(self.buf, p.bank, p.size, reg, p.const_val);
+        } else if let Some(src) = self.val_cur_reg(p) {
+            self.target.emit_mov_rr(self.buf, p.bank, p.size, reg, src);
+        } else {
+            return self.materialize_into(reg, p);
+        }
+        self.stats.moves += 1;
         Ok(())
     }
 
@@ -1853,6 +1974,16 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// moves into a register, and from then on is an ordinary value.
     pub fn clobber_frame(&mut self, off: i32, size: u32) -> Result<()> {
         let (lo, hi) = (off as i64, off as i64 + size as i64);
+        let overlaps = |home: i32, a: &Assignment| {
+            let home = home as i64;
+            home < hi && lo < home + a.parts[0].size as i64
+        };
+        self.clobber_homes(|a| a.frame_off.is_some_and(|home| overlaps(home, a)))
+    }
+
+    /// Moves every homed value `hit` selects that may still be read into a
+    /// register of its own; from then on it is an ordinary value.
+    fn clobber_homes(&mut self, hit: impl Fn(&Assignment) -> bool) -> Result<()> {
         let mut i = 0;
         while i < self.s.homed.len() {
             let v = self.s.homed[i];
@@ -1860,31 +1991,47 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                 self.s.homed.swap_remove(i);
                 continue;
             };
-            let home = a.frame_off.unwrap_or(0) as i64;
-            if home >= hi || lo >= home + a.parts[0].size as i64 {
+            if !hit(&a) {
                 i += 1;
                 continue;
             }
             self.s.homed.swap_remove(i);
-            if a.parts[0].reg.is_none() && self.lives_on(&a) {
+            // a frame-homed value may already have a register of its own
+            let owned = a.frame_off.is_some() && a.parts[0].reg.is_some();
+            let read = !owned && self.lives_on(&a);
+            if read {
                 self.read_home(v, &a)?;
             }
             let a = self.s.assignments.get_mut(v).unwrap();
             a.homed = false;
             a.frame_off = None;
             a.parts[0].in_mem = false;
+            a.parts[0].fixed = false;
+            if !read && !owned {
+                a.parts[0].reg = None;
+            }
         }
         Ok(())
     }
 
-    /// Loads homed value `v` (assignment `a`) into a register of its own.
+    /// Reads homed value `v` (assignment `a`) into a register of its own:
+    /// a load from its frame home, or a move from its variable register.
     fn read_home(&mut self, v: ValueRef, a: &Assignment) -> Result<()> {
         let ps = a.parts[0];
         let reg = self.alloc_reg(ps.bank, None)?;
-        let home = a.frame_off.unwrap_or(0);
-        self.target
-            .emit_frame_load(self.buf, ps.bank, ps.size as u32, reg, home);
-        self.count_frame_load(v);
+        match (a.frame_off, ps.reg) {
+            (Some(home), _) => {
+                self.target
+                    .emit_frame_load(self.buf, ps.bank, ps.size as u32, reg, home);
+                self.count_frame_load(v);
+            }
+            (None, src) => {
+                let src = src.expect("a value homed in a register");
+                self.target
+                    .emit_mov_rr(self.buf, ps.bank, ps.size as u32, reg, src);
+                self.stats.moves += 1;
+            }
+        }
         self.s.assignments.get_mut(v).unwrap().parts[0].reg = Some(reg);
         self.regfile.set_owner(reg, RegOwner::Value(v, 0));
         Ok(())
@@ -1895,6 +2042,17 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// count as a use.
     pub fn val_home(&self, v: ValueRef) -> Option<i32> {
         self.s.assignments.get(v).filter(|a| a.homed)?.frame_off
+    }
+
+    /// The register the static stack variable `p` is the address of lives
+    /// in for the whole function, if it got one
+    /// ([`InstCompiler::stack_vars_in_regs`]).
+    pub fn val_var_reg(&self, p: &ValuePartRef) -> Option<Reg> {
+        if p.is_const {
+            return None;
+        }
+        let mut regs = self.s.var_regs.iter();
+        regs.find(|&&(v, _)| v == p.val).map(|&(_, r)| r)
     }
 
     /// Ensures the value part has an up-to-date copy in its stack slot (used
@@ -2340,6 +2498,45 @@ mod tests {
         let (bytes, dst, reloads, moves) = seen.expect("probe compiled");
         assert_eq!(bytes, [OP_LOAD, dst.compact() as u8], "one load, no mov");
         assert_eq!((reloads, moves), (1, 0));
+    }
+
+    #[test]
+    fn an_operand_evicted_before_it_is_read_is_stored_first() {
+        // v1..v16 are defined in b0 (8 GP registers: v9..v16 evict v1..v8
+        // round-robin, and the clock wraps), then v20 = v9 + v1 is v9's
+        // last use: loading v1 evicts v9, which has not been read yet.
+        // v21 keeps v10..v16 live.
+        let mut ir = mini_ir(1, 0);
+        for i in 1..=16u32 {
+            ir.push(0, MiniOp::Add(i, vec![]));
+        }
+        ir.push(0, MiniOp::Add(20, vec![9, 1]));
+        ir.push(0, MiniOp::Add(21, (10..=16).chain([20]).collect()));
+        ir.push(0, MiniOp::Ret(Some(21)));
+        let probe = InstRef(16);
+        let mut seen = None;
+        let mut compiler = |cg: &mut FuncCodeGen<'_, MiniIr, MockTarget>, inst: InstRef| {
+            let start = cg.buf.text_offset() as usize;
+            let r = MiniCompiler.compile_inst(cg, inst);
+            if inst == probe {
+                seen = Some(cg.buf.text()[start..].to_vec());
+            }
+            r
+        };
+        let cg = CodeGen::new(MockTarget::new());
+        cg.compile_module_with(&mut CompileSession::new(), &mut ir, &mut compiler)
+            .unwrap();
+        let bytes = seen.expect("probe compiled");
+        let (mut ops, mut i) = (Vec::new(), 0);
+        while i < bytes.len() {
+            ops.push(bytes[i]);
+            i += if bytes[i] == OP_MOV { 3 } else { 2 };
+        }
+        // store v9 and load v1 into its register, then store v10 and load
+        // v9 into the result, and add: no zero stands in for a lost v9
+        let want = [OP_STORE, OP_LOAD, OP_STORE, OP_LOAD, OP_MOV];
+        assert_eq!(ops, want, "{bytes:02x?}");
+        assert_eq!(bytes[1], bytes[3], "v9's register is stored, then reused");
     }
 
     #[test]

@@ -154,7 +154,7 @@ pub(crate) const MAGIC: [u8; 8] = *b"TPDEART\0";
 /// Version of the artifact layout and of the code it holds; any change to
 /// the format above or to the bytes the compiler emits bumps this, and an
 /// artifact with a different version is a cache miss.
-pub(crate) const FORMAT_VERSION: u32 = 7;
+pub(crate) const FORMAT_VERSION: u32 = 8;
 
 const HEADER_LEN: usize = 64;
 const SYM_RECORD: usize = 32;

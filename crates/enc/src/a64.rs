@@ -7,7 +7,7 @@
 //! conditional select, and scalar floating-point operations.
 //!
 //! Every instruction is committed as one whole little-endian word;
-//! multi-instruction sequences (`mov_imm64`, `adr_sym`) are assembled in an
+//! multi-instruction sequences (`mov_imm64`) are assembled in an
 //! on-stack [`tpde_core::codebuf::InstBuf`] window and committed with a
 //! single batched write. Branches to labels that are already bound
 //! (back-edges) encode their displacement immediately; forward branches go
@@ -123,22 +123,6 @@ pub fn movz(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
     emit(buf, movz_word(is64, rd, imm16, hw));
 }
 
-/// `movk rd, #imm16, lsl #(hw*16)`.
-#[inline]
-pub fn movk(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
-    emit(buf, movk_word(is64, rd, imm16, hw));
-}
-
-/// `movn rd, #imm16, lsl #(hw*16)`.
-#[inline]
-pub fn movn(buf: &mut CodeBuffer, is64: bool, rd: u8, imm16: u16, hw: u8) {
-    debug_assert!(is64 || hw < 2, "32-bit movn shifted by {}", 16 * hw);
-    emit(
-        buf,
-        sf(is64) | 0x1280_0000 | ((hw as u32) << 21) | ((imm16 as u32) << 5) | rd as u32,
-    );
-}
-
 /// Materializes an arbitrary 64-bit constant using `movz`/`movk` (1–4
 /// instructions), committed as one batched write.
 #[inline]
@@ -195,15 +179,6 @@ pub fn subs_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     );
 }
 
-/// `adds rd, rn, rm`.
-#[inline]
-pub fn adds_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
-    emit(
-        buf,
-        sf(is64) | 0x2B00_0000 | ((rm as u32) << 16) | ((rn as u32) << 5) | rd as u32,
-    );
-}
-
 /// `cmp rn, rm`.
 #[inline]
 pub fn cmp_rr(buf: &mut CodeBuffer, is64: bool, rn: u8, rm: u8) {
@@ -234,12 +209,6 @@ pub fn sub_imm(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, imm12: u32) {
 #[inline]
 pub fn sub_sp_reg(buf: &mut CodeBuffer, rm: u8) {
     emit(buf, 0xCB20_63FF | ((rm as u32) << 16));
-}
-
-/// `add sp, sp, rm` (extended-register form, usable with SP operands).
-#[inline]
-pub fn add_sp_reg(buf: &mut CodeBuffer, rm: u8) {
-    emit(buf, 0x8B20_63FF | ((rm as u32) << 16));
 }
 
 /// `subs zr, rn, #imm12` (`cmp rn, #imm`).
@@ -276,15 +245,6 @@ pub fn eor_rr(buf: &mut CodeBuffer, is64: bool, rd: u8, rn: u8, rm: u8) {
     emit(
         buf,
         sf(is64) | 0x4A00_0000 | ((rm as u32) << 16) | ((rn as u32) << 5) | rd as u32,
-    );
-}
-
-/// `ands zr, rn, rm` (`tst rn, rm`).
-#[inline]
-pub fn tst_rr(buf: &mut CodeBuffer, is64: bool, rn: u8, rm: u8) {
-    emit(
-        buf,
-        sf(is64) | 0x6A00_0000 | ((rm as u32) << 16) | ((rn as u32) << 5) | ZR as u32,
     );
 }
 
@@ -611,26 +571,6 @@ pub fn ldp_post(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
     );
 }
 
-/// `stp rt, rt2, [rn, #offset]` (signed offset, no writeback).
-#[inline]
-pub fn stp(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
-    let imm7 = ((offset / 8) as u32) & 0x7f;
-    emit(
-        buf,
-        0xA900_0000 | (imm7 << 15) | ((rt2 as u32) << 10) | ((rn as u32) << 5) | rt as u32,
-    );
-}
-
-/// `ldp rt, rt2, [rn, #offset]` (signed offset, no writeback).
-#[inline]
-pub fn ldp(buf: &mut CodeBuffer, rt: u8, rt2: u8, rn: u8, offset: i32) {
-    let imm7 = ((offset / 8) as u32) & 0x7f;
-    emit(
-        buf,
-        0xA940_0000 | (imm7 << 15) | ((rt2 as u32) << 10) | ((rn as u32) << 5) | rt as u32,
-    );
-}
-
 // --- branches ------------------------------------------------------------------------------
 
 /// `b label`. [`CodeBuffer::add_fixup`] encodes the displacement of an
@@ -699,32 +639,6 @@ pub fn ret(buf: &mut CodeBuffer) {
 #[inline]
 pub fn nop(buf: &mut CodeBuffer) {
     emit(buf, 0xD503_201F);
-}
-
-/// Loads the 64-bit absolute address of a symbol using a `movz`/`movk`
-/// sequence patched via an `Abs64` relocation stored in a literal-free way:
-/// we emit `adrp`+`add` instead, which is the conventional approach.
-#[inline]
-pub fn adr_sym(buf: &mut CodeBuffer, rd: u8, sym: SymbolId) {
-    let off = buf.text_offset();
-    let mut seq = InstBuf::new();
-    seq.push_u32(0x9000_0000 | rd as u32); // adrp rd, sym
-    seq.push_u32(0x9100_0000 | ((rd as u32) << 5) | rd as u32); // add rd, rd, #lo12
-    buf.emit_inst(seq);
-    buf.add_reloc(Reloc {
-        section: SectionKind::Text,
-        offset: off,
-        symbol: sym,
-        kind: RelocKind::AdrpPage,
-        addend: 0,
-    });
-    buf.add_reloc(Reloc {
-        section: SectionKind::Text,
-        offset: off + 4,
-        symbol: sym,
-        kind: RelocKind::AddLo12,
-        addend: 0,
-    });
 }
 
 // --- scalar floating point ----------------------------------------------------------------
@@ -799,15 +713,6 @@ pub fn scvtf(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
     );
 }
 
-/// `ucvtf fd, rn` (unsigned integer to FP).
-#[inline]
-pub fn ucvtf(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
-    emit(
-        buf,
-        sf(int64) | 0x1E23_0000 | fp_type(fp_size) | ((rn as u32) << 5) | rd as u32,
-    );
-}
-
 /// `fcvtzs rd, fn` (FP to signed integer, truncating).
 #[inline]
 pub fn fcvtzs(buf: &mut CodeBuffer, fp_size: u32, int64: bool, rd: u8, rn: u8) {
@@ -829,16 +734,6 @@ pub fn fcvt(buf: &mut CodeBuffer, to_size: u32, rd: u8, rn: u8) {
         buf,
         0x1E22_4000 | ty | (opc << 15) | ((rn as u32) << 5) | rd as u32,
     );
-}
-
-/// `fmov xd, dn` / `fmov wd, sn` (FP to GP bit move).
-#[inline]
-pub fn fmov_to_gp(buf: &mut CodeBuffer, size: u32, rd: u8, rn: u8) {
-    if size == 8 {
-        emit(buf, 0x9E66_0000 | ((rn as u32) << 5) | rd as u32);
-    } else {
-        emit(buf, 0x1E26_0000 | ((rn as u32) << 5) | rd as u32);
-    }
 }
 
 /// `fmov dd, xn` / `fmov sd, wn` (GP to FP bit move).
@@ -877,7 +772,6 @@ mod tests {
     fn moves_and_constants() {
         assert_eq!(enc1(|b| mov_rr(b, true, 0, 1)), 0xaa0103e0);
         assert_eq!(enc1(|b| movz(b, true, 0, 42, 0)), 0xd2800540);
-        assert_eq!(enc1(|b| movk(b, true, 0, 1, 1)), 0xf2a00020);
         let mut buf = CodeBuffer::new();
         mov_imm64(&mut buf, 0, 0x0001_0000_0000_002a);
         // movz #0x2a, lsl 0 ; movk #1, lsl 48
@@ -941,11 +835,6 @@ mod tests {
         assert_eq!(buf.relocs()[0].kind, RelocKind::Call26);
         assert_eq!(enc1(|b| blr(b, 9)), 0xd63f0120);
         assert_eq!(enc1(ret), 0xd65f03c0);
-        let mut buf = CodeBuffer::new();
-        let sym = buf.declare_symbol("gv", tpde_core::codebuf::SymbolBinding::Global, false);
-        adr_sym(&mut buf, 0, sym);
-        assert_eq!(buf.text().len(), 8);
-        assert_eq!(buf.relocs().len(), 2);
     }
 
     #[test]
@@ -979,7 +868,6 @@ mod tests {
         assert_eq!(enc1(|b| fmov_rr(b, 8, 0, 1)), 0x1e604020);
         assert_eq!(enc1(|b| scvtf(b, 8, true, 0, 1)), 0x9e620020);
         assert_eq!(enc1(|b| fcvtzs(b, 8, true, 0, 1)), 0x9e780020);
-        assert_eq!(enc1(|b| fmov_to_gp(b, 8, 0, 1)), 0x9e660020);
         assert_eq!(enc1(|b| fmov_from_gp(b, 8, 1, 0)), 0x9e670001);
         assert_eq!(enc1(|b| ldr_fp(b, 8, 0, FP, 16)), 0xfd400ba0);
         assert_eq!(enc1(|b| str_fp(b, 8, 0, SP, 8)), 0xfd0007e0);

@@ -90,11 +90,13 @@ const NO_LINK: u32 = u32::MAX;
 
 /// How one function uses its static stack variables, gathered by the
 /// indexing walk of `switch_func`: what a back-end needs to tell whether a
-/// load from a stack variable may be deferred to the load's uses.
+/// load from a stack variable may be deferred to the load's uses, and
+/// whether the variable may live in a register.
 #[derive(Debug, Default)]
 struct StackVarUses {
-    /// Per stack variable: size, whether its address escapes, and the
-    /// head of its list of storing blocks in `stores`.
+    /// Per stack variable: size, whether its address escapes, whether
+    /// every access is a whole-variable integer one, how many accesses
+    /// there are, and the head of its list of storing blocks in `stores`.
     vars: Vec<StackVarUse>,
     /// The storing blocks of every variable, as linked lists: a block and
     /// the index of the variable's previous storing block (or `NO_LINK`).
@@ -111,6 +113,10 @@ struct StackVarUses {
 struct StackVarUse {
     size: u32,
     escaped: bool,
+    /// Every access loads or stores the whole 4- or 8-byte variable at
+    /// offset 0 as an integer or pointer.
+    whole: bool,
+    accesses: u32,
     stores: u32,
 }
 
@@ -125,6 +131,8 @@ impl StackVarUses {
             .extend(f.stack_slots.iter().map(|&(size, _)| StackVarUse {
                 size,
                 escaped: false,
+                whole: matches!(size, 4 | 8),
+                accesses: 0,
                 stores: NO_LINK,
             }));
     }
@@ -148,21 +156,24 @@ impl StackVarUses {
         }
     }
 
-    /// An access of `size` bytes at `off` through `addr`; returns the
+    /// An access of type `ty` at `off` through `addr`; returns the
     /// variable `addr` is the address of.
-    fn access(&mut self, f: &Function, addr: Value, off: i32, size: u32) -> Option<usize> {
+    fn access(&mut self, f: &Function, addr: Value, off: i32, ty: Type) -> Option<usize> {
         let i = self.var_of(f, addr)?;
-        let var = self.vars.get(i)?;
+        let var = self.vars.get_mut(i)?;
+        let size = ty.size();
         if off < 0 || off as u64 + size as u64 > var.size as u64 {
             self.in_bounds = false;
         }
+        var.whole &= off == 0 && size == var.size && !ty.is_fp();
+        var.accesses += 1;
         Some(i)
     }
 
     fn note_inst(&mut self, f: &Function, block: BlockRef, inst: &Inst) {
         match *inst {
             Inst::Load { ty, addr, off, .. } => {
-                self.access(f, addr, off, ty.size());
+                self.access(f, addr, off, ty);
             }
             Inst::Store {
                 ty,
@@ -170,7 +181,7 @@ impl StackVarUses {
                 off,
                 value,
             } => {
-                if let Some(i) = self.access(f, addr, off, ty.size()) {
+                if let Some(i) = self.access(f, addr, off, ty) {
                     let head = self.vars[i].stores;
                     if head == NO_LINK || self.stores[head as usize].0 != block {
                         self.vars[i].stores = self.stores.len() as u32;
@@ -402,6 +413,12 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
 
     fn static_stack_vars(&self) -> &[StackVarDesc] {
         &self.s.stack_vars
+    }
+
+    fn stack_var_accesses(&self, var: usize) -> Option<u32> {
+        let u = &self.s.stack_uses;
+        let v = u.vars.get(var)?;
+        (u.in_bounds && !v.escaped && v.whole).then_some(v.accesses)
     }
 
     fn block_count(&self) -> usize {

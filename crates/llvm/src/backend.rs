@@ -86,13 +86,15 @@ impl LlvmInstCompiler {
         T::enc_store(cg, ty.size(), ty.is_fp(), addr, &v)
     }
 
-    /// Where a load's result can be left, if [`SnippetEmitter::LAZY_STACK_LOADS`]
-    /// holds: in the stack variable it reads, as its home
-    /// ([`FuncCodeGen::define_in_frame`]). The variable must not escape,
-    /// the load must be 4 or 8 bytes, and no store to the variable may run
-    /// between the load and a use of its result unless the store is
-    /// emitted after the load and before every such use, so that its
-    /// [`FuncCodeGen::clobber_frame`] moves the result out first.
+    /// Whether a load's result can be left in the stack variable it reads,
+    /// as its home ([`FuncCodeGen::define_in_frame`], or
+    /// [`FuncCodeGen::define_in_reg`] for a variable that lives in a
+    /// register), if [`SnippetEmitter::LAZY_STACK_LOADS`] holds. The
+    /// variable must not escape, the load must be 4 or 8 bytes, and no
+    /// store to the variable may run between the load and a use of its
+    /// result unless the store is emitted after the load and before every
+    /// such use, so that it moves the result out first
+    /// ([`FuncCodeGen::clobber_frame`], [`FuncCodeGen::store_to_var_reg`]).
     ///
     /// The layout is a reverse post-order, so a use is emitted at or after
     /// the load's block `def`, and the result `v` can only be live in the
@@ -102,33 +104,38 @@ impl LlvmInstCompiler {
     /// live out of: every use that can run after such a store is emitted
     /// after it. Any store strictly inside the range, or in a `last` that
     /// `v` lives out of, refuses the home.
-    fn load_home<'m, T: SnippetEmitter>(
+    fn load_can_wait<'m, T: SnippetEmitter>(
         cg: &FuncCodeGen<'_, LlvmAdapter<'m>, T>,
         load: &Inst,
-        base: &AsmOperand,
-    ) -> Option<i32> {
+    ) -> bool {
         let Inst::Load { ty, res, addr, off } = *load else {
-            return None;
-        };
-        let AsmOperand::Val(p) = base else {
-            return None;
+            return false;
         };
         if !T::LAZY_STACK_LOADS || !matches!(ty.size(), 4 | 8) {
-            return None;
+            return false;
         }
-        let slot = cg.val_stack_addr(p)?;
         let adapter = cg.adapter;
-        let var = adapter.deferrable_stack_load(addr, off, ty.size())?;
+        let Some(var) = adapter.deferrable_stack_load(addr, off, ty.size()) else {
+            return false;
+        };
         let (def, live) = (cg.cur_pos(), cg.analysis.live(value_ref(res)));
         let clobbers =
             |pos: u32| pos > def && (pos < live.last || (pos == live.last && live.last_full));
-        if adapter
+        !adapter
             .stack_var_store_blocks(var)
             .any(|b| clobbers(cg.analysis.pos(b)))
-        {
-            return None;
+    }
+
+    /// The register the stack variable `base` is the address of lives in,
+    /// if it got one ([`InstCompiler::stack_vars_in_regs`]).
+    fn var_reg<'m, T: SnippetEmitter>(
+        cg: &FuncCodeGen<'_, LlvmAdapter<'m>, T>,
+        base: &AsmOperand,
+    ) -> Option<tpde_core::regs::Reg> {
+        match base {
+            AsmOperand::Val(p) => cg.val_var_reg(p),
+            AsmOperand::Imm(_) => None,
         }
-        slot.checked_add(off)
     }
 
     /// An indexed `gep`'s address plus `access_off` as one operand
@@ -200,6 +207,10 @@ impl LlvmInstCompiler {
 }
 
 impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompiler {
+    fn stack_vars_in_regs(&self) -> bool {
+        T::LAZY_STACK_LOADS
+    }
+
     fn compile_inst(
         &mut self,
         cg: &mut FuncCodeGen<'_, LlvmAdapter<'m>, T>,
@@ -310,7 +321,19 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
             }
             Inst::Load { ty, res, addr, off } => {
                 let base = Self::operand(cg, addr)?;
-                if let Some(home) = Self::load_home(cg, ir, &base) {
+                if let Some(reg) = Self::var_reg(cg, &base) {
+                    return if Self::load_can_wait(cg, ir) {
+                        cg.define_in_reg(value_ref(res), reg)
+                    } else {
+                        cg.define_copy(value_ref(res), reg)
+                    };
+                }
+                let slot = match &base {
+                    AsmOperand::Val(p) => cg.val_stack_addr(p),
+                    AsmOperand::Imm(_) => None,
+                };
+                let home = slot.and_then(|slot| slot.checked_add(off));
+                if let Some(home) = home.filter(|_| Self::load_can_wait(cg, ir)) {
                     return cg.define_in_frame(value_ref(res), home);
                 }
                 Self::load(cg, ty, res, &AsmAddr::base_disp(base, off))
@@ -322,6 +345,10 @@ impl<'m, T: SnippetEmitter> InstCompiler<LlvmAdapter<'m>, T> for LlvmInstCompile
                 value,
             } => {
                 let base = Self::operand(cg, addr)?;
+                if let Some(reg) = Self::var_reg(cg, &base) {
+                    let v = cg.val_ref(value_ref(value), 0)?;
+                    return cg.store_to_var_reg(reg, &v);
+                }
                 let frame_off = match &base {
                     AsmOperand::Val(p) if T::LAZY_STACK_LOADS => cg.val_stack_addr(p),
                     _ => None,

@@ -440,8 +440,27 @@ fn emit_inst(
     Ok(())
 }
 
+/// Emits the moves of the edge `pred -> succ` into `succ`'s phis. When one
+/// of them reads a phi of `succ` (phis that swap on a back edge), every
+/// source is pushed before any phi is written, so each reads the old value.
 fn emit_phi_moves(f: &Function, ctx: &FuncCtx, buf: &mut CodeBuffer, pred: u32, succ: u32) {
-    for phi in &f.blocks[succ as usize].phis {
+    let phis = &f.blocks[succ as usize].phis;
+    let sources = |phi| edge_sources(phi, pred);
+    let reads_phi = |v: Value| phis.iter().any(|q| q.res == v);
+    if phis.iter().any(|p| sources(p).any(reads_phi)) {
+        for v in phis.iter().flat_map(sources) {
+            ctx.load_gp(buf, TMP0, v);
+            x64::push_r(buf, TMP0);
+        }
+        for phi in phis.iter().rev() {
+            for _ in sources(phi) {
+                x64::pop_r(buf, TMP0);
+                ctx.store_gp(buf, phi.res, TMP0);
+            }
+        }
+        return;
+    }
+    for phi in phis {
         for (b, v) in &phi.incoming {
             if b.0 == pred {
                 if phi.ty.is_fp() {
@@ -454,6 +473,12 @@ fn emit_phi_moves(f: &Function, ctx: &FuncCtx, buf: &mut CodeBuffer, pred: u32, 
             }
         }
     }
+}
+
+/// What flows into `phi` along the edge from block `pred`.
+fn edge_sources(phi: &crate::ir::Phi, pred: u32) -> impl Iterator<Item = Value> + '_ {
+    let edge = phi.incoming.iter().filter(move |(b, _)| b.0 == pred);
+    edge.map(|&(_, v)| v)
 }
 
 /// The register an argument travels in under the SysV ABI.

@@ -78,12 +78,17 @@ pub fn buffers_equal(a: &CodeBuffer, b: &CodeBuffer) -> bool {
 /// Builds a random, well-formed, deterministic module from a seed.
 ///
 /// The module has 1–3 internal "kernel" functions (arity 0–4, all-`i64`
-/// signatures) plus an exported `bench_main(i64) -> i64` that calls every
-/// kernel and folds the results. Generation follows a strict dominance
+/// signatures), an exported `bench_main(i64) -> i64` that calls every
+/// kernel and folds the results, and last a variable kernel `vars(i64)`,
+/// which `bench_main` calls at its end: an O0-style function over 2–7
+/// `i64` and `i32` variables, whose loops count in them and call the
+/// kernels between two loads of one. The variable kernel draws from a
+/// random stream of its own, so the other kernels are the same as in a
+/// module without it. Generation follows a strict dominance
 /// discipline (values cross control flow only through phis or out of a
 /// block that dominates every later one, memory is loaded only from
 /// offsets unconditionally stored earlier or from the address just stored
-/// to, or from 8-byte O0-style variables stored in the entry block,
+/// to, or from 4- or 8-byte O0-style variables stored in the entry block,
 /// divisors are forced odd, shift amounts are masked to 0–63, loops have
 /// constant trip counts), so the result both passes [`tpde_core::verify`]
 /// and computes the same value on every correct backend.
@@ -94,16 +99,24 @@ pub fn gen_module(seed: u64) -> Module {
     let mut kernels: Vec<(FuncId, usize)> = Vec::new();
     for k in 0..nkernels {
         let arity = rng.below(5) as usize;
-        let f = gen_kernel(&mut rng, &format!("kernel{k}"), arity, &kernels);
+        let f = gen_kernel(&mut rng, &format!("kernel{k}"), arity, &kernels, false);
         let id = m.add_function(f);
         kernels.push((id, arity));
     }
-    m.add_function(gen_bench_main(&mut rng, &kernels));
+    let vars = FuncId(nkernels as u32 + 1);
+    m.add_function(gen_bench_main(&mut rng, &kernels, vars));
+    let mut rng = Xoshiro256::new(seed ^ VAR_KERNEL_SALT);
+    m.add_function(gen_kernel(&mut rng, "vars", 1, &kernels, true));
     m
 }
 
+/// Mixed into a module's seed for the random stream of its variable kernel.
+const VAR_KERNEL_SALT: u64 = 0xA0C5_57EA_3000_0000;
+
 /// Generation context for one function body.
 struct GenCtx {
+    /// Whether this is the module's variable kernel (see [`gen_module`]).
+    var_kernel: bool,
     /// `i64` values legal to use from the current insertion point onwards
     /// (defined in a block that dominates everything generated later).
     pool: Vec<Value>,
@@ -111,9 +124,12 @@ struct GenCtx {
     slot: Value,
     /// Slot offsets that have been stored unconditionally.
     stored: Vec<i32>,
-    /// O0-style scalar variables: 8-byte stack slots that are only ever
-    /// loaded and stored whole, each stored in the entry block first.
-    vars: Vec<Value>,
+    /// O0-style scalar variables and their type: stack slots that are
+    /// only ever loaded and stored whole, each stored in the entry block
+    /// first. A kernel has two `i64` ones, the variable kernel 2–7 of type
+    /// `i64` or `i32`, at times more than the callee-saved registers a
+    /// back-end can keep them in.
+    vars: Vec<(Value, Type)>,
     /// A scalar variable whose address escapes, and a second pointer to
     /// it (a GEP of it, or its address stored to and loaded back from
     /// another variable).
@@ -345,22 +361,27 @@ fn indexed_roundtrip(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut Gen
 /// variable always holds a defined value, so a store may sit anywhere,
 /// conditional arms included.
 fn var_access(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) -> Value {
-    let var = *rng.pick(&cx.vars);
+    let (var, ty) = *rng.pick(&cx.vars);
     match rng.below(4) {
-        0 => b.load(Type::I64, var, 0),
+        0 => {
+            let x = b.load(ty, var, 0);
+            widen(b, rng, ty, x)
+        }
         1 => {
-            let x = b.load(Type::I64, var, 0);
+            let x = b.load(ty, var, 0);
             let y = cx.pick(rng);
-            b.store(Type::I64, var, 0, y);
+            let y = narrow(b, ty, y);
+            b.store(ty, var, 0, y);
+            let x = widen(b, rng, ty, x);
             let op = *rng.pick(&BIN_OPS);
             let z = cx.pick(rng);
             let r = b.bin(op, Type::I64, x, z);
             b.bin(BinOp::Xor, Type::I64, r, x)
         }
         2 => {
-            let x = b.load(Type::I64, var, 0);
-            b.store(Type::I64, var, 0, x);
-            x
+            let x = b.load(ty, var, 0);
+            b.store(ty, var, 0, x);
+            widen(b, rng, ty, x)
         }
         _ => {
             let (slot, ptr) = cx.escaped;
@@ -371,6 +392,23 @@ fn var_access(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) ->
             let r = b.bin(BinOp::Sub, Type::I64, x, fresh);
             b.bin(BinOp::Add, Type::I64, r, x)
         }
+    }
+}
+
+/// `v`, of type `ty` (`i64` or `i32`), as an `i64`: an `i32` is zero- or
+/// sign-extended.
+fn widen(b: &mut FunctionBuilder, rng: &mut Xoshiro256, ty: Type, v: Value) -> Value {
+    match ty {
+        Type::I32 => b.cast(rng.chance(1, 2), Type::I32, Type::I64, v),
+        _ => v,
+    }
+}
+
+/// The `i64` `v` as a value of type `ty` (`i64` or `i32`).
+fn narrow(b: &mut FunctionBuilder, ty: Type, v: Value) -> Value {
+    match ty {
+        Type::I32 => b.cast(false, Type::I64, Type::I32, v),
+        _ => v,
     }
 }
 
@@ -531,17 +569,32 @@ fn join_segment(
 /// phi; the accumulator phi joins the pool after the exit (the header
 /// dominates the exit, so that is legal everywhere downstream). A third
 /// of the loops are one block that branches back to itself at its end.
-fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) {
+/// In the variable kernel, variables live next to the loop phis: half the
+/// loops count in one (loaded, added to and stored back every iteration,
+/// loaded after the loop), and a third call a kernel in the body, between
+/// a load of a variable and a second load of it.
+fn loop_segment(
+    b: &mut FunctionBuilder,
+    rng: &mut Xoshiro256,
+    cx: &mut GenCtx,
+    callees: &[(FuncId, usize)],
+) {
     let trip = b.iconst(Type::I64, (2 + rng.below(7)) as i64);
     let zero = b.iconst(Type::I64, 0);
     let one = b.iconst(Type::I64, 1);
     let init = cx.pick(rng);
     // Half the loops store to a variable in the body, while a load of it
     // from before the loop is used after the loop.
-    let var_store = rng
-        .chance(1, 2)
-        .then(|| *rng.pick(&cx.vars))
-        .map(|var| (var, b.load(Type::I64, var, 0)));
+    let vars = &cx.vars;
+    let var_store = rng.chance(1, 2).then(|| *rng.pick(vars));
+    let var_store = var_store.map(|(var, ty)| {
+        let x = b.load(ty, var, 0);
+        ((var, ty), widen(b, rng, ty, x))
+    });
+    let var_kernel = cx.var_kernel;
+    let counter = (var_kernel && rng.chance(1, 2)).then(|| *rng.pick(vars));
+    let call = (var_kernel && !callees.is_empty() && rng.chance(1, 3))
+        .then(|| (*rng.pick(callees), *rng.pick(vars), cx.pick(rng)));
     let one_block = rng.chance(1, 3);
     let pre = b.current_block();
     let hdr = b.create_block();
@@ -570,9 +623,27 @@ fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) 
         let op2 = *rng.pick(&[BinOp::Add, BinOp::Xor]);
         a = b.bin(op2, Type::I64, a, i);
     }
+    if let Some(((id, arity), (var, ty), arg)) = call {
+        let x = b.load(ty, var, 0);
+        let before = widen(b, rng, ty, x);
+        let args = (0..arity).map(|k| if k == 0 { a } else { arg }).collect();
+        let c = b.call(id, Type::I64, args);
+        let y = b.load(ty, var, 0);
+        let after = widen(b, rng, ty, y);
+        let mixed = b.bin(BinOp::Xor, Type::I64, c, before);
+        let mixed = b.bin(BinOp::Add, Type::I64, mixed, after);
+        a = b.bin(BinOp::Add, Type::I64, a, mixed);
+    }
+    if let Some((var, ty)) = counter {
+        let x = b.load(ty, var, 0);
+        let step = narrow(b, ty, i);
+        let x1 = b.bin(BinOp::Add, ty, x, step);
+        b.store(ty, var, 0, x1);
+    }
     let inext = b.bin(BinOp::Add, Type::I64, i, one);
-    if let Some((var, _)) = var_store {
-        b.store(Type::I64, var, 0, a);
+    if let Some(((var, ty), _)) = var_store {
+        let v = narrow(b, ty, a);
+        b.store(ty, var, 0, v);
     }
     b.phi_add_incoming(i, body, inext);
     b.phi_add_incoming(acc, body, a);
@@ -587,6 +658,11 @@ fn loop_segment(b: &mut FunctionBuilder, rng: &mut Xoshiro256, cx: &mut GenCtx) 
     if let Some((_, before)) = var_store {
         cx.pool.push(before);
     }
+    if let Some((var, ty)) = counter {
+        let x = b.load(ty, var, 0);
+        let x = widen(b, rng, ty, x);
+        cx.pool.push(x);
+    }
     // A one-block body dominates the exit: its last value may live on.
     if one_block && rng.chance(1, 2) {
         cx.pool.push(a);
@@ -598,6 +674,7 @@ fn gen_kernel(
     name: &str,
     arity: usize,
     callees: &[(FuncId, usize)],
+    var_kernel: bool,
 ) -> Function {
     let params = vec![Type::I64; arity];
     let mut b = FunctionBuilder::new(name, &params, Type::I64);
@@ -608,15 +685,17 @@ fn gen_kernel(
     }
     let slot = b.alloca(64, 8);
     let mut vars = Vec::new();
-    for _ in 0..2 {
-        let var = b.alloca(8, 8);
-        b.store(
-            Type::I64,
-            var,
-            0,
-            pool[rng.below(pool.len() as u64) as usize],
-        );
-        vars.push(var);
+    for _ in 0..if var_kernel { 2 + rng.below(6) } else { 2 } {
+        let ty = if var_kernel && rng.chance(1, 3) {
+            Type::I32
+        } else {
+            Type::I64
+        };
+        let var = b.alloca(ty.size(), ty.size());
+        let init = pool[rng.below(pool.len() as u64) as usize];
+        let init = narrow(&mut b, ty, init);
+        b.store(ty, var, 0, init);
+        vars.push((var, ty));
     }
     let esc = b.alloca(8, 8);
     b.store(
@@ -633,6 +712,7 @@ fn gen_kernel(
         b.load(Type::Ptr, holder, 0)
     };
     let mut cx = GenCtx {
+        var_kernel,
         pool,
         slot,
         stored: Vec::new(),
@@ -643,8 +723,15 @@ fn gen_kernel(
         match rng.below(3) {
             0 => straight_segment(&mut b, rng, &mut cx, callees),
             1 => join_segment(&mut b, rng, &mut cx, callees),
-            _ => loop_segment(&mut b, rng, &mut cx),
+            _ => loop_segment(&mut b, rng, &mut cx, callees),
         }
+    }
+    if var_kernel {
+        for _ in 0..2 + rng.below(3) {
+            let v = var_access(&mut b, rng, &mut cx);
+            cx.pool.push(v);
+        }
+        loop_segment(&mut b, rng, &mut cx, callees);
     }
     let mut r = *cx.pool.last().unwrap();
     // never `r ^ r`: a kernel that returns 0 hides its body from every check
@@ -655,7 +742,7 @@ fn gen_kernel(
     b.build()
 }
 
-fn gen_bench_main(rng: &mut Xoshiro256, kernels: &[(FuncId, usize)]) -> Function {
+fn gen_bench_main(rng: &mut Xoshiro256, kernels: &[(FuncId, usize)], vars: FuncId) -> Function {
     let mut b = FunctionBuilder::new("bench_main", &[Type::I64], Type::I64);
     let x = b.arg(0);
     let salt = b.iconst(Type::I64, (rng.next_u64() & 0xFFF) as i64);
@@ -669,6 +756,8 @@ fn gen_bench_main(rng: &mut Xoshiro256, kernels: &[(FuncId, usize)]) -> Function
         let r = b.call(id, Type::I64, args);
         acc = b.bin(BinOp::Xor, Type::I64, acc, r);
     }
+    let r = b.call(vars, Type::I64, vec![x]);
+    acc = b.bin(BinOp::Xor, Type::I64, acc, r);
     b.ret(Some(acc));
     b.build()
 }
@@ -927,13 +1016,20 @@ pub fn minimize(m: &Module, fails: &mut dyn FnMut(&Module) -> bool, max_evals: u
         }
 
         // Pass C: delete non-terminator instructions; a deleted result
-        // becomes the constant 0 of its type so uses stay well-formed.
+        // becomes the constant 0 of its type so uses stay well-formed. A
+        // store to a stack slot stays while a load reads the slot, so that
+        // no load is left reading memory nothing wrote, where back-ends
+        // differ without a bug.
         for fi in 0..cur.funcs.len() {
             for bi in 0..cur.funcs[fi].blocks.len() {
                 let mut ii = 0;
                 while ii + 1 < cur.funcs[fi].blocks[bi].insts.len() {
                     if evals >= max_evals {
                         return cur;
+                    }
+                    if stores_to_a_read_slot(&cur.funcs[fi], &cur.funcs[fi].blocks[bi].insts[ii]) {
+                        ii += 1;
+                        continue;
                     }
                     let mut cand = cur.clone();
                     let removed = cand.funcs[fi].blocks[bi].insts.remove(ii);
@@ -1025,6 +1121,34 @@ pub fn minimize(m: &Module, fails: &mut dyn FnMut(&Module) -> bool, max_evals: u
             return cur;
         }
     }
+}
+
+/// The stack slot `addr` points into, through any chain of GEPs.
+fn slot_of(f: &Function, mut addr: Value) -> Option<Value> {
+    loop {
+        if let ValueDef::StackSlot(_) = f.values.get(addr.0 as usize)?.def {
+            return Some(addr);
+        }
+        let defs = f.blocks.iter().flat_map(|b| &b.insts);
+        addr = defs.into_iter().find_map(|i| match *i {
+            Inst::Gep { res, base, .. } if res == addr => Some(base),
+            _ => None,
+        })?;
+    }
+}
+
+/// Whether `inst` stores to a stack slot that a load of `f` reads.
+fn stores_to_a_read_slot(f: &Function, inst: &Inst) -> bool {
+    let Inst::Store { addr, .. } = *inst else {
+        return false;
+    };
+    let Some(slot) = slot_of(f, addr) else {
+        return false;
+    };
+    f.blocks.iter().flat_map(|b| &b.insts).any(|i| match *i {
+        Inst::Load { addr, .. } => slot_of(f, addr) == Some(slot),
+        _ => false,
+    })
 }
 
 /// Rewrites every use of a value `from_to.0` in `f` to `from_to.1`.
@@ -1617,7 +1741,7 @@ mod tests {
     #[test]
     fn miscompile_injection_flips_one_add() {
         let m = gen_module(3);
-        let main = m.funcs.last().unwrap();
+        let main = m.funcs.iter().find(|f| f.name == "bench_main").unwrap();
         let add = main.blocks[0].insts.iter().find_map(|i| match *i {
             Inst::Bin {
                 op: BinOp::Add,

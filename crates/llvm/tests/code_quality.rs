@@ -18,8 +18,12 @@
 //! branch for a value only the fall-through successor reads, the store
 //! kept for one the taken successor reads and before a back edge, a
 //! five-arm join whose phi arrives in a register, the phis that keep their
-//! slot, and an operation on two constants as one `mov`); the `Lazy` and
-//! `Flow` shapes also run under `x64emu`.
+//! slot, and an operation on two constants as one `mov`), for stack
+//! variables that live in callee-saved registers (a loop with no frame
+//! access, one `mov` out of the register before a store, an escaped
+//! variable that stays in the frame, a variable live across a call) and
+//! for a commutative operation done in its dying right operand's register;
+//! the `Lazy` and `Flow` shapes also run under `x64emu`.
 
 use tpde_core::codebuf::CodeBuffer;
 use tpde_core::codegen::{CompileOptions, CompiledModule};
@@ -34,41 +38,41 @@ use tpde_x64emu::run_function;
 type Row = (&'static str, &'static str, &'static str, u64, usize, usize);
 
 const RECORDED: &[Row] = &[
-    ("600.perl", "O0", "x64", 4752, 28, 180),
+    ("600.perl", "O0", "x64", 4282, 28, 13),
     ("600.perl", "O0", "a64", 8292, 140, 222),
-    ("600.perl", "O1", "x64", 4556, 28, 26),
+    ("600.perl", "O1", "x64", 4296, 28, 13),
     ("600.perl", "O1", "a64", 6500, 98, 54),
-    ("602.gcc", "O0", "x64", 7464, 44, 284),
+    ("602.gcc", "O0", "x64", 6722, 44, 21),
     ("602.gcc", "O0", "a64", 12932, 220, 350),
-    ("602.gcc", "O1", "x64", 7156, 44, 42),
+    ("602.gcc", "O1", "x64", 6744, 44, 21),
     ("602.gcc", "O1", "a64", 10116, 154, 86),
-    ("605.mcf", "O0", "x64", 2465, 16, 14),
+    ("605.mcf", "O0", "x64", 1967, 16, 7),
     ("605.mcf", "O0", "a64", 5836, 16, 22),
-    ("605.mcf", "O1", "x64", 2465, 16, 14),
+    ("605.mcf", "O1", "x64", 1967, 16, 7),
     ("605.mcf", "O1", "a64", 5836, 16, 22),
-    ("620.omnetpp", "O0", "x64", 2508, 36, 34),
+    ("620.omnetpp", "O0", "x64", 2442, 36, 17),
     ("620.omnetpp", "O0", "a64", 6220, 36, 52),
-    ("620.omnetpp", "O1", "x64", 2472, 36, 34),
+    ("620.omnetpp", "O1", "x64", 2424, 36, 17),
     ("620.omnetpp", "O1", "a64", 5500, 36, 52),
-    ("623.xalanc", "O0", "x64", 3342, 48, 46),
+    ("623.xalanc", "O0", "x64", 3252, 48, 23),
     ("623.xalanc", "O0", "a64", 8236, 48, 70),
-    ("623.xalanc", "O1", "x64", 3294, 48, 46),
+    ("623.xalanc", "O1", "x64", 3228, 48, 23),
     ("623.xalanc", "O1", "a64", 7276, 48, 70),
-    ("625.x264", "O0", "x64", 1806, 24, 22),
+    ("625.x264", "O0", "x64", 1740, 24, 11),
     ("625.x264", "O0", "a64", 4204, 24, 34),
-    ("625.x264", "O1", "x64", 1770, 24, 22),
+    ("625.x264", "O1", "x64", 1740, 24, 11),
     ("625.x264", "O1", "a64", 3676, 24, 34),
-    ("631.deepsjeng", "O0", "x64", 1506, 20, 18),
+    ("631.deepsjeng", "O0", "x64", 1452, 20, 9),
     ("631.deepsjeng", "O0", "a64", 3532, 20, 28),
-    ("631.deepsjeng", "O1", "x64", 1476, 20, 18),
+    ("631.deepsjeng", "O1", "x64", 1452, 20, 9),
     ("631.deepsjeng", "O1", "a64", 3092, 20, 28),
-    ("641.leela", "O0", "x64", 3276, 20, 28),
+    ("641.leela", "O0", "x64", 3172, 20, 9),
     ("641.leela", "O0", "a64", 5052, 30, 38),
-    ("641.leela", "O1", "x64", 3276, 20, 28),
+    ("641.leela", "O1", "x64", 3172, 20, 9),
     ("641.leela", "O1", "a64", 5052, 30, 38),
-    ("657.xz", "O0", "x64", 2772, 18, 16),
+    ("657.xz", "O0", "x64", 2211, 18, 8),
     ("657.xz", "O0", "a64", 6544, 18, 25),
-    ("657.xz", "O1", "x64", 2772, 18, 16),
+    ("657.xz", "O1", "x64", 2211, 18, 8),
     ("657.xz", "O1", "a64", 6544, 18, 25),
 ];
 
@@ -374,8 +378,9 @@ fn a_gep_whose_access_is_not_next_is_not_folded() {
     gep_is_one_indexed_lea(&text);
 }
 
-/// `f(x, y) = (x op rhs) ^ x`, where `rhs` is `y` or the constant `imm`:
-/// `x` lives on after the operation.
+/// `f(x, y) = (x op rhs) ^ x`, where `rhs` is the constant `imm`, or `y`,
+/// and then the result is also xored with `y`: `x`, and `y` as `rhs`, live
+/// on after the operation.
 fn op_on_live_operand(op: BinOp, imm: Option<i64>) -> Vec<u8> {
     let mut b = FunctionBuilder::new("f", &[Type::I64, Type::I64], Type::I64);
     let x = b.arg(0);
@@ -384,7 +389,10 @@ fn op_on_live_operand(op: BinOp, imm: Option<i64>) -> Vec<u8> {
         None => b.arg(1),
     };
     let r = b.bin(op, Type::I64, x, rhs);
-    let r = b.bin(BinOp::Xor, Type::I64, r, x);
+    let mut r = b.bin(BinOp::Xor, Type::I64, r, x);
+    if imm.is_none() {
+        r = b.bin(BinOp::Xor, Type::I64, r, rhs);
+    }
     b.ret(Some(r));
     compile_text(b, &CompileOptions::default())
 }
@@ -435,6 +443,34 @@ fn add_of_a_register_on_a_live_operand_is_one_lea() {
 }
 
 #[test]
+fn a_commutative_op_works_in_the_register_of_its_dying_right_operand() {
+    // f(x, y) = (x op (y >> 1)) ^ x: `y >> 1` dies in a register, `x`
+    // (in rdi) lives on
+    for op in [BinOp::Add, BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Mul] {
+        let mut b = FunctionBuilder::new("f", &[Type::I64, Type::I64], Type::I64);
+        let (x, y) = (b.arg(0), b.arg(1));
+        let one = b.iconst(Type::I64, 1);
+        let half = b.shift(tpde_llvm::ir::ShiftKind::LShr, Type::I64, y, one);
+        let r = b.bin(op, Type::I64, x, half);
+        let r = b.bin(BinOp::Xor, Type::I64, r, x);
+        b.ret(Some(r));
+        let text = compile_text(b, &CompileOptions::default());
+        let alu = match op {
+            BinOp::Add => Some(x64::Alu::Add),
+            BinOp::And => Some(x64::Alu::And),
+            BinOp::Or => Some(x64::Alu::Or),
+            BinOp::Xor => Some(x64::Alu::Xor),
+            _ => None,
+        };
+        let into_rhs = one_instruction_no_copy(&text, |b, dst| match alu {
+            Some(alu) => x64::alu_rr(b, alu, 8, dst, Gp::RDI),
+            None => x64::imul_rr(b, 8, dst, Gp::RDI),
+        });
+        assert!(into_rhs, "{op:?}: {text:02x?}");
+    }
+}
+
+#[test]
 fn multiply_by_an_immediate_on_a_live_operand_is_three_operand_imul() {
     let text = op_on_live_operand(BinOp::Mul, Some(7));
     assert!(
@@ -443,9 +479,12 @@ fn multiply_by_an_immediate_on_a_live_operand_is_three_operand_imul() {
     );
 }
 
-/// O0-style functions `f(n)` over 8-byte stack variables that are only
-/// loaded and stored whole, the shapes x86-64's lazy stack loads
-/// (`SnippetEmitter::LAZY_STACK_LOADS`) must get right.
+/// O0-style functions `f(n)` over stack variables of which only the first
+/// 8 bytes are loaded and stored, the shapes x86-64's lazy stack loads
+/// (`SnippetEmitter::LAZY_STACK_LOADS`) must get right. With [`WIDE`]
+/// variables the loads wait in the frame; with [`SCALAR`] ones, which are
+/// accessed whole, a variable that does not escape lives in a callee-saved
+/// register instead and its loads wait there.
 #[derive(Copy, Clone, Debug)]
 enum Lazy {
     /// A counted loop whose head loads three variables and whose body
@@ -461,25 +500,43 @@ enum Lazy {
     Escaped,
     /// `x = load A; store A, x; x + 1`.
     StoreBack,
+    /// `c = g(n)` with `g(v) = 2v + 1` between the store of `n` to `A` and
+    /// `x = load A`; returns `x + c`.
+    AcrossCall,
 }
 
+/// A variable of 16 bytes, accessed in its first 8: it stays in the frame.
+const WIDE: u32 = 16;
+/// A variable of 8 bytes, accessed whole: it may live in a register.
+const SCALAR: u32 = 8;
+
 impl Lazy {
-    const ALL: [Lazy; 5] = [
+    const ALL: [Lazy; 6] = [
         Lazy::LoopHead,
         Lazy::ClobberBeforeStore,
         Lazy::MidRangeStore,
         Lazy::Escaped,
         Lazy::StoreBack,
+        Lazy::AcrossCall,
     ];
 
-    fn module(self) -> Module {
+    /// The shape over variables of `width` bytes.
+    fn module(self, width: u32) -> Module {
+        let mut m = Module::new();
+        let mut g = FunctionBuilder::new("g", &[Type::I64], Type::I64);
+        let (two, one) = (g.iconst(Type::I64, 2), g.iconst(Type::I64, 1));
+        let d = g.bin(BinOp::Mul, Type::I64, g.arg(0), two);
+        let r = g.bin(BinOp::Add, Type::I64, d, one);
+        g.ret(Some(r));
+        let g = m.add_function(g.build());
+
         let mut b = FunctionBuilder::new("f", &[Type::I64], Type::I64);
         let n = b.arg(0);
-        let var = b.alloca(8, 8);
+        let var = b.alloca(width, 8);
         b.store(Type::I64, var, 0, n);
         let r = match self {
             Lazy::LoopHead => {
-                let (acc, i) = (b.alloca(8, 8), b.alloca(8, 8));
+                let (acc, i) = (b.alloca(width, 8), b.alloca(width, 8));
                 let zero = b.iconst(Type::I64, 0);
                 b.store(Type::I64, acc, 0, zero);
                 b.store(Type::I64, i, 0, zero);
@@ -542,9 +599,13 @@ impl Lazy {
                 let one = b.iconst(Type::I64, 1);
                 b.bin(BinOp::Add, Type::I64, x, one)
             }
+            Lazy::AcrossCall => {
+                let c = b.call(g, Type::I64, vec![n]);
+                let x = b.load(Type::I64, var, 0);
+                b.bin(BinOp::Add, Type::I64, x, c)
+            }
         };
         b.ret(Some(r));
-        let mut m = Module::new();
         m.add_function(b.build());
         m
     }
@@ -562,11 +623,12 @@ impl Lazy {
             }
             Lazy::ClobberBeforeStore => n.wrapping_sub(100),
             Lazy::MidRangeStore | Lazy::Escaped | Lazy::StoreBack => n.wrapping_add(1),
+            Lazy::AcrossCall => n.wrapping_mul(3).wrapping_add(1),
         }
     }
 
-    fn compile(self) -> CompiledModule {
-        compile_x64(&self.module(), &CompileOptions::default()).unwrap()
+    fn compile(self, width: u32) -> CompiledModule {
+        compile_x64(&self.module(width), &CompileOptions::default()).unwrap()
     }
 }
 
@@ -608,19 +670,19 @@ fn var_disp(text: &[u8]) -> i32 {
 
 #[test]
 fn lazy_stack_loads_compute_the_right_results() {
-    for shape in Lazy::ALL {
-        let compiled = shape.compile();
+    for (shape, width) in Lazy::ALL.into_iter().flat_map(|s| [(s, WIDE), (s, SCALAR)]) {
+        let compiled = shape.compile(width);
         let image = link_in_memory(&compiled.buf, 0x40_0000, |_| None).unwrap();
         for n in [7, 0, u64::MAX] {
             let (got, _) = run_function(&image, "f", &[n]).expect("execution");
-            assert_eq!(got, shape.expected(n), "{shape:?}({n})");
+            assert_eq!(got, shape.expected(n), "{shape:?}/{width}({n})");
         }
     }
 }
 
 #[test]
 fn a_loop_head_loads_nothing_and_spills_nothing() {
-    let m = Lazy::LoopHead.compile();
+    let m = Lazy::LoopHead.compile(WIDE);
     let text = m.buf.text();
     assert_eq!(m.stats.spills, 0, "{text:02x?}");
     assert_eq!(
@@ -632,7 +694,7 @@ fn a_loop_head_loads_nothing_and_spills_nothing() {
 
 #[test]
 fn a_store_reads_the_old_value_out_of_its_home_first() {
-    let text = Lazy::ClobberBeforeStore.compile().buf.text().to_vec();
+    let text = Lazy::ClobberBeforeStore.compile(WIDE).buf.text().to_vec();
     let mem = Mem::base_disp(Gp::RBP, var_disp(&text));
     let load = find(&text, |b, r| x64::mov_rm(b, 8, r, mem)).expect("x is loaded");
     let store = encode(|b| x64::mov_mi(b, 8, mem, 100));
@@ -642,7 +704,7 @@ fn a_store_reads_the_old_value_out_of_its_home_first() {
 
 #[test]
 fn a_store_inside_the_live_range_keeps_the_load_at_its_definition() {
-    let text = Lazy::MidRangeStore.compile().buf.text().to_vec();
+    let text = Lazy::MidRangeStore.compile(WIDE).buf.text().to_vec();
     let mem = Mem::base_disp(Gp::RBP, var_disp(&text));
     let load = find(&text, |b, r| x64::mov_rm(b, 8, r, mem)).expect("x is loaded");
     let jcc = text
@@ -656,7 +718,7 @@ fn a_store_inside_the_live_range_keeps_the_load_at_its_definition() {
 
 #[test]
 fn an_escaped_variable_is_loaded_at_the_load() {
-    let text = Lazy::Escaped.compile().buf.text().to_vec();
+    let text = Lazy::Escaped.compile(WIDE).buf.text().to_vec();
     let mem = Mem::base_disp(Gp::RBP, var_disp(&text));
     let load = find(&text, |b, r| x64::mov_rm(b, 8, r, mem)).expect("x is loaded");
     let store = find(&text, |b, r| x64::mov_mi(b, 8, Mem::base_disp(r, 0), 1000));
@@ -665,8 +727,78 @@ fn an_escaped_variable_is_loaded_at_the_load() {
 
 #[test]
 fn storing_a_value_back_to_its_home_emits_nothing() {
-    let text = Lazy::StoreBack.compile().buf.text().to_vec();
+    let text = Lazy::StoreBack.compile(WIDE).buf.text().to_vec();
     assert_eq!(frame_stores(&text), [var_disp(&text)], "{text:02x?}");
+}
+
+/// The callee-save slot `[rbp - 8(i+1)]` of `SAVE[i]`: the prologue saves
+/// a used callee-saved register there and the epilogue restores it.
+const SAVE: [Gp; 5] = [Gp::RBX, Gp(12), Gp(13), Gp(14), Gp(15)];
+
+/// The callee-saved registers `text` saves in its prologue.
+fn saved_regs(text: &[u8]) -> Vec<Gp> {
+    let slot = |i: usize| Mem::base_disp(Gp::RBP, -8 * (i as i32 + 1));
+    (0..SAVE.len())
+        .filter(|&i| contains(text, &encode(|b| x64::mov_mr(b, 8, slot(i), SAVE[i]))))
+        .map(|i| SAVE[i])
+        .collect()
+}
+
+/// Whether every frame access in `text` is a save or restore of a
+/// callee-saved register.
+fn frame_holds_only_saves(text: &[u8]) -> bool {
+    let n = saved_regs(text).len() as i32;
+    let saves: Vec<i32> = (1..=n).rev().map(|i| -8 * i).collect();
+    frame_stores(text) == saves && frame_loads(text) == saves
+}
+
+#[test]
+fn a_loop_over_register_variables_touches_no_frame_slot() {
+    let m = Lazy::LoopHead.compile(SCALAR);
+    let text = m.buf.text();
+    assert_eq!((m.stats.spills, m.stats.reloads), (0, 0), "{text:02x?}");
+    assert_eq!(saved_regs(text), SAVE[..3], "{text:02x?}");
+    assert!(frame_holds_only_saves(text), "{text:02x?}");
+}
+
+#[test]
+fn a_value_read_after_a_store_to_its_register_costs_one_mov() {
+    let m = Lazy::ClobberBeforeStore.compile(SCALAR);
+    let text = m.buf.text();
+    assert_eq!(saved_regs(text), [Gp::RBX], "{text:02x?}");
+    assert!(frame_holds_only_saves(text), "{text:02x?}");
+    // `n` goes to rbx, `x` stays there until the store moves it out
+    let set = encode(|b| x64::mov_rr(b, 8, Gp::RBX, Gp::RDI));
+    let out = find(text, |b, r| x64::mov_rr(b, 8, r, Gp::RBX)).expect("x moves out");
+    let store = encode(|b| x64::mov_ri(b, 8, Gp::RBX, 100));
+    let store = text.windows(store.len()).position(|w| w == store);
+    assert!(contains(text, &set), "{text:02x?}");
+    assert!(store.is_some_and(|s| out < s), "{text:02x?}");
+    let copies =
+        (0..16).filter(|&r| contains(text, &encode(|b| x64::mov_rr(b, 8, Gp(r), Gp::RBX))));
+    assert_eq!(copies.count(), 1, "one mov out of rbx: {text:02x?}");
+}
+
+#[test]
+fn an_escaped_variable_stays_in_the_frame() {
+    let text = Lazy::Escaped.compile(SCALAR).buf.text().to_vec();
+    assert_eq!(saved_regs(&text), [], "{text:02x?}");
+    let mem = Mem::base_disp(Gp::RBP, var_disp(&text));
+    assert!(
+        find(&text, |b, r| x64::mov_rm(b, 8, r, mem)).is_some(),
+        "{text:02x?}"
+    );
+}
+
+#[test]
+fn a_variable_live_across_a_call_keeps_its_register() {
+    let m = Lazy::AcrossCall.compile(SCALAR);
+    let text = m.buf.text();
+    assert_eq!(saved_regs(text), [Gp::RBX], "{text:02x?}");
+    assert!(frame_holds_only_saves(text), "{text:02x?}");
+    assert_eq!((m.stats.spills, m.stats.reloads), (0, 0), "{text:02x?}");
+    let set = encode(|b| x64::mov_rr(b, 8, Gp::RBX, Gp::RDI));
+    assert!(contains(text, &set), "{text:02x?}");
 }
 
 /// O1-style functions `f(n)` around conditional branches and joins, the

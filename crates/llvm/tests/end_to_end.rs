@@ -3,6 +3,7 @@
 
 use tpde_core::codegen::CompileOptions;
 use tpde_core::jit::link_in_memory;
+use tpde_llvm::fuzz::EXEC_KINDS;
 use tpde_llvm::ir::{BinOp, FunctionBuilder, ICmp, Module, Type};
 use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle, Workload};
 use tpde_llvm::{compile_a64, compile_baseline, compile_copy_patch, compile_x64};
@@ -169,6 +170,48 @@ fn loop_with_latch_numbered_before_header_terminates() {
     machine.load_image(&image);
     let ret = machine.call(image.symbol_addr("count").unwrap(), &[10]);
     assert_eq!(ret.ok(), Some(10));
+}
+
+/// `f(n)`: a one-block loop whose phis `p` and `q` swap on the back edge
+/// (`p <- q`, `q <- p`) while `acc = acc * 10 + p`, so `f(4)` = 1212; a
+/// back edge that copies the phis one by one gives 1222.
+#[test]
+fn phis_that_swap_on_a_back_edge_swap_under_every_kind() {
+    let mut b = FunctionBuilder::new("f", &[Type::I64], Type::I64);
+    let entry = b.current_block();
+    let (head, exit) = (b.create_block(), b.create_block());
+    let (zero, one, two, ten) = (
+        b.iconst(Type::I64, 0),
+        b.iconst(Type::I64, 1),
+        b.iconst(Type::I64, 2),
+        b.iconst(Type::I64, 10),
+    );
+    b.br(head);
+    b.switch_to(head);
+    let (p, q, i, acc) = (
+        b.phi(Type::I64),
+        b.phi(Type::I64),
+        b.phi(Type::I64),
+        b.phi(Type::I64),
+    );
+    let scaled = b.bin(BinOp::Mul, Type::I64, acc, ten);
+    let acc1 = b.bin(BinOp::Add, Type::I64, scaled, p);
+    let i1 = b.bin(BinOp::Add, Type::I64, i, one);
+    let more = b.icmp(ICmp::Ult, Type::I64, i1, b.arg(0));
+    b.cond_br(more, head, exit);
+    for (phi, init, next) in [(p, one, q), (q, two, p), (i, zero, i1), (acc, zero, acc1)] {
+        b.phi_add_incoming(phi, entry, init);
+        b.phi_add_incoming(phi, head, next);
+    }
+    b.switch_to(exit);
+    b.ret(Some(acc1));
+    let mut m = Module::new();
+    m.add_function(b.build());
+    for kind in EXEC_KINDS {
+        let c = tpde_llvm::compile(&m, kind, &CompileOptions::default()).unwrap();
+        assert_eq!(run_buf(&c.buf, "f", &[4]), 1212, "{kind:?}");
+        assert_eq!(run_buf(&c.buf, "f", &[1]), 1, "{kind:?}");
+    }
 }
 
 fn check_workload(w: &Workload, style: IrStyle) {

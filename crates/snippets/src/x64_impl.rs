@@ -152,6 +152,15 @@ fn bin_non_destructive<A: IrAdapter>(
     Ok(true)
 }
 
+/// Whether `op` is a value in a register at its last use, so that a result
+/// may take the register over.
+fn dies_in_reg<A: IrAdapter>(cg: Cg<'_, '_, A>, op: &AsmOperand) -> bool {
+    match op {
+        AsmOperand::Val(p) => cg.val_cur_reg(p).is_some() && cg.val_is_last_use(p),
+        AsmOperand::Imm(_) => false,
+    }
+}
+
 /// The constant bits of an operand as a `size`-byte value, if it is one.
 fn const_bits(op: &AsmOperand, size: u32) -> Option<u64> {
     let v = op.as_imm()?;
@@ -406,8 +415,11 @@ impl SnippetEmitter for X64Target {
                 .emit_const(cg.buf, RegBank::GP, osize, dst, op.fold(l, r));
             return Ok(());
         }
-        // prefer the constant on the right for commutative operations
-        let (lhs, rhs) = if op.commutative() && lhs.as_imm().is_some() && rhs.as_imm().is_none() {
+        // for a commutative operation, prefer the constant on the right, and
+        // the result in the right operand's register when only that one dies
+        let swap = (lhs.as_imm().is_some() && rhs.as_imm().is_none())
+            || (dies_in_reg(cg, rhs) && !dies_in_reg(cg, lhs));
+        let (lhs, rhs) = if op.commutative() && swap {
             (rhs, lhs)
         } else {
             (lhs, rhs)
