@@ -197,15 +197,15 @@ pub trait IrAdapter {
     }
 
     /// How many loads and stores access the static stack variable at index
-    /// `var` of [`IrAdapter::static_stack_vars`], if it may live in a
+    /// `var` of [`IrAdapter::static_stack_vars`] if it may live in a
     /// general-purpose register instead of the frame: its address is used
     /// only as the address of those loads and stores, each of which reads
     /// or writes the whole 4- or 8-byte variable as an integer or pointer,
     /// and no access through any stack variable's address leaves its
-    /// variable. `None` (the default) keeps the variable in memory.
-    fn stack_var_accesses(&self, var: usize) -> Option<u32> {
+    /// variable. 0 (the default) keeps the variable in memory.
+    fn stack_var_accesses(&self, var: usize) -> u32 {
         let _ = var;
-        None
+        0
     }
 
     /// Number of basic blocks of the current function. Block indices are

@@ -21,6 +21,7 @@ use crate::regalloc::{RegFile, RegOwner};
 use crate::regs::{Reg, RegBank, RegSet};
 use crate::target::{FrameState, Target};
 use crate::timing::{PassTimings, Phase};
+use std::cmp::Reverse;
 use std::time::Instant;
 
 /// The compile configuration. It has no settings: every compile runs the
@@ -610,7 +611,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             self.s.block_labels.push(l);
         }
         self.pin_loop_phis()?;
-        self.emit_prologue_and_args(compiler.stack_vars_in_regs())?;
+        if compiler.stack_vars_in_regs() {
+            self.assign_var_regs()?;
+        }
+        self.emit_prologue_and_args()?;
 
         let adapter = self.adapter;
         for pos in 0..n as u32 {
@@ -636,12 +640,9 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         )
     }
 
-    fn emit_prologue_and_args(&mut self, var_regs: bool) -> Result<()> {
+    fn emit_prologue_and_args(&mut self) -> Result<()> {
         self.target.emit_prologue(self.buf, &mut self.s.frame_state);
         let adapter = self.adapter;
-        if var_regs {
-            self.assign_var_regs()?;
-        }
 
         // Static stack variables: allocated in the frame, value = address,
         // trivially recomputable (never spilled).
@@ -722,10 +723,11 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     /// Gives the stack variables that may live in a register
     /// ([`IrAdapter::stack_var_accesses`]) the callee-saved allocatable
     /// general-purpose registers that no loop phi is pinned to, in
-    /// allocation order, most-accessed variable first. Each register is
-    /// pinned to the variable's address value for the whole function
-    /// (never allocated, stored or cleared), saved by the prologue, and
-    /// holds the variable's current contents.
+    /// allocation order, most-accessed variable first: on x86-64 the first
+    /// register, `rbx`, is the one whose 32-bit forms need no REX prefix.
+    /// Each register is pinned to the variable's address value for the
+    /// whole function (never allocated, stored or cleared), saved by the
+    /// prologue, and holds the variable's current contents.
     fn assign_var_regs(&mut self) -> Result<()> {
         let (adapter, target) = (self.adapter, self.target);
         let vars = adapter.static_stack_vars();
@@ -734,13 +736,11 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             if !callee_saved.contains(reg) || self.regfile.is_fixed(reg) {
                 continue;
             }
+            // the most-accessed variable left, the first of equals
             let placed = |v| self.s.var_regs.iter().any(|&(w, _)| w == v);
-            let candidates = (0..vars.len()).filter_map(|i| {
-                let n = adapter.stack_var_accesses(i)?;
-                (n > 0 && !placed(vars[i].value)).then_some((n, std::cmp::Reverse(i)))
-            });
-            // most accesses first, the first of equals
-            let Some((_, std::cmp::Reverse(i))) = candidates.max() else {
+            let left = (0..vars.len()).filter(|&i| !placed(vars[i].value));
+            let best = left.max_by_key(|&i| (adapter.stack_var_accesses(i), Reverse(i)));
+            let Some(i) = best.filter(|&i| adapter.stack_var_accesses(i) > 0) else {
                 break;
             };
             let v = vars[i].value;
@@ -1053,9 +1053,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             }
             // move to a register within the constraint set
             let dst = self.alloc_reg(p.bank, allowed)?;
-            self.target
-                .emit_mov_rr(self.buf, p.bank, 8.max(p.size), dst, reg);
-            self.stats.moves += 1;
+            self.mov_rr(p.bank, 8.max(p.size), dst, reg);
             if !cur.fixed {
                 self.regfile.clear(reg);
                 let a = self.s.assignments.get_mut(p.val).unwrap();
@@ -1135,15 +1133,13 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         // own that is then copied.
         if op.is_const || (op.val != v && self.val_cur_reg(op).is_none()) {
             let dst = self.result_reg(v, part)?;
-            self.materialize_into(dst, op)?;
+            self.materialize_into(dst, op, 8.max(op.size))?;
             return Ok(dst);
         }
         let src = self.val_as_reg(op)?;
         let dst = self.result_reg(v, part)?;
         let bank = self.adapter.val_part_bank(v, part);
-        self.target
-            .emit_mov_rr(self.buf, bank, 8.max(op.size), dst, src);
-        self.stats.moves += 1;
+        self.mov_rr(bank, 8.max(op.size), dst, src);
         Ok(dst)
     }
 
@@ -1244,8 +1240,10 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         }
     }
 
-    fn spill_part_if_needed(&mut self, v: ValueRef, p: u32) -> Result<()> {
-        self.spill_part(v, p, false)
+    /// Copies `src` into `dst` with one `size`-byte move.
+    fn mov_rr(&mut self, bank: RegBank, size: u32, dst: Reg, src: Reg) {
+        self.target.emit_mov_rr(self.buf, bank, size, dst, src);
+        self.stats.moves += 1;
     }
 
     /// Stores a register-resident part to its slot unless it is already
@@ -1288,7 +1286,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                     continue;
                 }
             }
-            self.spill_part_if_needed(v, p)?;
+            self.spill_part(v, p, false)?;
         }
         Ok(())
     }
@@ -1575,10 +1573,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     fn emit_move(&mut self, m: &MoveDesc) -> Result<()> {
         let buf = &mut *self.buf;
         match (m.dst, m.src) {
-            (MoveLoc::Reg(d), MoveLoc::Reg(s)) => {
-                self.target.emit_mov_rr(buf, m.bank, 8.max(m.size), d, s);
-                self.stats.moves += 1;
-            }
+            (MoveLoc::Reg(d), MoveLoc::Reg(s)) => self.mov_rr(m.bank, 8.max(m.size), d, s),
             (MoveLoc::Reg(d), MoveLoc::Frame(off)) => {
                 self.target.emit_frame_load(buf, m.bank, m.size, d, off);
                 self.stats.reloads += 1;
@@ -1712,7 +1707,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             if !cc.caller_saved.contains(reg) {
                 continue;
             }
-            self.spill_part_if_needed(v, p)?;
+            self.spill_part(v, p, false)?;
         }
 
         // 2. assign argument locations
@@ -1735,7 +1730,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
                     RegBank::GP => self.target.scratch_gp(),
                     RegBank::FP => self.target.scratch_fp(),
                 };
-                self.materialize_into(scratch, arg)?;
+                self.materialize_into(scratch, arg, 8.max(arg.size))?;
                 self.target
                     .emit_sp_store(self.buf, arg.bank, arg.size, off, scratch);
             }
@@ -1746,7 +1741,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let indirect = match &callee {
             CallTarget::Indirect(vp) => {
                 let scratch = self.target.scratch_gp();
-                self.materialize_into(scratch, vp)?;
+                self.materialize_into(scratch, vp, 8.max(vp.size))?;
                 Some(scratch)
             }
             CallTarget::Sym(_) => None,
@@ -1793,7 +1788,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         moved?;
         for i in 0..self.s.recompute_args.len() {
             let (r, arg) = self.s.recompute_args[i];
-            self.materialize_into(r, &arg)?;
+            self.materialize_into(r, &arg, 8.max(arg.size))?;
         }
 
         if let Some(n) = vararg_fp_count {
@@ -1851,8 +1846,14 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     }
 
     /// Materializes a value part into a specific register (used for call
-    /// arguments and indirect call targets).
-    pub(crate) fn materialize_into(&mut self, dst: Reg, p: &ValuePartRef) -> Result<()> {
+    /// arguments, indirect call targets and variable registers); a copy
+    /// from another register moves `mov_size` bytes.
+    pub(crate) fn materialize_into(
+        &mut self,
+        dst: Reg,
+        p: &ValuePartRef,
+        mov_size: u32,
+    ) -> Result<()> {
         if p.is_const {
             self.target
                 .emit_const(self.buf, p.bank, p.size, dst, p.const_val);
@@ -1863,9 +1864,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         let ps = a.parts[p.part as usize];
         if let Some(r) = ps.reg {
             if r != dst {
-                self.target
-                    .emit_mov_rr(self.buf, p.bank, 8.max(p.size), dst, r);
-                self.stats.moves += 1;
+                self.mov_rr(p.bank, mov_size, dst, r);
             }
             return Ok(());
         }
@@ -1938,18 +1937,16 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
     pub fn define_copy(&mut self, v: ValueRef, reg: Reg) -> Result<()> {
         let size = self.adapter.val_part_size(v, 0);
         let dst = self.result_reg(v, 0)?;
-        self.target
-            .emit_mov_rr(self.buf, RegBank::GP, size, dst, reg);
-        self.stats.moves += 1;
+        self.mov_rr(RegBank::GP, size, dst, reg);
         Ok(())
     }
 
     /// Stores `p` to the stack variable that lives in `reg`
     /// ([`FuncCodeGen::val_var_reg`]): every value homed in `reg`
     /// ([`FuncCodeGen::define_in_reg`]) that may still be read first moves
-    /// to a register of its own, then `reg` gets `p` with one move, load
-    /// or constant of `p`'s size. Storing a value back to the variable it
-    /// is homed in emits nothing.
+    /// to a register of its own, then `p` is materialized into `reg`, a
+    /// copy moving `p`'s size. Storing a value back to the variable it is
+    /// homed in emits nothing.
     pub fn store_to_var_reg(&mut self, reg: Reg, p: &ValuePartRef) -> Result<()> {
         let homed_here = |a: &Assignment| a.frame_off.is_none() && a.parts[0].reg == Some(reg);
         let home = self.s.assignments.get(p.val).filter(|a| a.homed);
@@ -1957,16 +1954,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             return Ok(());
         }
         self.clobber_homes(homed_here)?;
-        if p.is_const {
-            self.target
-                .emit_const(self.buf, p.bank, p.size, reg, p.const_val);
-        } else if let Some(src) = self.val_cur_reg(p) {
-            self.target.emit_mov_rr(self.buf, p.bank, p.size, reg, src);
-        } else {
-            return self.materialize_into(reg, p);
-        }
-        self.stats.moves += 1;
-        Ok(())
+        self.materialize_into(reg, p, p.size)
     }
 
     /// Must precede a store to the `size` frame bytes at `off`: every value
@@ -2027,9 +2015,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
             }
             (None, src) => {
                 let src = src.expect("a value homed in a register");
-                self.target
-                    .emit_mov_rr(self.buf, ps.bank, ps.size as u32, reg, src);
-                self.stats.moves += 1;
+                self.mov_rr(ps.bank, ps.size as u32, reg, src);
             }
         }
         self.s.assignments.get_mut(v).unwrap().parts[0].reg = Some(reg);
@@ -2062,7 +2048,7 @@ impl<'a, A: IrAdapter, T: Target> FuncCodeGen<'a, A, T> {
         if p.is_const {
             return Ok(());
         }
-        self.spill_part_if_needed(p.val, p.part)
+        self.spill_part(p.val, p.part, false)
     }
 
     /// Breaks the association between a register and the value that was in

@@ -17,7 +17,7 @@ use std::path::Path;
 type Row = (&'static str, usize, usize, usize);
 
 const RECORDED: &[Row] = &[
-    ("core", 238, 89, 16436),
+    ("core", 238, 89, 16422),
     ("enc", 140, 3, 3302),
     ("llvm", 98, 32, 9956),
     ("snippets", 10, 3, 1884),

@@ -415,10 +415,10 @@ impl<'m> IrAdapter for LlvmAdapter<'m> {
         &self.s.stack_vars
     }
 
-    fn stack_var_accesses(&self, var: usize) -> Option<u32> {
+    fn stack_var_accesses(&self, var: usize) -> u32 {
         let u = &self.s.stack_uses;
-        let v = u.vars.get(var)?;
-        (u.in_bounds && !v.escaped && v.whole).then_some(v.accesses)
+        let fits = |v: &&StackVarUse| u.in_bounds && !v.escaped && v.whole;
+        u.vars.get(var).filter(fits).map_or(0, |v| v.accesses)
     }
 
     fn block_count(&self) -> usize {
