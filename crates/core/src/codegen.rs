@@ -455,11 +455,8 @@ impl<T: Target> CodeGen<T> {
     /// pool to `buf` for the duration of the call, and skips declarations
     /// (returns `Ok(false)`).
     ///
-    /// A front end's per-function unit calls this both from the scoped
-    /// workers of [`crate::parallel::compile_sharded`] and from the shard
-    /// loops of persistent [`crate::service::CompileService`] workers,
-    /// which is what keeps the two pipelines byte-identical: they emit
-    /// through the exact same unit.
+    /// A front end's per-function unit calls this from the scoped workers
+    /// of [`crate::parallel::compile_sharded`].
     ///
     /// # Errors
     ///

@@ -47,14 +47,10 @@ pub mod sites {
     pub const DISK_RENAME: &str = "disk.rename";
     /// Acquiring the disk cache index lock (contention).
     pub const DISK_FLOCK: &str = "disk.flock";
-    /// Start of one service worker job (single or shard participant).
+    /// Start of one service worker job's compile. The watchdog heartbeat
+    /// is stamped once, just before it, so a delay injected here counts
+    /// toward the hang timeout like a slow compile.
     pub const WORKER_JOB: &str = "service.job";
-    /// One function boundary inside the sharded compile loop; the probe
-    /// index is the function index, so rules can target a chosen shard
-    /// position.
-    pub const WORKER_FUNC: &str = "service.func";
-    /// The sharded merge step on the last participant.
-    pub const WORKER_MERGE: &str = "service.merge";
     /// Worker wakeup after a submission. A firing rule drops the wakeup;
     /// the bounded park timeout must recover (latency only, never a lost
     /// ticket).
@@ -74,7 +70,7 @@ pub enum FaultAction {
     /// hung workers), then continue normally.
     Delay(Duration),
     /// Panic in place. Only meaningful inside a `catch_unwind` region —
-    /// the service worker loop and merge step have one.
+    /// the service worker's compile has one.
     Panic,
 }
 
@@ -296,12 +292,6 @@ fn env_rules(spec: &str) -> Vec<FaultRule> {
                 )
                 .every(13)
                 .offset(5),
-                FaultRule::new(
-                    sites::WORKER_FUNC,
-                    FaultAction::Delay(Duration::from_micros(100)),
-                )
-                .every(31)
-                .offset(7),
                 FaultRule::new(sites::WORKER_WAKEUP, FaultAction::Fail)
                     .every(13)
                     .offset(1),

@@ -39,17 +39,16 @@ use crate::error::{Error, Result};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One worker's shard: its buffer and the extents of the functions it
-/// compiled. Shared with the persistent [`crate::service`] pipeline, whose
-/// shard participants produce the same records from long-lived threads.
-pub(crate) struct Shard {
-    pub(crate) buf: CodeBuffer,
-    pub(crate) records: Vec<(u32, ShardExtent)>,
+/// compiled.
+struct Shard {
+    buf: CodeBuffer,
+    records: Vec<(u32, ShardExtent)>,
 }
 
 /// Verifies the predeclare contract on a merged buffer: exactly one
 /// uniquely named, undefined function symbol per function, in
 /// function-index order (so function `i` ↔ `SymbolId(i)`).
-pub(crate) fn check_predeclared_func_symbols(merged: &CodeBuffer, nfuncs: usize) -> Result<()> {
+fn check_predeclared_func_symbols(merged: &CodeBuffer, nfuncs: usize) -> Result<()> {
     if merged.symbols().len() != nfuncs {
         let n = merged.symbols().len();
         return Err(Error::Emit(format!(
@@ -78,7 +77,7 @@ pub(crate) fn check_predeclared_func_symbols(merged: &CodeBuffer, nfuncs: usize)
 /// function-index order, remapping shard-local symbols, and defines the
 /// function symbols over the merged ranges. The result is independent of
 /// how functions were distributed across the shards.
-pub(crate) fn merge_shards(merged: &mut CodeBuffer, nfuncs: usize, shards: &[Shard]) -> Result<()> {
+fn merge_shards(merged: &mut CodeBuffer, nfuncs: usize, shards: &[Shard]) -> Result<()> {
     let mut order: Vec<(u32, usize, usize)> = Vec::new();
     for (si, sh) in shards.iter().enumerate() {
         for (ri, &(f, _)) in sh.records.iter().enumerate() {
@@ -99,8 +98,7 @@ pub(crate) fn merge_shards(merged: &mut CodeBuffer, nfuncs: usize, shards: &[Sha
 
 /// Compiles `nfuncs` function units across `states.len()` worker threads and
 /// merges the shards deterministically. This is the IR-agnostic parallel
-/// compile; the persistent [`crate::service`] shards with the same units
-/// and merge from long-lived threads.
+/// compile.
 ///
 /// * `predeclare` is applied to every shard buffer *and* the merged buffer;
 ///   it must declare exactly one symbol per function, in function-index

@@ -127,8 +127,7 @@ impl<T> FairQueue<T> {
     }
 }
 
-/// Admitted-but-unstarted requests, counted in total and per client (one
-/// count per request, however many shard copies it fans out into). A
+/// Admitted-but-unstarted requests, counted in total and per client. A
 /// client leaves the map when its count reaches zero, so the map's length
 /// is the number of active clients. Not thread-safe by itself — the
 /// dispatcher keeps it under the mutex of the queue it counts.

@@ -6,24 +6,22 @@
 //!
 //! ```text
 //!  submitter ──Request──▶ admission ──▶ push under ──▶ wake one parked
-//!     │                   (shed/verify/  scheduler      worker (or all,
-//!     │                    cache/coalesce) mutex        for a shard job)
-//!     ▼                                                      │
-//!  Ticket ◀────────── response ◀── workers ◀── fair pop ◀────┘
+//!     │                   (shed/verify/  scheduler      worker
+//!     │                    cache/coalesce) mutex           │
+//!     ▼                                                    │
+//!  Ticket ◀────────── response ◀── workers ◀── fair pop ◀──┘
 //!                                          (lane, then client rotation)
 //! ```
 //!
 //! Submitters and workers share one mutex that guards the `FairQueue` and
-//! the admission `Backlog`: a miss is admitted and pushed under it, then at
-//! most as many workers as the job needs are poked through their
-//! `Parker`s. Admission stays unbounded unless a queue capacity is
-//! configured.
+//! the admission `Backlog`: a miss is admitted and pushed under it, then
+//! one worker is poked through its `Parker`. Admission stays unbounded
+//! unless a queue capacity is configured.
 //!
 //! # Wakeups
 //!
 //! One `Parker` per worker — a three-state atomic (`EMPTY`, `NOTIFIED`,
-//! `PARKED`). A submitter wakes exactly as many workers as the job needs
-//! (one for a batched module, all for a sharded one) instead of a global
+//! `PARKED`). A submitter wakes one worker per job instead of a global
 //! `Condvar::notify_all` thundering herd. Parking always uses a bounded
 //! `park_timeout`, so a *lost* wakeup (dropped by fault injection at the
 //! `service.wakeup` site, or by a genuine bug) costs bounded latency,
@@ -104,11 +102,10 @@ impl<B: ServiceBackend> Request<B> {
 
     /// Sets the time budget, measured from submission. An expired request
     /// is answered with [`Error::DeadlineExceeded`] at dequeue (before the
-    /// compile starts) or at the next shard function boundary; a compile
-    /// already running on one worker is not interrupted. When an identical
-    /// in-flight request coalesces with this one, the *loosest* deadline of
-    /// the group wins — attaching a waiter never tightens the leader's
-    /// budget.
+    /// compile starts); a compile already running is not interrupted. When
+    /// an identical in-flight request coalesces with this one, the
+    /// *loosest* deadline of the group wins — attaching a waiter never
+    /// tightens the leader's budget.
     pub fn deadline(mut self, deadline: Duration) -> Request<B> {
         self.deadline = Some(deadline);
         self
@@ -306,39 +303,27 @@ impl Parker {
     }
 }
 
-/// One request handed to the pool: the item, the scheduling attributes
-/// the fair queue needs, and how many copies of it to queue (one per
-/// worker for a shard job, else one).
+/// One request handed to the pool: the item and the scheduling
+/// attributes the fair queue needs.
 pub(crate) struct Submission<T> {
     pub(crate) item: T,
     pub(crate) class: Priority,
     pub(crate) client: ClientId,
-    pub(crate) copies: usize,
 }
 
-/// What the dispatcher mutex guards: the queued copies, and the admission
-/// backlog of the requests they belong to. The first copy of a request
-/// carries its client, and popping that copy takes the request out of the
-/// backlog, so a request counts from admission until a worker starts it.
+/// What the dispatcher mutex guards: the queued requests, and the
+/// admission backlog they are counted in. Popping a request takes it out of
+/// the backlog, so a request counts from admission until a worker starts
+/// it.
 struct Sched<T> {
-    queue: FairQueue<(T, Option<ClientId>)>,
+    queue: FairQueue<(T, ClientId)>,
     backlog: Backlog,
 }
 
-impl<T: Clone> Sched<T> {
-    fn push(&mut self, sub: Submission<T>) {
-        for i in 0..sub.copies {
-            let counted = (i == 0).then_some(sub.client);
-            self.queue
-                .push(sub.class, sub.client, (sub.item.clone(), counted));
-        }
-    }
-
+impl<T> Sched<T> {
     fn pop(&mut self) -> Option<T> {
-        let (item, counted) = self.queue.pop()?;
-        if let Some(client) = counted {
-            self.backlog.depart(client);
-        }
+        let (item, client) = self.queue.pop()?;
+        self.backlog.depart(client);
         Some(item)
     }
 }
@@ -354,7 +339,7 @@ pub(crate) struct Dispatcher<T> {
     closed: AtomicBool,
 }
 
-impl<T: Clone> Dispatcher<T> {
+impl<T> Dispatcher<T> {
     pub(crate) fn new(workers: usize) -> Dispatcher<T> {
         Dispatcher {
             sched: Mutex::new(Sched {
@@ -377,49 +362,32 @@ impl<T: Clone> Dispatcher<T> {
     }
 
     /// Admits one request against `limit` (see [`Backlog::admit`]) and
-    /// queues its copies, or returns the observed backlog depth. Call
+    /// queues it, or returns the observed backlog depth. Call
     /// [`Dispatcher::wake`] after an admission.
     pub(crate) fn admit(&self, sub: Submission<T>, limit: u64) -> Result<(), u64> {
         let mut sched = lock(&self.sched);
         sched.backlog.admit(sub.client, limit)?;
-        sched.push(sub);
+        sched
+            .queue
+            .push(sub.class, sub.client, (sub.item, sub.client));
         Ok(())
     }
 
-    /// Queues a request past the admission bound: a paused shard job
-    /// returning to the backlog it was admitted to.
-    pub(crate) fn enqueue(&self, sub: Submission<T>) {
-        let _unbounded = self.admit(sub, 0);
-    }
-
-    /// Wakes up to `n` workers (1 for a batched job, the pool for a
-    /// sharded one). Parked workers are preferred; if fewer than `n` are
-    /// parked, the notification token is left on running workers, which
-    /// consume it at their next park attempt. An injected `service.wakeup`
-    /// fault drops the whole wakeup — the bounded park timeout recovers.
-    pub(crate) fn wake(&self, n: usize) {
-        if faultpoint::trip(sites::WORKER_WAKEUP, n as u64).is_some() {
+    /// Wakes one worker, a parked one if any. If none is parked, the
+    /// notification token is left on the next running worker in rotation,
+    /// which consumes it at its next park attempt. An injected
+    /// `service.wakeup` fault drops the wakeup — the bounded park timeout
+    /// recovers.
+    pub(crate) fn wake(&self) {
+        if faultpoint::trip(sites::WORKER_WAKEUP, 0).is_some() {
             return;
         }
         let w = self.parkers.len();
-        let n = n.min(w);
         let start = self.next_wake.fetch_add(1, Ordering::Relaxed);
-        let mut woken = 0;
-        for i in 0..w {
-            if woken >= n {
-                return;
-            }
-            let p = &self.parkers[(start + i) % w];
-            if p.is_parked() {
-                p.unpark();
-                woken += 1;
-            }
-        }
-        // Not enough parked workers: stamp tokens on the next few in
-        // rotation so imminent parks return immediately.
-        for i in 0..(n - woken) {
-            self.parkers[(start + i) % w].unpark();
-        }
+        let parked = (0..w)
+            .map(|i| &self.parkers[(start + i) % w])
+            .find(|p| p.is_parked());
+        parked.unwrap_or(&self.parkers[start % w]).unpark();
     }
 
     /// Closes the front-end (shutdown): no effect on already-enqueued
@@ -513,7 +481,6 @@ mod tests {
             item,
             class: Priority::Interactive,
             client: ClientId(client.into()),
-            copies: 1,
         }
     }
 
@@ -522,9 +489,9 @@ mod tests {
         let d: Dispatcher<u32> = Dispatcher::new(1);
         d.register(0);
         for v in 0..5 {
-            d.enqueue(submission(v, 1));
+            d.admit(submission(v, 1), 0).unwrap();
         }
-        d.wake(1);
+        d.wake();
         let got: Vec<u32> = (0..5).map(|_| d.next(0).unwrap()).collect();
         assert_eq!(got, (0..5).collect::<Vec<_>>(), "same-client FIFO");
         d.close();
@@ -554,8 +521,8 @@ mod tests {
                 let d = Arc::clone(&d);
                 std::thread::spawn(move || {
                     for i in 0..PER_PRODUCER {
-                        d.enqueue(submission(p * PER_PRODUCER + i, p));
-                        d.wake(1);
+                        d.admit(submission(p * PER_PRODUCER + i, p), 0).unwrap();
+                        d.wake();
                     }
                 })
             })

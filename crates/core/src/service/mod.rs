@@ -1,8 +1,8 @@
 //! Persistent compile service: pooled multi-request pipelining with a
 //! content-addressed module cache.
 //!
-//! The one-shot entry points ([`crate::codegen::CodeGen::compile_module_with`],
-//! [`crate::parallel::compile_sharded`]) pay their setup cost — thread spawn,
+//! The one-shot entry points ([`crate::codegen::CodeGen::compile_module_with`]
+//! and the [`crate::parallel`] driver) pay their setup cost — thread spawn,
 //! session warm-up, adapter indexing — on every call. JIT-style workloads
 //! instead see a *stream* of mostly small modules arriving continuously, so
 //! a [`CompileService`] keeps everything warm across requests:
@@ -14,11 +14,10 @@
 //!   request, so a request allocates for its output, not for the
 //!   compiler's working memory.
 //! * **Pipelining.** Requests are submitted without blocking and answered
-//!   through a [`Ticket`]. Small modules are batched whole onto one worker
-//!   (different requests compile concurrently on different workers); large
-//!   modules (≥ [`ServiceConfig::shard_threshold`] functions) are sharded
-//!   *across* the pool using the same per-function units and deterministic
-//!   merge as [`crate::parallel::compile_sharded`].
+//!   through a [`Ticket`]. Every admitted request is one job that one
+//!   worker compiles whole; different requests compile concurrently on
+//!   different workers. A caller with one large module to spread across
+//!   cores uses the [`crate::parallel`] driver instead.
 //! * **Module cache.** Responses of cacheable requests are stored under a
 //!   content hash of the request ([`ServiceBackend::request_key`]); a
 //!   repeated module skips compilation entirely and is answered at
@@ -37,32 +36,24 @@
 //! # Determinism contract
 //!
 //! For every request, the response buffer is **byte-identical to the
-//! one-shot sequential compiler** for that backend: the batched path runs
-//! the sequential driver itself, the sharded path inherits the
-//! [`crate::parallel`] merge contract, and cache hits replay a buffer that
-//! was produced by one of the two. Pinned by `crates/llvm/tests/service.rs`
-//! for every workload kind × worker count × backend.
+//! one-shot sequential compiler** for that backend: the one compile path
+//! runs the sequential driver itself, and cache hits replay a buffer that
+//! it produced. Pinned by `crates/llvm/tests/service.rs` for every
+//! workload kind × worker count × backend.
 //!
 //! # Async front-end
 //!
 //! Submission is asynchronous: a request is admitted (cache lookup,
 //! verification, coalescing, shedding), pushed under the mutex of a
-//! round-robin fair queue (`fairness::FairQueue`), and exactly as many
-//! workers as the job needs are woken through per-worker `front::Parker`
-//! state machines — no condvar, no thundering herd. Requests carry a
+//! round-robin fair queue (`fairness::FairQueue`), and one worker is woken
+//! through its `front::Parker` state machine — no condvar, no thundering
+//! herd. Requests carry a
 //! [`ClientId`]; within a priority lane the queue serves clients in turn,
 //! one request each, and when a queue capacity is configured a client's
 //! share of the backlog (`fairness::Backlog`, kept under the same mutex as
 //! the queue) is bounded by `capacity / active_clients`, so one
 //! greedy client is shed while others still admit. See [`front`] for the
 //! full picture and the ticket completion-state machine.
-//!
-//! A running *bulk* sharded compile is additionally **preemptible**: an
-//! interactive arrival sets the job's `preempt` flag, participants pause
-//! at the next function boundary (the existing deadline-probe point),
-//! bank their partial shards and requeue the job, freeing the pool for
-//! the interactive request; the job later resumes where it left off and
-//! merges byte-identically.
 //!
 //! # Resilience front-end
 //!
@@ -80,19 +71,18 @@
 //!   optional deadline: [`Priority::Interactive`] requests are dequeued
 //!   before [`Priority::Bulk`] ones, and a per-request deadline is enforced
 //!   at dequeue (an expired request is answered with
-//!   [`Error::DeadlineExceeded`] without paying for a compile) and checked
-//!   again before and during expensive shard work.
+//!   [`Error::DeadlineExceeded`] without paying for a compile).
 //! * **Coalescing.** While a cacheable request is queued or compiling, an
 //!   identical submission (same [`ServiceBackend::request_key`]) attaches
 //!   to it instead of compiling twice; the result is fanned out to every
 //!   waiter, closing the thundering-herd window the memory/disk caches
 //!   leave open.
 //! * **Watchdog.** With [`ServiceConfig::hang_timeout`] set, a monitor
-//!   thread watches per-worker heartbeats (stamped at job start and at
-//!   every shard function boundary). A worker stuck longer than the
-//!   timeout is condemned: its ticket is poisoned with [`Error::Timeout`],
-//!   and its slot gets a fresh thread with fresh warm state immediately —
-//!   the stuck thread exits on its own when (if) the backend returns.
+//!   thread watches per-worker heartbeats (stamped at job start). A worker
+//!   stuck longer than the timeout is condemned: its ticket is poisoned
+//!   with [`Error::Timeout`], and its slot gets a fresh thread with fresh
+//!   warm state immediately — the stuck thread exits on its own when (if)
+//!   the backend returns.
 //!
 //! The degradation paths are exercised deterministically by the
 //! [`crate::faultpoint`] injection layer and the chaos test in
@@ -110,17 +100,15 @@ pub mod front;
 pub use fairness::ClientId;
 pub use front::{Request, Ticket, TicketRef};
 
-use crate::codebuf::CodeBuffer;
-use crate::codegen::{CompileSession, CompileStats, CompiledModule};
+use crate::codegen::{CompileSession, CompiledModule};
 use crate::diskcache::{DiskCache, DiskCacheConfig};
 use crate::error::{Error, Result};
 use crate::faultpoint;
 use crate::hash::KeyMap;
-use crate::parallel::{check_predeclared_func_symbols, merge_shards, Shard};
-use crate::timing::{ClientStats, PassTimings, RequestTiming, ServiceStats};
+use crate::timing::{ClientStats, RequestTiming, ServiceStats};
 use front::{Dispatcher, Submission};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -138,10 +126,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ServiceConfig {
     /// Number of persistent worker threads (at least 1).
     pub workers: usize,
-    /// Modules with at least this many functions are sharded across the
-    /// pool; smaller ones are batched whole onto one worker. Sharding also
-    /// requires more than one worker.
-    pub shard_threshold: usize,
     /// Maximum number of cached modules; 0 disables the cache.
     pub cache_capacity: usize,
     /// Persistent on-disk artifact store consulted between the in-memory
@@ -162,15 +146,15 @@ pub struct ServiceConfig {
     /// Hang threshold of the worker watchdog: a worker whose heartbeat is
     /// older than this is condemned, its ticket poisoned with
     /// [`Error::Timeout`] and its slot respawned with fresh warm state.
-    /// `None` (the default) disables the watchdog. Heartbeats are stamped
-    /// at job start and at shard function boundaries, so a *single-module*
-    /// compile longer than the timeout is indistinguishable from a hang —
-    /// pick a bound well above the largest expected module.
+    /// `None` (the default) disables the watchdog. The heartbeat is stamped
+    /// only at job start, so a compile longer than the timeout is
+    /// indistinguishable from a hang — pick a bound well above the largest
+    /// expected module.
     pub hang_timeout: Option<Duration>,
 }
 
 impl ServiceConfig {
-    /// A config with `workers` threads and the default placement/cache
+    /// A config with `workers` threads and the default cache and admission
     /// settings.
     pub fn with_workers(workers: usize) -> ServiceConfig {
         ServiceConfig {
@@ -184,7 +168,6 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             workers: 2,
-            shard_threshold: 64,
             cache_capacity: 128,
             disk_cache: None,
             queue_capacity: 0,
@@ -209,13 +192,8 @@ pub enum Priority {
 /// The IR- and target-specific half of a [`CompileService`].
 ///
 /// A backend receives requests of its own type (typically an `Arc` of a
-/// module plus a target/options selector) and provides the per-function
-/// compilation units the service schedules. The three compile paths must
-/// agree: [`ServiceBackend::compile_module`] is the sequential reference,
-/// and [`ServiceBackend::predeclare`] + [`ServiceBackend::compile_func`]
-/// must reproduce it function by function under the
-/// [`crate::parallel::compile_sharded`] contract (self-contained function
-/// output, one predeclared symbol per function in index order).
+/// module plus a target/options selector) and compiles each one whole on
+/// one worker with [`ServiceBackend::compile_module`].
 pub trait ServiceBackend: Send + Sync + 'static {
     /// One compile request (owned, shared across worker threads).
     type Request: Send + Sync + 'static;
@@ -246,38 +224,6 @@ pub trait ServiceBackend: Send + Sync + 'static {
         Ok(())
     }
 
-    /// Number of functions in the request's module (drives placement).
-    fn func_count(&self, req: &Self::Request) -> usize;
-
-    /// Prepares a session for the request's target (sharded path only;
-    /// the batched path prepares inside [`ServiceBackend::compile_module`]).
-    /// The worker state is available so backends can reuse warm per-target
-    /// drivers instead of rebuilding them per request.
-    fn prepare_session(
-        &self,
-        req: &Self::Request,
-        worker: &mut Self::Worker,
-        session: &mut CompileSession,
-    );
-
-    /// Declares one symbol per function, in function-index order (sharded
-    /// path, applied to every shard buffer and the merged buffer).
-    fn predeclare(&self, req: &Self::Request, buf: &mut CodeBuffer);
-
-    /// Compiles function `f` into `buf`, returning `Ok(false)` to skip a
-    /// declaration. Output must be self-contained (see [`crate::parallel`]).
-    #[allow(clippy::too_many_arguments)]
-    fn compile_func(
-        &self,
-        req: &Self::Request,
-        worker: &mut Self::Worker,
-        session: &mut CompileSession,
-        buf: &mut CodeBuffer,
-        f: u32,
-        stats: &mut CompileStats,
-        timings: &mut PassTimings,
-    ) -> Result<bool>;
-
     /// Compiles the whole module on one worker — must be byte-identical to
     /// the backend's one-shot sequential entry point (the usual
     /// implementation simply calls it with the warm session).
@@ -298,7 +244,7 @@ pub struct ServiceResponse {
     /// those of the compile that produced it, and empty for a module loaded
     /// from the disk tier.
     pub module: Result<Arc<CompiledModule>>,
-    /// Request-level timing and placement information.
+    /// Request-level timing, and where the answer came from.
     pub timing: RequestTiming,
 }
 
@@ -363,18 +309,11 @@ impl ModuleCache {
     }
 }
 
-/// Scheduling attributes shared by both job kinds: who submitted it and
-/// how the dispatcher should treat it.
-struct JobMeta {
-    client: ClientId,
-    priority: Priority,
-}
-
-/// A small-module job: compiled whole on whichever worker pops it.
-struct SingleJob<B: ServiceBackend> {
+/// One admitted request: compiled whole on whichever worker pops it.
+struct Job<B: ServiceBackend> {
     req: B::Request,
     key: Option<u64>,
-    meta: JobMeta,
+    client: ClientId,
     /// Taken exactly once by whoever answers the ticket — normally the
     /// worker, but the watchdog takes it when it poisons a hung job (the
     /// late result of the condemned worker is then discarded).
@@ -384,88 +323,6 @@ struct SingleJob<B: ServiceBackend> {
     /// none. Atomic because coalescing relaxes it (`fetch_max`) when a
     /// looser identical request attaches.
     deadline_ns: AtomicU64,
-}
-
-/// Mutable rendezvous state of a sharded job.
-struct ShardCollect {
-    shards: Vec<Shard>,
-    stats: CompileStats,
-    timings: PassTimings,
-    /// Error of the failing function with the lowest index, if any.
-    err: Option<(u32, Error)>,
-    /// Workers currently participating.
-    active: usize,
-    /// Set once the response has been produced (later poppers skip).
-    done: bool,
-    tx: Option<Sender<ServiceResponse>>,
-    /// Time the first participant started compiling. Reset to `None` when
-    /// the job is paused and requeued, so the resume re-runs the
-    /// first-participant bookkeeping (queued time, deadline re-check).
-    started: Option<Instant>,
-    /// Times this job was cooperatively paused by an interactive arrival.
-    preemptions: u32,
-}
-
-/// A large-module job: `workers` copies are enqueued and every worker that
-/// pops one joins the shared function-index queue; the last participant to
-/// finish merges the shards and answers the ticket.
-struct ShardJob<B: ServiceBackend> {
-    req: B::Request,
-    key: Option<u64>,
-    meta: JobMeta,
-    nfuncs: usize,
-    next: AtomicUsize,
-    abort: AtomicBool,
-    /// Cooperative preemption request: set by an interactive admission
-    /// while this *bulk* job is running. Participants check it at every
-    /// function boundary (before claiming the next index, so no claimed
-    /// function is ever left uncompiled), bank their partial shards and
-    /// requeue the job; the resume continues from [`ShardJob::next`].
-    preempt: AtomicBool,
-    collect: Mutex<ShardCollect>,
-    submitted: Instant,
-    /// See [`SingleJob::deadline_ns`].
-    deadline_ns: AtomicU64,
-}
-
-enum Job<B: ServiceBackend> {
-    Single(Arc<SingleJob<B>>),
-    Shard(Arc<ShardJob<B>>),
-}
-
-impl<B: ServiceBackend> Clone for Job<B> {
-    fn clone(&self) -> Job<B> {
-        match self {
-            Job::Single(j) => Job::Single(Arc::clone(j)),
-            Job::Shard(j) => Job::Shard(Arc::clone(j)),
-        }
-    }
-}
-
-impl<B: ServiceBackend> Job<B> {
-    fn deadline_ns(&self) -> &AtomicU64 {
-        match self {
-            Job::Single(j) => &j.deadline_ns,
-            Job::Shard(j) => &j.deadline_ns,
-        }
-    }
-
-    fn meta(&self) -> &JobMeta {
-        match self {
-            Job::Single(j) => &j.meta,
-            Job::Shard(j) => &j.meta,
-        }
-    }
-
-    fn submission(&self, copies: usize) -> Submission<Job<B>> {
-        let meta = self.meta();
-        Submission {
-            class: meta.priority,
-            client: meta.client,
-            item: self.clone(),
-            copies,
-        }
-    }
 }
 
 /// A coalesced submission waiting for an in-flight identical request.
@@ -478,7 +335,7 @@ struct Waiter {
 /// An in-flight cacheable request: the job itself plus the identical
 /// submissions that attached to it instead of compiling again.
 struct InflightEntry<B: ServiceBackend> {
-    job: Job<B>,
+    job: Arc<Job<B>>,
     waiters: Vec<Waiter>,
 }
 
@@ -492,12 +349,9 @@ struct Counters {
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
     disk_stores: AtomicU64,
-    sharded: AtomicU64,
     batched: AtomicU64,
     /// Requests submitted but not yet answered (cache hits pass through
-    /// briefly). Its high-water mark is the queue-depth statistic — one
-    /// count per *request*, independent of how many shard copies a large
-    /// module fans out into.
+    /// briefly). Its high-water mark is the queue-depth statistic.
     inflight: AtomicU64,
     max_queue_depth: AtomicU64,
     rejected: AtomicU64,
@@ -511,9 +365,6 @@ struct Counters {
     coalesced: AtomicU64,
     watchdog_timeouts: AtomicU64,
     workers_respawned: AtomicU64,
-    /// Bulk shard jobs cooperatively paused (and requeued) for an
-    /// interactive arrival.
-    preemptions: AtomicU64,
 }
 
 /// Per-client accounting behind a short-lived mutex, updated once per
@@ -523,7 +374,6 @@ struct Counters {
 struct ClientRecord {
     completed: u64,
     shed: u64,
-    preemptions: u64,
 }
 
 /// The watchdog's view of one worker: who owns the slot (generation), when
@@ -534,12 +384,11 @@ struct WorkerSlot<B: ServiceBackend> {
     /// result and exits; only the thread whose generation matches may
     /// touch the slot.
     generation: AtomicU64,
-    /// Nanoseconds since [`Shared::epoch`] of the last heartbeat; 0 when
-    /// idle. Stamped at job start and at shard function boundaries.
+    /// Nanoseconds since [`Shared::epoch`] of the job start; 0 when idle.
     heartbeat_ns: AtomicU64,
     /// The job the current worker is executing, published for the
     /// watchdog to poison.
-    active: Mutex<Option<Job<B>>>,
+    active: Mutex<Option<Arc<Job<B>>>>,
     /// Join handle of the thread currently owning this slot.
     handle: Mutex<Option<JoinHandle<()>>>,
 }
@@ -568,7 +417,7 @@ struct Shared<B: ServiceBackend> {
     cfg: ServiceConfig,
     /// The async front-end: the fair queue behind a mutex, with per-worker
     /// parker wakeups.
-    dispatch: Dispatcher<Job<B>>,
+    dispatch: Dispatcher<Arc<Job<B>>>,
     /// Queued-or-compiling cacheable jobs by request key — the coalescing
     /// rendezvous. Attach (submit) and remove (completion) both run under
     /// this mutex, so they cannot race; lock order is inflight → cache and
@@ -675,7 +524,6 @@ impl<B: ServiceBackend> Shared<B> {
                     timing: RequestTiming {
                         queued: timing.queued,
                         total: w.submitted.elapsed(),
-                        sharded: timing.sharded,
                         coalesced: true,
                         ..RequestTiming::default()
                     },
@@ -704,9 +552,9 @@ impl<B: ServiceBackend> Shared<B> {
         if let Some(k) = key {
             self.cache.lock().unwrap().insert(k, &module);
             // Persist to the disk tier. This runs on the worker thread that
-            // compiled the module (or merged the shards), so artifact I/O
-            // stays off the submit path. Store failures degrade to a
-            // smaller cache, never to a wrong answer.
+            // compiled the module, so artifact I/O stays off the submit
+            // path. Store failures degrade to a smaller cache, never to a
+            // wrong answer.
             if let Some(disk) = &self.disk {
                 match disk.store(k, &module) {
                     Ok(true) => {
@@ -860,8 +708,6 @@ impl<B: ServiceBackend> CompileService<B> {
             return reject(e);
         }
 
-        let nfuncs = shared.backend.func_count(&req);
-        let shard = shared.cfg.workers > 1 && nfuncs >= shared.cfg.shard_threshold.max(2);
         let deadline_ns = shared.deadline_ns_from(submitted, deadline);
         if shared.dispatch.is_closed() {
             return reject(Error::Emit("compile service is shutting down".into()));
@@ -881,7 +727,7 @@ impl<B: ServiceBackend> CompileService<B> {
             if let Some(entry) = inflight.get_mut(&k) {
                 entry
                     .job
-                    .deadline_ns()
+                    .deadline_ns
                     .fetch_max(deadline_ns, Ordering::Relaxed);
                 let (tx, rx) = channel();
                 entry.waiters.push(Waiter {
@@ -906,40 +752,14 @@ impl<B: ServiceBackend> CompileService<B> {
         }
 
         let (tx, rx) = channel();
-        let meta = JobMeta { client, priority };
-        let job = if shard {
-            Job::Shard(Arc::new(ShardJob::<B> {
-                req,
-                key,
-                nfuncs,
-                next: AtomicUsize::new(0),
-                abort: AtomicBool::new(false),
-                preempt: AtomicBool::new(false),
-                meta,
-                collect: Mutex::new(ShardCollect {
-                    shards: Vec::new(),
-                    stats: CompileStats::default(),
-                    timings: PassTimings::new(),
-                    err: None,
-                    active: 0,
-                    done: false,
-                    preemptions: 0,
-                    tx: Some(tx),
-                    started: None,
-                }),
-                submitted,
-                deadline_ns: AtomicU64::new(deadline_ns),
-            }))
-        } else {
-            Job::Single(Arc::new(SingleJob {
-                req,
-                key,
-                meta,
-                tx: Mutex::new(Some(tx)),
-                submitted,
-                deadline_ns: AtomicU64::new(deadline_ns),
-            }))
-        };
+        let job = Arc::new(Job {
+            req,
+            key,
+            client,
+            tx: Mutex::new(Some(tx)),
+            submitted,
+            deadline_ns: AtomicU64::new(deadline_ns),
+        });
 
         // Admission control: bound the backlog of unstarted requests and
         // shed the excess explicitly — a rejected ticket resolves
@@ -952,20 +772,17 @@ impl<B: ServiceBackend> CompileService<B> {
             Priority::Bulk if shared.cfg.bulk_queue_capacity > 0 => shared.cfg.bulk_queue_capacity,
             _ => shared.cfg.queue_capacity,
         } as u64;
-        // One copy per worker for shards; every worker that pops one joins
-        // the shared function-index queue.
-        let copies = if shard { shared.cfg.workers } else { 1 };
-        if let Err(depth) = shared.dispatch.admit(job.submission(copies), limit) {
+        let sub = Submission {
+            item: Arc::clone(&job),
+            class: priority,
+            client,
+        };
+        if let Err(depth) = shared.dispatch.admit(sub, limit) {
             drop(inflight);
             shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return reject(Error::Rejected { queue_depth: depth });
         }
-        let compiles = if shard {
-            &shared.counters.sharded
-        } else {
-            &shared.counters.batched
-        };
-        compiles.fetch_add(1, Ordering::Relaxed);
+        shared.counters.batched.fetch_add(1, Ordering::Relaxed);
 
         // The job is already queued; a worker that finishes it before this
         // insert waits on the inflight lock to remove the entry.
@@ -979,21 +796,7 @@ impl<B: ServiceBackend> CompileService<B> {
             );
         }
         drop(inflight);
-        shared.dispatch.wake(copies);
-
-        // Cooperative preemption: an interactive arrival pauses running
-        // bulk shard jobs so its own compile does not sit behind them. The
-        // flag is polled at the per-function probe in the participant
-        // loop; pausing is lossless (the job re-queues and resumes).
-        if priority == Priority::Interactive {
-            for slot in &shared.slots {
-                if let Some(Job::Shard(j)) = &*lock(&slot.active) {
-                    if j.meta.priority == Priority::Bulk {
-                        j.preempt.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
+        shared.dispatch.wake();
         Ticket::pending(rx)
     }
 
@@ -1017,7 +820,6 @@ impl<B: ServiceBackend> CompileService<B> {
                     client,
                     completed: rec.completed,
                     shed: rec.shed,
-                    preemptions: rec.preemptions,
                 })
                 .collect();
             v.sort_by_key(|c| c.client);
@@ -1031,7 +833,6 @@ impl<B: ServiceBackend> CompileService<B> {
             disk_hits: c.disk_hits.load(Ordering::Relaxed),
             disk_misses: c.disk_misses.load(Ordering::Relaxed),
             disk_stores: c.disk_stores.load(Ordering::Relaxed),
-            sharded: c.sharded.load(Ordering::Relaxed),
             batched: c.batched.load(Ordering::Relaxed),
             evictions,
             cached_modules,
@@ -1043,7 +844,6 @@ impl<B: ServiceBackend> CompileService<B> {
             coalesced: c.coalesced.load(Ordering::Relaxed),
             watchdog_timeouts: c.watchdog_timeouts.load(Ordering::Relaxed),
             workers_respawned: c.workers_respawned.load(Ordering::Relaxed),
-            preemptions: c.preemptions.load(Ordering::Relaxed),
             ring_fallbacks: 0,
             clients,
             disk_retries: self
@@ -1086,40 +886,20 @@ impl<B: ServiceBackend> Drop for CompileService<B> {
         // is answered with the shutdown error rather than
         // left to hang its ticket.
         for job in self.shared.dispatch.drain_remaining() {
-            let (key, tx, submitted, client) = match &job {
-                Job::Single(j) => match lock(&j.tx).take() {
-                    Some(tx) => (j.key, tx, j.submitted, j.meta.client),
-                    None => continue,
-                },
-                Job::Shard(j) => {
-                    let tx = {
-                        let mut c = lock(&j.collect);
-                        // Only the first surviving copy of an unstarted
-                        // shard job answers; the rest are duplicates.
-                        if c.done || c.started.is_some() {
-                            None
-                        } else {
-                            c.done = true;
-                            c.tx.take()
-                        }
-                    };
-                    match tx {
-                        Some(tx) => (j.key, tx, j.submitted, j.meta.client),
-                        None => continue,
-                    }
-                }
+            let Some(tx) = lock(&job.tx).take() else {
+                continue;
             };
             self.shared.complete(
-                key,
+                job.key,
                 tx,
                 Err(Error::Emit(
                     "compile service shut down before answering".into(),
                 )),
                 RequestTiming {
-                    total: submitted.elapsed(),
+                    total: job.submitted.elapsed(),
                     ..RequestTiming::default()
                 },
-                client,
+                job.client,
             );
         }
     }
@@ -1172,23 +952,11 @@ fn worker_main<B: ServiceBackend>(shared: &Arc<Shared<B>>, slot_idx: usize, gene
         // already passed `ServiceBackend::verify`, so a failure here means
         // the admission gate has a hole (or the request mutated). Checked
         // in debug builds only, like the faultpoint assertions.
-        #[cfg(debug_assertions)]
-        {
-            let req = match &job {
-                Job::Single(j) => &j.req,
-                Job::Shard(j) => &j.req,
-            };
-            debug_assert!(
-                shared.backend.verify(req).is_ok(),
-                "unverified request reached a service worker"
-            );
-        }
-        let poisoned = match &job {
-            Job::Single(j) => run_single(shared, j, &mut worker, &mut session),
-            Job::Shard(j) => {
-                run_shard_participant(shared, slot, generation, j, &mut worker, &mut session)
-            }
-        };
+        debug_assert!(
+            shared.backend.verify(&job.req).is_ok(),
+            "unverified request reached a service worker"
+        );
+        let poisoned = run_job(shared, &job, &mut worker, &mut session);
         // Withdraw from the watchdog's view — unless this worker has been
         // condemned meanwhile, in which case the slot (and its active/
         // heartbeat state) belongs to the replacement thread now.
@@ -1215,9 +983,9 @@ fn worker_main<B: ServiceBackend>(shared: &Arc<Shared<B>>, slot_idx: usize, gene
     }
 }
 
-fn run_single<B: ServiceBackend>(
+fn run_job<B: ServiceBackend>(
     shared: &Shared<B>,
-    job: &Arc<SingleJob<B>>,
+    job: &Job<B>,
     worker: &mut B::Worker,
     session: &mut CompileSession,
 ) -> bool {
@@ -1239,7 +1007,7 @@ fn run_single<B: ServiceBackend>(
                     total: job.submitted.elapsed(),
                     ..RequestTiming::default()
                 },
-                job.meta.client,
+                job.client,
             );
         }
         return false;
@@ -1276,276 +1044,9 @@ fn run_single<B: ServiceBackend>(
             total: job.submitted.elapsed(),
             ..RequestTiming::default()
         },
-        job.meta.client,
+        job.client,
     );
     poisoned
-}
-
-fn run_shard_participant<B: ServiceBackend>(
-    shared: &Shared<B>,
-    slot: &WorkerSlot<B>,
-    generation: u64,
-    job: &Arc<ShardJob<B>>,
-    worker: &mut B::Worker,
-    session: &mut CompileSession,
-) -> bool {
-    {
-        let mut c = lock(&job.collect);
-        if c.done {
-            return false; // answered already (merged, expired or poisoned)
-        }
-        if c.started.is_none() {
-            // First participant (of this round — a paused job passes here
-            // again on resume): re-check the deadline before the expensive
-            // sharded compile spins up the whole pool.
-            c.started = Some(Instant::now());
-            if shared.deadline_passed(&job.deadline_ns) {
-                shared
-                    .counters
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-                job.abort.store(true, Ordering::Relaxed);
-                c.done = true;
-                let tx = c.tx.take();
-                let queued = c.started.map(|s| s - job.submitted).unwrap_or_default();
-                let preemptions = c.preemptions;
-                drop(c);
-                if let Some(tx) = tx {
-                    shared.complete(
-                        job.key,
-                        tx,
-                        Err(Error::DeadlineExceeded),
-                        RequestTiming {
-                            queued,
-                            total: job.submitted.elapsed(),
-                            sharded: true,
-                            preemptions,
-                            ..RequestTiming::default()
-                        },
-                        job.meta.client,
-                    );
-                }
-                return false;
-            }
-        }
-        c.active += 1;
-    }
-
-    // The same per-worker shard loop as `compile_sharded`, but driven by a
-    // persistent thread with a warm session. A panic anywhere in the loop
-    // aborts the job (the indices this participant already claimed would
-    // otherwise go missing from the merge) and poisons the worker state,
-    // but the rendezvous bookkeeping below still runs so the ticket is
-    // answered.
-    let (outcome, poisoned) = catch_compile("shard compile", || {
-        if faultpoint::trip(faultpoint::sites::WORKER_JOB, 1).is_some() {
-            return Err(Error::Emit("injected worker fault".into()));
-        }
-        shared.backend.prepare_session(&job.req, worker, session);
-        let mut buf = CodeBuffer::new();
-        buf.enable_declare_log();
-        shared.backend.predeclare(&job.req, &mut buf);
-        let mut records = Vec::new();
-        let mut stats = CompileStats::default();
-        let mut timings = PassTimings::new();
-        let mut err: Option<(u32, Error)> = None;
-        let mut preempted = false;
-        loop {
-            if job.abort.load(Ordering::Relaxed) {
-                break;
-            }
-            // Cooperative preemption probe, *before* claiming an index: a
-            // paused participant must not leave behind a claimed-but-
-            // uncompiled function, or the resumed job's merge would have a
-            // hole. Checked at the same cadence as the deadline probe.
-            if job.preempt.load(Ordering::Relaxed) {
-                preempted = true;
-                break;
-            }
-            let i = job.next.fetch_add(1, Ordering::Relaxed);
-            if i >= job.nfuncs {
-                break;
-            }
-            // Function boundaries are the shard path's progress marks: a
-            // heartbeat for the watchdog and a deadline re-check, so one
-            // expired request cannot keep monopolizing the whole pool.
-            slot.beat(generation, shared.now_ns());
-            if shared.deadline_passed(&job.deadline_ns) {
-                if !job.abort.swap(true, Ordering::Relaxed) {
-                    shared
-                        .counters
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                err = Some((i as u32, Error::DeadlineExceeded));
-                break;
-            }
-            if faultpoint::trip(faultpoint::sites::WORKER_FUNC, i as u64).is_some() {
-                job.abort.store(true, Ordering::Relaxed);
-                err = Some((
-                    i as u32,
-                    Error::Emit(format!("injected worker fault at f{i}")),
-                ));
-                break;
-            }
-            let start = buf.mark();
-            match shared.backend.compile_func(
-                &job.req,
-                worker,
-                session,
-                &mut buf,
-                i as u32,
-                &mut stats,
-                &mut timings,
-            ) {
-                Ok(true) => records.push((
-                    i as u32,
-                    crate::codebuf::ShardExtent {
-                        start,
-                        end: buf.mark(),
-                    },
-                )),
-                Ok(false) => {}
-                Err(e) => {
-                    job.abort.store(true, Ordering::Relaxed);
-                    err = Some((i as u32, e));
-                    break;
-                }
-            }
-        }
-        Ok((buf, records, stats, timings, err, preempted))
-    });
-    if poisoned {
-        // Backend bug on verified input (see `run_single`); counted before
-        // the rendezvous below can answer the ticket.
-        shared
-            .counters
-            .panics_backend
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    let (buf, records, stats, timings, err, _preempted) = outcome.unwrap_or_else(|panic_err| {
-        job.abort.store(true, Ordering::Relaxed);
-        (
-            CodeBuffer::new(),
-            Vec::new(),
-            CompileStats::default(),
-            PassTimings::new(),
-            // u32::MAX so a real per-function error from another
-            // participant takes precedence in the report.
-            Some((u32::MAX, panic_err)),
-            false,
-        )
-    });
-
-    let mut c = lock(&job.collect);
-    c.stats.merge(&stats);
-    c.timings.merge(&timings);
-    if let Some((i, e)) = err {
-        if c.err.as_ref().is_none_or(|(fi, _)| i < *fi) {
-            c.err = Some((i, e));
-        }
-    }
-    // Partial shards from a paused round stay in the rendezvous; the merge
-    // sorts records by function index across *all* shards, so a function
-    // compiled before a pause lands exactly where it would have without
-    // one — byte-identity survives preemption.
-    c.shards.push(Shard { buf, records });
-    c.active -= 1;
-    let drained =
-        job.next.load(Ordering::Relaxed) >= job.nfuncs || job.abort.load(Ordering::Relaxed);
-    if c.active != 0 || c.done {
-        return poisoned;
-    }
-    if !drained {
-        // Every participant has stopped but functions remain unclaimed:
-        // the job was preempted. The last participant out re-arms the
-        // rendezvous (next round's first participant re-stamps `started`
-        // and re-runs the deadline check) and re-queues one copy per worker
-        // on the bulk lane, which puts the request back into the admission
-        // backlog until the first of them is popped.
-        c.preemptions += 1;
-        c.started = None;
-        drop(c);
-        shared.counters.preemptions.fetch_add(1, Ordering::Relaxed);
-        lock(&shared.client_stats)
-            .entry(job.meta.client.0)
-            .or_default()
-            .preemptions += 1;
-        job.preempt.store(false, Ordering::Relaxed);
-        let requeued = Job::Shard(Arc::clone(job));
-        shared
-            .dispatch
-            .enqueue(requeued.submission(shared.cfg.workers));
-        return poisoned;
-    }
-    // Last participant: take everything the merge needs out of the
-    // rendezvous and run it *outside* the collect lock, in a catch region
-    // of its own — a panic during the merge must answer the ticket and
-    // poison only this worker's warm state, never the collect mutex.
-    c.done = true;
-    let first_err = c.err.take();
-    let shards = std::mem::take(&mut c.shards);
-    let merged_stats = std::mem::take(&mut c.stats);
-    let merged_timings = std::mem::replace(&mut c.timings, PassTimings::new());
-    let queued = c.started.map(|s| s - job.submitted).unwrap_or_default();
-    let preemptions = c.preemptions;
-    drop(c);
-
-    let (result, merge_poisoned) = if let Some((_, e)) = first_err {
-        (Err(e), false)
-    } else {
-        catch_compile("shard merge", || {
-            merge_shard_job(shared, job, shards, merged_stats, merged_timings)
-        })
-    };
-    if merge_poisoned {
-        shared
-            .counters
-            .panics_backend
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    // The watchdog may have poisoned the ticket while the merge (or the
-    // slowest participant) was stuck; whoever holds the sender answers.
-    let tx = lock(&job.collect).tx.take();
-    if let Some(tx) = tx {
-        let result = shared.cache_store(job.key, result);
-        shared.complete(
-            job.key,
-            tx,
-            result,
-            RequestTiming {
-                queued,
-                total: job.submitted.elapsed(),
-                sharded: true,
-                preemptions,
-                ..RequestTiming::default()
-            },
-            job.meta.client,
-        );
-    }
-    poisoned || merge_poisoned
-}
-
-/// Merges the shards of a finished job into the response module.
-fn merge_shard_job<B: ServiceBackend>(
-    shared: &Shared<B>,
-    job: &ShardJob<B>,
-    shards: Vec<Shard>,
-    stats: CompileStats,
-    timings: PassTimings,
-) -> Result<CompiledModule> {
-    if faultpoint::trip(faultpoint::sites::WORKER_MERGE, 0).is_some() {
-        return Err(Error::Emit("injected merge fault".into()));
-    }
-    let mut merged = CodeBuffer::new();
-    shared.backend.predeclare(&job.req, &mut merged);
-    check_predeclared_func_symbols(&merged, job.nfuncs)?;
-    merge_shards(&mut merged, job.nfuncs, &shards)?;
-    Ok(CompiledModule {
-        buf: merged,
-        stats,
-        timings,
-    })
 }
 
 /// The watchdog loop: scans the worker slots and condemns any worker whose
@@ -1597,55 +1098,29 @@ fn watchdog_main<B: ServiceBackend>(shared: &Arc<Shared<B>>, hang: Duration) {
 /// Answers the ticket of a hung job with a timeout error (the condemned
 /// worker's late result, if any, is discarded because the sender is gone).
 fn poison_job<B: ServiceBackend>(shared: &Shared<B>, job: &Job<B>, hang: Duration) {
-    let msg = format!("worker hung past the {hang:?} watchdog timeout");
-    match job {
-        Job::Single(j) => {
-            if let Some(tx) = lock(&j.tx).take() {
-                shared.complete(
-                    j.key,
-                    tx,
-                    Err(Error::Timeout(msg)),
-                    RequestTiming {
-                        total: j.submitted.elapsed(),
-                        ..RequestTiming::default()
-                    },
-                    j.meta.client,
-                );
-            }
-        }
-        Job::Shard(j) => {
-            j.abort.store(true, Ordering::Relaxed);
-            let tx = {
-                let mut c = lock(&j.collect);
-                if c.done {
-                    None
-                } else {
-                    c.done = true;
-                    c.tx.take()
-                }
-            };
-            if let Some(tx) = tx {
-                shared.complete(
-                    j.key,
-                    tx,
-                    Err(Error::Timeout(msg)),
-                    RequestTiming {
-                        total: j.submitted.elapsed(),
-                        sharded: true,
-                        ..RequestTiming::default()
-                    },
-                    j.meta.client,
-                );
-            }
-        }
+    if let Some(tx) = lock(&job.tx).take() {
+        shared.complete(
+            job.key,
+            tx,
+            Err(Error::Timeout(format!(
+                "worker hung past the {hang:?} watchdog timeout"
+            ))),
+            RequestTiming {
+                total: job.submitted.elapsed(),
+                ..RequestTiming::default()
+            },
+            job.client,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codebuf::{SectionKind, SymbolBinding};
+    use crate::codebuf::{CodeBuffer, SectionKind, SymbolBinding, SymbolId};
+    use crate::codegen::CompileStats;
     use crate::hash::StableHasher;
+    use crate::timing::PassTimings;
     use std::hash::{Hash, Hasher};
     use std::time::Duration;
 
@@ -1693,10 +1168,6 @@ mod tests {
             Some(h.finish())
         }
 
-        fn func_count(&self, req: &Arc<ByteModule>) -> usize {
-            req.data.len()
-        }
-
         /// Toy IR verifier: byte `0xFF` is the one malformed "function".
         fn verify(&self, req: &Arc<ByteModule>) -> Result<()> {
             match req.data.iter().position(|&b| b == 0xFF) {
@@ -1705,83 +1176,46 @@ mod tests {
             }
         }
 
-        fn prepare_session(
-            &self,
-            _req: &Arc<ByteModule>,
-            _worker: &mut (),
-            _session: &mut CompileSession,
-        ) {
-        }
-
-        fn predeclare(&self, req: &Arc<ByteModule>, buf: &mut CodeBuffer) {
-            for i in 0..req.data.len() {
-                buf.declare_symbol(&format!("f{i}"), SymbolBinding::Global, true);
-            }
-        }
-
-        fn compile_func(
-            &self,
-            req: &Arc<ByteModule>,
-            _worker: &mut (),
-            _session: &mut CompileSession,
-            buf: &mut CodeBuffer,
-            f: u32,
-            stats: &mut CompileStats,
-            _timings: &mut PassTimings,
-        ) -> Result<bool> {
-            if req.fail_at == Some(f) {
-                return Err(Error::Unsupported(format!("f{f}")));
-            }
-            if req.panic_at == Some(f) {
-                panic!("synthetic backend panic at f{f}");
-            }
-            if !req.delay.is_zero() {
-                std::thread::sleep(req.delay);
-            }
-            buf.emit_u8(req.data[f as usize]);
-            buf.emit_u8(f as u8);
-            stats.funcs += 1;
-            Ok(true)
-        }
-
         fn compile_module(
             &self,
             req: &Arc<ByteModule>,
-            worker: &mut (),
-            session: &mut CompileSession,
+            _worker: &mut (),
+            _session: &mut CompileSession,
         ) -> Result<CompiledModule> {
             let mut buf = CodeBuffer::new();
-            self.predeclare(req, &mut buf);
+            for i in 0..req.data.len() {
+                buf.declare_symbol(&format!("f{i}"), SymbolBinding::Global, true);
+            }
             let mut stats = CompileStats::default();
-            let mut timings = PassTimings::new();
-            for f in 0..req.data.len() as u32 {
+            for (f, &byte) in (0u32..).zip(&req.data) {
+                if req.fail_at == Some(f) {
+                    return Err(Error::Unsupported(format!("f{f}")));
+                }
+                if req.panic_at == Some(f) {
+                    panic!("synthetic backend panic at f{f}");
+                }
+                if !req.delay.is_zero() {
+                    std::thread::sleep(req.delay);
+                }
                 let start = buf.text_offset();
-                self.compile_func(req, worker, session, &mut buf, f, &mut stats, &mut timings)?;
-                buf.define_symbol(
-                    crate::codebuf::SymbolId(f),
-                    SectionKind::Text,
-                    start,
-                    buf.text_offset() - start,
-                );
+                buf.emit_u8(byte);
+                buf.emit_u8(f as u8);
+                buf.define_symbol(SymbolId(f), SectionKind::Text, start, 2);
+                stats.funcs += 1;
             }
             Ok(CompiledModule {
                 buf,
                 stats,
-                timings,
+                timings: PassTimings::new(),
             })
         }
     }
 
-    fn service(
-        workers: usize,
-        shard_threshold: usize,
-        cache: usize,
-    ) -> CompileService<ByteBackend> {
+    fn service(workers: usize, cache: usize) -> CompileService<ByteBackend> {
         CompileService::new(
             ByteBackend,
             ServiceConfig {
                 workers,
-                shard_threshold,
                 cache_capacity: cache,
                 ..ServiceConfig::default()
             },
@@ -1807,7 +1241,6 @@ mod tests {
             ByteBackend,
             ServiceConfig {
                 workers,
-                shard_threshold: 16,
                 cache_capacity: cache,
                 disk_cache: Some(crate::diskcache::DiskCacheConfig::new(dir)),
                 ..ServiceConfig::default()
@@ -1816,23 +1249,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_sharded_agree() {
-        let module = ByteModule::new((0..40).collect());
-        // Batched: threshold above the module size, one worker.
-        let batched = service(1, 100, 0).compile(Request::new(Arc::clone(&module)));
-        let batched = batched.module.unwrap();
-        // Sharded: threshold below, several workers.
-        let svc = service(4, 8, 0);
-        let response = svc.compile(Request::new(Arc::clone(&module)));
-        assert!(response.timing.sharded);
-        let sharded = response.module.unwrap();
-        crate::codebuf::assert_identical(&batched.buf, &sharded.buf, "service shard vs batch");
-        assert_eq!(batched.stats.funcs, sharded.stats.funcs);
-    }
-
-    #[test]
     fn pipelined_requests_all_resolve() {
-        let svc = service(3, 16, 0);
+        let svc = service(3, 0);
         let modules: Vec<_> = (0..12u8)
             .map(|i| ByteModule::new(vec![i; (i as usize % 5) * 10 + 1]))
             .collect();
@@ -1856,7 +1274,7 @@ mod tests {
 
     #[test]
     fn cache_hits_are_identical_and_counted() {
-        let svc = service(2, 100, 8);
+        let svc = service(2, 8);
         let module = ByteModule::new(vec![7; 10]);
         let cold = svc.compile(Request::new(Arc::clone(&module)));
         assert!(!cold.timing.cache_hit);
@@ -1877,7 +1295,7 @@ mod tests {
 
     #[test]
     fn cache_evicts_least_recently_used() {
-        let svc = service(1, 100, 2);
+        let svc = service(1, 2);
         let a = ByteModule::new(vec![1]);
         let b = ByteModule::new(vec![2]);
         let c = ByteModule::new(vec![3]);
@@ -1895,7 +1313,7 @@ mod tests {
     fn disk_cache_survives_service_restart() {
         let dir = temp_dir("restart");
         let small = ByteModule::new(vec![3; 8]);
-        let large = ByteModule::new((0..40).collect()); // sharded at threshold 16
+        let large = ByteModule::new((0..40).collect());
         let (small_ref, large_ref) = {
             let svc = disk_service(2, 8, &dir);
             let a = svc
@@ -1916,7 +1334,7 @@ mod tests {
         for (module, reference) in [(&small, &small_ref), (&large, &large_ref)] {
             let r = svc.compile(Request::new(Arc::clone(module)));
             assert!(r.timing.disk_hit, "restart must answer from disk");
-            assert!(!r.timing.cache_hit && !r.timing.sharded);
+            assert!(!r.timing.cache_hit);
             let got = r.module.unwrap();
             got.validate().unwrap();
             crate::codebuf::assert_identical(&reference.buf, &got.buf, "disk restart");
@@ -1924,7 +1342,7 @@ mod tests {
         }
         let stats = svc.stats();
         assert_eq!(stats.disk_hits, 2);
-        assert_eq!(stats.batched + stats.sharded, 0, "no compile path ran");
+        assert_eq!(stats.batched, 0, "no compile ran");
         assert!((stats.disk_hit_rate() - 1.0).abs() < 1e-9);
         drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1973,7 +1391,7 @@ mod tests {
 
     #[test]
     fn errors_propagate_and_workers_survive() {
-        let svc = service(2, 4, 0);
+        let svc = service(2, 0);
         let bad = Arc::new(ByteModule {
             data: (0..16).collect(),
             fail_at: Some(9),
@@ -1989,35 +1407,33 @@ mod tests {
 
     #[test]
     fn worker_panics_are_contained() {
-        // Batched and sharded paths: a panicking backend yields an error
-        // response, and the same pool keeps serving afterwards.
-        for shard_threshold in [100, 4] {
-            let svc = service(2, shard_threshold, 0);
-            let bad = Arc::new(ByteModule {
-                data: (0..16).collect(),
-                fail_at: None,
-                panic_at: Some(7),
-                delay: Duration::ZERO,
-            });
-            let r = svc.compile(Request::new(Arc::clone(&bad)));
-            let err = format!("{}", r.module.unwrap_err());
-            assert!(err.contains("panicked"), "unexpected error: {err}");
-            let good = ByteModule::new((0..16).collect());
-            assert!(
-                svc.compile(Request::new(good)).module.is_ok(),
-                "pool died after panic"
-            );
-            // The contained panic is classified as a backend bug, not as
-            // invalid input (the request passed verification).
-            let stats = svc.stats();
-            assert!(stats.panics_backend >= 1, "panic not counted");
-            assert_eq!(stats.rejected_invalid, 0);
-        }
+        // A panicking backend yields an error response, and the same pool
+        // keeps serving afterwards.
+        let svc = service(2, 0);
+        let bad = Arc::new(ByteModule {
+            data: (0..16).collect(),
+            fail_at: None,
+            panic_at: Some(7),
+            delay: Duration::ZERO,
+        });
+        let r = svc.compile(Request::new(Arc::clone(&bad)));
+        let err = format!("{}", r.module.unwrap_err());
+        assert!(err.contains("panicked"), "unexpected error: {err}");
+        let good = ByteModule::new((0..16).collect());
+        assert!(
+            svc.compile(Request::new(good)).module.is_ok(),
+            "pool died after panic"
+        );
+        // The contained panic is classified as a backend bug, not as
+        // invalid input (the request passed verification).
+        let stats = svc.stats();
+        assert!(stats.panics_backend >= 1, "panic not counted");
+        assert_eq!(stats.rejected_invalid, 0);
     }
 
     #[test]
     fn invalid_ir_is_rejected_at_admission() {
-        let svc = service(2, 100, 8);
+        let svc = service(2, 8);
         let bad = ByteModule::new(vec![1, 0xFF, 3]);
         let r = svc.compile(Request::new(Arc::clone(&bad)));
         match r.module {
@@ -2048,7 +1464,7 @@ mod tests {
         // Regression test: an admission-rejected invalid-IR submission must
         // resolve without waiting out a timeout — even while every worker
         // is busy with a slow compile.
-        let svc = service(1, 100, 0);
+        let svc = service(1, 0);
         let slow = svc.submit(Request::new(ByteModule::slow(
             vec![1; 4],
             Duration::from_millis(80),
@@ -2070,7 +1486,7 @@ mod tests {
 
     #[test]
     fn drop_drains_in_flight_requests() {
-        let svc = service(2, 8, 0);
+        let svc = service(2, 0);
         let modules: Vec<_> = (0..8u8).map(|i| ByteModule::new(vec![i; 30])).collect();
         let tickets: Vec<_> = modules
             .iter()
@@ -2102,7 +1518,6 @@ mod tests {
     fn admission_rejects_over_capacity_with_observed_depth() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 0,
             queue_capacity: 2,
             ..ServiceConfig::default()
@@ -2128,7 +1543,6 @@ mod tests {
     fn bulk_is_shed_before_interactive() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 0,
             queue_capacity: 4,
             bulk_queue_capacity: 1,
@@ -2152,7 +1566,6 @@ mod tests {
     fn interactive_dequeues_before_earlier_bulk() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 0,
             ..ServiceConfig::default()
         });
@@ -2183,7 +1596,6 @@ mod tests {
     fn deadline_expired_at_dequeue_is_shed_explicitly() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 0,
             ..ServiceConfig::default()
         });
@@ -2204,31 +1616,9 @@ mod tests {
     }
 
     #[test]
-    fn deadline_expiring_mid_shard_aborts_the_sweep() {
-        let svc = front_service(ServiceConfig {
-            workers: 2,
-            shard_threshold: 4,
-            cache_capacity: 0,
-            ..ServiceConfig::default()
-        });
-        // 12 functions x 10 ms across 2 workers: the 20 ms budget expires
-        // mid-sweep, at a function boundary.
-        let m = ByteModule::slow((0..12).collect(), Duration::from_millis(10));
-        let r = svc.compile(Request::new(m).deadline(Duration::from_millis(20)));
-        assert_eq!(r.module.unwrap_err(), Error::DeadlineExceeded);
-        assert!(r.timing.sharded);
-        assert_eq!(svc.stats().deadline_expired, 1);
-        assert!(svc
-            .compile(Request::new(ByteModule::new(vec![7])))
-            .module
-            .is_ok());
-    }
-
-    #[test]
     fn identical_inflight_requests_coalesce_onto_one_compile() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 8,
             ..ServiceConfig::default()
         });
@@ -2257,7 +1647,6 @@ mod tests {
     fn wait_timeout_times_out_then_delivers() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 0,
             ..ServiceConfig::default()
         });
@@ -2282,7 +1671,6 @@ mod tests {
     fn tickets_resolved_at_submission_answer_once() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 8,
             queue_capacity: 1,
             ..ServiceConfig::default()
@@ -2327,7 +1715,6 @@ mod tests {
     fn watchdog_poisons_hung_job_and_respawned_worker_serves_on() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 8,
             hang_timeout: Some(Duration::from_millis(40)),
             ..ServiceConfig::default()
@@ -2358,7 +1745,6 @@ mod tests {
     fn watchdog_timeout_fans_out_to_coalesced_waiters() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 8,
             hang_timeout: Some(Duration::from_millis(40)),
             ..ServiceConfig::default()
@@ -2376,7 +1762,6 @@ mod tests {
     fn admission_share_is_split_across_active_clients() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 0,
             queue_capacity: 4,
             ..ServiceConfig::default()
@@ -2412,7 +1797,6 @@ mod tests {
     fn admission_share_holds_after_64_distinct_clients() {
         let svc = front_service(ServiceConfig {
             workers: 1,
-            shard_threshold: 100,
             cache_capacity: 0,
             queue_capacity: 4,
             ..ServiceConfig::default()
@@ -2438,43 +1822,5 @@ mod tests {
         for t in [blocker, b1, a1, a2] {
             assert!(t.wait().module.is_ok());
         }
-    }
-
-    #[test]
-    fn interactive_preempts_inflight_bulk_shard_and_resumes_identically() {
-        let svc = front_service(ServiceConfig {
-            workers: 2,
-            shard_threshold: 4,
-            cache_capacity: 0,
-            ..ServiceConfig::default()
-        });
-        let bulk_mod = ByteModule::slow((0..12).collect(), Duration::from_millis(15));
-        let bulk = svc.submit(
-            Request::new(Arc::clone(&bulk_mod))
-                .priority(Priority::Bulk)
-                .client(ClientId(7)),
-        );
-        // Let both workers sink into the shard sweep (12 funcs x 15 ms over
-        // 2 workers = ~90 ms), then submit an interactive request: the sweep
-        // must pause at a function boundary, serve it, and resume.
-        std::thread::sleep(Duration::from_millis(40));
-        let inter = svc.compile(Request::new(ByteModule::new(vec![0xAB])).client(ClientId(8)));
-        assert!(inter.module.is_ok());
-        let rb = bulk.wait();
-        assert!(rb.timing.sharded);
-        assert!(rb.timing.preemptions >= 1, "bulk shard was never paused");
-        // The paused-and-resumed output is byte-identical to an undisturbed
-        // single-worker compile of the same module.
-        let reference = service(1, 100, 0).compile(Request::new(Arc::clone(&bulk_mod)));
-        crate::codebuf::assert_identical(
-            &reference.module.unwrap().buf,
-            &rb.module.unwrap().buf,
-            "preempted shard",
-        );
-        let stats = svc.stats();
-        assert!(stats.preemptions >= 1);
-        let c7 = stats.clients.iter().find(|c| c.client == 7).unwrap();
-        assert!(c7.preemptions >= 1);
-        assert_eq!(c7.completed, 1);
     }
 }

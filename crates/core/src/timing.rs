@@ -65,17 +65,10 @@ pub struct RequestTiming {
     /// Whether the response was served from the persistent on-disk artifact
     /// cache (after missing the in-memory cache).
     pub disk_hit: bool,
-    /// Whether the module was sharded across the pool (vs. batched onto one
-    /// worker).
-    pub sharded: bool,
     /// Whether the response was produced by coalescing onto an identical
     /// in-flight request (this request never occupied a worker; it shares
     /// the leader's compile byte for byte).
     pub coalesced: bool,
-    /// How many times a sharded bulk compile of this request was paused by
-    /// an interactive arrival and requeued before completing (zero for
-    /// batched, interactive or never-preempted requests).
-    pub preemptions: u32,
 }
 
 /// Aggregate request-level statistics of a
@@ -100,17 +93,14 @@ pub struct ServiceStats {
     pub disk_misses: u64,
     /// Modules written to the on-disk artifact cache.
     pub disk_stores: u64,
-    /// Requests compiled by sharding functions across the pool.
-    pub sharded: u64,
-    /// Requests compiled whole on a single worker.
+    /// Requests compiled (each whole, on one worker).
     pub batched: u64,
     /// Cache entries evicted to respect the configured capacity.
     pub evictions: u64,
     /// Modules currently held by the cache.
     pub cached_modules: u64,
     /// High-water mark of concurrently in-flight requests (submitted but
-    /// not yet answered) — one count per request, however many shard jobs
-    /// it fanned out into.
+    /// not yet answered).
     pub max_queue_depth: u64,
     /// Requests shed at admission because the queue was at capacity.
     pub rejected: u64,
@@ -136,9 +126,6 @@ pub struct ServiceStats {
     /// Transient disk cache I/O errors absorbed by retrying (`EINTR`-like;
     /// each retry would previously have been treated as corruption).
     pub disk_retries: u64,
-    /// Times a running bulk shard job was cooperatively paused (and
-    /// requeued) so an interactive arrival could take its workers.
-    pub preemptions: u64,
     /// Always 0: submissions have a single path into the scheduler, so
     /// none ever falls back. Kept so existing readers of the field build.
     pub ring_fallbacks: u64,
@@ -160,8 +147,6 @@ pub struct ClientStats {
     pub completed: u64,
     /// Requests answered with an error (shed, invalid, failed, timed out).
     pub shed: u64,
-    /// Times a bulk shard job from this client was cooperatively paused.
-    pub preemptions: u64,
 }
 
 impl ServiceStats {

@@ -80,58 +80,29 @@ impl ServiceBackend for ToyBackend {
         Some(h.finish())
     }
 
-    fn func_count(&self, req: &Arc<ToyModule>) -> usize {
-        req.data.len()
-    }
-
-    fn prepare_session(&self, _req: &Arc<ToyModule>, _w: &mut (), _s: &mut CompileSession) {}
-
-    fn predeclare(&self, req: &Arc<ToyModule>, buf: &mut CodeBuffer) {
-        for i in 0..req.data.len() {
-            buf.declare_symbol(&format!("f{i}"), SymbolBinding::Global, true);
-        }
-    }
-
-    fn compile_func(
-        &self,
-        req: &Arc<ToyModule>,
-        _w: &mut (),
-        _s: &mut CompileSession,
-        buf: &mut CodeBuffer,
-        f: u32,
-        stats: &mut CompileStats,
-        _t: &mut PassTimings,
-    ) -> Result<bool> {
-        buf.emit_u8(req.data[f as usize]);
-        buf.emit_u8(f as u8);
-        stats.funcs += 1;
-        Ok(true)
-    }
-
     fn compile_module(
         &self,
         req: &Arc<ToyModule>,
-        worker: &mut (),
-        session: &mut CompileSession,
+        _worker: &mut (),
+        _session: &mut CompileSession,
     ) -> Result<CompiledModule> {
         let mut buf = CodeBuffer::new();
-        self.predeclare(req, &mut buf);
-        let mut stats = CompileStats::default();
-        let mut timings = PassTimings::new();
-        for f in 0..req.data.len() as u32 {
+        for i in 0..req.data.len() {
+            buf.declare_symbol(&format!("f{i}"), SymbolBinding::Global, true);
+        }
+        for (f, &byte) in (0u32..).zip(&req.data) {
             let start = buf.text_offset();
-            self.compile_func(req, worker, session, &mut buf, f, &mut stats, &mut timings)?;
-            buf.define_symbol(
-                SymbolId(f),
-                SectionKind::Text,
-                start,
-                buf.text_offset() - start,
-            );
+            buf.emit_u8(byte);
+            buf.emit_u8(f as u8);
+            buf.define_symbol(SymbolId(f), SectionKind::Text, start, 2);
         }
         Ok(CompiledModule {
             buf,
-            stats,
-            timings,
+            stats: CompileStats {
+                funcs: req.data.len(),
+                ..CompileStats::default()
+            },
+            timings: PassTimings::new(),
         })
     }
 }
@@ -309,67 +280,11 @@ fn hard_flock_failure_on_a_store_is_reconciled_by_the_next_store() {
 // --------------------------------------------------------------------------
 
 #[test]
-fn injected_merge_panic_answers_the_ticket_and_the_pool_recovers() {
-    let _g = arm(vec![FaultRule::new(
-        sites::WORKER_MERGE,
-        FaultAction::Panic,
-    )
-    .limit(1)]);
-    let svc = toy_service(ServiceConfig {
-        workers: 2,
-        shard_threshold: 4,
-        cache_capacity: 8,
-        ..ServiceConfig::default()
-    });
-    let m = toy((0..16).collect());
-    let r = svc.compile(Request::new(Arc::clone(&m)));
-    let err = format!("{}", r.module.unwrap_err());
-    assert!(err.contains("panicked"), "unexpected error: {err}");
-    // The panic fired at the merge, past the per-shard catch regions: the
-    // ticket still resolved, the collect mutex is unpoisoned, and the same
-    // request now compiles correctly (the limit-1 rule is spent).
-    let again = svc.compile(Request::new(Arc::clone(&m))).module.unwrap();
-    let reference = ToyBackend
-        .compile_module(&m, &mut (), &mut CompileSession::new())
-        .unwrap();
-    assert_identical(&reference.buf, &again.buf, "after merge panic");
-}
-
-#[test]
-fn injected_shard_panic_at_chosen_function_is_contained() {
-    let _g = arm(vec![FaultRule::new(sites::WORKER_FUNC, FaultAction::Panic)
-        .at_index(5)
-        .limit(1)]);
-    let svc = toy_service(ServiceConfig {
-        workers: 2,
-        shard_threshold: 4,
-        cache_capacity: 8,
-        ..ServiceConfig::default()
-    });
-    let m = toy((0..16).collect());
-    let err = format!(
-        "{}",
-        svc.compile(Request::new(Arc::clone(&m)))
-            .module
-            .unwrap_err()
-    );
-    assert!(
-        err.contains("panicked") && err.contains("service.func"),
-        "unexpected error: {err}"
-    );
-    let again = svc.compile(Request::new(Arc::clone(&m))).module.unwrap();
-    let reference = ToyBackend
-        .compile_module(&m, &mut (), &mut CompileSession::new())
-        .unwrap();
-    assert_identical(&reference.buf, &again.buf, "after shard panic");
-}
-
-#[test]
 fn injected_hang_is_condemned_by_the_watchdog() {
     let _g = arm(vec![
-        // Index 0 is the single-job probe position; the delay lands inside
-        // the compile, after the start-of-job heartbeat, so the heartbeat
-        // goes stale and the watchdog must poison the ticket.
+        // The delay lands inside the compile, after the start-of-job
+        // heartbeat, so the heartbeat goes stale and the watchdog must
+        // poison the ticket.
         FaultRule::new(
             sites::WORKER_JOB,
             FaultAction::Delay(Duration::from_millis(250)),
@@ -379,7 +294,6 @@ fn injected_hang_is_condemned_by_the_watchdog() {
     ]);
     let svc = toy_service(ServiceConfig {
         workers: 1,
-        shard_threshold: 100,
         cache_capacity: 8,
         hang_timeout: Some(Duration::from_millis(40)),
         ..ServiceConfig::default()
@@ -408,7 +322,6 @@ fn drop_under_load_with_delayed_jobs_loses_no_ticket() {
     )]);
     let svc = Arc::new(toy_service(ServiceConfig {
         workers: 2,
-        shard_threshold: 100,
         cache_capacity: 0,
         ..ServiceConfig::default()
     }));
@@ -467,7 +380,6 @@ fn lost_wakeups_are_bounded_by_the_park_timeout() {
     )]);
     let svc = toy_service(ServiceConfig {
         workers: 1,
-        shard_threshold: 100,
         cache_capacity: 0,
         ..ServiceConfig::default()
     });

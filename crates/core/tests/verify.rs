@@ -227,55 +227,25 @@ impl ServiceBackend for MockBackend {
         Verifier::new().verify_module(&mut a).map_err(Error::from)
     }
 
-    fn func_count(&self, _req: &Arc<MockModule>) -> usize {
-        1
-    }
-
-    fn prepare_session(&self, _: &Arc<MockModule>, _: &mut (), _: &mut CompileSession) {}
-
-    fn predeclare(&self, _req: &Arc<MockModule>, buf: &mut CodeBuffer) {
-        buf.declare_symbol("m", SymbolBinding::Global, true);
-    }
-
-    fn compile_func(
+    fn compile_module(
         &self,
         req: &Arc<MockModule>,
         _worker: &mut (),
         _session: &mut CompileSession,
-        buf: &mut CodeBuffer,
-        _f: u32,
-        stats: &mut CompileStats,
-        _timings: &mut PassTimings,
-    ) -> Result<bool> {
+    ) -> Result<CompiledModule> {
+        let mut buf = CodeBuffer::new();
+        let sym = buf.declare_symbol("m", SymbolBinding::Global, true);
         for _ in 0..req.ninsts {
             buf.emit_u8(0x90);
         }
-        stats.funcs += 1;
-        Ok(true)
-    }
-
-    fn compile_module(
-        &self,
-        req: &Arc<MockModule>,
-        worker: &mut (),
-        session: &mut CompileSession,
-    ) -> Result<CompiledModule> {
-        let mut buf = CodeBuffer::new();
-        self.predeclare(req, &mut buf);
-        let mut stats = CompileStats::default();
-        let mut timings = PassTimings::new();
-        let start = buf.text_offset();
-        self.compile_func(req, worker, session, &mut buf, 0, &mut stats, &mut timings)?;
-        buf.define_symbol(
-            tpde_core::codebuf::SymbolId(0),
-            SectionKind::Text,
-            start,
-            buf.text_offset() - start,
-        );
+        buf.define_symbol(sym, SectionKind::Text, 0, buf.text_offset());
         Ok(CompiledModule {
             buf,
-            stats,
-            timings,
+            stats: CompileStats {
+                funcs: 1,
+                ..CompileStats::default()
+            },
+            timings: PassTimings::new(),
         })
     }
 }
@@ -319,7 +289,7 @@ fn assert_rejected(m: MockModule, expected: VerifyError) {
     assert_eq!(stats.rejected_invalid, 1);
     assert_eq!(stats.panics_backend, 0, "module reached a worker");
     assert_eq!(stats.workers_respawned, 0, "worker was respawned");
-    assert_eq!(stats.batched + stats.sharded, 0, "module was scheduled");
+    assert_eq!(stats.batched, 0, "module was scheduled");
 }
 
 #[test]

@@ -6,12 +6,15 @@
 
 use std::time::Instant;
 use tpde_core::codebuf::SectionKind;
-use tpde_core::codegen::CompileOptions;
+use tpde_core::codegen::{CompileOptions, CompiledModule};
+use tpde_core::error::Result;
 use tpde_core::jit::link_in_memory;
-use tpde_llvm::compile;
-use tpde_llvm::fuzz::EXEC_KINDS;
+use tpde_llvm::ir::Module;
 use tpde_llvm::workloads::{build_workload, expected_result, spec_workloads, IrStyle, Workload};
+use tpde_llvm::{compile_baseline, compile_copy_patch, compile_x64};
 use tpde_x64emu::run_function;
+
+type CompileFn = fn(&Module) -> Result<CompiledModule>;
 
 fn main() {
     let w = Workload {
@@ -26,15 +29,20 @@ fn main() {
         module.inst_count()
     );
 
-    for kind in EXEC_KINDS {
+    let backends: [(&str, CompileFn); 3] = [
+        ("TpdeX64", |m| compile_x64(m, &CompileOptions::default())),
+        ("BaselineO0", |m| compile_baseline(m, 0)),
+        ("CopyPatch", compile_copy_patch),
+    ];
+    for (name, compile) in backends {
         let t = Instant::now();
-        let compiled = compile(&module, kind, &CompileOptions::default()).unwrap();
+        let compiled = compile(&module).unwrap();
         let compile_time = t.elapsed();
         let image = link_in_memory(&compiled.buf, 0x40_0000, |_| None).unwrap();
         let (ret, stats) = run_function(&image, "bench_main", &[w.input]).unwrap();
         println!(
             "{:<14} compile {:>8.3} ms   text {:>7} B   cycles {:>12}   correct: {}",
-            format!("{kind:?}"),
+            name,
             1000.0 * compile_time.as_secs_f64(),
             compiled.buf.section_size(SectionKind::Text),
             stats.cycles,

@@ -12,7 +12,7 @@
 //! and the [`LlvmCompileService`] alike.
 
 use crate::adapter::{block_ref, value_ref, AdapterScratch, LlvmAdapter};
-use crate::baselines::{compile_function_baseline, compile_function_stacky};
+use crate::baselines::compile_function_baseline;
 use crate::ir::{Inst, Module, Type};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -569,9 +569,6 @@ pub enum ServiceBackendKind {
     /// The multi-pass LLVM-O0-like baseline, x86-64
     /// ([`crate::baselines::compile_baseline`]).
     BaselineO0,
-    /// The copy-and-patch-style baseline, x86-64
-    /// ([`crate::baselines::compile_copy_patch`]).
-    CopyPatch,
 }
 
 impl ServiceBackendKind {
@@ -582,17 +579,16 @@ impl ServiceBackendKind {
     /// backend to every other build. New variants get new tags; existing
     /// tags never change or get reused.
     ///
-    /// Tags 3, 5 and 6 are retired: they named the LLVM-O1-like baseline
-    /// (whose output was byte-identical to tag 2's) and the tier-0
-    /// (instrumented) TPDE x86-64 and copy-and-patch backends, which were
-    /// removed. They are never reused, so artifacts stored under them are
-    /// simply never looked up again and age out of the disk cache's LRU.
+    /// Tags 3 to 6 are retired and never reused: 3 named the LLVM-O1-like
+    /// baseline and 4 the copy-and-patch baseline (both emitted tag 2's
+    /// bytes), 5 and 6 the tier-0 (instrumented) TPDE x86-64 and
+    /// copy-and-patch backends. Artifacts stored under them are never
+    /// looked up again and age out of the disk cache's LRU.
     pub(crate) fn artifact_tag(self) -> u8 {
         match self {
             ServiceBackendKind::TpdeX64 => 0,
             ServiceBackendKind::TpdeA64 => 1,
             ServiceBackendKind::BaselineO0 => 2,
-            ServiceBackendKind::CopyPatch => 4,
         }
     }
 
@@ -618,10 +614,10 @@ fn with_adapter<R>(
     r
 }
 
-/// Declares one symbol per module function, in function order, for every
-/// kind: the prefix each shard buffer and the merged buffer of a sharded
-/// compile start from.
-fn predeclare(module: &Module, buf: &mut CodeBuffer) {
+/// Declares one symbol per module function, in function order: the
+/// prefix of the baselines' module unit, and of each shard buffer and the
+/// merged buffer of [`compile_parallel`].
+pub(crate) fn predeclare(module: &Module, buf: &mut CodeBuffer) {
     let _ = declare_func_symbols(&LlvmAdapter::new(module), buf);
 }
 
@@ -641,8 +637,9 @@ pub struct LlvmServiceWorker {
 impl LlvmServiceWorker {
     /// The module unit: compiles all of `module` with `kind` on this
     /// thread. TPDE runs the framework's sequential module compile
-    /// ([`CodeGen::compile_module_with`]); the baselines run their
-    /// per-function unit over every function.
+    /// ([`CodeGen::compile_module_with`]); BaselineO0 runs
+    /// `baselines::compile_module`, its per-function unit over every
+    /// function.
     fn compile_module(
         &mut self,
         module: &Module,
@@ -667,29 +664,15 @@ impl LlvmServiceWorker {
                     cg.compile_module_with(session, a, &mut self.compiler)
                 })
             }
-            ServiceBackendKind::BaselineO0 | ServiceBackendKind::CopyPatch => {
-                let mut out = CompiledModule {
-                    buf: CodeBuffer::new(),
-                    stats: CompileStats::default(),
-                    timings: PassTimings::new(),
-                };
-                let CompiledModule {
-                    buf,
-                    stats,
-                    timings,
-                } = &mut out;
-                predeclare(module, buf);
-                for f in 0..module.funcs.len() as u32 {
-                    self.compile_func(module, kind, session, buf, f, stats, timings)?;
-                }
-                Ok(out)
+            ServiceBackendKind::BaselineO0 => {
+                crate::baselines::compile_module(module, compile_function_baseline)
             }
         }
     }
 
     /// Readies this worker and `session` for [`Self::compile_func`] calls
     /// on one module: TPDE configures the session's register file for its
-    /// target; the baselines use no session.
+    /// target; BaselineO0 uses no session.
     fn prepare(&mut self, kind: ServiceBackendKind, session: &mut CompileSession) {
         self.compiler.reset();
         match kind {
@@ -701,15 +684,14 @@ impl LlvmServiceWorker {
                 .a64
                 .get_or_insert_with(|| CodeGen::new(A64Target::new()))
                 .prepare_session(session),
-            ServiceBackendKind::BaselineO0 | ServiceBackendKind::CopyPatch => {}
+            ServiceBackendKind::BaselineO0 => {}
         }
     }
 
     /// The per-function unit: compiles function `f` of `module` with `kind`
     /// into `buf` under `SymbolId(f)`, self-contained as
     /// [`tpde_core::parallel`] requires, or skips a declaration
-    /// (`Ok(false)`). Every sharded compile and, for the baselines, the
-    /// module unit emit through it.
+    /// (`Ok(false)`). Every [`compile_parallel`] shard emits through it.
     #[allow(clippy::too_many_arguments)]
     fn compile_func(
         &mut self,
@@ -741,9 +723,6 @@ impl LlvmServiceWorker {
             }
             ServiceBackendKind::BaselineO0 => {
                 crate::baselines::compile_func(module, f, compile_function_baseline, buf, stats)
-            }
-            ServiceBackendKind::CopyPatch => {
-                crate::baselines::compile_func(module, f, compile_function_stacky, buf, stats)
             }
         }
     }
@@ -910,8 +889,7 @@ impl ModuleRequest {
 }
 
 /// The [`ServiceBackend`] for the LLVM-IR-like module: every request runs
-/// the same module and per-function units as [`compile`] and
-/// [`compile_parallel`].
+/// the same module unit as [`compile`].
 pub struct LlvmServiceBackend;
 
 /// A persistent compile service for the LLVM-IR-like module.
@@ -954,37 +932,6 @@ impl ServiceBackend for LlvmServiceBackend {
         });
         WARM.set(warm);
         verdict.map_err(Error::from)
-    }
-
-    fn func_count(&self, req: &ModuleRequest) -> usize {
-        req.module.funcs.len()
-    }
-
-    fn prepare_session(
-        &self,
-        req: &ModuleRequest,
-        worker: &mut LlvmServiceWorker,
-        session: &mut CompileSession,
-    ) {
-        worker.prepare(req.backend, session);
-    }
-
-    fn predeclare(&self, req: &ModuleRequest, buf: &mut CodeBuffer) {
-        predeclare(&req.module, buf);
-    }
-
-    fn compile_func(
-        &self,
-        req: &ModuleRequest,
-        worker: &mut LlvmServiceWorker,
-        session: &mut CompileSession,
-        buf: &mut CodeBuffer,
-        f: u32,
-        stats: &mut CompileStats,
-        timings: &mut PassTimings,
-    ) -> Result<bool> {
-        let (m, kind) = (&*req.module, req.backend);
-        worker.compile_func(m, kind, session, buf, f, stats, timings)
     }
 
     fn compile_module(

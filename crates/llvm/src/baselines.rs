@@ -16,12 +16,13 @@
 //! arguments on the stack: a call or a function with more than 6 integer
 //! or 8 floating-point arguments is [`Error::Unsupported`].
 
-use crate::backend::{compile, ServiceBackendKind};
+use crate::backend::{compile, predeclare, ServiceBackendKind};
 use crate::ir::{BinOp, FBinOp, Function, ICmp, Inst, Module, ShiftKind, Type, Value, ValueDef};
 use std::collections::HashMap;
 use tpde_core::codebuf::{CodeBuffer, Label, SectionKind, SymbolBinding, SymbolId};
 use tpde_core::codegen::{CompileOptions, CompileStats, CompiledModule};
 use tpde_core::error::{Error, Result};
+use tpde_core::timing::PassTimings;
 use tpde_enc::x64::{self, Alu, Cond, Gp, Mem, Shift, Xmm};
 
 const TMP0: Gp = Gp::RAX;
@@ -585,11 +586,7 @@ fn emit_cond_br(
 
 /// The copy-and-patch per-function compiler: the emitter straight over the
 /// IR (single pass, no analysis, everything through the stack).
-pub(crate) fn compile_function_stacky(
-    module: &Module,
-    f: &Function,
-    buf: &mut CodeBuffer,
-) -> Result<()> {
+fn compile_function_stacky(module: &Module, f: &Function, buf: &mut CodeBuffer) -> Result<()> {
     let insts = f.blocks.iter().enumerate();
     let insts = insts.flat_map(|(bi, b)| b.insts.iter().map(move |i| (bi as u32, i)));
     emit_function(module, f, FuncCtx::new(f), buf, insts)
@@ -672,14 +669,28 @@ pub(crate) fn compile_func(
     Ok(true)
 }
 
-/// Compiles a module with the copy-and-patch baseline:
-/// [`compile`] with [`ServiceBackendKind::CopyPatch`].
+/// The baselines' module unit: predeclares every function symbol, then
+/// runs [`compile_func`] with `emit` over every function.
+pub(crate) fn compile_module(
+    module: &Module,
+    emit: fn(&Module, &Function, &mut CodeBuffer) -> Result<()>,
+) -> Result<CompiledModule> {
+    let mut out = CompiledModule {
+        buf: CodeBuffer::new(),
+        stats: CompileStats::default(),
+        timings: PassTimings::new(),
+    };
+    predeclare(module, &mut out.buf);
+    for f in 0..module.funcs.len() as u32 {
+        compile_func(module, f, emit, &mut out.buf, &mut out.stats)?;
+    }
+    Ok(out)
+}
+
+/// Compiles a module with the copy-and-patch baseline on the calling
+/// thread.
 pub fn compile_copy_patch(module: &Module) -> Result<CompiledModule> {
-    compile(
-        module,
-        ServiceBackendKind::CopyPatch,
-        &CompileOptions::default(),
-    )
+    compile_module(module, compile_function_stacky)
 }
 
 /// Compiles a module with the multi-pass baseline:

@@ -48,20 +48,16 @@ use crate::ir::{
 pub(crate) type ExecFn<'a> = &'a dyn Fn(&CodeBuffer, u64) -> std::result::Result<u64, String>;
 
 /// All service backend kinds, in a fixed order.
-pub const ALL_KINDS: [ServiceBackendKind; 4] = [
+pub const ALL_KINDS: [ServiceBackendKind; 3] = [
     ServiceBackendKind::TpdeX64,
     ServiceBackendKind::TpdeA64,
     ServiceBackendKind::BaselineO0,
-    ServiceBackendKind::CopyPatch,
 ];
 
 /// The x86-64 kinds, whose output the emulator can execute directly; the
 /// AArch64 kind is checked by byte identity only.
-pub const EXEC_KINDS: [ServiceBackendKind; 3] = [
-    ServiceBackendKind::TpdeX64,
-    ServiceBackendKind::BaselineO0,
-    ServiceBackendKind::CopyPatch,
-];
+pub const EXEC_KINDS: [ServiceBackendKind; 2] =
+    [ServiceBackendKind::TpdeX64, ServiceBackendKind::BaselineO0];
 
 /// Non-panicking twin of [`tpde_core::codebuf::assert_identical`]:
 /// `true` iff every section of `a` and `b` is byte-identical.

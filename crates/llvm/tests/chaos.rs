@@ -29,15 +29,14 @@ use tpde_llvm::{compile_service, compile_x64, ModuleRequest, ServiceBackendKind}
 
 /// The interactive client, whose tail latency is asserted.
 const INTERACTIVE_CLIENT: ClientId = ClientId(1);
-/// The greedy bulk client, which is shed and preempted under pressure.
+/// The greedy bulk client, which is shed under pressure.
 const BULK_CLIENT: ClientId = ClientId(2);
 
-/// The request mix: an 8x enlarged copy of the largest workload (crosses
-/// the shard threshold and spreads across the pool) followed by every
-/// SPEC-like workload as-is (small modules, batched onto one worker). The
-/// enlarged module goes first: the injected stalls land on its shard
-/// participants, pinning workers while the rest of the burst arrives, and
-/// its round-two duplicate must coalesce onto it.
+/// The request mix: an 8x enlarged copy of the largest workload followed
+/// by every SPEC-like workload as-is; each compiles whole on one worker.
+/// The enlarged module goes first: the injected stalls land on the first
+/// jobs, pinning workers while the rest of the burst arrives, and its
+/// round-two duplicate must coalesce onto it.
 fn request_mix() -> Vec<(String, Arc<Module>)> {
     let workloads = spec_workloads();
     let base = workloads.iter().max_by_key(|w| w.funcs).expect("workloads");
@@ -89,17 +88,11 @@ fn service_degrades_explicitly_under_injected_faults() {
         )
         .every(4),
         FaultRule::new(sites::WORKER_JOB, FaultAction::Delay(2 * hang)).limit(2),
-        FaultRule::new(
-            sites::WORKER_FUNC,
-            FaultAction::Delay(Duration::from_micros(50)),
-        )
-        .every(31),
         FaultRule::new(sites::WORKER_WAKEUP, FaultAction::Fail).every(13),
     ]);
     let service = || {
         compile_service(ServiceConfig {
             workers: 3,
-            shard_threshold: 64,
             cache_capacity: 2 * mix.len(),
             disk_cache: Some(DiskCacheConfig::new(&dir)),
             queue_capacity: 4 * mix.len(),
@@ -108,8 +101,8 @@ fn service_degrades_explicitly_under_injected_faults() {
         })
     };
 
-    // Round one is an un-paced burst (the sharded module and its stalled
-    // shards are still in flight when everything behind it is admitted);
+    // Round one is an un-paced burst (the enlarged module and the stalled
+    // jobs are still in flight when everything behind it is admitted);
     // round two re-submits the same mix with flipped priorities, paced as
     // an open-loop arrival process.
     let svc = service();

@@ -68,10 +68,7 @@ fn tpde_a64_parallel_is_byte_identical() {
 
 #[test]
 fn baseline_backends_parallel_are_byte_identical() {
-    assert_parallel_identical(&[
-        ServiceBackendKind::BaselineO0,
-        ServiceBackendKind::CopyPatch,
-    ]);
+    assert_parallel_identical(&[ServiceBackendKind::BaselineO0]);
 }
 
 /// The three tests above together cover every kind the crate compiles.
@@ -81,7 +78,6 @@ fn parallel_tests_cover_every_kind() {
         ServiceBackendKind::TpdeX64,
         ServiceBackendKind::TpdeA64,
         ServiceBackendKind::BaselineO0,
-        ServiceBackendKind::CopyPatch,
     ];
     for kind in ALL_KINDS {
         assert!(

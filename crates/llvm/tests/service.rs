@@ -1,8 +1,8 @@
 //! Determinism, stress and cache suite for the persistent compile service:
 //! for every workload kind, worker count and backend, a service response
 //! must be byte-identical to the one-shot sequential compiler — whether the
-//! module was batched onto one worker, sharded across the pool, or served
-//! from the content-addressed module cache.
+//! module was compiled by a worker or served from the content-addressed
+//! module cache.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -29,12 +29,10 @@ fn small(w: &Workload) -> Workload {
     }
 }
 
-/// A service with a low shard threshold so the standard workloads (8–24
-/// functions) exercise both placements across the suite.
+/// A service with `workers` threads and a `cache`-module memory cache.
 fn service(workers: usize, cache: usize) -> LlvmCompileService {
     compile_service(ServiceConfig {
         workers,
-        shard_threshold: 16,
         cache_capacity: cache,
         disk_cache: None,
         ..ServiceConfig::default()
@@ -53,11 +51,21 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn disk_service(workers: usize, cache: usize, dir: &Path) -> LlvmCompileService {
     compile_service(ServiceConfig {
         workers,
-        shard_threshold: 16,
         cache_capacity: cache,
         disk_cache: Some(DiskCacheConfig::new(dir)),
         ..ServiceConfig::default()
     })
+}
+
+/// `w` with eight times its functions: at least 64, the size a module
+/// must reach before it is worth spreading over several threads.
+fn enlarged(w: &Workload) -> Workload {
+    let big = Workload {
+        funcs: w.funcs * 8,
+        ..w.clone()
+    };
+    assert!(big.funcs >= 64, "{} x8 has {} functions", w.name, big.funcs);
+    big
 }
 
 /// Submits a compile of `module` with `kind` and waits for the response.
@@ -91,18 +99,22 @@ fn service_matches_one_shot_for_all_workloads_and_worker_counts() {
                 assert_eq!(seq.stats.insts, got_module.stats.insts, "{what}");
             }
         }
-        let stats = svc.stats();
-        assert_eq!(stats.completed, 18);
-        if workers > 1 {
-            assert!(
-                stats.sharded > 0,
-                "no workload sharded at {workers} workers"
-            );
-            assert!(
-                stats.batched > 0,
-                "no workload batched at {workers} workers"
-            );
+        let mut requests = 18;
+        if workers == 4 {
+            // A large module is still one job on one worker.
+            let w = enlarged(&small(&spec_workloads()[0]));
+            let module = Arc::new(build_workload(&w, IrStyle::O1));
+            let seq = compile_x64(&module, &opts).unwrap();
+            let got = request(&svc, &module, ServiceBackendKind::TpdeX64);
+            assert_identical(&seq.buf, &got.module.unwrap().buf, "enlarged module");
+            requests += 1;
         }
+        let stats = svc.stats();
+        assert_eq!(stats.completed, requests);
+        assert_eq!(
+            stats.batched, requests,
+            "every request is one whole-module compile at {workers} workers"
+        );
     }
 }
 
@@ -130,13 +142,13 @@ fn heterogeneous_backends_share_one_pool() {
 fn concurrent_stress_interleaves_small_and_large_modules() {
     let opts = CompileOptions::default();
     let svc = service(4, 0);
-    // Build a mix: every workload kind (small modules, batched) plus
-    // enlarged copies of a few workloads (sharded), with a seeded PRNG
+    // Build a mix: every workload kind (small modules) plus enlarged
+    // copies of a few workloads (at least 64 functions), with a seeded PRNG
     // picking backends and enlargements so the interleaving varies more
     // than a fixed modulus while staying reproducible.
     let mut rng = tpde_core::rng::Xoshiro256::new(0x0057_A355);
     let mut requests: Vec<(String, ModuleRequest)> = Vec::new();
-    let mut enlarged = 0;
+    let mut enlarged_count = 0;
     for (i, w) in spec_workloads().iter().enumerate() {
         let w = small(w);
         let module = Arc::new(build_workload(&w, IrStyle::O0));
@@ -145,15 +157,12 @@ fn concurrent_stress_interleaves_small_and_large_modules() {
             format!("{} {kind:?}", w.name),
             ModuleRequest::new(module, kind),
         ));
-        // Always shard the first workload (the queue-depth assertion below
-        // needs at least one slow module), then a random ~quarter of the rest.
-        if i == 0 || (rng.chance(1, 4) && enlarged < 3) {
-            enlarged += 1;
-            let big = Workload {
-                funcs: w.funcs * 8,
-                ..w.clone()
-            };
-            let module = Arc::new(build_workload(&big, IrStyle::O1));
+        // Always enlarge the first workload (the queue-depth assertion
+        // below needs at least one slow module), then a random ~quarter of
+        // the rest.
+        if i == 0 || (rng.chance(1, 4) && enlarged_count < 3) {
+            enlarged_count += 1;
+            let module = Arc::new(build_workload(&enlarged(&w), IrStyle::O1));
             requests.push((
                 format!("{}x8 TpdeX64", w.name),
                 ModuleRequest::new(module, ServiceBackendKind::TpdeX64),
@@ -161,7 +170,7 @@ fn concurrent_stress_interleaves_small_and_large_modules() {
         }
     }
     // Submit everything up front (pipelined), then verify each response
-    // against the one-shot compiler. A sharded (slow) module goes first,
+    // against the one-shot compiler. An enlarged (slow) module goes first,
     // and worker jobs are delayed for the duration of the submit loop so
     // the queue verifiably builds up: on a single-CPU host an unpark can
     // otherwise context-switch straight to a worker that finishes each
@@ -187,7 +196,11 @@ fn concurrent_stress_interleaves_small_and_large_modules() {
         assert_identical(&want.buf, &got.buf, what);
     }
     let stats = svc.stats();
-    assert!(stats.sharded >= 3, "enlarged modules must shard");
+    assert_eq!(
+        stats.batched,
+        requests.len() as u64,
+        "every request, enlarged or not, is one whole-module compile"
+    );
     assert!(
         stats.max_queue_depth > 1,
         "requests must overlap in the queue"
@@ -279,7 +292,6 @@ fn cache_eviction_keeps_serving_correct_bytes() {
     // Capacity 2: compiling a third distinct module evicts the LRU entry.
     let svc = compile_service(ServiceConfig {
         workers: 1,
-        shard_threshold: 1000,
         cache_capacity: 2,
         disk_cache: None,
         ..ServiceConfig::default()
@@ -320,7 +332,6 @@ fn restarted_process_answers_from_disk_byte_identically() {
         ServiceBackendKind::TpdeX64,
         ServiceBackendKind::TpdeA64,
         ServiceBackendKind::BaselineO0,
-        ServiceBackendKind::CopyPatch,
     ];
     let modules: Vec<Arc<Module>> = spec_workloads()
         .iter()
@@ -363,7 +374,7 @@ fn restarted_process_answers_from_disk_byte_identically() {
     }
     let stats = svc.stats();
     assert_eq!(stats.disk_hits, kinds.len() as u64, "all served from disk");
-    assert_eq!(stats.batched + stats.sharded, 0, "no compile path ran");
+    assert_eq!(stats.batched, 0, "no compile ran");
     assert!((stats.disk_hit_rate() - 1.0).abs() < 1e-9);
 
     // Re-asking within the same process now hits the promoted memory entry.
@@ -438,7 +449,7 @@ fn disk_restart_child(reuse: bool, dir: &Path) {
             (stats.disk_hits, stats.disk_misses, stats.disk_stores),
             (n, 0, 0)
         );
-        assert_eq!(stats.batched + stats.sharded, 0, "no compile path ran");
+        assert_eq!(stats.batched, 0, "no compile ran");
     } else {
         assert_eq!((stats.disk_misses, stats.disk_stores), (n, n));
     }
@@ -515,15 +526,16 @@ fn baselines_reject_stack_passed_arguments_as_unsupported() {
     let svc = service(2, 0);
     let caller_only = Arc::new(seven_arg_call_module(false));
     for m in [&module, &caller_only] {
-        for kind in [
-            ServiceBackendKind::BaselineO0,
-            ServiceBackendKind::CopyPatch,
-        ] {
-            let direct = compile(m, kind, &opts);
-            assert!(matches!(direct, Err(Error::Unsupported(_))), "{kind:?}");
-            let served = request(&svc, m, kind).module;
-            assert!(matches!(served, Err(Error::Unsupported(_))), "{kind:?}");
-        }
+        let kind = ServiceBackendKind::BaselineO0;
+        let direct = compile(m, kind, &opts);
+        assert!(matches!(direct, Err(Error::Unsupported(_))), "{kind:?}");
+        let served = request(&svc, m, kind).module;
+        assert!(matches!(served, Err(Error::Unsupported(_))), "{kind:?}");
+        let copy_patch = tpde_llvm::compile_copy_patch(m);
+        assert!(
+            matches!(copy_patch, Err(Error::Unsupported(_))),
+            "copy-patch"
+        );
     }
     assert_eq!(svc.stats().panics_backend, 0);
 }

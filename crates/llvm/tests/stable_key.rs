@@ -152,11 +152,6 @@ fn module_and_request_keys_are_pinned() {
         0xd97d_c07a_bb64_2fb6,
         "BaselineO0"
     );
-    assert_eq!(
-        key(ServiceBackendKind::CopyPatch),
-        0x59ae_39b0_da79_1b5a,
-        "CopyPatch"
-    );
 }
 
 #[test]
