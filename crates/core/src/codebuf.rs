@@ -19,7 +19,7 @@
 //! access, no per-byte `Vec` bookkeeping), so the cost of emitting an
 //! instruction is one capacity check plus one small `memcpy`, regardless of
 //! how many prefix/opcode/immediate bytes it has. `emit_u8`/`emit_u32` are
-//! retained for one-off writes (patch areas, tests).
+//! retained for one-off writes and tests.
 //!
 //! # The per-function fixup lifecycle
 //!
@@ -615,34 +615,6 @@ impl CodeBuffer {
     #[inline]
     pub fn emit_u32(&mut self, w: u32) {
         self.sections[0].extend_from_slice(&w.to_le_bytes());
-    }
-
-    /// Overwrites previously emitted text bytes (used for prologue patching).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn patch_text(&mut self, offset: u64, bytes: &[u8]) {
-        let off = offset as usize;
-        self.sections[0][off..off + bytes.len()].copy_from_slice(bytes);
-    }
-
-    /// Overwrites previously emitted text at `offset` with whatever `emit`
-    /// appends to the text section: the appended bytes are moved over the
-    /// patch site and the section is cut back to its old end. Lets targets
-    /// patch with the ordinary encoders and no temporary buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the moved bytes would reach past the old end of the section.
-    pub fn patch_text_with(&mut self, offset: u64, emit: impl FnOnce(&mut CodeBuffer)) {
-        let end = self.sections[0].len();
-        emit(self);
-        let text = &mut self.sections[0];
-        let off = offset as usize;
-        assert!(off + (text.len() - end) <= end, "text patch out of bounds");
-        text.copy_within(end.., off);
-        text.truncate(end);
     }
 
     // ---- symbols & relocations ---------------------------------------------
@@ -1452,35 +1424,36 @@ mod tests {
         assert_eq!(b.pool.labels[l.0 as usize], Some(0));
     }
 
-    #[test]
-    fn patch_text_overwrites() {
-        let mut buf = CodeBuffer::new();
-        buf.emit_u32(0xdead_beef);
-        buf.patch_text(0, &[0; 4]);
-        assert_eq!(buf.text(), &[0, 0, 0, 0]);
-    }
-
     /// Seeded property test of [`CodeBuffer::insert_text_with`]: a function
-    /// of random filler, forward and back `jmp rel32`s, label bindings,
+    /// of random filler, forward and back branches, label bindings,
     /// `call`-style relocations and text symbols, after an earlier function;
     /// code inserted at a random instruction boundary. Every branch must
     /// land on the instruction its label was bound before, every relocation
     /// must point at its own field, and the earlier function must not move.
-    #[test]
-    fn insertion_keeps_every_reference_on_its_instruction() {
+    /// x86-64 uses `jmp rel32` and `Pc32`; AArch64 uses 4-byte words, `b`
+    /// and `b.ne` with `A64Branch26`/`A64Branch19` fixups, and `Call26`.
+    fn check_insertion(a64: bool) {
         use crate::rng::Xoshiro256;
+        let call_kind = if a64 {
+            RelocKind::Call26
+        } else {
+            RelocKind::Pc32
+        };
+        // the word of a64 instruction `inst` (its first byte's offset)
+        let word =
+            |text: &[u8], inst: usize| u32::from_le_bytes(text[inst..inst + 4].try_into().unwrap());
         for seed in 0..300 {
             let mut rng = Xoshiro256::new(seed);
             let mut buf = CodeBuffer::new();
             // an earlier, finished function with a relocation and a symbol
             let prev = buf.declare_symbol("prev", SymbolBinding::Global, true);
             buf.define_symbol(prev, SectionKind::Text, 0, 0);
-            buf.emit_slice(&[0xcc; 7]);
+            buf.emit_slice(&[0xcc; 8]);
             buf.add_reloc(Reloc {
                 section: SectionKind::Text,
-                offset: 3,
+                offset: 4,
                 symbol: prev,
-                kind: RelocKind::Pc32,
+                kind: call_kind,
                 addend: 0,
             });
             buf.finish_func_fixups().unwrap();
@@ -1491,11 +1464,17 @@ mod tests {
             buf.define_symbol(func, SectionKind::Text, start, 0);
             let mut starts = vec![start]; // instruction boundaries
             let mut labels: Vec<(Label, Option<u64>)> = Vec::new();
-            let mut branches: Vec<(u64, usize)> = Vec::new(); // (field, label index)
+            // (field, label index): the rel32 field, or the a64 instruction
+            let mut branches: Vec<(u64, usize)> = Vec::new();
             let mut relocs: Vec<(usize, u32)> = Vec::new(); // (reloc index, marker)
             let mut syms: Vec<(SymbolId, u64)> = vec![(func, start)];
             for step in 0..40u32 {
                 match rng.below(5) {
+                    0 if a64 => {
+                        for _ in 0..1 + rng.below(6) {
+                            buf.emit_u32(0xd503_201f); // nop
+                        }
+                    }
                     0 => buf.emit_slice(&vec![0x90; 1 + rng.below(6) as usize]),
                     1 => {
                         let l = buf.new_label();
@@ -1508,22 +1487,44 @@ mod tests {
                     }
                     2 if !labels.is_empty() => {
                         let li = rng.below(labels.len() as u64) as usize;
-                        buf.emit_u8(0xe9);
-                        let field = buf.text_offset();
-                        buf.emit_u32(0);
-                        buf.add_fixup(field, labels[li].0, FixupKind::X64Rel32);
+                        let (insn, kind) = match (a64, rng.chance(1, 2)) {
+                            (true, true) => (Some(0x1400_0000), FixupKind::A64Branch26), // b
+                            (true, false) => (Some(0x5400_0001), FixupKind::A64Branch19), // b.ne
+                            (false, _) => (None, FixupKind::X64Rel32),
+                        };
+                        let field = match insn {
+                            Some(w) => {
+                                let at = buf.text_offset();
+                                buf.emit_u32(w);
+                                at
+                            }
+                            None => {
+                                buf.emit_u8(0xe9);
+                                let at = buf.text_offset();
+                                buf.emit_u32(0);
+                                at
+                            }
+                        };
+                        buf.add_fixup(field, labels[li].0, kind);
                         branches.push((field, li));
                     }
                     3 => {
-                        buf.emit_u8(0xe8);
-                        let marker = 0x5eed_0000 | step;
+                        // a64: `bl` with the step as its (relocated) immediate
+                        let marker = if a64 {
+                            0x9400_0000 | step
+                        } else {
+                            0x5eed_0000 | step
+                        };
+                        if !a64 {
+                            buf.emit_u8(0xe8);
+                        }
                         relocs.push((buf.relocs().len(), marker));
                         buf.add_reloc(Reloc {
                             section: SectionKind::Text,
                             offset: buf.text_offset(),
                             symbol: func,
-                            kind: RelocKind::Pc32,
-                            addend: -4,
+                            kind: call_kind,
+                            addend: if a64 { 0 } else { -4 },
                         });
                         buf.emit_u32(marker);
                     }
@@ -1539,7 +1540,11 @@ mod tests {
             }
 
             let at = *rng.pick(&starts);
-            let n = 1 + rng.below(24);
+            let n = if a64 {
+                4 * (1 + rng.below(6))
+            } else {
+                1 + rng.below(24)
+            };
             let moved = |off: u64| if off >= at { off + n } else { off };
             buf.insert_text_with(at, |b| b.emit_slice(&vec![0xab; n as usize]))
                 .unwrap();
@@ -1557,28 +1562,53 @@ mod tests {
 
             let text = buf.text();
             assert_eq!(&text[..prev_text.len()], &prev_text[..], "seed {seed}");
-            assert_eq!(buf.relocs()[0].offset, 3, "seed {seed}");
+            assert_eq!(buf.relocs()[0].offset, 4, "seed {seed}");
             assert_eq!(
                 &text[at as usize..(at + n) as usize],
                 &vec![0xab; n as usize][..]
             );
             for &(field, li) in &branches {
                 let field = moved(field) as usize;
-                assert_eq!(text[field - 1], 0xe9, "seed {seed}");
-                let disp = i32::from_le_bytes(text[field..field + 4].try_into().unwrap());
-                let target = (field as i64 + 4 + disp as i64) as u64;
+                let target = if a64 {
+                    let w = word(text, field);
+                    // sign-extended, word-scaled immediate of b or b.ne
+                    let words = match w >> 24 {
+                        0x14..=0x17 => ((w << 6) as i32) >> 6,
+                        0x54 => {
+                            assert_eq!(w & 0x1f, 1, "seed {seed}: b.ne at {field}");
+                            ((w << 8) as i32) >> 13
+                        }
+                        _ => panic!("seed {seed}: {w:#010x} at {field} is no branch"),
+                    };
+                    (field as i64 + 4 * words as i64) as u64
+                } else {
+                    assert_eq!(text[field - 1], 0xe9, "seed {seed}");
+                    let disp = i32::from_le_bytes(text[field..field + 4].try_into().unwrap());
+                    (field as i64 + 4 + disp as i64) as u64
+                };
                 assert_eq!(Some(target), labels[li].1, "seed {seed}: branch at {field}");
             }
             for &(ri, marker) in &relocs {
                 let off = buf.relocs()[ri].offset as usize;
-                assert_eq!(text[off - 1], 0xe8, "seed {seed}");
-                let got = u32::from_le_bytes(text[off..off + 4].try_into().unwrap());
-                assert_eq!(got, marker, "seed {seed}: relocation {ri}");
+                if !a64 {
+                    assert_eq!(text[off - 1], 0xe8, "seed {seed}");
+                }
+                assert_eq!(word(text, off), marker, "seed {seed}: relocation {ri}");
             }
             for &(id, off) in &syms {
                 assert_eq!(buf.symbol(id).offset, moved(off), "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn insertion_keeps_every_reference_on_its_instruction() {
+        check_insertion(false);
+    }
+
+    #[test]
+    fn a64_insertion_keeps_every_reference_on_its_instruction() {
+        check_insertion(true);
     }
 
     /// Emits one fake "function" into a shard: `code` bytes, one call-style

@@ -63,7 +63,7 @@ impl CompileStats {
 
 /// Text bytes reserved per IR instruction of a module before compiling it,
 /// so the section rarely has to grow and move while it is filled (the
-/// in-repo workloads take 8–12 on x86-64 and 12–19 on AArch64).
+/// in-repo workloads take 6–9 on x86-64 and 8–13 on AArch64).
 const TEXT_BYTES_PER_INST: usize = 16;
 
 /// A compiled module: the filled code buffer plus statistics and timings.

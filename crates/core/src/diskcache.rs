@@ -154,7 +154,7 @@ pub(crate) const MAGIC: [u8; 8] = *b"TPDEART\0";
 /// Version of the artifact layout and of the code it holds; any change to
 /// the format above or to the bytes the compiler emits bumps this, and an
 /// artifact with a different version is a cache miss.
-pub(crate) const FORMAT_VERSION: u32 = 8;
+pub(crate) const FORMAT_VERSION: u32 = 9;
 
 const HEADER_LEN: usize = 64;
 const SYM_RECORD: usize = 32;
@@ -454,7 +454,7 @@ struct IndexLock(File);
 impl IndexLock {
     fn acquire(dir: &Path, retries: &AtomicU64) -> Option<IndexLock> {
         let file = retry_io(retries, || {
-            if let Some(fault) = faultpoint::trip(sites::DISK_FLOCK, 0) {
+            if let Some(fault) = faultpoint::trip(sites::DISK_FLOCK) {
                 return Err(fault.to_io_error());
             }
             File::options()
@@ -576,7 +576,7 @@ impl DiskCache {
                 f.sync_all()?;
                 drop(f);
                 retry_io(&self.retries, || {
-                    if let Some(fault) = faultpoint::trip(sites::DISK_RENAME, 0) {
+                    if let Some(fault) = faultpoint::trip(sites::DISK_RENAME) {
                         return Err(fault.to_io_error());
                     }
                     fs::rename(&tmp, &path)
@@ -607,11 +607,11 @@ impl DiskCache {
     pub fn load(&self, key: u64) -> Option<CompiledModule> {
         let path = self.artifact_path(key);
         let read = retry_io(&self.retries, || {
-            if let Some(fault) = faultpoint::trip(sites::DISK_READ, 0) {
+            if let Some(fault) = faultpoint::trip(sites::DISK_READ) {
                 return Err(fault.to_io_error());
             }
             let mut bytes = fs::read(&path)?;
-            match faultpoint::trip(sites::DISK_SHORT_READ, 0) {
+            match faultpoint::trip(sites::DISK_SHORT_READ) {
                 Some(IoFault::Short) => bytes.truncate(bytes.len() / 2),
                 Some(fault) => return Err(fault.to_io_error()),
                 None => {}

@@ -15,8 +15,7 @@
 //!   no syscall. Production builds that never set `TPDE_FAULTS` pay one
 //!   lazy env lookup per process.
 //! * **Deterministic.** Firing is counter-based (`every`/`offset`/`limit`
-//!   per rule, optionally pinned to a probe `index`), never random, so a
-//!   failing chaos run replays exactly.
+//!   per rule), never random, so a failing chaos run replays exactly.
 //! * **Scoped.** [`arm`] returns a guard that restores the previous plan on
 //!   drop and serializes armed sections process-wide, so fault tests cannot
 //!   leak rules into concurrently running tests.
@@ -86,8 +85,6 @@ pub struct FaultRule {
     pub(crate) every: u64,
     /// Skip the first `offset` matching encounters.
     pub(crate) offset: u64,
-    /// Only match probes reporting this index (e.g. a function index).
-    pub(crate) index: Option<u64>,
     /// Stop firing after this many injections (`None` = unlimited).
     pub(crate) limit: Option<u64>,
 }
@@ -100,7 +97,6 @@ impl FaultRule {
             action,
             every: 1,
             offset: 0,
-            index: None,
             limit: None,
         }
     }
@@ -114,12 +110,6 @@ impl FaultRule {
     /// Skip the first `n` matching encounters.
     pub(crate) fn offset(mut self, n: u64) -> FaultRule {
         self.offset = n;
-        self
-    }
-
-    /// Only match probes at this index.
-    pub fn at_index(mut self, i: u64) -> FaultRule {
-        self.index = Some(i);
         self
     }
 
@@ -195,13 +185,10 @@ impl Plan {
 
     /// Counts the encounter on every matching rule and returns the action
     /// of the first rule that fires.
-    fn fire(&self, site: &str, index: u64) -> Option<FaultAction> {
+    fn fire(&self, site: &str) -> Option<FaultAction> {
         let mut out = None;
         for r in &self.rules {
             if r.rule.site != site {
-                continue;
-            }
-            if r.rule.index.is_some_and(|want| want != index) {
                 continue;
             }
             let hit = r.hits.fetch_add(1, Ordering::Relaxed);
@@ -331,28 +318,28 @@ pub fn arm(rules: Vec<FaultRule>) -> FaultGuard {
     }
 }
 
-/// Probes a faultpoint with an index (function index, attempt number).
+/// Probes a faultpoint.
 ///
 /// Returns the I/O fault the caller must simulate, if any; delays and
 /// panics are applied here and return `None`/never. Disarmed cost: one
 /// relaxed atomic load.
 #[inline]
-pub(crate) fn trip(site: &'static str, index: u64) -> Option<IoFault> {
+pub(crate) fn trip(site: &'static str) -> Option<IoFault> {
     if !armed() {
         return None;
     }
-    trip_slow(site, index)
+    trip_slow(site)
 }
 
 #[cold]
-fn trip_slow(site: &'static str, index: u64) -> Option<IoFault> {
-    let action = lock(&PLAN).as_ref().and_then(|p| p.fire(site, index))?;
+fn trip_slow(site: &'static str) -> Option<IoFault> {
+    let action = lock(&PLAN).as_ref().and_then(|p| p.fire(site))?;
     match action {
         FaultAction::Delay(d) => {
             std::thread::sleep(d);
             None
         }
-        FaultAction::Panic => panic!("injected fault: {site} panicked at index {index}"),
+        FaultAction::Panic => panic!("injected fault: {site} panicked"),
         FaultAction::Transient => Some(IoFault::Transient),
         FaultAction::Fail => Some(IoFault::Fail),
         FaultAction::Short => Some(IoFault::Short),
@@ -369,7 +356,7 @@ mod tests {
     #[test]
     fn disarmed_probe_is_silent() {
         let _g = arm(Vec::new());
-        assert_eq!(trip("test.silent", 0), None);
+        assert_eq!(trip("test.silent"), None);
     }
 
     #[test]
@@ -379,7 +366,7 @@ mod tests {
             .every(3)
             .offset(1)
             .limit(2)]);
-        let fired: Vec<bool> = (0..10).map(|i| trip(SITE, i).is_some()).collect();
+        let fired: Vec<bool> = (0..10).map(|_| trip(SITE).is_some()).collect();
         // Offset 1, every 3, limit 2: encounters 1 and 4 fire, then spent.
         assert_eq!(
             fired,
@@ -388,25 +375,15 @@ mod tests {
     }
 
     #[test]
-    fn index_pins_a_rule_to_one_probe_position() {
-        static SITE: &str = "test.index";
-        let _g = arm(vec![FaultRule::new(SITE, FaultAction::Short).at_index(7)]);
-        assert_eq!(trip(SITE, 6), None);
-        assert_eq!(trip(SITE, 7), Some(IoFault::Short));
-        assert_eq!(trip(SITE, 8), None);
-        assert_eq!(trip(SITE, 7), Some(IoFault::Short));
-    }
-
-    #[test]
     fn guard_restores_previous_plan() {
         static SITE: &str = "test.restore";
         {
             let _outer = arm(vec![FaultRule::new(SITE, FaultAction::Fail)]);
-            assert_eq!(trip(SITE, 0), Some(IoFault::Fail));
+            assert_eq!(trip(SITE), Some(IoFault::Fail));
         }
         // Outer guard dropped: back to the pre-arm state (env or nothing),
         // which has no rule for this synthetic site.
-        assert_eq!(trip(SITE, 0), None);
+        assert_eq!(trip(SITE), None);
     }
 
     #[test]
@@ -417,7 +394,7 @@ mod tests {
             FaultAction::Delay(Duration::from_millis(5)),
         )]);
         let t = std::time::Instant::now();
-        assert_eq!(trip(SITE, 0), None);
+        assert_eq!(trip(SITE), None);
         assert!(t.elapsed() >= Duration::from_millis(5));
     }
 
@@ -425,9 +402,9 @@ mod tests {
     fn panic_action_panics_in_place() {
         static SITE: &str = "test.panic";
         let _g = arm(vec![FaultRule::new(SITE, FaultAction::Panic)]);
-        let r = std::panic::catch_unwind(|| trip(SITE, 3));
+        let r = std::panic::catch_unwind(|| trip(SITE));
         let msg = *r.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("test.panic") && msg.contains("3"), "{msg}");
+        assert!(msg.contains("test.panic"), "{msg}");
     }
 
     #[test]

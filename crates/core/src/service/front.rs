@@ -379,7 +379,7 @@ impl<T> Dispatcher<T> {
     /// `service.wakeup` fault drops the wakeup — the bounded park timeout
     /// recovers.
     pub(crate) fn wake(&self) {
-        if faultpoint::trip(sites::WORKER_WAKEUP, 0).is_some() {
+        if faultpoint::trip(sites::WORKER_WAKEUP).is_some() {
             return;
         }
         let w = self.parkers.len();

@@ -1013,7 +1013,7 @@ fn run_job<B: ServiceBackend>(
         return false;
     }
     let (result, poisoned) = catch_compile("compile_module", || {
-        if faultpoint::trip(faultpoint::sites::WORKER_JOB, 0).is_some() {
+        if faultpoint::trip(faultpoint::sites::WORKER_JOB).is_some() {
             return Err(Error::Emit("injected worker fault".into()));
         }
         shared.backend.compile_module(&job.req, worker, session)

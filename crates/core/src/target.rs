@@ -33,39 +33,28 @@ pub enum TargetArch {
 ///
 /// The prologue is emitted before the frame size or the set of used
 /// callee-saved registers is known; the target records here what
-/// [`Target::finish_func`] completes at the end of the function. x86-64
-/// inserts the frame allocation and exactly the needed saves into the
-/// prologue ([`CodeBuffer::insert_text_with`]) and emits one epilogue that
-/// every return reaches. AArch64 still reserves nop-padded areas and patches
-/// them, as described in the paper.
+/// [`Target::finish_func`] completes at the end of the function: it inserts
+/// the frame allocation and exactly the needed saves into the prologue
+/// ([`CodeBuffer::insert_text_with`]) and emits one epilogue that every
+/// return reaches.
 ///
 /// The code generator keeps one `FrameState` per compile session and hands it
-/// to [`Target::emit_prologue`] for every function, so the epilogue list's
-/// buffer is reused.
+/// to [`Target::emit_prologue`] for every function.
 #[derive(Debug, Clone, Default)]
 pub struct FrameState {
-    /// Offset of the prologue instruction encoding the frame size (AArch64),
-    /// or where the frame allocation and the saves are inserted (x86-64).
+    /// Where the frame allocation and the saves are inserted: the end of
+    /// the prologue as emitted.
     pub frame_size_patch: u64,
     /// The shared epilogue, bound by [`Target::finish_func`]; created by
-    /// the first return (x86-64).
+    /// the first return.
     pub epilogue: Option<Label>,
-    /// `(offset, length)` of the nop-padded callee-save area in the prologue
-    /// (AArch64).
-    pub save_area: Option<(u64, u64)>,
-    /// `(offset, length)` of each nop-padded callee-restore area, one per
-    /// emitted epilogue (AArch64).
-    pub restore_areas: Vec<(u64, u64)>,
 }
 
 impl FrameState {
-    /// Starts the bookkeeping of a new function, keeping the epilogue list's
-    /// capacity.
+    /// Starts the bookkeeping of a new function.
     pub fn reset(&mut self) {
         self.frame_size_patch = 0;
         self.epilogue = None;
-        self.save_area = None;
-        self.restore_areas.clear();
     }
 }
 
@@ -180,15 +169,12 @@ mod tests {
 
     #[test]
     fn frame_state_reset_empties_it() {
-        let mut f = FrameState::default();
-        assert!(f.save_area.is_none());
-        assert!(f.restore_areas.is_empty());
-        f.epilogue = Some(Label(3));
-        f.save_area = Some((4, 8));
-        f.restore_areas.push((16, 8));
+        let mut f = FrameState {
+            frame_size_patch: 8,
+            epilogue: Some(Label(3)),
+        };
         f.reset();
+        assert_eq!(f.frame_size_patch, 0);
         assert!(f.epilogue.is_none());
-        assert!(f.save_area.is_none());
-        assert!(f.restore_areas.is_empty());
     }
 }

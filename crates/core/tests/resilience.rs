@@ -289,7 +289,6 @@ fn injected_hang_is_condemned_by_the_watchdog() {
             sites::WORKER_JOB,
             FaultAction::Delay(Duration::from_millis(250)),
         )
-        .at_index(0)
         .limit(1),
     ]);
     let svc = toy_service(ServiceConfig {

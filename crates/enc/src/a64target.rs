@@ -7,12 +7,12 @@ use tpde_core::error::Result;
 use tpde_core::regs::{Reg, RegBank, RegSet};
 use tpde_core::target::{FrameState, Target, TargetArch};
 
-/// Callee-saved GP registers handled by the save/restore patch areas.
+/// Callee-saved GP registers the prologue saves and the epilogue restores
+/// when used, in slot order with [`FP_SAVE_ORDER`] after them (slot `i` is
+/// stored at `[x29 - 8*(i+1)]`). x29 and x30 are saved by the `stp`.
 const GP_SAVE_ORDER: [u8; 10] = [19, 20, 21, 22, 23, 24, 25, 26, 27, 28];
 /// Callee-saved FP registers (low 64 bits are callee-saved per AAPCS64).
 const FP_SAVE_ORDER: [u8; 8] = [8, 9, 10, 11, 12, 13, 14, 15];
-/// Every save/restore instruction is one 4-byte A64 instruction.
-const SAVE_INSN_LEN: usize = 4;
 /// Internal scratch register used for address computations that do not fit
 /// an immediate offset. Distinct from the framework-visible scratch (x16).
 const ADDR_SCRATCH: u8 = 17;
@@ -52,11 +52,6 @@ impl A64Target {
             fixed_gp,
             fixed_fp,
         }
-    }
-
-    #[inline]
-    fn total_save_slots() -> usize {
-        GP_SAVE_ORDER.len() + FP_SAVE_ORDER.len()
     }
 
     #[inline]
@@ -139,40 +134,33 @@ impl Target for A64Target {
 
     #[inline]
     fn callee_save_area_size(&self) -> u32 {
-        (Self::total_save_slots() as u32) * 8
+        ((GP_SAVE_ORDER.len() + FP_SAVE_ORDER.len()) as u32) * 8
     }
 
+    /// Emits `stp x29, x30, [sp, #-16]! ; mov x29, sp`.
+    /// [`Target::finish_func`] inserts the frame allocation and the saves
+    /// after it.
     #[inline]
     fn emit_prologue(&self, buf: &mut CodeBuffer, frame: &mut FrameState) {
         frame.reset();
         a64::stp_pre(buf, a64::FP, a64::LR, a64::SP, -16);
         a64::mov_sp(buf, a64::FP, a64::SP);
-        // movz x16, #framesize (patched) ; sub sp, sp, x16
         frame.frame_size_patch = buf.text_offset();
-        a64::movz(buf, true, 16, 0, 0);
-        a64::sub_sp_reg(buf, 16);
-        let save_area = buf.text_offset();
-        for _ in 0..Self::total_save_slots() {
-            a64::nop(buf);
-        }
-        frame.save_area = Some((save_area, (Self::total_save_slots() * SAVE_INSN_LEN) as u64));
     }
 
+    /// Branches to the function's one epilogue, or falls into it when the
+    /// return is the function's last code.
     #[inline]
-    fn emit_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState, _at_end: bool) {
-        let restore_area = buf.text_offset();
-        for _ in 0..Self::total_save_slots() {
-            a64::nop(buf);
+    fn emit_ret(&self, buf: &mut CodeBuffer, frame: &mut FrameState, at_end: bool) {
+        let epilogue = *frame.epilogue.get_or_insert_with(|| buf.new_label());
+        if !at_end {
+            a64::b_label(buf, epilogue);
         }
-        frame.restore_areas.push((
-            restore_area,
-            (Self::total_save_slots() * SAVE_INSN_LEN) as u64,
-        ));
-        a64::mov_sp(buf, a64::SP, a64::FP);
-        a64::ldp_post(buf, a64::FP, a64::LR, a64::SP, 16);
-        a64::ret(buf);
     }
 
+    /// Emits the epilogue (if any return reaches it) with exactly the used
+    /// registers' restores, then inserts `sub sp, sp, size` and their saves
+    /// into the prologue.
     #[inline]
     fn finish_func(
         &self,
@@ -181,39 +169,38 @@ impl Target for A64Target {
         frame_size: u32,
         used_callee_saved: RegSet,
     ) -> Result<()> {
+        let used = || {
+            GP_SAVE_ORDER
+                .iter()
+                .map(|&i| Reg::new(RegBank::GP, i))
+                .chain(FP_SAVE_ORDER.iter().map(|&i| Reg::new(RegBank::FP, i)))
+                .enumerate()
+                .filter(|&(_, reg)| used_callee_saved.contains(reg))
+                .map(|(idx, reg)| (Self::save_slot_off(idx), reg))
+        };
+        if let Some(epilogue) = frame.epilogue {
+            buf.bind_label(epilogue);
+            for (off, reg) in used() {
+                self.frame_mem_access(buf, reg.bank(), 8, off, reg, false);
+            }
+            // mov sp, x29 ; ldp x29, x30, [sp], #16 ; ret
+            a64::mov_sp(buf, a64::SP, a64::FP);
+            a64::ldp_post(buf, a64::FP, a64::LR, a64::SP, 16);
+            a64::ret(buf);
+        }
         let size = (frame_size + 15) & !15;
         assert!(size < 65536, "frame larger than 64 KiB not supported");
-        // patch the imm16 of the movz (bits 5..21)
-        let word = crate::a64::movz_word(true, 16, size as u16, 0);
-        buf.patch_text(frame.frame_size_patch, &word.to_le_bytes());
-        let mut patch_area = |start: u64, is_save: bool| {
-            buf.patch_text_with(start, |buf| {
-                for (idx, reg) in GP_SAVE_ORDER
-                    .iter()
-                    .map(|&i| Reg::new(RegBank::GP, i))
-                    .chain(FP_SAVE_ORDER.iter().map(|&i| Reg::new(RegBank::FP, i)))
-                    .enumerate()
-                {
-                    if !used_callee_saved.contains(reg) {
-                        continue;
-                    }
-                    let off = Self::save_slot_off(idx);
-                    match (reg.bank(), is_save) {
-                        (RegBank::GP, true) => a64::str(buf, 8, reg.index(), a64::FP, off),
-                        (RegBank::GP, false) => a64::ldr(buf, 8, reg.index(), a64::FP, off),
-                        (RegBank::FP, true) => a64::str_fp(buf, 8, reg.index(), a64::FP, off),
-                        (RegBank::FP, false) => a64::ldr_fp(buf, 8, reg.index(), a64::FP, off),
-                    }
-                }
-            });
-        };
-        if let Some((start, _)) = frame.save_area {
-            patch_area(start, true);
-        }
-        for &(start, _) in &frame.restore_areas {
-            patch_area(start, false);
-        }
-        Ok(())
+        buf.insert_text_with(frame.frame_size_patch, |buf| {
+            if size < 4096 {
+                a64::sub_imm(buf, true, a64::SP, a64::SP, size);
+            } else {
+                a64::movz(buf, true, 16, size as u16, 0);
+                a64::sub_sp_reg(buf, 16);
+            }
+            for (off, reg) in used() {
+                self.frame_mem_access(buf, reg.bank(), 8, off, reg, true);
+            }
+        })
     }
 
     #[inline]
@@ -306,25 +293,55 @@ mod tests {
         let mut buf = CodeBuffer::new();
         let mut frame = FrameState::default();
         t.emit_prologue(&mut buf, &mut frame);
-        a64::nop(&mut buf);
+        // a body whose loop branches back to its first instruction, with an
+        // early return and a return at the end
+        let head = buf.new_label();
+        buf.bind_label(head);
+        a64::add_imm(&mut buf, true, 0, 0, 1);
+        t.emit_ret(&mut buf, &mut frame, false);
+        a64::b_label(&mut buf, head);
         t.emit_ret(&mut buf, &mut frame, true);
         let mut used = RegSet::empty();
         used.insert(Reg::new(RegBank::GP, 19));
         used.insert(Reg::new(RegBank::FP, 8));
-        t.finish_func(&mut buf, &frame, 64, used).unwrap();
-        let w0 = u32::from_le_bytes(buf.text()[0..4].try_into().unwrap());
-        assert_eq!(w0, 0xa9bf7bfd); // stp x29, x30, [sp, #-16]!
-                                    // movz x16, #64 patched in
-        let w2 = u32::from_le_bytes(buf.text()[8..12].try_into().unwrap());
-        assert_eq!(w2, 0xd2800810);
-        // save area: first instruction saves x19 at [x29, #-8] (stur form)
-        let w4 = u32::from_le_bytes(buf.text()[16..20].try_into().unwrap());
-        let mut tmp = CodeBuffer::new();
-        a64::str(&mut tmp, 8, 19, a64::FP, -8);
-        assert_eq!(w4, u32::from_le_bytes(tmp.text()[0..4].try_into().unwrap()));
-        // ends with ret
-        let last = u32::from_le_bytes(buf.text()[buf.text().len() - 4..].try_into().unwrap());
-        assert_eq!(last, 0xd65f03c0);
+        t.finish_func(&mut buf, &frame, 56, used).unwrap();
+        buf.finish_func_fixups().unwrap();
+        // the words and mnemonics agree with `llvm-mc-14 --disassemble`
+        let want = [
+            0xa9bf7bfd, // stp x29, x30, [sp, #-16]!
+            0x910003fd, // mov x29, sp
+            0xd10103ff, // sub sp, sp, #64 (56 rounded up to 16)
+            0xf81f83b3, // stur x19, [x29, #-8]
+            0xfc1a83a8, // stur d8, [x29, #-88]
+            0x91000400, // head: add x0, x0, #1
+            0x14000002, // b epilogue (early return)
+            0x17fffffe, // b head: moved with the body
+            0xf85f83b3, // epilogue: ldur x19, [x29, #-8]
+            0xfc5a83a8, // ldur d8, [x29, #-88]
+            0x910003bf, // mov sp, x29
+            0xa8c17bfd, // ldp x29, x30, [sp], #16
+            0xd65f03c0, // ret
+        ];
+        assert_eq!(buf.text(), want.map(u32::to_le_bytes).concat());
+    }
+
+    #[test]
+    fn a_function_without_return_gets_no_epilogue() {
+        let t = A64Target::new();
+        let mut buf = CodeBuffer::new();
+        let mut frame = FrameState::default();
+        t.emit_prologue(&mut buf, &mut frame);
+        a64::add_imm(&mut buf, true, 0, 0, 1);
+        t.finish_func(&mut buf, &frame, 5000, RegSet::empty())
+            .unwrap();
+        let want = [
+            0xa9bf7bfd, // stp x29, x30, [sp, #-16]!
+            0x910003fd, // mov x29, sp
+            0xd2827210, // mov x16, #5008 (5000 rounded up to 16)
+            0xcb3063ff, // sub sp, sp, x16
+            0x91000400, // add x0, x0, #1
+        ];
+        assert_eq!(buf.text(), want.map(u32::to_le_bytes).concat());
     }
 
     #[test]

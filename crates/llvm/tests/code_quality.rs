@@ -39,41 +39,41 @@ type Row = (&'static str, &'static str, &'static str, u64, usize, usize);
 
 const RECORDED: &[Row] = &[
     ("600.perl", "O0", "x64", 4282, 28, 13),
-    ("600.perl", "O0", "a64", 8292, 140, 222),
+    ("600.perl", "O0", "a64", 6072, 140, 222),
     ("600.perl", "O1", "x64", 4296, 28, 13),
-    ("600.perl", "O1", "a64", 6500, 98, 54),
+    ("600.perl", "O1", "a64", 4616, 98, 54),
     ("602.gcc", "O0", "x64", 6722, 44, 21),
-    ("602.gcc", "O0", "a64", 12932, 220, 350),
+    ("602.gcc", "O0", "a64", 9528, 220, 350),
     ("602.gcc", "O1", "x64", 6744, 44, 21),
-    ("602.gcc", "O1", "a64", 10116, 154, 86),
+    ("602.gcc", "O1", "a64", 7240, 154, 86),
     ("605.mcf", "O0", "x64", 1967, 16, 7),
-    ("605.mcf", "O0", "a64", 5836, 16, 22),
+    ("605.mcf", "O0", "a64", 4536, 16, 22),
     ("605.mcf", "O1", "x64", 1967, 16, 7),
-    ("605.mcf", "O1", "a64", 5836, 16, 22),
+    ("605.mcf", "O1", "a64", 4536, 16, 22),
     ("620.omnetpp", "O0", "x64", 2442, 36, 17),
-    ("620.omnetpp", "O0", "a64", 6220, 36, 52),
+    ("620.omnetpp", "O0", "a64", 3408, 36, 52),
     ("620.omnetpp", "O1", "x64", 2424, 36, 17),
-    ("620.omnetpp", "O1", "a64", 5500, 36, 52),
+    ("620.omnetpp", "O1", "a64", 2976, 36, 52),
     ("623.xalanc", "O0", "x64", 3252, 48, 23),
-    ("623.xalanc", "O0", "a64", 8236, 48, 70),
+    ("623.xalanc", "O0", "a64", 4536, 48, 70),
     ("623.xalanc", "O1", "x64", 3228, 48, 23),
-    ("623.xalanc", "O1", "a64", 7276, 48, 70),
+    ("623.xalanc", "O1", "a64", 3960, 48, 70),
     ("625.x264", "O0", "x64", 1740, 24, 11),
-    ("625.x264", "O0", "a64", 4204, 24, 34),
+    ("625.x264", "O0", "a64", 2280, 24, 34),
     ("625.x264", "O1", "x64", 1740, 24, 11),
-    ("625.x264", "O1", "a64", 3676, 24, 34),
+    ("625.x264", "O1", "a64", 1944, 24, 34),
     ("631.deepsjeng", "O0", "x64", 1452, 20, 9),
-    ("631.deepsjeng", "O0", "a64", 3532, 20, 28),
+    ("631.deepsjeng", "O0", "a64", 1904, 20, 28),
     ("631.deepsjeng", "O1", "x64", 1452, 20, 9),
-    ("631.deepsjeng", "O1", "a64", 3092, 20, 28),
+    ("631.deepsjeng", "O1", "a64", 1624, 20, 28),
     ("641.leela", "O0", "x64", 3172, 20, 9),
-    ("641.leela", "O0", "a64", 5052, 30, 38),
+    ("641.leela", "O0", "a64", 3424, 30, 38),
     ("641.leela", "O1", "x64", 3172, 20, 9),
-    ("641.leela", "O1", "a64", 5052, 30, 38),
+    ("641.leela", "O1", "a64", 3424, 30, 38),
     ("657.xz", "O0", "x64", 2211, 18, 8),
-    ("657.xz", "O0", "a64", 6544, 18, 25),
+    ("657.xz", "O0", "a64", 5100, 18, 25),
     ("657.xz", "O1", "x64", 2211, 18, 8),
-    ("657.xz", "O1", "a64", 6544, 18, 25),
+    ("657.xz", "O1", "a64", 5100, 18, 25),
 ];
 
 fn measure() -> Vec<Row> {

@@ -62,34 +62,80 @@ fn functions(listing: &str) -> Vec<(String, Vec<String>)> {
     funcs
 }
 
-const CALLEE_SAVED: [&str; 5] = ["rbx", "r12", "r13", "r14", "r15"];
+/// What a function's frame looks like on one target.
+struct Frame {
+    /// The first two instructions.
+    prologue: [&'static str; 2],
+    /// How the third instruction, the frame allocation, starts.
+    alloc: &'static str,
+    /// How the instructions of a frame allocation too large for `alloc`
+    /// start.
+    large_alloc: &'static [&'static str],
+    /// The two instructions before the `ret`.
+    epilogue: [&'static str; 2],
+    /// `(register, slot)` of a callee-saved store (`save`) or load.
+    save_slot: fn(&str, bool) -> Option<(String, String)>,
+}
 
-/// `(register, slot)` of a callee-saved store `mov qword ptr [rbp - k], reg`
-/// (`save`) or load `mov reg, qword ptr [rbp - k]`.
-fn save_slot(inst: &str, save: bool) -> Option<(String, String)> {
+const X64_FRAME: Frame = Frame {
+    prologue: ["push rbp", "mov rbp, rsp"],
+    alloc: "sub rsp, ",
+    large_alloc: &[],
+    epilogue: ["mov rsp, rbp", "pop rbp"],
+    save_slot: x64_save_slot,
+};
+
+const A64_FRAME: Frame = Frame {
+    prologue: ["stp x29, x30, [sp, #-16]!", "mov x29, sp"],
+    alloc: "sub sp, sp, #",
+    large_alloc: &["mov x16, #", "sub sp, sp, x16"],
+    epilogue: ["mov sp, x29", "ldp x29, x30, [sp], #16"],
+    save_slot: a64_save_slot,
+};
+
+/// `mov qword ptr [rbp - k], reg` (`save`) or `mov reg, qword ptr [rbp - k]`
+/// of rbx or r12–r15.
+fn x64_save_slot(inst: &str, save: bool) -> Option<(String, String)> {
     let ops = inst.strip_prefix("mov ")?;
     let (a, b) = ops.split_once(", ")?;
     let (reg, mem) = if save { (b, a) } else { (a, b) };
     let slot = mem.strip_prefix("qword ptr [rbp - ")?.strip_suffix(']')?;
-    CALLEE_SAVED
+    ["rbx", "r12", "r13", "r14", "r15"]
         .contains(&reg)
         .then(|| (reg.to_string(), slot.to_string()))
 }
 
-/// Checks one x86-64 function's frame: the saves that follow `sub rsp`
-/// are exactly the restores before its one `ret`, in the same order.
-/// Returns the number of saved registers.
-fn check_x64_frame(what: &str, name: &str, insts: &[String]) -> usize {
+/// `stur reg, [x29, #-k]` (`save`) or `ldur reg, [x29, #-k]` of x19–x28 or
+/// d8–d15.
+fn a64_save_slot(inst: &str, save: bool) -> Option<(String, String)> {
+    let ops = inst.strip_prefix(if save { "stur " } else { "ldur " })?;
+    let (reg, mem) = ops.split_once(", ")?;
+    let slot = mem.strip_prefix("[x29, #-")?.strip_suffix(']')?;
+    let callee_saved = match reg.split_at(1) {
+        ("x", n) => n.parse().is_ok_and(|n: u8| (19..=28).contains(&n)),
+        ("d", n) => n.parse().is_ok_and(|n: u8| (8..=15).contains(&n)),
+        _ => false,
+    };
+    callee_saved.then(|| (reg.to_string(), slot.to_string()))
+}
+
+/// Checks one function's frame: the prologue allocates the frame, the saves
+/// that follow are exactly the restores before its one `ret`, in the same
+/// order. Returns the number of saved registers.
+fn check_frame(frame: &Frame, what: &str, name: &str, insts: &[String]) -> usize {
     let at = |i: usize| insts.get(i).map_or("", String::as_str);
-    assert_eq!(
-        (at(0), at(1)),
-        ("push rbp", "mov rbp, rsp"),
-        "{what} {name}: prologue"
-    );
-    assert!(at(2).starts_with("sub rsp, "), "{what} {name}: {}", at(2));
-    let saves: Vec<_> = insts[3..]
+    assert_eq!([at(0), at(1)], frame.prologue, "{what} {name}: prologue");
+    let body = if at(2).starts_with(frame.alloc) {
+        3
+    } else {
+        let large = frame.large_alloc;
+        let fits = (0..large.len()).all(|k| at(2 + k).starts_with(large[k]));
+        assert!(!large.is_empty() && fits, "{what} {name}: {}", at(2));
+        2 + large.len()
+    };
+    let saves: Vec<_> = insts[body..]
         .iter()
-        .map_while(|i| save_slot(i, true))
+        .map_while(|i| (frame.save_slot)(i, true))
         .collect();
     let rets: Vec<usize> = (0..insts.len()).filter(|&i| at(i) == "ret").collect();
     assert_eq!(
@@ -99,14 +145,14 @@ fn check_x64_frame(what: &str, name: &str, insts: &[String]) -> usize {
     );
     let ret = rets[0];
     assert_eq!(
-        (at(ret - 2), at(ret - 1)),
-        ("mov rsp, rbp", "pop rbp"),
+        [at(ret - 2), at(ret - 1)],
+        frame.epilogue,
         "{what} {name}: epilogue"
     );
     let mut restores: Vec<_> = insts[..ret - 2]
         .iter()
         .rev()
-        .map_while(|i| save_slot(i, false))
+        .map_while(|i| (frame.save_slot)(i, false))
         .collect();
     restores.reverse();
     assert_eq!(saves, restores, "{what} {name}: saves vs restores");
@@ -116,7 +162,7 @@ fn check_x64_frame(what: &str, name: &str, insts: &[String]) -> usize {
 #[test]
 #[ignore = "needs llvm-objdump (LLVM 14); see the module docs"]
 fn workload_objects_disassemble_cleanly() {
-    let (mut checked, mut saves) = (0, 0);
+    let (mut checked, mut saves) = (0, [0, 0]);
     for w in spec_workloads() {
         for (style, sname) in [(IrStyle::O0, "O0"), (IrStyle::O1, "O1")] {
             let module = build_workload(&w, style);
@@ -132,23 +178,26 @@ fn workload_objects_disassemble_cleanly() {
                 let listing = disassemble(&obj, &what.replace(' ', "-"), x64);
                 let funcs = functions(&listing);
                 assert!(!funcs.is_empty(), "{what}: no functions in\n{listing}");
+                let frame = if x64 { &X64_FRAME } else { &A64_FRAME };
                 for (name, insts) in &funcs {
                     for inst in insts {
-                        let bad = if x64 {
-                            inst.contains("(bad)") || inst.starts_with("nop")
-                        } else {
-                            inst.contains("<unknown>")
-                        };
+                        let bad = inst.starts_with("nop")
+                            || if x64 {
+                                inst.contains("(bad)")
+                            } else {
+                                inst.contains("<unknown>")
+                            };
                         assert!(!bad, "{what} {name}: {inst}");
                     }
-                    if x64 {
-                        saves += check_x64_frame(&what, name, insts);
-                    }
+                    saves[usize::from(x64)] += check_frame(frame, &what, name, insts);
                 }
                 checked += 1;
             }
         }
     }
     assert_eq!(checked, 36);
-    assert!(saves > 0, "no function saved a callee-saved register");
+    assert!(
+        saves.iter().all(|&n| n > 0),
+        "a target saved no callee-saved register: {saves:?}"
+    );
 }

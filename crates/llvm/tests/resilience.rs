@@ -35,7 +35,6 @@ fn respawned_worker_rebuilds_warm_state_byte_identically() {
         sites::WORKER_JOB,
         FaultAction::Delay(Duration::from_millis(300)),
     )
-    .at_index(0)
     .limit(1)]);
     let svc = compile_service(ServiceConfig {
         workers: 1,
